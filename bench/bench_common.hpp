@@ -22,7 +22,6 @@
 
 #include "check/audit.hpp"
 #include "common/shard_domain.hpp"
-#include "common/shard_guard.hpp"
 #include "cluster/configs.hpp"
 #include "cluster/engine.hpp"
 #include "common/table.hpp"
@@ -40,7 +39,6 @@ struct BenchOptions {
   obs::CliOptions obs;
   bool quick = false;          ///< Smaller workload for CI smoke runs.
   bool audit = false;          ///< Invariant-audit every replay (see src/check).
-  bool shard_guard = false;    ///< Shard-domain sanitize every replay.
   std::size_t exemplars = 0;   ///< --exemplars=K: per-replay tail reservoirs.
   std::string headline_out;    ///< bench_headline JSON path override.
   std::string results_out;     ///< BENCH_<figure>.json path override.
@@ -57,21 +55,6 @@ inline bool& audit_enabled() {
 
 inline std::atomic<std::uint64_t>& audit_violations() {
   SIM_SHARD_SHARED("relaxed atomic tally of audit violations across sweep workers; only read after the pool drains")
-  static std::atomic<std::uint64_t> total{0};
-  return total;
-}
-
-/// Shard-guard mode state, mirroring the audit pair above: whether
-/// --shard-guard was passed (or the `guard` preset forced it on), and the
-/// cross-domain violation tally (nonzero fails the binary).
-inline bool& guard_enabled() {
-  SIM_SHARD_SHARED("set once while parsing argv before any worker thread starts; read-only during replays")
-  static bool enabled = false;
-  return enabled;
-}
-
-inline std::atomic<std::uint64_t>& guard_violations() {
-  SIM_SHARD_SHARED("relaxed atomic tally of shard-guard violations across sweep workers; only read after the pool drains")
   static std::atomic<std::uint64_t> total{0};
   return total;
 }
@@ -151,17 +134,12 @@ inline BenchOptions strip_bench_options(int& argc, char** argv) {
     else if (!std::strcmp(arg, "--no-flight-recorder")) out.obs.flight = false;
     else if (!std::strcmp(arg, "--quick")) out.quick = true;
     else if (!std::strcmp(arg, "--audit")) out.audit = true;
-    else if (!std::strcmp(arg, "--shard-guard")) out.shard_guard = true;
     else if (!std::strcmp(arg, "--profile")) out.obs.profile = true;
     else if (!std::strcmp(arg, "--speed-report")) out.obs.speed_report = true;
     else argv[kept++] = argv[i];
   }
   argc = kept;
-#if defined(NVMOOC_SHARD_GUARD_DEFAULT) && NVMOOC_SHARD_GUARD_DEFAULT
-  out.shard_guard = true;  // `guard` preset: always sanitized.
-#endif
   audit_enabled() = out.audit;
-  guard_enabled() = out.shard_guard;
   profile_enabled() = out.obs.profile;
   speed_enabled() = out.obs.speed_report;
   heartbeat_sec() = out.obs.heartbeat_sec;
@@ -240,8 +218,6 @@ inline void run_config_benchmark(benchmark::State& state, const ExperimentConfig
     // thread-local install keeps them independent.
     std::unique_ptr<check::AuditSession> audit;
     if (audit_enabled()) audit = std::make_unique<check::AuditSession>();
-    std::unique_ptr<shard::ShardGuardSession> guard;
-    if (guard_enabled()) guard = std::make_unique<shard::ShardGuardSession>();
     std::unique_ptr<obs::ProfileSession> profile;
     if (profile_enabled()) profile = std::make_unique<obs::ProfileSession>();
     std::unique_ptr<obs::HostSession> host;
@@ -259,27 +235,18 @@ inline void run_config_benchmark(benchmark::State& state, const ExperimentConfig
       exemplars = std::make_unique<obs::LatencySession>(exemplars_per_class());
     }
     const ExperimentResult result = run_experiment(config, trace);
-    const auto dump_flight_on_failure = [&](const char* why) {
-      if (flight == nullptr) return;
-      obs::CliOptions dump_options;
-      dump_options.flight_out = flight_out_prefix() + "flight-" + config.name +
-                                "-" + std::string(to_string(config.media)) +
-                                ".json";
-      obs::dump_flight(flight->recorder(), dump_options, why);
-    };
     if (audit != nullptr && !result.audit.passed()) {
       audit_violations() += result.audit.violation_count;
       std::fprintf(stderr, "AUDIT FAIL %s/%s\n%s\n", config.name.c_str(),
                    std::string(to_string(config.media)).c_str(),
                    result.audit.summary().c_str());
-      dump_flight_on_failure("audit violation");
-    }
-    if (guard != nullptr && !guard->report().passed()) {
-      guard_violations() += guard->report().violation_count;
-      std::fprintf(stderr, "SHARD-GUARD FAIL %s/%s\n%s\n", config.name.c_str(),
-                   std::string(to_string(config.media)).c_str(),
-                   guard->report().summary().c_str());
-      dump_flight_on_failure("shard-guard violation");
+      if (flight != nullptr) {
+        obs::CliOptions dump_options;
+        dump_options.flight_out = flight_out_prefix() + "flight-" + config.name +
+                                  "-" + std::string(to_string(config.media)) +
+                                  ".json";
+        obs::dump_flight(flight->recorder(), dump_options, "audit violation");
+      }
     }
     board().record(result);
     state.counters["achieved_MBps"] = result.achieved_mbps;

@@ -97,13 +97,5 @@ int main(int argc, char** argv) {
       return 3;
     }
   }
-  if (options.shard_guard) {
-    const std::uint64_t violations = guard_violations().load();
-    if (violations > 0) {
-      std::fprintf(stderr, "shard-guard: %llu cross-domain violation(s) across the sweep\n",
-                   static_cast<unsigned long long>(violations));
-      return 4;
-    }
-  }
   return 0;
 }

@@ -208,14 +208,5 @@ int main(int argc, char** argv) {
     std::printf("audit: all configurations passed (conservation/causality/"
                 "occupancy/ftl)\n");
   }
-  if (options.shard_guard) {
-    const std::uint64_t violations = guard_violations().load();
-    if (violations > 0) {
-      std::fprintf(stderr, "shard-guard: %llu cross-domain violation(s) across the sweep\n",
-                   static_cast<unsigned long long>(violations));
-      return 4;
-    }
-    std::printf("shard-guard: all configurations passed (domain containment)\n");
-  }
   return 0;
 }

@@ -1,4 +1,4 @@
-// Simulator speed benchmark: how fast the *host* chews through a replay
+// Simulation speed benchmark: how fast the *host* chews through a replay
 // (events/sec, simulated seconds per wall second), measured with the
 // --speed-report host-telemetry subsystem on the headline configurations.
 // Writes BENCH_simspeed.json — the checked-in copy is what CI's
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  std::printf("\n== Simulator speed (host events/sec) ==\n");
+  std::printf("\n== Simulation speed (host events/sec) ==\n");
   Table table({"Configuration", "events/s", "sim-s per wall-s", "wall ms"});
   for (NvmType media : speed_media()) {
     for (const ExperimentConfig& config : speed_configs(media)) {

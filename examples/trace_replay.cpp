@@ -7,13 +7,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 
 #include "check/audit.hpp"
 #include "cluster/configs.hpp"
 #include "cluster/engine.hpp"
 #include "common/random.hpp"
-#include "common/shard_guard.hpp"
 #include "fs/presets.hpp"
 #include "obs/cli.hpp"
 #include "trace/scenario.hpp"
@@ -32,11 +32,6 @@ const char* kUsage =
     "                    [--audit]  (verify conservation/causality/occupancy/FTL\n"
     "                                invariants during the replay; exit 3 on any\n"
     "                                violation)\n"
-    "                    [--shard-guard] (dynamic shard-domain sanitizer: assert\n"
-    "                                 every media access happens on behalf of the\n"
-    "                                 owning channel/package/die; exit 4 on any\n"
-    "                                 cross-domain touch. Default-on in the\n"
-    "                                 `guard` CMake preset)\n"
     "                    [--profile] (record the causal event graph, print the\n"
     "                                 critical-path blame report, and add the\n"
     "                                 \"profile\" section to --result-out)\n"
@@ -54,8 +49,8 @@ const char* kUsage =
     "                                 default 8)\n"
     "                    [--no-flight-recorder] (disable the always-on ring of\n"
     "                                 recent events + request ledgers that is\n"
-    "                                 dumped automatically on audit/shard-guard\n"
-    "                                 violations and fault aborts)\n"
+    "                                 dumped automatically on audit violations\n"
+    "                                 and fault aborts)\n"
     "                    [--flight-out=FILE] (flight-dump path; default\n"
     "                                 flight-dump.json)\n"
     "configs: ion-gpfs, cnl-jfs, cnl-btrfs, cnl-xfs, cnl-reiserfs, cnl-ext2,\n"
@@ -156,7 +151,12 @@ int main(int argc, char** argv) {
 
   Trace trace;
   if (!trace_path.empty()) {
-    trace = Trace::load(trace_path);
+    try {
+      trace = Trace::load(trace_path);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "bad trace: %s\n", e.what());
+      return 1;
+    }
   } else if (pattern == "seq") {
     trace = sequential_read_trace(size, request);
   } else if (pattern == "rand") {
@@ -175,22 +175,13 @@ int main(int argc, char** argv) {
               stats.sequentiality, 100.0 * stats.read_fraction);
 
   const bool audit = flag(argc, argv, "audit");
-#if defined(NVMOOC_SHARD_GUARD_DEFAULT) && NVMOOC_SHARD_GUARD_DEFAULT
-  const bool shard_guard = true;  // `guard` preset: always sanitized.
-#else
-  const bool shard_guard = flag(argc, argv, "shard-guard");
-#endif
   const std::unique_ptr<obs::ObsSession> session = obs::make_session(obs_options);
   // The audit session installs the thread-local auditor the hook sites
   // check; the engine snapshots the verdict into result.audit.
   std::unique_ptr<check::AuditSession> audit_session;
   if (audit) audit_session = std::make_unique<check::AuditSession>();
-  // Same install pattern for the shard sanitizer; the session outlives
-  // the replay and we read its report back directly.
-  std::unique_ptr<shard::ShardGuardSession> guard_session;
-  if (shard_guard) guard_session = std::make_unique<shard::ShardGuardSession>();
   // Tail-exemplar observatory (--exemplars-out) and the default-on
-  // flight recorder — both install thread-locally, like audit/guard.
+  // flight recorder — both install thread-locally, like the auditor.
   std::unique_ptr<obs::LatencySession> latency_session;
   if (!obs_options.exemplars_out.empty()) {
     latency_session = std::make_unique<obs::LatencySession>(obs_options.exemplar_count);
@@ -274,16 +265,6 @@ int main(int argc, char** argv) {
                       std::to_string(result.audit.violation_count) +
                       " invariant violation(s)");
       return 3;
-    }
-  }
-  if (guard_session != nullptr) {
-    const shard::ShardGuardReport& guard_report = guard_session->report();
-    std::printf("%s\n", guard_report.summary().c_str());
-    if (!guard_report.passed()) {
-      dump_flight_now("shard-guard violation: " +
-                      std::to_string(guard_report.violation_count) +
-                      " cross-domain access(es)");
-      return 4;
     }
   }
   return 0;

@@ -220,7 +220,7 @@ class Auditor {
 };
 
 namespace detail {
-SIM_SHARD_SHARED("thread-local install slot; AuditSession swaps it on its own thread and hook sites only dereference their own thread's pointer; via auditor and AuditSession only")
+SIM_SHARD_SHARED("thread-local install slot; AuditSession swaps it on its own thread and hook sites only dereference their own thread's pointer")
 inline thread_local Auditor* tls_auditor = nullptr;
 }
 

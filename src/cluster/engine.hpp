@@ -13,7 +13,6 @@
 #include <memory>
 
 #include "cluster/experiment.hpp"
-#include "common/shard_domain.hpp"
 #include "interconnect/link.hpp"
 #include "trace/trace.hpp"
 #include "ufs/ufs.hpp"
@@ -22,9 +21,8 @@ namespace nvmooc {
 
 // One engine drives one modelled node end to end (device, links, FS);
 // nothing in it is shared with other engines, so sweep workers may run
-// engines concurrently today (see bench_common) and the parallel DES
-// will pin each engine to its node's shard group.
-class SIM_SHARD_DOMAIN("node") ReplayEngine {
+// engines concurrently (see bench_common).
+class ReplayEngine {
  public:
   explicit ReplayEngine(const ExperimentConfig& config);
 

@@ -225,28 +225,6 @@ std::string ExperimentResult::to_json() const {
     w.field("requests_completed", host.requests_completed);
     w.field("heartbeats", host.heartbeats);
     w.field("peak_rss_bytes", host.peak_rss_bytes);
-    w.key("event_queue");
-    w.begin_object();
-    w.field("scheduled", host.queue.scheduled);
-    w.field("executed", host.queue.executed);
-    w.field("cleared", host.queue.cleared);
-    w.field("depth_high_water", host.queue.depth_high_water);
-    w.key("scheduled_by_kind");
-    w.begin_object();
-    for (const auto& [kind, count] : host.queue.scheduled_by_kind) {
-      w.field(kind, count);
-    }
-    w.end_object();
-    w.key("depth_log2");
-    w.begin_object();
-    for (const auto& [bucket, count] : host.queue.depth_log2) {
-      w.field(bucket, count);
-    }
-    w.end_object();
-    w.field("alloc_bytes", host.event_queue_alloc.allocated_bytes);
-    w.field("alloc_count", host.event_queue_alloc.allocations);
-    w.field("alloc_peak_live_bytes", host.event_queue_alloc.peak_live_bytes);
-    w.end_object();
     w.key("timeline_alloc");
     w.begin_object();
     w.field("alloc_bytes", host.timeline_alloc.allocated_bytes);

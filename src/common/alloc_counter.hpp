@@ -1,11 +1,11 @@
 // Counting-allocator hooks for host-memory telemetry.
 //
 // The host profiler (src/obs/host_profiler.hpp) wants to know where the
-// simulator's own memory goes — specifically the event-queue heap and
-// the timeline interval bookkeeping, the two containers that grow with
-// replay size. Rather than interposing a global allocator, the owning
-// containers opt in with CountingAllocator<T, Domain>, which charges
-// every allocate/deallocate to a per-thread tally the profiler snapshots.
+// simulator's own memory goes — specifically the timeline interval
+// bookkeeping, the container that grows with replay size. Rather than
+// interposing a global allocator, the owning containers opt in with
+// CountingAllocator<T, Domain>, which charges every allocate/deallocate
+// to a per-thread tally the profiler snapshots.
 //
 // The tallies are thread-local and non-atomic: an engine replay runs on
 // one thread, so the counts are exact there and the hot path is a plain
@@ -26,16 +26,8 @@
 namespace nvmooc {
 
 /// Which subsystem a counted container belongs to.
-enum class AllocDomain : std::uint8_t { kEventQueue = 0, kTimeline = 1 };
-inline constexpr int kAllocDomainCount = 2;
-
-inline const char* alloc_domain_name(AllocDomain domain) {
-  switch (domain) {
-    case AllocDomain::kEventQueue: return "event_queue";
-    case AllocDomain::kTimeline: return "timeline";
-  }
-  return "?";
-}
+enum class AllocDomain : std::uint8_t { kTimeline = 0 };
+inline constexpr int kAllocDomainCount = 1;
 
 /// Per-domain allocation accounting on the calling thread.
 struct AllocTally {

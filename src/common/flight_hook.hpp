@@ -1,14 +1,13 @@
 // Flight-recorder hook slot: how layers that cannot link src/obs (the
-// auditor in src/check, the shard-domain sanitizer in src/common) still
-// feed the always-on flight recorder.
+// auditor in src/check) still feed the always-on flight recorder.
 //
 // The recorder itself (obs::FlightRecorder, src/obs/flight_recorder.hpp)
 // lives above this library in the link graph, so the dependency is
 // inverted through a minimal sink interface: the recorder implements
-// Sink and installs itself thread-locally here; hook sites in common and
-// check call flight::note(), which is one thread-local load and a branch
-// when no recorder is installed — the zero-overhead-when-off contract
-// every observer layer in this repo follows.
+// Sink and installs itself thread-locally here; hook sites in check call
+// flight::note(), which is one thread-local load and a branch when no
+// recorder is installed — the zero-overhead-when-off contract every
+// observer layer in this repo follows.
 //
 // Typical hook site (a violation, an abort, a rare state transition):
 //   flight::note(Time{}, "audit", invariant, id, 0, detail.c_str());
@@ -37,7 +36,7 @@ class Sink {
 };
 
 namespace detail {
-SIM_SHARD_SHARED("thread-local install slot; FlightSession swaps it on its own thread and hook sites only dereference their own thread's pointer; via sink and install_sink and note only")
+SIM_SHARD_SHARED("thread-local install slot; FlightSession swaps it on its own thread and hook sites only dereference their own thread's pointer")
 inline thread_local Sink* tls_sink = nullptr;
 }  // namespace detail
 

@@ -1,62 +1,27 @@
-// Shard-domain annotation vocabulary: the static contract for the
-// planned conservative parallel DES (ROADMAP item 2).
+// Shared-state annotation for the experiment-level parallelism this
+// repo uses: sweep binaries run independent experiments concurrently on
+// a ThreadPool, each with its own engine and its own thread-local
+// observer sessions. That is only sound if no mutable state is shared
+// across experiments by accident.
 //
-// The parallel mode will shard the event queue per channel/package with
-// lookahead from the known minimum bus/NVM latencies. That is only sound
-// if every piece of mutable state an event handler can reach is provably
-// confined to one shard — so, before any threading lands, classes and
-// long-lived mutable state declare which domain owns them and simlint's
-// shard rules (SL009-SL012, tools/simlint) machine-check the claims and
-// emit the inventory the future parallel scheduler consumes
-// (SHARD_REPORT.json, regenerated with `simlint --shard-report`).
-//
-// Domains, finest to coarsest (containment: die < package < channel <
-// node < global):
-//
-//   "die"      state confined to one NVM die (plane timelines, wear).
-//   "package"  state confined to one package (port timeline, its dies).
-//   "channel"  state confined to one channel — the planned shard
-//              boundary: a shard owns a channel bus plus everything
-//              finer hanging off it.
-//   "node"     per simulated node, spanning that node's channels
-//              (controller, FTL, FS/UFS, replay engine). Runs on the
-//              shard that owns the node until nodes themselves shard.
-//   "global"   the simulation spine: clock and event queue. Handlers in
-//              finer domains reach other domains only by scheduling
-//              events here (Simulator::at/after are the passage points).
-//   "owner"    mechanism and value classes with no identity of their
-//              own (Timeline, configs, trackers): they adopt the domain
-//              of whatever object embeds them.
-//
-// SIM_SHARD_SHARED(note) marks deliberately cross-shard mutable state —
-// process-wide singletons, thread-local observability slots — and the
+// SIM_SHARD_SHARED(note) marks deliberately shared long-lived mutable
+// state — process-wide singletons, thread-local install slots — and the
 // note must say how access is synchronised (SL012 rejects an empty
-// note). New shared state is an explicit reviewed decision: CI diffs the
-// regenerated inventory against the checked-in SHARD_REPORT.json.
+// note). Every other mutable global, static or thread_local fails
+// simlint's SL009 census, and CI diffs the regenerated inventory against
+// the checked-in SHARD_REPORT.json (`simlint --shard-report`), so new
+// shared state is an explicit reviewed decision.
 //
-// Zero runtime cost: under clang the macros expand to [[clang::annotate]]
-// (visible to AST tooling); under GCC and everything else they expand to
+// Zero runtime cost: under clang the macro expands to [[clang::annotate]]
+// (visible to AST tooling); under GCC and everything else it expands to
 // nothing, so codegen, layout, and replay bit-identity are unaffected.
-// simlint's matcher engine keys on the macro text itself, so the checks
-// do not depend on which compiler configured the tree. Keep annotation
-// strings free of parentheses and embedded quotes — the matcher parses
-// them textually.
+// simlint's matcher keys on the macro text itself, so the checks do not
+// depend on which compiler configured the tree. Keep notes free of
+// parentheses and embedded quotes — the matcher parses them textually.
 #pragma once
 
 #if defined(__clang__)
-#define NVMOOC_SHARD_ANNOTATE(text) [[clang::annotate(text)]]
+#define SIM_SHARD_SHARED(note) [[clang::annotate("nvmooc::shard_shared=" note)]]
 #else
-#define NVMOOC_SHARD_ANNOTATE(text)
+#define SIM_SHARD_SHARED(note)
 #endif
-
-/// Declares the shard domain owning a class, member, or long-lived
-/// variable: SIM_SHARD_DOMAIN("channel"). Vocabulary above; SL012
-/// rejects unknown names.
-#define SIM_SHARD_DOMAIN(domain) \
-  NVMOOC_SHARD_ANNOTATE("nvmooc::shard_domain=" domain)
-
-/// Declares deliberately cross-shard mutable state. The note documents
-/// the synchronisation discipline (atomic, mutex, thread-local, ...);
-/// SL012 rejects notes too short to say anything.
-#define SIM_SHARD_SHARED(note) \
-  NVMOOC_SHARD_ANNOTATE("nvmooc::shard_shared=" note)

@@ -37,9 +37,9 @@
 
 namespace nvmooc {
 
-// Host-side work distribution only (sweep workers, numeric kernels): it
-// must never be reachable from an event handler — the event loop is
-// single-threaded today and will shard per channel, not per task.
+// Host-side work distribution only (sweep workers, numeric kernels): a
+// replay itself is single-threaded, and sweeps get their parallelism by
+// running independent experiments on separate workers.
 class SIM_SHARD_SHARED("mutex plus condvars guard queue, in-flight count and error slot; workers joined before destruction completes") ThreadPool {
  public:
   /// Creates `threads` workers; 0 means hardware_concurrency (min 1).

@@ -9,16 +9,13 @@
 #include <string>
 #include <utility>
 
-#include "common/shard_domain.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
 #include "sim/timeline.hpp"
 
 namespace nvmooc {
 
-// Pure rate/latency configuration: adopts the domain of the DMA engine
-// or network path that embeds it.
-struct SIM_SHARD_DOMAIN("owner") LinkConfig {
+struct LinkConfig {
   std::string name = "link";
   /// Raw signalling rate per lane in transfers (bits) per second.
   double gigatransfers_per_sec = 5.0;  // PCIe 2.0.
@@ -45,7 +42,7 @@ struct SIM_SHARD_DOMAIN("owner") LinkConfig {
 /// Serially-occupied DMA engine over a link. Transfers queue on the link
 /// timeline; the caller learns when each transfer starts/ends so it can
 /// overlap media work with host DMA.
-class SIM_SHARD_DOMAIN("node") DmaEngine {
+class DmaEngine {
  public:
   explicit DmaEngine(const LinkConfig& config);
 

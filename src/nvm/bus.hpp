@@ -9,14 +9,11 @@
 
 #include <string>
 
-#include "common/shard_domain.hpp"
 #include "common/units.hpp"
 
 namespace nvmooc {
 
-// Pure rate configuration, immutable after setup: adopts the domain of
-// the channel or package port that embeds it.
-struct SIM_SHARD_DOMAIN("owner") BusConfig {
+struct BusConfig {
   double frequency_hz = 400e6;
   bool double_data_rate = false;
   unsigned width_bits = 8;

@@ -38,9 +38,6 @@ CellActivation Die::activate(std::uint32_t plane, NvmOp op, std::uint64_t block,
   if (plane >= planes_.size()) {
     throw std::out_of_range("Die::activate: plane index out of range");
   }
-  // Plane timelines and wear counters are this die's owned state; the
-  // active frame must sit on the same containment chain.
-  shard::check_access(shard_ref_, "Die::activate");
   const Time duration = activation_time(op, page_in_block, cell_ops) + extra;
   const Reservation grant = planes_[plane].reserve(earliest, duration);
 

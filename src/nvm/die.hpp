@@ -10,8 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/shard_domain.hpp"
-#include "common/shard_guard.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
 #include "nvm/timing.hpp"
@@ -27,9 +25,7 @@ struct CellActivation {
   Time waited;  ///< Cell contention: start - earliest.
 };
 
-// All state (plane timelines, wear) is confined to this one die; a
-// shard that owns the enclosing channel owns it transitively.
-class SIM_SHARD_DOMAIN("die") Die {
+class Die {
  public:
   Die(const NvmTiming& timing, bool backfill);
 
@@ -51,12 +47,6 @@ class SIM_SHARD_DOMAIN("die") Die {
   const NvmTiming& timing() const { return timing_; }
   std::uint32_t plane_count() const { return timing_.planes_per_die; }
 
-  /// Installs this die's position in the containment tree for the
-  /// dynamic shard-guard; a default-constructed (unplaced) die is
-  /// unconstrained, so standalone dies in tests check nothing.
-  void set_shard_ref(const shard::ShardRef& ref) { shard_ref_ = ref; }
-  const shard::ShardRef& shard_ref() const { return shard_ref_; }
-
   /// Busy time union over all planes — "the die was doing cell work".
   [[nodiscard]] Time busy_time() const;
   const BusyTracker& plane_busy(std::uint32_t plane) const;
@@ -68,7 +58,6 @@ class SIM_SHARD_DOMAIN("die") Die {
   NvmTiming timing_;
   std::vector<Timeline> planes_;
   WearTracker wear_;
-  shard::ShardRef shard_ref_;
 };
 
 }  // namespace nvmooc

@@ -13,17 +13,13 @@
 #include <memory>
 #include <vector>
 
-#include "common/shard_domain.hpp"
-#include "common/shard_guard.hpp"
 #include "nvm/bus.hpp"
 #include "nvm/die.hpp"
 #include "sim/timeline.hpp"
 
 namespace nvmooc {
 
-// Port timeline plus this package's dies: confined to one package (and
-// therefore to the channel shard above it).
-class SIM_SHARD_DOMAIN("package") Package {
+class Package {
  public:
   Package(const NvmTiming& timing, const BusConfig& bus, std::uint32_t dies,
           bool backfill);
@@ -45,19 +41,12 @@ class SIM_SHARD_DOMAIN("package") Package {
   const Timeline& flash_bus() const { return flash_bus_; }
   const BusConfig& bus() const { return bus_; }
 
-  /// Installs this package's position in the containment tree for the
-  /// dynamic shard-guard and derives each die's ref from it. Unplaced
-  /// packages (unit tests) stay unconstrained.
-  void set_shard_ref(const shard::ShardRef& ref);
-  const shard::ShardRef& shard_ref() const { return shard_ref_; }
-
   void reset();
 
  private:
   BusConfig bus_;
   Timeline flash_bus_;
   std::vector<std::unique_ptr<Die>> dies_;
-  shard::ShardRef shard_ref_;
 };
 
 }  // namespace nvmooc

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "common/shard_domain.hpp"
 
 namespace nvmooc {
 
@@ -24,9 +23,7 @@ struct WearSummary {
   double imbalance = 1.0;
 };
 
-// Mechanism class: each tracker is embedded in (and confined to) one
-// die, so it adopts the owning die's shard domain.
-class SIM_SHARD_DOMAIN("owner") WearTracker {
+class WearTracker {
  public:
   void record_erase(std::uint64_t unit);
   void record_write(std::uint64_t unit);

@@ -1,8 +1,7 @@
 // Always-on flight recorder: a fixed-size ring of recent events and
 // completed request ledgers, cheap enough to leave on for every replay,
 // dumped automatically when something goes wrong — an audit violation
-// (trace_replay exit 3), a shard-guard violation (exit 4), or a
-// fault-injection abort. Every future parallel-DES divergence and
+// (trace_replay exit 3) or a fault-injection abort. Every future
 // crash-recovery test then comes with a postmortem instead of an exit
 // code.
 //
@@ -19,10 +18,10 @@
 //    state touched.
 //
 // Layering: the recorder lives in src/obs, but the auditor (src/check)
-// and shard guard (src/common) cannot link obs — they reach it through
-// the flight::Sink slot in common/flight_hook.hpp, which FlightSession
-// also installs. Obs-linking layers (engine, FS, SSD, DOoC) use
-// obs::flight_recorder() directly.
+// cannot link obs — it reaches the recorder through the flight::Sink
+// slot in common/flight_hook.hpp, which FlightSession also installs.
+// Obs-linking layers (engine, FS, SSD, DOoC) use obs::flight_recorder()
+// directly.
 #pragma once
 
 #include <cstdint>
@@ -94,7 +93,7 @@ class FlightRecorder final : public flight::Sink {
 };
 
 namespace detail {
-SIM_SHARD_SHARED("thread-local install slot; FlightSession swaps it on its own thread and hook sites only dereference their own thread's pointer; via flight_recorder and FlightSession only")
+SIM_SHARD_SHARED("thread-local install slot; FlightSession swaps it on its own thread and hook sites only dereference their own thread's pointer")
 inline thread_local FlightRecorder* tls_flight = nullptr;
 }  // namespace detail
 
@@ -104,7 +103,7 @@ inline FlightRecorder* flight_recorder() { return detail::tls_flight; }
 
 /// Owns a FlightRecorder and installs it on the constructing thread —
 /// both as obs::flight_recorder() and as the flight::Sink the non-obs
-/// layers (audit, shard guard) note into. Build one per replay; the CLI
+/// layers (the auditor) note into. Build one per replay; the CLI
 /// surfaces leave it on by default.
 class FlightSession {
  public:

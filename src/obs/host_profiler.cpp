@@ -80,7 +80,6 @@ const char* host_event_name(HostEvent event) {
     case HostEvent::kPosixRequest: return "posix_requests";
     case HostEvent::kDeviceRequest: return "device_requests";
     case HostEvent::kTimelineReservation: return "timeline_reservations";
-    case HostEvent::kQueueEvent: return "queue_events";
   }
   return "?";
 }
@@ -205,10 +204,6 @@ HostReport HostProfiler::report(Time sim_makespan) const {
   out.requests_completed = completed_requests_;
   out.heartbeats = heartbeats_;
   out.peak_rss_bytes = peak_rss_bytes();
-  out.queue = queue_;
-  out.event_queue_alloc =
-      alloc_delta(alloc_tally(AllocDomain::kEventQueue),
-                  alloc_base_[static_cast<int>(AllocDomain::kEventQueue)]);
   out.timeline_alloc =
       alloc_delta(alloc_tally(AllocDomain::kTimeline),
                   alloc_base_[static_cast<int>(AllocDomain::kTimeline)]);
@@ -240,19 +235,10 @@ std::string HostReport::summary() const {
                   static_cast<unsigned long long>(events[e]));
   }
   out += "\n";
-  out += format("  memory: peak RSS %s; event-queue alloc %s (peak live %s); "
-                "timeline alloc %s (peak live %s)\n",
+  out += format("  memory: peak RSS %s; timeline alloc %s (peak live %s)\n",
                 format_bytes(static_cast<double>(peak_rss_bytes)).c_str(),
-                format_bytes(static_cast<double>(event_queue_alloc.allocated_bytes)).c_str(),
-                format_bytes(static_cast<double>(event_queue_alloc.peak_live_bytes)).c_str(),
                 format_bytes(static_cast<double>(timeline_alloc.allocated_bytes)).c_str(),
                 format_bytes(static_cast<double>(timeline_alloc.peak_live_bytes)).c_str());
-  if (queue.scheduled > 0 || queue.executed > 0) {
-    out += format("  event queue: %llu scheduled, %llu executed, depth high-water %llu\n",
-                  static_cast<unsigned long long>(queue.scheduled),
-                  static_cast<unsigned long long>(queue.executed),
-                  static_cast<unsigned long long>(queue.depth_high_water));
-  }
   if (!sections.empty()) {
     const double attributed = [&] {
       double sum = 0.0;

@@ -8,15 +8,15 @@
 // bit-identical with the speed report on or off):
 //
 //  * an events/sec speedometer: hook sites count the simulation events
-//    the host processed (device requests, timeline reservations,
-//    event-queue pops) and the report divides by elapsed wall time;
+//    the host processed (POSIX requests, device requests, timeline
+//    reservations) and the report divides by elapsed wall time;
 //  * scoped wall-clock attribution: RAII HostSection guards partition
 //    host time across subsystems (engine, I/O path, controller,
 //    timeline, interconnect, reliability, obs overhead) with self-time
 //    semantics — a nested section's time is subtracted from its parent;
 //  * memory accounting: peak RSS from the OS plus the counting-allocator
-//    tallies (common/alloc_counter.hpp) charged by the event-queue heap
-//    and the timeline interval bookkeeping;
+//    tally (common/alloc_counter.hpp) charged by the timeline interval
+//    bookkeeping;
 //  * a progress heartbeat: a structured log line every N wall-seconds
 //    (% requests complete, sim-time, events/sec, ETA) for long runs,
 //    mirrored as Perfetto wall-track counters when a tracer is active.
@@ -28,7 +28,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/alloc_counter.hpp"
@@ -55,32 +54,17 @@ inline constexpr int kHostSubsystemCount = 8;
 const char* host_subsystem_name(HostSubsystem subsystem);
 
 /// What the speedometer counts. One "event" is one unit of host work on
-/// the simulation: a device request through the engine, a timeline
-/// reservation, or an event-queue pop.
+/// the simulation: an application request, a device request through the
+/// engine, or a timeline reservation.
 enum class HostEvent : std::uint8_t {
   kPosixRequest = 0,
   kDeviceRequest = 1,
   kTimelineReservation = 2,
-  kQueueEvent = 3,
 };
-inline constexpr int kHostEventCount = 4;
+inline constexpr int kHostEventCount = 3;
 
 /// Stable snake_case key for reports/JSON ("device_requests", ...).
 const char* host_event_name(HostEvent event);
-
-/// Event-queue statistics as the host report carries them (the sim layer
-/// converts its EventQueueStats into this shape — obs cannot depend on
-/// src/sim). Empty maps mean "no event queue ran", which is normal for
-/// the closed-loop replay engine.
-struct HostQueueStats {
-  std::uint64_t scheduled = 0;
-  std::uint64_t executed = 0;
-  std::uint64_t cleared = 0;
-  std::uint64_t depth_high_water = 0;
-  std::vector<std::pair<std::string, std::uint64_t>> scheduled_by_kind;
-  /// Label -> pushes, label is the bucket's depth range ("8-15").
-  std::vector<std::pair<std::string, std::uint64_t>> depth_log2;
-};
 
 struct HostSectionStat {
   std::string name;
@@ -111,8 +95,6 @@ struct HostReport {
   std::uint64_t requests_completed = 0;
   std::uint64_t heartbeats = 0;
   std::uint64_t peak_rss_bytes = 0;
-  HostQueueStats queue;
-  HostAllocStat event_queue_alloc;
   HostAllocStat timeline_alloc;
   /// Nonzero buckets only, sorted by self time descending.
   std::vector<HostSectionStat> sections;
@@ -152,10 +134,6 @@ class HostProfiler {
   void section_enter(HostSubsystem subsystem);
   void section_exit();
 
-  /// Installs the (cumulative) event-queue statistics; the last call
-  /// wins, matching the queue's own cumulative counters.
-  void record_queue(HostQueueStats stats) { queue_ = std::move(stats); }
-
   std::uint64_t events_total() const;
 
   /// Finalises the measurement into a report. `sim_makespan` is the
@@ -182,7 +160,6 @@ class HostProfiler {
   };
   std::vector<Frame> stack_;
   std::array<AllocTally, kAllocDomainCount> alloc_base_{};
-  HostQueueStats queue_;
 };
 
 namespace detail {

@@ -159,7 +159,7 @@ class LatencyObservatory {
 };
 
 namespace detail {
-SIM_SHARD_SHARED("thread-local install slot; LatencySession swaps it on its own thread and the engine only dereferences its own thread's pointer; via latency_observatory and LatencySession only")
+SIM_SHARD_SHARED("thread-local install slot; LatencySession swaps it on its own thread and the engine only dereferences its own thread's pointer")
 inline thread_local LatencyObservatory* tls_observatory = nullptr;
 }  // namespace detail
 

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/alloc_counter.hpp"
-#include "common/shard_domain.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
 
@@ -27,9 +26,7 @@ struct Reservation {
   Time waited;
 };
 
-// Mechanism class: a Timeline instance belongs to whatever resource
-// embeds it (die plane, package port, channel bus, host link).
-class SIM_SHARD_DOMAIN("owner") Timeline {
+class Timeline {
  public:
   /// When `backfill` is true the timeline keeps a bounded list of earlier
   /// gaps and lets short transactions slot into them — this models

@@ -114,13 +114,6 @@ SsdHardware::SsdHardware(const SsdGeometry& geometry, const NvmTiming& timing,
     }
     channels_.push_back(std::move(channel));
   }
-  // Place every package (and, transitively, its dies) in the containment
-  // tree so the dynamic shard-guard knows who owns what.
-  for (std::uint32_t c = 0; c < geometry_.channels; ++c) {
-    for (std::uint32_t p = 0; p < geometry_.packages_per_channel; ++p) {
-      channels_[c]->packages[p].set_shard_ref(shard::ShardRef::of_package(c, p));
-    }
-  }
 }
 
 Controller::Controller(SsdHardware& hardware, Ftl& ftl, ControllerConfig config,
@@ -189,14 +182,6 @@ TransactionResult Controller::schedule(const TxnSpec& spec, Time arrival, bool i
   const NvmTiming& timing = hardware_.timing();
   const SsdGeometry& geometry = hardware_.geometry();
   const PhysicalAddress address = geometry.map_unit(spec.first_unit, timing);
-
-  // The whole media transaction runs on behalf of the target channel's
-  // shard. The replay path is Timeline-based (no event dispatch), so this
-  // scope is what makes the guard meaningful on real traces; a remap
-  // recursing into schedule() for a different channel pushes its own
-  // frame, and the innermost one wins.
-  shard::ShardScope txn_scope(shard::ShardRef::of_channel(address.channel),
-                              "controller.txn");
 
   Timeline& channel = hardware_.channel_bus(address.channel);
   Package& package = hardware_.package(address.channel, address.package);

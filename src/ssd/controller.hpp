@@ -10,8 +10,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/shard_domain.hpp"
-#include "common/shard_guard.hpp"
 #include "nvm/bus.hpp"
 #include "nvm/package.hpp"
 #include "reliability/ecc.hpp"
@@ -24,24 +22,14 @@
 namespace nvmooc {
 
 /// The physical resources of the device: per-channel shared buses, and
-/// the packages (each with its port and dies) hanging off them. The
-/// container spans every channel (node domain); each Channel inside is
-/// exactly one future shard.
-class SIM_SHARD_DOMAIN("node") SsdHardware {
+/// the packages (each with its port and dies) hanging off them.
+class SsdHardware {
  public:
   SsdHardware(const SsdGeometry& geometry, const NvmTiming& timing,
               const BusConfig& bus, bool backfill);
 
-  Timeline& channel_bus(std::uint32_t channel) {
-    // The bus timeline is the channel shard's own state; mutable access
-    // must come from a frame on that channel's containment chain.
-    shard::check_access(shard::ShardRef::of_channel(channel),
-                        "SsdHardware::channel_bus");
-    return channels_[channel]->bus;
-  }
+  Timeline& channel_bus(std::uint32_t channel) { return channels_[channel]->bus; }
   Package& package(std::uint32_t channel, std::uint32_t package) {
-    shard::check_access(shard::ShardRef::of_package(channel, package),
-                        "SsdHardware::package");
     return channels_[channel]->packages[package];
   }
   const Package& package(std::uint32_t channel, std::uint32_t package) const {
@@ -54,7 +42,7 @@ class SIM_SHARD_DOMAIN("node") SsdHardware {
   const BusConfig& bus() const { return bus_; }
 
  private:
-  struct SIM_SHARD_DOMAIN("channel") Channel {
+  struct Channel {
     explicit Channel(bool backfill) : bus(backfill) {}
     Timeline bus;
     std::vector<Package> packages;
@@ -104,10 +92,8 @@ struct ControllerStats {
   ReliabilityStats reliability;
 };
 
-// Dispatches across every channel and owns cross-channel accounting, so
-// it stays node-wide; the parallel DES hands its per-channel scheduling
-// decisions to the owning shards via the event queue.
-class SIM_SHARD_DOMAIN("node") Controller {
+// Dispatches across every channel and owns cross-channel accounting.
+class Controller {
  public:
   /// `injector` may be null (the default): no faults, no per-sense
   /// draws, the fault-free fast path.

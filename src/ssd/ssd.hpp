@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/shard_domain.hpp"
 #include "nvm/bus.hpp"
 #include "nvm/wear.hpp"
 #include "ssd/controller.hpp"
@@ -41,7 +40,7 @@ struct DeviceStats {
   double remaining_bandwidth = 0.0;
 };
 
-class SIM_SHARD_DOMAIN("node") Ssd {
+class Ssd {
  public:
   explicit Ssd(const SsdConfig& config);
 

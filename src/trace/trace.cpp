@@ -1,10 +1,16 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
+#include <vector>
 
-#include "common/string_util.hpp"
 
 namespace nvmooc {
 
@@ -63,22 +69,53 @@ void Trace::save(const std::string& path) const {
 }
 
 Trace Trace::load(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "r");
+  std::ifstream file(path);
   if (!file) throw std::runtime_error("Trace::load: cannot open " + path);
   Trace trace;
-  char op = 0;
-  unsigned long long offset = 0;
-  unsigned long long size = 0;
-  long long not_before = 0;
-  while (std::fscanf(file, " %c %llu %llu %lld", &op, &offset, &size, &not_before) == 4) {
-    // Optional fifth column; a following 'R'/'W' fails the %d match and
-    // stays in the stream for the next iteration.
-    int barrier = 0;
-    if (std::fscanf(file, " %d", &barrier) != 1) barrier = 0;
-    trace.add(op == 'W' ? NvmOp::kWrite : NvmOp::kRead, Bytes{offset}, Bytes{size},
-              Time{not_before}, barrier != 0);
+  std::string line;
+  std::size_t lineno = 0;
+  while (std::getline(file, line)) {
+    ++lineno;
+    const auto fail = [&](const std::string& what) {
+      throw std::runtime_error("Trace::load: " + path + ":" + std::to_string(lineno) +
+                               ": " + what);
+    };
+    std::istringstream fields(line);
+    std::vector<std::string> tokens;
+    for (std::string token; fields >> token;) tokens.push_back(token);
+    if (tokens.empty()) continue;
+    if (tokens.size() < 4) {
+      fail("expected 'op offset size not_before [barrier]', got " +
+           std::to_string(tokens.size()) + " field(s)");
+    }
+    if (tokens.size() > 5) fail("trailing garbage '" + tokens[5] + "'");
+    if (tokens[0] != "R" && tokens[0] != "W") fail("bad op '" + tokens[0] + "'");
+    // Digits only (no sign, no suffix) and no overflow.
+    const auto number = [&](std::size_t index, const char* field) {
+      const std::string& token = tokens[index];
+      errno = 0;
+      char* end = nullptr;
+      const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
+      if (!std::isdigit(static_cast<unsigned char>(token[0])) || *end != '\0' ||
+          errno == ERANGE) {
+        fail(std::string("bad ") + field + " '" + token + "'");
+      }
+      return value;
+    };
+    const unsigned long long offset = number(1, "offset");
+    const unsigned long long size = number(2, "size");
+    const unsigned long long not_before = number(3, "not_before");
+    if (not_before > static_cast<unsigned long long>(INT64_MAX)) {
+      fail("bad not_before '" + tokens[3] + "'");
+    }
+    bool barrier = false;
+    if (tokens.size() == 5) {
+      if (tokens[4] != "0" && tokens[4] != "1") fail("bad barrier '" + tokens[4] + "'");
+      barrier = tokens[4] == "1";
+    }
+    trace.add(tokens[0] == "W" ? NvmOp::kWrite : NvmOp::kRead, Bytes{offset},
+              Bytes{size}, Time{static_cast<std::int64_t>(not_before)}, barrier);
   }
-  std::fclose(file);
   return trace;
 }
 

@@ -61,6 +61,8 @@ class Trace {
   /// Text serialisation: one "op offset size not_before [barrier]" line
   /// per request; the barrier column is written only when set, and its
   /// absence loads as false (older four-column traces stay readable).
+  /// load() skips blank lines and throws std::runtime_error naming the
+  /// path, line and field on anything else it cannot parse.
   void save(const std::string& path) const;
   static Trace load(const std::string& path);
 

@@ -11,13 +11,11 @@
 
 #include "common/logging.hpp"
 #include "common/random.hpp"
-#include "common/shard_guard.hpp"
 #include "common/stats.hpp"
 #include "common/string_util.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
-#include "sim/simulator.hpp"
 
 namespace nvmooc {
 namespace {
@@ -360,136 +358,6 @@ TEST(ThreadPool, DestructorDropsUnobservedTaskError) {
     // anything else (rethrow, terminate) fails this test hard.
   }
   SUCCEED();
-}
-
-// ---------- shard isolation (threaded / tsan) ----------------------------
-
-// Rehearses the sharding contract from src/common/shard_domain.hpp: one
-// Simulator (and therefore one event queue and clock) per shard, no
-// mutable state shared between shards, the pool only distributes whole
-// shards. Under the tsan preset this is the test that proves the
-// annotated event-queue API is genuinely shard-confined — any hidden
-// global touched by scheduling or dispatch shows up as a race here.
-struct IsolatedShard {
-  Simulator sim;
-  std::uint64_t acc = 0;
-  int remaining = 0;
-
-  void pump() {
-    if (remaining == 0) return;
-    --remaining;
-    // Data-dependent delays so each shard's event times diverge; the
-    // accumulator folds in the shard-local clock at every dispatch.
-    sim.after(Time{acc % 911 + 1}, [this] {
-      acc = acc * 6364136223846793005ull + 1442695040888963407ull +
-            static_cast<std::uint64_t>(sim.now().ps());
-      pump();
-    });
-  }
-
-  std::uint64_t run(std::uint64_t seed, int events) {
-    sim.reset();
-    acc = seed;
-    remaining = events;
-    pump();
-    const Time end = sim.run();
-    return acc ^ static_cast<std::uint64_t>(end.ps());
-  }
-};
-
-TEST(ShardIsolation, ParallelShardsMatchSerialReference) {
-  constexpr int kShards = 16;
-  constexpr int kEvents = 2000;
-  constexpr std::uint64_t kSeedStride = 0x9e3779b97f4a7c15ull;
-
-  std::vector<std::uint64_t> reference(kShards);
-  {
-    std::vector<IsolatedShard> shards(kShards);
-    for (int s = 0; s < kShards; ++s) {
-      reference[s] = shards[s].run(kSeedStride * (s + 1), kEvents);
-    }
-  }
-
-  ThreadPool pool(4);
-  for (int round = 0; round < 3; ++round) {
-    std::vector<IsolatedShard> shards(kShards);
-    std::vector<std::uint64_t> results(kShards);
-    pool.parallel_for(0, kShards, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t s = lo; s < hi; ++s) {
-        results[s] = shards[s].run(kSeedStride * (s + 1), kEvents);
-      }
-    });
-    EXPECT_EQ(results, reference) << "divergence in round " << round;
-  }
-}
-
-// The same stress under ShardGuard: every event is tagged with its
-// shard's channel, each worker thread installs its own guard session,
-// and the run must stay violation-free while producing the same
-// accumulator values as the unguarded reference. Under tsan this also
-// proves the guard's thread-local install slot adds no cross-thread
-// traffic of its own.
-struct GuardedShard {
-  Simulator sim;
-  shard::ShardRef domain;
-  std::uint64_t acc = 0;
-  int remaining = 0;
-
-  void pump() {
-    if (remaining == 0) return;
-    --remaining;
-    sim.after(Time{acc % 911 + 1}, [this] {
-      shard::check_access(domain, "GuardedShard::acc");
-      acc = acc * 6364136223846793005ull + 1442695040888963407ull +
-            static_cast<std::uint64_t>(sim.now().ps());
-      pump();
-    }, EventKind::kGeneric, domain);
-  }
-
-  std::uint64_t run(std::uint64_t seed, int events) {
-    sim.reset();
-    acc = seed;
-    remaining = events;
-    pump();
-    const Time end = sim.run();
-    return acc ^ static_cast<std::uint64_t>(end.ps());
-  }
-};
-
-TEST(ShardIsolation, GuardedParallelShardsStayConfinedAndMatchReference) {
-  constexpr int kShards = 16;
-  constexpr int kEvents = 2000;
-  constexpr std::uint64_t kSeedStride = 0x9e3779b97f4a7c15ull;
-
-  std::vector<std::uint64_t> reference(kShards);
-  {
-    std::vector<IsolatedShard> shards(kShards);
-    for (int s = 0; s < kShards; ++s) {
-      reference[s] = shards[s].run(kSeedStride * (s + 1), kEvents);
-    }
-  }
-
-  ThreadPool pool(4);
-  std::vector<GuardedShard> shards(kShards);
-  for (int s = 0; s < kShards; ++s) {
-    shards[s].domain = shard::ShardRef::of_channel(static_cast<std::uint32_t>(s));
-  }
-  std::vector<std::uint64_t> results(kShards);
-  std::atomic<std::uint64_t> violations{0};
-  std::atomic<std::uint64_t> frames{0};
-  pool.parallel_for(0, kShards, [&](std::size_t lo, std::size_t hi) {
-    shard::ShardGuardSession session;
-    for (std::size_t s = lo; s < hi; ++s) {
-      results[s] = shards[s].run(kSeedStride * (s + 1), kEvents);
-    }
-    violations += session.report().violation_count;
-    frames += session.report().frames_entered;
-  });
-
-  EXPECT_EQ(results, reference);
-  EXPECT_EQ(violations.load(), 0u);
-  // Every tagged event pushed a frame on its worker's guard.
-  EXPECT_EQ(frames.load(), static_cast<std::uint64_t>(kShards) * kEvents);
 }
 
 // ---------- strings ------------------------------------------------------

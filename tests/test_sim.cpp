@@ -1,5 +1,4 @@
-// Unit tests for the discrete-event core: event queue ordering, simulator
-// clock semantics, and the reservation timeline (incl. backfill).
+// Unit tests for the reservation timeline (incl. backfill).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,146 +7,10 @@
 #include <utility>
 #include <vector>
 
-#include "sim/event_queue.hpp"
-#include "sim/simulator.hpp"
 #include "sim/timeline.hpp"
 
 namespace nvmooc {
 namespace {
-
-TEST(EventQueue, DeliversInTimeOrder) {
-  EventQueue queue;
-  std::vector<int> order;
-  queue.schedule(Time{30}, [&] { order.push_back(3); });
-  queue.schedule(Time{10}, [&] { order.push_back(1); });
-  queue.schedule(Time{20}, [&] { order.push_back(2); });
-  Time last{};
-  while (!queue.empty()) last = queue.pop_and_run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(last, Time{30});
-}
-
-TEST(EventQueue, TiesBreakByInsertion) {
-  EventQueue queue;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) queue.schedule(Time{5}, [&order, i] { order.push_back(i); });
-  while (!queue.empty()) EXPECT_EQ(queue.pop_and_run(), Time{5});
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(EventQueue, EventMaySchedule) {
-  EventQueue queue;
-  int fired = 0;
-  queue.schedule(Time{1}, [&] {
-    ++fired;
-    queue.schedule(Time{2}, [&] { ++fired; });
-  });
-  Time last{};
-  while (!queue.empty()) last = queue.pop_and_run();
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(last, Time{2});
-}
-
-TEST(EventQueueStats, CountsScheduledExecutedAndKinds) {
-  EventQueue queue;
-  queue.schedule(Time{10}, [] {}, EventKind::kArrival);
-  queue.schedule(Time{20}, [] {}, EventKind::kArrival);
-  queue.schedule(Time{30}, [] {}, EventKind::kCompletion);
-  queue.schedule(Time{40}, [] {});  // Defaults to kGeneric.
-  while (!queue.empty()) static_cast<void>(queue.pop_and_run());
-
-  const EventQueueStats& stats = queue.stats();
-  EXPECT_EQ(stats.scheduled, 4u);
-  EXPECT_EQ(stats.executed, 4u);
-  EXPECT_EQ(stats.cleared, 0u);
-  EXPECT_EQ(stats.scheduled_by_kind[static_cast<int>(EventKind::kArrival)], 2u);
-  EXPECT_EQ(stats.scheduled_by_kind[static_cast<int>(EventKind::kCompletion)], 1u);
-  EXPECT_EQ(stats.scheduled_by_kind[static_cast<int>(EventKind::kGeneric)], 1u);
-  EXPECT_EQ(stats.scheduled_by_kind[static_cast<int>(EventKind::kTimer)], 0u);
-}
-
-TEST(EventQueueStats, DepthHighWaterTracksPeakNotFinal) {
-  EventQueue queue;
-  for (int i = 0; i < 5; ++i) queue.schedule(Time{i + 1}, [] {});
-  EXPECT_EQ(queue.stats().depth_high_water, 5u);
-  while (!queue.empty()) static_cast<void>(queue.pop_and_run());
-  // Draining does not lower the high-water mark.
-  EXPECT_EQ(queue.stats().depth_high_water, 5u);
-  // Re-filling to a lower depth leaves the previous peak standing.
-  queue.schedule(Time{100}, [] {});
-  EXPECT_EQ(queue.stats().depth_high_water, 5u);
-}
-
-TEST(EventQueueStats, ClearAccountsDroppedEvents) {
-  EventQueue queue;
-  for (int i = 0; i < 3; ++i) queue.schedule(Time{i + 1}, [] {});
-  static_cast<void>(queue.pop_and_run());
-  queue.clear();
-  const EventQueueStats& stats = queue.stats();
-  EXPECT_EQ(stats.scheduled, 3u);
-  EXPECT_EQ(stats.executed, 1u);
-  EXPECT_EQ(stats.cleared, 2u);
-}
-
-TEST(EventQueueStats, DeterministicAcrossIdenticalRuns) {
-  const auto run = [] {
-    EventQueue queue;
-    for (int i = 0; i < 200; ++i) {
-      queue.schedule(Time{(i * 37) % 101}, [] {},
-                     i % 3 == 0 ? EventKind::kArrival : EventKind::kCompletion);
-      if (i % 5 == 0 && !queue.empty()) static_cast<void>(queue.pop_and_run());
-    }
-    while (!queue.empty()) static_cast<void>(queue.pop_and_run());
-    return queue.stats();
-  };
-  EXPECT_TRUE(run() == run());
-}
-
-TEST(EventQueueStats, EventKindNamesAreStable) {
-  EXPECT_STREQ(event_kind_name(EventKind::kGeneric), "generic");
-  EXPECT_STREQ(event_kind_name(EventKind::kArrival), "arrival");
-  EXPECT_STREQ(event_kind_name(EventKind::kCompletion), "completion");
-}
-
-TEST(Simulator, ClockAdvancesMonotonically) {
-  Simulator sim;
-  std::vector<Time> seen;
-  sim.at(Time{100}, [&] { seen.push_back(sim.now()); });
-  sim.after(Time{50}, [&] { seen.push_back(sim.now()); });
-  const Time end = sim.run();
-  EXPECT_EQ(seen, (std::vector<Time>{Time{50}, Time{100}}));
-  EXPECT_EQ(end, Time{100});
-}
-
-TEST(Simulator, RejectsPastScheduling) {
-  Simulator sim;
-  sim.at(Time{10}, [] {});
-  EXPECT_EQ(sim.run(), Time{10});
-  EXPECT_THROW(sim.at(Time{5}, [] {}), std::logic_error);
-  EXPECT_THROW(sim.after(Time{-1}, [] {}), std::logic_error);
-}
-
-TEST(Simulator, RunUntilStopsAtDeadline) {
-  Simulator sim;
-  int fired = 0;
-  sim.at(Time{10}, [&] { ++fired; });
-  sim.at(Time{100}, [&] { ++fired; });
-  EXPECT_EQ(sim.run_until(Time{50}), Time{50});
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.now(), Time{50});
-  EXPECT_EQ(sim.pending_events(), 1u);
-  EXPECT_EQ(sim.run(), Time{100});
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(Simulator, ResetClearsState) {
-  Simulator sim;
-  sim.at(Time{10}, [] {});
-  EXPECT_EQ(sim.run(), Time{10});
-  sim.reset();
-  EXPECT_EQ(sim.now(), Time{0});
-  EXPECT_TRUE(sim.idle());
-}
 
 // ---------- timeline -----------------------------------------------------
 

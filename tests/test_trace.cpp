@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "trace/synthetic.hpp"
@@ -59,6 +60,65 @@ TEST(Trace, SaveLoadRoundTrip) {
 
 TEST(Trace, LoadMissingFileThrows) {
   EXPECT_THROW(Trace::load("/nonexistent/path/x.trace"), std::runtime_error);
+}
+
+/// Writes `text` to a temp trace file, loads it, and returns the load
+/// error message ("" when the load succeeded).
+std::string load_error(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::FILE* file = std::fopen(path.c_str(), "w");
+  EXPECT_NE(file, nullptr);
+  std::fputs(text.c_str(), file);
+  std::fclose(file);
+  std::string error;
+  try {
+    static_cast<void>(Trace::load(path));
+  } catch (const std::runtime_error& e) {
+    error = e.what();
+  }
+  std::remove(path.c_str());
+  return error;
+}
+
+TEST(Trace, LoadRejectsMalformedLine) {
+  const std::string error = load_error(
+      "malformed.trace", "R 0 4096 0\nR 4096 4096 0\nX garbage\nR 8192 4096 0\n");
+  EXPECT_NE(error.find("malformed.trace:3:"), std::string::npos) << error;
+  EXPECT_NE(error.find("2 field(s)"), std::string::npos) << error;
+}
+
+TEST(Trace, LoadRejectsUnknownOp) {
+  const std::string error = load_error("unknown_op.trace", "R 0 4096 0\nQ 0 4096 0\n");
+  EXPECT_NE(error.find("unknown_op.trace:2:"), std::string::npos) << error;
+  EXPECT_NE(error.find("bad op 'Q'"), std::string::npos) << error;
+}
+
+TEST(Trace, LoadRejectsTrailingGarbage) {
+  EXPECT_NE(load_error("trailing.trace", "R 0 4096 0 1 extra\n").find(
+                "trailing.trace:1: trailing garbage 'extra'"),
+            std::string::npos);
+  EXPECT_NE(load_error("bad_barrier.trace", "W 0 4096 0 junk\n").find(
+                "bad_barrier.trace:1: bad barrier 'junk'"),
+            std::string::npos);
+  EXPECT_NE(load_error("bad_size.trace", "R 0 4k 0\n").find(
+                "bad_size.trace:1: bad size '4k'"),
+            std::string::npos);
+}
+
+TEST(Trace, LoadAcceptsBlankLinesAndOptionalBarrier) {
+  const std::string path = ::testing::TempDir() + "/blank_lines.trace";
+  std::FILE* file = std::fopen(path.c_str(), "w");
+  ASSERT_NE(file, nullptr);
+  std::fputs("R 0 4096 0\n\n   \nW 4096 512 7 1\n", file);
+  std::fclose(file);
+  const Trace loaded = Trace::load(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(loaded.size(), 2u);
+  EXPECT_FALSE(loaded[0].barrier);
+  EXPECT_EQ(loaded[1].op, NvmOp::kWrite);
+  EXPECT_EQ(loaded[1].size, Bytes{512});
+  EXPECT_EQ(loaded[1].not_before, Time{7});
+  EXPECT_TRUE(loaded[1].barrier);
 }
 
 // ---------- synthetic generators -------------------------------------------

@@ -35,40 +35,9 @@ std::uint64_t ok_ordered_walk(const Device& d) {
 Time ok_media_time(Time start, int ops) { return Time{start.ps_ + ops * 50}; }
 const char* ok_label() { return "wall-clock reads are banned here"; }
 
-// --- v4 sanctioned shapes: none of these may trip SL013/SL014/SL015 ---
-
-class SIM_SHARD_DOMAIN("global") Simulator {
- public:
-  void at();
-};
-
-SIM_SHARD_DOMAIN("channel")
-int g_channel_credits = 0;
-
-SIM_SHARD_DOMAIN("global")
-int g_run_generation = 0;
-
-void refill_credits() { g_channel_credits += 4; }
-
-SIM_SHARD_SHARED("drop tally; relaxed increments; via note_drop only")
-inline int g_ok_drops = 0;
-
-void note_drop() { g_ok_drops += 1; }
-
-class SIM_SHARD_DOMAIN("channel") OkArbiter {
- public:
-  // Same-domain helper write: no escape. Ancestor-domain handler: the
-  // queue may carry state *up* the containment chain. The shared tally
-  // is mutated behind its via-accessor (and so shows up in the report
-  // as mutated-in-handler).
-  void ok_refill(Simulator& sim) {
-    refill_credits();
-    note_drop();
-    sim.at([] { g_run_generation += 1; });
-  }
-};
-
-SIM_SHARD_SHARED("install slot; via OkProbe and ok_probe only")
+// Deliberately shared state, annotated: thread-local install slots and
+// their RAII installers are the idiom every observer session follows.
+SIM_SHARD_SHARED("install slot; each thread swaps only its own pointer")
 inline thread_local int tls_ok_probe = 0;
 
 int ok_probe() { return tls_ok_probe; }

@@ -1,14 +1,11 @@
-// Reject fixture: SL012 shard-annotation hygiene — unknown domains,
-// non-literal arguments, and shared annotations with no synchronisation
-// story. Not compiled; exercised by `simlint --self-test` only.
+// Reject fixture: SL012 shard-annotation hygiene — shared annotations
+// with a non-literal note or no synchronisation story. Not compiled;
+// exercised by `simlint --self-test` only.
 
 namespace fixture {
 
-class SIM_SHARD_DOMAIN("lane") BogusDomain {  // simlint-expect: SL012
-};
-
-SIM_SHARD_DOMAIN(kComputedDomain)  // simlint-expect: SL012
-int g_dynamic_domain = 0;
+SIM_SHARD_SHARED(kComputedNote)  // simlint-expect: SL012
+int g_dynamic_note = 0;
 
 SIM_SHARD_SHARED("")  // simlint-expect: SL012
 int g_unexplained = 0;
@@ -16,10 +13,7 @@ int g_unexplained = 0;
 SIM_SHARD_SHARED("mutex")  // simlint-expect: SL012
 int g_terse_note = 0;
 
-// Well-formed annotations stay quiet.
-class SIM_SHARD_DOMAIN("package") GoodDomain {
-};
-
+// A well-formed annotation stays quiet.
 SIM_SHARD_SHARED("guarded by the pool mutex; writers drain in-flight work first")
 int g_explained = 0;
 

@@ -5,12 +5,13 @@ The simulator's headline guarantee is *bit-identical replay*: the same
 scenario and seed must produce the same ExperimentResult on every run,
 on every machine.  The rules here reject the constructs that historically
 break that guarantee, plus unit-safety escapes around the strong Time /
-Bytes wrapper types (src/common/units.hpp), plus — since v3 — the
-shard-safety contract (src/common/shard_domain.hpp) that clears the
-runway for the conservative parallel DES mode: every piece of mutable
-state reachable from event dispatch must declare which shard domain owns
-it, and the machine-readable inventory (--shard-report) is the artifact
-the future parallel scheduler consumes.
+Bytes wrapper types (src/common/units.hpp), plus the shared-state
+contract (src/common/shard_domain.hpp) behind experiment-level
+parallelism: sweeps run independent experiments concurrently, so every
+piece of long-lived mutable state must either be confined to one
+experiment or be declared SIM_SHARD_SHARED with a note saying how access
+is synchronised, and the machine-readable inventory (--shard-report) is
+the reviewed record of that shared state.
 
 Rules
 -----
@@ -72,66 +73,27 @@ Rules
                             Cast to double / int64_t / uint64_t instead.
   SL009 shard-inventory     A mutable namespace-scope global, static
                             local, class-static, or thread_local without
-                            a SIM_SHARD_DOMAIN / SIM_SHARD_SHARED
-                            annotation.  The parallel DES can only be
-                            proven race-free if every piece of long-lived
-                            mutable state declares its owning shard
-                            domain; the inventory is a sound
-                            over-approximation of "reachable from event
-                            dispatch" (everything linked into the
-                            simulator is scanned — no call-graph
-                            heroics, no silent gaps).
-  SL010 cross-domain-access Code in one shard domain touching another
-                            domain's state without going through the
-                            event queue: a domain-annotated class whose
-                            member embeds a *coarser* domain's annotated
-                            type (Simulator / EventQueue are exempt —
-                            they ARE the passage point), or a method of a
-                            domain-annotated class naming a
-                            domain-annotated global of a different
-                            domain on a line with no Simulator::at /
-                            after / schedule call.
-  SL011 non-reentrant-std   Non-reentrant C/C++ facilities on the
-                            dispatch path: strtok, strerror, asctime /
-                            ctime, setlocale, tmpnam, setenv/putenv, or
-                            a function-local `static std::string`
-                            scratch buffer.  All of these carry hidden
-                            process-wide state that races the moment the
-                            event loop shards.
-  SL012 shard-annotation    Annotation hygiene: SIM_SHARD_DOMAIN with an
-                            unknown domain name (vocabulary: die,
-                            package, channel, node, global, owner) or a
-                            non-literal argument, and SIM_SHARD_SHARED
-                            without a meaningful synchronisation note.
-  SL013 shard-escape        (v4, call-graph) A method of a die/package/
-                            channel-domain class *transitively* reaches a
-                            write to state owned by a different
-                            non-ancestor domain: the checker builds a
-                            cross-TU call graph (over-approximated by
-                            name) and walks it from every ranked-domain
-                            method; calls placed on a line with a
-                            Simulator::at/after or EventQueue::schedule
-                            call are the sanctioned crossing points and
-                            are not traversed.  Direct touches are
-                            SL010's job; SL013 exists for the buried
-                            helper two calls down.
-  SL014 handler-purity      (v4) A lambda passed to Simulator::at/after
-                            or EventQueue::schedule that names (captures
-                            or reaches for) a shard-owned annotated
-                            global of a *foreign* ranked domain.  The
-                            handler runs on the target shard's thread in
-                            parallel mode, so foreign-domain state in its
-                            body is exactly the race the queue exists to
-                            prevent.
-  SL015 shared-state-sync   (v4) Every SIM_SHARD_SHARED variable must be
-                            reached only through its declared access set:
-                            a note carrying `via A and B only` confines
-                            references to the bodies of the named
-                            functions / the methods of the named classes;
-                            a note without a via clause confines the
-                            symbol to its declaring file; function-local
-                            statics are implicitly confined by the
-                            language and never need a clause.
+                            a SIM_SHARD_SHARED annotation.  Experiments
+                            run concurrently on sweep workers, so any
+                            long-lived mutable state is shared between
+                            them unless it is thread-local or
+                            synchronised; the census scans everything
+                            linked into the simulator (a sound
+                            over-approximation, no silent gaps).
+  SL011 non-reentrant-std   Non-reentrant C/C++ facilities: strtok,
+                            strerror, asctime / ctime, setlocale, tmpnam,
+                            setenv/putenv, or a function-local
+                            `static std::string` scratch buffer.  All of
+                            these carry hidden process-wide state that
+                            races as soon as two experiments run at once.
+  SL012 shard-annotation    Annotation hygiene: SIM_SHARD_SHARED with a
+                            non-literal note or one too short to say how
+                            access is synchronised.
+
+  Retired IDs, never reused: SL010, SL013, SL014 and SL015 policed
+  intra-replay sharding (domain containment, call-graph escapes, event
+  handler purity, access sets) for a parallel event queue the replay
+  never ran.
 
 Engines
 -------
@@ -148,23 +110,15 @@ Engines
 
 Shard report
 ------------
-  --shard-report FILE  Writes the machine-readable state inventory
-                       (domain -> files -> symbols, shared entries with
-                       their synchronisation notes, unannotated strays)
-                       aggregated over the scanned roots.  Since v4 the
-                       schema is nvmooc-shard-report-v2: a `state_access`
-                       section classifies every inventory symbol as
-                       read-mostly or mutated-in-handler (written by a
-                       function the call graph can reach from a
-                       domain-annotated class method).  The checked-in
-                       SHARD_REPORT.json is generated over src/ and is
-                       the contract the parallel scheduler consumes.
+  --shard-report FILE  Writes the machine-readable shared-state inventory
+                       (schema nvmooc-shard-report-v3: `shared` entries
+                       with their synchronisation notes, plus any
+                       `unannotated` strays) aggregated over the scanned
+                       roots.  The checked-in SHARD_REPORT.json is
+                       generated over src/.
   --shard-check FILE   Regenerates the inventory and fails (exit 1) on
                        any drift against FILE — new shared state is an
-                       explicit reviewed decision, not an accident.  A
-                       pinned v1 report is still accepted for one
-                       release: the v2-only fields are stripped before
-                       comparing.
+                       explicit reviewed decision, not an accident.
 
 Allowlist hygiene
 -----------------
@@ -219,12 +173,10 @@ RULE_NAMES = {
     "SL007": "missing-nodiscard",
     "SL008": "unit-narrowing",
     "SL009": "shard-inventory",
-    "SL010": "cross-domain-access",
+    # SL010 and SL013-SL015 are retired (they policed intra-replay
+    # sharding); their IDs are never reused.
     "SL011": "non-reentrant-std",
     "SL012": "shard-annotation",
-    "SL013": "shard-escape",
-    "SL014": "handler-purity",
-    "SL015": "shared-state-sync",
 }
 NAME_TO_ID = {v: k for k, v in RULE_NAMES.items()}
 
@@ -246,7 +198,7 @@ class Finding:
 # never fire on prose, while keeping line numbers stable.  Inline allow
 # annotations are harvested from comments *before* stripping.  A second
 # buffer keeps string literals intact (comments still blanked) so the
-# shard rules can read SIM_SHARD_DOMAIN("channel") arguments, which live
+# shared-state rules can read SIM_SHARD_SHARED("...") notes, which live
 # inside string literals by design.
 
 ALLOW_RE = re.compile(r"simlint:\s*allow\(([\w\-*,\s]+)\)")
@@ -333,8 +285,7 @@ def preprocess(text: str):
 
 
 # --------------------------------------------------------------------------
-# Include-closure resolution (for SL003 member-type lookup and the shard
-# rules' cross-TU class/inventory maps).
+# Include-closure resolution (for SL003 member-type lookup).
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
@@ -390,8 +341,7 @@ class IncludeGraph:
 
 # Per-process cache of preprocessed files: path -> (lines, allows,
 # keep_lines).  Closure texts were previously re-preprocessed for every
-# linted TU; memoizing them is most of simlint's serial speedup and makes
-# the shard-rule closure lookups essentially free.
+# linted TU; memoizing them is most of simlint's serial speedup.
 _PRE_CACHE = {}
 _HARVEST_CACHE = {}
 
@@ -484,36 +434,16 @@ UNIT_NARROW_RE = re.compile(
     r"\s*>\s*\(\s*[^()]*\.\s*(?:ps|value)\s*\(\s*\)")
 
 # --------------------------------------------------------------------------
-# Shard-safety vocabulary (SL009-SL012).  See src/common/shard_domain.hpp
-# for the authoritative domain semantics.
+# Shared-state vocabulary (SL009, SL012).  See src/common/shard_domain.hpp
+# for the annotation's contract.
 
-SHARD_DOMAINS = ("die", "package", "channel", "node", "global", "owner")
-# Containment order for the cross-domain member check; "owner" has no
-# rank (it adopts the embedding object's domain).
-DOMAIN_RANK = {"die": 0, "package": 1, "channel": 2, "node": 3, "global": 4}
-# Types that ARE the cross-domain passage mechanism: holding one is how a
-# handler reaches the event queue, never a violation by itself.
-QUEUE_PASSAGE_TYPES = {"Simulator", "EventQueue"}
-EVENT_QUEUE_CALL_RE = re.compile(r"(?:\.|->)\s*(?:at|after|schedule)\s*\(")
-# A lambda expression head inside a schedule-call argument region:
-# capture list, optional parameter list / specifiers / trailing return,
-# then the body brace (SL014 scans from the head to the matching '}').
-LAMBDA_RE = re.compile(
-    r"\[(?P<caps>[^\[\]]*)\]\s*(?:\([^()]*\)\s*)?(?:mutable\s*)?"
-    r"(?:noexcept\s*)?(?:->\s*[\w:<>&*\s]+?\s*)?\{")
-
-# The value group only matches a string literal; a macro invoked with an
-# identifier (SIM_SHARD_DOMAIN(kDomain)) matches with value=None, which
-# SL012 reports — the matcher reads domains textually, so only literals
-# participate in the inventory.
-SHARD_ANNOT_RE = re.compile(
-    r"\bSIM_SHARD_(?P<kind>DOMAIN|SHARED)\s*\(\s*(?:\"(?P<value>[^\"]*)\"|[^)\"]*)\s*\)")
-CLASS_DOMAIN_RE = re.compile(
-    r"\b(?:class|struct)\s+SIM_SHARD_DOMAIN\s*\(\s*\"(?P<domain>\w*)\"\s*\)\s+(?P<name>[A-Za-z_]\w*)")
+# The note group only matches a string literal; a macro invoked with an
+# identifier (SIM_SHARD_SHARED(kNote)) matches with note=None, which SL012
+# reports — the matcher reads notes textually.
+SHARED_ANNOT_RE = re.compile(
+    r"\bSIM_SHARD_SHARED\s*\(\s*(?:\"(?P<note>[^\"]*)\"|[^)\"]*)\s*\)")
 CLASS_SHARED_RE = re.compile(
     r"\b(?:class|struct)\s+SIM_SHARD_SHARED\s*\(\s*\"(?P<note>[^\"]*)\"\s*\)\s+(?P<name>[A-Za-z_]\w*)")
-METHOD_DEF_RE = re.compile(
-    r"^[^#\n]*?\b(?P<cls>[A-Za-z_]\w*)\s*::\s*~?[A-Za-z_]\w*\s*\(", re.MULTILINE)
 
 # The SL009 inventory: long-lived mutable state.  Three shapes, all
 # line-local (the matcher does not parse declarations across lines — the
@@ -524,7 +454,7 @@ METHOD_DEF_RE = re.compile(
 #   - namespace-scope definitions at zero indentation with an
 #     initializer or a plain `Type name;` shape (function definitions
 #     and declarations carry parentheses and never match).
-_ANNOT_PREFIX = r'(?:SIM_SHARD_\w+\s*\(\s*"[^"]*"\s*\)\s*)?'
+_ANNOT_PREFIX = r'(?:SIM_SHARD_SHARED\s*\(\s*"[^"]*"\s*\)\s*)?'
 TLS_VAR_RE = re.compile(
     r"^\s*" + _ANNOT_PREFIX +
     r"(?:inline\s+)?(?:static\s+)?thread_local\s+"
@@ -571,39 +501,33 @@ def _sequence_name(expr: str):
 
 
 # --------------------------------------------------------------------------
-# Shard harvesting: annotations, domain-annotated classes, and the
-# mutable-state inventory of one file (computed on the keep-strings view
-# so annotation arguments survive).
+# Shared-state harvesting: SIM_SHARD_SHARED annotations, shared-annotated
+# classes, and the mutable-state inventory of one file (computed on the
+# keep-strings view so annotation notes survive).
 
 def harvest_shard(path: str):
     cached = _HARVEST_CACHE.get(path)
     if cached is not None:
         return cached
     _, _, keep_lines = _preprocessed(path)
-    annotations = []   # (lineno, kind, value-or-None)
-    classes = []       # {line, name, domain}
+    annotations = []     # (lineno, note-or-None)
     shared_classes = []  # {line, name, note}
-    entries = []       # {line, name, kind, annot: None | (kind, value)}
-    annot_by_line = {}
+    entries = []         # {line, name, kind, note: None | note-or-None}
+    annotated = {}       # lineno -> note (None for a non-literal note)
     for lineno, line in enumerate(keep_lines, 1):
         if line.lstrip().startswith("#"):
-            # The macro definitions themselves (and conditional-compilation
-            # plumbing) live on preprocessor lines; they are vocabulary,
-            # not annotations.
+            # The macro definition itself (and conditional-compilation
+            # plumbing) lives on preprocessor lines; it is vocabulary,
+            # not an annotation.
             continue
-        for m in SHARD_ANNOT_RE.finditer(line):
-            value = m.group("value")
-            annotations.append((lineno, m.group("kind"), value))
-            annot_by_line[lineno] = (m.group("kind"), value)
-        m = CLASS_DOMAIN_RE.search(line)
-        if m:
-            classes.append({"line": lineno, "name": m.group("name"),
-                            "domain": m.group("domain")})
+        for m in SHARED_ANNOT_RE.finditer(line):
+            annotations.append((lineno, m.group("note")))
+            annotated[lineno] = m.group("note")
         m = CLASS_SHARED_RE.search(line)
         if m:
             shared_classes.append({"line": lineno, "name": m.group("name"),
                                    "note": m.group("note")})
-    class_lines = {c["line"] for c in classes} | {c["line"] for c in shared_classes}
+    class_lines = {c["line"] for c in shared_classes}
     for lineno, line in enumerate(keep_lines, 1):
         if lineno in class_lines:
             continue
@@ -621,565 +545,47 @@ def harvest_shard(path: str):
                     kind = "global"
         if not kind:
             continue
-        annot = annot_by_line.get(lineno) or annot_by_line.get(lineno - 1)
-        entries.append({"line": lineno, "name": m.group("name"), "kind": kind,
-                        "annot": annot})
-    result = {"annotations": annotations, "classes": classes,
-              "shared_classes": shared_classes, "entries": entries}
+        entry = {"line": lineno, "name": m.group("name"), "kind": kind,
+                 "annotated": False, "note": None}
+        for ln in (lineno, lineno - 1):
+            if ln in annotated:
+                entry["annotated"] = True
+                entry["note"] = annotated[ln]
+                break
+        entries.append(entry)
+    result = {"annotations": annotations, "shared_classes": shared_classes,
+              "entries": entries}
     _HARVEST_CACHE[path] = result
     return result
 
 
-# --------------------------------------------------------------------------
-# Call-graph harvesting (v4).  A deliberately line-based function model:
-# definitions are found by matching `Name(` / `Class::Name(` with a brace
-# body, in-class methods are attributed through class body regions, and
-# call sites link to *every* function of the called name in the TU's
-# include closure — a sound over-approximation for SL013's escape walk
-# (virtual dispatch and function pointers stay out of scope; see
-# docs/STATIC_ANALYSIS.md for the limitation list).  All of it runs on
-# the comment/string-stripped view so braces in literals cannot skew the
-# region math.
-
-# Identifiers that look like calls but are control flow / operators.
-_NOT_A_FUNCTION = frozenset((
-    "if", "for", "while", "switch", "catch", "return", "sizeof", "alignof",
-    "decltype", "noexcept", "static_assert", "new", "delete", "operator",
-    "throw", "case", "do", "else", "template", "typename", "typeid",
-    "assert", "defined", "alignas", "co_await", "co_return", "co_yield",
-    "static_cast", "dynamic_cast", "const_cast", "reinterpret_cast",
-    "constexpr", "requires", "concept",
-    "SIM_SHARD_DOMAIN", "SIM_SHARD_SHARED",
-))
-
-FUNC_DEF_RE = re.compile(
-    r"(?:(?P<cls>[A-Za-z_]\w*)\s*::\s*)?(?P<name>~?[A-Za-z_]\w*)\s*\(")
-CLASS_ANY_RE = re.compile(
-    r"\b(?:class|struct)\s+(?:SIM_SHARD_\w+\s*\([^)]*\)\s+)?(?P<name>[A-Za-z_]\w*)")
-CALL_NAME_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
-
-_FUNC_CACHE = {}
-
-
-def _match_paren(joined: str, open_idx: int):
-    """Index just past the ')' matching the '(' at open_idx (len() if
-    unbalanced)."""
-    depth = 0
-    for i in range(open_idx, len(joined)):
-        c = joined[i]
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return len(joined)
-
-
-def _class_regions(joined: str):
-    """[(start_line, end_line, class_name)] for every class/struct with a
-    body defined in `joined` (stripped view)."""
-    regions = []
-    for m in CLASS_ANY_RE.finditer(joined):
-        body = _find_body_open(joined, m.end())
-        if body < 0:
-            continue
-        end = _brace_regions(joined, body)
-        regions.append((joined.count("\n", 0, body) + 1,
-                        joined.count("\n", 0, end) + 1, m.group("name")))
-    return regions
-
-
-def harvest_functions(path: str):
-    """Function definitions of one file (stripped view): a list of
-    {name, cls, line, body_start, body_end, calls} where calls is
-    [(callee_name, lineno, on_passage_line)].  `cls` comes from the
-    `Class::` prefix or, for in-class bodies, the innermost enclosing
-    class region."""
-    cached = _FUNC_CACHE.get(path)
-    if cached is not None:
-        return cached
-    lines, _, _ = _preprocessed(path)
-    joined = "\n".join(lines)
-    regions = _class_regions(joined)
-    funcs = []
-    for m in FUNC_DEF_RE.finditer(joined):
-        name = m.group("name")
-        if name.lstrip("~") in _NOT_A_FUNCTION or name.lstrip("~") in ("", "_"):
-            continue
-        prev = joined[m.start() - 1] if m.start() > 0 else ""
-        if prev in ".>":  # member call `obj.name(` / `obj->name(`
-            continue
-        if prev == ":" and not m.group("cls"):  # qualified call `ns::name(`
-            continue
-        # Ctor member-initializers (`Foo() : a_(x), b_(y) {`) would be
-        # harvested as functions and shadow the real ctor in the
-        # innermost-enclosing-function map.  They follow a ',' or a ':'
-        # that itself follows the ctor's ')' — an access specifier's ':'
-        # (`public:`) follows an identifier instead, so inline methods
-        # survive this filter.
-        j = m.start() - 1
-        while j >= 0 and joined[j] in " \t\n":
-            j -= 1
-        if j >= 0 and joined[j] == ",":
-            continue
-        if j >= 0 and joined[j] == ":" and (j == 0 or joined[j - 1] != ":"):
-            k = j - 1
-            while k >= 0 and joined[k] in " \t\n":
-                k -= 1
-            if k >= 0 and joined[k] == ")":
-                continue
-        args_open = joined.find("(", m.end() - 1)
-        args_end = _match_paren(joined, args_open)
-        # Between the arg list and the body only cv/ref qualifiers, ctor
-        # init lists, and exception/override specifiers may appear.  A
-        # ';' means declaration; an '=' means default argument splice,
-        # `= default/delete/0`, or an initializer — none are bodies.
-        body = -1
-        for i in range(args_end, len(joined)):
-            c = joined[i]
-            if c == "{":
-                body = i
-                break
-            if c in ";=":
-                break
-        if body < 0:
-            continue
-        end = _brace_regions(joined, body)
-        def_line = joined.count("\n", 0, m.start()) + 1
-        body_start = joined.count("\n", 0, body) + 1
-        body_end = joined.count("\n", 0, end) + 1
-        cls = m.group("cls")
-        if cls is None:
-            for start, rend, rname in regions:
-                if start <= def_line <= rend:
-                    cls = rname  # innermost region wins (later = inner)
-        funcs.append({"name": name, "cls": cls, "line": def_line,
-                      "body_start": body_start, "body_end": body_end})
-    # Call extraction per definition (body lines only, passage lines
-    # marked so SL013 can treat event-queue hops as sanctioned).  A
-    # definition whose header shares its body's first line would count
-    # its own name as a call (`void kick(...) {`), turning every method
-    # into a self-loop that re-attributes its direct writes — skip the
-    # match that sits on a definition line of the same name.
-    def_at = {(f["name"].lstrip("~"), f["line"]) for f in funcs}
-    for f in funcs:
-        calls = []
-        for lineno in range(f["body_start"], min(f["body_end"], len(lines)) + 1):
-            line = lines[lineno - 1]
-            passage = bool(EVENT_QUEUE_CALL_RE.search(line))
-            for cm in CALL_NAME_RE.finditer(line):
-                callee = cm.group(1)
-                if callee in _NOT_A_FUNCTION:
-                    continue
-                if (callee, lineno) in def_at:
-                    continue
-                calls.append((callee, lineno, passage))
-        f["calls"] = calls
-    _FUNC_CACHE[path] = funcs
-    return funcs
-
-
-def closure_function_index(graph: IncludeGraph, path: str):
-    """name -> [(path, func_record)] over the TU's include closure."""
-    index = {}
-    for dep in sorted(graph.closure(path)):
-        for f in harvest_functions(dep):
-            index.setdefault(f["name"].lstrip("~"), []).append((dep, f))
-    return index
-
-
-_WRITE_RE_CACHE = {}
-
-
-def _write_re(name: str):
-    """A line-level mutation pattern for symbol `name`: assignment
-    (plain or compound), increment/decrement, or a member-function call
-    on it (conservatively treated as mutating)."""
-    cached = _WRITE_RE_CACHE.get(name)
-    if cached is None:
-        n = re.escape(name)
-        cached = re.compile(
-            r"(?:\+\+|--)\s*" + n + r"\b|"
-            r"\b" + n + r"\s*(?:\+\+|--|(?:[-+*/%&|^]|<<|>>)?=(?!=)|"
-            r"\.\s*\w+\s*\(|->\s*\w+\s*\()")
-        _WRITE_RE_CACHE[name] = cached
-    return cached
-
-
-def _function_writes(path: str, func, targets):
-    """Names from `targets` that `func`'s body mutates, with the line."""
-    lines, _, _ = _preprocessed(path)
-    hits = []
-    for lineno in range(func["body_start"], min(func["body_end"], len(lines)) + 1):
-        line = lines[lineno - 1]
-        for name in targets:
-            if _write_re(name).search(line):
-                hits.append((name, lineno))
-    return hits
-
-
-def closure_shard_maps(graph: IncludeGraph, path: str):
-    """Class-name -> domain and global-name -> domain maps over the TU's
-    include closure (shared classes/entries tracked separately)."""
-    class_domains = {}
-    shared_types = set()
-    entry_domains = {}
-    shared_entries = set()
-    for dep in graph.closure(path):
-        h = harvest_shard(dep)
-        for c in h["classes"]:
-            class_domains[c["name"]] = c["domain"]
-        for c in h["shared_classes"]:
-            shared_types.add(c["name"])
-        for e in h["entries"]:
-            if e["annot"] and e["annot"][0] == "DOMAIN" and e["annot"][1]:
-                entry_domains[e["name"]] = e["annot"][1]
-            elif e["annot"] and e["annot"][0] == "SHARED":
-                shared_entries.add(e["name"])
-    return class_domains, shared_types, entry_domains, shared_entries
-
-
-# SL015: the `via` grammar inside a SIM_SHARD_SHARED note.  Names are
-# functions or classes (a class name covers all its methods), separated
-# by "and", commas, or slashes, and the clause always ends in "only" so
-# prose mentioning "via the event queue" never parses as a clause.
-VIA_RE = re.compile(
-    r"\bvia\s+([A-Za-z_][\w:]*(?:\s*(?:,|/|\band\b)\s*[A-Za-z_][\w:]*)*)\s+only\b")
-
-
-def _parse_via(note: str):
-    m = VIA_RE.search(note or "")
-    if not m:
-        return None
-    return {n for n in re.split(r"\s*(?:,|/|\band\b)\s*", m.group(1)) if n}
-
-
-def closure_shared_details(graph: IncludeGraph, path: str):
-    """name -> [detail] for every SIM_SHARD_SHARED variable in the TU's
-    include closure, where detail carries the declaring file/line, the
-    parsed via-set (None when the note has no clause), and whether the
-    entry is a function-local static (implicitly confined by the
-    language, so SL015 never needs to police it)."""
-    details = {}
-    for dep in sorted(graph.closure(path)):
-        funcs = None
-        for e in harvest_shard(dep)["entries"]:
-            if not (e["annot"] and e["annot"][0] == "SHARED"):
-                continue
-            if funcs is None:
-                funcs = harvest_functions(dep)
-            local = e["kind"] == "static" and any(
-                f["body_start"] <= e["line"] <= f["body_end"] for f in funcs)
-            details.setdefault(e["name"], []).append({
-                "file": dep, "line": e["line"], "kind": e["kind"],
-                "note": e["annot"][1] or "",
-                "via": _parse_via(e["annot"][1] or ""),
-                "local": local,
-            })
-    return details
-
-
-def _brace_regions(joined: str, open_idx: int):
-    """Given the index of a '{', return the index just past its matching
-    '}' (or len(joined) if unbalanced)."""
-    depth = 0
-    for i in range(open_idx, len(joined)):
-        c = joined[i]
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return len(joined)
-
-
-def _find_body_open(joined: str, start: int):
-    """First '{' at or after `start`, unless a ';' (declaration) comes
-    first; returns -1 when there is no body."""
-    for i in range(start, len(joined)):
-        if joined[i] == "{":
-            return i
-        if joined[i] == ";":
-            return -1
-    return -1
-
-
-def shard_contexts(joined: str, class_domains):
-    """Regions of `joined` (keep-strings view) that execute in a declared
-    shard domain: bodies of domain-annotated classes defined here, and
-    bodies of out-of-class method definitions of annotated classes.
-    Returns [(start_line, end_line, domain, kind)] with kind in
-    {"class", "method"}; inner regions come later so a linear scan can
-    let the innermost context win."""
-    contexts = []
-    for m in CLASS_DOMAIN_RE.finditer(joined):
-        domain = m.group("domain")
-        body = _find_body_open(joined, m.end())
-        if body < 0:
-            continue
-        end = _brace_regions(joined, body)
-        start_line = joined.count("\n", 0, body) + 1
-        end_line = joined.count("\n", 0, end) + 1
-        contexts.append((start_line, end_line, domain, "class"))
-    for m in METHOD_DEF_RE.finditer(joined):
-        domain = class_domains.get(m.group("cls"))
-        if domain is None:
-            continue
-        body = _find_body_open(joined, m.end())
-        if body < 0:
-            continue
-        end = _brace_regions(joined, body)
-        start_line = joined.count("\n", 0, body) + 1
-        end_line = joined.count("\n", 0, end) + 1
-        contexts.append((start_line, end_line, domain, "method"))
-    contexts.sort(key=lambda c: (c[0], -c[1]))
-    return contexts
-
-
-def run_shard_rules(path: str, keep_lines, graph: IncludeGraph):
-    """SL009-SL012 over one file."""
+def run_shard_rules(path: str):
+    """SL009 and SL012 over one file."""
     findings = []
     harvest = harvest_shard(path)
 
     # SL012: annotation hygiene first — a malformed annotation must not
     # silently satisfy SL009.
-    for lineno, kind, value in harvest["annotations"]:
-        if kind == "DOMAIN":
-            if value is None:
-                findings.append((lineno, "SL012",
-                                 "SIM_SHARD_DOMAIN needs a string-literal domain "
-                                 "name (the matcher reads it textually)"))
-            elif value not in SHARD_DOMAINS:
-                findings.append((lineno, "SL012",
-                                 f"unknown shard domain \"{value}\"; vocabulary: "
-                                 + ", ".join(SHARD_DOMAINS)))
-        else:  # SHARED
-            if value is None or len(value.strip()) < 8:
-                findings.append((lineno, "SL012",
-                                 "SIM_SHARD_SHARED needs a synchronisation note "
-                                 "saying how cross-shard access is made safe"))
+    for lineno, note in harvest["annotations"]:
+        if note is None or len(note.strip()) < 8:
+            findings.append((lineno, "SL012",
+                             "SIM_SHARD_SHARED needs a string-literal "
+                             "synchronisation note saying how shared access "
+                             "is made safe"))
 
     # SL009: unannotated inventory entries.
     for entry in harvest["entries"]:
-        if entry["annot"] is None:
+        if not entry["annotated"]:
             findings.append((entry["line"], "SL009",
-                             f"mutable {entry['kind']} `{entry['name']}` has no "
-                             "shard annotation; declare SIM_SHARD_DOMAIN(...) or "
+                             f"mutable {entry['kind']} `{entry['name']}` is not "
+                             "annotated; make it const, move it into the "
+                             "experiment's own objects, or declare "
                              "SIM_SHARD_SHARED(\"how access is synchronised\") "
                              "on or above this line"))
-
-    # SL010: cross-domain access.
-    class_domains, shared_types, entry_domains, shared_entries = \
-        closure_shard_maps(graph, path)
-    joined = "\n".join(keep_lines)
-    contexts = shard_contexts(joined, class_domains)
-    # Innermost-context map per line (shared by SL010 and SL014).
-    line_ctx = {}
-    for start, end, domain, kind in contexts:
-        for ln in range(start, end + 1):
-            line_ctx[ln] = (domain, kind)
-    if contexts:
-        ranked_types = {name: dom for name, dom in class_domains.items()
-                        if dom in DOMAIN_RANK and name not in QUEUE_PASSAGE_TYPES}
-        type_word_res = {name: re.compile(r"\b" + re.escape(name) + r"\b")
-                         for name in ranked_types}
-        entry_word_res = {name: re.compile(r"\b" + re.escape(name) + r"\b")
-                          for name in entry_domains}
-        entry_decl_lines = {e["line"] for e in harvest["entries"]}
-        for lineno, line in enumerate(keep_lines, 1):
-            ctx = line_ctx.get(lineno)
-            if ctx is None:
-                continue
-            domain, kind = ctx
-            # (a) Structural: a member declaration embedding a coarser
-            # domain's type.  Member declarations are paren-free and end
-            # with ';'; parameters and calls carry parentheses.
-            if (kind == "class" and domain in DOMAIN_RANK
-                    and "(" not in line and line.rstrip().endswith(";")
-                    and "SIM_SHARD_" not in line):
-                for name, member_domain in ranked_types.items():
-                    if DOMAIN_RANK[member_domain] <= DOMAIN_RANK[domain]:
-                        continue
-                    if type_word_res[name].search(line):
-                        findings.append((lineno, "SL010",
-                                         f"`{name}` is {member_domain}-domain state "
-                                         f"embedded in a {domain}-domain class; reach "
-                                         "coarser domains through the event queue "
-                                         "(Simulator::at/after) or annotate the member "
-                                         "SIM_SHARD_SHARED with its synchronisation"))
-                        break
-            # (b) A domain context naming another domain's annotated
-            # global without an event-queue call on the same line.
-            if domain in DOMAIN_RANK and lineno not in entry_decl_lines:
-                for name, entry_domain in entry_domains.items():
-                    if entry_domain == domain or entry_domain not in DOMAIN_RANK:
-                        continue
-                    if name in shared_entries:
-                        continue
-                    if entry_word_res[name].search(line) and \
-                            not EVENT_QUEUE_CALL_RE.search(line):
-                        findings.append((lineno, "SL010",
-                                         f"`{name}` belongs to the {entry_domain} "
-                                         f"domain but is touched from {domain}-domain "
-                                         "code; route the access through the event "
-                                         "queue or annotate it SIM_SHARD_SHARED"))
-
-    stripped_lines, _, _ = _preprocessed(path)
-    stripped_joined = "\n".join(stripped_lines)
-
-    # SL013: call-graph shard escape.  Walk the over-approximated call
-    # graph from every method of a ranked-domain class; a write to a
-    # different non-ancestor domain's annotated global anywhere downstream
-    # (depth >= 1 — direct touches are SL010's job) is an escape, unless
-    # the hop happened on an event-queue passage line.  Coarser domains
-    # are this domain's ancestors on the containment chain and stay
-    # sanctioned, mirroring the dynamic guard's same-lineage rule.
-    ranked_globals = {g: d for g, d in entry_domains.items()
-                      if d in DOMAIN_RANK and g not in shared_entries}
-    local_funcs = harvest_functions(path)
-    if ranked_globals and local_funcs:
-        func_index = None  # built lazily: most TUs have no ranked methods
-        for f in local_funcs:
-            domain = class_domains.get(f["cls"]) if f["cls"] else None
-            if domain not in DOMAIN_RANK or \
-                    DOMAIN_RANK[domain] > DOMAIN_RANK["channel"]:
-                continue
-            targets = {g: d for g, d in ranked_globals.items()
-                       if d != domain and DOMAIN_RANK[d] <= DOMAIN_RANK[domain]}
-            if not targets:
-                continue
-            if func_index is None:
-                func_index = closure_function_index(graph, path)
-            queue = [(callee, 1) for callee, _, passage in f["calls"]
-                     if not passage]
-            visited = set()
-            reported = set()
-            while queue:
-                callee, depth = queue.pop(0)
-                for dpath, rec in func_index.get(callee.lstrip("~"), []):
-                    fid = (dpath, rec["line"])
-                    if fid in visited:
-                        continue
-                    visited.add(fid)
-                    for g, wline in _function_writes(dpath, rec, targets):
-                        if g in reported:
-                            continue
-                        reported.add(g)
-                        wrel = os.path.relpath(dpath, REPO_ROOT)
-                        findings.append((f["line"], "SL013",
-                                         f"`{f['cls']}::{f['name']}` "
-                                         f"({domain}-domain) transitively "
-                                         f"reaches a write to `{g}` "
-                                         f"({targets[g]}-domain) via "
-                                         f"`{rec['name']}` ({wrel}:{wline}); "
-                                         "cross-domain mutation must route "
-                                         "through the event queue "
-                                         "(Simulator::at/after)"))
-                    if depth < 8:
-                        queue.extend((c, depth + 1) for c, _, passage
-                                     in rec["calls"] if not passage)
-
-    # SL014: handler purity.  A lambda handed to at/after/schedule runs
-    # as an event on the target shard; its text naming a shard-owned
-    # global of a foreign ranked domain (captured or reached directly) is
-    # a cross-shard touch the queue was supposed to prevent.
-    if ranked_globals:
-        shard_owned = {g: d for g, d in ranked_globals.items()
-                       if DOMAIN_RANK[d] <= DOMAIN_RANK["channel"]}
-        word_res = {g: re.compile(r"\b" + re.escape(g) + r"\b")
-                    for g in shard_owned}
-        for m in EVENT_QUEUE_CALL_RE.finditer(stripped_joined):
-            args_open = stripped_joined.find("(", m.end() - 1)
-            args_end = _match_paren(stripped_joined, args_open)
-            region = stripped_joined[args_open:args_end]
-            call_line = stripped_joined.count("\n", 0, m.start()) + 1
-            ctx = line_ctx.get(call_line)
-            for lm in LAMBDA_RE.finditer(region):
-                body_open = lm.end() - 1
-                body_end = _brace_regions(region, body_open)
-                lam_text = region[lm.start():body_end]
-                lam_line = (call_line +
-                            region.count("\n", 0, lm.start()))
-                for g, d in shard_owned.items():
-                    if ctx is not None and ctx[0] == d:
-                        continue  # continuation on its own shard
-                    if word_res[g].search(lam_text):
-                        findings.append((lam_line, "SL014",
-                                         f"event handler captures or reaches "
-                                         f"`{g}` ({d}-domain); handlers must "
-                                         "carry only their own shard's state "
-                                         "— pass a value in, or schedule onto "
-                                         f"the {d} domain instead"))
-
-    # SL015: shared-state sync sets.  Function-local statics are confined
-    # by the language; everything else must be reached inside its
-    # declared via-set, or (clause-less notes) inside its declaring file.
-    shared_details = closure_shared_details(graph, path)
-    if shared_details:
-        # Innermost enclosing function per line (smallest region wins).
-        line_func = {}
-        for f in sorted(local_funcs,
-                        key=lambda f: f["body_end"] - f["line"], reverse=True):
-            for ln in range(f["line"], f["body_end"] + 1):
-                line_func[ln] = f
-        for name, details in sorted(shared_details.items()):
-            if all(d["local"] for d in details):
-                continue
-            word = re.compile(r"\b" + re.escape(name) + r"\b")
-            decl_here = {d["line"] for d in details if d["file"] == path}
-            for lineno, line in enumerate(stripped_lines, 1):
-                if lineno in decl_here or line.lstrip().startswith("#"):
-                    continue
-                if not word.search(line):
-                    continue
-                allowed = False
-                via_union = set()
-                for d in details:
-                    if d["local"]:
-                        continue
-                    if d["via"]:
-                        via_union |= d["via"]
-                        f = line_func.get(lineno)
-                        if f is not None and (
-                                f["name"].lstrip("~") in d["via"] or
-                                (f["cls"] and f["cls"] in d["via"])):
-                            allowed = True
-                            break
-                        if f is None and d["file"] == path:
-                            # Namespace-scope text in the declaring file
-                            # (redeclarations, accessor glue) is
-                            # decl-adjacent, not an access.
-                            allowed = True
-                            break
-                    elif d["file"] == path:
-                        allowed = True
-                        break
-                if allowed:
-                    continue
-                if via_union:
-                    allowed_set = "/".join(sorted(via_union))
-                    findings.append((lineno, "SL015",
-                                     f"`{name}` is SIM_SHARD_SHARED with "
-                                     f"access confined via {allowed_set} "
-                                     "only; this reference is outside that "
-                                     "set — route it through the declared "
-                                     "accessors or extend the via clause"))
-                else:
-                    decl_rel = os.path.relpath(details[0]["file"], REPO_ROOT)
-                    findings.append((lineno, "SL015",
-                                     f"`{name}` is SIM_SHARD_SHARED "
-                                     f"(declared in {decl_rel}) but its note "
-                                     "has no `via ... only` clause, so it is "
-                                     "confined to its declaring file; add a "
-                                     "via clause naming the sanctioned "
-                                     "accessor functions/classes"))
     return findings
 
 
-def run_matcher_rules(path: str, lines, keep_lines, graph: IncludeGraph,
-                      closure_texts):
+def run_matcher_rules(path: str, lines, closure_texts):
     findings = []
     joined = "\n".join(lines)
 
@@ -1199,9 +605,9 @@ def run_matcher_rules(path: str, lines, keep_lines, graph: IncludeGraph,
         for pattern, what in NON_REENTRANT_PATTERNS:
             if pattern.search(line):
                 findings.append((lineno, "SL011",
-                                 f"{what}; non-reentrant state races once the "
-                                 "event loop shards — use a reentrant or "
-                                 "caller-owned alternative"))
+                                 f"{what}; non-reentrant state races once "
+                                 "experiments run concurrently — use a "
+                                 "reentrant or caller-owned alternative"))
                 break
         if DEFAULT_SEEDED_RE.search(line):
             findings.append((lineno, "SL005",
@@ -1312,7 +718,7 @@ def run_matcher_rules(path: str, lines, keep_lines, graph: IncludeGraph,
                              f"iterator walk over `{name}`, declared as an "
                              "unordered container; order is not replay-stable"))
 
-    findings.extend(run_shard_rules(path, keep_lines, graph))
+    findings.extend(run_shard_rules(path))
     return findings
 
 
@@ -1420,8 +826,8 @@ def lint_file(path: str, graph: IncludeGraph, engine: str, allowlist, src_root: 
     """Returns (findings, stale_inline, used_conf): the surviving
     findings, the inline allow() annotations that suppressed nothing
     (lineno, rules), and the indices of allowlist entries that fired."""
-    lines, inline_allows, keep_lines = _preprocessed(path)
-    if not lines and not keep_lines:
+    lines, inline_allows, _ = _preprocessed(path)
+    if not lines:
         print(f"simlint: cannot read {path}", file=sys.stderr)
         return [], [], set()
 
@@ -1431,7 +837,7 @@ def lint_file(path: str, graph: IncludeGraph, engine: str, allowlist, src_root: 
         if dep_lines:
             closure_texts.append("\n".join(dep_lines))
 
-    raw = run_matcher_rules(path, lines, keep_lines, graph, closure_texts)
+    raw = run_matcher_rules(path, lines, closure_texts)
     if engine == "libclang":
         try:
             raw += run_libclang_rules(path, ["-std=c++20", f"-I{src_root}"])
@@ -1468,108 +874,35 @@ def lint_file(path: str, graph: IncludeGraph, engine: str, allowlist, src_root: 
 
 
 # --------------------------------------------------------------------------
-# Shard report: the machine-readable inventory the parallel scheduler
-# consumes.  Regenerated with --shard-report, gated with --shard-check.
-# Line numbers are deliberately omitted so unrelated edits do not churn
-# the checked-in contract; symbols are keyed by file and kind.
+# Shard report: the machine-readable inventory of deliberately shared
+# mutable state (and of any unannotated strays).  Regenerated with
+# --shard-report, gated with --shard-check.  Line numbers are deliberately
+# omitted so unrelated edits do not churn the checked-in contract;
+# symbols are keyed by file and kind.
 
-SHARD_REPORT_SCHEMA = "nvmooc-shard-report-v2"
-SHARD_REPORT_SCHEMA_V1 = "nvmooc-shard-report-v1"
-
-
-def compute_access_kinds(files, inventory):
-    """Classify each inventoried symbol as 'mutated-in-handler' (written by
-    some function reachable from a domain-annotated class method via the
-    by-name call graph) or 'read-mostly' (everything else).  inventory is
-    a set of symbol names; returns {name: kind}."""
-    class_domains = {}
-    index = {}
-    all_funcs = []
-    for path in files:
-        h = harvest_shard(path)
-        for c in h["classes"]:
-            if c["domain"] in SHARD_DOMAINS:
-                class_domains[c["name"]] = c["domain"]
-        for func in harvest_functions(path):
-            index.setdefault(func["name"].lstrip("~"), []).append((path, func))
-            all_funcs.append((path, func))
-    queue = [(p, f) for (p, f) in all_funcs if f["cls"] in class_domains]
-    visited = {(p, f["line"]) for p, f in queue}
-    reachable = list(queue)
-    while queue:
-        path, func = queue.pop()
-        for callee, _lineno, _passage in func["calls"]:
-            for dest_path, rec in index.get(callee.lstrip("~"), []):
-                fid = (dest_path, rec["line"])
-                if fid not in visited:
-                    visited.add(fid)
-                    queue.append((dest_path, rec))
-                    reachable.append((dest_path, rec))
-    kinds = {name: "read-mostly" for name in inventory}
-    targets = set(inventory)
-    for path, func in reachable:
-        for name, _lineno in _function_writes(path, func, targets):
-            kinds[name] = "mutated-in-handler"
-    return kinds
+SHARD_REPORT_SCHEMA = "nvmooc-shard-report-v3"
 
 
 def build_shard_report(files):
-    domains = {}
     shared = []
     unannotated = []
     for path in files:
         rel = os.path.relpath(path, REPO_ROOT)
         h = harvest_shard(path)
-        for c in h["classes"]:
-            if c["domain"] in SHARD_DOMAINS:
-                domains.setdefault(c["domain"], {}).setdefault(rel, []).append(
-                    "class:" + c["name"])
         for c in h["shared_classes"]:
             shared.append({"file": rel, "symbol": c["name"], "kind": "class",
                            "note": c["note"]})
         for e in h["entries"]:
-            annot = e["annot"]
-            symbol = f"{e['kind']}:{e['name']}"
-            if annot and annot[0] == "DOMAIN" and annot[1] in SHARD_DOMAINS:
-                domains.setdefault(annot[1], {}).setdefault(rel, []).append(symbol)
-            elif annot and annot[0] == "SHARED":
+            if e["annotated"]:
                 shared.append({"file": rel, "symbol": e["name"],
-                               "kind": e["kind"], "note": annot[1] or ""})
+                               "kind": e["kind"], "note": e["note"] or ""})
             else:
                 unannotated.append({"file": rel, "symbol": e["name"],
                                     "kind": e["kind"]})
-    for domain in domains:
-        for rel in domains[domain]:
-            domains[domain][rel] = sorted(set(domains[domain][rel]))
     shared.sort(key=lambda s: (s["file"], s["symbol"]))
     unannotated.sort(key=lambda s: (s["file"], s["symbol"]))
-    # v2: per-symbol access classification over the cross-TU call graph.
-    # Shared entries are untouched relative to v1, so a v1 consumer can
-    # keep working by dropping this section (see --shard-check compat).
-    inventory = {e["symbol"] for e in shared if e["kind"] != "class"}
-    inventory |= {e["symbol"] for e in unannotated}
-    kinds = compute_access_kinds(files, inventory)
-    state_access = sorted(
-        ({"file": e["file"], "symbol": e["symbol"], "kind": e["kind"],
-          "access_kind": kinds[e["symbol"]]}
-         for e in shared + unannotated if e["kind"] != "class"),
-        key=lambda s: (s["file"], s["symbol"]))
-    return {
-        "schema": SHARD_REPORT_SCHEMA,
-        "domain_vocabulary": list(SHARD_DOMAINS),
-        "domains": domains,
-        "shared": shared,
-        "unannotated": unannotated,
-        "state_access": state_access,
-    }
-
-
-def downconvert_shard_report_v1(report):
-    """v2 report -> the exact v1 shape (drop state_access, rename schema).
-    Kept for one release so a pinned v1 SHARD_REPORT.json still gates."""
-    compat = {k: v for k, v in report.items() if k != "state_access"}
-    compat["schema"] = SHARD_REPORT_SCHEMA_V1
-    return compat
+    return {"schema": SHARD_REPORT_SCHEMA, "shared": shared,
+            "unannotated": unannotated}
 
 
 def shard_report_json(report) -> str:
@@ -1584,17 +917,10 @@ def diff_shard_reports(old, new):
 
     def flatten(report):
         flat = set()
-        for domain, files in report.get("domains", {}).items():
-            for rel, symbols in files.items():
-                for symbol in symbols:
-                    flat.add(f"domain={domain} {rel} {symbol}")
         for entry in report.get("shared", []):
             flat.add(f"shared {entry['file']} {entry['kind']}:{entry['symbol']}")
         for entry in report.get("unannotated", []):
             flat.add(f"unannotated {entry['file']} {entry['kind']}:{entry['symbol']}")
-        for entry in report.get("state_access", []):
-            flat.add(f"access {entry['file']} {entry['kind']}:{entry['symbol']} "
-                     f"= {entry['access_kind']}")
         return flat
 
     old_flat, new_flat = flatten(old), flatten(new)
@@ -1721,12 +1047,11 @@ def self_test() -> int:
         ("SL001", "src/obs/host_profiler.cpp", False),
         ("SL001", "src/obs/trace_recorder.cpp", False),
         ("SL001", "src/cluster/engine.cpp", False),
-        ("SL001", "src/sim/simulator.cpp", False),
+        ("SL001", "src/sim/timeline.cpp", False),
         ("SL001", "examples/ooc_eigensolver.cpp", False),
         ("SL004", "src/common/units.hpp", True),
         ("SL004", "src/cluster/engine.cpp", False),
-        ("SL009", "src/sim/event_queue.hpp", False),
-        ("SL010", "src/ssd/controller.hpp", False),
+        ("SL009", "src/sim/timeline.hpp", False),
         ("SL011", "src/cluster/engine.cpp", False),
         ("SL012", "src/common/shard_domain.hpp", False),
     ]
@@ -1741,26 +1066,16 @@ def self_test() -> int:
             print(f"PASS conf-scope: {rule} {rel} "
                   f"({'exempt' if want else 'reported'})")
     # Shard-report smoke: the reject fixtures must aggregate into a
-    # report that carries their domains, shared notes, and unannotated
-    # strays — the same code path CI's drift gate runs over src/.
+    # report that carries their shared notes and unannotated strays — the
+    # same code path CI's drift gate runs over src/.
     report = build_shard_report(fixtures)
-    compat = downconvert_shard_report_v1(report)
     report_cases = [
         (bool(report["unannotated"]), "unannotated strays from sl009 fixture"),
         (any(e["note"] for e in report["shared"]), "shared note round-trip"),
-        ("channel" in report["domains"], "channel domain from sl010 fixture"),
-        (report["schema"] == SHARD_REPORT_SCHEMA, "schema is v2"),
-        (bool(report["state_access"]) and
-         all(e["access_kind"] in ("read-mostly", "mutated-in-handler")
-             for e in report["state_access"]),
-         "state_access section with classified entries"),
-        (any(e["access_kind"] == "mutated-in-handler"
-             for e in report["state_access"]),
-         "mutated-in-handler reachability from a domain method"),
-        (compat["schema"] == SHARD_REPORT_SCHEMA_V1 and
-         "state_access" not in compat and
-         not diff_shard_reports(compat, downconvert_shard_report_v1(report)),
-         "v1 down-convert round-trip"),
+        (any(e["kind"] == "class" for e in report["shared"]),
+         "shared-annotated class"),
+        (report["schema"] == SHARD_REPORT_SCHEMA and
+         set(report) == {"schema", "shared", "unannotated"}, "schema is v3"),
     ]
     for ok, what in report_cases:
         if not ok:
@@ -1791,7 +1106,7 @@ def main(argv=None) -> int:
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="finding output format (json for machine consumers)")
     parser.add_argument("--shard-report", metavar="FILE",
-                        help="write the shard-domain state inventory JSON")
+                        help="write the shared-state inventory JSON")
     parser.add_argument("--shard-check", metavar="FILE",
                         help="fail on inventory drift against a checked-in report")
     parser.add_argument("--self-test", action="store_true",
@@ -1901,19 +1216,11 @@ def main(argv=None) -> int:
                 print(f"simlint: cannot load shard report {args.shard_check}: {e}",
                       file=sys.stderr)
                 return 2
-            compare = report
-            if pinned.get("schema") == SHARD_REPORT_SCHEMA_V1:
-                # One-release compat: gate the fresh scan against a pinned
-                # v1 report by down-converting before diffing.
-                compare = downconvert_shard_report_v1(report)
-                print(f"simlint: {args.shard_check} is {SHARD_REPORT_SCHEMA_V1}; "
-                      "comparing in v1 compatibility mode (regenerate with "
-                      "--shard-report to adopt v2)", file=sys.stderr)
-            diff_lines = diff_shard_reports(pinned, compare)
+            diff_lines = diff_shard_reports(pinned, report)
             if diff_lines:
                 drift = True
                 print(f"simlint: shard inventory drift vs {args.shard_check} — "
-                      "new shared/domain state must be reviewed and the report "
+                      "new shared state must be reviewed and the report "
                       "regenerated with --shard-report:", file=sys.stderr)
                 for line in diff_lines:
                     print(line, file=sys.stderr)
