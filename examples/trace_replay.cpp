@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "check/audit.hpp"
@@ -195,7 +196,15 @@ int main(int argc, char** argv) {
       obs::dump_flight(flight_session->recorder(), obs_options, reason);
     }
   };
-  const ExperimentResult result = run_experiment(config, trace);
+  ExperimentResult result;
+  try {
+    result = run_experiment(config, trace);
+  } catch (const std::invalid_argument& e) {
+    // A configuration the device cannot be built with (a fault target
+    // outside the geometry).
+    std::fprintf(stderr, "bad configuration: %s\n", e.what());
+    return 1;
+  }
   if (!obs::write_outputs(session.get(), obs_options)) return 1;
   if (latency_session != nullptr) {
     if (!obs::write_exemplars(latency_session->observatory(), obs_options)) return 1;

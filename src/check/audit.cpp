@@ -4,8 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "common/flight_hook.hpp"
-
 namespace nvmooc::check {
 
 namespace {
@@ -44,16 +42,17 @@ std::string AuditReport::summary() const {
   return out.str();
 }
 
-Auditor::Auditor() { report_.enabled = true; }
+Auditor::Auditor()
+    : probe::Subscriber(probe::bit(probe::Kind::kInterval) | probe::bit(probe::Kind::kReplay) |
+                        probe::bit(probe::Kind::kRequest) | probe::bit(probe::Kind::kMedia)) {
+  report_.enabled = true;
+}
 
 void Auditor::violation(const char* invariant, std::string detail) {
   ++report_.violation_count;
-  // Breadcrumb into the flight recorder (when one is installed), so the
+  // Breadcrumb for the flight recorder (when one is installed), so the
   // postmortem dump carries the violation next to the recent requests.
-  // Routed through the common/flight_hook.hpp slot: this layer cannot
-  // link obs.
-  flight::note(Time{}, "audit", invariant, report_.violation_count, 0,
-               detail.c_str());
+  probe::note(Time{}, "audit", invariant, report_.violation_count, 0, detail.c_str());
   if (report_.violations.size() < kMaxRecordedViolations) {
     report_.violations.push_back(AuditViolation{invariant, std::move(detail)});
   }
@@ -306,13 +305,32 @@ AuditReport Auditor::report() const {
   return out;
 }
 
-// -- session ----------------------------------------------------------------
+// -- probe subscription ----------------------------------------------------
 
-AuditSession::AuditSession()
-    : auditor_(std::make_unique<Auditor>()), previous_(detail::tls_auditor) {
-  detail::tls_auditor = auditor_.get();
+void Auditor::on_interval(const probe::Interval& interval) {
+  // Every Timeline grant, labelled or not; controller steps and link
+  // transfers are views of grants already seen here.
+  if (interval.resource != probe::Resource::kTimeline) return;
+  timeline_reserved(interval.object, *interval.label, interval.start, interval.end);
 }
 
-AuditSession::~AuditSession() { detail::tls_auditor = previous_; }
+void Auditor::on_posix(Bytes size, Bytes payload, Bytes internal) {
+  // Conservation at the OoC/FS boundary: the I/O path must expand every
+  // application request into exactly its payload (journal and metadata
+  // traffic rides separately as internal bytes).
+  posix_request(size);
+  io_path_grant(size, payload, internal);
+}
+
+void Auditor::on_request_open(const probe::RequestOpen& request) {
+  open_request_ = request_issued(request.ready);
+  request_admitted(open_request_, request.admit);
+  request_dispatched(open_request_, request.issue);
+}
+
+void Auditor::on_request_close(const probe::RequestClose& request) {
+  request_media(open_request_, request.ledger.media_begin, request.ledger.media_end);
+  request_completed(open_request_, request.ledger.completion);
+}
 
 }  // namespace nvmooc::check

@@ -25,26 +25,29 @@
 //                 and replay end; see Ftl::audit_mapping).
 //
 // Design constraints mirror src/obs:
-//  1. Zero overhead when off (the default): every hook site reduces to a
-//     thread-local pointer load and a branch. Auditing never mutates
-//     simulation state, so audited replays are bit-identical to
-//     unaudited ones (CI enforces this).
+//  1. Zero overhead when off (the default): the auditor is a probe
+//     subscriber (common/probe.hpp), so the layers it checks never name
+//     it — they report each grant, request stage and media transfer to
+//     the probe once, and a site costs one thread-local load and a
+//     branch when nobody listens. Auditing never mutates simulation
+//     state, so audited replays are bit-identical to unaudited ones (CI
+//     enforces this).
 //  2. Per-experiment isolation: the auditor is installed thread-locally
 //     (AuditSession), so concurrent replays audit independently.
 //
-// Typical site:
-//   if (check::Auditor* aud = check::auditor()) {
-//     aud->timeline_reserved(this, trace_label_, grant.start, grant.end);
-//   }
+// Typical site — every Timeline grant, audited or not:
+//   probe::grant(this, trace_label_, earliest, grant.start, grant.end);
+// and the subscriber side (Auditor::on_interval):
+//   timeline_reserved(interval.object, *interval.label, interval.start,
+//                     interval.end);
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/shard_domain.hpp"
+#include "common/probe.hpp"
 #include "common/units.hpp"
 
 namespace nvmooc::check {
@@ -98,15 +101,9 @@ struct AuditReport {
 
 /// How a channel transfer relates to the request that caused it; the
 /// auditor buckets conservation accounting by this.
-enum class MediaKind : std::uint8_t {
-  kRequest = 0,  ///< Serves the device request's own span (payload or
-                 ///< internal, per the request's class).
-  kRmw = 1,      ///< Read half of a read-modify-write edge page.
-  kGc = 2,       ///< Garbage-collection relocation traffic.
-  kRemap = 3,    ///< Bad-block retirement relocation/rewrite traffic.
-};
+using MediaKind = probe::MediaKind;
 
-class Auditor {
+class Auditor final : public probe::Subscriber {
  public:
   Auditor();
 
@@ -176,6 +173,20 @@ class Auditor {
     return report_.violation_count;
   }
 
+  // -- probe subscription: the hooks above, fed by the probe stream -----
+  void on_interval(const probe::Interval& interval) override;
+  void on_release(const void* timeline) override { timeline_released(timeline); }
+  void on_posix(Bytes size, Bytes payload, Bytes internal) override;
+  void on_request_open(const probe::RequestOpen& request) override;
+  void on_request_close(const probe::RequestClose& request) override;
+  void on_media_begin(Bytes expected, bool internal) override {
+    media_request_begin(expected, internal);
+  }
+  void on_media_transfer(Bytes bytes, MediaKind kind, std::uint32_t retries) override {
+    media_transfer(bytes, kind, retries);
+  }
+  void on_media_end(const probe::MediaDone& /*done*/) override { media_request_end(); }
+
  private:
   static constexpr std::size_t kMaxRecordedViolations = 32;
 
@@ -217,34 +228,22 @@ class Auditor {
   /// preserved. Names come from labels or first-grant ordinals.
   std::map<const void*, ResourceTrack> tracks_;
   std::uint64_t next_track_ordinal_ = 0;
+
+  /// Audit id of the device request the engine has open.
+  std::uint64_t open_request_ = 0;
 };
 
-namespace detail {
-SIM_SHARD_SHARED("thread-local install slot; AuditSession swaps it on its own thread and hook sites only dereference their own thread's pointer")
-inline thread_local Auditor* tls_auditor = nullptr;
-}
-
-/// The calling thread's active auditor; null when auditing is off. The
-/// null test *is* the enable check at every hook site.
-inline Auditor* auditor() { return detail::tls_auditor; }
+/// The calling thread's active auditor; null when auditing is off.
+inline Auditor* auditor() { return static_cast<Auditor*>(probe::slot(probe::Slot::kAudit)); }
 
 /// Owns an Auditor and installs it on the constructing thread for its
 /// lifetime (restoring any previous one). Build one per replay: the
 /// CLI surface (--audit) wraps the run in a session and reads the
 /// report back from ExperimentResult::audit.
-class AuditSession {
+class AuditSession : public probe::Session<Auditor, probe::Slot::kAudit> {
  public:
-  AuditSession();
-  ~AuditSession();
-
-  AuditSession(const AuditSession&) = delete;
-  AuditSession& operator=(const AuditSession&) = delete;
-
-  Auditor& auditor() { return *auditor_; }
-
- private:
-  std::unique_ptr<Auditor> auditor_;
-  Auditor* previous_;
+  using Session::Session;
+  Auditor& auditor() { return instrument_; }
 };
 
 }  // namespace nvmooc::check

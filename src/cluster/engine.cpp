@@ -9,47 +9,11 @@
 
 #include "check/audit.hpp"
 #include "cluster/window.hpp"
-#include "obs/flight_recorder.hpp"
+#include "common/probe.hpp"
 #include "obs/latency.hpp"
 #include "obs/obs.hpp"
 
 namespace nvmooc {
-
-namespace {
-
-/// Assigns each in-flight request a "lane" so its span lands on a track
-/// where spans never overlap — Perfetto renders same-track spans as a
-/// nesting stack, so concurrent requests must ride separate lanes. Lane
-/// count is naturally bounded by the flow-control window's depth.
-class LaneAllocator {
- public:
-  explicit LaneAllocator(obs::TraceRecorder& recorder) : recorder_(recorder) {}
-
-  /// Track id of a lane free over [start, end).
-  std::uint32_t acquire(Time start, Time end) {
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      if (lanes_[i].free_at <= start) {
-        lanes_[i].free_at = end;
-        return lanes_[i].track;
-      }
-    }
-    Lane lane;
-    lane.free_at = end;
-    lane.track = recorder_.track("io.lane" + std::to_string(lanes_.size()));
-    lanes_.push_back(lane);
-    return lane.track;
-  }
-
- private:
-  struct Lane {
-    Time free_at;
-    std::uint32_t track = 0;
-  };
-  obs::TraceRecorder& recorder_;
-  std::vector<Lane> lanes_;
-};
-
-}  // namespace
 
 ReplayEngine::ReplayEngine(const ExperimentConfig& config) : config_(config) {
   SsdConfig ssd_config;
@@ -121,69 +85,10 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
   Histogram read_latency_us(0.0, 50'000.0, 4096);
   RunningStats read_latency_stats;
 
-  // Observability: both pointers are null unless an obs::ObsSession is
-  // installed on this thread, in which case spans/metrics flow; the
-  // simulation arithmetic below never depends on either.
-  obs::TraceRecorder* recorder = obs::tracer();
-  obs::MetricsRegistry* registry = obs::metrics();
-  // Invariant audit: null unless a check::AuditSession is installed on
-  // this thread; like obs, the simulation arithmetic never depends on it.
-  check::Auditor* aud = check::auditor();
-  // Causal profiler (--profile): same null-check contract. The engine
-  // records each request's gate candidates (what its ready time waited
-  // on) and its contiguous host-side segments; the controller and the
-  // link hooks add the device-side occupancy.
-  obs::Profiler* prof = obs::profiler();
-  // Host telemetry (--speed-report): same null-check contract again. The
-  // engine ticks the speedometer per request, reports progress for the
-  // heartbeat, and scopes the replay loop as the "engine" wall-time
-  // bucket; the inner models (SSD, DMA, timeline) open their own
-  // sections, which the self-time accounting subtracts back out.
-  obs::HostProfiler* host = obs::host_profiler();
-  if (host) host->begin_run(trace.requests().size());
-  // Tail-latency observers: the exemplar observatory (--exemplars-out)
-  // and the flight recorder (on by default on the CLI surfaces). Both
-  // follow the same null-test contract — pure derived accounting, never
-  // part of the simulation arithmetic.
-  obs::LatencyObservatory* observatory = obs::latency_observatory();
-  obs::FlightRecorder* flight = obs::flight_recorder();
-  std::uint32_t prof_window = 0;
-  std::uint32_t prof_cpu = 0;
-  std::uint32_t prof_software = 0;
-  std::uint32_t prof_rpc = 0;
-  std::uint32_t prof_host = 0;
-  std::uint32_t prof_net = 0;
-  std::uint32_t prof_degraded = 0;
-  // Which request released each gate value (profiling only).
-  std::uint64_t prof_cpu_pred = 0;
-  std::uint64_t prof_barrier_pred = 0;
-  std::uint64_t prof_drain_pred = 0;
-  if (prof) {
-    prof_window = prof->intern("engine.window");
-    prof_cpu = prof->intern("engine.cpu");
-    prof_software = prof->intern(behavior.name + ".software");
-    prof_rpc = prof->intern("net.rpc");
-    prof_host = prof->intern("link.host");
-    prof_net = prof->intern("link.net");
-    prof_degraded = prof->intern("link.degraded");
-  }
-  std::unique_ptr<LaneAllocator> lanes;
-  std::uint32_t window_track = 0;
-  if (recorder) {
-    lanes = std::make_unique<LaneAllocator>(*recorder);
-    window_track = recorder->track("engine.window");
-  }
-  // Pre-registered per-stage latency histograms ("latency.<stage>_us"),
-  // so the hot loop records without re-hashing names; references stay
-  // valid for the registry's lifetime (node-stable map storage).
-  std::array<obs::LogHistogram*, obs::kLatencyStageCount> latency_hist{};
-  if (registry) {
-    for (int s = 0; s < obs::kLatencyStageCount; ++s) {
-      latency_hist[static_cast<std::size_t>(s)] = &registry->histogram(
-          std::string("latency.") +
-          obs::latency_stage_key(static_cast<obs::LatencyStage>(s)) + "_us");
-    }
-  }
+  // Instruments (tracer, metrics, profiler, host telemetry, exemplars,
+  // flight recorder, auditor) listen on the probe: the loop below reports
+  // each request's lifecycle once and never depends on who is listening.
+  probe::replay_begin(trace.requests().size());
   // Per-request phase-wait distributions (µs) and the outstanding-bytes
   // outline ride in every result (they are derived accounting, like the
   // latency histogram above, not optional instrumentation).
@@ -212,54 +117,28 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
   obs::HostSection replay_section(obs::HostSubsystem::kEngine);
   for (const PosixRequest& posix : trace.requests()) {
     if (aborted) break;
-    if (host) host->count(obs::HostEvent::kPosixRequest);
     const std::vector<BlockRequest> device_requests = [&] {
       obs::HostSection io_section(obs::HostSubsystem::kIoPath);
       return path_->submit(posix);
     }();
-    if (aud != nullptr) {
-      // Conservation at the OoC/FS boundary: the I/O path must expand
-      // every application request into exactly its payload (journal and
-      // metadata traffic rides separately as internal bytes).
-      Bytes payload;
-      Bytes internal;
-      for (const BlockRequest& device_request : device_requests) {
-        (device_request.internal ? internal : payload) += device_request.size;
-      }
-      aud->posix_request(posix.size);
-      aud->io_path_grant(posix.size, payload, internal);
+    Bytes payload;
+    Bytes internal;
+    for (const BlockRequest& device_request : device_requests) {
+      (device_request.internal ? internal : payload) += device_request.size;
     }
+    probe::posix(posix.size, payload, internal);
     for (const BlockRequest& device_request : device_requests) {
       if (device_request.size == Bytes{}) continue;
-      if (host) host->count(obs::HostEvent::kDeviceRequest);
 
       Time ready = std::max({cpu_free, barrier_gate, posix.not_before});
       if (device_request.barrier) ready = std::max(ready, all_done);
 
-      const std::uint64_t audit_id =
-          aud != nullptr ? aud->request_issued(ready) : 0;
-
-      // Open the profiled request and record every dependency candidate
-      // that went into `ready` — the walk later follows the winner.
-      std::uint64_t prof_id = 0;
-      if (prof) {
-        prof_id = prof->request_begin();
-        prof->request_gate(prof_id, {cpu_free, obs::GateKind::kCpu, prof_cpu_pred});
-        prof->request_gate(prof_id,
-                           {barrier_gate, obs::GateKind::kBarrier, prof_barrier_pred});
-        prof->request_gate(prof_id, {posix.not_before, obs::GateKind::kApp, 0});
-        if (device_request.barrier) {
-          prof->request_gate(prof_id, {all_done, obs::GateKind::kDrain, prof_drain_pred});
-        }
-      }
-
+      const Time cpu_gate = cpu_free;
       Time admit = device_window.admit(ready, device_request.size);
       cpu_free = admit + cpu_serial;
       const Time issue = cpu_free + added_latency;
-      if (aud != nullptr) {
-        aud->request_admitted(audit_id, admit);
-        aud->request_dispatched(audit_id, issue);
-      }
+      probe::request_open({ready, admit, issue, cpu_gate, barrier_gate, posix.not_before,
+                           all_done, device_request.barrier});
 
       Time completion;
       Time media_done;
@@ -270,33 +149,20 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
         // complete, so the link occupancy starts with the media and the
         // request is done when both the media and the wire have finished.
         Time media_arrival = issue;
-        if (network_dma_) media_arrival = rpc_window.admit(issue, device_request.size);
-        if (prof && network_dma_) {
-          prof->request_segment(prof_id, obs::PathKind::kNetworkRpc, prof_rpc, issue,
-                                media_arrival);
+        if (network_dma_) {
+          media_arrival = rpc_window.admit(issue, device_request.size);
+          probe::rpc(issue, media_arrival);
         }
         media = ssd_->submit(device_request, media_arrival);
         media_done = media.media_end;
         const Reservation dma = host_dma_->transfer(media.media_begin, device_request.size);
         completion = std::max(media.media_end, dma.end);
-        if (prof) {
-          prof->request_segment(prof_id, obs::PathKind::kLinkWait, prof_host,
-                                media.media_begin, dma.start);
-          prof->request_segment(prof_id, obs::PathKind::kLinkBusy, prof_host, dma.start,
-                                dma.end);
-        }
         if (network_dma_) {
           const Reservation net =
               network_dma_->transfer(std::max(media.media_begin, dma.start),
                                      device_request.size);
           completion = std::max(completion, net.end);
           rpc_window.launch(completion, device_request.size);
-          if (prof) {
-            prof->request_segment(prof_id, obs::PathKind::kLinkWait, prof_net,
-                                  std::max(media.media_begin, dma.start), net.start);
-            prof->request_segment(prof_id, obs::PathKind::kLinkBusy, prof_net, net.start,
-                                  net.end);
-          }
         }
         if (media.uncorrectable_units > 0) {
           obs::HostSection reliability_section(obs::HostSubsystem::kReliability);
@@ -304,10 +170,8 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
             aborted = true;
             abort_reason = "device hard failure: capacity lost past the spare "
                            "pool exceeded the failure threshold";
-            if (flight) {
-              flight->note(media.media_end, "engine", "abort", request_ordinal,
-                           0, abort_reason.c_str());
-            }
+            probe::note(media.media_end, "engine", "abort", request_ordinal, 0,
+                        abort_reason.c_str());
           } else if (degraded_dma_) {
             // Compute-local degraded mode: the device already remapped
             // the lost pages onto good media; their content is re-fetched
@@ -316,37 +180,18 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
             const Reservation replica =
                 degraded_dma_->transfer(media.media_end, media.uncorrectable_bytes);
             completion = std::max(completion, replica.end);
-            if (prof) {
-              prof->request_segment(prof_id, obs::PathKind::kLinkWait, prof_degraded,
-                                    media.media_end, replica.start);
-              prof->request_segment(prof_id, obs::PathKind::kLinkBusy, prof_degraded,
-                                    replica.start, replica.end);
-            }
             ++degraded_requests;
             degraded_bytes += media.uncorrectable_bytes;
-            if (flight) {
-              flight->note(media.media_end, "engine", "degraded_refetch",
-                           request_ordinal, (media.uncorrectable_bytes).value(),
-                           nullptr);
-            }
-            if (recorder) {
-              recorder->span(
-                  recorder->track("engine.degraded"), "reliability",
-                  "degraded_refetch", media.media_end, Time{},
-                  {obs::SpanArg::integer(
-                      "bytes", (media.uncorrectable_bytes).value())});
-            }
-            if (registry) registry->counter("engine.degraded_requests").add();
+            probe::note(media.media_end, "engine", "degraded_refetch", request_ordinal,
+                        (media.uncorrectable_bytes).value());
           } else {
             // ION-local storage *is* the resilience tier — an
             // uncorrectable read there has nowhere to fall back to.
             aborted = true;
             abort_reason = "uncorrectable read on ION-local storage (no "
                            "replica to recover from)";
-            if (flight) {
-              flight->note(media.media_end, "engine", "abort", request_ordinal,
-                           0, abort_reason.c_str());
-            }
+            probe::note(media.media_end, "engine", "abort", request_ordinal, 0,
+                        abort_reason.c_str());
           }
         }
       } else {
@@ -354,24 +199,11 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
         Time at_device = issue;
         if (network_dma_) {
           const Time slot = rpc_window.admit(issue, device_request.size);
+          probe::rpc(issue, slot);
           const Reservation net = network_dma_->transfer(slot, device_request.size);
           at_device = net.end;
-          if (prof) {
-            prof->request_segment(prof_id, obs::PathKind::kNetworkRpc, prof_rpc, issue,
-                                  slot);
-            prof->request_segment(prof_id, obs::PathKind::kLinkWait, prof_net, slot,
-                                  net.start);
-            prof->request_segment(prof_id, obs::PathKind::kLinkBusy, prof_net, net.start,
-                                  net.end);
-          }
         }
         const Reservation dma = host_dma_->transfer(at_device, device_request.size);
-        if (prof) {
-          prof->request_segment(prof_id, obs::PathKind::kLinkWait, prof_host, at_device,
-                                dma.start);
-          prof->request_segment(prof_id, obs::PathKind::kLinkBusy, prof_host, dma.start,
-                                dma.end);
-        }
         media = ssd_->submit(device_request, dma.end);
         completion = media.media_end;
         media_done = media.media_end;
@@ -379,10 +211,6 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
         if (network_dma_) rpc_window.launch(completion, device_request.size);
       }
 
-      if (aud != nullptr) {
-        aud->request_media(audit_id, media.media_begin, media.media_end);
-        aud->request_completed(audit_id, completion);
-      }
 
       const bool is_read = device_request.op == NvmOp::kRead;
       // For writes the data movement precedes the media: the inbound link
@@ -398,7 +226,6 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
             static_cast<double>(completion - admit) / static_cast<double>(kMicrosecond);
         read_latency_us.add(latency_us);
         read_latency_stats.add(latency_us);
-        if (registry) registry->histogram("engine.read_latency_us").record(latency_us);
       }
 
       phase_wait[static_cast<int>(Phase::kNonOverlappedDma)].record(
@@ -409,9 +236,12 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
 
       // This request's phase ledger: absolute lifecycle timestamps plus
       // the stage decomposition (mapping documented in obs/latency.hpp).
-      // Folded into the always-on breakdown, then offered to the
-      // optional tail observers.
-      obs::PhaseLedger ledger;
+      // Folded into the always-on breakdown, then closed on the probe.
+      probe::RequestClose done;
+      done.io_path = &behavior.name;
+      done.pal = to_string(media.pal);
+      done.in_flight = device_window.outstanding() + device_request.size;
+      obs::PhaseLedger& ledger = done.ledger;
       ledger.id = request_ordinal++;
       ledger.read = is_read;
       ledger.internal = device_request.internal;
@@ -439,85 +269,20 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
       stage[static_cast<int>(obs::LatencyStage::kCompletionTail)] = request_nod;
       stage[static_cast<int>(obs::LatencyStage::kTotal)] = completion - ready;
       latency_acc.record(ledger);
-      if (observatory) observatory->observe(ledger);
-      if (flight) flight->record(ledger);
-      if (registry) {
-        for (int s = 0; s < obs::kLatencyStageCount; ++s) {
-          latency_hist[static_cast<std::size_t>(s)]->record(
-              ledger.stage_us(static_cast<obs::LatencyStage>(s)));
-        }
-      }
-
-      if (recorder) {
-        obs::HostSection obs_section(obs::HostSubsystem::kObs);
-        const std::uint32_t lane = lanes->acquire(ready, completion);
-        std::vector<obs::SpanArg> args;
-        args.push_back(obs::SpanArg::integer(
-            "bytes", (device_request.size).value()));
-        if (device_request.internal) args.push_back(obs::SpanArg::text("class", "internal"));
-        recorder->span(lane, "request", is_read ? "read" : "write", ready,
-                       completion - ready, std::move(args));
-        if (admit > ready) {
-          recorder->span(lane, "phase", "window_wait", ready, admit - ready);
-        }
-        if (media.media_end > media.media_begin) {
-          std::vector<obs::SpanArg> margs;
-          margs.push_back(obs::SpanArg::text("pal", to_string(media.pal)));
-          if (media.retries > 0) {
-            margs.push_back(obs::SpanArg::integer("ecc_retries", media.retries));
-          }
-          recorder->span(lane, "device", "media", media.media_begin,
-                         media.media_end - media.media_begin, std::move(margs));
-        }
-        if (request_nod > Time{}) {
-          recorder->span(lane, "phase", "non_overlapped_dma",
-                         is_read ? media_done : issue, request_nod);
-        }
-        recorder->counter(
-            window_track, "engine", "outstanding_bytes", admit,
-            static_cast<double>(device_window.outstanding() + device_request.size));
-      }
-      if (registry) {
-        registry->counter("engine.requests").add();
-        registry->counter(is_read ? "engine.read_bytes" : "engine.write_bytes")
-            .add(device_request.size.value());
-      }
-
-      if (prof) {
-        // Host-side prefix of the causal chain: flow-control wait, core
-        // serialisation, I/O-path software latency. Together with the
-        // branch-recorded link/media segments these cover [ready,
-        // completion] contiguously.
-        prof->request_segment(prof_id, obs::PathKind::kEngineWindow, prof_window, ready,
-                              admit);
-        prof->request_segment(prof_id, obs::PathKind::kEngineCpu, prof_cpu, admit,
-                              cpu_free);
-        prof->request_segment(prof_id, obs::PathKind::kIoPathSoftware, prof_software,
-                              cpu_free, issue);
-        prof->request_complete(prof_id, ready, issue, completion, media.media_begin,
-                               media.media_end);
-        prof_cpu_pred = prof_id;
-        if (completion >= all_done) prof_drain_pred = prof_id;
-        if (device_request.barrier) prof_barrier_pred = prof_id;
-      }
+      probe::request_close(done);
       device_window.launch(completion, device_request.size);
       queue_depth_series.sample(admit, static_cast<double>(device_window.outstanding()));
       all_done = std::max(all_done, completion);
       if (device_request.barrier) {
         barrier_gate = completion;
-        if (flight) {
-          flight->note(completion, "engine", "barrier", ledger.id,
-                       (device_request.size).value(), nullptr);
-        }
+        probe::note(completion, "engine", "barrier", ledger.id, (device_request.size).value());
       }
       if (aborted) break;  // Replay stops; diagnostics ride in the result.
     }
     if (!aborted) completed_payload += posix.size;
-    if (host) host->progress(all_done);
+    probe::progress(all_done);
   }
   }  // replay_section (engine wall-time bucket) closes here.
-
-  if (aud != nullptr && aborted) aud->replay_aborted();
 
   // ---- Derive the figures' quantities. --------------------------------
   ExperimentResult result;
@@ -607,17 +372,21 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
   for (int p = 0; p < kPhaseCount; ++p) result.phase_wait[p] = phase_wait[p].summary();
   result.latency = latency_acc.breakdown();
   result.queue_depth = queue_depth_series.points();
-  if (registry) {
+
+  // ---- Collect the installed instruments' reports. ----------------------
+  check::Auditor* aud = check::auditor();
+  if (aud != nullptr && aborted) aud->replay_aborted();
+  if (obs::MetricsRegistry* registry = obs::metrics()) {
     registry->gauge("engine.makespan_ms").set(static_cast<double>(result.makespan) / static_cast<double>(kMillisecond));
     registry->gauge("engine.achieved_mbps").set(result.achieved_mbps);
     result.metrics = registry->snapshot();
   }
-  if (prof) {
+  if (obs::Profiler* prof = obs::profiler()) {
     result.profile = prof->report(result.makespan);
     // The blame report is a partition of the makespan: its buckets must
     // sum to the replay's end time exactly, in integer picoseconds. A
-    // mismatch means a hook site broke the contiguity contract — under
-    // --audit that is an invariant violation like any other.
+    // mismatch means an emitting site broke the contiguity contract —
+    // under --audit that is an invariant violation like any other.
     if (aud != nullptr && result.profile.attributed != result.makespan) {
       aud->violation("profile",
                      "critical-path blame (" +
@@ -625,7 +394,7 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
                          " ps) != makespan (" +
                          std::to_string(result.makespan.ps()) + " ps)");
     }
-    if (recorder) {
+    if (obs::TraceRecorder* recorder = obs::tracer()) {
       // Utilization timelines double as Perfetto counter tracks so the
       // windowed busy fractions line up under the span view.
       for (const obs::UtilizationSeries& series : result.profile.utilization) {
@@ -641,7 +410,7 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
     ssd_->ftl().audit(*aud);
     result.audit = aud->report();
   }
-  if (host) {
+  if (obs::HostProfiler* host = obs::host_profiler()) {
     result.host = host->report(result.makespan);
   }
   return result;

@@ -3,7 +3,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/flight_recorder.hpp"
+#include "common/probe.hpp"
 
 namespace nvmooc {
 
@@ -125,11 +125,9 @@ std::shared_ptr<const std::vector<std::uint8_t>> TilePrefetcher::get(std::size_t
                    obs::TraceClock::kWall);
   }
   if (obs::MetricsRegistry* m = obs::metrics()) m->counter("dooc.stalls").add();
-  // Consumer-thread breadcrumb only: the recorder is thread-local and
-  // lock-free, so the fetch worker never touches it.
-  if (obs::FlightRecorder* fr = obs::flight_recorder()) {
-    fr->note(Time{}, "dooc", "tile_stall", index, stats_.stalls, nullptr);
-  }
+  // Consumer-thread breadcrumb only: the flight recorder is thread-local
+  // and lock-free, so the fetch worker never notes into it.
+  probe::note(Time{}, "dooc", "tile_stall", index, stats_.stalls);
   if (stopping_) throw std::runtime_error("TilePrefetcher: stopped while waiting");
   auto buffer = buffered_.at(index);
   if (failed(buffer)) {

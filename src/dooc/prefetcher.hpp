@@ -63,7 +63,7 @@ class TilePrefetcher {
   std::uint32_t max_read_retries_;
   /// The constructing thread's observability context, re-installed in the
   /// worker so its wall-clock spans land in the same recorder.
-  const obs::ObsContext* obs_context_ = nullptr;
+  const obs::ObsContext obs_context_;
 
   std::mutex mutex_;
   std::condition_variable state_changed_;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/flight_recorder.hpp"
+#include "common/probe.hpp"
 #include "obs/obs.hpp"
 
 namespace nvmooc {
@@ -110,10 +110,8 @@ void FileSystemModel::maybe_emit_metadata(Bytes processed, std::vector<BlockRequ
     out.push_back(metadata);
     // Internal traffic is a classic tail suspect: a flight dump shows
     // whether a straggler was preceded by a metadata chase.
-    if (obs::FlightRecorder* fr = obs::flight_recorder()) {
-      fr->note(Time{}, "fs", "metadata_read", (metadata.offset).value(),
-               (metadata.size).value(), nullptr);
-    }
+    probe::note(Time{}, "fs", "metadata_read", (metadata.offset).value(),
+                (metadata.size).value());
   }
 }
 
@@ -177,10 +175,8 @@ std::vector<BlockRequest> FileSystemModel::submit(const PosixRequest& request) {
       commit.barrier = false;
       commit.internal = true;
       out.push_back(commit);
-      if (obs::FlightRecorder* fr = obs::flight_recorder()) {
-        fr->note(Time{}, "fs", "journal_commit", (commit.offset).value(),
-                 (commit.size).value(), nullptr);
-      }
+      probe::note(Time{}, "fs", "journal_commit", (commit.offset).value(),
+                  (commit.size).value());
       journal_cursor_ = (journal_cursor_ + behavior_.journal_size) % journal_span_;
     }
   }

@@ -1,5 +1,6 @@
 #include "interconnect/link.hpp"
 
+#include "common/probe.hpp"
 #include "common/string_util.hpp"
 #include "obs/host_profiler.hpp"
 
@@ -23,6 +24,7 @@ Reservation DmaEngine::transfer(Time earliest, Bytes bytes) {
   Reservation grant = link_.reserve(ready, config_.payload_time(bytes));
   grant.waited += config_.request_latency + config_.bridge_latency;
   bytes_moved_ += bytes;
+  probe::link(link_.trace_label(), earliest, grant.start, grant.end);
   return grant;
 }
 

@@ -55,8 +55,9 @@ class DmaEngine {
   const BusyTracker& busy() const { return link_.busy(); }
   [[nodiscard]] Bytes bytes_moved() const { return bytes_moved_; }
 
-  /// Names the link's occupancy track in traces ("link.host", ...);
-  /// unnamed links stay silent even when a tracer is installed.
+  /// Names the link for the instruments ("link.host", ...): its grants
+  /// become a trace track and its transfers profiler link segments.
+  /// Unnamed links stay silent even when a tracer is installed.
   void set_trace_label(std::string label) { link_.set_trace_label(std::move(label)); }
 
  private:

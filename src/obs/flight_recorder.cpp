@@ -7,7 +7,9 @@
 
 namespace nvmooc::obs {
 
-FlightRecorder::FlightRecorder(Options options) : options_(options) {
+FlightRecorder::FlightRecorder(Options options)
+    : probe::Subscriber(probe::bit(probe::Kind::kNote) | probe::bit(probe::Kind::kRequest)),
+      options_(options) {
   options_.event_capacity = std::max<std::size_t>(options_.event_capacity, 16);
   options_.ledger_capacity = std::max<std::size_t>(options_.ledger_capacity, 4);
   event_ring_.resize(options_.event_capacity);
@@ -128,18 +130,6 @@ std::string FlightRecorder::summary() const {
       static_cast<unsigned long long>(ledgers_seen_),
       static_cast<unsigned long long>(
           std::min<std::uint64_t>(ledgers_seen_, options_.ledger_capacity)));
-}
-
-FlightSession::FlightSession(FlightRecorder::Options options)
-    : recorder_(std::make_unique<FlightRecorder>(options)) {
-  previous_ = detail::tls_flight;
-  detail::tls_flight = recorder_.get();
-  previous_sink_ = flight::install_sink(recorder_.get());
-}
-
-FlightSession::~FlightSession() {
-  detail::tls_flight = previous_;
-  flight::install_sink(previous_sink_);
 }
 
 }  // namespace nvmooc::obs

@@ -17,20 +17,17 @@
 //    thread-local, like every observer in this repo), no simulation
 //    state touched.
 //
-// Layering: the recorder lives in src/obs, but the auditor (src/check)
-// cannot link obs — it reaches the recorder through the flight::Sink
-// slot in common/flight_hook.hpp, which FlightSession also installs.
-// Obs-linking layers (engine, FS, SSD, DOoC) use obs::flight_recorder()
-// directly.
+// The recorder is a probe subscriber (common/probe.hpp): every layer,
+// the auditor included, leaves breadcrumbs with probe::note(), and the
+// engine's closed request ledgers reach the request ring the same way —
+// no site names the recorder.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/flight_hook.hpp"
-#include "common/shard_domain.hpp"
+#include "common/probe.hpp"
 #include "common/units.hpp"
 #include "obs/latency.hpp"
 
@@ -57,18 +54,25 @@ struct FlightOptions {
   std::size_t ledger_capacity = 256;
 };
 
-class FlightRecorder final : public flight::Sink {
+class FlightRecorder final : public probe::Subscriber {
  public:
   using Options = FlightOptions;
 
   explicit FlightRecorder(Options options = {});
 
-  /// flight::Sink — also the direct API for obs-linking hook sites.
+  /// One event into the ring.
   void note(Time t, const char* category, const char* what, std::uint64_t a,
-            std::uint64_t b, const char* detail_text) override;
+            std::uint64_t b, const char* detail_text);
 
   /// A device request completed; its ledger joins the request ring.
   void record(const PhaseLedger& ledger);
+
+  void on_note(const probe::Note& n) override {
+    note(n.t, n.category, n.what, n.a, n.b, n.detail);
+  }
+  void on_request_close(const probe::RequestClose& request) override {
+    record(request.ledger);
+  }
 
   [[nodiscard]] std::uint64_t events_seen() const { return events_seen_; }
   [[nodiscard]] std::uint64_t ledgers_seen() const { return ledgers_seen_; }
@@ -92,33 +96,13 @@ class FlightRecorder final : public flight::Sink {
   std::uint64_t ledgers_seen_ = 0;
 };
 
-namespace detail {
-SIM_SHARD_SHARED("thread-local install slot; FlightSession swaps it on its own thread and hook sites only dereference their own thread's pointer")
-inline thread_local FlightRecorder* tls_flight = nullptr;
-}  // namespace detail
-
-/// The calling thread's active recorder; null when the flight recorder
-/// is off (--no-flight-recorder). The null test *is* the enable check.
-inline FlightRecorder* flight_recorder() { return detail::tls_flight; }
-
-/// Owns a FlightRecorder and installs it on the constructing thread —
-/// both as obs::flight_recorder() and as the flight::Sink the non-obs
-/// layers (the auditor) note into. Build one per replay; the CLI
+/// Owns a FlightRecorder (constructor argument: its Options) and
+/// installs it on the constructing thread. Build one per replay; the CLI
 /// surfaces leave it on by default.
-class FlightSession {
+class FlightSession : public probe::Session<FlightRecorder, probe::Slot::kFlight> {
  public:
-  explicit FlightSession(FlightRecorder::Options options = {});
-  ~FlightSession();
-
-  FlightSession(const FlightSession&) = delete;
-  FlightSession& operator=(const FlightSession&) = delete;
-
-  [[nodiscard]] FlightRecorder& recorder() { return *recorder_; }
-
- private:
-  std::unique_ptr<FlightRecorder> recorder_;
-  FlightRecorder* previous_ = nullptr;
-  flight::Sink* previous_sink_ = nullptr;
+  using Session::Session;
+  [[nodiscard]] FlightRecorder& recorder() { return instrument_; }
 };
 
 }  // namespace nvmooc::obs

@@ -101,7 +101,10 @@ const char* host_subsystem_name(HostSubsystem subsystem) {
 HostProfiler::HostProfiler() : HostProfiler(Options{}) {}
 
 HostProfiler::HostProfiler(Options options)
-    : options_(options), start_wall_(wallclock::now_ns()) {
+    : probe::Subscriber(probe::bit(probe::Kind::kInterval) | probe::bit(probe::Kind::kReplay) |
+                        probe::bit(probe::Kind::kRequest)),
+      options_(options),
+      start_wall_(wallclock::now_ns()) {
   const double sec = std::max(0.0, options_.heartbeat_sec);
   // Wall instants ride in Time with nanosecond units (wallclock.hpp):
   // convert through the sanctioned from_seconds() (picoseconds), then
@@ -111,8 +114,8 @@ HostProfiler::HostProfiler(Options options)
   stack_.reserve(16);
 }
 
-void HostProfiler::begin_run(std::uint64_t total_requests) {
-  total_requests_ = total_requests;
+void HostProfiler::on_replay_begin(std::uint64_t posix_requests) {
+  total_requests_ = posix_requests;
   completed_requests_ = 0;
   start_wall_ = wallclock::now_ns();
   next_heartbeat_ = start_wall_ + heartbeat_interval_;
@@ -121,10 +124,10 @@ void HostProfiler::begin_run(std::uint64_t total_requests) {
   }
 }
 
-void HostProfiler::progress(Time sim_now) {
+void HostProfiler::on_progress(Time all_done) {
   ++completed_requests_;
   const Time now = wallclock::now_ns();
-  if (now >= next_heartbeat_) heartbeat(now, sim_now);
+  if (now >= next_heartbeat_) heartbeat(now, all_done);
 }
 
 void HostProfiler::heartbeat(Time now_wall, Time sim_now) {

@@ -2,14 +2,13 @@
 // memory of a replay go — the counterpart of every other layer in
 // src/obs, which measures simulated time.
 //
-// Four instruments, all riding behind the usual thread-local null test
-// (see obs.hpp — zero overhead when no HostSession is installed, and
-// none of them ever mutates simulation state, so makespans stay
-// bit-identical with the speed report on or off):
+// Four instruments, none of which ever mutates simulation state, so
+// makespans stay bit-identical with the speed report on or off:
 //
-//  * an events/sec speedometer: hook sites count the simulation events
-//    the host processed (POSIX requests, device requests, timeline
-//    reservations) and the report divides by elapsed wall time;
+//  * an events/sec speedometer: the profiler subscribes to the probe
+//    (common/probe.hpp) and counts the simulation events the host
+//    processed (POSIX requests, device requests, timeline reservations);
+//    the report divides by elapsed wall time;
 //  * scoped wall-clock attribution: RAII HostSection guards partition
 //    host time across subsystems (engine, I/O path, controller,
 //    timeline, interconnect, reliability, obs overhead) with self-time
@@ -31,7 +30,7 @@
 #include <vector>
 
 #include "common/alloc_counter.hpp"
-#include "common/shard_domain.hpp"
+#include "common/probe.hpp"
 #include "common/units.hpp"
 
 namespace nvmooc::obs {
@@ -103,7 +102,7 @@ struct HostReport {
   std::string summary() const;
 };
 
-class HostProfiler {
+class HostProfiler final : public probe::Subscriber {
  public:
   struct Options {
     /// Heartbeat period in wall seconds; <= 0 logs on every progress
@@ -117,18 +116,10 @@ class HostProfiler {
   HostProfiler();
   explicit HostProfiler(Options options);
 
-  /// Declares the replay's size so heartbeats can report % complete and
-  /// an ETA, and snapshots the allocation tallies as the baseline.
-  void begin_run(std::uint64_t total_requests);
-
   /// Speedometer tick; hook sites pass the category they processed.
   void count(HostEvent event, std::uint64_t n = 1) {
     events_[static_cast<int>(event)] += n;
   }
-
-  /// One application request finished at simulated time `sim_now`.
-  /// Cheap (one wall read); emits the heartbeat when the period elapsed.
-  void progress(Time sim_now);
 
   // RAII surface is HostSection below; these are the raw hooks.
   void section_enter(HostSubsystem subsystem);
@@ -139,6 +130,23 @@ class HostProfiler {
   /// Finalises the measurement into a report. `sim_makespan` is the
   /// replay's end time.
   HostReport report(Time sim_makespan) const;
+
+  // Probe subscription: the speedometer and the heartbeat.
+  void on_interval(const probe::Interval& interval) override {
+    if (interval.resource == probe::Resource::kTimeline) count(HostEvent::kTimelineReservation);
+  }
+  /// Records the replay's size so heartbeats can report % complete and
+  /// an ETA, and snapshots the allocation tallies as the baseline.
+  void on_replay_begin(std::uint64_t posix_requests) override;
+  void on_posix(Bytes /*size*/, Bytes /*payload*/, Bytes /*internal*/) override {
+    count(HostEvent::kPosixRequest);
+  }
+  /// One application request finished at simulated time `all_done`.
+  /// Cheap (one wall read); emits the heartbeat when the period elapsed.
+  void on_progress(Time all_done) override;
+  void on_request_open(const probe::RequestOpen& /*request*/) override {
+    count(HostEvent::kDeviceRequest);
+  }
 
  private:
   void heartbeat(Time now_wall, Time sim_now);
@@ -162,21 +170,16 @@ class HostProfiler {
   std::array<AllocTally, kAllocDomainCount> alloc_base_{};
 };
 
-namespace detail {
-SIM_SHARD_SHARED("thread-local install slot; HostSession swaps it on its own thread and hooks only dereference their own thread's pointer")
-inline thread_local HostProfiler* tls_host_profiler = nullptr;
+/// The calling thread's active host profiler, or null.
+inline HostProfiler* host_profiler() {
+  return static_cast<HostProfiler*>(probe::slot(probe::Slot::kHost));
 }
-
-/// The calling thread's active host profiler, or null. The null test
-/// *is* the enable check — identical contract to obs::tracer().
-inline HostProfiler* host_profiler() { return detail::tls_host_profiler; }
 
 /// RAII wall-time attribution scope. With no profiler installed the
 /// constructor and destructor are a thread-local load and a branch.
 class HostSection {
  public:
-  explicit HostSection(HostSubsystem subsystem)
-      : profiler_(detail::tls_host_profiler) {
+  explicit HostSection(HostSubsystem subsystem) : profiler_(host_profiler()) {
     if (profiler_ != nullptr) profiler_->section_enter(subsystem);
   }
   ~HostSection() {
@@ -193,22 +196,10 @@ class HostSection {
 /// RAII install of a host profiler on the constructing thread (the
 /// --speed-report CLI surface builds one per replay; mirrors
 /// ProfileSession / check::AuditSession).
-class HostSession {
+class HostSession : public probe::Session<HostProfiler, probe::Slot::kHost> {
  public:
-  explicit HostSession(HostProfiler::Options options = {})
-      : profiler_(options), previous_(detail::tls_host_profiler) {
-    detail::tls_host_profiler = &profiler_;
-  }
-  ~HostSession() { detail::tls_host_profiler = previous_; }
-
-  HostSession(const HostSession&) = delete;
-  HostSession& operator=(const HostSession&) = delete;
-
-  HostProfiler& profiler() { return profiler_; }
-
- private:
-  HostProfiler profiler_;
-  HostProfiler* previous_;
+  using Session::Session;
+  HostProfiler& profiler() { return instrument_; }
 };
 
 }  // namespace nvmooc::obs

@@ -22,12 +22,6 @@ const char* latency_stage_key(LatencyStage stage) {
   return "?";
 }
 
-std::string PhaseLedger::klass() const {
-  std::string out = read ? "read" : "write";
-  if (internal) out += "_internal";
-  return out;
-}
-
 // -- LatencyAccumulator --------------------------------------------------
 
 void LatencyAccumulator::record(const PhaseLedger& ledger) {
@@ -72,7 +66,8 @@ void ExemplarReservoir::offer(const PhaseLedger& ledger) {
 // -- LatencyObservatory --------------------------------------------------
 
 LatencyObservatory::LatencyObservatory(std::size_t per_class)
-    : per_class_(std::max<std::size_t>(per_class, 1)) {}
+    : probe::Subscriber(probe::bit(probe::Kind::kRequest)),
+      per_class_(std::max<std::size_t>(per_class, 1)) {}
 
 void LatencyObservatory::observe(const PhaseLedger& ledger) {
   ++observed_;
@@ -199,15 +194,5 @@ std::string LatencyObservatory::summary() const {
   out += '\n';
   return out;
 }
-
-// -- LatencySession ------------------------------------------------------
-
-LatencySession::LatencySession(std::size_t per_class)
-    : observatory_(std::make_unique<LatencyObservatory>(per_class)),
-      previous_(detail::tls_observatory) {
-  detail::tls_observatory = observatory_.get();
-}
-
-LatencySession::~LatencySession() { detail::tls_observatory = previous_; }
 
 }  // namespace nvmooc::obs

@@ -30,69 +30,31 @@
 //  3. LatencyObservatory — installed per replay (--exemplars-out), keeps
 //     the K slowest ledgers per request class and renders them as
 //     Perfetto-loadable span waterfalls: the p999 stragglers, without
-//     paying full --trace-out cost. Same thread-local session recipe as
-//     check::AuditSession.
+//     paying full --trace-out cost. A probe subscriber, installed by
+//     LatencySession like every other instrument.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/shard_domain.hpp"
+#include "common/probe.hpp"
 #include "common/units.hpp"
 #include "obs/metrics.hpp"
 
 namespace nvmooc::obs {
 
-/// Stages of the request-latency decomposition, in causal order.
-enum class LatencyStage : std::uint8_t {
-  kQueueWait = 0,
-  kCpu = 1,
-  kDispatch = 2,
-  kBus = 3,
-  kMediaWait = 4,
-  kMedia = 5,
-  kEccRetry = 6,
-  kCompletionTail = 7,
-  kTotal = 8,
-};
-inline constexpr int kLatencyStageCount = 9;
+/// The stage taxonomy and the per-request ledger are probe vocabulary
+/// (common/probe.hpp): the engine emits each ledger once, and every
+/// consumer below subscribes to it.
+using LatencyStage = probe::LatencyStage;
+using PhaseLedger = probe::PhaseLedger;
+using probe::kLatencyStageCount;
 
 /// JSON/metric key for a stage ("queue_wait", "media", ...).
 const char* latency_stage_key(LatencyStage stage);
-
-/// Compact per-request record: absolute lifecycle timestamps plus the
-/// per-stage durations. `id` is the engine's device-request ordinal —
-/// the same 0-based issue-order id check::Auditor assigns, so a flight
-/// dump and an audit violation talk about the same request.
-struct PhaseLedger {
-  std::uint64_t id = 0;
-  bool read = true;
-  bool internal = false;
-  std::uint64_t bytes = 0;
-  std::uint32_t retries = 0;
-
-  Time ready;
-  Time admit;
-  Time issue;
-  Time media_begin;
-  Time media_end;
-  Time completion;
-
-  std::array<Time, kLatencyStageCount> stage{};
-
-  [[nodiscard]] double stage_us(LatencyStage s) const {
-    return static_cast<double>(stage[static_cast<int>(s)]) /
-           static_cast<double>(kMicrosecond);
-  }
-  [[nodiscard]] double total_us() const { return stage_us(LatencyStage::kTotal); }
-  /// Request class the exemplar reservoirs bucket by:
-  /// "read" | "write" | "read_internal" | "write_internal".
-  [[nodiscard]] std::string klass() const;
-};
 
 /// Always-on per-stage quantile summary, embedded in ExperimentResult
 /// and serialised under "latency" (docs/OBSERVABILITY.md).
@@ -130,14 +92,17 @@ class ExemplarReservoir {
   std::vector<PhaseLedger> ledgers_;  ///< Sorted: total desc, id asc.
 };
 
-/// Collects tail exemplars over one replay and renders them. Installed
-/// thread-locally by LatencySession; the engine feeds it via
-/// obs::latency_observatory() with the usual null-test-is-the-check hook.
-class LatencyObservatory {
+/// Collects tail exemplars over one replay and renders them. A probe
+/// subscriber: LatencySession installs it, and it observes every request
+/// ledger the engine closes.
+class LatencyObservatory final : public probe::Subscriber {
  public:
   explicit LatencyObservatory(std::size_t per_class = 8);
 
   void observe(const PhaseLedger& ledger);
+  void on_request_close(const probe::RequestClose& request) override {
+    observe(request.ledger);
+  }
 
   [[nodiscard]] std::uint64_t observed() const { return observed_; }
   /// All exemplars, grouped by class (classes in lexicographic order),
@@ -158,32 +123,14 @@ class LatencyObservatory {
   std::map<std::string, ExemplarReservoir> classes_;
 };
 
-namespace detail {
-SIM_SHARD_SHARED("thread-local install slot; LatencySession swaps it on its own thread and the engine only dereferences its own thread's pointer")
-inline thread_local LatencyObservatory* tls_observatory = nullptr;
-}  // namespace detail
-
-/// The calling thread's active observatory; null when exemplar
-/// collection is off. The null test *is* the enable check.
-inline LatencyObservatory* latency_observatory() { return detail::tls_observatory; }
-
-/// Owns a LatencyObservatory and installs it on the constructing thread
-/// for its lifetime (restoring any previous one). Build one per replay:
-/// the CLI surface (--exemplars-out) wraps the run in a session and
-/// writes the waterfalls afterwards.
-class LatencySession {
+/// Owns a LatencyObservatory (constructor argument: exemplars kept per
+/// class) and installs it on the constructing thread for its lifetime.
+/// Build one per replay: the CLI surface (--exemplars-out) wraps the run
+/// in a session and writes the waterfalls afterwards.
+class LatencySession : public probe::Session<LatencyObservatory, probe::Slot::kLatency> {
  public:
-  explicit LatencySession(std::size_t per_class = 8);
-  ~LatencySession();
-
-  LatencySession(const LatencySession&) = delete;
-  LatencySession& operator=(const LatencySession&) = delete;
-
-  [[nodiscard]] LatencyObservatory& observatory() { return *observatory_; }
-
- private:
-  std::unique_ptr<LatencyObservatory> observatory_;
-  LatencyObservatory* previous_;
+  using Session::Session;
+  [[nodiscard]] LatencyObservatory& observatory() { return instrument_; }
 };
 
 }  // namespace nvmooc::obs

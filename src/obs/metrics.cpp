@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "common/logging.hpp"
 #include "obs/json.hpp"
+#include "obs/latency.hpp"
 
 namespace nvmooc::obs {
 
@@ -114,6 +116,10 @@ void TimeSeries::sample(Time t, double value) {
 }
 
 // -- MetricsRegistry -----------------------------------------------------
+
+MetricsRegistry::MetricsRegistry()
+    : probe::Subscriber(probe::bit(probe::Kind::kReplay) | probe::bit(probe::Kind::kRequest) |
+                        probe::bit(probe::Kind::kMedia) | probe::bit(probe::Kind::kNote)) {}
 
 Counter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -237,6 +243,48 @@ std::string MetricsRegistry::json() const {
   std::ostringstream out;
   write_json(out);
   return out.str();
+}
+
+// -- probe subscription --------------------------------------------------------
+
+void MetricsRegistry::on_replay_begin(std::uint64_t /*posix_requests*/) {
+  for (int s = 0; s < kLatencyStageCount; ++s) {
+    latency_[static_cast<std::size_t>(s)] = &histogram(
+        std::string("latency.") + latency_stage_key(static_cast<LatencyStage>(s)) + "_us");
+  }
+}
+
+void MetricsRegistry::on_request_close(const probe::RequestClose& request) {
+  const PhaseLedger& l = request.ledger;
+  if (l.read) {
+    histogram("engine.read_latency_us")
+        .record(static_cast<double>(l.completion - l.admit) /
+                static_cast<double>(kMicrosecond));
+  }
+  if (latency_[0] == nullptr) on_replay_begin(0);
+  for (int s = 0; s < kLatencyStageCount; ++s) {
+    latency_[static_cast<std::size_t>(s)]->record(l.stage_us(static_cast<LatencyStage>(s)));
+  }
+  counter("engine.requests").add();
+  counter(l.read ? "engine.read_bytes" : "engine.write_bytes").add(l.bytes);
+}
+
+void MetricsRegistry::on_media_end(const probe::MediaDone& done) {
+  counter("ssd.requests").add();
+  counter("ssd.transactions").add(done.transactions);
+  histogram("ssd.request_media_us")
+      .record(static_cast<double>(done.media_time) / static_cast<double>(kMicrosecond));
+  if (done.retries > 0) counter("ssd.ecc_retries").add(done.retries);
+  if (done.uncorrectable_units > 0) {
+    counter("ssd.uncorrectable_units").add(done.uncorrectable_units);
+  }
+}
+
+void MetricsRegistry::on_note(const probe::Note& note) {
+  if (std::strcmp(note.category, "engine") == 0 &&
+      std::strcmp(note.what, "degraded_refetch") == 0) {
+    counter("engine.degraded_requests").add();
+  }
 }
 
 }  // namespace nvmooc::obs

@@ -6,12 +6,15 @@
 // with the unit suffix spelled out (_us, _bytes, _kib) whenever the
 // value is dimensional — see docs/OBSERVABILITY.md.
 //
-// The registry is owned by an ObsSession (obs.hpp); when no session is
-// installed nothing is registered and instrumentation sites reduce to a
-// null test. Registration and lookup lock; recording into an
-// already-looked-up metric does not.
+// The registry is owned by an ObsSession (obs.hpp). Registration and
+// lookup lock; recording into an already-looked-up metric does not. It is
+// also a probe subscriber (common/probe.hpp): the replay-side metrics —
+// per-request latency and byte counts, per-device-request media
+// counters, degraded re-fetches — are derived from the probe stream, so
+// no replay site names the registry.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -22,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/probe.hpp"
 #include "common/units.hpp"
 
 namespace nvmooc::obs {
@@ -126,8 +130,10 @@ struct MetricSnapshot {
   std::vector<std::pair<Time, double>> series;  ///< Series only.
 };
 
-class MetricsRegistry {
+class MetricsRegistry final : public probe::Subscriber {
  public:
+  MetricsRegistry();
+
   /// Lookup-or-create. References stay valid for the registry's
   /// lifetime (node-stable map storage).
   Counter& counter(const std::string& name);
@@ -141,7 +147,17 @@ class MetricsRegistry {
   void write_json(std::ostream& out) const;
   std::string json() const;
 
+  // Probe subscription: the replay-side metrics.
+  void on_replay_begin(std::uint64_t posix_requests) override;
+  void on_request_close(const probe::RequestClose& request) override;
+  void on_media_end(const probe::MediaDone& done) override;
+  void on_note(const probe::Note& note) override;
+
  private:
+  /// "latency.<stage>_us", registered at replay begin so the per-request
+  /// path records without re-hashing names.
+  std::array<LogHistogram*, probe::kLatencyStageCount> latency_{};
+
   mutable std::mutex mutex_;
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;

@@ -1,29 +1,34 @@
-// Observability context: how instrumentation sites find the active
-// tracer and metrics registry, and how a session turns them on.
+// Observability sessions: how a run turns the instruments on, and how
+// code outside the replay's probe stream reaches the active tracer and
+// metrics registry.
 //
 // Design constraints, in order:
-//  1. Zero overhead when disabled (the default): every site reduces to a
-//     thread-local pointer load and a branch. No allocation, no atomics
-//     on the hot path, no change to simulation arithmetic ever.
+//  1. Zero overhead when disabled (the default): instruments are probe
+//     subscribers (common/probe.hpp), so a replay site costs one
+//     thread-local load and a branch per event kind nobody listens to.
+//     No allocation, no atomics on the hot path, no change to simulation
+//     arithmetic ever.
 //  2. Per-experiment isolation: MultiEngine replays configurations on
-//     concurrent threads; a *thread-local* context keeps each replay's
-//     spans and metrics separate. Worker threads an instrumented
-//     component spawns itself (the DOoC prefetcher) inherit the
-//     spawning thread's context explicitly via ScopedObsContext.
+//     concurrent threads; the probe's subscriber set is thread-local, so
+//     each replay's spans and metrics stay separate. Worker threads an
+//     instrumented component spawns itself (the DOoC prefetcher) inherit
+//     the spawning thread's tracer and registry explicitly via
+//     ScopedObsContext.
 //  3. Instrumentation never throws and never mutates simulation state.
 //
-// Typical site:
+// Typical site outside the probe stream (a worker thread's wall-clock
+// span, a component-specific counter):
 //   if (obs::TraceRecorder* tr = obs::tracer()) {
-//     tr->span(tr->track("ssd.ch0"), "phase", "cell_activation", start, dur);
+//     tr->span(tr->track("dooc.prefetch"), "dooc", "tile_read", start, dur);
 //   }
 //   if (obs::MetricsRegistry* m = obs::metrics()) {
-//     m->counter("fs.requests_out").add();
+//     m->counter("dooc.stalls").add();
 //   }
 #pragma once
 
 #include <memory>
 
-#include "common/shard_domain.hpp"
+#include "common/probe.hpp"
 #include "obs/host_profiler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -36,49 +41,43 @@ struct ObsContext {
   MetricsRegistry* metrics = nullptr;
 };
 
-namespace detail {
-SIM_SHARD_SHARED("thread-local install slot; ObsScope swaps it on its own thread and instrumentation only reads its own thread's pointer")
-inline thread_local const ObsContext* tls_context = nullptr;
-}
-
-/// The calling thread's active context; null when observability is off.
-inline const ObsContext* context() { return detail::tls_context; }
-
 /// Active tracer, or null. The null test *is* the enable check.
 inline TraceRecorder* tracer() {
-  const ObsContext* ctx = detail::tls_context;
-  return ctx ? ctx->trace : nullptr;
+  return static_cast<TraceRecorder*>(probe::slot(probe::Slot::kTrace));
 }
 
 /// Active metrics registry, or null.
 inline MetricsRegistry* metrics() {
-  const ObsContext* ctx = detail::tls_context;
-  return ctx ? ctx->metrics : nullptr;
+  return static_cast<MetricsRegistry*>(probe::slot(probe::Slot::kMetrics));
 }
 
-/// Installs `ctx` on the current thread for the scope's lifetime.
-/// Components that spawn threads capture obs::context() at construction
-/// and install it in the worker with this.
+/// The calling thread's tracer and registry, for handing to a worker.
+inline ObsContext context() { return {tracer(), metrics()}; }
+
+/// Installs a tracer and registry on the current thread for the scope's
+/// lifetime. Components that spawn threads capture obs::context() at
+/// construction and install it in the worker with this.
 class ScopedObsContext {
  public:
+  explicit ScopedObsContext(const ObsContext& ctx)
+      : trace_(probe::Slot::kTrace, ctx.trace), metrics_(probe::Slot::kMetrics, ctx.metrics) {}
   explicit ScopedObsContext(const ObsContext* ctx)
-      : previous_(detail::tls_context) {
-    detail::tls_context = ctx;
-  }
-  ~ScopedObsContext() { detail::tls_context = previous_; }
+      : ScopedObsContext(ctx != nullptr ? *ctx : ObsContext{}) {}
 
   ScopedObsContext(const ScopedObsContext&) = delete;
   ScopedObsContext& operator=(const ScopedObsContext&) = delete;
 
  private:
-  const ObsContext* previous_;
+  probe::Scoped trace_;
+  probe::Scoped metrics_;
 };
 
 /// Owns a recorder and/or registry and installs them on the constructing
 /// thread. The CLI surface (--trace-out / --metrics-out / --profile)
 /// builds one of these around a replay and writes the exports
-/// afterwards. The causal profiler (profiler.hpp) rides along on its own
-/// thread-local so --profile works with or without tracing.
+/// afterwards. The causal profiler (profiler.hpp) and host telemetry
+/// ride along in their own probe slots, so --profile works with or
+/// without tracing.
 class ObsSession {
  public:
   struct Options {
@@ -102,7 +101,6 @@ class ObsSession {
   MetricsRegistry* metrics() { return metrics_.get(); }
   Profiler* profile() { return profile_ ? &profile_->profiler() : nullptr; }
   HostProfiler* host() { return host_ ? &host_->profiler() : nullptr; }
-  const ObsContext& obs_context() const { return context_; }
 
  private:
   std::unique_ptr<TraceRecorder> trace_;

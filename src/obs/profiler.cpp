@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/logging.hpp"
+#include "obs/latency.hpp"
 
 namespace nvmooc::obs {
 
@@ -57,6 +58,13 @@ const char* path_layer(PathKind kind) {
   }
   return "?";
 }
+
+Profiler::Profiler()
+    : probe::Subscriber(probe::bit(probe::Kind::kInterval) | probe::bit(probe::Kind::kReplay) |
+                        probe::bit(probe::Kind::kRequest)),
+      window_id_(intern("engine.window")),
+      cpu_id_(intern("engine.cpu")),
+      rpc_id_(intern("net.rpc")) {}
 
 std::uint32_t Profiler::intern(const std::string& name) {
   const auto it = name_ids_.find(name);
@@ -123,6 +131,105 @@ void Profiler::io_path_expansion(std::uint64_t device_requests,
                                  std::uint64_t internal_requests) {
   expanded_device_requests_ += device_requests;
   expanded_internal_requests_ += internal_requests;
+}
+
+// ---------------------------------------------------------------------------
+// Probe subscription: the request chains, from the probe stream.
+// ---------------------------------------------------------------------------
+
+std::uint32_t Profiler::site_id(probe::Resource resource, const probe::Site& site) {
+  // Steps and stalls on a channel share it; ports are per package and
+  // cells per die (a die's planes are one resource here).
+  const bool channel = resource == probe::Resource::kChannel ||
+                       resource == probe::Resource::kChannelStall;
+  const bool cell = resource == probe::Resource::kCell;
+  const std::uint64_t key = channel ? site.channel
+                                    : (std::uint64_t{cell ? 2u : 1u} << 62) |
+                                          (std::uint64_t{site.channel} << 32) |
+                                          (std::uint64_t{site.package} << 16) |
+                                          (cell ? site.die : 0);
+  const auto [it, fresh] = site_ids_.try_emplace(key, 0);
+  if (!fresh) return it->second;
+  std::string name = "ssd.ch" + std::to_string(site.channel);
+  if (!channel) name += ".pkg" + std::to_string(site.package);
+  if (!channel) name += cell ? ".die" + std::to_string(site.die) : std::string(".port");
+  return it->second = intern(name);
+}
+
+void Profiler::on_interval(const probe::Interval& iv) {
+  using probe::Resource;
+  // (wait, busy) kinds and resource per interval; a wait-only resource
+  // has no busy half (its interval is empty).
+  PathKind wait = PathKind::kChannelWait;
+  PathKind busy = PathKind::kChannelBus;
+  std::uint32_t id = 0;
+  switch (iv.resource) {
+    case Resource::kTimeline:
+      if (!iv.label->empty()) timeline_busy(*iv.label, iv.start, iv.end);
+      return;
+    case Resource::kLink:
+      if (iv.label->empty()) return;
+      wait = PathKind::kLinkWait;
+      busy = PathKind::kLinkBusy;
+      id = intern(*iv.label);
+      break;
+    case Resource::kRpc:
+      wait = PathKind::kNetworkRpc;
+      id = rpc_id_;
+      break;
+    case Resource::kPort:
+      wait = PathKind::kFlashBusWait;
+      busy = PathKind::kFlashBus;
+      id = site_id(iv.resource, iv.site);
+      break;
+    case Resource::kCell:
+      wait = PathKind::kCellWait;
+      busy = PathKind::kCellBusy;
+      id = site_id(iv.resource, iv.site);
+      break;
+    case Resource::kChannelStall:
+    case Resource::kChannel:
+      id = site_id(iv.resource, iv.site);
+      break;
+  }
+  media_segment(wait, id, iv.earliest, iv.start);
+  media_segment(busy, id, iv.start, iv.end);
+}
+
+void Profiler::on_replay_begin(std::uint64_t /*posix_requests*/) {
+  cpu_pred_ = 0;
+  barrier_pred_ = 0;
+  drain_pred_ = 0;
+}
+
+void Profiler::on_request_open(const probe::RequestOpen& request) {
+  // Open the request and record every dependency candidate that went
+  // into its ready time — the walk later follows the winner.
+  const std::uint64_t id = request_begin();
+  request_gate(id, {request.cpu_gate, GateKind::kCpu, cpu_pred_});
+  request_gate(id, {request.barrier_gate, GateKind::kBarrier, barrier_pred_});
+  request_gate(id, {request.app_gate, GateKind::kApp, 0});
+  if (request.barrier) request_gate(id, {request.drain_gate, GateKind::kDrain, drain_pred_});
+  open_barrier_ = request.barrier;
+  open_drain_gate_ = request.drain_gate;
+}
+
+void Profiler::on_request_close(const probe::RequestClose& request) {
+  // Host-side prefix of the causal chain: flow-control wait, core
+  // serialisation, I/O-path software latency. Together with the device
+  // and link segments recorded while the request was open these cover
+  // [ready, completion] contiguously.
+  const std::uint64_t id = open_request_;
+  const PhaseLedger& l = request.ledger;
+  const Time cpu_free = l.admit + l.stage[static_cast<int>(probe::LatencyStage::kCpu)];
+  request_segment(id, PathKind::kEngineWindow, window_id_, l.ready, l.admit);
+  request_segment(id, PathKind::kEngineCpu, cpu_id_, l.admit, cpu_free);
+  request_segment(id, PathKind::kIoPathSoftware, intern(*request.io_path + ".software"),
+                  cpu_free, l.issue);
+  request_complete(id, l.ready, l.issue, l.completion, l.media_begin, l.media_end);
+  cpu_pred_ = id;
+  if (l.completion >= open_drain_gate_) drain_pred_ = id;
+  if (open_barrier_) barrier_pred_ = id;
 }
 
 // ---------------------------------------------------------------------------

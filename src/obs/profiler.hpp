@@ -12,28 +12,30 @@
 // request wait on, on average", it answers "what actually bounded the
 // run".
 //
-// Same contract as the rest of src/obs (see obs.hpp): a thread-local
-// pointer whose null test is the enable check, installed by a
-// ProfileSession (or ObsSession with Options::profile). Hook sites never
-// mutate simulation state; with no session installed every site is a
-// load-and-branch.
+// The profiler is a probe subscriber (common/probe.hpp), installed by a
+// ProfileSession (or ObsSession with Options::profile). It builds each
+// request's chain from the probe stream: the engine's request open/close
+// events mint the request, record its dependency gates and its host-side
+// segments; controller steps, link transfers and the RPC window add the
+// device-side occupancy to the request the engine has open; labelled
+// Timeline grants feed the utilization sampler.
 //
 // Lifecycle discipline (enforced by simlint SL006): a translation unit
 // that records profiler edges for a request — request_gate(),
 // request_segment(), request_complete() — must be the one that minted
 // the request with request_begin(). Device-side hooks (media_segment,
-// timeline_busy, io_path_expansion) attach to the request the engine
-// currently has open and are exempt: the engine owns the lifecycle, the
-// device layers only add occupancy to it.
+// timeline_busy, io_path_expansion) attach to the request currently open
+// and are exempt.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/shard_domain.hpp"
+#include "common/probe.hpp"
 #include "common/units.hpp"
 
 namespace nvmooc::obs {
@@ -126,8 +128,10 @@ struct ProfileReport {
   std::string summary() const;
 };
 
-class Profiler {
+class Profiler final : public probe::Subscriber {
  public:
+  Profiler();
+
   /// Resource-name interning: hook sites pass ids, not strings, so the
   /// per-segment cost is independent of name length. Stable for the
   /// profiler's lifetime.
@@ -154,8 +158,8 @@ class Profiler {
   /// With no open request the edge is dropped and counted.
   void media_segment(PathKind kind, std::uint32_t resource, Time start, Time end);
   /// Busy interval on a labelled timeline (links): feeds the utilization
-  /// sampler only, never the critical path (the engine's own link
-  /// segments carry the causal chain).
+  /// sampler only, never the critical path (link transfers carry the
+  /// causal chain).
   void timeline_busy(const std::string& label, Time start, Time end);
   /// I/O-path expansion edge: one application request fanned out into
   /// `device_requests` + `internal_requests` device requests.
@@ -165,8 +169,13 @@ class Profiler {
   /// the replay's all-done time; `windows` is the timeline resolution.
   ProfileReport report(Time makespan, std::uint32_t windows = 64) const;
 
-  std::uint64_t request_count() const { return requests_.size(); }
   std::uint64_t dropped_edges() const { return dropped_edges_; }
+
+  // --- Probe subscription ------------------------------------------------
+  void on_interval(const probe::Interval& interval) override;
+  void on_replay_begin(std::uint64_t posix_requests) override;
+  void on_request_open(const probe::RequestOpen& request) override;
+  void on_request_close(const probe::RequestClose& request) override;
 
  private:
   struct Segment {
@@ -201,34 +210,34 @@ class Profiler {
   std::uint64_t expanded_internal_requests_ = 0;
   /// Busy intervals from labelled timelines, keyed by interned label.
   std::map<std::uint32_t, std::vector<std::pair<Time, Time>>> timeline_intervals_;
+
+  /// Interned id of the controller resource a step ran on.
+  std::uint32_t site_id(probe::Resource resource, const probe::Site& site);
+
+  std::uint32_t window_id_ = 0;
+  std::uint32_t cpu_id_ = 0;
+  std::uint32_t rpc_id_ = 0;
+  /// Controller resource ids, keyed by packed (resource, site).
+  std::unordered_map<std::uint64_t, std::uint32_t> site_ids_;
+  // The open request's own facts, and which request released each gate.
+  bool open_barrier_ = false;
+  Time open_drain_gate_;
+  std::uint64_t cpu_pred_ = 0;
+  std::uint64_t barrier_pred_ = 0;
+  std::uint64_t drain_pred_ = 0;
 };
 
-namespace detail {
-SIM_SHARD_SHARED("thread-local install slot; ProfileSession swaps it on its own thread and hooks only dereference their own thread's pointer")
-inline thread_local Profiler* tls_profiler = nullptr;
+/// The calling thread's active profiler, or null.
+inline Profiler* profiler() {
+  return static_cast<Profiler*>(probe::slot(probe::Slot::kProfile));
 }
-
-/// The calling thread's active profiler, or null. The null test *is* the
-/// enable check — identical contract to obs::tracer()/obs::metrics().
-inline Profiler* profiler() { return detail::tls_profiler; }
 
 /// RAII install of a profiler on the constructing thread (the --profile
 /// CLI surface builds one per replay; mirrors check::AuditSession).
-class ProfileSession {
+class ProfileSession : public probe::Session<Profiler, probe::Slot::kProfile> {
  public:
-  ProfileSession() : previous_(detail::tls_profiler) {
-    detail::tls_profiler = &profiler_;
-  }
-  ~ProfileSession() { detail::tls_profiler = previous_; }
-
-  ProfileSession(const ProfileSession&) = delete;
-  ProfileSession& operator=(const ProfileSession&) = delete;
-
-  Profiler& profiler() { return profiler_; }
-
- private:
-  Profiler profiler_;
-  Profiler* previous_;
+  using Session::Session;
+  Profiler& profiler() { return instrument_; }
 };
 
 }  // namespace nvmooc::obs

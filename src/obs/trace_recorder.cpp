@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <sstream>
 
 #include "common/shard_domain.hpp"
 #include "common/wallclock.hpp"
+#include "obs/host_profiler.hpp"
 #include "obs/json.hpp"
 
 namespace nvmooc::obs {
@@ -46,7 +48,10 @@ SpanArg SpanArg::text(std::string key, const std::string& v) {
 }
 
 TraceRecorder::TraceRecorder(std::size_t max_events)
-    : max_events_(max_events), id_(next_recorder_id()),
+    : probe::Subscriber(probe::bit(probe::Kind::kInterval) | probe::bit(probe::Kind::kReplay) |
+                        probe::bit(probe::Kind::kRequest) | probe::bit(probe::Kind::kNote)),
+      max_events_(max_events),
+      id_(next_recorder_id()),
       epoch_(wallclock::now_ns()) {}
 
 TraceRecorder::~TraceRecorder() = default;
@@ -233,6 +238,130 @@ std::string TraceRecorder::chrome_json() const {
   std::ostringstream out;
   write_chrome_json(out);
   return out.str();
+}
+
+}  // namespace nvmooc::obs
+
+namespace nvmooc::obs {
+
+// -- probe rendering ---------------------------------------------------------
+
+void TraceRecorder::wait_span(const std::string& track_name, const char* name, Time start,
+                              Time end) {
+  if (end <= start) return;
+  // First wait lane free at `start`; every lane holds disjoint spans
+  // because a lane's recorded time only moves forward.
+  std::vector<Time>& lanes = wait_lanes_[track_name];
+  std::size_t lane = 0;
+  while (lane < lanes.size() && lanes[lane] > start) ++lane;
+  if (lane == lanes.size()) lanes.push_back(Time{});
+  lanes[lane] = end;
+  std::string wait_track = track_name + ".wait";
+  if (lane > 0) wait_track += std::to_string(lane);
+  span(track(wait_track), "phase", name, start, end - start);
+}
+
+void TraceRecorder::busy_span(const std::string& track_name, const char* category,
+                              const char* name, Time start, Time end,
+                              std::vector<SpanArg> args) {
+  if (end <= start) return;
+  span(track(track_name), category, name, start, end - start, std::move(args));
+}
+
+void TraceRecorder::on_replay_begin(std::uint64_t /*posix_requests*/) {
+  wait_lanes_.clear();
+  request_lanes_.clear();
+  window_track_ = track("engine.window");
+}
+
+void TraceRecorder::on_interval(const probe::Interval& iv) {
+  using probe::Resource;
+  if (iv.resource == Resource::kTimeline && !iv.label->empty()) {
+    // Named resources only; the queueing wait rides as an arg.
+    std::vector<SpanArg> args;
+    if (iv.start > iv.earliest) {
+      args.push_back(SpanArg::number(
+          "waited_us",
+          static_cast<double>(iv.start - iv.earliest) / static_cast<double>(kMicrosecond)));
+    }
+    span(track(*iv.label), "timeline", "reserve", iv.start, iv.end - iv.start,
+         std::move(args));
+  }
+  if (iv.resource < Resource::kChannelStall) return;  // Links show as their grants.
+
+  std::string name = "ssd.ch" + std::to_string(iv.site.channel);
+  if (iv.resource == Resource::kChannelStall) {
+    wait_span(name, "channel_stall", iv.earliest, iv.start);
+  } else if (iv.resource == Resource::kChannel) {
+    wait_span(name, "channel_contention", iv.earliest, iv.start);
+    busy_span(name, "phase", "channel_activation", iv.start, iv.end);
+  } else if (iv.resource == Resource::kPort) {
+    name += ".pkg" + std::to_string(iv.site.package) + ".port";
+    wait_span(name, "channel_contention", iv.earliest, iv.start);
+    busy_span(name, "phase", "flash_bus_activation", iv.start, iv.end);
+  } else {
+    name += ".pkg" + std::to_string(iv.site.package) + ".die" +
+            std::to_string(iv.site.die) + ".pl" + std::to_string(iv.site.plane);
+    wait_span(name, "cell_contention", iv.earliest, iv.start);
+    if (iv.erase) {
+      busy_span(name, "phase", "cell_activation", iv.start, iv.end,
+                {SpanArg::text("op", "erase")});
+    } else if (iv.attempt == 0) {
+      busy_span(name, "phase", "cell_activation", iv.start, iv.end);
+    } else {
+      // A retry ladder step: the re-sense itself, flagged so fault runs
+      // are visually (and programmatically) distinguishable.
+      busy_span(name, "ecc", "ecc_retry", iv.start, iv.end,
+                {SpanArg::integer("attempt", iv.attempt)});
+    }
+  }
+}
+
+void TraceRecorder::on_request_close(const probe::RequestClose& request) {
+  const HostSection obs_section(HostSubsystem::kObs);
+  const probe::PhaseLedger& l = request.ledger;
+  // Each in-flight request rides its own lane: Perfetto renders
+  // same-track spans as a nesting stack, so concurrent requests must not
+  // share one. Lane count is bounded by the flow-control window's depth.
+  auto lane = std::find_if(request_lanes_.begin(), request_lanes_.end(),
+                           [&](const RequestLane& c) { return c.free_at <= l.ready; });
+  if (lane == request_lanes_.end()) {
+    lane = request_lanes_.insert(
+        lane, {Time{}, track("io.lane" + std::to_string(request_lanes_.size()))});
+  }
+  lane->free_at = l.completion;
+  const std::uint32_t lane_track = lane->track;
+
+  std::vector<SpanArg> args;
+  args.push_back(SpanArg::integer("bytes", static_cast<std::int64_t>(l.bytes)));
+  if (l.internal) args.push_back(SpanArg::text("class", "internal"));
+  span(lane_track, "request", l.read ? "read" : "write", l.ready, l.completion - l.ready,
+       std::move(args));
+  if (l.admit > l.ready) span(lane_track, "phase", "window_wait", l.ready, l.admit - l.ready);
+  if (l.media_end > l.media_begin) {
+    std::vector<SpanArg> margs;
+    margs.push_back(SpanArg::text("pal", request.pal));
+    if (l.retries > 0) margs.push_back(SpanArg::integer("ecc_retries", l.retries));
+    span(lane_track, "device", "media", l.media_begin, l.media_end - l.media_begin,
+         std::move(margs));
+  }
+  const Time tail = l.stage[static_cast<int>(probe::LatencyStage::kCompletionTail)];
+  if (tail > Time{}) {
+    span(lane_track, "phase", "non_overlapped_dma", l.read ? l.media_end : l.issue, tail);
+  }
+  counter(window_track_, "engine", "outstanding_bytes", l.admit,
+          static_cast<double>(request.in_flight));
+}
+
+void TraceRecorder::on_note(const probe::Note& note) {
+  // The one breadcrumb drawn on the timeline: a compute-local read
+  // re-fetched from the ION replica.
+  if (std::strcmp(note.category, "engine") != 0 ||
+      std::strcmp(note.what, "degraded_refetch") != 0) {
+    return;
+  }
+  span(track("engine.degraded"), "reliability", "degraded_refetch", note.t, Time{},
+       {SpanArg::integer("bytes", static_cast<std::int64_t>(note.b))});
 }
 
 }  // namespace nvmooc::obs

@@ -12,8 +12,14 @@
 // Recording is lock-free-ish: each thread appends to its own buffer
 // (registered with the recorder once, under a mutex) and resolves track
 // names through a thread-local cache, so the steady state takes no lock.
-// When no recorder is installed (the default) every instrumentation site
-// reduces to one thread-local pointer test — see obs.hpp.
+//
+// The recorder is also the probe's tracer (common/probe.hpp): installed
+// by an ObsSession, it renders the replay's probe stream itself — one
+// track per labelled timeline, channel, package port and die plane (with
+// ".wait<k>" lanes for contention, since same-track spans must nest),
+// one "io.lane<k>" track per concurrently in-flight request, and the
+// engine's outstanding-bytes counter. That rendering state belongs to
+// the replay thread; span() and counter() are safe from any thread.
 #pragma once
 
 #include <atomic>
@@ -25,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/probe.hpp"
 #include "common/units.hpp"
 
 namespace nvmooc::obs {
@@ -55,7 +62,7 @@ struct SpanEvent {
   std::vector<SpanArg> args;
 };
 
-class TraceRecorder {
+class TraceRecorder final : public probe::Subscriber {
  public:
   /// `max_events` bounds memory on long replays: events beyond it are
   /// counted but dropped (the drop count rides in the export metadata).
@@ -89,6 +96,12 @@ class TraceRecorder {
   void write_chrome_json(std::ostream& out) const;
   std::string chrome_json() const;
 
+  // Probe subscription: the replay's spans and counters.
+  void on_interval(const probe::Interval& interval) override;
+  void on_replay_begin(std::uint64_t posix_requests) override;
+  void on_request_close(const probe::RequestClose& request) override;
+  void on_note(const probe::Note& note) override;
+
  private:
   struct Buffer {
     std::vector<SpanEvent> events;
@@ -110,6 +123,22 @@ class TraceRecorder {
   std::unordered_map<std::string, std::uint32_t> track_ids_;
   std::atomic<std::size_t> event_count_{0};
   std::atomic<std::uint64_t> dropped_{0};
+
+  /// A wait span on the first ".wait<k>" lane of `track` free at `start`.
+  void wait_span(const std::string& track, const char* name, Time start, Time end);
+  /// A busy span on `track` itself (timeline grants never overlap).
+  void busy_span(const std::string& track, const char* category, const char* name,
+                 Time start, Time end, std::vector<SpanArg> args = {});
+
+  // Replay rendering state, reset at every replay begin.
+  /// Per resource track, the end of the last span on each wait lane.
+  std::unordered_map<std::string, std::vector<Time>> wait_lanes_;
+  struct RequestLane {
+    Time free_at;
+    std::uint32_t track = 0;
+  };
+  std::vector<RequestLane> request_lanes_;
+  std::uint32_t window_track_ = 0;
 };
 
 }  // namespace nvmooc::obs

@@ -2,24 +2,10 @@
 
 #include <algorithm>
 
-#include "check/audit.hpp"
-#include "obs/obs.hpp"
+#include "common/probe.hpp"
+#include "obs/host_profiler.hpp"
 
 namespace nvmooc {
-
-void Timeline::emit_span(const Reservation& grant, Time earliest,
-                         Time duration) const {
-  obs::TraceRecorder* recorder = obs::tracer();
-  if (recorder == nullptr) return;
-  std::vector<obs::SpanArg> args;
-  if (grant.waited > Time{}) {
-    args.push_back(obs::SpanArg::number(
-        "waited_us", static_cast<double>(grant.waited) / static_cast<double>(kMicrosecond)));
-  }
-  recorder->span(recorder->track(trace_label_), "timeline", "reserve", grant.start,
-                 duration, std::move(args));
-  (void)earliest;
-}
 
 Timeline::Timeline(bool backfill, std::size_t max_gaps)
     : backfill_(backfill), max_gaps_(max_gaps) {}
@@ -33,13 +19,9 @@ Reservation Timeline::reserve(Time earliest, Time duration) {
   }
 
   // Host telemetry (--speed-report): attribute the bookkeeping below to
-  // the timeline wall-time bucket and tick the speedometer. Both reduce
-  // to a thread-local null test when no HostSession is installed, and
-  // neither touches the simulated arithmetic.
+  // the timeline wall-time bucket. A thread-local null test when no
+  // HostSession is installed; never touches the simulated arithmetic.
   obs::HostSection host_section(obs::HostSubsystem::kTimeline);
-  if (obs::HostProfiler* host = obs::host_profiler()) {
-    host->count(obs::HostEvent::kTimelineReservation);
-  }
 
   // Try to backfill an earlier gap first.
   if (backfill_) {
@@ -56,15 +38,7 @@ Reservation Timeline::reserve(Time earliest, Time duration) {
         gaps_.erase(gaps_.begin() + static_cast<std::ptrdiff_t>(i));
         if (old.start < grant.start) gaps_.push_back({old.start, grant.start});
         if (grant.end < old.end) gaps_.push_back({grant.end, old.end});
-        if (!trace_label_.empty()) {
-          emit_span(grant, earliest, duration);
-          if (obs::Profiler* prof = obs::profiler()) {
-            prof->timeline_busy(trace_label_, grant.start, grant.end);
-          }
-        }
-        if (check::Auditor* aud = check::auditor()) {
-          aud->timeline_reserved(this, trace_label_, grant.start, grant.end);
-        }
+        probe::grant(this, trace_label_, earliest, grant.start, grant.end);
         return grant;
       }
     }
@@ -89,15 +63,7 @@ Reservation Timeline::reserve(Time earliest, Time duration) {
     }
   }
   next_free_ = std::max(next_free_, grant.end);
-  if (!trace_label_.empty()) {
-    emit_span(grant, earliest, duration);
-    if (obs::Profiler* prof = obs::profiler()) {
-      prof->timeline_busy(trace_label_, grant.start, grant.end);
-    }
-  }
-  if (check::Auditor* aud = check::auditor()) {
-    aud->timeline_reserved(this, trace_label_, grant.start, grant.end);
-  }
+  probe::grant(this, trace_label_, earliest, grant.start, grant.end);
   return grant;
 }
 
@@ -119,13 +85,13 @@ void Timeline::reset() {
   gaps_.clear();
   busy_ = BusyTracker{};
   reservation_count_ = 0;
-  if (check::Auditor* aud = check::auditor()) aud->timeline_released(this);
+  probe::release(this);
 }
 
 Timeline::~Timeline() {
-  // Forget audit state keyed by this address: a later Timeline allocated
-  // at the same spot is a different resource.
-  if (check::Auditor* aud = check::auditor()) aud->timeline_released(this);
+  // Subscribers forget state keyed by this address: a later Timeline
+  // allocated at the same spot is a different resource.
+  probe::release(this);
 }
 
 }  // namespace nvmooc

@@ -45,18 +45,18 @@ class Timeline {
   const BusyTracker& busy() const { return busy_; }
   std::uint64_t reservation_count() const { return reservation_count_; }
 
-  /// Names this resource for span tracing: when a label is set and a
-  /// trace recorder is active (obs::tracer()), every reserve() emits its
-  /// granted interval as a span on the track of that name, with the
-  /// queueing wait attached as an arg. Empty label (the default) means
-  /// no instrumentation — reserve() stays branch-plus-nothing.
+  /// Names this resource for the instruments. Every reserve() reports
+  /// its grant to the probe (common/probe.hpp) with this label; the
+  /// tracer draws labelled grants as spans on the track of that name and
+  /// the profiler samples their utilization. Unlabelled resources (the
+  /// default) are still seen by the auditor, named by first-grant order.
   void set_trace_label(std::string label) { trace_label_ = std::move(label); }
   const std::string& trace_label() const { return trace_label_; }
 
   void reset();
 
   ~Timeline();
-  // A user-declared destructor (audit-state release) would suppress the
+  // A user-declared destructor (probe release) would suppress the
   // implicit copy/move set; Timelines live in vectors, so keep them.
   Timeline(const Timeline&) = default;
   Timeline& operator=(const Timeline&) = default;
@@ -68,8 +68,6 @@ class Timeline {
     Time start;
     Time end;
   };
-
-  void emit_span(const Reservation& grant, Time earliest, Time duration) const;
 
   bool backfill_;
   std::size_t max_gaps_;

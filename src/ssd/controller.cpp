@@ -3,104 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <map>
-#include <string>
 
-#include "check/audit.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/obs.hpp"
+#include "common/probe.hpp"
 
 namespace nvmooc {
-
-namespace {
-
-/// Span emission for one transaction's resource occupancy: busy
-/// intervals go on per-resource tracks (they are timeline grants, so
-/// they never overlap within a track), waits go on sibling ".wait<k>"
-/// lanes — several transactions can wait on one resource at once, and
-/// same-track spans must never overlap, so each wait takes the first
-/// lane free at its start. Only constructed when a trace recorder is
-/// active.
-struct TxnTracer {
-  obs::TraceRecorder* recorder;
-  std::unordered_map<std::string, std::vector<Time>>* wait_lanes;
-  std::string channel_track;
-  std::string port_track;
-  std::string plane_track;
-
-  TxnTracer(obs::TraceRecorder* recorder,
-            std::unordered_map<std::string, std::vector<Time>>* wait_lanes,
-            const PhysicalAddress& address)
-      : recorder(recorder), wait_lanes(wait_lanes),
-        channel_track("ssd.ch" + std::to_string(address.channel)),
-        port_track(channel_track + ".pkg" + std::to_string(address.package) +
-                   ".port"),
-        plane_track(channel_track + ".pkg" + std::to_string(address.package) +
-                    ".die" + std::to_string(address.die) + ".pl" +
-                    std::to_string(address.plane)) {}
-
-  void busy(const std::string& track, const char* category, const char* name,
-            Time start, Time end, std::vector<obs::SpanArg> args = {}) const {
-    if (end <= start) return;
-    recorder->span(recorder->track(track), category, name, start, end - start,
-                   std::move(args));
-  }
-
-  void wait(const std::string& track, const char* name, Time start, Time end) const {
-    if (end <= start) return;
-    // First wait lane free at `start`; every lane holds disjoint spans
-    // because a lane's recorded time only moves forward.
-    std::vector<Time>& lanes = (*wait_lanes)[track];
-    std::size_t lane = 0;
-    while (lane < lanes.size() && lanes[lane] > start) ++lane;
-    if (lane == lanes.size()) lanes.push_back(Time{});
-    lanes[lane] = end;
-    std::string wait_track = track + ".wait";
-    if (lane > 0) wait_track += std::to_string(lane);
-    recorder->span(recorder->track(wait_track), "phase", name, start, end - start);
-  }
-};
-
-/// Critical-path segment emission for one transaction: the profiler
-/// receives the same contiguous wait/busy chain the tracer draws, keyed
-/// by interned resource ids (channel bus, package port, die). Only
-/// constructed when a profiler is installed; segments attach to the
-/// request the engine currently has open.
-struct TxnProfiler {
-  obs::Profiler* profiler;
-  std::uint32_t channel_id;
-  std::uint32_t port_id;
-  std::uint32_t die_id;
-
-  TxnProfiler(obs::Profiler* profiler, const PhysicalAddress& address)
-      : profiler(profiler) {
-    const std::string channel = "ssd.ch" + std::to_string(address.channel);
-    const std::string package = channel + ".pkg" + std::to_string(address.package);
-    channel_id = profiler->intern(channel);
-    port_id = profiler->intern(package + ".port");
-    die_id = profiler->intern(package + ".die" + std::to_string(address.die));
-  }
-
-  void channel_wait(Time start, Time end) const {
-    profiler->media_segment(obs::PathKind::kChannelWait, channel_id, start, end);
-  }
-  void channel_bus(Time start, Time end) const {
-    profiler->media_segment(obs::PathKind::kChannelBus, channel_id, start, end);
-  }
-  void port_wait(Time start, Time end) const {
-    profiler->media_segment(obs::PathKind::kFlashBusWait, port_id, start, end);
-  }
-  void port_bus(Time start, Time end) const {
-    profiler->media_segment(obs::PathKind::kFlashBus, port_id, start, end);
-  }
-  void cell_wait(Time start, Time end) const {
-    profiler->media_segment(obs::PathKind::kCellWait, die_id, start, end);
-  }
-  void cell_busy(Time start, Time end) const {
-    profiler->media_segment(obs::PathKind::kCellBusy, die_id, start, end);
-  }
-};
-
-}  // namespace
 
 SsdHardware::SsdHardware(const SsdGeometry& geometry, const NvmTiming& timing,
                          const BusConfig& bus, bool backfill)
@@ -134,16 +40,12 @@ void Controller::expand_run(const UnitRun& run, std::vector<TxnSpec>& out) const
   const bool burst = config_.burst_small_pages && run.op != NvmOp::kErase &&
                      timing.page_size <= Bytes{512} && run.count > positions;
   if (burst) {
-    const std::uint64_t base_pos = run.first_unit % positions;
     const std::uint64_t spanned = std::min<std::uint64_t>(run.count, positions);
     Bytes bytes_left = run.bytes;
+    // The first `spanned` units cover distinct positions.
     for (std::uint64_t i = 0; i < spanned; ++i) {
-      const std::uint64_t pos_offset = i;  // First `spanned` units cover distinct positions.
-      const std::uint64_t first = run.first_unit + pos_offset;
-      const std::uint64_t at_position =
-          (run.count - pos_offset + positions - 1) / positions;
-      (void)base_pos;
-      std::uint64_t remaining = at_position;
+      const std::uint64_t first = run.first_unit + i;
+      std::uint64_t remaining = (run.count - i + positions - 1) / positions;
       std::uint64_t cursor = first;
       while (remaining > 0) {
         const std::uint32_t cells = static_cast<std::uint32_t>(
@@ -195,15 +97,8 @@ TransactionResult Controller::schedule(const TxnSpec& spec, Time arrival, bool i
   txn.bytes = spec.bytes;
   txn.issue = arrival;
 
-  obs::TraceRecorder* recorder = obs::tracer();
-  std::unique_ptr<TxnTracer> tracer;
-  if (recorder != nullptr) {
-    tracer = std::make_unique<TxnTracer>(recorder, &trace_wait_lanes_, address);
-  }
-  std::unique_ptr<TxnProfiler> profiler;
-  if (obs::Profiler* prof = obs::profiler()) {
-    profiler = std::make_unique<TxnProfiler>(prof, address);
-  }
+  // Each step below reports its (wait, occupancy) pair to the probe once.
+  const probe::Site site{address.channel, address.package, address.die, address.plane};
 
   // An injected channel stall pushes the whole transaction back; the
   // delay books as channel contention like any other bus wait.
@@ -214,8 +109,7 @@ TransactionResult Controller::schedule(const TxnSpec& spec, Time arrival, bool i
     if (stalled) {
       ++stats_.reliability.channel_stalls;
       txn.channel_wait += start - arrival;
-      if (tracer) tracer->wait(tracer->channel_track, "channel_stall", arrival, start);
-      if (profiler) profiler->channel_wait(arrival, start);
+      probe::step(probe::Resource::kChannelStall, site, arrival, start, start);
     }
   }
 
@@ -223,15 +117,7 @@ TransactionResult Controller::schedule(const TxnSpec& spec, Time arrival, bool i
   const Reservation cmd = channel.reserve(start, timing.command_time);
   txn.command = timing.command_time;
   txn.channel_wait += cmd.waited;
-  if (tracer) {
-    tracer->wait(tracer->channel_track, "channel_contention", start, cmd.start);
-    tracer->busy(tracer->channel_track, "phase", "channel_activation", cmd.start,
-                 cmd.end);
-  }
-  if (profiler) {
-    profiler->channel_wait(start, cmd.start);
-    profiler->channel_bus(cmd.start, cmd.end);
-  }
+  probe::step(probe::Resource::kChannel, site, start, cmd.start, cmd.end);
 
   const Time data_time = package.flash_bus_time(spec.bytes);
 
@@ -284,40 +170,15 @@ TransactionResult Controller::schedule(const TxnSpec& spec, Time arrival, bool i
                          spec.cell_ops, cursor, extra);
         txn.cell += cell.end - cell.start;
         txn.cell_wait += cell.waited;
+        probe::step(probe::Resource::kCell, site, cursor, cell.start, cell.end, attempt);
         const Reservation fb = package.reserve_flash_bus(cell.end, spec.bytes);
         txn.flash_bus += fb.end - fb.start;
         txn.channel_wait += fb.waited;
+        probe::step(probe::Resource::kPort, site, cell.end, fb.start, fb.end);
         const Reservation out = channel.reserve(fb.end, data_time);
         txn.channel_bus += out.end - out.start;
         txn.channel_wait += out.waited;
-        if (tracer) {
-          tracer->wait(tracer->plane_track, "cell_contention", cursor, cell.start);
-          if (attempt == 0) {
-            tracer->busy(tracer->plane_track, "phase", "cell_activation",
-                         cell.start, cell.end);
-          } else {
-            // A retry ladder step: the re-sense itself, flagged so fault
-            // runs are visually (and programmatically) distinguishable.
-            tracer->busy(tracer->plane_track, "ecc", "ecc_retry", cell.start,
-                         cell.end,
-                         {obs::SpanArg::integer("attempt", attempt)});
-          }
-          tracer->wait(tracer->port_track, "channel_contention", cell.end, fb.start);
-          tracer->busy(tracer->port_track, "phase", "flash_bus_activation",
-                       fb.start, fb.end);
-          tracer->wait(tracer->channel_track, "channel_contention", fb.end,
-                       out.start);
-          tracer->busy(tracer->channel_track, "phase", "channel_activation",
-                       out.start, out.end);
-        }
-        if (profiler) {
-          profiler->cell_wait(cursor, cell.start);
-          profiler->cell_busy(cell.start, cell.end);
-          profiler->port_wait(cell.end, fb.start);
-          profiler->port_bus(fb.start, fb.end);
-          profiler->channel_wait(fb.end, out.start);
-          profiler->channel_bus(out.start, out.end);
-        }
+        probe::step(probe::Resource::kChannel, site, fb.end, out.start, out.end);
         cursor = out.end;
         if (attempt == 0) first_end = cursor;
       }
@@ -330,33 +191,17 @@ TransactionResult Controller::schedule(const TxnSpec& spec, Time arrival, bool i
       txn.channel_bus = in.end - in.start;
       txn.channel_wait += in.waited;
       txn.data_in_end = in.end;
+      probe::step(probe::Resource::kChannel, site, cmd.end, in.start, in.end);
       const Reservation fb = package.reserve_flash_bus(in.end, spec.bytes);
       txn.flash_bus = fb.end - fb.start;
       txn.channel_wait += fb.waited;
+      probe::step(probe::Resource::kPort, site, in.end, fb.start, fb.end);
       const CellActivation cell = die.activate(address.plane, NvmOp::kWrite, address.block,
                                                address.page, spec.cell_ops, fb.end);
       txn.cell = cell.end - cell.start;
       txn.cell_wait = cell.waited;
       txn.complete = cell.end;
-      if (tracer) {
-        tracer->wait(tracer->channel_track, "channel_contention", cmd.end, in.start);
-        tracer->busy(tracer->channel_track, "phase", "channel_activation", in.start,
-                     in.end);
-        tracer->wait(tracer->port_track, "channel_contention", in.end, fb.start);
-        tracer->busy(tracer->port_track, "phase", "flash_bus_activation", fb.start,
-                     fb.end);
-        tracer->wait(tracer->plane_track, "cell_contention", fb.end, cell.start);
-        tracer->busy(tracer->plane_track, "phase", "cell_activation", cell.start,
-                     cell.end);
-      }
-      if (profiler) {
-        profiler->channel_wait(cmd.end, in.start);
-        profiler->channel_bus(in.start, in.end);
-        profiler->port_wait(in.end, fb.start);
-        profiler->port_bus(fb.start, fb.end);
-        profiler->cell_wait(fb.end, cell.start);
-        profiler->cell_busy(cell.start, cell.end);
-      }
+      probe::step(probe::Resource::kCell, site, fb.end, cell.start, cell.end);
       break;
     }
     case NvmOp::kErase: {
@@ -365,16 +210,8 @@ TransactionResult Controller::schedule(const TxnSpec& spec, Time arrival, bool i
       txn.cell = cell.end - cell.start;
       txn.cell_wait = cell.waited;
       txn.complete = cell.end;
-      if (tracer) {
-        tracer->wait(tracer->plane_track, "cell_contention", cmd.end, cell.start);
-        tracer->busy(tracer->plane_track, "phase", "cell_activation", cell.start,
-                     cell.end,
-                     {obs::SpanArg::text("op", "erase")});
-      }
-      if (profiler) {
-        profiler->cell_wait(cmd.end, cell.start);
-        profiler->cell_busy(cell.start, cell.end);
-      }
+      probe::step(probe::Resource::kCell, site, cmd.end, cell.start, cell.end, 0,
+                  /*erase=*/true);
       break;
     }
   }
@@ -395,22 +232,20 @@ Bytes Controller::dirty_bytes_at(Time when) {
 }
 
 RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
-  // Byte-conservation audit: the request's own (non-GC, non-RMW,
-  // non-remap) channel transfers must sum to its size — page-rounded for
-  // writes, since programs move whole pages.
-  check::Auditor* aud = check::auditor();
-  if (aud != nullptr) {
-    Bytes expected = request.size;
-    if (request.op == NvmOp::kErase) {
-      expected = Bytes{};  // Defensive: raw erases translate to nothing.
-    } else if (request.op == NvmOp::kWrite && request.size > Bytes{}) {
-      const Bytes page = hardware_.timing().page_size;
-      const std::uint64_t first = request.offset / page;
-      const std::uint64_t last = (request.offset + request.size - Bytes{1}) / page;
-      expected = (last - first + 1) * page;
-    }
-    aud->media_request_begin(expected, request.internal);
+  // Byte conservation: the request's own (non-GC, non-RMW, non-remap)
+  // channel transfers must sum to its size — page-rounded for writes,
+  // since programs move whole pages. The probe carries the expectation
+  // and every transfer's class to the auditor.
+  Bytes expected = request.size;
+  if (request.op == NvmOp::kErase) {
+    expected = Bytes{};  // Defensive: raw erases translate to nothing.
+  } else if (request.op == NvmOp::kWrite && request.size > Bytes{}) {
+    const Bytes page = hardware_.timing().page_size;
+    const std::uint64_t first = request.offset / page;
+    const std::uint64_t last = (request.offset + request.size - Bytes{1}) / page;
+    expected = (last - first + 1) * page;
   }
+  probe::media_begin(expected, request.internal);
 
   const std::vector<UnitRun> runs = ftl_.translate(request);
 
@@ -458,20 +293,18 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
 
   const auto run_spec = [&](const TxnSpec& spec, bool inject, bool count_pal) {
     const TransactionResult txn = schedule(spec, arrival, inject);
-    if (aud != nullptr) {
-      // The remap pass runs with inject=false, count_pal=false; GC
-      // relocations carry the spec's gc flag; a read spec inside a write
-      // request is the read half of a read-modify-write.
-      check::MediaKind kind = check::MediaKind::kRequest;
-      if (!inject && !count_pal) {
-        kind = check::MediaKind::kRemap;
-      } else if (spec.gc) {
-        kind = check::MediaKind::kGc;
-      } else if (request.op == NvmOp::kWrite && spec.op == NvmOp::kRead) {
-        kind = check::MediaKind::kRmw;
-      }
-      aud->media_transfer(spec.bytes, kind, txn.retries);
+    // The remap pass runs with inject=false, count_pal=false; GC
+    // relocations carry the spec's gc flag; a read spec inside a write
+    // request is the read half of a read-modify-write.
+    probe::MediaKind kind = probe::MediaKind::kRequest;
+    if (!inject && !count_pal) {
+      kind = probe::MediaKind::kRemap;
+    } else if (spec.gc) {
+      kind = probe::MediaKind::kGc;
+    } else if (request.op == NvmOp::kWrite && spec.op == NvmOp::kRead) {
+      kind = probe::MediaKind::kRmw;
     }
+    probe::media_transfer(spec.bytes, kind, txn.retries);
     ++stats_.transactions;
     stats_.cell_time_by_op[static_cast<int>(spec.op)] += txn.cell;
     stats_.bus_time += txn.flash_bus + txn.channel_bus + txn.command;
@@ -491,29 +324,22 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
       }
       result.retries += txn.retries;
       result.retry_time += txn.retry_time;
-      obs::FlightRecorder* fr = obs::flight_recorder();
-      if (fr != nullptr && txn.retries > 0) {
-        fr->note(txn.complete, "ssd", "ecc_retry", txn.retries,
-                 (txn.retry_time).ps(), nullptr);
+      if (txn.retries > 0) {
+        probe::note(txn.complete, "ssd", "ecc_retry", txn.retries, (txn.retry_time).ps());
       }
       if (txn.uncorrectable) {
         ++result.uncorrectable_units;
         result.uncorrectable_bytes +=
             std::max<Bytes>(spec.bytes, hardware_.timing().page_size);
-        if (fr != nullptr) {
-          fr->note(txn.complete, "ssd", "uncorrectable", spec.first_unit,
-                   (spec.bytes).value(), nullptr);
-        }
+        probe::note(txn.complete, "ssd", "uncorrectable", spec.first_unit,
+                    (spec.bytes).value());
         if (!ftl_.retire_block(spec.first_unit, remap_runs)) {
           result.hard_failure = true;
           stats_.reliability.hard_failure = true;
-          if (fr != nullptr) {
-            fr->note(txn.complete, "ssd", "hard_failure", spec.first_unit, 0,
-                     nullptr);
-          }
-        } else if (fr != nullptr) {
-          fr->note(txn.complete, "ssd", "bad_block_retire", spec.first_unit,
-                   remap_runs.size(), nullptr);
+          probe::note(txn.complete, "ssd", "hard_failure", spec.first_unit);
+        } else {
+          probe::note(txn.complete, "ssd", "bad_block_retire", spec.first_unit,
+                      remap_runs.size());
         }
       }
     }
@@ -637,31 +463,17 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
         gc_bytes += run.bytes;
       }
     }
-    if (obs::FlightRecorder* fr = obs::flight_recorder()) {
-      fr->note(result.media_end, "ssd", "gc", (request.offset).value(),
-               gc_bytes.value(), nullptr);
-    }
+    probe::note(result.media_end, "ssd", "gc", (request.offset).value(), gc_bytes.value());
   }
   stats_.pal_bytes[static_cast<int>(result.pal)] += request.size;
   ++stats_.pal_requests[static_cast<int>(result.pal)];
   if (stats_.first_activity < Time{}) stats_.first_activity = arrival;
   stats_.last_completion = std::max(stats_.last_completion, result.media_end);
 
-  if (obs::MetricsRegistry* metrics = obs::metrics()) {
-    metrics->counter("ssd.requests").add();
-    metrics->counter("ssd.transactions").add(result.transactions);
-    metrics->histogram("ssd.request_media_us")
-        .record(static_cast<double>(result.media_end - arrival) / static_cast<double>(kMicrosecond));
-    if (result.retries > 0) metrics->counter("ssd.ecc_retries").add(result.retries);
-    if (result.uncorrectable_units > 0) {
-      metrics->counter("ssd.uncorrectable_units").add(result.uncorrectable_units);
-    }
-  }
-  if (aud != nullptr) {
-    aud->media_request_end();
-    // A retirement rewrites mappings; prove the survivors stayed sound.
-    if (!remap_runs.empty()) ftl_.audit(*aud);
-  }
+  probe::media_end({result.transactions, result.media_end - arrival, result.retries,
+                    result.uncorrectable_units});
+  // A retirement rewrites mappings; prove the survivors stayed sound.
+  if (!remap_runs.empty()) ftl_.audit_installed();
   return result;
 }
 

@@ -6,8 +6,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "nvm/bus.hpp"
@@ -135,11 +133,6 @@ class Controller {
   ControllerStats stats_;
   /// (program completion, bytes) of buffered writes still draining.
   std::vector<std::pair<Time, Bytes>> write_buffer_drain_;
-  /// Trace-only: per resource track, the end time of the last wait span
-  /// assigned to each ".wait<k>" sub-track, so concurrent contention
-  /// waits land on disjoint lanes (Perfetto renders same-track spans as
-  /// a nesting stack). Untouched when no trace recorder is installed.
-  std::unordered_map<std::string, std::vector<Time>> trace_wait_lanes_;
 };
 
 }  // namespace nvmooc

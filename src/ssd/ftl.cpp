@@ -482,4 +482,8 @@ void Ftl::audit(check::Auditor& auditor) const {
   }
 }
 
+void Ftl::audit_installed() const {
+  if (check::Auditor* aud = check::auditor()) audit(*aud);
+}
+
 }  // namespace nvmooc

@@ -1,13 +1,41 @@
 #include "ssd/ssd.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "obs/host_profiler.hpp"
 
 namespace nvmooc {
 
+namespace {
+
+/// Fault targets must name hardware that exists: a stuck die or stalled
+/// channel outside the geometry would otherwise never fire, silently.
+void check_fault_targets(const FaultConfig& fault, const SsdGeometry& g) {
+  const auto reject = [&](const std::string& directive) {
+    throw std::invalid_argument(
+        "fault directive '" + directive + "' is outside the device (" +
+        std::to_string(g.channels) + " channels x " + std::to_string(g.packages_per_channel) +
+        " packages x " + std::to_string(g.dies_per_package) + " dies)");
+  };
+  for (const DieStuckFault& f : fault.stuck_dies) {
+    if (f.channel >= g.channels || f.package >= g.packages_per_channel ||
+        f.die >= g.dies_per_package) {
+      reject("stuck " + std::to_string(f.channel) + " " + std::to_string(f.package) + " " +
+             std::to_string(f.die));
+    }
+  }
+  for (const ChannelStallFault& f : fault.channel_stalls) {
+    if (f.channel >= g.channels) reject("stall " + std::to_string(f.channel));
+  }
+}
+
+}  // namespace
+
 Ssd::Ssd(const SsdConfig& config)
     : config_(config), timing_(timing_for(config.media)) {
+  if (config_.fault.enabled) check_fault_targets(config_.fault, config_.geometry);
   hardware_ = std::make_unique<SsdHardware>(config_.geometry, timing_, config_.bus,
                                             config_.controller.queue_backfill);
   ftl_ = std::make_unique<Ftl>(config_.geometry, timing_, config_.ftl);

@@ -13,6 +13,12 @@
 // Times are picoseconds, the simulator's native unit. Loading a scenario
 // always yields an *enabled* FaultConfig — the file's existence is the
 // opt-in.
+//
+// Parsing is strict: integers must be non-negative and in range, times
+// non-negative, rber in [0, 1] or the -1 sentinel, and a line may carry
+// no trailing tokens. Every rejection names the line, the directive and
+// the field. Targets are checked against the device geometry when the
+// device is built (Ssd's constructor).
 #pragma once
 
 #include <string>
@@ -24,6 +30,7 @@ namespace nvmooc {
 /// Parses scenario text. Throws std::runtime_error on a malformed line.
 FaultConfig parse_fault_scenario(const std::string& text);
 
+/// Reads and parses a scenario file; errors are prefixed with `path`.
 FaultConfig load_fault_scenario(const std::string& path);
 void save_fault_scenario(const FaultConfig& config, const std::string& path);
 

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "obs/flight_recorder.hpp"
+#include "common/probe.hpp"
 #include "obs/obs.hpp"
 
 namespace nvmooc {
@@ -50,10 +50,7 @@ std::vector<BlockRequest> UnifiedFileSystem::submit_object(ObjectId id,
   // An extent split multiplies one application request into several
   // device requests — worth a breadcrumb when chasing a straggler.
   if (out.size() > 1) {
-    if (obs::FlightRecorder* fr = obs::flight_recorder()) {
-      fr->note(Time{}, "ufs", "extent_split", (request.offset).value(),
-               out.size(), nullptr);
-    }
+    probe::note(Time{}, "ufs", "extent_split", (request.offset).value(), out.size());
   }
   if (obs::Profiler* p = obs::profiler()) {
     p->io_path_expansion(out.size(), 0);

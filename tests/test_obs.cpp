@@ -2,12 +2,13 @@
 // registry, trace recording, the ExperimentResult::to_json golden file,
 // and a Perfetto-format smoke test over a fault-injected replay.
 //
-// Regenerate the golden file after an intentional schema change with:
+// Regenerate the golden files after an intentional schema change with:
 //   NVMOOC_REGEN_GOLDEN=1 ./build/tests/test_obs --gtest_filter='*Golden*'
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -809,7 +810,7 @@ TEST(FlightRecorder, AuditViolationDumpCarriesTheRequestLedger) {
   ASSERT_GT(result.device_requests, 0u);
   const std::uint64_t victim = result.device_requests - 1;
 
-  // Inject: the auditor routes every violation through flight::note,
+  // Inject: the auditor routes every violation through probe::note,
   // which the FlightSession wired into this recorder.
   audit.auditor().violation(
       "test_injected", "request " + std::to_string(victim) + " check failed");
@@ -844,6 +845,160 @@ TEST(FlightRecorder, AuditViolationDumpCarriesTheRequestLedger) {
   }
   EXPECT_TRUE(saw_victim_ledger)
       << "the violating request's phase ledger is missing from the dump";
+}
+
+// ---------- every instrument at once: golden export digests ----------------
+
+/// FNV-1a 64 of `bytes`, as 16 hex digits: a stable fingerprint of one
+/// export that a one-byte change anywhere flips.
+std::string fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  char out[17];
+  std::snprintf(out, sizeof out, "%016llx", static_cast<unsigned long long>(h));
+  return out;
+}
+
+/// The raw text of top-level member `key` of the JSON object `json`
+/// (empty when absent): string- and nesting-aware, so keys of nested
+/// objects never match.
+std::string top_level_member(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  int depth = 0;
+  bool in_string = false;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    const char c = json[i];
+    if (in_string) {
+      if (c == '\\') ++i;
+      else if (c == '"') in_string = false;
+      continue;
+    }
+    if (depth == 1 && json.compare(i, needle.size(), needle) == 0) {
+      const std::size_t begin = i + needle.size();
+      int inner = 0;
+      bool quoted = false;
+      for (std::size_t j = begin; j < json.size(); ++j) {
+        const char d = json[j];
+        if (quoted) {
+          if (d == '\\') ++j;
+          else if (d == '"') quoted = false;
+          continue;
+        }
+        if (d == '"') quoted = true;
+        else if (d == '{' || d == '[') ++inner;
+        else if (d == '}' || d == ']') {
+          if (inner == 0) return json.substr(begin, j - begin);
+          if (--inner == 0) return json.substr(begin, j + 1 - begin);
+        } else if (d == ',' && inner == 0) {
+          return json.substr(begin, j - begin);
+        }
+      }
+      return json.substr(begin);
+    }
+    if (c == '"') in_string = true;
+    else if (c == '{' || c == '[') ++depth;
+    else if (c == '}' || c == ']') --depth;
+  }
+  return "";
+}
+
+/// Replays `trace` with every instrument installed at once — tracer,
+/// metrics, profiler, host telemetry, auditor, exemplar observatory and
+/// flight recorder — and fingerprints each export.
+std::map<std::string, std::string> instrument_digests(const ExperimentConfig& config,
+                                                      const Trace& trace) {
+  obs::ObsSession::Options options;
+  options.trace = true;
+  options.metrics = true;
+  options.profile = true;
+  options.speed = true;
+  options.heartbeat_sec = 3600.0;  // No wall-clock heartbeat in the trace.
+  obs::ObsSession session(options);
+  check::AuditSession audit;
+  obs::LatencySession latency(/*per_class=*/4);
+  obs::FlightSession flight;
+  const ExperimentResult result = run_experiment(config, trace);
+  EXPECT_TRUE(result.audit.passed()) << result.audit.summary();
+  EXPECT_EQ(result.profile.attributed, result.makespan);
+
+  const std::string json = result.to_json();
+  std::map<std::string, std::string> out;
+  out["trace"] = fnv1a(session.trace()->chrome_json());
+  out["metrics"] = fnv1a(session.metrics()->json());
+  for (const char* section : {"profile", "audit", "latency"}) {
+    const std::string text = top_level_member(json, section);
+    EXPECT_FALSE(text.empty()) << "to_json() has no \"" << section << "\" member";
+    out[section] = fnv1a(text);
+  }
+  out["waterfall"] = fnv1a(latency.observatory().waterfall_json());
+  out["flight"] = fnv1a(flight.recorder().dump_json("golden"));
+  return out;
+}
+
+std::string digest_golden_path() {
+  return std::string(NVMOOC_TEST_DATA_DIR) + "/golden/instrument_digests.json";
+}
+
+TEST(InstrumentExports, MatchGoldenDigests) {
+  // The byte-level oracle for the instrument plumbing: every export of
+  // every instrument, with all of them subscribed at once, over a fault
+  // run with the retry ladder (ION-GPFS) and a fault-free compute-local
+  // read/write run (CNL-UFS). Any change to what an instrument sees, or in which
+  // order, moves a digest.
+  ExperimentConfig ion = ion_gpfs_config(NvmType::kTlc);
+  ion.fault.enabled = true;
+  ion.fault.seed = 42;
+  ion.fault.rber = 3e-3;
+  // And a compute-local run that loses pages (bad-block remaps, degraded
+  // re-fetch over the replica link) behind a channel stall.
+  ExperimentConfig degraded = cnl_ufs_config(NvmType::kSlc);
+  degraded.fault.enabled = true;
+  degraded.fault.rber = 0.015;
+  degraded.fault.channel_stalls.push_back({0, Time{}, 200 * kMicrosecond});
+  const std::vector<std::pair<std::string, std::map<std::string, std::string>>> runs = {
+      {"ion-gpfs-tlc-faults",
+       instrument_digests(ion, sequential_read_trace(32 * MiB, 8 * MiB))},
+      {"cnl-ufs-tlc", instrument_digests(cnl_ufs_config(NvmType::kTlc),
+                                         mixed_trace(32 * MiB, 4 * MiB, 2 * MiB, 3))},
+      {"cnl-ufs-slc-degraded",
+       instrument_digests(degraded, sequential_read_trace(32 * MiB, 8 * MiB))},
+  };
+  obs::JsonWriter w;
+  w.begin_object();
+  for (const auto& [name, digests] : runs) {
+    w.key(name);
+    w.begin_object();
+    for (const auto& [export_name, digest] : digests) w.field(export_name, digest);
+    w.end_object();
+  }
+  w.end_object();
+  const std::string actual = w.str() + "\n";
+
+  if (std::getenv("NVMOOC_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(digest_golden_path(), std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << digest_golden_path();
+    out << actual;
+    GTEST_SKIP() << "regenerated " << digest_golden_path();
+  }
+  std::ifstream in(digest_golden_path(), std::ios::binary);
+  ASSERT_TRUE(in) << "missing golden file " << digest_golden_path();
+  std::stringstream expected;
+  expected << in.rdbuf();
+  const obs::JsonValue golden = obs::parse_json(expected.str());
+  for (const auto& [name, digests] : runs) {
+    const obs::JsonValue* run = golden.find(name);
+    ASSERT_NE(run, nullptr) << "golden file lacks run " << name;
+    for (const auto& [export_name, digest] : digests) {
+      const obs::JsonValue* want = run->find(export_name);
+      ASSERT_NE(want, nullptr) << name << ": golden file lacks " << export_name;
+      EXPECT_EQ(want->string, digest) << name << ": the " << export_name
+                                      << " export changed";
+    }
+  }
+  EXPECT_EQ(expected.str(), actual);
 }
 
 }  // namespace

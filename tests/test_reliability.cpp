@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cluster/configs.hpp"
@@ -15,6 +18,7 @@
 #include "reliability/ecc.hpp"
 #include "reliability/fault.hpp"
 #include "ssd/ftl.hpp"
+#include "ssd/ssd.hpp"
 #include "trace/scenario.hpp"
 
 namespace nvmooc {
@@ -444,6 +448,96 @@ TEST(Scenario, ParsesCommentsAndRejectsGarbage) {
 
   EXPECT_THROW(parse_fault_scenario("frobnicate 1\n"), std::runtime_error);
   EXPECT_THROW(parse_fault_scenario("stuck 0\n"), std::runtime_error);
+}
+
+/// The message parse_fault_scenario() rejects `text` with ("" if none).
+std::string scenario_error(const std::string& text) {
+  try {
+    parse_fault_scenario(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Scenario, RejectsTrailingTokens) {
+  const std::string error = scenario_error("# header\nseed 5 junk\n");
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_NE(error.find("seed"), std::string::npos) << error;
+  EXPECT_NE(error.find("'junk'"), std::string::npos) << error;
+  EXPECT_NE(scenario_error("stall 0 1 2 3\n"), "");
+}
+
+TEST(Scenario, RejectsNegativeAndNonNumericFields) {
+  const struct {
+    const char* text;
+    const char* field;
+  } cases[] = {
+      {"stuck -1 0 0\n", "channel"},       // Would wrap to 4294967295.
+      {"stuck 0 0 0 abc\n", "begin_ps"},   // Would silently read as 0.
+      {"stuck 0 0 0 -7\n", "begin_ps"},
+      {"stall 0 100 -5\n", "duration_ps"},
+      {"stall 0 -100 5\n", "begin_ps"},
+      {"seed -1\n", "seed"},
+      {"stuck 0 4294967296 0\n", "package"},  // Past uint32.
+  };
+  for (const auto& c : cases) {
+    const std::string error = scenario_error(c.text);
+    EXPECT_NE(error.find("line 1"), std::string::npos) << c.text << ": " << error;
+    EXPECT_NE(error.find(c.field), std::string::npos) << c.text << ": " << error;
+  }
+}
+
+TEST(Scenario, RejectsRberOutsideUnitInterval) {
+  const std::string error = scenario_error("seed 1\nrber -3\n");
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_NE(error.find("rber"), std::string::npos) << error;
+  EXPECT_NE(scenario_error("rber 1.5\n"), "");
+  EXPECT_NE(scenario_error("rber nan\n"), "");
+  // The media-default sentinel save_fault_scenario writes, and the ends
+  // of the unit interval, stay valid.
+  EXPECT_EQ(parse_fault_scenario("rber -1\n").rber, -1.0);
+  EXPECT_EQ(parse_fault_scenario("rber 0\n").rber, 0.0);
+  EXPECT_EQ(parse_fault_scenario("rber 1\n").rber, 1.0);
+}
+
+TEST(Scenario, RejectsLoadErrorsNamingThePath) {
+  const std::string path = ::testing::TempDir() + "bad_fault_scenario.txt";
+  {
+    std::ofstream out(path);
+    out << "seed 3\nstall 0 10\n";
+  }
+  std::string error;
+  try {
+    load_fault_scenario(path);
+  } catch (const std::runtime_error& e) {
+    error = e.what();
+  }
+  std::remove(path.c_str());
+  EXPECT_NE(error.find(path), std::string::npos) << error;
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_NE(error.find("stall"), std::string::npos) << error;
+}
+
+TEST(Scenario, RejectsTargetsOutsideTheGeometryAtDeviceConstruction) {
+  SsdConfig ssd;
+  ssd.fault.enabled = true;
+  ssd.fault.stuck_dies.push_back({0, 0, ssd.geometry.dies_per_package, Time{}});
+  try {
+    Ssd device(ssd);
+    ADD_FAILURE() << "a stuck die outside the geometry was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("stuck"), std::string::npos) << e.what();
+  }
+
+  ssd.fault.stuck_dies.clear();
+  ssd.fault.channel_stalls.push_back({ssd.geometry.channels, Time{}, kMicrosecond});
+  try {
+    Ssd device(ssd);
+    ADD_FAILURE() << "a stall on a channel outside the geometry was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("stall"), std::string::npos) << e.what();
+  }
 }
 
 // ---------- prefetcher retries ------------------------------------------------

@@ -55,6 +55,13 @@ Rules
                             device-side hooks media_segment /
                             timeline_busy / io_path_expansion attach to
                             the engine's open request and are exempt).
+                            Both instruments now take these calls from
+                            the probe (src/common/probe.hpp), so the rule
+                            also guards the emitting side: a TU that
+                            closes a request on the probe
+                            (request_close) must open it there too
+                            (request_open), or every subscriber sees a
+                            completion with no issue.
   SL007 missing-nodiscard   A header-file API returning Time or Bytes by
                             value without [[nodiscard]].  These types are
                             the unit system's whole point; silently
@@ -408,6 +415,11 @@ LIFECYCLE_ISSUE_RE = re.compile(r"\brequest_issued\s*\(")
 PROFILE_EDGE_RE = re.compile(
     r"\b(request_(?:gate|segment|complete))\s*\(")
 PROFILE_BEGIN_RE = re.compile(r"\brequest_begin\s*\(")
+# The probe's request lifecycle (src/common/probe.hpp): the emitting side
+# of both disciplines above.  `on_request_close(` never matches — the
+# subscriber hooks are not emissions.
+PROBE_CLOSE_RE = re.compile(r"\brequest_close\s*\(")
+PROBE_OPEN_RE = re.compile(r"\brequest_open\s*\(")
 # A bare expression-statement member call whose result vanishes:
 # `aud->request_issued(t);` at the start of a statement.  Assignments,
 # initialisers, returns and ternaries put tokens before the object
@@ -647,6 +659,19 @@ def run_matcher_rules(path: str, lines, closure_texts):
                                  f"{m.group(1)}() recorded but request_begin() "
                                  "never appears in this translation unit; the "
                                  "profiler will see edges with no request"))
+
+    # SL006(c): the probe emitter.  A request closed on the probe in a TU
+    # that never opens one reaches the auditor and the profiler as a
+    # completion with no issue — the same phantom (a) and (b) reject at
+    # the instrument end.
+    if not PROBE_OPEN_RE.search(joined):
+        for lineno, line in enumerate(lines, 1):
+            if PROBE_CLOSE_RE.search(line):
+                findings.append((lineno, "SL006",
+                                 "request_close() emitted but request_open() "
+                                 "never appears in this translation unit; "
+                                 "subscribers will see a completion with no "
+                                 "issue"))
 
     # SL007: headers only.  The attribute may sit on the declaration line
     # or the line above (clang-format splits long signatures there).
