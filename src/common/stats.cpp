@@ -108,59 +108,69 @@ std::string Histogram::to_string() const {
 
 void BusyTracker::add_interval(Time start, Time end) {
   if (end <= start) return;
-  // Fast path: back-to-back or overlapping appends extend the last
-  // interval in place — the common case for a busy resource — keeping
-  // memory proportional to the number of idle gaps, not reservations.
-  if (!dirty_ && !intervals_.empty() && start >= intervals_.back().first &&
-      start <= intervals_.back().second) {
-    raw_time_ += end - start;
-    intervals_.back().second = std::max(intervals_.back().second, end);
+  raw_time_ += end - start;
+  // In-order grants — the common case for a busy resource — append here
+  // or extend the last interval below, keeping memory proportional to the
+  // number of idle gaps, not reservations.
+  if (intervals_.empty() || start > intervals_.back().second) {
+    intervals_.emplace_back(start, end);
     return;
   }
-  intervals_.emplace_back(start, end);
-  raw_time_ += end - start;
-  dirty_ = true;
-  // Periodic compaction bounds memory on long replays.
-  if (intervals_.size() >= compact_at_) {
-    flatten();
-    compact_at_ = std::max(kCompactThreshold, intervals_.size() * 2);
-  }
-}
-
-void BusyTracker::flatten() const {
-  if (!dirty_) return;
-  std::sort(intervals_.begin(), intervals_.end());
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < intervals_.size(); ++i) {
-    if (out > 0 && intervals_[i].first <= intervals_[out - 1].second) {
-      intervals_[out - 1].second = std::max(intervals_[out - 1].second, intervals_[i].second);
-    } else {
-      intervals_[out++] = intervals_[i];
+  // Find the first interval that ends at or after `start`: the new span
+  // touches it or lies wholly before it, and clears every one before it.
+  // A backfill lands in an idle gap near the tail, so walk back a few
+  // steps before falling back to a binary search.
+  constexpr int kWalkBack = 8;
+  const auto ends_before = [](const std::pair<Time, Time>& span, Time t) {
+    return span.second < t;
+  };
+  auto at = intervals_.end() - 1;
+  for (int steps = 0; at != intervals_.begin() && (at - 1)->second >= start; ++steps) {
+    if (steps == kWalkBack) {
+      at = std::lower_bound(intervals_.begin(), at, start, ends_before);
+      break;
     }
+    --at;
   }
-  intervals_.resize(out);
-  dirty_ = false;
+  if (end < at->first) {
+    intervals_.insert(at, {start, end});
+    return;
+  }
+  // Overlaps or touches: absorb every interval the union reaches.
+  auto last = at + 1;
+  while (last != intervals_.end() && last->first <= end) ++last;
+  at->first = std::min(at->first, start);
+  at->second = std::max((last - 1)->second, end);
+  intervals_.erase(at + 1, last);
 }
 
 Time BusyTracker::busy_time() const {
-  flatten();
   Time total;
   for (const auto& [start, end] : intervals_) total += end - start;
   return total;
 }
 
 void BusyTracker::merge(const BusyTracker& other) {
-  other.flatten();
-  for (const auto& [start, end] : other.intervals_) {
-    intervals_.emplace_back(start, end);
-    raw_time_ += end - start;
+  if (other.intervals_.empty()) return;
+  raw_time_ += other.busy_time();
+  IntervalStore merged;
+  merged.reserve(intervals_.size() + other.intervals_.size());
+  auto a = intervals_.begin();
+  auto b = other.intervals_.begin();
+  while (a != intervals_.end() || b != other.intervals_.end()) {
+    const bool take_a =
+        b == other.intervals_.end() || (a != intervals_.end() && a->first <= b->first);
+    const std::pair<Time, Time>& next = take_a ? *a++ : *b++;
+    if (!merged.empty() && next.first <= merged.back().second) {
+      merged.back().second = std::max(merged.back().second, next.second);
+    } else {
+      merged.push_back(next);
+    }
   }
-  dirty_ = true;
+  intervals_ = std::move(merged);
 }
 
 Time BusyTracker::intersect_time(const BusyTracker& other) const {
-  flatten();
-  other.flatten();
   Time overlap;
   std::size_t i = 0;
   std::size_t j = 0;

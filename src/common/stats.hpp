@@ -72,11 +72,17 @@ class Histogram {
 /// and reports utilisation over a window. Intervals may arrive out of
 /// order; overlapping busy spans are unioned, which is exactly what
 /// "channel was busy" means when multiple transactions pipeline on it.
+///
+/// The interval list is kept sorted, disjoint and non-touching on every
+/// insert. A grant at or past the last interval appends or extends it; an
+/// out-of-order grant (a backfill) lands in an idle gap near the tail, so
+/// a short walk back from the tail finds its slot, with a binary search
+/// as the fallback.
 class BusyTracker {
  public:
   void add_interval(Time start, Time end);
 
-  /// Total unioned busy time. Flattens lazily; amortised O(n log n).
+  /// Total unioned busy time; linear in the interval count.
   [[nodiscard]] Time busy_time() const;
 
   /// busy_time() / window, clamped to [0, 1]. window <= 0 yields 0.
@@ -88,7 +94,8 @@ class BusyTracker {
 
   std::size_t interval_count() const { return intervals_.size(); }
 
-  /// Absorbs another tracker's intervals (exact union on read).
+  /// Unions another tracker's intervals into this one (a linear merge).
+  /// raw_time() grows by the other's unioned busy time.
   void merge(const BusyTracker& other);
 
   /// Unioned busy time common to this tracker and `other` — the overlap.
@@ -100,22 +107,11 @@ class BusyTracker {
       std::vector<std::pair<Time, Time>,
                   CountingAllocator<std::pair<Time, Time>, AllocDomain::kTimeline>>;
 
-  /// Flattened (sorted, disjoint) interval list.
-  const IntervalStore& intervals() const {
-    flatten();
-    return intervals_;
-  }
+  /// Sorted, disjoint, non-touching interval list.
+  const IntervalStore& intervals() const { return intervals_; }
 
  private:
-  static constexpr std::size_t kCompactThreshold = 1 << 16;
-
-  void flatten() const;
-
-  mutable IntervalStore intervals_;
-  mutable bool dirty_ = false;
-  /// Next size at which add_interval compacts; doubles when a compaction
-  /// fails to shrink the set, keeping insertion amortised O(log n).
-  mutable std::size_t compact_at_ = kCompactThreshold;
+  IntervalStore intervals_;
   Time raw_time_;
 };
 

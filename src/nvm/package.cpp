@@ -7,7 +7,7 @@ Package::Package(const NvmTiming& timing, const BusConfig& bus, std::uint32_t di
     : bus_(bus), flash_bus_(backfill) {
   dies_.reserve(dies);
   for (std::uint32_t d = 0; d < dies; ++d) {
-    dies_.push_back(std::make_unique<Die>(timing, backfill));
+    dies_.emplace_back(timing, backfill);
   }
 }
 
@@ -18,9 +18,9 @@ Reservation Package::reserve_flash_bus(Time earliest, Bytes bytes) {
 Time Package::busy_time() const {
   BusyTracker merged;
   merged.merge(flash_bus_.busy());
-  for (const auto& die : dies_) {
-    for (std::uint32_t p = 0; p < die->plane_count(); ++p) {
-      merged.merge(die->plane_busy(p));
+  for (const Die& die : dies_) {
+    for (std::uint32_t p = 0; p < die.plane_count(); ++p) {
+      merged.merge(die.plane_busy(p));
     }
   }
   return merged.busy_time();
@@ -28,7 +28,7 @@ Time Package::busy_time() const {
 
 void Package::reset() {
   flash_bus_.reset();
-  for (auto& die : dies_) die->reset();
+  for (Die& die : dies_) die.reset();
 }
 
 }  // namespace nvmooc

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "nvm/bus.hpp"
@@ -24,8 +23,8 @@ class Package {
   Package(const NvmTiming& timing, const BusConfig& bus, std::uint32_t dies,
           bool backfill);
 
-  Die& die(std::uint32_t index) { return *dies_.at(index); }
-  const Die& die(std::uint32_t index) const { return *dies_.at(index); }
+  Die& die(std::uint32_t index) { return dies_.at(index); }
+  const Die& die(std::uint32_t index) const { return dies_.at(index); }
   std::uint32_t die_count() const { return static_cast<std::uint32_t>(dies_.size()); }
 
   /// Reserves the package port for a `bytes` transfer at or after
@@ -46,7 +45,7 @@ class Package {
  private:
   BusConfig bus_;
   Timeline flash_bus_;
-  std::vector<std::unique_ptr<Die>> dies_;
+  std::vector<Die> dies_;
 };
 
 }  // namespace nvmooc

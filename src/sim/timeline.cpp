@@ -10,6 +10,12 @@ namespace nvmooc {
 Timeline::Timeline(bool backfill, std::size_t max_gaps)
     : backfill_(backfill), max_gaps_(max_gaps) {}
 
+std::size_t Timeline::first_gap_ending_at_or_after(Time end) const {
+  const auto it = std::lower_bound(gaps_.begin(), gaps_.end(), end,
+                                   [](const Gap& gap, Time t) { return gap.end < t; });
+  return static_cast<std::size_t>(it - gaps_.begin());
+}
+
 Reservation Timeline::reserve(Time earliest, Time duration) {
   Reservation grant;
   if (duration <= Time{}) {
@@ -23,24 +29,42 @@ Reservation Timeline::reserve(Time earliest, Time duration) {
   // HostSession is installed; never touches the simulated arithmetic.
   obs::HostSection host_section(obs::HostSubsystem::kTimeline);
 
-  // Try to backfill an earlier gap first.
-  if (backfill_) {
-    for (std::size_t i = 0; i < gaps_.size(); ++i) {
-      const Time start = std::max(gaps_[i].start, earliest);
-      if (start + duration <= gaps_[i].end) {
-        grant.start = start;
-        grant.end = start + duration;
-        grant.waited = start - earliest;
-        busy_.add_interval(grant.start, grant.end);
-        ++reservation_count_;
-        // Split the gap around the grant.
-        const Gap old = gaps_[i];
-        gaps_.erase(gaps_.begin() + static_cast<std::ptrdiff_t>(i));
-        if (old.start < grant.start) gaps_.push_back({old.start, grant.start});
-        if (grant.end < old.end) gaps_.push_back({grant.end, old.end});
-        probe::grant(this, trace_label_, earliest, grant.start, grant.end);
-        return grant;
+  // Try to backfill an earlier gap first. Every gap ends by next_free_,
+  // so none fits a grant that cannot end by then.
+  if (backfill_ && earliest + duration <= next_free_) {
+    std::size_t chosen = gaps_.size();
+    for (std::size_t i = first_gap_ending_at_or_after(earliest + duration); i < gaps_.size();
+         ++i) {
+      const Gap& gap = gaps_[i];
+      if (std::max(gap.start, earliest) + duration <= gap.end &&
+          (chosen == gaps_.size() || gap.seq < gaps_[chosen].seq)) {
+        chosen = i;
       }
+    }
+    if (chosen < gaps_.size()) {
+      const Gap old = gaps_[chosen];
+      grant.start = std::max(old.start, earliest);
+      grant.end = grant.start + duration;
+      grant.waited = grant.start - earliest;
+      busy_.add_interval(grant.start, grant.end);
+      ++reservation_count_;
+      // Split the gap around the grant; the pieces are new gaps, left
+      // piece first.
+      const auto at = gaps_.begin() + static_cast<std::ptrdiff_t>(chosen);
+      const bool left = old.start < grant.start;
+      const bool right = grant.end < old.end;
+      if (left && right) {
+        *at = {old.start, grant.start, next_gap_seq_++};
+        gaps_.insert(at + 1, {grant.end, old.end, next_gap_seq_++});
+      } else if (left) {
+        *at = {old.start, grant.start, next_gap_seq_++};
+      } else if (right) {
+        *at = {grant.end, old.end, next_gap_seq_++};
+      } else {
+        gaps_.erase(at);
+      }
+      probe::grant(this, trace_label_, earliest, grant.start, grant.end);
+      return grant;
     }
   }
 
@@ -52,14 +76,11 @@ Reservation Timeline::reserve(Time earliest, Time duration) {
   ++reservation_count_;
 
   if (backfill_ && start > next_free_) {
-    gaps_.push_back({next_free_, start});
+    gaps_.push_back({next_free_, start, next_gap_seq_++});
     if (gaps_.size() > max_gaps_) {
       // Drop the oldest (earliest) gap: it is the least likely to be
       // usable, since request arrival times only move forward.
-      const auto oldest = std::min_element(
-          gaps_.begin(), gaps_.end(),
-          [](const Gap& a, const Gap& b) { return a.start < b.start; });
-      gaps_.erase(oldest);
+      gaps_.erase(gaps_.begin());
     }
   }
   next_free_ = std::max(next_free_, grant.end);
@@ -69,20 +90,21 @@ Reservation Timeline::reserve(Time earliest, Time duration) {
 
 Time Timeline::peek(Time earliest, Time duration) const {
   if (duration <= Time{}) return std::max(earliest, Time{0});
-  if (backfill_) {
-    Time best = std::max(earliest, next_free_);
-    for (const Gap& gap : gaps_) {
-      const Time start = std::max(gap.start, earliest);
-      if (start + duration <= gap.end) best = std::min(best, start);
-    }
-    return best;
+  const Time tail = std::max(earliest, next_free_);
+  if (!backfill_ || earliest + duration > next_free_) return tail;
+  // Gaps are in start order, so the first that fits starts earliest.
+  for (std::size_t i = first_gap_ending_at_or_after(earliest + duration); i < gaps_.size();
+       ++i) {
+    const Time start = std::max(gaps_[i].start, earliest);
+    if (start + duration <= gaps_[i].end) return std::min(tail, start);
   }
-  return std::max(earliest, next_free_);
+  return tail;
 }
 
 void Timeline::reset() {
   next_free_ = Time{};
   gaps_.clear();
+  next_gap_seq_ = 0;
   busy_ = BusyTracker{};
   reservation_count_ = 0;
   probe::release(this);

@@ -28,10 +28,23 @@ struct Reservation {
 
 class Timeline {
  public:
-  /// When `backfill` is true the timeline keeps a bounded list of earlier
+  /// When `backfill` is true the timeline keeps a list of earlier idle
   /// gaps and lets short transactions slot into them — this models
   /// out-of-order dispatch at a channel (PAQ-style). When false it is a
   /// strict next-free-time resource (FIFO occupancy).
+  ///
+  /// `max_gaps` is checked only when a reservation past the tail opens a
+  /// new gap: if the list then holds more than `max_gaps`, its earliest
+  /// gap is dropped — one gap, not down to the cap. Splitting a gap
+  /// around a backfilled grant can leave two gaps where there was one,
+  /// and nothing bounds that growth, so the list can far outgrow
+  /// `max_gaps`.
+  ///
+  /// A backfilled grant goes to the oldest-created gap that fits (the
+  /// pieces of a split gap count as new). Gaps are disjoint and kept in
+  /// start order, so their ends ascend too: only the suffix of gaps that
+  /// end at or after `earliest + duration` can fit, and a binary search
+  /// finds where it begins.
   explicit Timeline(bool backfill = false, std::size_t max_gaps = 64);
 
   /// Reserves `duration` starting at or after `earliest`.
@@ -67,14 +80,21 @@ class Timeline {
   struct Gap {
     Time start;
     Time end;
+    /// Creation order; the grant goes to the lowest that fits.
+    std::uint64_t seq = 0;
   };
+
+  /// First gap, in start order, that ends at or after `end`.
+  [[nodiscard]] std::size_t first_gap_ending_at_or_after(Time end) const;
 
   bool backfill_;
   std::size_t max_gaps_;
   Time next_free_;
-  /// Gap bookkeeping charges the host profiler's timeline memory tally
-  /// (the busy intervals charge it via BusyTracker::IntervalStore).
+  /// Disjoint idle gaps before next_free_, in start order. Gap
+  /// bookkeeping charges the host profiler's timeline memory tally (the
+  /// busy intervals charge it via BusyTracker::IntervalStore).
   std::vector<Gap, CountingAllocator<Gap, AllocDomain::kTimeline>> gaps_;
+  std::uint64_t next_gap_seq_ = 0;
   BusyTracker busy_;
   std::uint64_t reservation_count_ = 0;
   std::string trace_label_;

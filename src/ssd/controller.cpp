@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 
 #include "common/probe.hpp"
 
@@ -13,19 +12,25 @@ SsdHardware::SsdHardware(const SsdGeometry& geometry, const NvmTiming& timing,
     : geometry_(geometry), timing_(timing), bus_(bus) {
   channels_.reserve(geometry_.channels);
   for (std::uint32_t c = 0; c < geometry_.channels; ++c) {
-    auto channel = std::make_unique<Channel>(backfill);
-    channel->packages.reserve(geometry_.packages_per_channel);
+    Channel& channel = channels_.emplace_back(backfill);
+    channel.packages.reserve(geometry_.packages_per_channel);
     for (std::uint32_t p = 0; p < geometry_.packages_per_channel; ++p) {
-      channel->packages.emplace_back(timing_, bus_, geometry_.dies_per_package, backfill);
+      channel.packages.emplace_back(timing_, bus_, geometry_.dies_per_package, backfill);
     }
-    channels_.push_back(std::move(channel));
   }
 }
 
 Controller::Controller(SsdHardware& hardware, Ftl& ftl, ControllerConfig config,
                        FaultInjector* injector)
     : hardware_(hardware), ftl_(ftl), config_(config), ecc_(config.ecc),
-      injector_(injector) {}
+      injector_(injector),
+      planes_per_die_(hardware.timing().planes_per_die),
+      planes_per_package_(planes_per_die_ * hardware.geometry().dies_per_package),
+      planes_per_channel_(planes_per_package_ * hardware.geometry().packages_per_channel),
+      plane_load_(static_cast<std::size_t>(planes_per_channel_) * hardware.geometry().channels),
+      channel_load_(hardware.geometry().channels),
+      package_fb_(hardware.geometry().total_packages()),
+      die_plane_mask_(hardware.geometry().total_dies()) {}
 
 void Controller::expand_run(const UnitRun& run, std::vector<TxnSpec>& out) const {
   const NvmTiming& timing = hardware_.timing();
@@ -231,6 +236,16 @@ Bytes Controller::dirty_bytes_at(Time when) {
   return dirty;
 }
 
+void Controller::clear_request_loads() {
+  for (const std::uint32_t plane : touched_planes_) {
+    plane_load_[plane] = PlaneLoad{};
+    channel_load_[plane / planes_per_channel_] = ChannelLoad{};
+    package_fb_[plane / planes_per_package_] = Time{};
+    die_plane_mask_[plane / planes_per_die_] = 0;
+  }
+  touched_planes_.clear();
+}
+
 RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
   // Byte conservation: the request's own (non-GC, non-RMW, non-remap)
   // channel transfers must sum to its size — page-rounded for writes,
@@ -257,10 +272,6 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
   result.bytes = request.size;
   result.media_begin = arrival;
 
-  // PAL classification state.
-  std::uint64_t channel_mask = 0;
-  std::map<std::uint32_t, std::uint64_t> dies_per_channel;   // channel -> die mask
-  std::map<std::uint64_t, std::uint32_t> planes_per_die;     // die id -> plane mask
   const SsdGeometry& geometry = hardware_.geometry();
 
   // Critical-path phase accounting: within one request, cell activations
@@ -269,18 +280,10 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
   // per-plane cell chain and the longest per-channel bus chain. Summing
   // raw resource time across hundreds of parallel transactions would
   // drown the breakdown in arithmetic parallelism (Figure 10 reports the
-  // per-request experience).
-  struct PlaneLoad {
-    Time cell;
-    Time wait;
-  };
-  struct ChannelLoad {
-    Time active;  // command + data transfer
-    Time wait;
-  };
-  std::map<std::uint64_t, PlaneLoad> plane_load;    // (ch,pkg,die,plane)
-  std::map<std::uint32_t, ChannelLoad> channel_load;
-  std::map<std::uint64_t, Time> package_fb;         // (ch,pkg)
+  // per-request experience). The per-plane, per-channel and per-package
+  // loads, and the PAL masks, live in the flat scratch arrays; clearing
+  // here rather than at the end keeps them sound if a request throws.
+  clear_request_loads();
 
   Time write_data_in_end;   // Last inbound transfer of this request.
   Time non_write_end;       // RMW reads / GC work that must land first.
@@ -344,29 +347,27 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
       }
     }
 
-    const std::uint64_t plane_key =
-        (((static_cast<std::uint64_t>(txn.channel) << 8 | txn.package) << 8 | txn.die)
-         << 8) |
-        txn.plane;
-    PlaneLoad& plane = plane_load[plane_key];
+    const std::uint32_t die_in_channel = txn.package * geometry.dies_per_package + txn.die;
+    const std::uint32_t plane_index =
+        txn.channel * planes_per_channel_ + die_in_channel * planes_per_die_ + txn.plane;
+    PlaneLoad& plane = plane_load_[plane_index];
+    if (!plane.touched) {
+      plane.touched = true;
+      touched_planes_.push_back(plane_index);
+    }
     plane.cell += txn.cell;
     plane.wait += txn.cell_wait;
-    ChannelLoad& channel = channel_load[txn.channel];
+    ChannelLoad& channel = channel_load_[txn.channel];
     channel.active += txn.command + txn.channel_bus;
     channel.wait += txn.channel_wait;
-    package_fb[(static_cast<std::uint64_t>(txn.channel) << 8) | txn.package] +=
-        txn.flash_bus;
+    package_fb_[plane_index / planes_per_package_] += txn.flash_bus;
 
     result.media_end = std::max(result.media_end, txn.complete);
     ++result.transactions;
 
     if (!count_pal) return;
-    channel_mask |= 1ULL << (txn.channel % 64);
-    const std::uint32_t die_in_channel = txn.package * geometry.dies_per_package + txn.die;
-    dies_per_channel[txn.channel] |= 1ULL << (die_in_channel % 64);
-    const std::uint64_t die_id =
-        (static_cast<std::uint64_t>(txn.channel) << 32) | die_in_channel;
-    planes_per_die[die_id] |= 1u << txn.plane;
+    channel.die_mask |= 1ULL << (die_in_channel % 64);
+    die_plane_mask_[plane_index / planes_per_die_] |= 1u << txn.plane;
   };
 
   for (const TxnSpec& spec : specs) {
@@ -384,19 +385,31 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
   // Fold the request's critical-path components into the totals. Waits
   // are capped by the device wall so queueing behind *other* requests
   // (host-side pipelining) cannot inflate a single request's share.
+  // Ties go to the lowest-numbered plane and channel, so walk the touched
+  // planes in index order; a channel's planes are contiguous, so each
+  // channel is seen first at its lowest plane.
   const Time device_wall = std::max(Time{}, result.media_end - arrival);
+  std::sort(touched_planes_.begin(), touched_planes_.end());
   PlaneLoad worst_plane;
-  for (const auto& [key, load] : plane_load) {
-    if (load.cell + load.wait > worst_plane.cell + worst_plane.wait) worst_plane = load;
-  }
   ChannelLoad worst_channel;
-  for (const auto& [key, load] : channel_load) {
-    if (load.active + load.wait > worst_channel.active + worst_channel.wait) {
-      worst_channel = load;
-    }
-  }
   Time worst_fb;
-  for (const auto& [key, time] : package_fb) worst_fb = std::max(worst_fb, time);
+  bool die_interleaved = false;
+  bool multi_plane = false;
+  std::uint32_t last_channel = ~0u;
+  for (const std::uint32_t index : touched_planes_) {
+    const PlaneLoad& load = plane_load_[index];
+    if (load.cell + load.wait > worst_plane.cell + worst_plane.wait) worst_plane = load;
+    worst_fb = std::max(worst_fb, package_fb_[index / planes_per_package_]);
+    if (std::popcount(die_plane_mask_[index / planes_per_die_]) > 1) multi_plane = true;
+    const std::uint32_t channel_index = index / planes_per_channel_;
+    if (channel_index == last_channel) continue;
+    last_channel = channel_index;
+    const ChannelLoad& channel = channel_load_[channel_index];
+    if (channel.active + channel.wait > worst_channel.active + worst_channel.wait) {
+      worst_channel = channel;
+    }
+    if (std::popcount(channel.die_mask) > 1) die_interleaved = true;
+  }
 
   // Contention visible to one request is bounded by one service quantum
   // per resource chain (it queues behind at most a dispatch window of
@@ -428,14 +441,6 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
   }
 
   // Classify parallelism.
-  bool die_interleaved = false;
-  for (const auto& [channel, mask] : dies_per_channel) {
-    if (std::popcount(mask) > 1) die_interleaved = true;
-  }
-  bool multi_plane = false;
-  for (const auto& [die, mask] : planes_per_die) {
-    if (std::popcount(static_cast<std::uint64_t>(mask)) > 1) multi_plane = true;
-  }
   if (die_interleaved && multi_plane) {
     result.pal = ParallelismLevel::kPal4;
   } else if (multi_plane) {

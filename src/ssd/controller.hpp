@@ -5,7 +5,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "nvm/bus.hpp"
@@ -26,14 +25,14 @@ class SsdHardware {
   SsdHardware(const SsdGeometry& geometry, const NvmTiming& timing,
               const BusConfig& bus, bool backfill);
 
-  Timeline& channel_bus(std::uint32_t channel) { return channels_[channel]->bus; }
+  Timeline& channel_bus(std::uint32_t channel) { return channels_[channel].bus; }
   Package& package(std::uint32_t channel, std::uint32_t package) {
-    return channels_[channel]->packages[package];
+    return channels_[channel].packages[package];
   }
   const Package& package(std::uint32_t channel, std::uint32_t package) const {
-    return channels_[channel]->packages[package];
+    return channels_[channel].packages[package];
   }
-  const Timeline& channel_bus(std::uint32_t channel) const { return channels_[channel]->bus; }
+  const Timeline& channel_bus(std::uint32_t channel) const { return channels_[channel].bus; }
 
   const SsdGeometry& geometry() const { return geometry_; }
   const NvmTiming& timing() const { return timing_; }
@@ -49,7 +48,7 @@ class SsdHardware {
   SsdGeometry geometry_;
   NvmTiming timing_;
   BusConfig bus_;
-  std::vector<std::unique_ptr<Channel>> channels_;
+  std::vector<Channel> channels_;
 };
 
 struct ControllerConfig {
@@ -125,6 +124,21 @@ class Controller {
   /// Dirty bytes still being programmed at time `when`.
   [[nodiscard]] Bytes dirty_bytes_at(Time when);
 
+  /// Zeroes the per-request scratch entries the last request touched.
+  void clear_request_loads();
+
+  // Per-request critical-path and PAL accounting (see submit()).
+  struct PlaneLoad {
+    Time cell;
+    Time wait;
+    bool touched = false;
+  };
+  struct ChannelLoad {
+    Time active;  // command + data transfer
+    Time wait;
+    std::uint64_t die_mask = 0;  ///< PAL: dies used in this channel.
+  };
+
   SsdHardware& hardware_;
   Ftl& ftl_;
   ControllerConfig config_;
@@ -133,6 +147,18 @@ class Controller {
   ControllerStats stats_;
   /// (program completion, bytes) of buffered writes still draining.
   std::vector<std::pair<Time, Bytes>> write_buffer_drain_;
+  // Per-request scratch, flat by geometry and reused across requests.
+  // Planes are numbered (channel, package, die, plane) row-major; dies
+  // and packages likewise.
+  std::uint32_t planes_per_die_;
+  std::uint32_t planes_per_package_;
+  std::uint32_t planes_per_channel_;
+  std::vector<PlaneLoad> plane_load_;
+  std::vector<ChannelLoad> channel_load_;
+  std::vector<Time> package_fb_;
+  std::vector<std::uint32_t> die_plane_mask_;  ///< PAL: planes used per die.
+  /// plane_load_ indices this request touched, in first-touch order.
+  std::vector<std::uint32_t> touched_planes_;
 };
 
 }  // namespace nvmooc

@@ -89,24 +89,6 @@ WearSummary Ssd::wear() const {
   return total;
 }
 
-BusyTracker Ssd::media_busy() const {
-  BusyTracker merged;
-  for (std::uint32_t c = 0; c < config_.geometry.channels; ++c) {
-    merged.merge(hardware_->channel_bus(c).busy());
-    for (std::uint32_t p = 0; p < config_.geometry.packages_per_channel; ++p) {
-      const Package& package = hardware_->package(c, p);
-      merged.merge(package.flash_bus().busy());
-      for (std::uint32_t d = 0; d < package.die_count(); ++d) {
-        const Die& die = package.die(d);
-        for (std::uint32_t plane = 0; plane < die.plane_count(); ++plane) {
-          merged.merge(die.plane_busy(plane));
-        }
-      }
-    }
-  }
-  return merged;
-}
-
 double Ssd::media_capability_bytes_per_sec() const {
   const double channel_aggregate =
       config_.bus.byte_rate() * static_cast<double>(config_.geometry.channels);
@@ -118,9 +100,45 @@ double Ssd::media_capability_bytes_per_sec() const {
 DeviceStats Ssd::device_stats(Time wall_time) const {
   DeviceStats stats;
   stats.media_capability = media_capability_bytes_per_sec();
+  const SsdGeometry& geometry = config_.geometry;
 
-  const BusyTracker merged = media_busy();
-  stats.active_time = merged.busy_time();
+  // Busy unions, bottom up: a die is busy while any plane is; a package
+  // while its port or any die is; a channel while its bus or anything in
+  // its packages is (the paper's channel-level utilisation, which is why
+  // GPFS's scatter keeps "channels" hot even though each holds only one
+  // active die); the device while anything is.
+  std::vector<Time> die_busy;
+  std::vector<Time> package_busy;
+  std::vector<Time> channel_busy;
+  die_busy.reserve(geometry.total_dies());
+  package_busy.reserve(geometry.total_packages());
+  channel_busy.reserve(geometry.channels);
+  BusyTracker device;
+  for (std::uint32_t c = 0; c < geometry.channels; ++c) {
+    BusyTracker channel;
+    channel.merge(hardware_->channel_bus(c).busy());
+    for (std::uint32_t p = 0; p < geometry.packages_per_channel; ++p) {
+      const Package& package = hardware_->package(c, p);
+      BusyTracker package_union;
+      package_union.merge(package.flash_bus().busy());
+      for (std::uint32_t d = 0; d < package.die_count(); ++d) {
+        const Die& die = package.die(d);
+        BusyTracker die_union;
+        for (std::uint32_t plane = 0; plane < die.plane_count(); ++plane) {
+          die_union.merge(die.plane_busy(plane));
+        }
+        die_busy.push_back(die_union.busy_time());
+        package_union.merge(die_union);
+      }
+      package_busy.push_back(package_union.busy_time());
+      channel.merge(package_union);
+    }
+    channel_busy.push_back(channel.busy_time());
+    device.merge(channel);
+  }
+
+  // Union of every internal busy interval: the utilisation denominator.
+  stats.active_time = device.busy_time();
   if (stats.active_time <= Time{}) {
     stats.remaining_bandwidth = stats.media_capability;
     return stats;
@@ -130,48 +148,26 @@ DeviceStats Ssd::device_stats(Time wall_time) const {
   // NaN/inf from the divisions below; the device's own active window is
   // the honest fallback denominator.
   if (wall_time <= Time{}) wall_time = stats.active_time;
+  const double active = static_cast<double>(stats.active_time);
 
-  // A channel counts as busy while anything in its subsystem (bus or any
-  // of its packages) is working — the paper's channel-level utilisation,
-  // which is why GPFS's scatter keeps "channels" hot even though each
-  // holds only one active die.
   double channel_sum = 0.0;
-  for (std::uint32_t c = 0; c < config_.geometry.channels; ++c) {
-    BusyTracker subsystem;
-    subsystem.merge(hardware_->channel_bus(c).busy());
-    for (std::uint32_t p = 0; p < config_.geometry.packages_per_channel; ++p) {
-      const Package& package = hardware_->package(c, p);
-      subsystem.merge(package.flash_bus().busy());
-      for (std::uint32_t d = 0; d < package.die_count(); ++d) {
-        const Die& die = package.die(d);
-        for (std::uint32_t plane = 0; plane < die.plane_count(); ++plane) {
-          subsystem.merge(die.plane_busy(plane));
-        }
-      }
-    }
-    channel_sum += subsystem.utilization(stats.active_time);
+  for (const Time busy : channel_busy) {
+    channel_sum += std::clamp(static_cast<double>(busy) / active, 0.0, 1.0);
   }
-  stats.channel_utilization = channel_sum / config_.geometry.channels;
+  stats.channel_utilization = channel_sum / geometry.channels;
 
   double package_sum = 0.0;
-  double die_sum = 0.0;
-  std::uint32_t die_count = 0;
-  for (std::uint32_t c = 0; c < config_.geometry.channels; ++c) {
-    for (std::uint32_t p = 0; p < config_.geometry.packages_per_channel; ++p) {
-      const Package& package = hardware_->package(c, p);
-      package_sum += std::min(
-          1.0, static_cast<double>(package.busy_time()) / static_cast<double>(stats.active_time));
-      for (std::uint32_t d = 0; d < package.die_count(); ++d) {
-        const Time busy = package.die(d).busy_time();
-        if (wall_time > Time{}) {
-          die_sum += std::min(1.0, static_cast<double>(busy) / static_cast<double>(wall_time));
-        }
-        ++die_count;
-      }
-    }
+  for (const Time busy : package_busy) {
+    package_sum += std::min(1.0, static_cast<double>(busy) / active);
   }
-  stats.package_utilization = package_sum / config_.geometry.total_packages();
-  stats.die_wall_utilization = die_count > 0 ? die_sum / die_count : 0.0;
+  stats.package_utilization = package_sum / geometry.total_packages();
+
+  double die_sum = 0.0;
+  for (const Time busy : die_busy) {
+    die_sum += std::min(1.0, static_cast<double>(busy) / static_cast<double>(wall_time));
+  }
+  stats.die_wall_utilization =
+      die_busy.empty() ? 0.0 : die_sum / static_cast<double>(die_busy.size());
   stats.remaining_bandwidth = stats.media_capability * (1.0 - stats.die_wall_utilization);
   return stats;
 }

@@ -59,12 +59,10 @@ class Ssd {
   /// Aggregate wear across every die.
   WearSummary wear() const;
 
-  /// Busy-interval union across all internal resources. O(n log n) in
-  /// interval count — compute once when a replay is done.
-  BusyTracker media_busy() const;
-
   /// Derived per-figure statistics; `wall_time` is the replay makespan
-  /// (first issue to last completion including host DMA).
+  /// (first issue to last completion including host DMA). One bottom-up
+  /// pass of linear merges builds the die, package, channel and device
+  /// busy unions — compute once when a replay is done.
   DeviceStats device_stats(Time wall_time) const;
 
   /// min(channel aggregate, cell aggregate) streaming read capability.

@@ -2,11 +2,13 @@
 // thread pool, string and table utilities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -265,14 +267,101 @@ TEST(BusyTracker, IgnoresEmptyIntervals) {
 
 TEST(BusyTracker, CompactionPreservesTotals) {
   BusyTracker t;
-  // Far more intervals than the compaction threshold, adversarially
-  // alternating so few merge.
+  // Hundreds of thousands of disjoint intervals, adversarially spaced so
+  // none merge.
   Time expected;
   for (std::int64_t i = 0; i < 200000; ++i) {
     t.add_interval(Time{i * 10}, Time{i * 10 + 3});
     expected += Time{3};
   }
   EXPECT_EQ(t.busy_time(), expected);
+}
+
+// Brute-force union: sort every span and coalesce overlapping or touching
+// ones — the oracle for the always-sorted tracker.
+std::vector<std::pair<Time, Time>> sort_and_coalesce(std::vector<std::pair<Time, Time>> spans) {
+  std::sort(spans.begin(), spans.end());
+  std::vector<std::pair<Time, Time>> out;
+  for (const auto& span : spans) {
+    if (span.second <= span.first) continue;
+    if (!out.empty() && span.first <= out.back().second) {
+      out.back().second = std::max(out.back().second, span.second);
+    } else {
+      out.push_back(span);
+    }
+  }
+  return out;
+}
+
+Time span_total(const std::vector<std::pair<Time, Time>>& spans) {
+  Time total;
+  for (const auto& [start, end] : spans) total += end - start;
+  return total;
+}
+
+std::vector<std::pair<Time, Time>> as_vector(const BusyTracker& tracker) {
+  return {tracker.intervals().begin(), tracker.intervals().end()};
+}
+
+// Differential: random overlapping, touching, empty and out-of-order
+// intervals — near the tail (the backfill case) and far behind it (the
+// binary-search fallback) — against the brute-force union, through
+// merge() and intersect_time() too.
+TEST(BusyTracker, MatchesBruteForceUnion) {
+  std::uint64_t state = 0x2545f4914f6cdd1dULL;
+  const auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  for (int round = 0; round < 40; ++round) {
+    BusyTracker a;
+    BusyTracker b;
+    std::vector<std::pair<Time, Time>> spans_a;
+    std::vector<std::pair<Time, Time>> spans_b;
+    Time raw_a;
+    Time clock;
+    for (int i = 0; i < 600; ++i) {
+      const std::uint64_t roll = next() % 10;
+      Time start;
+      if (roll < 5) {
+        clock += Time{static_cast<std::int64_t>(next() % 40)};
+        start = clock;
+      } else if (roll < 8) {
+        start = std::max(Time{}, clock - Time{static_cast<std::int64_t>(next() % 200)});
+      } else {
+        start = Time{static_cast<std::int64_t>(next() % static_cast<std::uint64_t>(clock.ps() + 1))};
+      }
+      const Time end = start + Time{static_cast<std::int64_t>(next() % 30)};
+      const bool into_a = (round % 3 == 0) || next() % 2 == 0;
+      if (into_a) {
+        a.add_interval(start, end);
+        spans_a.emplace_back(start, end);
+        if (end > start) raw_a += end - start;
+      } else {
+        b.add_interval(start, end);
+        spans_b.emplace_back(start, end);
+      }
+      ASSERT_EQ(as_vector(a), sort_and_coalesce(spans_a)) << "round " << round << " i " << i;
+    }
+    EXPECT_EQ(a.busy_time(), span_total(sort_and_coalesce(spans_a)));
+    EXPECT_EQ(a.raw_time(), raw_a);
+    EXPECT_EQ(b.busy_time(), span_total(sort_and_coalesce(spans_b)));
+
+    // Overlap = |A| + |B| - |A u B|.
+    std::vector<std::pair<Time, Time>> both = spans_a;
+    both.insert(both.end(), spans_b.begin(), spans_b.end());
+    const Time union_time = span_total(sort_and_coalesce(both));
+    EXPECT_EQ(a.intersect_time(b), a.busy_time() + b.busy_time() - union_time);
+    EXPECT_EQ(b.intersect_time(a), a.intersect_time(b));
+
+    const Time b_busy = b.busy_time();
+    a.merge(b);
+    EXPECT_EQ(as_vector(a), sort_and_coalesce(both));
+    EXPECT_EQ(a.busy_time(), union_time);
+    EXPECT_EQ(a.raw_time(), raw_a + b_busy);
+  }
 }
 
 // ---------- thread pool --------------------------------------------------

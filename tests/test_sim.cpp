@@ -12,6 +12,102 @@
 namespace nvmooc {
 namespace {
 
+// Deterministic splitmix64 stream for the randomized tests below.
+struct SplitMix {
+  std::uint64_t state;
+  std::uint64_t operator()() {
+    state += 0x9e3779b97f4a7c15ULL;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+};
+
+/// The linear-scan gap list Timeline used before its gaps were indexed:
+/// gaps in insertion order (split pieces appended, left first), the first
+/// that fits wins, and a new tail gap past `max_gaps` drops the gap with
+/// the earliest start. Kept as the oracle for the indexed search.
+class LinearScanTimeline {
+ public:
+  LinearScanTimeline(bool backfill, std::size_t max_gaps)
+      : backfill_(backfill), max_gaps_(max_gaps) {}
+
+  Reservation reserve(Time earliest, Time duration) {
+    Reservation grant;
+    if (duration <= Time{}) {
+      grant.start = std::max(earliest, Time{0});
+      grant.end = grant.start;
+      return grant;
+    }
+    if (backfill_) {
+      for (std::size_t i = 0; i < gaps_.size(); ++i) {
+        const Time start = std::max(gaps_[i].first, earliest);
+        if (start + duration <= gaps_[i].second) {
+          grant.start = start;
+          grant.end = start + duration;
+          grant.waited = start - earliest;
+          record(grant);
+          const std::pair<Time, Time> old = gaps_[i];
+          gaps_.erase(gaps_.begin() + static_cast<std::ptrdiff_t>(i));
+          if (old.first < grant.start) gaps_.emplace_back(old.first, grant.start);
+          if (grant.end < old.second) gaps_.emplace_back(grant.end, old.second);
+          return grant;
+        }
+      }
+    }
+    const Time start = std::max(earliest, next_free_);
+    grant.start = start;
+    grant.end = start + duration;
+    grant.waited = start - earliest;
+    record(grant);
+    if (backfill_ && start > next_free_) {
+      gaps_.emplace_back(next_free_, start);
+      if (gaps_.size() > max_gaps_) gaps_.erase(std::min_element(gaps_.begin(), gaps_.end()));
+    }
+    next_free_ = std::max(next_free_, grant.end);
+    return grant;
+  }
+
+  Time peek(Time earliest, Time duration) const {
+    if (duration <= Time{}) return std::max(earliest, Time{0});
+    Time best = std::max(earliest, next_free_);
+    if (!backfill_) return best;
+    for (const auto& [gap_start, gap_end] : gaps_) {
+      const Time start = std::max(gap_start, earliest);
+      if (start + duration <= gap_end) best = std::min(best, start);
+    }
+    return best;
+  }
+
+  Time next_free() const { return next_free_; }
+  std::uint64_t reservation_count() const { return grants_.size(); }
+
+  /// Every grant, sorted and coalesced (touching spans join).
+  std::vector<std::pair<Time, Time>> busy_intervals() const {
+    std::vector<std::pair<Time, Time>> sorted = grants_;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<std::pair<Time, Time>> out;
+    for (const auto& span : sorted) {
+      if (!out.empty() && span.first <= out.back().second) {
+        out.back().second = std::max(out.back().second, span.second);
+      } else {
+        out.push_back(span);
+      }
+    }
+    return out;
+  }
+
+ private:
+  void record(const Reservation& grant) { grants_.emplace_back(grant.start, grant.end); }
+
+  bool backfill_;
+  std::size_t max_gaps_;
+  Time next_free_;
+  std::vector<std::pair<Time, Time>> gaps_;
+  std::vector<std::pair<Time, Time>> grants_;
+};
+
 // ---------- timeline -----------------------------------------------------
 
 TEST(Timeline, FifoReservationsQueue) {
@@ -143,6 +239,79 @@ TEST(Timeline, PropertyGrantedIntervalsHoldInvariants) {
           << granted[i].second << ") with backfill=" << backfill;
     }
     EXPECT_EQ(timeline.reservation_count(), 2000u);
+  }
+}
+
+// The cap on the gap list binds only when a tail reservation opens a new
+// gap, and then drops one gap (the earliest); backfill splits grow the list
+// past the cap unchecked. Pinned because answers depend on it.
+TEST(Timeline, GapCapBindsOnlyOnTailGrowth) {
+  Timeline timeline(true, 2);
+  timeline.reserve(Time{1000}, Time{100});  // Gap [0,1000); busy to 1100.
+  timeline.reserve(Time{100}, Time{10});    // Split: [0,100) [110,1000).
+  timeline.reserve(Time{200}, Time{10});    // Split: ... [110,200) [210,1000).
+  // Three gaps, over the cap of two, and every one still usable.
+  EXPECT_EQ(timeline.peek(Time{0}, Time{50}), Time{0});
+  EXPECT_EQ(timeline.peek(Time{100}, Time{50}), Time{110});
+  EXPECT_EQ(timeline.peek(Time{200}, Time{50}), Time{210});
+  // A new tail gap [1100,2000) makes four; only the earliest is dropped.
+  timeline.reserve(Time{2000}, Time{10});
+  EXPECT_EQ(timeline.peek(Time{0}, Time{50}), Time{110});
+  EXPECT_EQ(timeline.peek(Time{200}, Time{50}), Time{210});
+  // Another tail gap [2010,3000): [110,200) goes, three gaps remain.
+  timeline.reserve(Time{3000}, Time{10});
+  EXPECT_EQ(timeline.peek(Time{0}, Time{50}), Time{210});
+  EXPECT_EQ(timeline.peek(Time{1100}, Time{50}), Time{1100});
+  EXPECT_EQ(timeline.peek(Time{2010}, Time{50}), Time{2010});
+}
+
+// Differential: the indexed gap search grants exactly what the linear
+// scan it replaced grants, over seeded streams that split gaps past the
+// cap, with and without backfill, peeks mixed in.
+TEST(Timeline, IndexedGapSearchMatchesLinearScan) {
+  for (const bool backfill : {false, true}) {
+    for (const std::size_t max_gaps : {std::size_t{1}, std::size_t{2}, std::size_t{4},
+                                       std::size_t{64}}) {
+      for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+        SCOPED_TRACE(::testing::Message() << "backfill=" << backfill
+                                          << " max_gaps=" << max_gaps << " seed=" << seed);
+        Timeline timeline(backfill, max_gaps);
+        LinearScanTimeline reference(backfill, max_gaps);
+        SplitMix next{seed * 0x51ed2701ULL};
+        Time clock;
+        for (int i = 0; i < 4000; ++i) {
+          // Mostly forward-moving arrivals with occasional long jumps
+          // (new tail gaps) and look-backs (backfill into old gaps).
+          const std::uint64_t roll = next() % 100;
+          Time earliest;
+          if (roll < 10) {
+            clock += Time{static_cast<std::int64_t>(200 + next() % 2000)};
+            earliest = clock;
+          } else if (roll < 45) {
+            const Time back{static_cast<std::int64_t>(next() % 3000)};
+            earliest = std::max(Time{}, clock - back);
+          } else {
+            clock += Time{static_cast<std::int64_t>(next() % 30)};
+            earliest = clock;
+          }
+          const Time duration{static_cast<std::int64_t>(next() % 60)};
+          if (next() % 4 == 0) {
+            ASSERT_EQ(timeline.peek(earliest, duration), reference.peek(earliest, duration))
+                << "peek " << i;
+          }
+          const Reservation got = timeline.reserve(earliest, duration);
+          const Reservation want = reference.reserve(earliest, duration);
+          ASSERT_EQ(got.start, want.start) << "reserve " << i;
+          ASSERT_EQ(got.end, want.end) << "reserve " << i;
+          ASSERT_EQ(got.waited, want.waited) << "reserve " << i;
+          ASSERT_EQ(timeline.next_free(), reference.next_free()) << "reserve " << i;
+        }
+        EXPECT_EQ(timeline.reservation_count(), reference.reservation_count());
+        const BusyTracker::IntervalStore& busy = timeline.busy().intervals();
+        const std::vector<std::pair<Time, Time>> got(busy.begin(), busy.end());
+        EXPECT_EQ(got, reference.busy_intervals());
+      }
+    }
   }
 }
 

@@ -3,11 +3,18 @@
 // and device statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <set>
 #include <tuple>
+#include <utility>
+#include <vector>
 
+#include "cluster/configs.hpp"
+#include "cluster/engine.hpp"
+#include "fs/presets.hpp"
+#include "ooc/workload.hpp"
 #include "ssd/controller.hpp"
 #include "ssd/ftl.hpp"
 #include "ssd/geometry.hpp"
@@ -473,6 +480,149 @@ TEST(DeviceStats, ZeroWallTimeYieldsFiniteUtilization) {
   EXPECT_GE(stats.channel_utilization, 0.0);
   EXPECT_LE(stats.channel_utilization, 1.0);
   EXPECT_TRUE(std::isfinite(stats.remaining_bandwidth));
+}
+
+// The four-pass device_stats computation the bottom-up pass replaced:
+// each union concatenates its timelines' busy sets and sorts them.
+class FourPassDeviceStats {
+ public:
+  explicit FourPassDeviceStats(SsdHardware& hardware) : hardware_(hardware) {}
+
+  DeviceStats compute(Time wall_time, double media_capability) const {
+    const SsdGeometry& g = hardware_.geometry();
+    DeviceStats stats;
+    stats.media_capability = media_capability;
+    Spans all;
+    for (std::uint32_t c = 0; c < g.channels; ++c) add_channel(c, all);
+    stats.active_time = union_time(all);
+    if (stats.active_time <= Time{}) {
+      stats.remaining_bandwidth = stats.media_capability;
+      return stats;
+    }
+    if (wall_time <= Time{}) wall_time = stats.active_time;
+    const double active = static_cast<double>(stats.active_time);
+
+    double channel_sum = 0.0;
+    for (std::uint32_t c = 0; c < g.channels; ++c) {
+      Spans subsystem;
+      add_channel(c, subsystem);
+      channel_sum +=
+          std::clamp(static_cast<double>(union_time(subsystem)) / active, 0.0, 1.0);
+    }
+    stats.channel_utilization = channel_sum / g.channels;
+
+    double package_sum = 0.0;
+    double die_sum = 0.0;
+    std::uint32_t die_count = 0;
+    for (std::uint32_t c = 0; c < g.channels; ++c) {
+      for (std::uint32_t p = 0; p < g.packages_per_channel; ++p) {
+        const Package& package = hardware_.package(c, p);
+        Spans package_spans;
+        add_package(package, package_spans);
+        package_sum +=
+            std::min(1.0, static_cast<double>(union_time(package_spans)) / active);
+        for (std::uint32_t d = 0; d < package.die_count(); ++d) {
+          Spans die_spans;
+          add_die(package.die(d), die_spans);
+          die_sum += std::min(1.0, static_cast<double>(union_time(die_spans)) /
+                                       static_cast<double>(wall_time));
+          ++die_count;
+        }
+      }
+    }
+    stats.package_utilization = package_sum / g.total_packages();
+    stats.die_wall_utilization = die_count > 0 ? die_sum / die_count : 0.0;
+    stats.remaining_bandwidth = stats.media_capability * (1.0 - stats.die_wall_utilization);
+    return stats;
+  }
+
+ private:
+  using Spans = std::vector<std::pair<Time, Time>>;
+
+  static void add(const BusyTracker& busy, Spans& out) {
+    out.insert(out.end(), busy.intervals().begin(), busy.intervals().end());
+  }
+  static void add_die(const Die& die, Spans& out) {
+    for (std::uint32_t plane = 0; plane < die.plane_count(); ++plane) {
+      add(die.plane_busy(plane), out);
+    }
+  }
+  static void add_package(const Package& package, Spans& out) {
+    add(package.flash_bus().busy(), out);
+    for (std::uint32_t d = 0; d < package.die_count(); ++d) add_die(package.die(d), out);
+  }
+  void add_channel(std::uint32_t c, Spans& out) const {
+    add(hardware_.channel_bus(c).busy(), out);
+    for (std::uint32_t p = 0; p < hardware_.geometry().packages_per_channel; ++p) {
+      add_package(hardware_.package(c, p), out);
+    }
+  }
+  static Time union_time(Spans spans) {
+    std::sort(spans.begin(), spans.end());
+    Time total;
+    Time covered_to;
+    bool any = false;
+    for (const auto& [start, end] : spans) {
+      if (!any || start > covered_to) {
+        total += end - start;
+        covered_to = end;
+        any = true;
+      } else if (end > covered_to) {
+        total += end - covered_to;
+        covered_to = end;
+      }
+    }
+    return total;
+  }
+
+  SsdHardware& hardware_;
+};
+
+void expect_device_stats_match_four_pass(ReplayEngine& engine, Time makespan) {
+  Ssd& ssd = engine.ssd();
+  const FourPassDeviceStats reference(ssd.hardware());
+  // The replay's own makespan, a short and a zero wall (the fallback).
+  for (const Time wall : {makespan, makespan / 4, Time{}}) {
+    const DeviceStats got = ssd.device_stats(wall);
+    const DeviceStats want = reference.compute(wall, ssd.media_capability_bytes_per_sec());
+    EXPECT_EQ(got.active_time, want.active_time);
+    EXPECT_EQ(got.channel_utilization, want.channel_utilization);
+    EXPECT_EQ(got.package_utilization, want.package_utilization);
+    EXPECT_EQ(got.die_wall_utilization, want.die_wall_utilization);
+    EXPECT_EQ(got.media_capability, want.media_capability);
+    EXPECT_EQ(got.remaining_bandwidth, want.remaining_bandwidth);
+  }
+}
+
+Trace checkpointing_trace() {
+  SyntheticWorkloadParams params;
+  params.dataset_bytes = 16 * MiB;
+  params.tile_bytes = 4 * MiB;
+  params.sweeps = 2;
+  params.checkpoint_bytes = 8 * MiB;
+  return synthesize_ooc_trace(params);
+}
+
+// Differential: the bottom-up linear-merge pass gives every field the
+// old four-pass sort-and-union gave, bit for bit.
+TEST(DeviceStats, BottomUpPassMatchesFourPassOnMixedReplay) {
+  const Trace trace = checkpointing_trace();
+  ReplayEngine engine(cnl_fs_config(ext3_behavior(), NvmType::kMlc));
+  const ExperimentResult result = engine.run(trace);
+  ASSERT_GT(engine.ssd().ftl_stats().writes, 0u);
+  expect_device_stats_match_four_pass(engine, result.makespan);
+}
+
+TEST(DeviceStats, BottomUpPassMatchesFourPassOnFaultedReplay) {
+  const Trace trace = checkpointing_trace();
+  ExperimentConfig config = cnl_ufs_config(NvmType::kMlc);
+  config.fault.enabled = true;
+  config.fault.rber = 4e-3;
+  config.fault.channel_stalls.push_back({1, Time{}, 50 * kMicrosecond});
+  ReplayEngine engine(config);
+  const ExperimentResult result = engine.run(trace);
+  ASSERT_GT(result.reliability.read_retries, 0u);
+  expect_device_stats_match_four_pass(engine, result.makespan);
 }
 
 TEST(DeviceStats, WearAggregatesAcrossDies) {
