@@ -202,11 +202,11 @@ void Auditor::replay_aborted() { report_.aborted = true; }
 
 // -- occupancy --------------------------------------------------------------
 
-void Auditor::timeline_reserved(const void* timeline, const std::string& label,
+void Auditor::timeline_reserved(const void* timeline, const std::string& label, Time earliest,
                                 Time start, Time end) {
   if (end <= start) return;  // Zero-width grants occupy nothing.
   ResourceTrack& track = tracks_[timeline];
-  if (track.intervals.empty() && track.name.empty()) {
+  if (track.name.empty()) {
     ++report_.timelines;
     if (label.empty()) {
       track.name = "resource#" + std::to_string(next_track_ordinal_++);
@@ -216,9 +216,21 @@ void Auditor::timeline_reserved(const void* timeline, const std::string& label,
   }
   ++report_.reservations;
 
+  if (earliest < issue_watermark_) {
+    std::ostringstream out;
+    out << "grant on " << track.name << " ready at " << time_str(earliest)
+        << ", before the issue watermark " << time_str(issue_watermark_);
+    violation("causality", out.str());
+  }
+
   const std::int64_t s = start.ps();
   const std::int64_t e = end.ps();
   auto& ivals = track.intervals;
+  // Intervals that end by the watermark cannot meet any grant that
+  // respects it.
+  while (!ivals.empty() && ivals.begin()->second <= issue_watermark_.ps()) {
+    ivals.erase(ivals.begin());
+  }
 
   // Overlap iff a predecessor runs past `s` or a successor starts before `e`.
   auto next = ivals.lower_bound(s);
@@ -311,7 +323,8 @@ void Auditor::on_interval(const probe::Interval& interval) {
   // Every Timeline grant, labelled or not; controller steps and link
   // transfers are views of grants already seen here.
   if (interval.resource != probe::Resource::kTimeline) return;
-  timeline_reserved(interval.object, *interval.label, interval.start, interval.end);
+  timeline_reserved(interval.object, *interval.label, interval.earliest, interval.start,
+                    interval.end);
 }
 
 void Auditor::on_posix(Bytes size, Bytes payload, Bytes internal) {
@@ -323,6 +336,7 @@ void Auditor::on_posix(Bytes size, Bytes payload, Bytes internal) {
 }
 
 void Auditor::on_request_open(const probe::RequestOpen& request) {
+  issue_watermark_ = std::max(issue_watermark_, request.issue);
   open_request_ = request_issued(request.ready);
   request_admitted(open_request_, request.admit);
   request_dispatched(open_request_, request.issue);

@@ -15,7 +15,9 @@
 //   causality     Per-request event chains (issued -> admitted ->
 //                 dispatched -> media -> completed) are monotone in sim
 //                 time, every request completes exactly once, and no
-//                 completion precedes its issue.
+//                 completion precedes its issue. No timeline grant is
+//                 ready before the latest request's issue time: the
+//                 watermark the device folds its timelines behind.
 //   occupancy     Granted timeline intervals on every serially-occupied
 //                 resource (die planes, package ports, channel buses,
 //                 host/network DMA links) are pairwise disjoint.
@@ -34,12 +36,15 @@
 //     enforces this).
 //  2. Per-experiment isolation: the auditor is installed thread-locally
 //     (AuditSession), so concurrent replays audit independently.
+//  3. Bounded memory: a resource's granted intervals that end by the
+//     issue watermark are pruned, since every later grant starts at or
+//     after it; audit memory tracks what is in flight, not trace length.
 //
 // Typical site — every Timeline grant, audited or not:
 //   probe::grant(this, trace_label_, earliest, grant.start, grant.end);
 // and the subscriber side (Auditor::on_interval):
-//   timeline_reserved(interval.object, *interval.label, interval.start,
-//                     interval.end);
+//   timeline_reserved(interval.object, *interval.label, interval.earliest,
+//                     interval.start, interval.end);
 #pragma once
 
 #include <cstdint>
@@ -144,11 +149,12 @@ class Auditor final : public probe::Subscriber {
 
   // -- timeline hooks (occupancy) ---------------------------------------
 
-  /// Resource `timeline` granted [start, end); `label` names it when the
-  /// owner set one (unlabelled resources are named by first-grant
-  /// order, which is deterministic). Checks the grant is disjoint from
-  /// every earlier grant on the same resource.
-  void timeline_reserved(const void* timeline, const std::string& label,
+  /// Resource `timeline` granted [start, end) to a reservation ready at
+  /// `earliest`; `label` names it when the owner set one (unlabelled
+  /// resources are named by first-grant order, which is deterministic).
+  /// Checks that `earliest` is not before the issue watermark and that
+  /// the grant is disjoint from every earlier grant on the same resource.
+  void timeline_reserved(const void* timeline, const std::string& label, Time earliest,
                          Time start, Time end);
   /// The resource was reset or destroyed: forget its intervals (a later
   /// object at the same address is a different resource).
@@ -205,7 +211,8 @@ class Auditor final : public probe::Subscriber {
 
   /// Occupancy state for one serially-occupied resource: granted
   /// intervals as a start->end map, coalesced when they touch (a union
-  /// loses nothing for disjointness checking).
+  /// loses nothing for disjointness checking), holding only those that
+  /// end after the issue watermark.
   struct ResourceTrack {
     std::string name;
     std::map<std::int64_t, std::int64_t> intervals;
@@ -231,6 +238,8 @@ class Auditor final : public probe::Subscriber {
 
   /// Audit id of the device request the engine has open.
   std::uint64_t open_request_ = 0;
+  /// Latest request issue time: no later grant may be ready before it.
+  Time issue_watermark_;
 };
 
 /// The calling thread's active auditor; null when auditing is off.

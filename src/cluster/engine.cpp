@@ -139,6 +139,14 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
       const Time issue = cpu_free + added_latency;
       probe::request_open({ready, admit, issue, cpu_gate, barrier_gate, posix.not_before,
                            all_done, device_request.barrier});
+      // `issue` never decreases, and this request and every later one
+      // reserve at or after it (media arrival, RPC admit, DMA, network,
+      // degraded re-fetch), so the device and the links may fold what
+      // lies before it.
+      ssd_->advance_watermark(issue);
+      for (DmaEngine* link : {host_dma_.get(), network_dma_.get(), degraded_dma_.get()}) {
+        if (link != nullptr) link->advance_watermark(issue);
+      }
 
       Time completion;
       Time media_done;

@@ -108,7 +108,6 @@ std::string Histogram::to_string() const {
 
 void BusyTracker::add_interval(Time start, Time end) {
   if (end <= start) return;
-  raw_time_ += end - start;
   // In-order grants — the common case for a busy resource — append here
   // or extend the last interval below, keeping memory proportional to the
   // number of idle gaps, not reservations.
@@ -145,29 +144,58 @@ void BusyTracker::add_interval(Time start, Time end) {
 }
 
 Time BusyTracker::busy_time() const {
-  Time total;
+  Time total = folded_;
   for (const auto& [start, end] : intervals_) total += end - start;
   return total;
 }
 
+void BusyTracker::fold_before(Time watermark, BusyTracker& prefix) {
+  prefix.clear();
+  // Sorted and disjoint, so the intervals that end by the watermark are a
+  // prefix of the list, and at most the next one straddles it.
+  const auto live = std::partition_point(
+      intervals_.begin(), intervals_.end(),
+      [watermark](const std::pair<Time, Time>& span) { return span.second <= watermark; });
+  prefix.intervals_.assign(intervals_.begin(), live);
+  if (live != intervals_.end() && live->first < watermark) {
+    prefix.intervals_.emplace_back(live->first, watermark);
+    live->first = watermark;
+  }
+  intervals_.erase(intervals_.begin(), live);
+  for (const auto& [start, end] : prefix.intervals_) folded_ += end - start;
+}
+
+void BusyTracker::clear() {
+  intervals_.clear();
+  folded_ = Time{};
+}
+
 void BusyTracker::merge(const BusyTracker& other) {
   if (other.intervals_.empty()) return;
-  raw_time_ += other.busy_time();
-  IntervalStore merged;
-  merged.reserve(intervals_.size() + other.intervals_.size());
-  auto a = intervals_.begin();
-  auto b = other.intervals_.begin();
-  while (a != intervals_.end() || b != other.intervals_.end()) {
-    const bool take_a =
-        b == other.intervals_.end() || (a != intervals_.end() && a->first <= b->first);
-    const std::pair<Time, Time>& next = take_a ? *a++ : *b++;
-    if (!merged.empty() && next.first <= merged.back().second) {
-      merged.back().second = std::max(merged.back().second, next.second);
+  // Merge from the back into this store, so no scratch list is needed and
+  // a reused tracker allocates only when it outgrows its capacity; then
+  // coalesce the sorted result front to back.
+  std::size_t mine = intervals_.size();
+  std::size_t theirs = other.intervals_.size();
+  intervals_.resize(mine + theirs);
+  for (std::size_t out = mine + theirs; theirs > 0;) {
+    const std::pair<Time, Time>& next = other.intervals_[theirs - 1];
+    if (mine > 0 && intervals_[mine - 1].first > next.first) {
+      intervals_[--out] = intervals_[--mine];
     } else {
-      merged.push_back(next);
+      intervals_[--out] = next;
+      --theirs;
     }
   }
-  intervals_ = std::move(merged);
+  std::size_t kept = 0;
+  for (std::size_t i = 1; i < intervals_.size(); ++i) {
+    if (intervals_[i].first <= intervals_[kept].second) {
+      intervals_[kept].second = std::max(intervals_[kept].second, intervals_[i].second);
+    } else {
+      intervals_[++kept] = intervals_[i];
+    }
+  }
+  intervals_.resize(kept + 1);
 }
 
 Time BusyTracker::intersect_time(const BusyTracker& other) const {

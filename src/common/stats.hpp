@@ -78,27 +78,36 @@ class Histogram {
 /// out-of-order grant (a backfill) lands in an idle gap near the tail, so
 /// a short walk back from the tail finds its slot, with a binary search
 /// as the fallback.
+///
+/// Busy time that can no longer change is folded away (fold_before): its
+/// intervals leave the list and only their total is kept, so busy_time()
+/// stays exact while the list holds just the live tail.
 class BusyTracker {
  public:
   void add_interval(Time start, Time end);
 
-  /// Total unioned busy time; linear in the interval count.
+  /// Total busy time, folded and live; linear in the live interval count.
   [[nodiscard]] Time busy_time() const;
 
   /// busy_time() / window, clamped to [0, 1]. window <= 0 yields 0.
   double utilization(Time window) const;
 
-  /// Sum of raw interval lengths (with overlap double-counted); useful for
-  /// measuring demanded service time vs wall occupancy.
-  [[nodiscard]] Time raw_time() const { return raw_time_; }
-
   std::size_t interval_count() const { return intervals_.size(); }
 
-  /// Unions another tracker's intervals into this one (a linear merge).
-  /// raw_time() grows by the other's unioned busy time.
+  /// Moves the busy intervals before `watermark` into `prefix`, replacing
+  /// its contents, and adds their length to the folded total. An interval
+  /// straddling the watermark is split there, exactly. The caller promises
+  /// that no later add_interval starts before `watermark`.
+  void fold_before(Time watermark, BusyTracker& prefix);
+
+  /// Forgets every interval and the folded total; keeps the capacity.
+  void clear();
+
+  /// Unions another tracker's live intervals into this one, in place (a
+  /// linear merge). Folded time has no intervals and is not unioned.
   void merge(const BusyTracker& other);
 
-  /// Unioned busy time common to this tracker and `other` — the overlap.
+  /// Live busy time common to this tracker and `other` — the overlap.
   [[nodiscard]] Time intersect_time(const BusyTracker& other) const;
 
   /// Busy intervals charge the host profiler's timeline memory tally:
@@ -107,12 +116,13 @@ class BusyTracker {
       std::vector<std::pair<Time, Time>,
                   CountingAllocator<std::pair<Time, Time>, AllocDomain::kTimeline>>;
 
-  /// Sorted, disjoint, non-touching interval list.
+  /// Sorted, disjoint, non-touching list of the live (unfolded) intervals.
   const IntervalStore& intervals() const { return intervals_; }
 
  private:
   IntervalStore intervals_;
-  Time raw_time_;
+  /// Busy time of the intervals fold_before() moved out.
+  Time folded_;
 };
 
 }  // namespace nvmooc

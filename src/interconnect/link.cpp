@@ -1,5 +1,7 @@
 #include "interconnect/link.hpp"
 
+#include <algorithm>
+
 #include "common/probe.hpp"
 #include "common/string_util.hpp"
 #include "obs/host_profiler.hpp"
@@ -26,6 +28,13 @@ Reservation DmaEngine::transfer(Time earliest, Bytes bytes) {
   bytes_moved_ += bytes;
   probe::link(link_.trace_label(), earliest, grant.start, grant.end);
   return grant;
+}
+
+void DmaEngine::advance_watermark(Time watermark) {
+  if (link_.busy().interval_count() < fold_at_) return;
+  BusyTracker folded;
+  link_.fold_before(watermark, folded);
+  fold_at_ = std::max(kMinFold, 2 * link_.busy().interval_count());
 }
 
 }  // namespace nvmooc

@@ -6,6 +6,7 @@
 // protocol/bridging latency.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <utility>
 
@@ -51,6 +52,13 @@ class DmaEngine {
   /// interval including fixed latencies.
   Reservation transfer(Time earliest, Bytes bytes);
 
+  /// Promises that no later transfer is ready before `watermark` (the
+  /// replay engine's issue time). Once the link's busy intervals have
+  /// doubled since the last fold, the ones before the watermark fold into
+  /// its busy total (Timeline::fold_before), so the list holds what is in
+  /// flight; busy().busy_time() stays exact.
+  void advance_watermark(Time watermark);
+
   const LinkConfig& config() const { return config_; }
   const BusyTracker& busy() const { return link_.busy(); }
   [[nodiscard]] Bytes bytes_moved() const { return bytes_moved_; }
@@ -64,6 +72,9 @@ class DmaEngine {
   LinkConfig config_;
   Timeline link_;
   Bytes bytes_moved_;
+  /// Live interval count that triggers the next fold.
+  std::size_t fold_at_ = kMinFold;
+  static constexpr std::size_t kMinFold = 64;
 };
 
 }  // namespace nvmooc

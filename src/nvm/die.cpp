@@ -62,18 +62,6 @@ CellActivation Die::activate(std::uint32_t plane, NvmOp op, std::uint64_t block,
   return activation;
 }
 
-Time Die::busy_time() const {
-  // A die counts as busy when any of its planes is; merge the per-plane
-  // interval sets and take the exact union.
-  BusyTracker merged;
-  for (const Timeline& plane : planes_) merged.merge(plane.busy());
-  return merged.busy_time();
-}
-
-const BusyTracker& Die::plane_busy(std::uint32_t plane) const {
-  return planes_.at(plane).busy();
-}
-
 void Die::reset() {
   for (Timeline& plane : planes_) plane.reset();
   wear_ = WearTracker{};

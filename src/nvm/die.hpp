@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/units.hpp"
 #include "nvm/timing.hpp"
 #include "nvm/wear.hpp"
@@ -47,9 +46,10 @@ class Die {
   const NvmTiming& timing() const { return timing_; }
   std::uint32_t plane_count() const { return timing_.planes_per_die; }
 
-  /// Busy time union over all planes — "the die was doing cell work".
-  [[nodiscard]] Time busy_time() const;
-  const BusyTracker& plane_busy(std::uint32_t plane) const;
+  /// A plane's cell-activation timeline; the device folds and unions
+  /// their busy time (Ssd::device_stats).
+  Timeline& plane(std::uint32_t index) { return planes_.at(index); }
+  const Timeline& plane(std::uint32_t index) const { return planes_.at(index); }
   const WearTracker& wear() const { return wear_; }
 
   void reset();

@@ -15,17 +15,6 @@ Reservation Package::reserve_flash_bus(Time earliest, Bytes bytes) {
   return flash_bus_.reserve(earliest, bus_.transfer_time(bytes));
 }
 
-Time Package::busy_time() const {
-  BusyTracker merged;
-  merged.merge(flash_bus_.busy());
-  for (const Die& die : dies_) {
-    for (std::uint32_t p = 0; p < die.plane_count(); ++p) {
-      merged.merge(die.plane_busy(p));
-    }
-  }
-  return merged.busy_time();
-}
-
 void Package::reset() {
   flash_bus_.reset();
   for (Die& die : dies_) die.reset();

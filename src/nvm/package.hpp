@@ -33,10 +33,7 @@ class Package {
 
   [[nodiscard]] Time flash_bus_time(Bytes bytes) const { return bus_.transfer_time(bytes); }
 
-  /// Busy when any die is doing cell work or the port is transferring —
-  /// the paper's package-level utilisation numerator.
-  [[nodiscard]] Time busy_time() const;
-
+  Timeline& flash_bus() { return flash_bus_; }
   const Timeline& flash_bus() const { return flash_bus_; }
   const BusConfig& bus() const { return bus_; }
 

@@ -77,10 +77,15 @@ Reservation Timeline::reserve(Time earliest, Time duration) {
 
   if (backfill_ && start > next_free_) {
     gaps_.push_back({next_free_, start, next_gap_seq_++});
-    if (gaps_.size() > max_gaps_) {
+    if (dead_gaps_ + gaps_.size() > max_gaps_) {
       // Drop the oldest (earliest) gap: it is the least likely to be
-      // usable, since request arrival times only move forward.
-      gaps_.erase(gaps_.begin());
+      // usable, since request arrival times only move forward. Dead gaps
+      // come first in start order.
+      if (dead_gaps_ > 0) {
+        --dead_gaps_;
+      } else {
+        gaps_.erase(gaps_.begin());
+      }
     }
   }
   next_free_ = std::max(next_free_, grant.end);
@@ -88,22 +93,21 @@ Reservation Timeline::reserve(Time earliest, Time duration) {
   return grant;
 }
 
-Time Timeline::peek(Time earliest, Time duration) const {
-  if (duration <= Time{}) return std::max(earliest, Time{0});
-  const Time tail = std::max(earliest, next_free_);
-  if (!backfill_ || earliest + duration > next_free_) return tail;
-  // Gaps are in start order, so the first that fits starts earliest.
-  for (std::size_t i = first_gap_ending_at_or_after(earliest + duration); i < gaps_.size();
-       ++i) {
-    const Time start = std::max(gaps_[i].start, earliest);
-    if (start + duration <= gaps_[i].end) return std::min(tail, start);
-  }
-  return tail;
+void Timeline::fold_before(Time watermark, BusyTracker& prefix) {
+  busy_.fold_before(watermark, prefix);
+  // Gap ends ascend, so the gaps no grant at or after the watermark can
+  // fit are the front of the list.
+  const auto live = std::partition_point(gaps_.begin(), gaps_.end(), [watermark](const Gap& gap) {
+    return gap.end <= watermark;
+  });
+  dead_gaps_ += static_cast<std::size_t>(live - gaps_.begin());
+  gaps_.erase(gaps_.begin(), live);
 }
 
 void Timeline::reset() {
   next_free_ = Time{};
   gaps_.clear();
+  dead_gaps_ = 0;
   next_gap_seq_ = 0;
   busy_ = BusyTracker{};
   reservation_count_ = 0;

@@ -6,6 +6,14 @@
 // (backfilling earlier holes when allowed), records the busy interval, and
 // returns the granted [start, end). The difference start - earliest is the
 // contention (queueing) time the caller attributes to this resource.
+//
+// Watermark invariant: an owner that knows no later reservation has
+// `earliest` below some time W (the replay engine's issue time, which
+// never decreases) may call fold_before(W). Nothing before W can change
+// again: no grant starts there, and an idle gap that ends by W can never
+// fit one. So the busy intervals before W fold into the tracker's total
+// (and are handed to the owner, which folds its cross-resource unions the
+// same way), and those dead gaps shrink to a count.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +43,10 @@ class Timeline {
   ///
   /// `max_gaps` is checked only when a reservation past the tail opens a
   /// new gap: if the list then holds more than `max_gaps`, its earliest
-  /// gap is dropped — one gap, not down to the cap. Splitting a gap
+  /// gap is dropped — one gap, not down to the cap. Dead gaps (folded
+  /// into a count by fold_before) still count toward the cap, and since
+  /// they are the earliest, a drop takes one of them first: the same
+  /// choice the unfolded list makes. Splitting a gap
   /// around a backfilled grant can leave two gaps where there was one,
   /// and nothing bounds that growth, so the list can far outgrow
   /// `max_gaps`.
@@ -50,9 +61,12 @@ class Timeline {
   /// Reserves `duration` starting at or after `earliest`.
   Reservation reserve(Time earliest, Time duration);
 
-  /// First time the resource is free at or after `earliest` for `duration`
-  /// (without reserving). Used by schedulers for candidate comparison.
-  [[nodiscard]] Time peek(Time earliest, Time duration) const;
+  /// Folds everything before `watermark` away: busy intervals move into
+  /// `prefix` (busy().busy_time() stays the exact total) and gaps that end
+  /// by the watermark become the dead-gap count. Every later reserve()
+  /// must have `earliest >= watermark`; its grant is then the same as on
+  /// an unfolded timeline.
+  void fold_before(Time watermark, BusyTracker& prefix);
 
   [[nodiscard]] Time next_free() const { return next_free_; }
   const BusyTracker& busy() const { return busy_; }
@@ -90,10 +104,14 @@ class Timeline {
   bool backfill_;
   std::size_t max_gaps_;
   Time next_free_;
-  /// Disjoint idle gaps before next_free_, in start order. Gap
-  /// bookkeeping charges the host profiler's timeline memory tally (the
-  /// busy intervals charge it via BusyTracker::IntervalStore).
+  /// Disjoint idle gaps before next_free_, in start order, except the
+  /// dead ones that fold_before() dropped. Gap bookkeeping charges the
+  /// host profiler's timeline memory tally (the busy intervals charge it
+  /// via BusyTracker::IntervalStore).
   std::vector<Gap, CountingAllocator<Gap, AllocDomain::kTimeline>> gaps_;
+  /// Gaps that ended by the last fold's watermark: the front of the
+  /// start-ordered list, counted rather than stored.
+  std::size_t dead_gaps_ = 0;
   std::uint64_t next_gap_seq_ = 0;
   BusyTracker busy_;
   std::uint64_t reservation_count_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/host_profiler.hpp"
 
@@ -31,6 +32,55 @@ void check_fault_targets(const FaultConfig& fault, const SsdGeometry& g) {
   }
 }
 
+/// Busy unions are kept per die, then package, channel and the device,
+/// in this many slots.
+std::size_t busy_slot_count(const SsdGeometry& g) {
+  return static_cast<std::size_t>(g.total_dies()) + g.total_packages() + g.channels + 1;
+}
+
+/// The one busy-union pass, bottom up: a die is busy while any plane is;
+/// a package while its port or any die is; a channel while its bus or
+/// anything in its packages is (the paper's channel-level utilisation,
+/// which is why GPFS's scatter keeps "channels" hot even though each holds
+/// only one active die); the device while anything is. `part(timeline)`
+/// yields the busy intervals taken from each timeline, and `add(slot,
+/// busy)` receives each union's busy time, slots numbered as in
+/// busy_slot_count().
+template <typename Hardware, typename Part, typename Add>
+void union_busy(Hardware& hardware, Part&& part, Add&& add) {
+  const SsdGeometry& geometry = hardware.geometry();
+  std::size_t die_slot = 0;
+  std::size_t package_slot = geometry.total_dies();
+  const std::size_t channel_slot = package_slot + geometry.total_packages();
+  BusyTracker die_union;
+  BusyTracker package_union;
+  BusyTracker channel_union;
+  BusyTracker device_union;
+  for (std::uint32_t c = 0; c < geometry.channels; ++c) {
+    channel_union.clear();
+    channel_union.merge(part(hardware.channel_bus(c)));
+    for (std::uint32_t p = 0; p < geometry.packages_per_channel; ++p) {
+      auto& package = hardware.package(c, p);
+      package_union.clear();
+      package_union.merge(part(package.flash_bus()));
+      for (std::uint32_t d = 0; d < package.die_count(); ++d) {
+        auto& die = package.die(d);
+        die_union.clear();
+        for (std::uint32_t plane = 0; plane < die.plane_count(); ++plane) {
+          die_union.merge(part(die.plane(plane)));
+        }
+        add(die_slot++, die_union.busy_time());
+        package_union.merge(die_union);
+      }
+      add(package_slot++, package_union.busy_time());
+      channel_union.merge(package_union);
+    }
+    add(channel_slot + c, channel_union.busy_time());
+    device_union.merge(channel_union);
+  }
+  add(channel_slot + geometry.channels, device_union.busy_time());
+}
+
 }  // namespace
 
 Ssd::Ssd(const SsdConfig& config)
@@ -45,6 +95,9 @@ Ssd::Ssd(const SsdConfig& config)
   }
   controller_ = std::make_unique<Controller>(*hardware_, *ftl_, config_.controller,
                                              injector_.get());
+  const SsdGeometry& g = config_.geometry;
+  fold_interval_ = std::uint64_t{g.channels} + g.total_packages() +
+                   std::uint64_t{g.total_dies()} * timing_.planes_per_die;
 }
 
 void Ssd::preload(Bytes dataset_bytes) { ftl_->set_preloaded(dataset_bytes); }
@@ -55,6 +108,24 @@ RequestResult Ssd::submit(const BlockRequest& request, Time arrival) {
   // bucket; nested timeline sections are subtracted back out.
   obs::HostSection host_section(obs::HostSubsystem::kController);
   return controller_->submit(request, arrival);
+}
+
+void Ssd::advance_watermark(Time watermark) {
+  const std::uint64_t transactions = controller_->stats().transactions;
+  if (transactions - folded_at_transactions_ < fold_interval_) return;
+  obs::HostSection host_section(obs::HostSubsystem::kTimeline);
+  folded_at_transactions_ = transactions;
+  folded_busy_.resize(busy_slot_count(config_.geometry));
+  // Every timeline's intervals before the watermark lie before every
+  // interval it keeps, so the unions of the folded prefixes add to the
+  // folded totals exactly.
+  union_busy(
+      *hardware_,
+      [&](Timeline& timeline) -> const BusyTracker& {
+        timeline.fold_before(watermark, fold_prefix_);
+        return fold_prefix_;
+      },
+      [this](std::size_t slot, Time busy) { folded_busy_[slot] += busy; });
 }
 
 WearSummary Ssd::wear() const {
@@ -102,43 +173,19 @@ DeviceStats Ssd::device_stats(Time wall_time) const {
   stats.media_capability = media_capability_bytes_per_sec();
   const SsdGeometry& geometry = config_.geometry;
 
-  // Busy unions, bottom up: a die is busy while any plane is; a package
-  // while its port or any die is; a channel while its bus or anything in
-  // its packages is (the paper's channel-level utilisation, which is why
-  // GPFS's scatter keeps "channels" hot even though each holds only one
-  // active die); the device while anything is.
-  std::vector<Time> die_busy;
-  std::vector<Time> package_busy;
-  std::vector<Time> channel_busy;
-  die_busy.reserve(geometry.total_dies());
-  package_busy.reserve(geometry.total_packages());
-  channel_busy.reserve(geometry.channels);
-  BusyTracker device;
-  for (std::uint32_t c = 0; c < geometry.channels; ++c) {
-    BusyTracker channel;
-    channel.merge(hardware_->channel_bus(c).busy());
-    for (std::uint32_t p = 0; p < geometry.packages_per_channel; ++p) {
-      const Package& package = hardware_->package(c, p);
-      BusyTracker package_union;
-      package_union.merge(package.flash_bus().busy());
-      for (std::uint32_t d = 0; d < package.die_count(); ++d) {
-        const Die& die = package.die(d);
-        BusyTracker die_union;
-        for (std::uint32_t plane = 0; plane < die.plane_count(); ++plane) {
-          die_union.merge(die.plane_busy(plane));
-        }
-        die_busy.push_back(die_union.busy_time());
-        package_union.merge(die_union);
-      }
-      package_busy.push_back(package_union.busy_time());
-      channel.merge(package_union);
-    }
-    channel_busy.push_back(channel.busy_time());
-    device.merge(channel);
-  }
+  // Folded totals plus the unions of what the timelines still hold.
+  std::vector<Time> busy = folded_busy_;
+  busy.resize(busy_slot_count(geometry));
+  union_busy(
+      std::as_const(*hardware_),
+      [](const Timeline& timeline) -> const BusyTracker& { return timeline.busy(); },
+      [&busy](std::size_t slot, Time live) { busy[slot] += live; });
+  const auto die_busy = busy.begin();
+  const auto package_busy = die_busy + geometry.total_dies();
+  const auto channel_busy = package_busy + geometry.total_packages();
 
   // Union of every internal busy interval: the utilisation denominator.
-  stats.active_time = device.busy_time();
+  stats.active_time = busy.back();
   if (stats.active_time <= Time{}) {
     stats.remaining_bandwidth = stats.media_capability;
     return stats;
@@ -151,23 +198,24 @@ DeviceStats Ssd::device_stats(Time wall_time) const {
   const double active = static_cast<double>(stats.active_time);
 
   double channel_sum = 0.0;
-  for (const Time busy : channel_busy) {
-    channel_sum += std::clamp(static_cast<double>(busy) / active, 0.0, 1.0);
+  for (auto it = channel_busy; it != channel_busy + geometry.channels; ++it) {
+    channel_sum += std::clamp(static_cast<double>(*it) / active, 0.0, 1.0);
   }
   stats.channel_utilization = channel_sum / geometry.channels;
 
   double package_sum = 0.0;
-  for (const Time busy : package_busy) {
-    package_sum += std::min(1.0, static_cast<double>(busy) / active);
+  for (auto it = package_busy; it != channel_busy; ++it) {
+    package_sum += std::min(1.0, static_cast<double>(*it) / active);
   }
   stats.package_utilization = package_sum / geometry.total_packages();
 
   double die_sum = 0.0;
-  for (const Time busy : die_busy) {
-    die_sum += std::min(1.0, static_cast<double>(busy) / static_cast<double>(wall_time));
+  for (auto it = die_busy; it != package_busy; ++it) {
+    die_sum += std::min(1.0, static_cast<double>(*it) / static_cast<double>(wall_time));
   }
   stats.die_wall_utilization =
-      die_busy.empty() ? 0.0 : die_sum / static_cast<double>(die_busy.size());
+      geometry.total_dies() == 0 ? 0.0
+                                 : die_sum / static_cast<double>(geometry.total_dies());
   stats.remaining_bandwidth = stats.media_capability * (1.0 - stats.die_wall_utilization);
   return stats;
 }

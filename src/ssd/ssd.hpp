@@ -51,6 +51,17 @@ class Ssd {
   /// Runs one device request; `arrival` is when it reaches the device.
   RequestResult submit(const BlockRequest& request, Time arrival);
 
+  /// Promises that no later submit() has `arrival` below `watermark`
+  /// (the replay engine's issue time, which never decreases), so nothing
+  /// any timeline holds before it can change again. Once the device has
+  /// run as many transactions since the last fold as it has timelines, a
+  /// fold moves the busy time before the watermark into per-die, package,
+  /// channel and device totals and drops dead gaps: the fold's cost per
+  /// transaction is constant, and memory tracks what is in flight. A
+  /// device whose watermark never advances keeps every interval, and
+  /// device_stats() gives the same answers either way.
+  void advance_watermark(Time watermark);
+
   const SsdConfig& config() const { return config_; }
   const NvmTiming& timing() const { return timing_; }
   const ControllerStats& controller_stats() const { return controller_->stats(); }
@@ -60,9 +71,10 @@ class Ssd {
   WearSummary wear() const;
 
   /// Derived per-figure statistics; `wall_time` is the replay makespan
-  /// (first issue to last completion including host DMA). One bottom-up
-  /// pass of linear merges builds the die, package, channel and device
-  /// busy unions — compute once when a replay is done.
+  /// (first issue to last completion including host DMA). Each die,
+  /// package, channel and device busy union is its folded total plus one
+  /// bottom-up pass of linear merges over the live intervals — compute
+  /// once when a replay is done.
   DeviceStats device_stats(Time wall_time) const;
 
   /// min(channel aggregate, cell aggregate) streaming read capability.
@@ -81,6 +93,14 @@ class Ssd {
   std::unique_ptr<Ftl> ftl_;
   std::unique_ptr<FaultInjector> injector_;
   std::unique_ptr<Controller> controller_;
+  /// Transactions between folds: the device's timeline count.
+  std::uint64_t fold_interval_;
+  std::uint64_t folded_at_transactions_ = 0;
+  /// Busy-union time folded so far, one entry per die, then package,
+  /// channel and the device; empty until the first fold.
+  std::vector<Time> folded_busy_;
+  /// Receives each timeline's folded prefix during a fold.
+  BusyTracker fold_prefix_;
 };
 
 }  // namespace nvmooc

@@ -187,10 +187,10 @@ TEST(AuditorConservation, ReplayEndingMidRequestIsViolation) {
 TEST(AuditorOccupancy, OverlapDetectedTouchingIsNot) {
   Auditor aud;
   int resource = 0;
-  aud.timeline_reserved(&resource, "ch0", Time{0}, Time{100});
-  aud.timeline_reserved(&resource, "ch0", Time{100}, Time{200});  // Touching: fine.
+  aud.timeline_reserved(&resource, "ch0", Time{0}, Time{0}, Time{100});
+  aud.timeline_reserved(&resource, "ch0", Time{100}, Time{100}, Time{200});  // Touching: fine.
   EXPECT_EQ(aud.violation_count(), 0u);
-  aud.timeline_reserved(&resource, "ch0", Time{150}, Time{250});  // Overlaps.
+  aud.timeline_reserved(&resource, "ch0", Time{150}, Time{150}, Time{250});  // Overlaps.
   EXPECT_EQ(aud.violation_count(), 1u);
   const AuditReport report = aud.report();
   EXPECT_EQ(report.timelines, 1u);
@@ -203,8 +203,8 @@ TEST(AuditorOccupancy, DistinctResourcesAreIndependent) {
   Auditor aud;
   int a = 0;
   int b = 0;
-  aud.timeline_reserved(&a, "", Time{0}, Time{100});
-  aud.timeline_reserved(&b, "", Time{50}, Time{150});  // Different resource.
+  aud.timeline_reserved(&a, "", Time{0}, Time{0}, Time{100});
+  aud.timeline_reserved(&b, "", Time{50}, Time{50}, Time{150});  // Different resource.
   EXPECT_EQ(aud.violation_count(), 0u);
   EXPECT_EQ(aud.report().timelines, 2u);
 }
@@ -212,17 +212,66 @@ TEST(AuditorOccupancy, DistinctResourcesAreIndependent) {
 TEST(AuditorOccupancy, ReleaseForgetsTheResource) {
   Auditor aud;
   int resource = 0;
-  aud.timeline_reserved(&resource, "", Time{0}, Time{100});
+  aud.timeline_reserved(&resource, "", Time{0}, Time{0}, Time{100});
   aud.timeline_released(&resource);
   // Same address, new lifetime: the old interval must not haunt it.
-  aud.timeline_reserved(&resource, "", Time{50}, Time{150});
+  aud.timeline_reserved(&resource, "", Time{50}, Time{50}, Time{150});
   EXPECT_EQ(aud.violation_count(), 0u);
+}
+
+// The device folds its timelines behind the latest issue time, so a grant
+// ready before it would reach into history that is gone.
+TEST(AuditorCausality, GrantBeforeIssueWatermarkIsViolation) {
+  Auditor aud;
+  int resource = 0;
+  const std::string label = "ch3";
+  probe::RequestOpen open;
+  open.ready = Time{100};
+  open.admit = Time{100};
+  open.issue = Time{500};
+  aud.on_request_open(open);
+  probe::Interval interval;
+  interval.object = &resource;
+  interval.label = &label;
+  interval.earliest = Time{500};
+  interval.start = Time{600};
+  interval.end = Time{700};
+  aud.on_interval(interval);  // Ready at the watermark: fine.
+  EXPECT_EQ(aud.violation_count(), 0u);
+  interval.earliest = Time{499};
+  interval.start = Time{700};
+  interval.end = Time{800};
+  aud.on_interval(interval);
+  EXPECT_EQ(aud.violation_count(), 1u);
+  const AuditReport report = aud.report();
+  ASSERT_FALSE(report.violations.empty());
+  EXPECT_EQ(report.violations[0].invariant, "causality");
+  EXPECT_NE(report.violations[0].detail.find("before the issue watermark 500ps"),
+            std::string::npos);
+  EXPECT_NE(report.violations[0].detail.find("ch3"), std::string::npos);
+}
+
+// Grants that end by the watermark are pruned; a grant that respects the
+// watermark still meets every interval it could overlap.
+TEST(AuditorOccupancy, PruningBehindWatermarkKeepsOverlapCheck) {
+  Auditor aud;
+  int resource = 0;
+  aud.timeline_reserved(&resource, "", Time{0}, Time{0}, Time{100});
+  aud.timeline_reserved(&resource, "", Time{0}, Time{300}, Time{600});
+  probe::RequestOpen open;
+  open.issue = Time{200};
+  aud.on_request_open(open);
+  aud.timeline_reserved(&resource, "", Time{200}, Time{200}, Time{300});  // Touching: fine.
+  EXPECT_EQ(aud.violation_count(), 0u);
+  aud.timeline_reserved(&resource, "", Time{200}, Time{550}, Time{650});  // Overlaps.
+  EXPECT_EQ(aud.violation_count(), 1u);
+  EXPECT_EQ(aud.report().timelines, 1u);
 }
 
 TEST(AuditorOccupancy, ZeroWidthGrantsAreIgnored) {
   Auditor aud;
   int resource = 0;
-  aud.timeline_reserved(&resource, "", Time{100}, Time{100});
+  aud.timeline_reserved(&resource, "", Time{100}, Time{100}, Time{100});
   EXPECT_EQ(aud.report().reservations, 0u);
 }
 

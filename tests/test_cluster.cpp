@@ -9,6 +9,7 @@
 #include "cluster/energy.hpp"
 #include "cluster/engine.hpp"
 #include "cluster/multi_engine.hpp"
+#include "common/alloc_counter.hpp"
 #include "common/thread_pool.hpp"
 #include "fs/presets.hpp"
 #include "obs/flight_recorder.hpp"
@@ -367,6 +368,30 @@ TEST(Engine, WritesWearTheDevice) {
   const Trace trace = synthesize_ooc_trace(params);
   const auto result = run_experiment(cnl_ufs_config(NvmType::kSlc), trace);
   EXPECT_GT(result.wear.total_writes, 0u);
+}
+
+// Replay memory scales with what is in flight, not with trace length: the
+// device folds its timelines behind the engine's issue watermark, so a
+// trace four times longer peaks at about the same timeline bookkeeping.
+// Without the fold the peak grows with every busy interval kept.
+TEST(Engine, TimelineMemoryDoesNotGrowWithTraceLength) {
+  const auto peak_timeline_bytes = [](Bytes dataset) {
+    SyntheticWorkloadParams params;
+    params.dataset_bytes = dataset;
+    params.tile_bytes = 8 * MiB;
+    params.sweeps = 1;
+    const Trace trace = synthesize_ooc_trace(params);
+    AllocTally& tally = alloc_tally(AllocDomain::kTimeline);
+    const std::uint64_t before = tally.live_bytes;
+    tally.peak_live_bytes = before;
+    run_experiment(cnl_fs_config(ext4_behavior(), NvmType::kPcm), trace);
+    return tally.peak_live_bytes - before;
+  };
+  const std::uint64_t short_peak = peak_timeline_bytes(64 * MiB);
+  const std::uint64_t long_peak = peak_timeline_bytes(256 * MiB);
+  ASSERT_GT(short_peak, 0u);
+  EXPECT_LE(static_cast<double>(long_peak), 1.25 * static_cast<double>(short_peak))
+      << "64 MiB trace peaked at " << short_peak << " B, 256 MiB at " << long_peak << " B";
 }
 
 // ---------- concurrent experiments (threaded / tsan) ---------------------

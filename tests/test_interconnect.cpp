@@ -63,6 +63,31 @@ TEST(Dma, BusyTracksWireTimeOnly) {
   EXPECT_EQ(dma.busy().busy_time(), link.payload_time(MiB));
 }
 
+// Differential: a link folding behind an advancing watermark grants every
+// transfer as an unfolded twin does, keeps the same busy time, and holds
+// only the intervals still in flight.
+TEST(Dma, FoldedLinkMatchesUnfoldedTwin) {
+  const LinkConfig link = native_pcie3(8);
+  DmaEngine folded(link);
+  DmaEngine unfolded(link);
+  std::uint64_t state = 0x2545f4914f6cdd1dULL;
+  Time issue;
+  for (int i = 0; i < 5000; ++i) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    issue += Time{static_cast<std::int64_t>((state >> 33) % 60'000'000)};
+    const Time ready = issue + Time{static_cast<std::int64_t>((state >> 13) % 2'000'000)};
+    const Bytes bytes{1 + (state >> 40) % (256 * 1024)};
+    folded.advance_watermark(issue);
+    const Reservation got = folded.transfer(ready, bytes);
+    const Reservation want = unfolded.transfer(ready, bytes);
+    ASSERT_EQ(got.start, want.start) << i;
+    ASSERT_EQ(got.end, want.end) << i;
+    ASSERT_EQ(got.waited, want.waited) << i;
+  }
+  EXPECT_EQ(folded.busy().busy_time(), unfolded.busy().busy_time());
+  EXPECT_LT(folded.busy().interval_count(), unfolded.busy().interval_count() / 10);
+}
+
 TEST(NetworkPath, ThroughputBoundedByWire) {
   const NetworkPathConfig path = ion_gpfs_path();
   EXPECT_LE(network_path_throughput(path, 64 * MiB), path.wire.byte_rate());

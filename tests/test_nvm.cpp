@@ -178,14 +178,6 @@ TEST(Die, EraseTakesEraseTime) {
   EXPECT_EQ(die.wear().erases(5 * timing.planes_per_die + 0), 1u);
 }
 
-TEST(Die, BusyTimeUnionsPlanes) {
-  const NvmTiming timing = slc_timing();
-  Die die(timing, false);
-  die.activate(0, NvmOp::kRead, 0, 0, 1, Time{});
-  die.activate(1, NvmOp::kRead, 0, 0, 1, Time{});  // Concurrent.
-  EXPECT_EQ(die.busy_time(), timing.read_time);
-}
-
 TEST(Die, InvalidPlaneThrows) {
   Die die(slc_timing(), false);
   EXPECT_THROW(die.activate(9, NvmOp::kRead, 0, 0, 1, Time{}), std::out_of_range);
@@ -199,15 +191,6 @@ TEST(Package, FlashBusSerializesAcrossDies) {
   const Reservation a = package.reserve_flash_bus(Time{}, 2 * KiB);
   const Reservation b = package.reserve_flash_bus(Time{}, 2 * KiB);
   EXPECT_EQ(b.start, a.end);  // One port per package.
-}
-
-TEST(Package, BusyIncludesDiesAndPort) {
-  const NvmTiming timing = slc_timing();
-  Package package(timing, onfi3_sdr_bus(), 2, false);
-  package.die(0).activate(0, NvmOp::kRead, 0, 0, 1, Time{});
-  package.reserve_flash_bus(timing.read_time, 2 * KiB);
-  const Time port = onfi3_sdr_bus().transfer_time(2 * KiB);
-  EXPECT_EQ(package.busy_time(), timing.read_time + port);
 }
 
 // ---------- wear -----------------------------------------------------------

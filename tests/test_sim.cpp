@@ -24,6 +24,20 @@ struct SplitMix {
   }
 };
 
+/// Sorts spans and joins the ones that overlap or touch.
+std::vector<std::pair<Time, Time>> coalesce(std::vector<std::pair<Time, Time>> spans) {
+  std::sort(spans.begin(), spans.end());
+  std::vector<std::pair<Time, Time>> out;
+  for (const auto& span : spans) {
+    if (!out.empty() && span.first <= out.back().second) {
+      out.back().second = std::max(out.back().second, span.second);
+    } else {
+      out.push_back(span);
+    }
+  }
+  return out;
+}
+
 /// The linear-scan gap list Timeline used before its gaps were indexed:
 /// gaps in insertion order (split pieces appended, left first), the first
 /// that fits wins, and a new tail gap past `max_gaps` drops the gap with
@@ -69,33 +83,16 @@ class LinearScanTimeline {
     return grant;
   }
 
-  Time peek(Time earliest, Time duration) const {
-    if (duration <= Time{}) return std::max(earliest, Time{0});
-    Time best = std::max(earliest, next_free_);
-    if (!backfill_) return best;
-    for (const auto& [gap_start, gap_end] : gaps_) {
-      const Time start = std::max(gap_start, earliest);
-      if (start + duration <= gap_end) best = std::min(best, start);
-    }
-    return best;
-  }
-
   Time next_free() const { return next_free_; }
   std::uint64_t reservation_count() const { return grants_.size(); }
 
   /// Every grant, sorted and coalesced (touching spans join).
-  std::vector<std::pair<Time, Time>> busy_intervals() const {
-    std::vector<std::pair<Time, Time>> sorted = grants_;
-    std::sort(sorted.begin(), sorted.end());
-    std::vector<std::pair<Time, Time>> out;
-    for (const auto& span : sorted) {
-      if (!out.empty() && span.first <= out.back().second) {
-        out.back().second = std::max(out.back().second, span.second);
-      } else {
-        out.push_back(span);
-      }
-    }
-    return out;
+  std::vector<std::pair<Time, Time>> busy_intervals() const { return coalesce(grants_); }
+
+  Time busy_time() const {
+    Time total;
+    for (const auto& [start, end] : busy_intervals()) total += end - start;
+    return total;
   }
 
  private:
@@ -169,14 +166,6 @@ TEST(Timeline, ZeroDurationIsFree) {
   EXPECT_EQ(r.end, Time{5});
 }
 
-TEST(Timeline, PeekDoesNotReserve) {
-  Timeline timeline(false);
-  timeline.reserve(Time{0}, Time{100});
-  EXPECT_EQ(timeline.peek(Time{0}, Time{10}), Time{100});
-  EXPECT_EQ(timeline.peek(Time{0}, Time{10}), Time{100});  // Unchanged.
-  EXPECT_EQ(timeline.next_free(), Time{100});
-}
-
 TEST(Timeline, ResetRestoresEmpty) {
   Timeline timeline(true);
   timeline.reserve(Time{100}, Time{50});
@@ -221,13 +210,10 @@ TEST(Timeline, PropertyGrantedIntervalsHoldInvariants) {
     for (int i = 0; i < 2000; ++i) {
       arrival += Time{static_cast<std::int64_t>(next() % 50)};
       const Time duration{1 + static_cast<std::int64_t>(next() % 40)};
-      const Time peeked = timeline.peek(arrival, duration);
       const Reservation r = timeline.reserve(arrival, duration);
       ASSERT_GE(r.start, arrival) << "granted before ready (i=" << i << ")";
       ASSERT_EQ(r.waited, r.start - arrival);
       ASSERT_EQ(r.end, r.start + duration);
-      // peek() promised a slot no later than what reserve() granted.
-      ASSERT_LE(peeked, r.start);
       granted.emplace_back(r.start, r.end);
     }
 
@@ -242,6 +228,11 @@ TEST(Timeline, PropertyGrantedIntervalsHoldInvariants) {
   }
 }
 
+// Where reserve() would grant now, asked of a copy so nothing is booked.
+Time grant_start(Timeline timeline, Time earliest, Time duration) {
+  return timeline.reserve(earliest, duration).start;
+}
+
 // The cap on the gap list binds only when a tail reservation opens a new
 // gap, and then drops one gap (the earliest); backfill splits grow the list
 // past the cap unchecked. Pinned because answers depend on it.
@@ -251,65 +242,83 @@ TEST(Timeline, GapCapBindsOnlyOnTailGrowth) {
   timeline.reserve(Time{100}, Time{10});    // Split: [0,100) [110,1000).
   timeline.reserve(Time{200}, Time{10});    // Split: ... [110,200) [210,1000).
   // Three gaps, over the cap of two, and every one still usable.
-  EXPECT_EQ(timeline.peek(Time{0}, Time{50}), Time{0});
-  EXPECT_EQ(timeline.peek(Time{100}, Time{50}), Time{110});
-  EXPECT_EQ(timeline.peek(Time{200}, Time{50}), Time{210});
+  EXPECT_EQ(grant_start(timeline, Time{0}, Time{50}), Time{0});
+  EXPECT_EQ(grant_start(timeline, Time{100}, Time{50}), Time{110});
+  EXPECT_EQ(grant_start(timeline, Time{200}, Time{50}), Time{210});
   // A new tail gap [1100,2000) makes four; only the earliest is dropped.
   timeline.reserve(Time{2000}, Time{10});
-  EXPECT_EQ(timeline.peek(Time{0}, Time{50}), Time{110});
-  EXPECT_EQ(timeline.peek(Time{200}, Time{50}), Time{210});
+  EXPECT_EQ(grant_start(timeline, Time{0}, Time{50}), Time{110});
+  EXPECT_EQ(grant_start(timeline, Time{200}, Time{50}), Time{210});
   // Another tail gap [2010,3000): [110,200) goes, three gaps remain.
   timeline.reserve(Time{3000}, Time{10});
-  EXPECT_EQ(timeline.peek(Time{0}, Time{50}), Time{210});
-  EXPECT_EQ(timeline.peek(Time{1100}, Time{50}), Time{1100});
-  EXPECT_EQ(timeline.peek(Time{2010}, Time{50}), Time{2010});
+  EXPECT_EQ(grant_start(timeline, Time{0}, Time{50}), Time{210});
+  EXPECT_EQ(grant_start(timeline, Time{1100}, Time{50}), Time{1100});
+  EXPECT_EQ(grant_start(timeline, Time{2010}, Time{50}), Time{2010});
 }
 
 // Differential: the indexed gap search grants exactly what the linear
 // scan it replaced grants, over seeded streams that split gaps past the
-// cap, with and without backfill, peeks mixed in.
+// cap, with and without backfill. With folding on, fold_before runs at
+// random non-decreasing watermarks (every later `earliest` is held at or
+// above the last one, as the replay engine guarantees), so dead gaps fill
+// the cap and drop-oldest takes them first; the answers must not move.
 TEST(Timeline, IndexedGapSearchMatchesLinearScan) {
   for (const bool backfill : {false, true}) {
     for (const std::size_t max_gaps : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                        std::size_t{64}}) {
-      for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-        SCOPED_TRACE(::testing::Message() << "backfill=" << backfill
-                                          << " max_gaps=" << max_gaps << " seed=" << seed);
-        Timeline timeline(backfill, max_gaps);
-        LinearScanTimeline reference(backfill, max_gaps);
-        SplitMix next{seed * 0x51ed2701ULL};
-        Time clock;
-        for (int i = 0; i < 4000; ++i) {
-          // Mostly forward-moving arrivals with occasional long jumps
-          // (new tail gaps) and look-backs (backfill into old gaps).
-          const std::uint64_t roll = next() % 100;
-          Time earliest;
-          if (roll < 10) {
-            clock += Time{static_cast<std::int64_t>(200 + next() % 2000)};
-            earliest = clock;
-          } else if (roll < 45) {
-            const Time back{static_cast<std::int64_t>(next() % 3000)};
-            earliest = std::max(Time{}, clock - back);
-          } else {
-            clock += Time{static_cast<std::int64_t>(next() % 30)};
-            earliest = clock;
+      for (const bool fold : {false, true}) {
+        for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+          SCOPED_TRACE(::testing::Message() << "backfill=" << backfill << " max_gaps="
+                                            << max_gaps << " fold=" << fold
+                                            << " seed=" << seed);
+          Timeline timeline(backfill, max_gaps);
+          LinearScanTimeline reference(backfill, max_gaps);
+          SplitMix next{seed * 0x51ed2701ULL};
+          Time clock;
+          Time watermark;
+          BusyTracker prefix;
+          std::vector<std::pair<Time, Time>> folded;
+          for (int i = 0; i < 4000; ++i) {
+            // Mostly forward-moving arrivals with occasional long jumps
+            // (new tail gaps) and look-backs (backfill into old gaps).
+            const std::uint64_t roll = next() % 100;
+            Time earliest;
+            if (roll < 10) {
+              clock += Time{static_cast<std::int64_t>(200 + next() % 2000)};
+              earliest = clock;
+            } else if (roll < 45) {
+              const Time back{static_cast<std::int64_t>(next() % 3000)};
+              earliest = std::max(Time{}, clock - back);
+            } else {
+              clock += Time{static_cast<std::int64_t>(next() % 30)};
+              earliest = clock;
+            }
+            earliest = std::max(earliest, watermark);
+            const Time duration{static_cast<std::int64_t>(next() % 60)};
+            const Reservation got = timeline.reserve(earliest, duration);
+            const Reservation want = reference.reserve(earliest, duration);
+            ASSERT_EQ(got.start, want.start) << "reserve " << i;
+            ASSERT_EQ(got.end, want.end) << "reserve " << i;
+            ASSERT_EQ(got.waited, want.waited) << "reserve " << i;
+            ASSERT_EQ(timeline.next_free(), reference.next_free()) << "reserve " << i;
+            if (fold && next() % 8 == 0) {
+              const Time behind{static_cast<std::int64_t>(next() % 4000)};
+              watermark = std::max(watermark, clock - behind);
+              timeline.fold_before(watermark, prefix);
+              for (const auto& span : prefix.intervals()) {
+                ASSERT_LE(span.second, watermark) << "fold " << i;
+                folded.push_back(span);
+              }
+              ASSERT_EQ(timeline.busy().busy_time(), reference.busy_time()) << "fold " << i;
+            }
           }
-          const Time duration{static_cast<std::int64_t>(next() % 60)};
-          if (next() % 4 == 0) {
-            ASSERT_EQ(timeline.peek(earliest, duration), reference.peek(earliest, duration))
-                << "peek " << i;
-          }
-          const Reservation got = timeline.reserve(earliest, duration);
-          const Reservation want = reference.reserve(earliest, duration);
-          ASSERT_EQ(got.start, want.start) << "reserve " << i;
-          ASSERT_EQ(got.end, want.end) << "reserve " << i;
-          ASSERT_EQ(got.waited, want.waited) << "reserve " << i;
-          ASSERT_EQ(timeline.next_free(), reference.next_free()) << "reserve " << i;
+          EXPECT_EQ(timeline.reservation_count(), reference.reservation_count());
+          EXPECT_EQ(timeline.busy().busy_time(), reference.busy_time());
+          // The folded prefixes and the live tail together are every grant.
+          const BusyTracker::IntervalStore& busy = timeline.busy().intervals();
+          folded.insert(folded.end(), busy.begin(), busy.end());
+          EXPECT_EQ(coalesce(folded), reference.busy_intervals());
         }
-        EXPECT_EQ(timeline.reservation_count(), reference.reservation_count());
-        const BusyTracker::IntervalStore& busy = timeline.busy().intervals();
-        const std::vector<std::pair<Time, Time>> got(busy.begin(), busy.end());
-        EXPECT_EQ(got, reference.busy_intervals());
       }
     }
   }

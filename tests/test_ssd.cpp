@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <set>
 #include <tuple>
@@ -13,6 +14,7 @@
 
 #include "cluster/configs.hpp"
 #include "cluster/engine.hpp"
+#include "common/probe.hpp"
 #include "fs/presets.hpp"
 #include "ooc/workload.hpp"
 #include "ssd/controller.hpp"
@@ -544,7 +546,7 @@ class FourPassDeviceStats {
   }
   static void add_die(const Die& die, Spans& out) {
     for (std::uint32_t plane = 0; plane < die.plane_count(); ++plane) {
-      add(die.plane_busy(plane), out);
+      add(die.plane(plane).busy(), out);
     }
   }
   static void add_package(const Package& package, Spans& out) {
@@ -578,19 +580,80 @@ class FourPassDeviceStats {
   SsdHardware& hardware_;
 };
 
-void expect_device_stats_match_four_pass(ReplayEngine& engine, Time makespan) {
-  Ssd& ssd = engine.ssd();
-  const FourPassDeviceStats reference(ssd.hardware());
+void expect_same_device_stats(const DeviceStats& got, const DeviceStats& want) {
+  EXPECT_EQ(got.active_time, want.active_time);
+  EXPECT_EQ(got.channel_utilization, want.channel_utilization);
+  EXPECT_EQ(got.package_utilization, want.package_utilization);
+  EXPECT_EQ(got.die_wall_utilization, want.die_wall_utilization);
+  EXPECT_EQ(got.media_capability, want.media_capability);
+  EXPECT_EQ(got.remaining_bandwidth, want.remaining_bandwidth);
+}
+
+/// Collects the phase ledger of every device request the engine closes.
+class LedgerRecorder final : public probe::Subscriber {
+ public:
+  LedgerRecorder() : probe::Subscriber(probe::bit(probe::Kind::kRequest)) {}
+  void on_request_close(const probe::RequestClose& request) override {
+    ledgers.push_back(request.ledger);
+  }
+  std::vector<probe::PhaseLedger> ledgers;
+};
+
+/// The I/O path ReplayEngine::run builds for `config`, mounted on `extent`.
+std::unique_ptr<IoPath> mounted_io_path(const ExperimentConfig& config, Bytes extent) {
+  if (config.use_ufs) {
+    UfsConfig ufs_config;
+    ufs_config.capacity = config.geometry.capacity(timing_for(config.media));
+    auto ufs = std::make_unique<UnifiedFileSystem>(ufs_config);
+    ufs->provision_dataset(std::max(extent, Bytes{1}));
+    return ufs;
+  }
+  auto fs = std::make_unique<FileSystemModel>(config.fs);
+  fs->mount(extent);
+  return fs;
+}
+
+/// Replays `trace` on an engine, whose device folds behind the issue
+/// watermark, and on an unfolded twin of that device: a fresh Ssd of the
+/// same configuration whose watermark never advances, fed the same device
+/// requests at the arrivals the engine gave them. The four-pass oracle
+/// reads the twin's full interval sets and must agree with the folded
+/// engine's device_stats field for field.
+void expect_folded_device_stats_match_four_pass(
+    const ExperimentConfig& config, const Trace& trace,
+    const std::function<void(const ExperimentResult&, Ssd&)>& check) {
+  ReplayEngine engine(config);
+  LedgerRecorder recorder;
+  ExperimentResult result;
+  {
+    const probe::Scoped listen(probe::Slot::kFlight, &recorder);
+    result = engine.run(trace);
+  }
+  ASSERT_FALSE(result.reliability.aborted);
+
+  Ssd twin(engine.ssd().config());
+  twin.preload(trace.extent());
+  const std::unique_ptr<IoPath> path = mounted_io_path(config, trace.extent());
+  std::size_t next = 0;
+  for (const PosixRequest& posix : trace.requests()) {
+    for (const BlockRequest& request : path->submit(posix)) {
+      if (request.size == Bytes{}) continue;
+      ASSERT_LT(next, recorder.ledgers.size());
+      const probe::PhaseLedger& ledger = recorder.ledgers[next++];
+      ASSERT_EQ(ledger.bytes, request.size.value());
+      const RequestResult media = twin.submit(request, ledger.media_begin);
+      ASSERT_EQ(media.media_end, ledger.media_end) << "request " << ledger.id;
+    }
+  }
+  ASSERT_EQ(next, recorder.ledgers.size());
+  check(result, twin);
+
+  const FourPassDeviceStats reference(twin.hardware());
   // The replay's own makespan, a short and a zero wall (the fallback).
-  for (const Time wall : {makespan, makespan / 4, Time{}}) {
-    const DeviceStats got = ssd.device_stats(wall);
-    const DeviceStats want = reference.compute(wall, ssd.media_capability_bytes_per_sec());
-    EXPECT_EQ(got.active_time, want.active_time);
-    EXPECT_EQ(got.channel_utilization, want.channel_utilization);
-    EXPECT_EQ(got.package_utilization, want.package_utilization);
-    EXPECT_EQ(got.die_wall_utilization, want.die_wall_utilization);
-    EXPECT_EQ(got.media_capability, want.media_capability);
-    EXPECT_EQ(got.remaining_bandwidth, want.remaining_bandwidth);
+  for (const Time wall : {result.makespan, result.makespan / 4, Time{}}) {
+    const DeviceStats want = reference.compute(wall, twin.media_capability_bytes_per_sec());
+    expect_same_device_stats(engine.ssd().device_stats(wall), want);
+    expect_same_device_stats(twin.device_stats(wall), want);
   }
 }
 
@@ -603,26 +666,152 @@ Trace checkpointing_trace() {
   return synthesize_ooc_trace(params);
 }
 
-// Differential: the bottom-up linear-merge pass gives every field the
-// old four-pass sort-and-union gave, bit for bit.
+// Differential: the folded totals plus the bottom-up linear-merge pass
+// give every field the old four-pass sort-and-union gave over the whole,
+// unfolded replay, bit for bit.
 TEST(DeviceStats, BottomUpPassMatchesFourPassOnMixedReplay) {
-  const Trace trace = checkpointing_trace();
-  ReplayEngine engine(cnl_fs_config(ext3_behavior(), NvmType::kMlc));
-  const ExperimentResult result = engine.run(trace);
-  ASSERT_GT(engine.ssd().ftl_stats().writes, 0u);
-  expect_device_stats_match_four_pass(engine, result.makespan);
+  expect_folded_device_stats_match_four_pass(
+      cnl_fs_config(ext3_behavior(), NvmType::kMlc), checkpointing_trace(),
+      [](const ExperimentResult& /*result*/, Ssd& twin) {
+        ASSERT_GT(twin.ftl_stats().writes, 0u);
+      });
 }
 
 TEST(DeviceStats, BottomUpPassMatchesFourPassOnFaultedReplay) {
-  const Trace trace = checkpointing_trace();
   ExperimentConfig config = cnl_ufs_config(NvmType::kMlc);
   config.fault.enabled = true;
   config.fault.rber = 4e-3;
   config.fault.channel_stalls.push_back({1, Time{}, 50 * kMicrosecond});
-  ReplayEngine engine(config);
-  const ExperimentResult result = engine.run(trace);
-  ASSERT_GT(result.reliability.read_retries, 0u);
-  expect_device_stats_match_four_pass(engine, result.makespan);
+  expect_folded_device_stats_match_four_pass(
+      config, checkpointing_trace(), [](const ExperimentResult& result, Ssd& twin) {
+        ASSERT_GT(result.reliability.read_retries, 0u);
+        ASSERT_EQ(twin.controller_stats().reliability.read_retries,
+                  result.reliability.read_retries);
+      });
+}
+
+void expect_same_result(const RequestResult& got, const RequestResult& want) {
+  EXPECT_EQ(got.issue, want.issue);
+  EXPECT_EQ(got.media_begin, want.media_begin);
+  EXPECT_EQ(got.media_end, want.media_end);
+  EXPECT_EQ(got.bytes, want.bytes);
+  EXPECT_EQ(got.transactions, want.transactions);
+  EXPECT_EQ(got.pal, want.pal);
+  EXPECT_EQ(got.phase_time, want.phase_time);
+  EXPECT_EQ(got.retries, want.retries);
+  EXPECT_EQ(got.uncorrectable_units, want.uncorrectable_units);
+  EXPECT_EQ(got.uncorrectable_bytes, want.uncorrectable_bytes);
+  EXPECT_EQ(got.retry_time, want.retry_time);
+  EXPECT_EQ(got.hard_failure, want.hard_failure);
+}
+
+struct TwinCase {
+  const char* name = "";
+  SsdConfig config;
+  /// Share of requests that are writes, in percent.
+  std::uint64_t write_percent = 0;
+  /// Bytes pre-loaded; requests address [0, preload).
+  Bytes preload = 256 * MiB;
+  Bytes max_request = 256 * KiB;
+  /// Writes address [0, write_span) when set; rewriting a small hot span
+  /// invalidates pages, which is what gives garbage collection victims.
+  Bytes write_span;
+};
+
+std::vector<TwinCase> twin_cases() {
+  std::vector<TwinCase> cases;
+  for (const bool backfill : {true, false}) {
+    TwinCase pcm;
+    pcm.name = "pcm burst";
+    pcm.config.media = NvmType::kPcm;
+    pcm.config.controller.queue_backfill = backfill;
+    pcm.max_request = 32 * KiB;
+    cases.push_back(pcm);
+
+    // A small MLC device, pre-loaded to within a few erase cohorts of
+    // full, so rewrites drive garbage collection.
+    TwinCase mlc;
+    mlc.name = "mlc writes and gc";
+    mlc.config.media = NvmType::kMlc;
+    mlc.config.geometry.channels = 2;
+    mlc.config.geometry.packages_per_channel = 2;
+    mlc.config.geometry.dies_per_package = 2;
+    mlc.config.controller.queue_backfill = backfill;
+    mlc.write_percent = 50;
+    mlc.write_span = MiB;
+    mlc.preload =
+        mlc.config.geometry.capacity(timing_for(NvmType::kMlc)) - 24 * MiB;
+    cases.push_back(mlc);
+
+    TwinCase faulty;
+    faulty.name = "mlc faults";
+    faulty.config.media = NvmType::kMlc;
+    faulty.config.controller.queue_backfill = backfill;
+    faulty.config.fault.enabled = true;
+    faulty.config.fault.rber = 4e-3;
+    faulty.config.fault.channel_stalls.push_back({1, 200 * kMicrosecond, 300 * kMicrosecond});
+    faulty.config.fault.stuck_dies.push_back({3, 1, 0, 2 * kMillisecond});
+    faulty.write_percent = 20;
+    cases.push_back(faulty);
+  }
+  return cases;
+}
+
+// Differential: a device that folds behind an advancing watermark answers
+// every request, and every device statistic, exactly as its unfolded twin
+// does, over seeded random streams of reads and writes with arrivals that
+// never go back in time.
+TEST(DeviceStats, FoldedSsdMatchesUnfoldedTwin) {
+  for (const TwinCase& twin_case : twin_cases()) {
+    SCOPED_TRACE(::testing::Message() << twin_case.name << " backfill="
+                                      << twin_case.config.controller.queue_backfill);
+    Ssd folded(twin_case.config);
+    Ssd unfolded(twin_case.config);
+    folded.preload(twin_case.preload);
+    unfolded.preload(twin_case.preload);
+    std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+    const auto next = [&state] {
+      state ^= state << 13;
+      state ^= state >> 7;
+      state ^= state << 17;
+      return state;
+    };
+    const std::uint64_t read_kib = (twin_case.preload - twin_case.max_request) / KiB;
+    const std::uint64_t write_kib =
+        twin_case.write_span > Bytes{} ? twin_case.write_span / KiB : read_kib;
+    Time arrival;
+    Time last_end;
+    for (int i = 0; i < 600; ++i) {
+      // Bursts of simultaneous arrivals queue and backfill; pauses idle.
+      arrival += Time{static_cast<std::int64_t>(next() % 4 == 0 ? next() % 400'000'000 : 0)};
+      const bool write = next() % 100 < twin_case.write_percent;
+      // Mostly whole KiB (reads of several pages), sometimes odd bytes so
+      // writes hit the read-modify-write edge path.
+      const Bytes offset = (next() % (write ? write_kib : read_kib)) * KiB +
+                           Bytes{next() % 3 == 0 ? next() % 1000 : 0};
+      const Bytes size =
+          Bytes{1 + next() % static_cast<std::uint64_t>(twin_case.max_request.value())};
+      const BlockRequest request{write ? NvmOp::kWrite : NvmOp::kRead, offset, size, false,
+                                 false};
+      folded.advance_watermark(arrival);
+      const RequestResult got = folded.submit(request, arrival);
+      const RequestResult want = unfolded.submit(request, arrival);
+      expect_same_result(got, want);
+      last_end = std::max(last_end, want.media_end);
+      if (::testing::Test::HasFailure()) return;
+    }
+    if (twin_case.write_percent > 0 && !twin_case.config.fault.enabled) {
+      EXPECT_GT(unfolded.ftl_stats().gc_runs, 0u);
+    }
+    if (twin_case.config.fault.enabled) {
+      EXPECT_GT(unfolded.controller_stats().reliability.read_retries, 0u);
+      EXPECT_GT(unfolded.controller_stats().reliability.channel_stalls, 0u);
+      EXPECT_GT(unfolded.controller_stats().reliability.die_stuck_reads, 0u);
+    }
+    for (const Time wall : {last_end, last_end / 3, Time{}}) {
+      expect_same_device_stats(folded.device_stats(wall), unfolded.device_stats(wall));
+    }
+  }
 }
 
 TEST(DeviceStats, WearAggregatesAcrossDies) {
