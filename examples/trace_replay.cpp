@@ -4,12 +4,18 @@
 // Run: ./build/examples/trace_replay --config=cnl-ufs --media=tlc
 //        [--trace=FILE | --pattern=seq|rand|strided] [--size-mib=256]
 //        [--faults=SCENARIO] [--audit]
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "check/audit.hpp"
 #include "cluster/configs.hpp"
@@ -68,6 +74,34 @@ std::string option(int argc, char** argv, const char* key, const char* fallback)
   return fallback;
 }
 
+/// Reads --key (or `fallback` when it is absent) as a plain decimal
+/// number in [min, max]. An empty value, a sign, trailing characters,
+/// overflow or a non-finite number is an error naming the flag and value.
+template <typename T>
+bool numeric_option(int argc, char** argv, const char* key, const char* fallback, T min,
+                    T max, T& out) {
+  const std::string text = option(argc, argv, key, fallback);
+  const char* const last = text.data() + text.size();
+  T value{};
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  bool ok = !text.empty() && text.front() != '-' && error == std::errc{} && end == last &&
+            value >= min && value <= max;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    if constexpr (std::is_floating_point_v<T>) {
+      std::fprintf(stderr, "bad value for --%s: '%s' (want a finite number of at least %g)\n",
+                   key, text.c_str(), static_cast<double>(min));
+    } else {
+      std::fprintf(stderr, "bad value for --%s: '%s' (want a whole number from %llu to %llu)\n",
+                   key, text.c_str(), static_cast<unsigned long long>(min),
+                   static_cast<unsigned long long>(max));
+    }
+    return false;
+  }
+  out = value;
+  return true;
+}
+
 bool flag(int argc, char** argv, const char* key) {
   const std::string want = std::string("--") + key;
   for (int i = 1; i < argc; ++i) {
@@ -95,9 +129,17 @@ int main(int argc, char** argv) {
   const std::string media_name = option(argc, argv, "media", "tlc");
   const std::string trace_path = option(argc, argv, "trace", "");
   const std::string pattern = option(argc, argv, "pattern", "seq");
-  const Bytes size = std::strtoull(option(argc, argv, "size-mib", "256").c_str(), nullptr, 10) * MiB;
-  const Bytes request =
-      std::strtoull(option(argc, argv, "request-kib", "8192").c_str(), nullptr, 10) * KiB;
+  constexpr std::uint64_t kMaxCount = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t size_mib = 0;
+  std::uint64_t request_kib = 0;
+  if (!numeric_option(argc, argv, "size-mib", "256", std::uint64_t{1}, kMaxCount / MiB.value(),
+                      size_mib) ||
+      !numeric_option(argc, argv, "request-kib", "8192", std::uint64_t{1},
+                      kMaxCount / KiB.value(), request_kib)) {
+    return 1;
+  }
+  const Bytes size = size_mib * MiB;
+  const Bytes request = request_kib * KiB;
 
   NvmType media;
   if (media_name == "slc") media = NvmType::kSlc;
@@ -121,11 +163,13 @@ int main(int argc, char** argv) {
   obs_options.log_level = option(argc, argv, "log-level", "");
   obs_options.profile = flag(argc, argv, "profile");
   obs_options.speed_report = flag(argc, argv, "speed-report");
-  obs_options.heartbeat_sec =
-      std::strtod(option(argc, argv, "heartbeat-sec", "5").c_str(), nullptr);
+  if (!numeric_option(argc, argv, "heartbeat-sec", "5", 0.0,
+                      std::numeric_limits<double>::max(), obs_options.heartbeat_sec) ||
+      !numeric_option(argc, argv, "exemplars", "8", std::size_t{0},
+                      std::numeric_limits<std::size_t>::max(), obs_options.exemplar_count)) {
+    return 1;
+  }
   obs_options.exemplars_out = option(argc, argv, "exemplars-out", "");
-  obs_options.exemplar_count = static_cast<std::size_t>(
-      std::strtoull(option(argc, argv, "exemplars", "8").c_str(), nullptr, 10));
   obs_options.flight = !flag(argc, argv, "no-flight-recorder");
   obs_options.flight_out = option(argc, argv, "flight-out", "");
   const std::string result_out = option(argc, argv, "result-out", "");

@@ -198,29 +198,4 @@ void BusyTracker::merge(const BusyTracker& other) {
   intervals_.resize(kept + 1);
 }
 
-Time BusyTracker::intersect_time(const BusyTracker& other) const {
-  Time overlap;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < intervals_.size() && j < other.intervals_.size()) {
-    const auto& a = intervals_[i];
-    const auto& b = other.intervals_[j];
-    const Time lo = std::max(a.first, b.first);
-    const Time hi = std::min(a.second, b.second);
-    if (hi > lo) overlap += hi - lo;
-    if (a.second < b.second) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return overlap;
-}
-
-double BusyTracker::utilization(Time window) const {
-  if (window <= Time{}) return 0.0;
-  const double u = static_cast<double>(busy_time()) / static_cast<double>(window);
-  return std::clamp(u, 0.0, 1.0);
-}
-
 }  // namespace nvmooc

@@ -89,9 +89,6 @@ class BusyTracker {
   /// Total busy time, folded and live; linear in the live interval count.
   [[nodiscard]] Time busy_time() const;
 
-  /// busy_time() / window, clamped to [0, 1]. window <= 0 yields 0.
-  double utilization(Time window) const;
-
   std::size_t interval_count() const { return intervals_.size(); }
 
   /// Moves the busy intervals before `watermark` into `prefix`, replacing
@@ -106,9 +103,6 @@ class BusyTracker {
   /// Unions another tracker's live intervals into this one, in place (a
   /// linear merge). Folded time has no intervals and is not unioned.
   void merge(const BusyTracker& other);
-
-  /// Live busy time common to this tracker and `other` — the overlap.
-  [[nodiscard]] Time intersect_time(const BusyTracker& other) const;
 
   /// Busy intervals charge the host profiler's timeline memory tally:
   /// they are the dominant per-timeline storage on long replays.

@@ -24,6 +24,7 @@
 // `.count()` round-trips.
 #pragma once
 
+#include <bit>
 #include <compare>
 #include <concepts>
 #include <cstdint>
@@ -238,50 +239,67 @@ constexpr double bytes_per_second(Bytes bytes, Time duration) {
 /// Time to move `bytes` at `bytes_per_second`, rounded up to a picosecond.
 ///
 /// The round-up is an *exact* integer ceiling of bytes * 1e12 / rate: the
-/// rate double is decomposed into its exact mantissa/exponent form and the
-/// quotient is taken in 128-bit integer arithmetic, so the result never
-/// under- or over-shoots by a picosecond the way a `+0.999999` fudge term
-/// can, and huge transfers saturate at Time::max() instead of overflowing.
+/// rate double is read as its exact mantissa/exponent pair (bit_cast, so
+/// O(1) and subnormals included) and the quotient is taken in 128-bit
+/// integer arithmetic, so the result never under- or over-shoots by a
+/// picosecond the way a `+0.999999` fudge term can, and huge transfers
+/// saturate at Time::max() instead of overflowing. Every link transfer
+/// and every media transaction calls this, so it does no loops.
 [[nodiscard]] constexpr Time transfer_time(Bytes bytes, double bytes_per_second) {
   if (bytes_per_second <= 0.0 || bytes == Bytes{}) return Time{};
   if (!(bytes_per_second <= std::numeric_limits<double>::max())) return Time{};  // inf/NaN
 
-  // Decompose rate = mant * 2^shift with mant a 53-bit integer. Every
-  // finite positive double has exactly this form, so no precision is lost.
-  double frac = bytes_per_second;
+  // Decompose rate = mant * 2^shift with mant a 53-bit integer whose top
+  // bit is set. Every finite positive double has exactly this form, so no
+  // precision is lost.
+  constexpr std::uint64_t kHidden = std::uint64_t{1} << 52;
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(bytes_per_second);
+  const int biased_exponent = static_cast<int>(bits >> 52);  // Sign bit is 0.
+  std::uint64_t mant = bits & (kHidden - 1);
   int shift = 0;
-  while (frac >= 9007199254740992.0) {  // 2^53
-    frac /= 2.0;
-    ++shift;
+  if (biased_exponent != 0) {
+    mant |= kHidden;
+    shift = biased_exponent - 1075;
+  } else {  // Subnormal: mant * 2^-1074, normalised up to the hidden bit.
+    const int up = std::countl_zero(mant) - 11;
+    mant <<= up;
+    shift = -1074 - up;
   }
-  while (frac < 4503599627370496.0) {  // 2^52
-    frac *= 2.0;
-    --shift;
-  }
-  const std::uint64_t mant = static_cast<std::uint64_t>(frac);
 
   // ceil(bytes * 1e12 / (mant * 2^shift)), all in integers.
   // bytes <= 2^64 and 1e12 < 2^40, so the numerator fits in 128 bits.
   unsigned __int128 num = static_cast<unsigned __int128>(bytes.value()) *
                           static_cast<unsigned __int128>(kSecond.ps());
+  // Shifting the denominator up can only make the quotient smaller, so
+  // saturate the shift instead of overflowing: den > num for any
+  // num < 2^128.
+  if (shift >= 75) return kPicosecond;
+  // num * 2^(-shift) may exceed 128 bits for slow rates and huge
+  // transfers; saturate to Time::max() when it would.
+  const auto high = static_cast<std::uint64_t>(num >> 64);
+  const int headroom = high != 0 ? std::countl_zero(high)
+                                 : 64 + std::countl_zero(static_cast<std::uint64_t>(num));
+  if (-shift > headroom) return Time::max();
+
+  // mant's trailing zero bits move into the shift without changing the
+  // quotient; then most transfers fit in 64 bits and divide natively.
+  const int zeros = std::countr_zero(mant);
+  mant >>= zeros;
+  shift += zeros;
   unsigned __int128 den = mant;
   if (shift >= 0) {
-    // Shifting the denominator up can only make the quotient smaller, so
-    // saturate the shift instead of overflowing.
-    if (shift >= 75) return kPicosecond;  // den > num for any num < 2^128.
     den <<= shift;
   } else {
-    // num * 2^(-shift) may exceed 128 bits for slow rates and huge
-    // transfers; saturate to Time::max() when it would.
-    int up = -shift;
-    while (up > 0 && num < (static_cast<unsigned __int128>(1) << 127)) {
-      num <<= 1;
-      --up;
-    }
-    if (up > 0) return Time::max();
+    num <<= -shift;
   }
-  const unsigned __int128 q = num / den;
-  const unsigned __int128 ceil_q = q + ((q * den < num) ? 1 : 0);
+  unsigned __int128 ceil_q = 0;
+  if ((num >> 64) == 0 && (den >> 64) == 0) {
+    const auto n = static_cast<std::uint64_t>(num);
+    const auto d = static_cast<std::uint64_t>(den);
+    ceil_q = n / d + (n % d != 0 ? 1 : 0);
+  } else {
+    ceil_q = num / den + (num % den != 0 ? 1 : 0);
+  }
   constexpr unsigned __int128 kMaxTime =
       static_cast<unsigned __int128>(std::numeric_limits<std::int64_t>::max());
   if (ceil_q >= kMaxTime) return Time::max();

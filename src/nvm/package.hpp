@@ -6,13 +6,14 @@
 // subsequent "channel bus" phase occupies the channel shared by all
 // packages (modelled in src/ssd). Keeping these as separate resources is
 // what lets transfers pipeline: while package A drives the channel,
-// package B can stage its next page onto its pads.
+// package B can stage its next page onto its pads. The controller
+// reserves the port for as long as the channel transfer takes, at the
+// device's bus rate.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "nvm/bus.hpp"
 #include "nvm/die.hpp"
 #include "sim/timeline.hpp"
 
@@ -20,27 +21,18 @@ namespace nvmooc {
 
 class Package {
  public:
-  Package(const NvmTiming& timing, const BusConfig& bus, std::uint32_t dies,
-          bool backfill);
+  Package(const NvmTiming& timing, std::uint32_t dies, bool backfill);
 
   Die& die(std::uint32_t index) { return dies_.at(index); }
   const Die& die(std::uint32_t index) const { return dies_.at(index); }
   std::uint32_t die_count() const { return static_cast<std::uint32_t>(dies_.size()); }
 
-  /// Reserves the package port for a `bytes` transfer at or after
-  /// `earliest`; returns the granted interval.
-  Reservation reserve_flash_bus(Time earliest, Bytes bytes);
-
-  [[nodiscard]] Time flash_bus_time(Bytes bytes) const { return bus_.transfer_time(bytes); }
-
   Timeline& flash_bus() { return flash_bus_; }
   const Timeline& flash_bus() const { return flash_bus_; }
-  const BusConfig& bus() const { return bus_; }
 
   void reset();
 
  private:
-  BusConfig bus_;
   Timeline flash_bus_;
   std::vector<Die> dies_;
 };

@@ -15,7 +15,7 @@ SsdHardware::SsdHardware(const SsdGeometry& geometry, const NvmTiming& timing,
     Channel& channel = channels_.emplace_back(backfill);
     channel.packages.reserve(geometry_.packages_per_channel);
     for (std::uint32_t p = 0; p < geometry_.packages_per_channel; ++p) {
-      channel.packages.emplace_back(timing_, bus_, geometry_.dies_per_package, backfill);
+      channel.packages.emplace_back(timing_, geometry_.dies_per_package, backfill);
     }
   }
 }
@@ -25,17 +25,34 @@ Controller::Controller(SsdHardware& hardware, Ftl& ftl, ControllerConfig config,
     : hardware_(hardware), ftl_(ftl), config_(config), ecc_(config.ecc),
       injector_(injector),
       planes_per_die_(hardware.timing().planes_per_die),
-      planes_per_package_(planes_per_die_ * hardware.geometry().dies_per_package),
-      planes_per_channel_(planes_per_package_ * hardware.geometry().packages_per_channel),
+      planes_per_channel_(planes_per_die_ * hardware.geometry().dies_per_channel()),
       plane_load_(static_cast<std::size_t>(planes_per_channel_) * hardware.geometry().channels),
       channel_load_(hardware.geometry().channels),
       package_fb_(hardware.geometry().total_packages()),
-      die_plane_mask_(hardware.geometry().total_dies()) {}
+      die_plane_mask_(hardware.geometry().total_dies()),
+      touched_planes_((plane_load_.size() + 63) / 64) {
+  const SsdGeometry& geometry = hardware.geometry();
+  plane_site_.resize(plane_load_.size());
+  PlaneSite* site = plane_site_.data();
+  std::uint32_t die = 0;
+  std::uint32_t package = 0;
+  for (std::uint32_t channel = 0; channel < geometry.channels; ++channel) {
+    for (std::uint32_t p = 0; p < geometry.packages_per_channel; ++p, ++package) {
+      for (std::uint32_t d = 0; d < geometry.dies_per_package; ++d, ++die) {
+        for (std::uint32_t plane = 0; plane < planes_per_die_; ++plane) {
+          *site++ = {die, package, channel};
+        }
+      }
+    }
+  }
+}
 
 void Controller::expand_run(const UnitRun& run, std::vector<TxnSpec>& out) const {
   const NvmTiming& timing = hardware_.timing();
-  const std::uint64_t positions = hardware_.geometry().plane_positions(timing);
+  const SsdGeometry& geometry = hardware_.geometry();
+  const std::uint64_t positions = geometry.plane_positions(timing);
   const Bytes page = timing.page_size;
+  PhysicalAddress address = geometry.map_unit(run.first_unit, timing);
 
   // Burst mode: group the run's units by plane position. Units at the
   // same position are consecutive rows on that plane, so one command can
@@ -47,20 +64,27 @@ void Controller::expand_run(const UnitRun& run, std::vector<TxnSpec>& out) const
   if (burst) {
     const std::uint64_t spanned = std::min<std::uint64_t>(run.count, positions);
     Bytes bytes_left = run.bytes;
-    // The first `spanned` units cover distinct positions.
+    // The first `spanned` units cover distinct positions. Every position
+    // holds `rows` of the run's units, and the first `extra` one more.
+    const std::uint64_t rows = run.count / positions;
+    const std::uint64_t extra = run.count % positions;
     for (std::uint64_t i = 0; i < spanned; ++i) {
-      const std::uint64_t first = run.first_unit + i;
-      std::uint64_t remaining = (run.count - i + positions - 1) / positions;
-      std::uint64_t cursor = first;
+      if (i > 0) geometry.next(address, timing);
+      std::uint64_t remaining = rows + (i < extra ? 1 : 0);
+      std::uint64_t cursor = run.first_unit + i;
+      PhysicalAddress burst_address = address;
       while (remaining > 0) {
         const std::uint32_t cells = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(remaining, config_.max_burst_cells));
         const Bytes want = cells * page;
         const Bytes bytes = std::min(bytes_left, want);
         bytes_left -= bytes;
-        out.push_back({run.op, cursor, cells, bytes, run.gc});
+        out.push_back({run.op, cursor, cells, bytes, burst_address, run.gc});
         cursor += static_cast<std::uint64_t>(cells) * positions;
         remaining -= cells;
+        // Only a position holding more than max_burst_cells of the run's
+        // rows gets a second command, so this map_unit is rare.
+        if (remaining > 0) burst_address = geometry.map_unit(cursor, timing);
       }
     }
     return;
@@ -76,19 +100,27 @@ void Controller::expand_run(const UnitRun& run, std::vector<TxnSpec>& out) const
     trailing_trim = trim - leading_trim;
   }
   for (std::uint64_t i = 0; i < run.count; ++i) {
+    if (i > 0) geometry.next(address, timing);
     Bytes bytes = (run.op == NvmOp::kErase) ? Bytes{} : page;
     if (run.op != NvmOp::kErase) {
       if (i == 0) bytes -= std::min(bytes, leading_trim);
       if (i + 1 == run.count) bytes -= std::min(bytes, trailing_trim);
     }
-    out.push_back({run.op, run.first_unit + i, 1, bytes, run.gc});
+    out.push_back({run.op, run.first_unit + i, 1, bytes, address, run.gc});
   }
+}
+
+Time Controller::bus_time(Bytes bytes) {
+  if (bytes != bus_memo_bytes_) {
+    bus_memo_bytes_ = bytes;
+    bus_memo_time_ = hardware_.bus().transfer_time(bytes);
+  }
+  return bus_memo_time_;
 }
 
 TransactionResult Controller::schedule(const TxnSpec& spec, Time arrival, bool inject) {
   const NvmTiming& timing = hardware_.timing();
-  const SsdGeometry& geometry = hardware_.geometry();
-  const PhysicalAddress address = geometry.map_unit(spec.first_unit, timing);
+  const PhysicalAddress& address = spec.address;
 
   Timeline& channel = hardware_.channel_bus(address.channel);
   Package& package = hardware_.package(address.channel, address.package);
@@ -124,7 +156,9 @@ TransactionResult Controller::schedule(const TxnSpec& spec, Time arrival, bool i
   txn.channel_wait += cmd.waited;
   probe::step(probe::Resource::kChannel, site, start, cmd.start, cmd.end);
 
-  const Time data_time = package.flash_bus_time(spec.bytes);
+  // Both the channel transfer and the package port move the payload at
+  // the bus rate.
+  const Time data_time = bus_time(spec.bytes);
 
   switch (spec.op) {
     case NvmOp::kRead: {
@@ -176,7 +210,7 @@ TransactionResult Controller::schedule(const TxnSpec& spec, Time arrival, bool i
         txn.cell += cell.end - cell.start;
         txn.cell_wait += cell.waited;
         probe::step(probe::Resource::kCell, site, cursor, cell.start, cell.end, attempt);
-        const Reservation fb = package.reserve_flash_bus(cell.end, spec.bytes);
+        const Reservation fb = package.flash_bus().reserve(cell.end, data_time);
         txn.flash_bus += fb.end - fb.start;
         txn.channel_wait += fb.waited;
         probe::step(probe::Resource::kPort, site, cell.end, fb.start, fb.end);
@@ -197,7 +231,7 @@ TransactionResult Controller::schedule(const TxnSpec& spec, Time arrival, bool i
       txn.channel_wait += in.waited;
       txn.data_in_end = in.end;
       probe::step(probe::Resource::kChannel, site, cmd.end, in.start, in.end);
-      const Reservation fb = package.reserve_flash_bus(in.end, spec.bytes);
+      const Reservation fb = package.flash_bus().reserve(in.end, data_time);
       txn.flash_bus = fb.end - fb.start;
       txn.channel_wait += fb.waited;
       probe::step(probe::Resource::kPort, site, in.end, fb.start, fb.end);
@@ -236,14 +270,24 @@ Bytes Controller::dirty_bytes_at(Time when) {
   return dirty;
 }
 
-void Controller::clear_request_loads() {
-  for (const std::uint32_t plane : touched_planes_) {
-    plane_load_[plane] = PlaneLoad{};
-    channel_load_[plane / planes_per_channel_] = ChannelLoad{};
-    package_fb_[plane / planes_per_package_] = Time{};
-    die_plane_mask_[plane / planes_per_die_] = 0;
+template <typename Visit>
+void Controller::for_each_touched_plane(Visit&& visit) const {
+  for (std::size_t word = 0; word < touched_planes_.size(); ++word) {
+    for (std::uint64_t bits = touched_planes_[word]; bits != 0; bits &= bits - 1) {
+      visit(static_cast<std::uint32_t>(word * 64 + std::countr_zero(bits)));
+    }
   }
-  touched_planes_.clear();
+}
+
+void Controller::clear_request_loads() {
+  for_each_touched_plane([this](std::uint32_t plane) {
+    const PlaneSite& site = plane_site_[plane];
+    plane_load_[plane] = PlaneLoad{};
+    channel_load_[site.channel] = ChannelLoad{};
+    package_fb_[site.package] = Time{};
+    die_plane_mask_[site.die] = 0;
+  });
+  std::fill(touched_planes_.begin(), touched_planes_.end(), 0);
 }
 
 RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
@@ -264,8 +308,8 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
 
   const std::vector<UnitRun> runs = ftl_.translate(request);
 
-  std::vector<TxnSpec> specs;
-  for (const UnitRun& run : runs) expand_run(run, specs);
+  specs_.clear();
+  for (const UnitRun& run : runs) expand_run(run, specs_);
 
   RequestResult result;
   result.issue = arrival;
@@ -350,27 +394,25 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
     const std::uint32_t die_in_channel = txn.package * geometry.dies_per_package + txn.die;
     const std::uint32_t plane_index =
         txn.channel * planes_per_channel_ + die_in_channel * planes_per_die_ + txn.plane;
+    touched_planes_[plane_index / 64] |= 1ULL << (plane_index % 64);
+    const PlaneSite& site = plane_site_[plane_index];
     PlaneLoad& plane = plane_load_[plane_index];
-    if (!plane.touched) {
-      plane.touched = true;
-      touched_planes_.push_back(plane_index);
-    }
     plane.cell += txn.cell;
     plane.wait += txn.cell_wait;
     ChannelLoad& channel = channel_load_[txn.channel];
     channel.active += txn.command + txn.channel_bus;
     channel.wait += txn.channel_wait;
-    package_fb_[plane_index / planes_per_package_] += txn.flash_bus;
+    package_fb_[site.package] += txn.flash_bus;
 
     result.media_end = std::max(result.media_end, txn.complete);
     ++result.transactions;
 
     if (!count_pal) return;
     channel.die_mask |= 1ULL << (die_in_channel % 64);
-    die_plane_mask_[plane_index / planes_per_die_] |= 1u << txn.plane;
+    die_plane_mask_[site.die] |= 1u << txn.plane;
   };
 
-  for (const TxnSpec& spec : specs) {
+  for (const TxnSpec& spec : specs_) {
     run_spec(spec, /*inject=*/true, /*count_pal=*/true);
   }
   if (!remap_runs.empty()) {
@@ -386,30 +428,29 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
   // are capped by the device wall so queueing behind *other* requests
   // (host-side pipelining) cannot inflate a single request's share.
   // Ties go to the lowest-numbered plane and channel, so walk the touched
-  // planes in index order; a channel's planes are contiguous, so each
-  // channel is seen first at its lowest plane.
+  // planes in index order (the bitmap's order); a channel's planes are
+  // contiguous, so each channel is seen first at its lowest plane.
   const Time device_wall = std::max(Time{}, result.media_end - arrival);
-  std::sort(touched_planes_.begin(), touched_planes_.end());
   PlaneLoad worst_plane;
   ChannelLoad worst_channel;
   Time worst_fb;
   bool die_interleaved = false;
   bool multi_plane = false;
   std::uint32_t last_channel = ~0u;
-  for (const std::uint32_t index : touched_planes_) {
+  for_each_touched_plane([&](std::uint32_t index) {
+    const PlaneSite& site = plane_site_[index];
     const PlaneLoad& load = plane_load_[index];
     if (load.cell + load.wait > worst_plane.cell + worst_plane.wait) worst_plane = load;
-    worst_fb = std::max(worst_fb, package_fb_[index / planes_per_package_]);
-    if (std::popcount(die_plane_mask_[index / planes_per_die_]) > 1) multi_plane = true;
-    const std::uint32_t channel_index = index / planes_per_channel_;
-    if (channel_index == last_channel) continue;
-    last_channel = channel_index;
-    const ChannelLoad& channel = channel_load_[channel_index];
+    worst_fb = std::max(worst_fb, package_fb_[site.package]);
+    if (std::popcount(die_plane_mask_[site.die]) > 1) multi_plane = true;
+    if (site.channel == last_channel) return;
+    last_channel = site.channel;
+    const ChannelLoad& channel = channel_load_[site.channel];
     if (channel.active + channel.wait > worst_channel.active + worst_channel.wait) {
       worst_channel = channel;
     }
     if (std::popcount(channel.die_mask) > 1) die_interleaved = true;
-  }
+  });
 
   // Contention visible to one request is bounded by one service quantum
   // per resource chain (it queues behind at most a dispatch window of

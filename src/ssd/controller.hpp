@@ -110,11 +110,13 @@ class Controller {
     std::uint64_t first_unit;
     std::uint32_t cell_ops;
     Bytes bytes;
+    PhysicalAddress address;  ///< map_unit(first_unit), walked to by expand_run.
     bool gc = false;  ///< Carries UnitRun::gc through expansion (audit class).
   };
 
   /// Expands a unit run into per-plane transactions (burst-grouping small
-  /// pages when enabled).
+  /// pages when enabled). Maps the run's first unit and walks the stripe
+  /// from there.
   void expand_run(const UnitRun& run, std::vector<TxnSpec>& out) const;
 
   /// `inject` gates fault draws: bad-block relocation traffic is
@@ -124,6 +126,14 @@ class Controller {
   /// Dirty bytes still being programmed at time `when`.
   [[nodiscard]] Bytes dirty_bytes_at(Time when);
 
+  /// Time the channel and package-port buses are held for `bytes`.
+  [[nodiscard]] Time bus_time(Bytes bytes);
+
+  /// Calls `visit(plane)` for every plane the current request touched,
+  /// in ascending index order.
+  template <typename Visit>
+  void for_each_touched_plane(Visit&& visit) const;
+
   /// Zeroes the per-request scratch entries the last request touched.
   void clear_request_loads();
 
@@ -131,7 +141,6 @@ class Controller {
   struct PlaneLoad {
     Time cell;
     Time wait;
-    bool touched = false;
   };
   struct ChannelLoad {
     Time active;  // command + data transfer
@@ -147,18 +156,29 @@ class Controller {
   ControllerStats stats_;
   /// (program completion, bytes) of buffered writes still draining.
   std::vector<std::pair<Time, Bytes>> write_buffer_drain_;
+  /// The current request's transactions, reused across requests.
+  std::vector<TxnSpec> specs_;
+  /// One-entry memo of bus_time(): a burst run's transactions share one
+  /// size. transfer_time(0) is 0, so the empty memo is already valid.
+  Bytes bus_memo_bytes_;
+  Time bus_memo_time_;
   // Per-request scratch, flat by geometry and reused across requests.
   // Planes are numbered (channel, package, die, plane) row-major; dies
   // and packages likewise.
+  struct PlaneSite {
+    std::uint32_t die;
+    std::uint32_t package;
+    std::uint32_t channel;
+  };
   std::uint32_t planes_per_die_;
-  std::uint32_t planes_per_package_;
   std::uint32_t planes_per_channel_;
+  std::vector<PlaneSite> plane_site_;  ///< Each plane's die, package and channel.
   std::vector<PlaneLoad> plane_load_;
   std::vector<ChannelLoad> channel_load_;
   std::vector<Time> package_fb_;
   std::vector<std::uint32_t> die_plane_mask_;  ///< PAL: planes used per die.
-  /// plane_load_ indices this request touched, in first-touch order.
-  std::vector<std::uint32_t> touched_planes_;
+  /// Bitmap over plane_load_ of the planes this request touched.
+  std::vector<std::uint64_t> touched_planes_;
 };
 
 }  // namespace nvmooc

@@ -61,6 +61,45 @@ PhysicalAddress SsdGeometry::map_unit(std::uint64_t unit, const NvmTiming& timin
   return address;
 }
 
+void SsdGeometry::next(PhysicalAddress& address, const NvmTiming& timing) const {
+  // Each step bumps one dimension and reports whether it wrapped. A die
+  // index within the channel is (package, die), so it carries from die
+  // into package.
+  const auto channel = [&] {
+    if (++address.channel < channels) return false;
+    address.channel = 0;
+    return true;
+  };
+  const auto plane = [&] {
+    if (++address.plane < timing.planes_per_die) return false;
+    address.plane = 0;
+    return true;
+  };
+  const auto die = [&] {
+    if (++address.die < dies_per_package) return false;
+    address.die = 0;
+    if (++address.package < packages_per_channel) return false;
+    address.package = 0;
+    return true;
+  };
+  const auto row = [&] {
+    if (++address.page < timing.pages_per_block) return;
+    address.page = 0;
+    ++address.block;
+  };
+  switch (policy) {
+    case AllocationPolicy::kChannelPlaneDie:
+      if (channel() && plane() && die()) row();
+      break;
+    case AllocationPolicy::kChannelDiePlane:
+      if (channel() && die() && plane()) row();
+      break;
+    case AllocationPolicy::kDieChannelPlane:
+      if (die() && channel() && plane()) row();
+      break;
+  }
+}
+
 std::uint64_t SsdGeometry::unit_of(const PhysicalAddress& address,
                                    const NvmTiming& timing) const {
   const std::uint64_t num_channels = channels;

@@ -62,6 +62,13 @@ struct SsdGeometry {
   /// policy. The mapping unit is the media's native page.
   PhysicalAddress map_unit(std::uint64_t unit, const NvmTiming& timing) const;
 
+  /// Advances `address` from map_unit(u) to map_unit(u + 1): one step
+  /// in the policy's dimension order, carrying into the next dimension
+  /// when one wraps and into the page row when all three do. The
+  /// controller maps the first unit of a run and walks the rest, so a
+  /// transaction costs no divisions; map_unit stays the one mapping.
+  void next(PhysicalAddress& address, const NvmTiming& timing) const;
+
   /// Inverse of map_unit (used by tests to prove the mapping is a
   /// bijection).
   std::uint64_t unit_of(const PhysicalAddress& address, const NvmTiming& timing) const;

@@ -43,18 +43,6 @@ TEST(Units, BandwidthMbps) {
   EXPECT_DOUBLE_EQ(bandwidth_mbps(GB, Time{-5}), 0.0);
 }
 
-TEST(Units, TransferTimeRoundsUp) {
-  // 1 byte at 1 GB/s = 1 ns exactly.
-  EXPECT_EQ(transfer_time(Bytes{1}, 1e9), kNanosecond);
-  // Zero-rate guards.
-  EXPECT_EQ(transfer_time(Bytes{100}, 0.0), Time{});
-  // Never undershoots: moving N bytes takes at least N/rate.
-  for (Bytes b : {Bytes{1}, Bytes{4096}, Bytes{123457}}) {
-    const Time t = transfer_time(b, 400e6);
-    EXPECT_GE(to_seconds(t) * 400e6, static_cast<double>(b) * 0.999999);
-  }
-}
-
 // ---------- rng ---------------------------------------------------------
 
 TEST(Rng, DeterministicForSeed) {
@@ -237,21 +225,12 @@ TEST(BusyTracker, OutOfOrderInsertion) {
   EXPECT_EQ(t.busy_time(), Time{30});
 }
 
-TEST(BusyTracker, UtilizationClamped) {
-  BusyTracker t;
-  t.add_interval(Time{0}, Time{50});
-  EXPECT_DOUBLE_EQ(t.utilization(Time{100}), 0.5);
-  EXPECT_DOUBLE_EQ(t.utilization(Time{25}), 1.0);  // Clamped.
-  EXPECT_DOUBLE_EQ(t.utilization(Time{0}), 0.0);
-}
-
-TEST(BusyTracker, MergeAndIntersect) {
+TEST(BusyTracker, MergeUnions) {
   BusyTracker a;
   a.add_interval(Time{0}, Time{10});
   a.add_interval(Time{20}, Time{30});
   BusyTracker b;
   b.add_interval(Time{5}, Time{25});
-  EXPECT_EQ(a.intersect_time(b), Time{10});  // [5,10) + [20,25).
   a.merge(b);
   EXPECT_EQ(a.busy_time(), Time{30});  // [0,30).
 }
@@ -304,7 +283,7 @@ std::vector<std::pair<Time, Time>> as_vector(const BusyTracker& tracker) {
 // Differential: random overlapping, touching, empty and out-of-order
 // intervals — near the tail (the backfill case) and far behind it (the
 // binary-search fallback) — against the brute-force union, through
-// merge() and intersect_time() too.
+// merge() too.
 TEST(BusyTracker, MatchesBruteForceUnion) {
   std::uint64_t state = 0x2545f4914f6cdd1dULL;
   const auto next = [&state] {
@@ -344,12 +323,9 @@ TEST(BusyTracker, MatchesBruteForceUnion) {
     EXPECT_EQ(a.busy_time(), span_total(sort_and_coalesce(spans_a)));
     EXPECT_EQ(b.busy_time(), span_total(sort_and_coalesce(spans_b)));
 
-    // Overlap = |A| + |B| - |A u B|.
     std::vector<std::pair<Time, Time>> both = spans_a;
     both.insert(both.end(), spans_b.begin(), spans_b.end());
     const Time union_time = span_total(sort_and_coalesce(both));
-    EXPECT_EQ(a.intersect_time(b), a.busy_time() + b.busy_time() - union_time);
-    EXPECT_EQ(b.intersect_time(a), a.intersect_time(b));
 
     a.merge(b);
     EXPECT_EQ(as_vector(a), sort_and_coalesce(both));

@@ -187,9 +187,10 @@ TEST(Die, InvalidPlaneThrows) {
 
 TEST(Package, FlashBusSerializesAcrossDies) {
   const NvmTiming timing = slc_timing();
-  Package package(timing, onfi3_sdr_bus(), 2, false);
-  const Reservation a = package.reserve_flash_bus(Time{}, 2 * KiB);
-  const Reservation b = package.reserve_flash_bus(Time{}, 2 * KiB);
+  Package package(timing, 2, false);
+  const Time transfer = onfi3_sdr_bus().transfer_time(2 * KiB);
+  const Reservation a = package.flash_bus().reserve(Time{}, transfer);
+  const Reservation b = package.flash_bus().reserve(Time{}, transfer);
   EXPECT_EQ(b.start, a.end);  // One port per package.
 }
 

@@ -5,9 +5,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <set>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -16,6 +21,7 @@
 #include "cluster/engine.hpp"
 #include "common/probe.hpp"
 #include "fs/presets.hpp"
+#include "obs/json.hpp"
 #include "ooc/workload.hpp"
 #include "ssd/controller.hpp"
 #include "ssd/ftl.hpp"
@@ -71,6 +77,40 @@ TEST_P(GeometryPolicyTest, MappingIsBijective) {
     EXPECT_EQ(g.unit_of(a, timing), u);  // Exact inverse.
   }
   EXPECT_EQ(seen.size(), units);
+}
+
+// Differential: the incremental stripe walk lands where map_unit does, for
+// every unit through two full block wraps, on the paper geometry and on
+// odd ones where no dimension is a power of two.
+TEST_P(GeometryPolicyTest, WalkMatchesMapUnit) {
+  SsdGeometry odd;
+  odd.channels = 3;
+  odd.packages_per_channel = 5;
+  odd.dies_per_package = 3;
+  NvmTiming odd_pages = tiny_timing();
+  odd_pages.pages_per_block = 3;
+  NvmTiming four_planes = tiny_timing();
+  four_planes.planes_per_die = 4;
+  const std::vector<std::pair<SsdGeometry, NvmTiming>> cases = {
+      {paper_geometry(), slc_timing()}, {paper_geometry(), pcm_timing()},
+      {odd, tiny_timing()},             {odd, odd_pages},
+      {odd, four_planes}};
+  const auto as_tuple = [](const PhysicalAddress& a) {
+    return std::make_tuple(a.channel, a.package, a.die, a.plane, a.block, a.page);
+  };
+  for (auto [g, timing] : cases) {
+    g.policy = GetParam();
+    SCOPED_TRACE(::testing::Message() << g.channels << "x" << g.packages_per_channel << "x"
+                                      << g.dies_per_package << "x" << timing.planes_per_die
+                                      << ", " << timing.pages_per_block << " pages/block");
+    const std::uint64_t wraps = 2 * g.plane_positions(timing) * timing.pages_per_block;
+    PhysicalAddress walked = g.map_unit(0, timing);
+    for (std::uint64_t u = 0; u <= wraps; ++u) {
+      g.next(walked, timing);
+      ASSERT_EQ(as_tuple(walked), as_tuple(g.map_unit(u + 1, timing))) << "after unit " << u;
+    }
+    EXPECT_EQ(walked.block, 2u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, GeometryPolicyTest,
@@ -757,6 +797,44 @@ std::vector<TwinCase> twin_cases() {
   return cases;
 }
 
+/// A seeded stream of reads and writes over a TwinCase's address ranges,
+/// with arrivals that never go back in time: bursts of simultaneous
+/// arrivals queue and backfill, pauses idle.
+class RequestStream {
+ public:
+  explicit RequestStream(const TwinCase& twin_case)
+      : write_percent_(twin_case.write_percent),
+        max_request_(twin_case.max_request.value()),
+        read_kib_((twin_case.preload - twin_case.max_request) / KiB),
+        write_kib_(twin_case.write_span > Bytes{} ? twin_case.write_span / KiB : read_kib_) {}
+
+  /// The next request; `arrival` is advanced to its arrival time.
+  BlockRequest next(Time& arrival) {
+    if (draw() % 4 == 0) arrival += Time{static_cast<std::int64_t>(draw() % 400'000'000)};
+    const bool write = draw() % 100 < write_percent_;
+    // Mostly whole KiB (reads of several pages), sometimes odd bytes so
+    // writes hit the read-modify-write edge path.
+    Bytes offset = (draw() % (write ? write_kib_ : read_kib_)) * KiB;
+    if (draw() % 3 == 0) offset += Bytes{draw() % 1000};
+    const Bytes size = Bytes{1 + draw() % max_request_};
+    return {write ? NvmOp::kWrite : NvmOp::kRead, offset, size, false, false};
+  }
+
+ private:
+  std::uint64_t draw() {
+    state_ ^= state_ << 13;
+    state_ ^= state_ >> 7;
+    state_ ^= state_ << 17;
+    return state_;
+  }
+
+  std::uint64_t state_ = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t write_percent_;
+  std::uint64_t max_request_;
+  std::uint64_t read_kib_;
+  std::uint64_t write_kib_;
+};
+
 // Differential: a device that folds behind an advancing watermark answers
 // every request, and every device statistic, exactly as its unfolded twin
 // does, over seeded random streams of reads and writes with arrivals that
@@ -769,30 +847,11 @@ TEST(DeviceStats, FoldedSsdMatchesUnfoldedTwin) {
     Ssd unfolded(twin_case.config);
     folded.preload(twin_case.preload);
     unfolded.preload(twin_case.preload);
-    std::uint64_t state = 0x9e3779b97f4a7c15ULL;
-    const auto next = [&state] {
-      state ^= state << 13;
-      state ^= state >> 7;
-      state ^= state << 17;
-      return state;
-    };
-    const std::uint64_t read_kib = (twin_case.preload - twin_case.max_request) / KiB;
-    const std::uint64_t write_kib =
-        twin_case.write_span > Bytes{} ? twin_case.write_span / KiB : read_kib;
+    RequestStream stream(twin_case);
     Time arrival;
     Time last_end;
     for (int i = 0; i < 600; ++i) {
-      // Bursts of simultaneous arrivals queue and backfill; pauses idle.
-      arrival += Time{static_cast<std::int64_t>(next() % 4 == 0 ? next() % 400'000'000 : 0)};
-      const bool write = next() % 100 < twin_case.write_percent;
-      // Mostly whole KiB (reads of several pages), sometimes odd bytes so
-      // writes hit the read-modify-write edge path.
-      const Bytes offset = (next() % (write ? write_kib : read_kib)) * KiB +
-                           Bytes{next() % 3 == 0 ? next() % 1000 : 0};
-      const Bytes size =
-          Bytes{1 + next() % static_cast<std::uint64_t>(twin_case.max_request.value())};
-      const BlockRequest request{write ? NvmOp::kWrite : NvmOp::kRead, offset, size, false,
-                                 false};
+      const BlockRequest request = stream.next(arrival);
       folded.advance_watermark(arrival);
       const RequestResult got = folded.submit(request, arrival);
       const RequestResult want = unfolded.submit(request, arrival);
@@ -812,6 +871,184 @@ TEST(DeviceStats, FoldedSsdMatchesUnfoldedTwin) {
       expect_same_device_stats(folded.device_stats(wall), unfolded.device_stats(wall));
     }
   }
+}
+
+/// FNV-1a over the 64-bit words of a run's results.
+class Fingerprint {
+ public:
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xff;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(Time t) { add(static_cast<std::uint64_t>(t.ps())); }
+  void add(Bytes b) { add(b.value()); }
+  std::string hex() const {
+    char out[17];
+    std::snprintf(out, sizeof out, "%016llx", static_cast<unsigned long long>(hash_));
+    return out;
+  }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+void fingerprint(Fingerprint& f, const RequestResult& r) {
+  f.add(r.issue);
+  f.add(r.media_begin);
+  f.add(r.media_end);
+  f.add(r.bytes);
+  f.add(r.transactions);
+  f.add(static_cast<std::uint64_t>(r.pal));
+  for (const Time t : r.phase_time) f.add(t);
+  f.add(r.retries);
+  f.add(r.uncorrectable_units);
+  f.add(r.uncorrectable_bytes);
+  f.add(r.retry_time);
+  f.add(r.hard_failure ? 1 : 0);
+}
+
+void fingerprint(Fingerprint& f, const ControllerStats& s) {
+  for (const Time t : s.phase_time) f.add(t);
+  for (const Time t : s.cell_time_by_op) f.add(t);
+  f.add(s.bus_time);
+  f.add(s.transactions);
+  f.add(s.requests);
+  f.add(s.payload_bytes);
+  f.add(s.internal_bytes);
+  for (const Bytes b : s.pal_bytes) f.add(b);
+  for (const std::uint64_t n : s.pal_requests) f.add(n);
+  f.add(s.first_activity);
+  f.add(s.last_completion);
+  const ReliabilityStats& r = s.reliability;
+  f.add(r.corrected_reads);
+  f.add(r.read_retries);
+  f.add(r.uncorrectable_reads);
+  f.add(r.die_stuck_reads);
+  f.add(r.channel_stalls);
+  f.add(r.retry_time);
+  f.add(r.remapped_blocks);
+  f.add(r.remap_relocations);
+  f.add(r.spare_blocks_used);
+  f.add(r.capacity_lost);
+  f.add(r.hard_failure ? 1 : 0);
+}
+
+/// The digest cases: PCM bursts, MLC and TLC writes with garbage
+/// collection, MLC with rber, a channel stall and a stuck die, and MLC
+/// behind the write buffer, each under every allocation policy with
+/// backfill on and off.
+std::vector<TwinCase> digest_cases() {
+  std::vector<TwinCase> bases;
+  TwinCase pcm;
+  pcm.name = "pcm-burst";
+  pcm.config.media = NvmType::kPcm;
+  pcm.write_percent = 10;
+  pcm.max_request = 32 * KiB;
+  bases.push_back(pcm);
+  for (const NvmType media : {NvmType::kMlc, NvmType::kTlc}) {
+    TwinCase gc;
+    gc.name = media == NvmType::kMlc ? "mlc-gc" : "tlc-gc";
+    gc.config.media = media;
+    gc.config.geometry.channels = 2;
+    gc.config.geometry.packages_per_channel = 2;
+    gc.config.geometry.dies_per_package = 2;
+    gc.write_percent = 50;
+    gc.write_span = MiB;
+    // A few erase cohorts of slack; TLC blocks are three times MLC's.
+    gc.preload = gc.config.geometry.capacity(timing_for(media)) -
+                 (media == NvmType::kMlc ? 24 : 48) * MiB;
+    bases.push_back(gc);
+  }
+  TwinCase faulty;
+  faulty.name = "mlc-faults";
+  faulty.config.media = NvmType::kMlc;
+  faulty.config.fault.enabled = true;
+  faulty.config.fault.rber = 4e-3;
+  faulty.config.fault.channel_stalls.push_back({1, 200 * kMicrosecond, 300 * kMicrosecond});
+  faulty.config.fault.stuck_dies.push_back({3, 1, 0, 2 * kMillisecond});
+  faulty.write_percent = 20;
+  bases.push_back(faulty);
+  TwinCase buffered;
+  buffered.name = "mlc-write-buffer";
+  buffered.config.media = NvmType::kMlc;
+  buffered.config.controller.write_buffer = 4 * MiB;
+  buffered.write_percent = 60;
+  bases.push_back(buffered);
+
+  std::vector<TwinCase> cases;
+  for (const TwinCase& base : bases) {
+    for (const AllocationPolicy policy :
+         {AllocationPolicy::kChannelPlaneDie, AllocationPolicy::kChannelDiePlane,
+          AllocationPolicy::kDieChannelPlane}) {
+      for (const bool backfill : {true, false}) {
+        TwinCase c = base;
+        c.config.geometry.policy = policy;
+        c.config.controller.queue_backfill = backfill;
+        cases.push_back(c);
+      }
+    }
+  }
+  return cases;
+}
+
+std::string controller_digest_path() {
+  return std::string(NVMOOC_TEST_DATA_DIR) + "/golden/controller_digest.json";
+}
+
+// The byte-level oracle for the controller's scheduling and accounting:
+// every RequestResult field of a seeded request stream and every
+// ControllerStats field after it, per case, fingerprinted and pinned.
+// Any change to a grant, a phase split, a PAL class or a reliability
+// counter moves a digest.
+TEST(Controller, MatchesGoldenDigest) {
+  constexpr int kRequests = 400;
+  obs::JsonWriter w;
+  w.begin_object();
+  for (const TwinCase& digest_case : digest_cases()) {
+    const std::string name = std::string(digest_case.name) + "/" +
+                             std::string(to_string(digest_case.config.geometry.policy)) +
+                             (digest_case.config.controller.queue_backfill ? "/backfill"
+                                                                           : "/fifo");
+    SCOPED_TRACE(name);
+    Ssd ssd(digest_case.config);
+    ssd.preload(digest_case.preload);
+    RequestStream stream(digest_case);
+    Fingerprint f;
+    Time arrival;
+    for (int i = 0; i < kRequests; ++i) {
+      const BlockRequest request = stream.next(arrival);
+      ssd.advance_watermark(arrival);
+      fingerprint(f, ssd.submit(request, arrival));
+    }
+    const ControllerStats& stats = ssd.controller_stats();
+    fingerprint(f, stats);
+    EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kRequests));
+    if (digest_case.write_span > Bytes{}) {
+      EXPECT_GT(ssd.ftl_stats().gc_runs, 0u);
+    }
+    if (digest_case.config.fault.enabled) {
+      EXPECT_GT(stats.reliability.read_retries, 0u);
+      EXPECT_GT(stats.reliability.channel_stalls, 0u);
+      EXPECT_GT(stats.reliability.die_stuck_reads, 0u);
+    }
+    w.field(name, f.hex());
+  }
+  w.end_object();
+  const std::string actual = w.str() + "\n";
+
+  if (std::getenv("NVMOOC_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(controller_digest_path(), std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << controller_digest_path();
+    out << actual;
+    GTEST_SKIP() << "regenerated " << controller_digest_path();
+  }
+  std::ifstream in(controller_digest_path(), std::ios::binary);
+  ASSERT_TRUE(in) << "missing golden file " << controller_digest_path();
+  std::stringstream expected;
+  expected << in.rdbuf();
+  EXPECT_EQ(expected.str(), actual);
 }
 
 TEST(DeviceStats, WearAggregatesAcrossDies) {

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <type_traits>
@@ -152,7 +154,7 @@ TEST(TransferTime, TinyFractionStillCeils) {
 TEST(TransferTime, NeverUndershoots) {
   // ceil(q) * rate >= bytes must hold for every checked pair: the modeled
   // wire cannot move bytes faster than its rate.
-  const double rates[] = {1.0, 3.0, 7.5e3, 1e6, 2.5e9, 1e12, 9.9e13};
+  const double rates[] = {1.0, 3.0, 7.5e3, 1e6, 400e6, 2.5e9, 1e12, 9.9e13};
   const Bytes sizes[] = {Bytes{1},       Bytes{511},        Bytes{4096},
                          Bytes{123'457}, 64 * KiB,          3 * MiB,
                          GiB,            Bytes{0xFFFFFFFFu}};
@@ -181,6 +183,116 @@ TEST(TransferTime, HugeTransfersSaturate) {
   EXPECT_EQ(transfer_time(Bytes{std::numeric_limits<std::uint64_t>::max()}, 1.0),
             Time::max());
   EXPECT_EQ(transfer_time(GiB, 1e-30), Time::max());
+}
+
+// The loop transfer_time() used before it read the rate's bits directly:
+// halve or double the rate into [2^52, 2^53), then shift the numerator up
+// one bit at a time. Kept as the oracle for the O(1) decomposition.
+Time reference_transfer_time(Bytes bytes, double bytes_per_second) {
+  if (bytes_per_second <= 0.0 || bytes == Bytes{}) return Time{};
+  if (!(bytes_per_second <= std::numeric_limits<double>::max())) return Time{};
+  double frac = bytes_per_second;
+  int shift = 0;
+  while (frac >= 9007199254740992.0) {  // 2^53
+    frac /= 2.0;
+    ++shift;
+  }
+  while (frac < 4503599627370496.0) {  // 2^52
+    frac *= 2.0;
+    --shift;
+  }
+  const std::uint64_t mant = static_cast<std::uint64_t>(frac);
+  unsigned __int128 num = static_cast<unsigned __int128>(bytes.value()) *
+                          static_cast<unsigned __int128>(kSecond.ps());
+  unsigned __int128 den = mant;
+  if (shift >= 0) {
+    if (shift >= 75) return kPicosecond;
+    den <<= shift;
+  } else {
+    int up = -shift;
+    while (up > 0 && num < (static_cast<unsigned __int128>(1) << 127)) {
+      num <<= 1;
+      --up;
+    }
+    if (up > 0) return Time::max();
+  }
+  const unsigned __int128 q = num / den;
+  const unsigned __int128 ceil_q = q + ((q * den < num) ? 1 : 0);
+  constexpr unsigned __int128 kMaxTime =
+      static_cast<unsigned __int128>(std::numeric_limits<std::int64_t>::max());
+  if (ceil_q >= kMaxTime) return Time::max();
+  return Time{static_cast<std::int64_t>(ceil_q)};
+}
+
+// Differential: the bit_cast decomposition gives the loop's answer, to
+// the picosecond, on fixed edges and on 1M seeded random (size, rate)
+// pairs: half raw bit patterns over every finite positive double
+// (subnormals included), half rates and sizes in the ranges the
+// simulator's buses and links use.
+TEST(TransferTime, MatchesLoopReference) {
+  const double rates[] = {std::numeric_limits<double>::denorm_min(),
+                          3 * std::numeric_limits<double>::denorm_min(),
+                          std::nextafter(std::numeric_limits<double>::min(), 0.0),
+                          std::numeric_limits<double>::min(),
+                          1e-300,
+                          1e-30,
+                          0.5,
+                          1.0,
+                          4503599627370496.0,  // 2^52
+                          std::nextafter(9007199254740992.0, 0.0),
+                          9007199254740992.0,  // 2^53
+                          400e6,
+                          1.6e9,
+                          985e6 * 16 / 8.0,
+                          9.9e13,
+                          1e300,
+                          std::numeric_limits<double>::max()};
+  const Bytes sizes[] = {Bytes{1},         Bytes{64},      Bytes{511},
+                         2 * KiB,          4 * KiB,        8 * MiB,
+                         Bytes{0xFFFFFFFFu}, Bytes{1ULL << 44},
+                         Bytes{std::numeric_limits<std::uint64_t>::max() / 1'000'000},
+                         Bytes{std::numeric_limits<std::uint64_t>::max()}};
+  for (const double rate : rates) {
+    for (const Bytes size : sizes) {
+      EXPECT_EQ(transfer_time(size, rate), reference_transfer_time(size, rate))
+          << size.value() << " B @ " << rate << " B/s";
+    }
+  }
+
+  std::uint64_t state = 0x2545f4914f6cdd1dULL;
+  const auto draw = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  constexpr int kPairs = 1'000'000;
+  int mismatches = 0;
+  for (int i = 0; i < kPairs; ++i) {
+    double rate = 0.0;
+    Bytes size;
+    if (i % 2 == 0) {
+      // Any finite positive double: sign 0, exponent below all-ones.
+      std::uint64_t bits = 0;
+      do {
+        bits = draw() >> 1;
+      } while ((bits >> 52) == 0x7ff || bits == 0);
+      rate = std::bit_cast<double>(bits);
+      size = Bytes{draw() >> (draw() % 64)};
+    } else {
+      // 1 B/s to 100 TB/s, and up to 4 GiB.
+      const double fraction = static_cast<double>(draw() >> 11) * 0x1p-53;
+      rate = std::ldexp(1.0 + fraction, static_cast<int>(draw() % 47));
+      size = Bytes{draw() >> (32 + draw() % 32)};
+    }
+    if (size == Bytes{}) size = Bytes{1};
+    if (transfer_time(size, rate) != reference_transfer_time(size, rate) && ++mismatches <= 5) {
+      ADD_FAILURE() << size.value() << " B @ " << rate << " B/s: "
+                    << transfer_time(size, rate) << " != "
+                    << reference_transfer_time(size, rate);
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << kPairs << " random pairs";
 }
 
 TEST(TransferTime, DegenerateInputs) {
