@@ -14,10 +14,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "check/audit.hpp"
@@ -114,8 +116,16 @@ inline std::size_t& exemplars_per_class() {
   return k;
 }
 
+/// Strips the shared flags from argv. A bad numeric value (see
+/// obs::parse_number_flag) exits 1, naming the flag and the value.
 inline BenchOptions strip_bench_options(int& argc, char** argv) {
   BenchOptions out;
+  const auto number = [](const char* flag, const char* text, auto min, auto& value) {
+    using T = std::remove_reference_t<decltype(value)>;
+    if (!obs::parse_number_flag(flag, text, min, std::numeric_limits<T>::max(), value)) {
+      std::exit(1);
+    }
+  };
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -128,9 +138,9 @@ inline BenchOptions strip_bench_options(int& argc, char** argv) {
     else if (const char* v = value("--log-level=")) out.obs.log_level = v;
     else if (const char* v = value("--headline-out=")) out.headline_out = v;
     else if (const char* v = value("--results-out=")) out.results_out = v;
-    else if (const char* v = value("--heartbeat-sec=")) out.obs.heartbeat_sec = std::strtod(v, nullptr);
+    else if (const char* v = value("--heartbeat-sec=")) number("heartbeat-sec", v, 0.0, out.obs.heartbeat_sec);
     else if (const char* v = value("--flight-out=")) out.obs.flight_out = v;
-    else if (const char* v = value("--exemplars=")) out.exemplars = std::strtoull(v, nullptr, 10);
+    else if (const char* v = value("--exemplars=")) number("exemplars", v, std::size_t{0}, out.exemplars);
     else if (!std::strcmp(arg, "--no-flight-recorder")) out.obs.flight = false;
     else if (!std::strcmp(arg, "--quick")) out.quick = true;
     else if (!std::strcmp(arg, "--audit")) out.audit = true;

@@ -4,8 +4,6 @@
 // Run: ./build/examples/trace_replay --config=cnl-ufs --media=tlc
 //        [--trace=FILE | --pattern=seq|rand|strided] [--size-mib=256]
 //        [--faults=SCENARIO] [--audit]
-#include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -14,8 +12,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <system_error>
-#include <type_traits>
 
 #include "check/audit.hpp"
 #include "cluster/configs.hpp"
@@ -74,32 +70,12 @@ std::string option(int argc, char** argv, const char* key, const char* fallback)
   return fallback;
 }
 
-/// Reads --key (or `fallback` when it is absent) as a plain decimal
-/// number in [min, max]. An empty value, a sign, trailing characters,
-/// overflow or a non-finite number is an error naming the flag and value.
+/// Reads --key (or `fallback` when it is absent) with
+/// obs::parse_number_flag: a plain decimal number in [min, max].
 template <typename T>
 bool numeric_option(int argc, char** argv, const char* key, const char* fallback, T min,
                     T max, T& out) {
-  const std::string text = option(argc, argv, key, fallback);
-  const char* const last = text.data() + text.size();
-  T value{};
-  const auto [end, error] = std::from_chars(text.data(), last, value);
-  bool ok = !text.empty() && text.front() != '-' && error == std::errc{} && end == last &&
-            value >= min && value <= max;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
-  if (!ok) {
-    if constexpr (std::is_floating_point_v<T>) {
-      std::fprintf(stderr, "bad value for --%s: '%s' (want a finite number of at least %g)\n",
-                   key, text.c_str(), static_cast<double>(min));
-    } else {
-      std::fprintf(stderr, "bad value for --%s: '%s' (want a whole number from %llu to %llu)\n",
-                   key, text.c_str(), static_cast<unsigned long long>(min),
-                   static_cast<unsigned long long>(max));
-    }
-    return false;
-  }
-  out = value;
-  return true;
+  return obs::parse_number_flag(key, option(argc, argv, key, fallback), min, max, out);
 }
 
 bool flag(int argc, char** argv, const char* key) {

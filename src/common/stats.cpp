@@ -106,15 +106,7 @@ std::string Histogram::to_string() const {
   return out;
 }
 
-void BusyTracker::add_interval(Time start, Time end) {
-  if (end <= start) return;
-  // In-order grants — the common case for a busy resource — append here
-  // or extend the last interval below, keeping memory proportional to the
-  // number of idle gaps, not reservations.
-  if (intervals_.empty() || start > intervals_.back().second) {
-    intervals_.emplace_back(start, end);
-    return;
-  }
+void BusyTracker::insert_before_last(Time start, Time end) {
   // Find the first interval that ends at or after `start`: the new span
   // touches it or lies wholly before it, and clears every one before it.
   // A backfill lands in an idle gap near the tail, so walk back a few

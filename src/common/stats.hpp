@@ -84,7 +84,19 @@ class Histogram {
 /// stays exact while the list holds just the live tail.
 class BusyTracker {
  public:
-  void add_interval(Time start, Time end);
+  void add_interval(Time start, Time end) {
+    if (end <= start) return;
+    // In-order grants — the common case for a busy resource — append or
+    // extend the last interval, keeping memory proportional to the number
+    // of idle gaps, not reservations.
+    if (intervals_.empty() || start > intervals_.back().second) {
+      intervals_.emplace_back(start, end);
+    } else if (start >= intervals_.back().first) {
+      if (end > intervals_.back().second) intervals_.back().second = end;
+    } else {
+      insert_before_last(start, end);
+    }
+  }
 
   /// Total busy time, folded and live; linear in the live interval count.
   [[nodiscard]] Time busy_time() const;
@@ -114,6 +126,10 @@ class BusyTracker {
   const IntervalStore& intervals() const { return intervals_; }
 
  private:
+  /// add_interval() for a span that starts inside or before an interval
+  /// other than the last (a backfill).
+  void insert_before_last(Time start, Time end);
+
   IntervalStore intervals_;
   /// Busy time of the intervals fold_before() moved out.
   Time folded_;

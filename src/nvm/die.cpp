@@ -11,34 +11,11 @@ Die::Die(const NvmTiming& timing, bool backfill) : timing_(timing) {
   }
 }
 
-Time Die::activation_time(NvmOp op, std::uint32_t page_in_block,
-                          std::uint32_t cell_ops) const {
-  Time total;
-  for (std::uint32_t i = 0; i < cell_ops; ++i) {
-    const std::uint32_t page =
-        (page_in_block + i) % timing_.pages_per_block;
-    switch (op) {
-      case NvmOp::kRead:
-        total += timing_.read_time_for_page(page);
-        break;
-      case NvmOp::kWrite:
-        total += timing_.write_time_for_page(page);
-        break;
-      case NvmOp::kErase:
-        total += timing_.erase_time;
-        break;
-    }
-  }
-  return total;
-}
-
 CellActivation Die::activate(std::uint32_t plane, NvmOp op, std::uint64_t block,
-                             std::uint32_t page_in_block, std::uint32_t cell_ops,
-                             Time earliest, Time extra) {
+                             std::uint32_t cell_ops, Time earliest, Time duration) {
   if (plane >= planes_.size()) {
     throw std::out_of_range("Die::activate: plane index out of range");
   }
-  const Time duration = activation_time(op, page_in_block, cell_ops) + extra;
   const Reservation grant = planes_[plane].reserve(earliest, duration);
 
   // Wear accounting. The wear unit id folds plane and block together so a

@@ -29,19 +29,15 @@ class Die {
   Die(const NvmTiming& timing, bool backfill);
 
   /// Reserves `cell_ops` back-to-back cell activations of `op` on `plane`
-  /// starting at page `page_in_block`, no earlier than `earliest`.
-  /// `cell_ops > 1` models controllers streaming bursts of small PCM
-  /// lines under a single command. Wear is recorded per block (NAND
-  /// erase) or per page written. `extra` lengthens the occupancy beyond
-  /// the nominal activation time — read-retry ladder steps sense with
-  /// finer reference levels and hold the plane longer.
+  /// for `duration`, no earlier than `earliest`. `cell_ops > 1` models
+  /// controllers streaming bursts of small PCM lines under a single
+  /// command. The caller sizes `duration`: the activations' nominal time
+  /// (CellTimeTable::run_time, the sum of NvmTiming's per-page latencies)
+  /// plus any extra occupancy — read-retry ladder steps sense with finer
+  /// reference levels and hold the plane longer. Wear is recorded per
+  /// block (NAND erase) or per page written.
   CellActivation activate(std::uint32_t plane, NvmOp op, std::uint64_t block,
-                          std::uint32_t page_in_block, std::uint32_t cell_ops,
-                          Time earliest, Time extra = {});
-
-  /// Duration `cell_ops` activations would take (no reservation).
-  [[nodiscard]] Time activation_time(NvmOp op, std::uint32_t page_in_block,
-                       std::uint32_t cell_ops) const;
+                          std::uint32_t cell_ops, Time earliest, Time duration);
 
   const NvmTiming& timing() const { return timing_; }
   std::uint32_t plane_count() const { return timing_.planes_per_die; }

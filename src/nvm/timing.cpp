@@ -3,21 +3,39 @@
 namespace nvmooc {
 
 Time NvmTiming::write_time_for_page(std::uint32_t page_in_block) const {
-  if (write_min == write_max) return write_min;
   // Real MLC parts pair pages: even bit-line positions program the LSB
   // (fast) and odd positions the MSB (slow); TLC adds a middle page. We
   // model the cycle deterministically so traces replay identically.
-  const std::uint32_t levels = (type == NvmType::kTlc) ? 3 : 2;
+  const std::uint32_t levels = write_period();
+  if (levels == 1) return write_min;
   const std::uint32_t phase = page_in_block % levels;
   const Time span = write_max - write_min;
   return write_min + span * phase / (levels - 1);
 }
 
 Time NvmTiming::read_time_for_page(std::uint32_t page_in_block) const {
-  if (read_time == read_time_max) return read_time;
+  const std::uint32_t positions = read_period();
+  if (positions == 1) return read_time;
   const Time span = read_time_max - read_time;
-  // Small deterministic jitter across 8 page positions.
-  return read_time + span * (page_in_block % 8) / 7;
+  // Small deterministic jitter across the ramp's page positions.
+  return read_time + span * (page_in_block % positions) / (positions - 1);
+}
+
+CellTimeTable::CellTimeTable(const NvmTiming& timing)
+    : pages_per_block_(timing.pages_per_block) {
+  const auto fill = [&](Phases& phases, std::uint32_t period, auto page_time) {
+    phases.period = period;
+    for (std::uint32_t phase = 0; phase < period; ++phase) {
+      phases.prefix[phase + 1] = phases.prefix[phase] + page_time(phase);
+    }
+    phases.block = phases.upto(pages_per_block_);
+  };
+  fill(ops_[static_cast<int>(NvmOp::kRead)], timing.read_period(),
+       [&](std::uint32_t page) { return timing.read_time_for_page(page); });
+  fill(ops_[static_cast<int>(NvmOp::kWrite)], timing.write_period(),
+       [&](std::uint32_t page) { return timing.write_time_for_page(page); });
+  fill(ops_[static_cast<int>(NvmOp::kErase)], 1,
+       [&](std::uint32_t) { return timing.erase_time; });
 }
 
 double NvmTiming::die_read_bandwidth() const {

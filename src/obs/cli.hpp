@@ -3,9 +3,15 @@
 // these helpers so the flags behave identically everywhere.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstddef>
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/latency.hpp"
@@ -29,6 +35,35 @@ struct CliOptions {
   /// Flight-dump path (--flight-out; "" = "flight-dump.json" next to cwd).
   std::string flight_out;
 };
+
+/// Parses `text`, the value given for --`flag`, as a plain decimal number
+/// in [min, max] into `out`. An empty value, a sign, trailing characters,
+/// overflow or a non-finite number prints "bad value for --FLAG: 'VALUE'
+/// (...)" to stderr and returns false, leaving `out` as it was.
+template <typename T>
+bool parse_number_flag(const char* flag, std::string_view text, T min, T max, T& out) {
+  const char* const last = text.data() + text.size();
+  T value{};
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  bool ok = !text.empty() && text.front() != '-' && error == std::errc{} && end == last &&
+            value >= min && value <= max;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    const int length = static_cast<int>(text.size());
+    if constexpr (std::is_floating_point_v<T>) {
+      std::fprintf(stderr, "bad value for --%s: '%.*s' (want a finite number of at least %g)\n",
+                   flag, length, text.data(), static_cast<double>(min));
+    } else {
+      std::fprintf(stderr,
+                   "bad value for --%s: '%.*s' (want a whole number from %llu to %llu)\n", flag,
+                   length, text.data(), static_cast<unsigned long long>(min),
+                   static_cast<unsigned long long>(max));
+    }
+    return false;
+  }
+  out = value;
+  return true;
+}
 
 /// Applies `--log-level`; returns false (and logs) on an unknown name.
 bool apply_log_level(const std::string& name);

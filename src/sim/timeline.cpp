@@ -10,12 +10,6 @@ namespace nvmooc {
 Timeline::Timeline(bool backfill, std::size_t max_gaps)
     : backfill_(backfill), max_gaps_(max_gaps) {}
 
-std::size_t Timeline::first_gap_ending_at_or_after(Time end) const {
-  const auto it = std::lower_bound(gaps_.begin(), gaps_.end(), end,
-                                   [](const Gap& gap, Time t) { return gap.end < t; });
-  return static_cast<std::size_t>(it - gaps_.begin());
-}
-
 Reservation Timeline::reserve(Time earliest, Time duration) {
   Reservation grant;
   if (duration <= Time{}) {

@@ -16,6 +16,7 @@
 // same way), and those dead gaps shrink to a count.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -99,7 +100,11 @@ class Timeline {
   };
 
   /// First gap, in start order, that ends at or after `end`.
-  [[nodiscard]] std::size_t first_gap_ending_at_or_after(Time end) const;
+  [[nodiscard]] std::size_t first_gap_ending_at_or_after(Time end) const {
+    const auto it = std::lower_bound(gaps_.begin(), gaps_.end(), end,
+                                     [](const Gap& gap, Time t) { return gap.end < t; });
+    return static_cast<std::size_t>(it - gaps_.begin());
+  }
 
   bool backfill_;
   std::size_t max_gaps_;

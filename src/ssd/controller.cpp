@@ -23,7 +23,7 @@ SsdHardware::SsdHardware(const SsdGeometry& geometry, const NvmTiming& timing,
 Controller::Controller(SsdHardware& hardware, Ftl& ftl, ControllerConfig config,
                        FaultInjector* injector)
     : hardware_(hardware), ftl_(ftl), config_(config), ecc_(config.ecc),
-      injector_(injector),
+      injector_(injector), cell_times_(hardware.timing()),
       planes_per_die_(hardware.timing().planes_per_die),
       planes_per_channel_(planes_per_die_ * hardware.geometry().dies_per_channel()),
       plane_load_(static_cast<std::size_t>(planes_per_channel_) * hardware.geometry().channels),
@@ -47,7 +47,8 @@ Controller::Controller(SsdHardware& hardware, Ftl& ftl, ControllerConfig config,
   }
 }
 
-void Controller::expand_run(const UnitRun& run, std::vector<TxnSpec>& out) const {
+template <typename Visit>
+void Controller::expand_run(const UnitRun& run, Visit&& visit) const {
   const NvmTiming& timing = hardware_.timing();
   const SsdGeometry& geometry = hardware_.geometry();
   const std::uint64_t positions = geometry.plane_positions(timing);
@@ -79,7 +80,7 @@ void Controller::expand_run(const UnitRun& run, std::vector<TxnSpec>& out) const
         const Bytes want = cells * page;
         const Bytes bytes = std::min(bytes_left, want);
         bytes_left -= bytes;
-        out.push_back({run.op, cursor, cells, bytes, burst_address, run.gc});
+        visit(TxnSpec{run.op, cursor, cells, bytes, burst_address, run.gc});
         cursor += static_cast<std::uint64_t>(cells) * positions;
         remaining -= cells;
         // Only a position holding more than max_burst_cells of the run's
@@ -106,7 +107,7 @@ void Controller::expand_run(const UnitRun& run, std::vector<TxnSpec>& out) const
       if (i == 0) bytes -= std::min(bytes, leading_trim);
       if (i + 1 == run.count) bytes -= std::min(bytes, trailing_trim);
     }
-    out.push_back({run.op, run.first_unit + i, 1, bytes, address, run.gc});
+    visit(TxnSpec{run.op, run.first_unit + i, 1, bytes, address, run.gc});
   }
 }
 
@@ -190,6 +191,7 @@ TransactionResult Controller::schedule(const TxnSpec& spec, Time arrival, bool i
         }
       }
 
+      const Time cell_time = cell_times_.run_time(NvmOp::kRead, address.page, spec.cell_ops);
       Time cursor = cmd.end;
       Time first_end;
       for (std::uint32_t attempt = 0; attempt < attempts; ++attempt) {
@@ -204,9 +206,8 @@ TransactionResult Controller::schedule(const TxnSpec& spec, Time arrival, bool i
                 : Time{static_cast<std::int64_t>(static_cast<double>(timing.read_time) *
                                                  ecc_.config().retry_latency_factor *
                                                  static_cast<double>(attempt))};
-        const CellActivation cell =
-            die.activate(address.plane, NvmOp::kRead, address.block, address.page,
-                         spec.cell_ops, cursor, extra);
+        const CellActivation cell = die.activate(address.plane, NvmOp::kRead, address.block,
+                                                 spec.cell_ops, cursor, cell_time + extra);
         txn.cell += cell.end - cell.start;
         txn.cell_wait += cell.waited;
         probe::step(probe::Resource::kCell, site, cursor, cell.start, cell.end, attempt);
@@ -235,8 +236,9 @@ TransactionResult Controller::schedule(const TxnSpec& spec, Time arrival, bool i
       txn.flash_bus = fb.end - fb.start;
       txn.channel_wait += fb.waited;
       probe::step(probe::Resource::kPort, site, in.end, fb.start, fb.end);
-      const CellActivation cell = die.activate(address.plane, NvmOp::kWrite, address.block,
-                                               address.page, spec.cell_ops, fb.end);
+      const CellActivation cell = die.activate(
+          address.plane, NvmOp::kWrite, address.block, spec.cell_ops, fb.end,
+          cell_times_.run_time(NvmOp::kWrite, address.page, spec.cell_ops));
       txn.cell = cell.end - cell.start;
       txn.cell_wait = cell.waited;
       txn.complete = cell.end;
@@ -244,8 +246,9 @@ TransactionResult Controller::schedule(const TxnSpec& spec, Time arrival, bool i
       break;
     }
     case NvmOp::kErase: {
-      const CellActivation cell = die.activate(address.plane, NvmOp::kErase, address.block,
-                                               address.page, 1, cmd.end);
+      const CellActivation cell =
+          die.activate(address.plane, NvmOp::kErase, address.block, 1, cmd.end,
+                       cell_times_.run_time(NvmOp::kErase, address.page, 1));
       txn.cell = cell.end - cell.start;
       txn.cell_wait = cell.waited;
       txn.complete = cell.end;
@@ -307,9 +310,6 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
   probe::media_begin(expected, request.internal);
 
   const std::vector<UnitRun> runs = ftl_.translate(request);
-
-  specs_.clear();
-  for (const UnitRun& run : runs) expand_run(run, specs_);
 
   RequestResult result;
   result.issue = arrival;
@@ -412,16 +412,22 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
     die_plane_mask_[site.die] |= 1u << txn.plane;
   };
 
-  for (const TxnSpec& spec : specs_) {
-    run_spec(spec, /*inject=*/true, /*count_pal=*/true);
+  // Each transaction is scheduled as the stripe walk reaches it.
+  for (const UnitRun& run : runs) {
+    expand_run(run, [&](const TxnSpec& spec) {
+      run_spec(spec, /*inject=*/true, /*count_pal=*/true);
+    });
   }
   if (!remap_runs.empty()) {
-    std::vector<TxnSpec> remap_specs;
-    for (const UnitRun& run : remap_runs) expand_run(run, remap_specs);
-    for (const TxnSpec& spec : remap_specs) {
-      run_spec(spec, /*inject=*/false, /*count_pal=*/false);
+    // The remap pass runs with inject=false, so none of its reads is
+    // uncorrectable and no block retires: remap_runs cannot grow while
+    // it is walked.
+    for (const UnitRun& run : remap_runs) {
+      expand_run(run, [&](const TxnSpec& spec) {
+        run_spec(spec, /*inject=*/false, /*count_pal=*/false);
+      });
+      stats_.internal_bytes += run.bytes;
     }
-    for (const UnitRun& run : remap_runs) stats_.internal_bytes += run.bytes;
   }
 
   // Fold the request's critical-path components into the totals. Waits

@@ -115,9 +115,11 @@ class Controller {
   };
 
   /// Expands a unit run into per-plane transactions (burst-grouping small
-  /// pages when enabled). Maps the run's first unit and walks the stripe
-  /// from there.
-  void expand_run(const UnitRun& run, std::vector<TxnSpec>& out) const;
+  /// pages when enabled) and hands each to `visit(const TxnSpec&)` in
+  /// stripe order, as it is walked: maps the run's first unit and walks
+  /// the stripe from there.
+  template <typename Visit>
+  void expand_run(const UnitRun& run, Visit&& visit) const;
 
   /// `inject` gates fault draws: bad-block relocation traffic is
   /// scheduled with injection off so a remap cannot recursively fail.
@@ -156,8 +158,8 @@ class Controller {
   ControllerStats stats_;
   /// (program completion, bytes) of buffered writes still draining.
   std::vector<std::pair<Time, Bytes>> write_buffer_drain_;
-  /// The current request's transactions, reused across requests.
-  std::vector<TxnSpec> specs_;
+  /// Each op's cell time for a run of pages, in O(1).
+  CellTimeTable cell_times_;
   /// One-entry memo of bus_time(): a burst run's transactions share one
   /// size. transfer_time(0) is 0, so the empty memo is already valid.
   Bytes bus_memo_bytes_;

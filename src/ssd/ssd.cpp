@@ -96,8 +96,9 @@ Ssd::Ssd(const SsdConfig& config)
   controller_ = std::make_unique<Controller>(*hardware_, *ftl_, config_.controller,
                                              injector_.get());
   const SsdGeometry& g = config_.geometry;
-  fold_interval_ = std::uint64_t{g.channels} + g.total_packages() +
-                   std::uint64_t{g.total_dies()} * timing_.planes_per_die;
+  timeline_count_ = std::uint64_t{g.channels} + g.total_packages() +
+                    std::uint64_t{g.total_dies()} * timing_.planes_per_die;
+  fold_interval_ = timeline_count_;
 }
 
 void Ssd::preload(Bytes dataset_bytes) { ftl_->set_preloaded(dataset_bytes); }
@@ -119,13 +120,16 @@ void Ssd::advance_watermark(Time watermark) {
   // Every timeline's intervals before the watermark lie before every
   // interval it keeps, so the unions of the folded prefixes add to the
   // folded totals exactly.
+  std::uint64_t live = 0;
   union_busy(
       *hardware_,
       [&](Timeline& timeline) -> const BusyTracker& {
         timeline.fold_before(watermark, fold_prefix_);
+        live += timeline.busy().interval_count();
         return fold_prefix_;
       },
       [this](std::size_t slot, Time busy) { folded_busy_[slot] += busy; });
+  fold_interval_ = std::max(timeline_count_, live);
 }
 
 WearSummary Ssd::wear() const {

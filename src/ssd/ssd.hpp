@@ -53,13 +53,20 @@ class Ssd {
 
   /// Promises that no later submit() has `arrival` below `watermark`
   /// (the replay engine's issue time, which never decreases), so nothing
-  /// any timeline holds before it can change again. Once the device has
-  /// run as many transactions since the last fold as it has timelines, a
-  /// fold moves the busy time before the watermark into per-die, package,
-  /// channel and device totals and drops dead gaps: the fold's cost per
-  /// transaction is constant, and memory tracks what is in flight. A
-  /// device whose watermark never advances keeps every interval, and
-  /// device_stats() gives the same answers either way.
+  /// any timeline holds before it can change again. A fold moves the busy
+  /// time before the watermark into per-die, package, channel and device
+  /// totals and drops dead gaps. It visits every timeline (T of them) and
+  /// merges what each holds, so it costs about T + L, where L is the live
+  /// interval count the last fold left. The device folds once it has run
+  /// max(T, L) transactions since the last fold — the links' "fold when
+  /// the list has doubled" rule — so the fold's cost per transaction
+  /// stays constant. Each reservation adds at most one interval, so
+  /// between folds the live count stays below L + R·(max(T, L) + K),
+  /// where R is reservations per transaction and K is one request's
+  /// transactions (a fold waits for a request boundary): memory tracks
+  /// what is in flight. A device whose watermark never advances keeps
+  /// every interval, and device_stats() gives the same answers either
+  /// way.
   void advance_watermark(Time watermark);
 
   const SsdConfig& config() const { return config_; }
@@ -93,7 +100,11 @@ class Ssd {
   std::unique_ptr<Ftl> ftl_;
   std::unique_ptr<FaultInjector> injector_;
   std::unique_ptr<Controller> controller_;
-  /// Transactions between folds: the device's timeline count.
+  /// The device's timeline count: the least number of transactions
+  /// between folds.
+  std::uint64_t timeline_count_;
+  /// Transactions before the next fold: the timeline count, or the live
+  /// intervals the last fold left if that is more.
   std::uint64_t fold_interval_;
   std::uint64_t folded_at_transactions_ = 0;
   /// Busy-union time folded so far, one entry per die, then package,

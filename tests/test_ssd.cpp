@@ -835,10 +835,52 @@ class RequestStream {
   std::uint64_t write_kib_;
 };
 
+/// Calls `visit(timeline)` for every timeline of the device: channel
+/// buses, package ports and die planes.
+template <typename Visit>
+void for_each_timeline(Ssd& ssd, Visit&& visit) {
+  SsdHardware& hardware = ssd.hardware();
+  const SsdGeometry& geometry = hardware.geometry();
+  for (std::uint32_t c = 0; c < geometry.channels; ++c) {
+    visit(hardware.channel_bus(c));
+    for (std::uint32_t p = 0; p < geometry.packages_per_channel; ++p) {
+      Package& package = hardware.package(c, p);
+      visit(package.flash_bus());
+      for (std::uint32_t d = 0; d < package.die_count(); ++d) {
+        Die& die = package.die(d);
+        for (std::uint32_t plane = 0; plane < die.plane_count(); ++plane) {
+          visit(die.plane(plane));
+        }
+      }
+    }
+  }
+}
+
+/// The device's live busy intervals and reservations so far.
+struct TimelineTally {
+  std::uint64_t timelines = 0;
+  std::uint64_t live = 0;
+  std::uint64_t reservations = 0;
+};
+
+TimelineTally tally(Ssd& ssd) {
+  TimelineTally out;
+  for_each_timeline(ssd, [&out](const Timeline& timeline) {
+    ++out.timelines;
+    out.live += timeline.busy().interval_count();
+    out.reservations += timeline.reservation_count();
+  });
+  return out;
+}
+
 // Differential: a device that folds behind an advancing watermark answers
 // every request, and every device statistic, exactly as its unfolded twin
 // does, over seeded random streams of reads and writes with arrivals that
-// never go back in time.
+// never go back in time. The folded twin also keeps to the cadence and
+// memory bound Ssd::advance_watermark states: it folds once it has run
+// max(T, L) transactions since its last fold (T timelines, L the live
+// intervals that fold left), and in between each reservation adds at most
+// one live interval, so the live count stays below L + R·(max(T, L) + K).
 TEST(DeviceStats, FoldedSsdMatchesUnfoldedTwin) {
   for (const TwinCase& twin_case : twin_cases()) {
     SCOPED_TRACE(::testing::Message() << twin_case.name << " backfill="
@@ -850,15 +892,38 @@ TEST(DeviceStats, FoldedSsdMatchesUnfoldedTwin) {
     RequestStream stream(twin_case);
     Time arrival;
     Time last_end;
+    const std::uint64_t timelines = tally(folded).timelines;
+    TimelineTally at_fold;
+    std::uint64_t fold_transactions = 0;
+    int shrinking_folds = 0;
     for (int i = 0; i < 600; ++i) {
       const BlockRequest request = stream.next(arrival);
+      const std::uint64_t transactions = folded.controller_stats().transactions;
+      const bool due = transactions - fold_transactions >= std::max(timelines, at_fold.live);
+      const std::uint64_t live_before = tally(folded).live;
       folded.advance_watermark(arrival);
+      const TimelineTally after = tally(folded);
+      if (due) {
+        EXPECT_LE(after.live, live_before);
+        if (after.live < live_before) ++shrinking_folds;
+        at_fold = after;
+        fold_transactions = transactions;
+      } else {
+        EXPECT_EQ(after.live, live_before);  // Not due: no fold.
+      }
       const RequestResult got = folded.submit(request, arrival);
       const RequestResult want = unfolded.submit(request, arrival);
       expect_same_result(got, want);
       last_end = std::max(last_end, want.media_end);
+
+      const TimelineTally now = tally(folded);
+      EXPECT_LE(now.live, at_fold.live + (now.reservations - at_fold.reservations));
+      EXPECT_LT(folded.controller_stats().transactions - fold_transactions,
+                std::max(timelines, at_fold.live) + got.transactions);
       if (::testing::Test::HasFailure()) return;
     }
+    EXPECT_GT(shrinking_folds, 2);
+    EXPECT_LT(tally(folded).live, tally(unfolded).live);
     if (twin_case.write_percent > 0 && !twin_case.config.fault.enabled) {
       EXPECT_GT(unfolded.ftl_stats().gc_runs, 0u);
     }
