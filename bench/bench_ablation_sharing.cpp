@@ -7,7 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
-#include "cluster/multi_engine.hpp"
+#include "cluster/engine.hpp"
 #include "common/string_util.hpp"
 
 namespace {

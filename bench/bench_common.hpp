@@ -138,9 +138,9 @@ inline BenchOptions strip_bench_options(int& argc, char** argv) {
     else if (const char* v = value("--log-level=")) out.obs.log_level = v;
     else if (const char* v = value("--headline-out=")) out.headline_out = v;
     else if (const char* v = value("--results-out=")) out.results_out = v;
-    else if (const char* v = value("--heartbeat-sec=")) number("heartbeat-sec", v, 0.0, out.obs.heartbeat_sec);
+    else if (const char* v = value("--heartbeat-sec=")) number("--heartbeat-sec", v, 0.0, out.obs.heartbeat_sec);
     else if (const char* v = value("--flight-out=")) out.obs.flight_out = v;
-    else if (const char* v = value("--exemplars=")) number("exemplars", v, std::size_t{0}, out.exemplars);
+    else if (const char* v = value("--exemplars=")) number("--exemplars", v, std::size_t{0}, out.exemplars);
     else if (!std::strcmp(arg, "--no-flight-recorder")) out.obs.flight = false;
     else if (!std::strcmp(arg, "--quick")) out.quick = true;
     else if (!std::strcmp(arg, "--audit")) out.audit = true;

@@ -2,8 +2,8 @@
 // experiment as an interactive tool.
 //
 // Run: ./build/examples/fs_compare [slc|mlc|tlc|pcm] [dataset_MiB]
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "cluster/configs.hpp"
@@ -11,6 +11,7 @@
 #include "common/table.hpp"
 #include "common/string_util.hpp"
 #include "fs/presets.hpp"
+#include "obs/cli.hpp"
 #include "ooc/workload.hpp"
 
 int main(int argc, char** argv) {
@@ -27,7 +28,12 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const Bytes dataset = (argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 256) * MiB;
+  std::uint64_t dataset_mib = 256;
+  if (argc > 2 && !obs::parse_number_flag("dataset_MiB", argv[2], std::uint64_t{1},
+                                          ~std::uint64_t{0} / MiB.value(), dataset_mib)) {
+    return 1;
+  }
+  const Bytes dataset = dataset_mib * MiB;
 
   SyntheticWorkloadParams workload;
   workload.dataset_bytes = dataset;

@@ -6,21 +6,29 @@
 //
 // Run: ./build/examples/ooc_eigensolver [dimension] [block_size]
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
 #include "cluster/configs.hpp"
 #include "common/wallclock.hpp"
 #include "cluster/engine.hpp"
 #include "dooc/prefetcher.hpp"
 #include "fs/presets.hpp"
+#include "obs/cli.hpp"
 #include "ooc/lobpcg.hpp"
 #include "ooc/ooc_operator.hpp"
 #include "ooc/tile_store.hpp"
 
 int main(int argc, char** argv) {
   using namespace nvmooc;
-  const std::size_t dimension = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 30000;
-  const std::size_t block = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 8;
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  std::size_t dimension = 30000;
+  std::size_t block = 8;
+  if (argc > 1 && !obs::parse_number_flag("dimension", argv[1], std::size_t{1}, kMax, dimension)) {
+    return 1;
+  }
+  if (argc > 2 && !obs::parse_number_flag("block_size", argv[2], std::size_t{1}, kMax, block)) {
+    return 1;
+  }
 
   // -- Build H (the pre-processing step the paper stores on disk). ------
   HamiltonianParams h_params;

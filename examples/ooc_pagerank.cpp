@@ -6,18 +6,24 @@
 // Run: ./build/examples/ooc_pagerank [nodes]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <numeric>
 
 #include "cluster/configs.hpp"
 #include "cluster/engine.hpp"
+#include "obs/cli.hpp"
 #include "ooc/pagerank.hpp"
 #include "ooc/tile_store.hpp"
 
 int main(int argc, char** argv) {
   using namespace nvmooc;
   WebGraphParams params;
-  params.nodes = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 200000;
+  params.nodes = 200000;
+  if (argc > 1 && !obs::parse_number_flag("nodes", argv[1], std::size_t{1},
+                                          std::numeric_limits<std::size_t>::max(),
+                                          params.nodes)) {
+    return 1;
+  }
 
   std::printf("Generating power-law web graph: %zu pages ...\n", params.nodes);
   const WebGraph graph = synthetic_web_graph(params);

@@ -75,7 +75,8 @@ std::string option(int argc, char** argv, const char* key, const char* fallback)
 template <typename T>
 bool numeric_option(int argc, char** argv, const char* key, const char* fallback, T min,
                     T max, T& out) {
-  return obs::parse_number_flag(key, option(argc, argv, key, fallback), min, max, out);
+  return obs::parse_number_flag(("--" + std::string(key)).c_str(),
+                                option(argc, argv, key, fallback), min, max, out);
 }
 
 bool flag(int argc, char** argv, const char* key) {

@@ -336,7 +336,7 @@ void Auditor::on_posix(Bytes size, Bytes payload, Bytes internal) {
 }
 
 void Auditor::on_request_open(const probe::RequestOpen& request) {
-  issue_watermark_ = std::max(issue_watermark_, request.issue);
+  issue_watermark_ = std::max(issue_watermark_, request.watermark);
   open_request_ = request_issued(request.ready);
   request_admitted(open_request_, request.admit);
   request_dispatched(open_request_, request.issue);

@@ -16,8 +16,8 @@
 //                 dispatched -> media -> completed) are monotone in sim
 //                 time, every request completes exactly once, and no
 //                 completion precedes its issue. No timeline grant is
-//                 ready before the latest request's issue time: the
-//                 watermark the device folds its timelines behind.
+//                 ready before the engine's fold watermark (the latest
+//                 request's issue time when one client replays).
 //   occupancy     Granted timeline intervals on every serially-occupied
 //                 resource (die planes, package ports, channel buses,
 //                 host/network DMA links) are pairwise disjoint.

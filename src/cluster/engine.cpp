@@ -15,7 +15,8 @@
 
 namespace nvmooc {
 
-ReplayEngine::ReplayEngine(const ExperimentConfig& config) : config_(config) {
+ReplayEngine::ReplayEngine(const ExperimentConfig& config, unsigned clients)
+    : config_(config) {
   SsdConfig ssd_config;
   ssd_config.geometry = config_.geometry;
   ssd_config.media = config_.media;
@@ -25,14 +26,22 @@ ReplayEngine::ReplayEngine(const ExperimentConfig& config) : config_(config) {
   ssd_config.fault = config_.fault;
   ssd_ = std::make_unique<Ssd>(ssd_config);
 
-  if (config_.use_ufs) {
-    UfsConfig ufs_config;
-    ufs_config.capacity = config_.geometry.capacity(timing_for(config_.media));
-    ufs_ = std::make_unique<UnifiedFileSystem>(ufs_config);
-    path_ = ufs_.get();
-  } else {
-    fs_ = std::make_unique<FileSystemModel>(config_.fs);
-    path_ = fs_.get();
+  clients_.resize(std::max(clients, 1U));
+  for (Client& client : clients_) {
+    if (config_.use_ufs) {
+      UfsConfig ufs_config;
+      ufs_config.capacity = config_.geometry.capacity(timing_for(config_.media));
+      client.ufs = std::make_unique<UnifiedFileSystem>(ufs_config);
+      client.path = client.ufs.get();
+    } else {
+      client.fs = std::make_unique<FileSystemModel>(config_.fs);
+      client.path = client.fs.get();
+    }
+    const FsBehavior& behavior = client.path->behavior();
+    client.device_window = Window(behavior.readahead, behavior.queue_depth);
+    client.rpc_window = Window(Bytes{}, config_.location == StorageLocation::kIonLocal
+                                            ? config_.network.max_concurrent_rpcs
+                                            : 0);
   }
 
   host_dma_ = std::make_unique<DmaEngine>(config_.host_link);
@@ -52,20 +61,22 @@ ReplayEngine::ReplayEngine(const ExperimentConfig& config) : config_(config) {
 }
 
 ExperimentResult ReplayEngine::run(const Trace& trace) {
+  const std::vector<PosixRequest>& posix_requests = trace.requests();
   const Bytes extent = trace.extent();
-  ssd_->preload(extent);
-  if (ufs_) {
-    ufs_->provision_dataset(std::max(extent, Bytes{1}));
-  } else {
-    fs_->mount(extent);
+  // Client c replays its own copy of the dataset at c * region on the
+  // device, so the FTL holds data through the end of the last copy.
+  const Bytes region = ((extent + GiB - Bytes{1}) / GiB) * GiB;
+  ssd_->preload((clients_.size() - 1) * region + extent);
+  for (Client& client : clients_) {
+    if (client.ufs) {
+      client.ufs->provision_dataset(std::max(extent, Bytes{1}));
+    } else {
+      client.fs->mount(extent);
+    }
   }
 
-  const FsBehavior& behavior = path_->behavior();
-  Window device_window(behavior.readahead, behavior.queue_depth);
-  Window rpc_window(Bytes{}, config_.location == StorageLocation::kIonLocal
-                           ? config_.network.max_concurrent_rpcs
-                           : 0);
-
+  // Every client runs the same I/O path model, so one behaviour serves.
+  const FsBehavior& behavior = clients_.front().path->behavior();
   // Submission pipelines: only a thin slice serialises on the issuing
   // core (doorbell + queue insert); the stack's real cost rides on each
   // request as added latency.
@@ -73,9 +84,6 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
                                          1500 * kNanosecond);
   const Time added_latency = behavior.per_request_overhead;
 
-  Time cpu_free;
-  Time barrier_gate;
-  Time all_done;
   // Figure 10's first category: per-request time between the media
   // finishing and the data actually reaching the application across the
   // links (host DMA, and the network for ION configurations).
@@ -88,7 +96,7 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
   // Instruments (tracer, metrics, profiler, host telemetry, exemplars,
   // flight recorder, auditor) listen on the probe: the loop below reports
   // each request's lifecycle once and never depends on who is listening.
-  probe::replay_begin(trace.requests().size());
+  probe::replay_begin(clients_.size() * posix_requests.size());
   // Per-request phase-wait distributions (µs) and the outstanding-bytes
   // outline ride in every result (they are derived accounting, like the
   // latency histogram above, not optional instrumentation).
@@ -107,188 +115,234 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
   Bytes degraded_bytes;
   bool aborted = false;
   std::string abort_reason;
-  // Application payload actually delivered; falls short of the trace
-  // total only when an abort truncates the replay.
-  Bytes completed_payload;
+
+  const auto finished = [&](const Client& client) {
+    return client.posix == posix_requests.size();
+  };
+  // The earliest a client's next device request can be ready (a barrier
+  // request also waits for the client's own pipeline to drain).
+  const auto ready_gate = [&](const Client& client) {
+    return std::max({client.cpu_free, client.barrier_gate,
+                     posix_requests[client.posix].not_before});
+  };
+  const auto close_posix = [&](Client& client) {
+    if (!aborted) client.completed_payload += posix_requests[client.posix].size;
+    probe::progress(client.all_done);
+    ++client.posix;
+  };
+  // Expands the client's POSIX requests, in trace order, until one has a
+  // device request to issue (requests with none close at once) or the
+  // trace ends.
+  const auto open_posix = [&](Client& client) {
+    while (!finished(client)) {
+      const PosixRequest& posix = posix_requests[client.posix];
+      {
+        obs::HostSection io_section(obs::HostSubsystem::kIoPath);
+        client.batch = client.path->submit(posix);
+      }
+      Bytes payload;
+      Bytes internal;
+      for (const BlockRequest& device_request : client.batch) {
+        (device_request.internal ? internal : payload) += device_request.size;
+      }
+      probe::posix(posix.size, payload, internal);
+      std::erase_if(client.batch, [](const BlockRequest& r) { return r.size == Bytes{}; });
+      client.next = 0;
+      if (!client.batch.empty()) return;
+      close_posix(client);
+    }
+  };
 
   {
   // Nested scope so the engine's wall-time section is closed (and thus
   // counted) before the derivation tail asks for the host report.
   obs::HostSection replay_section(obs::HostSubsystem::kEngine);
-  for (const PosixRequest& posix : trace.requests()) {
-    if (aborted) break;
-    const std::vector<BlockRequest> device_requests = [&] {
-      obs::HostSection io_section(obs::HostSubsystem::kIoPath);
-      return path_->submit(posix);
-    }();
-    Bytes payload;
-    Bytes internal;
-    for (const BlockRequest& device_request : device_requests) {
-      (device_request.internal ? internal : payload) += device_request.size;
+  for (Client& client : clients_) open_posix(client);
+  while (!aborted) {
+    // The client that can issue earliest goes next (ties to the lower
+    // index): fair-share interleaving at the shared device and links.
+    Client* pick = nullptr;
+    for (Client& client : clients_) {
+      if (!finished(client) && (pick == nullptr || ready_gate(client) < ready_gate(*pick))) {
+        pick = &client;
+      }
     }
-    probe::posix(posix.size, payload, internal);
-    for (const BlockRequest& device_request : device_requests) {
-      if (device_request.size == Bytes{}) continue;
+    if (pick == nullptr) break;
+    Client& client = *pick;
+    const Time not_before = posix_requests[client.posix].not_before;
+    BlockRequest device_request = client.batch[client.next++];
+    device_request.offset += static_cast<std::uint64_t>(pick - clients_.data()) * region;
+    Window& device_window = client.device_window;
+    Window& rpc_window = client.rpc_window;
 
-      Time ready = std::max({cpu_free, barrier_gate, posix.not_before});
-      if (device_request.barrier) ready = std::max(ready, all_done);
+    Time ready = ready_gate(client);
+    if (device_request.barrier) ready = std::max(ready, client.all_done);
 
-      const Time cpu_gate = cpu_free;
-      Time admit = device_window.admit(ready, device_request.size);
-      cpu_free = admit + cpu_serial;
-      const Time issue = cpu_free + added_latency;
-      probe::request_open({ready, admit, issue, cpu_gate, barrier_gate, posix.not_before,
-                           all_done, device_request.barrier});
-      // `issue` never decreases, and this request and every later one
-      // reserve at or after it (media arrival, RPC admit, DMA, network,
-      // degraded re-fetch), so the device and the links may fold what
-      // lies before it.
-      ssd_->advance_watermark(issue);
-      for (DmaEngine* link : {host_dma_.get(), network_dma_.get(), degraded_dma_.get()}) {
-        if (link != nullptr) link->advance_watermark(issue);
+    const Time cpu_gate = client.cpu_free;
+    Time admit = device_window.admit(ready, device_request.size);
+    client.cpu_free = admit + cpu_serial;
+    const Time issue = client.cpu_free + added_latency;
+    // A client's issue times never decrease, and each request reserves at
+    // or after its issue (media arrival, RPC admit, DMA, network, degraded
+    // re-fetch). So no later reservation starts before the minimum, over
+    // unfinished clients, of a bound on each one's next issue: this
+    // request's issue, and for every other client its ready gate plus the
+    // submission cost. The device and the links may fold what lies
+    // before it. With one client it is this request's issue.
+    Time watermark = issue;
+    for (const Client& other : clients_) {
+      if (&other != &client && !finished(other)) {
+        watermark = std::min(watermark, ready_gate(other) + cpu_serial + added_latency);
       }
-
-      Time completion;
-      Time media_done;
-      Time write_link_end;
-      RequestResult media;
-      if (device_request.op == NvmOp::kRead) {
-        // Media first; the outbound DMA streams chunk-by-chunk as pages
-        // complete, so the link occupancy starts with the media and the
-        // request is done when both the media and the wire have finished.
-        Time media_arrival = issue;
-        if (network_dma_) {
-          media_arrival = rpc_window.admit(issue, device_request.size);
-          probe::rpc(issue, media_arrival);
-        }
-        media = ssd_->submit(device_request, media_arrival);
-        media_done = media.media_end;
-        const Reservation dma = host_dma_->transfer(media.media_begin, device_request.size);
-        completion = std::max(media.media_end, dma.end);
-        if (network_dma_) {
-          const Reservation net =
-              network_dma_->transfer(std::max(media.media_begin, dma.start),
-                                     device_request.size);
-          completion = std::max(completion, net.end);
-          rpc_window.launch(completion, device_request.size);
-        }
-        if (media.uncorrectable_units > 0) {
-          obs::HostSection reliability_section(obs::HostSubsystem::kReliability);
-          if (media.hard_failure) {
-            aborted = true;
-            abort_reason = "device hard failure: capacity lost past the spare "
-                           "pool exceeded the failure threshold";
-            probe::note(media.media_end, "engine", "abort", request_ordinal, 0,
-                        abort_reason.c_str());
-          } else if (degraded_dma_) {
-            // Compute-local degraded mode: the device already remapped
-            // the lost pages onto good media; their content is re-fetched
-            // from the replica the ION kept. The request is only done
-            // once that copy crosses the cluster network.
-            const Reservation replica =
-                degraded_dma_->transfer(media.media_end, media.uncorrectable_bytes);
-            completion = std::max(completion, replica.end);
-            ++degraded_requests;
-            degraded_bytes += media.uncorrectable_bytes;
-            probe::note(media.media_end, "engine", "degraded_refetch", request_ordinal,
-                        (media.uncorrectable_bytes).value());
-          } else {
-            // ION-local storage *is* the resilience tier — an
-            // uncorrectable read there has nowhere to fall back to.
-            aborted = true;
-            abort_reason = "uncorrectable read on ION-local storage (no "
-                           "replica to recover from)";
-            probe::note(media.media_end, "engine", "abort", request_ordinal, 0,
-                        abort_reason.c_str());
-          }
-        }
-      } else {
-        // Writes: data crosses the links before the media programs it.
-        Time at_device = issue;
-        if (network_dma_) {
-          const Time slot = rpc_window.admit(issue, device_request.size);
-          probe::rpc(issue, slot);
-          const Reservation net = network_dma_->transfer(slot, device_request.size);
-          at_device = net.end;
-        }
-        const Reservation dma = host_dma_->transfer(at_device, device_request.size);
-        media = ssd_->submit(device_request, dma.end);
-        completion = media.media_end;
-        media_done = media.media_end;
-        write_link_end = dma.end;
-        if (network_dma_) rpc_window.launch(completion, device_request.size);
-      }
-
-
-      const bool is_read = device_request.op == NvmOp::kRead;
-      // For writes the data movement precedes the media: the inbound link
-      // time that the media could not overlap is the gap between issue and
-      // when programming could begin. For reads it is the tail past the
-      // media (host DMA, network, degraded re-fetch).
-      const Time request_nod =
-          is_read ? std::max(Time{0}, completion - media_done)
-                  : std::max(Time{0}, write_link_end - issue);
-      non_overlapped_dma += request_nod;
-      if (is_read) {
-        const double latency_us =
-            static_cast<double>(completion - admit) / static_cast<double>(kMicrosecond);
-        read_latency_us.add(latency_us);
-        read_latency_stats.add(latency_us);
-      }
-
-      phase_wait[static_cast<int>(Phase::kNonOverlappedDma)].record(
-          static_cast<double>(request_nod) / static_cast<double>(kMicrosecond));
-      for (int p = 1; p < kPhaseCount; ++p) {
-        phase_wait[p].record(static_cast<double>(media.phase_time[p]) / static_cast<double>(kMicrosecond));
-      }
-
-      // This request's phase ledger: absolute lifecycle timestamps plus
-      // the stage decomposition (mapping documented in obs/latency.hpp).
-      // Folded into the always-on breakdown, then closed on the probe.
-      probe::RequestClose done;
-      done.io_path = &behavior.name;
-      done.pal = to_string(media.pal);
-      done.in_flight = device_window.outstanding() + device_request.size;
-      obs::PhaseLedger& ledger = done.ledger;
-      ledger.id = request_ordinal++;
-      ledger.read = is_read;
-      ledger.internal = device_request.internal;
-      ledger.bytes = (device_request.size).value();
-      ledger.retries = media.retries;
-      ledger.ready = ready;
-      ledger.admit = admit;
-      ledger.issue = issue;
-      ledger.media_begin = media.media_begin;
-      ledger.media_end = media.media_end;
-      ledger.completion = completion;
-      auto& stage = ledger.stage;
-      stage[static_cast<int>(obs::LatencyStage::kQueueWait)] = admit - ready;
-      stage[static_cast<int>(obs::LatencyStage::kCpu)] = cpu_free - admit;
-      stage[static_cast<int>(obs::LatencyStage::kDispatch)] = issue - cpu_free;
-      stage[static_cast<int>(obs::LatencyStage::kBus)] =
-          media.phase_time[static_cast<int>(Phase::kChannelActivation)] +
-          media.phase_time[static_cast<int>(Phase::kFlashBusActivation)];
-      stage[static_cast<int>(obs::LatencyStage::kMediaWait)] =
-          media.phase_time[static_cast<int>(Phase::kCellContention)] +
-          media.phase_time[static_cast<int>(Phase::kChannelContention)];
-      stage[static_cast<int>(obs::LatencyStage::kMedia)] =
-          media.phase_time[static_cast<int>(Phase::kCellActivation)];
-      stage[static_cast<int>(obs::LatencyStage::kEccRetry)] = media.retry_time;
-      stage[static_cast<int>(obs::LatencyStage::kCompletionTail)] = request_nod;
-      stage[static_cast<int>(obs::LatencyStage::kTotal)] = completion - ready;
-      latency_acc.record(ledger);
-      probe::request_close(done);
-      device_window.launch(completion, device_request.size);
-      queue_depth_series.sample(admit, static_cast<double>(device_window.outstanding()));
-      all_done = std::max(all_done, completion);
-      if (device_request.barrier) {
-        barrier_gate = completion;
-        probe::note(completion, "engine", "barrier", ledger.id, (device_request.size).value());
-      }
-      if (aborted) break;  // Replay stops; diagnostics ride in the result.
     }
-    if (!aborted) completed_payload += posix.size;
-    probe::progress(all_done);
+    probe::request_open({ready, admit, issue, watermark, cpu_gate, client.barrier_gate,
+                         not_before, client.all_done, device_request.barrier});
+    ssd_->advance_watermark(watermark);
+    for (DmaEngine* link : {host_dma_.get(), network_dma_.get(), degraded_dma_.get()}) {
+      if (link != nullptr) link->advance_watermark(watermark);
+    }
+
+    Time completion;
+    Time media_done;
+    Time write_link_end;
+    RequestResult media;
+    if (device_request.op == NvmOp::kRead) {
+      // Media first; the outbound DMA streams chunk-by-chunk as pages
+      // complete, so the link occupancy starts with the media and the
+      // request is done when both the media and the wire have finished.
+      Time media_arrival = issue;
+      if (network_dma_) {
+        media_arrival = rpc_window.admit(issue, device_request.size);
+        probe::rpc(issue, media_arrival);
+      }
+      media = ssd_->submit(device_request, media_arrival);
+      media_done = media.media_end;
+      const Reservation dma = host_dma_->transfer(media.media_begin, device_request.size);
+      completion = std::max(media.media_end, dma.end);
+      if (network_dma_) {
+        const Reservation net =
+            network_dma_->transfer(std::max(media.media_begin, dma.start),
+                                   device_request.size);
+        completion = std::max(completion, net.end);
+        rpc_window.launch(completion, device_request.size);
+      }
+      if (media.uncorrectable_units > 0) {
+        obs::HostSection reliability_section(obs::HostSubsystem::kReliability);
+        if (media.hard_failure) {
+          aborted = true;
+          abort_reason = "device hard failure: capacity lost past the spare "
+                         "pool exceeded the failure threshold";
+          probe::note(media.media_end, "engine", "abort", request_ordinal, 0,
+                      abort_reason.c_str());
+        } else if (degraded_dma_) {
+          // Compute-local degraded mode: the device already remapped
+          // the lost pages onto good media; their content is re-fetched
+          // from the replica the ION kept. The request is only done
+          // once that copy crosses the cluster network.
+          const Reservation replica =
+              degraded_dma_->transfer(media.media_end, media.uncorrectable_bytes);
+          completion = std::max(completion, replica.end);
+          ++degraded_requests;
+          degraded_bytes += media.uncorrectable_bytes;
+          probe::note(media.media_end, "engine", "degraded_refetch", request_ordinal,
+                      (media.uncorrectable_bytes).value());
+        } else {
+          // ION-local storage *is* the resilience tier — an
+          // uncorrectable read there has nowhere to fall back to.
+          aborted = true;
+          abort_reason = "uncorrectable read on ION-local storage (no "
+                         "replica to recover from)";
+          probe::note(media.media_end, "engine", "abort", request_ordinal, 0,
+                      abort_reason.c_str());
+        }
+      }
+    } else {
+      // Writes: data crosses the links before the media programs it.
+      Time at_device = issue;
+      if (network_dma_) {
+        const Time slot = rpc_window.admit(issue, device_request.size);
+        probe::rpc(issue, slot);
+        const Reservation net = network_dma_->transfer(slot, device_request.size);
+        at_device = net.end;
+      }
+      const Reservation dma = host_dma_->transfer(at_device, device_request.size);
+      media = ssd_->submit(device_request, dma.end);
+      completion = media.media_end;
+      media_done = media.media_end;
+      write_link_end = dma.end;
+      if (network_dma_) rpc_window.launch(completion, device_request.size);
+    }
+
+    const bool is_read = device_request.op == NvmOp::kRead;
+    // For writes the data movement precedes the media: the inbound link
+    // time that the media could not overlap is the gap between issue and
+    // when programming could begin. For reads it is the tail past the
+    // media (host DMA, network, degraded re-fetch).
+    const Time request_nod =
+        is_read ? std::max(Time{0}, completion - media_done)
+                : std::max(Time{0}, write_link_end - issue);
+    non_overlapped_dma += request_nod;
+    if (is_read) {
+      const double latency_us =
+          static_cast<double>(completion - admit) / static_cast<double>(kMicrosecond);
+      read_latency_us.add(latency_us);
+      read_latency_stats.add(latency_us);
+    }
+
+    phase_wait[static_cast<int>(Phase::kNonOverlappedDma)].record(
+        static_cast<double>(request_nod) / static_cast<double>(kMicrosecond));
+    for (int p = 1; p < kPhaseCount; ++p) {
+      phase_wait[p].record(static_cast<double>(media.phase_time[p]) / static_cast<double>(kMicrosecond));
+    }
+
+    // This request's phase ledger: absolute lifecycle timestamps plus
+    // the stage decomposition (mapping documented in obs/latency.hpp).
+    // Folded into the always-on breakdown, then closed on the probe.
+    probe::RequestClose done;
+    done.io_path = &client.path->behavior().name;
+    done.pal = to_string(media.pal);
+    done.in_flight = device_window.outstanding() + device_request.size;
+    obs::PhaseLedger& ledger = done.ledger;
+    ledger.id = request_ordinal++;
+    ledger.read = is_read;
+    ledger.internal = device_request.internal;
+    ledger.bytes = (device_request.size).value();
+    ledger.retries = media.retries;
+    ledger.ready = ready;
+    ledger.admit = admit;
+    ledger.issue = issue;
+    ledger.media_begin = media.media_begin;
+    ledger.media_end = media.media_end;
+    ledger.completion = completion;
+    auto& stage = ledger.stage;
+    stage[static_cast<int>(obs::LatencyStage::kQueueWait)] = admit - ready;
+    stage[static_cast<int>(obs::LatencyStage::kCpu)] = client.cpu_free - admit;
+    stage[static_cast<int>(obs::LatencyStage::kDispatch)] = issue - client.cpu_free;
+    stage[static_cast<int>(obs::LatencyStage::kBus)] =
+        media.phase_time[static_cast<int>(Phase::kChannelActivation)] +
+        media.phase_time[static_cast<int>(Phase::kFlashBusActivation)];
+    stage[static_cast<int>(obs::LatencyStage::kMediaWait)] =
+        media.phase_time[static_cast<int>(Phase::kCellContention)] +
+        media.phase_time[static_cast<int>(Phase::kChannelContention)];
+    stage[static_cast<int>(obs::LatencyStage::kMedia)] =
+        media.phase_time[static_cast<int>(Phase::kCellActivation)];
+    stage[static_cast<int>(obs::LatencyStage::kEccRetry)] = media.retry_time;
+    stage[static_cast<int>(obs::LatencyStage::kCompletionTail)] = request_nod;
+    stage[static_cast<int>(obs::LatencyStage::kTotal)] = completion - ready;
+    latency_acc.record(ledger);
+    probe::request_close(done);
+    device_window.launch(completion, device_request.size);
+    queue_depth_series.sample(admit, static_cast<double>(device_window.outstanding()));
+    client.all_done = std::max(client.all_done, completion);
+    if (device_request.barrier) {
+      client.barrier_gate = completion;
+      probe::note(completion, "engine", "barrier", ledger.id, (device_request.size).value());
+    }
+    // An abort stops the replay; diagnostics ride in the result.
+    if (aborted || client.next == client.batch.size()) {
+      close_posix(client);
+      if (!aborted) open_posix(client);
+    }
   }
   }  // replay_section (engine wall-time bucket) closes here.
 
@@ -296,10 +350,13 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
   ExperimentResult result;
   result.name = config_.name;
   result.media = config_.media;
-  result.makespan = all_done;
-
-  const TraceStats trace_stats = trace.stats();
-  result.payload_bytes = trace_stats.total_bytes;
+  Bytes completed_payload;
+  for (const Client& client : clients_) {
+    result.makespan = std::max(result.makespan, client.all_done);
+    result.client_makespans.push_back(client.all_done);
+    completed_payload += client.completed_payload;
+  }
+  result.payload_bytes = clients_.size() * trace.stats().total_bytes;
 
   const ControllerStats& controller = ssd_->controller_stats();
   result.internal_bytes = controller.internal_bytes;
@@ -427,6 +484,32 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
 ExperimentResult run_experiment(const ExperimentConfig& config, const Trace& trace) {
   ReplayEngine engine(config);
   return engine.run(trace);
+}
+
+MultiClientResult run_multi_client(const ExperimentConfig& config, const Trace& trace,
+                                   unsigned clients) {
+  MultiClientResult out;
+  out.name = config.name;
+  out.media = config.media;
+  out.clients = std::max(clients, 1U);
+  // Compute-local: every CN owns a full private stack, so one replay
+  // stands for each (they are independent by construction).
+  const bool shared = config.location == StorageLocation::kIonLocal;
+  ReplayEngine engine(config, shared ? out.clients : 1);
+  const ExperimentResult result = engine.run(trace);
+  const Bytes per_client_bytes = trace.stats().total_bytes;
+  out.makespan = result.makespan;
+  out.total_bytes = out.clients * per_client_bytes;
+  out.aggregate_mbps = bandwidth_mbps(out.total_bytes, out.makespan);
+  double per_client_sum = 0.0;
+  out.worst_client_mbps = 1e30;
+  for (Time done : result.client_makespans) {
+    const double mbps = bandwidth_mbps(per_client_bytes, done);
+    per_client_sum += mbps;
+    out.worst_client_mbps = std::min(out.worst_client_mbps, mbps);
+  }
+  out.per_client_mbps = per_client_sum / static_cast<double>(result.client_makespans.size());
+  return out;
 }
 
 }  // namespace nvmooc

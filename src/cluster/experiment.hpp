@@ -51,6 +51,9 @@ struct ExperimentResult {
   NvmType media = NvmType::kSlc;
 
   Time makespan;
+  /// When each client's last request completed (ReplayEngine's clients,
+  /// in order); one entry for a single-client replay. Not serialised.
+  std::vector<Time> client_makespans;
   Bytes payload_bytes;
   Bytes internal_bytes;
   std::uint64_t device_requests = 0;

@@ -1,4 +1,4 @@
-// Flow-control window shared by the replay engines: admits a request once
+// Flow-control window of each replay-engine client: admits a request once
 // enough earlier requests have completed to keep at most `byte_limit`
 // bytes (and/or `slot_limit` requests) in flight.
 #pragma once

@@ -114,6 +114,9 @@ struct RequestOpen {
   Time ready;
   Time admit;
   Time issue;
+  /// The engine's fold watermark: no later grant is ready before it (the
+  /// issue itself for a single-client replay).
+  Time watermark;
   Time cpu_gate;      ///< Predecessor's submission-core release.
   Time barrier_gate;  ///< Completion of the last barrier request.
   Time app_gate;      ///< Application not_before.

@@ -36,12 +36,14 @@ struct CliOptions {
   std::string flight_out;
 };
 
-/// Parses `text`, the value given for --`flag`, as a plain decimal number
-/// in [min, max] into `out`. An empty value, a sign, trailing characters,
-/// overflow or a non-finite number prints "bad value for --FLAG: 'VALUE'
-/// (...)" to stderr and returns false, leaving `out` as it was.
+/// Parses `text`, the value given for the input `name` (a flag as typed,
+/// "--size-mib", or a positional argument's name, "dataset_MiB"), as a
+/// plain decimal number in [min, max] into `out`. An empty value, a sign,
+/// trailing characters, overflow or a non-finite number prints "bad value
+/// for NAME: 'VALUE' (...)" to stderr and returns false, leaving `out` as
+/// it was.
 template <typename T>
-bool parse_number_flag(const char* flag, std::string_view text, T min, T max, T& out) {
+bool parse_number_flag(const char* name, std::string_view text, T min, T max, T& out) {
   const char* const last = text.data() + text.size();
   T value{};
   const auto [end, error] = std::from_chars(text.data(), last, value);
@@ -51,11 +53,11 @@ bool parse_number_flag(const char* flag, std::string_view text, T min, T max, T&
   if (!ok) {
     const int length = static_cast<int>(text.size());
     if constexpr (std::is_floating_point_v<T>) {
-      std::fprintf(stderr, "bad value for --%s: '%.*s' (want a finite number of at least %g)\n",
-                   flag, length, text.data(), static_cast<double>(min));
+      std::fprintf(stderr, "bad value for %s: '%.*s' (want a finite number of at least %g)\n",
+                   name, length, text.data(), static_cast<double>(min));
     } else {
       std::fprintf(stderr,
-                   "bad value for --%s: '%.*s' (want a whole number from %llu to %llu)\n", flag,
+                   "bad value for %s: '%.*s' (want a whole number from %llu to %llu)\n", name,
                    length, text.data(), static_cast<unsigned long long>(min),
                    static_cast<unsigned long long>(max));
     }

@@ -229,6 +229,7 @@ TEST(AuditorCausality, GrantBeforeIssueWatermarkIsViolation) {
   open.ready = Time{100};
   open.admit = Time{100};
   open.issue = Time{500};
+  open.watermark = Time{500};
   aud.on_request_open(open);
   probe::Interval interval;
   interval.object = &resource;
@@ -260,6 +261,7 @@ TEST(AuditorOccupancy, PruningBehindWatermarkKeepsOverlapCheck) {
   aud.timeline_reserved(&resource, "", Time{0}, Time{300}, Time{600});
   probe::RequestOpen open;
   open.issue = Time{200};
+  open.watermark = Time{200};
   aud.on_request_open(open);
   aud.timeline_reserved(&resource, "", Time{200}, Time{200}, Time{300});  // Touching: fine.
   EXPECT_EQ(aud.violation_count(), 0u);

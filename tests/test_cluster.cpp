@@ -2,17 +2,20 @@
 // qualitative claims of the paper expressed as assertions.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cluster/configs.hpp"
 #include "cluster/energy.hpp"
 #include "cluster/engine.hpp"
-#include "cluster/multi_engine.hpp"
 #include "common/alloc_counter.hpp"
 #include "common/thread_pool.hpp"
 #include "fs/presets.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/json.hpp"
 #include "ooc/workload.hpp"
 #include "trace/synthetic.hpp"
 
@@ -25,6 +28,17 @@ Trace small_ooc_trace(Bytes dataset = 64 * MiB) {
   params.tile_bytes = 8 * MiB;
   params.sweeps = 2;
   params.checkpoint_bytes = Bytes{};
+  return synthesize_ooc_trace(params);
+}
+
+// Two sweeps of a 64 MiB dataset with an 8 MiB checkpoint written after
+// each: the shared-ION experiment's reads and its FTL write path.
+Trace checkpoint_trace() {
+  SyntheticWorkloadParams params;
+  params.dataset_bytes = 64 * MiB;
+  params.tile_bytes = 8 * MiB;
+  params.sweeps = 2;
+  params.checkpoint_bytes = 8 * MiB;
   return synthesize_ooc_trace(params);
 }
 
@@ -315,11 +329,45 @@ TEST(MultiClient, ComputeLocalScalesLinearly) {
 }
 
 TEST(MultiClient, SingleClientMatchesEngineShape) {
-  // One shared-ION client should land near the single-stream engine.
-  const Trace trace = small_ooc_trace(32 * MiB);
-  const MultiClientResult multi = run_multi_client(ion_gpfs_config(NvmType::kSlc), trace, 1);
-  const ExperimentResult single = run_experiment(ion_gpfs_config(NvmType::kSlc), trace);
-  EXPECT_NEAR(multi.per_client_mbps, single.achieved_mbps, single.achieved_mbps * 0.2);
+  // One shared-ION client is the single-stream engine, to the picosecond.
+  const Trace trace = checkpoint_trace();
+  for (NvmType media : {NvmType::kSlc, NvmType::kMlc, NvmType::kTlc, NvmType::kPcm}) {
+    const MultiClientResult multi = run_multi_client(ion_gpfs_config(media), trace, 1);
+    const ExperimentResult single = run_experiment(ion_gpfs_config(media), trace);
+    EXPECT_EQ(multi.makespan, single.makespan) << to_string(media);
+    EXPECT_EQ(multi.per_client_mbps, single.achieved_mbps) << to_string(media);
+  }
+}
+
+TEST(MultiClient, SharedReplayHonoursNotBefore) {
+  Trace trace;
+  trace.add(NvmOp::kRead, Bytes{}, 8 * MiB, Time{});
+  trace.add(NvmOp::kRead, 8 * MiB, 8 * MiB, /*not_before=*/kSecond);
+  ReplayEngine engine(ion_gpfs_config(NvmType::kSlc), 2);
+  const ExperimentResult result = engine.run(trace);
+  EXPECT_GT(result.makespan, kSecond);
+  ASSERT_EQ(result.client_makespans.size(), 2u);
+  for (Time done : result.client_makespans) EXPECT_GT(done, kSecond);
+}
+
+TEST(MultiClient, FaultsReachTheSharedDevice) {
+  ExperimentConfig config = ion_gpfs_config(NvmType::kMlc);
+  config.fault.enabled = true;
+  config.fault.rber = 1e-3;
+  ReplayEngine engine(config, 2);
+  const ExperimentResult result = engine.run(small_ooc_trace(32 * MiB));
+  EXPECT_GT(result.reliability.corrected_reads, 0u);
+  EXPECT_FALSE(result.reliability.aborted) << result.reliability.abort_reason;
+}
+
+TEST(MultiClient, AuditedSharedReplayIsClean) {
+  check::AuditSession session;
+  ReplayEngine engine(ion_gpfs_config(NvmType::kMlc), 4);
+  const ExperimentResult result = engine.run(small_ooc_trace(32 * MiB));
+  ASSERT_TRUE(result.audit.enabled);
+  EXPECT_TRUE(result.audit.passed()) << result.audit.summary();
+  EXPECT_GT(result.audit.reservations, 0u);
+  EXPECT_EQ(result.audit.requests_tracked, result.audit.requests_completed);
 }
 
 TEST(MultiClient, CarverRatioStillFavoursCnl) {
@@ -329,6 +377,54 @@ TEST(MultiClient, CarverRatioStillFavoursCnl) {
   const MultiClientResult ion = run_multi_client(ion_gpfs_config(NvmType::kMlc), trace, 4);
   const MultiClientResult cnl = run_multi_client(cnl_ufs_config(NvmType::kMlc), trace, 4);
   EXPECT_GT(cnl.per_client_mbps, ion.per_client_mbps * 8.0);
+}
+
+std::string multi_client_golden_path() {
+  return std::string(NVMOOC_TEST_DATA_DIR) + "/golden/multi_client.json";
+}
+
+// Every MultiClientResult field of the shared-ION replay, one row per
+// media x client count, pinned bit for bit. Regenerate
+// (NVMOOC_REGEN_GOLDEN=1 ./build/tests/test_cluster
+// --gtest_filter=MultiClient.MatchesGolden) only for a change that means
+// to move an answer.
+TEST(MultiClient, MatchesGolden) {
+  const Trace trace = checkpoint_trace();
+  std::string actual = "{\n";
+  const char* separator = "";
+  for (NvmType media : {NvmType::kSlc, NvmType::kMlc, NvmType::kTlc, NvmType::kPcm}) {
+    for (unsigned clients : {1u, 2u, 4u}) {
+      const MultiClientResult r = run_multi_client(ion_gpfs_config(media), trace, clients);
+      obs::JsonWriter w;
+      w.begin_object();
+      w.field("name", r.name);
+      w.field("media", std::string(to_string(r.media)));
+      w.field("clients", std::uint64_t{r.clients});
+      w.field("makespan_ps", r.makespan.ps());
+      w.field("total_bytes", r.total_bytes.value());
+      w.field("aggregate_mbps", r.aggregate_mbps);
+      w.field("per_client_mbps", r.per_client_mbps);
+      w.field("worst_client_mbps", r.worst_client_mbps);
+      w.end_object();
+      actual += separator;
+      actual += "\"" + r.name + "/" + std::string(to_string(media)) + "/" +
+                std::to_string(clients) + "\": " + w.str();
+      separator = ",\n";
+    }
+  }
+  actual += "\n}\n";
+
+  if (std::getenv("NVMOOC_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(multi_client_golden_path(), std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << multi_client_golden_path();
+    out << actual;
+    GTEST_SKIP() << "regenerated " << multi_client_golden_path();
+  }
+  std::ifstream in(multi_client_golden_path(), std::ios::binary);
+  ASSERT_TRUE(in) << "missing golden file " << multi_client_golden_path();
+  std::stringstream expected;
+  expected << in.rdbuf();
+  EXPECT_EQ(expected.str(), actual);
 }
 
 TEST(Engine, BarrierDrainsPipeline) {

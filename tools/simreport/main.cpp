@@ -15,8 +15,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 
+#include "obs/cli.hpp"
 #include "report.hpp"
 
 namespace {
@@ -85,26 +88,32 @@ int main(int argc, char** argv) {
     const char* paths[2] = {nullptr, nullptr};
     int path_count = 0;
     simreport::DiffOptions options;
+    // Tolerances are checked numbers: NaN (which passes every comparison),
+    // garbage or a sign would silently turn a gate off.
+    constexpr double kMax = std::numeric_limits<double>::max();
     for (int i = 2; i < argc; ++i) {
       const char* arg = argv[i];
       if (!std::strncmp(arg, "--default-tol=", 14)) {
-        options.default_tol = std::strtod(arg + 14, nullptr);
-      } else if (!std::strncmp(arg, "--tol=", 6)) {
-        const char* spec = arg + 6;
-        const char* equals = std::strrchr(spec, '=');
-        if (equals == nullptr || equals == spec) {
-          std::fprintf(stderr, "simreport: bad --tol '%s' (want FIELD=REL)\n", spec);
+        if (!obs::parse_number_flag("--default-tol", arg + 14, 0.0, kMax, options.default_tol)) {
           return 2;
         }
-        options.field_tol[std::string(spec, equals)] = std::strtod(equals + 1, nullptr);
-      } else if (!std::strncmp(arg, "--ratio=", 8)) {
-        const char* spec = arg + 8;
-        const char* equals = std::strrchr(spec, '=');
-        if (equals == nullptr || equals == spec) {
-          std::fprintf(stderr, "simreport: bad --ratio '%s' (want FIELD=FACTOR)\n", spec);
+      } else if (!std::strncmp(arg, "--tol=", 6) || !std::strncmp(arg, "--ratio=", 8)) {
+        const bool ratio = arg[2] == 'r';
+        const std::string spec = arg + (ratio ? 8 : 6);
+        const std::size_t equals = spec.rfind('=');
+        if (equals == std::string::npos || equals == 0) {
+          std::fprintf(stderr, "simreport: bad --%s '%s' (want FIELD=%s)\n",
+                       ratio ? "ratio" : "tol", spec.c_str(), ratio ? "FACTOR" : "REL");
           return 2;
         }
-        options.field_ratio[std::string(spec, equals)] = std::strtod(equals + 1, nullptr);
+        const std::string field = spec.substr(0, equals);
+        const std::string flag = (ratio ? "--ratio=" : "--tol=") + field;
+        // A factor below 1 would fail even identical values.
+        const double min = ratio ? 1.0 : 0.0;
+        double& slot = (ratio ? options.field_ratio : options.field_tol)[field];
+        if (!obs::parse_number_flag(flag.c_str(), spec.c_str() + equals + 1, min, kMax, slot)) {
+          return 2;
+        }
       } else if (path_count < 2) {
         paths[path_count++] = arg;
       } else {
