@@ -327,12 +327,12 @@ void Auditor::on_interval(const probe::Interval& interval) {
                     interval.end);
 }
 
-void Auditor::on_posix(Bytes size, Bytes payload, Bytes internal) {
+void Auditor::on_posix(const probe::Posix& posix) {
   // Conservation at the OoC/FS boundary: the I/O path must expand every
   // application request into exactly its payload (journal and metadata
   // traffic rides separately as internal bytes).
-  posix_request(size);
-  io_path_grant(size, payload, internal);
+  posix_request(posix.size);
+  io_path_grant(posix.size, posix.payload, posix.internal);
 }
 
 void Auditor::on_request_open(const probe::RequestOpen& request) {

@@ -182,7 +182,7 @@ class Auditor final : public probe::Subscriber {
   // -- probe subscription: the hooks above, fed by the probe stream -----
   void on_interval(const probe::Interval& interval) override;
   void on_release(const void* timeline) override { timeline_released(timeline); }
-  void on_posix(Bytes size, Bytes payload, Bytes internal) override;
+  void on_posix(const probe::Posix& posix) override;
   void on_request_open(const probe::RequestOpen& request) override;
   void on_request_close(const probe::RequestClose& request) override;
   void on_media_begin(Bytes expected, bool internal) override {

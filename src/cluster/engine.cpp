@@ -33,6 +33,7 @@ ReplayEngine::ReplayEngine(const ExperimentConfig& config, unsigned clients)
       ufs_config.capacity = config_.geometry.capacity(timing_for(config_.media));
       client.ufs = std::make_unique<UnifiedFileSystem>(ufs_config);
       client.path = client.ufs.get();
+      client.layer = "ufs";
     } else {
       client.fs = std::make_unique<FileSystemModel>(config_.fs);
       client.path = client.fs.get();
@@ -90,6 +91,7 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
   Time non_overlapped_dma;
   // Application-observed read latency distribution (ready -> data
   // delivered), in microseconds; 50 ms cap covers every configuration.
+  // Linear buckets on purpose: obs::LogHistogram moves the p50-p999 figures.
   Histogram read_latency_us(0.0, 50'000.0, 4096);
   RunningStats read_latency_stats;
 
@@ -140,12 +142,16 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
         obs::HostSection io_section(obs::HostSubsystem::kIoPath);
         client.batch = client.path->submit(posix);
       }
-      Bytes payload;
-      Bytes internal;
+      probe::Posix expansion{posix.size, {}, {}, client.batch.size(), 0, client.layer};
       for (const BlockRequest& device_request : client.batch) {
-        (device_request.internal ? internal : payload) += device_request.size;
+        if (device_request.internal) {
+          expansion.internal += device_request.size;
+          ++expansion.internal_requests;
+        } else {
+          expansion.payload += device_request.size;
+        }
       }
-      probe::posix(posix.size, payload, internal);
+      probe::posix(expansion);
       std::erase_if(client.batch, [](const BlockRequest& r) { return r.size == Bytes{}; });
       client.next = 0;
       if (!client.batch.empty()) return;
@@ -332,7 +338,9 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
     latency_acc.record(ledger);
     probe::request_close(done);
     device_window.launch(completion, device_request.size);
-    queue_depth_series.sample(admit, static_cast<double>(device_window.outstanding()));
+    if (&client == &clients_.front()) {
+      queue_depth_series.sample(admit, static_cast<double>(device_window.outstanding()));
+    }
     client.all_done = std::max(client.all_done, completion);
     if (device_request.barrier) {
       client.barrier_gate = completion;

@@ -47,6 +47,7 @@ class ReplayEngine {
     std::unique_ptr<FileSystemModel> fs;
     std::unique_ptr<UnifiedFileSystem> ufs;
     IoPath* path = nullptr;
+    const char* layer = "fs";  ///< probe::Posix::layer: "fs" or "ufs".
     Window device_window{Bytes{}};
     Window rpc_window{Bytes{}};
     Time cpu_free;

@@ -96,7 +96,9 @@ struct ExperimentResult {
   /// did a request typically sit in channel queues").
   std::array<obs::HistogramSummary, kPhaseCount> phase_wait{};
   /// Outstanding device-window bytes over sim time: one sample per
-  /// request admission, decimated to a bounded outline.
+  /// request admission, decimated to a bounded outline. With several
+  /// clients only the first one's window is sampled: its admissions
+  /// never go back in time, and every client replays the same trace.
   std::vector<std::pair<Time, double>> queue_depth;
   /// Snapshot of the active metrics registry at the end of the replay;
   /// empty unless an obs::ObsSession with metrics was installed.

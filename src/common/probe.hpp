@@ -7,7 +7,7 @@
 //             [start, end). Every Timeline grant, DmaEngine transfer,
 //             controller channel/port/plane step, and the RPC window.
 //   replay    replay begin, each POSIX request and its I/O-path
-//             expansion, progress.
+//             expansion (bytes and device-request counts), progress.
 //   request   a device request opening (ready, admit, issue and the
 //             gates its ready time waited on) and closing (its ledger).
 //   media     the controller's byte accounting of a device request.
@@ -108,6 +108,17 @@ struct PhaseLedger {
   }
 };
 
+/// One POSIX request and the I/O path's expansion of it, counted before
+/// the engine drops zero-size device requests.
+struct Posix {
+  Bytes size;      ///< Application bytes.
+  Bytes payload;   ///< Device bytes carrying them.
+  Bytes internal;  ///< Journal/metadata device bytes.
+  std::uint64_t device_requests = 0;    ///< Device requests in the expansion.
+  std::uint64_t internal_requests = 0;  ///< Of those, journal/metadata ones.
+  const char* layer = "fs";             ///< "fs" or "ufs": which I/O path expanded it.
+};
+
 /// A device request about to reach the device. `ready` is the latest of
 /// the four gates.
 struct RequestOpen {
@@ -179,10 +190,9 @@ class Subscriber {
   // one at the same address is a different resource.
   virtual void on_interval(const Interval& /*interval*/) {}
   virtual void on_release(const void* /*timeline*/) {}
-  // kReplay; on_posix: the I/O path expanded `size` application bytes
-  // into `payload` + `internal` (journal/metadata) device bytes.
+  // kReplay
   virtual void on_replay_begin(std::uint64_t /*posix_requests*/) {}
-  virtual void on_posix(Bytes /*size*/, Bytes /*payload*/, Bytes /*internal*/) {}
+  virtual void on_posix(const Posix& /*posix*/) {}
   virtual void on_progress(Time /*all_done*/) {}
   // kRequest
   virtual void on_request_open(const RequestOpen& /*request*/) {}
@@ -323,8 +333,8 @@ inline void replay_begin(std::uint64_t posix_requests) {
   detail::each(Kind::kReplay, [&](Subscriber& s) { s.on_replay_begin(posix_requests); });
 }
 
-inline void posix(Bytes size, Bytes payload, Bytes internal) {
-  detail::each(Kind::kReplay, [&](Subscriber& s) { s.on_posix(size, payload, internal); });
+inline void posix(const Posix& posix) {
+  detail::each(Kind::kReplay, [&](Subscriber& s) { s.on_posix(posix); });
 }
 
 inline void progress(Time all_done) {

@@ -10,7 +10,7 @@ namespace nvmooc {
 TilePrefetcher::TilePrefetcher(Storage& storage, std::vector<TileRef> tiles,
                                std::size_t depth, std::uint32_t max_read_retries)
     : storage_(storage), tiles_(std::move(tiles)), depth_(depth ? depth : 1),
-      max_read_retries_(max_read_retries), obs_context_(obs::context()) {
+      max_read_retries_(max_read_retries) {
   worker_ = std::thread([this] { worker_loop(); });
 }
 
@@ -24,7 +24,6 @@ TilePrefetcher::~TilePrefetcher() {
 }
 
 void TilePrefetcher::worker_loop() {
-  const obs::ScopedObsContext scope(obs_context_);
   for (;;) {
     std::size_t index = 0;
     std::uint64_t generation = 0;
@@ -45,8 +44,6 @@ void TilePrefetcher::worker_loop() {
     // get() rethrows instead of blocking forever on a tile that will
     // never arrive.
     auto buffer = std::make_shared<std::vector<std::uint8_t>>(tiles_[index].bytes.value());
-    obs::TraceRecorder* recorder = obs::tracer();
-    const Time read_begin = recorder ? recorder->wall_now() : Time{};
     std::uint32_t retries = 0;
     bool read_ok = false;
     for (std::uint32_t attempt = 0; attempt <= max_read_retries_; ++attempt) {
@@ -57,21 +54,6 @@ void TilePrefetcher::worker_loop() {
       } catch (const std::exception&) {
         if (attempt < max_read_retries_) ++retries;
       }
-    }
-    if (recorder) {
-      std::vector<obs::SpanArg> args;
-      args.push_back(obs::SpanArg::integer("tile", static_cast<std::int64_t>(index)));
-      args.push_back(obs::SpanArg::integer("bytes", static_cast<std::int64_t>(tiles_[index].bytes.value())));
-      if (retries > 0) args.push_back(obs::SpanArg::integer("retries", retries));
-      if (!read_ok) args.push_back(obs::SpanArg::text("outcome", "failed"));
-      recorder->span(recorder->track("dooc.prefetch"), "dooc", "tile_read",
-                     read_begin, recorder->wall_now() - read_begin,
-                     std::move(args), obs::TraceClock::kWall);
-    }
-    if (obs::MetricsRegistry* m = obs::metrics()) {
-      m->counter("dooc.tiles_fetched").add();
-      if (retries > 0) m->counter("dooc.read_retries").add(retries);
-      if (!read_ok) m->counter("dooc.failed_tiles").add();
     }
 
     {
@@ -115,16 +97,7 @@ std::shared_ptr<const std::vector<std::uint8_t>> TilePrefetcher::get(std::size_t
 
   ++stats_.stalls;
   state_changed_.notify_all();
-  obs::TraceRecorder* recorder = obs::tracer();
-  const Time stall_begin = recorder ? recorder->wall_now() : Time{};
   state_changed_.wait(lock, [&] { return buffered_.count(index) > 0 || stopping_; });
-  if (recorder) {
-    recorder->span(recorder->track("dooc.consumer"), "dooc", "tile_stall",
-                   stall_begin, recorder->wall_now() - stall_begin,
-                   {obs::SpanArg::integer("tile", static_cast<std::int64_t>(index))},
-                   obs::TraceClock::kWall);
-  }
-  if (obs::MetricsRegistry* m = obs::metrics()) m->counter("dooc.stalls").add();
   // Consumer-thread breadcrumb only: the flight recorder is thread-local
   // and lock-free, so the fetch worker never notes into it.
   probe::note(Time{}, "dooc", "tile_stall", index, stats_.stalls);

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/units.hpp"
-#include "obs/obs.hpp"
 #include "ooc/tile_store.hpp"
 
 namespace nvmooc {
@@ -61,9 +60,6 @@ class TilePrefetcher {
   std::vector<TileRef> tiles_;
   std::size_t depth_;
   std::uint32_t max_read_retries_;
-  /// The constructing thread's observability context, re-installed in the
-  /// worker so its wall-clock spans land in the same recorder.
-  const obs::ObsContext obs_context_;
 
   std::mutex mutex_;
   std::condition_variable state_changed_;

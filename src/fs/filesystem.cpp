@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/probe.hpp"
-#include "obs/obs.hpp"
 
 namespace nvmooc {
 namespace {
@@ -179,22 +178,6 @@ std::vector<BlockRequest> FileSystemModel::submit(const PosixRequest& request) {
                   (commit.size).value());
       journal_cursor_ = (journal_cursor_ + behavior_.journal_size) % journal_span_;
     }
-  }
-
-  if (obs::MetricsRegistry* m = obs::metrics()) {
-    m->counter("fs.requests_in").add();
-    m->counter("fs.requests_out").add(out.size());
-    for (const BlockRequest& r : out) {
-      if (r.internal) {
-        m->counter("fs.internal_requests").add();
-        m->counter("fs.internal_bytes").add(r.size.value());
-      }
-    }
-  }
-  if (obs::Profiler* p = obs::profiler()) {
-    std::uint64_t internal = 0;
-    for (const BlockRequest& r : out) internal += r.internal ? 1 : 0;
-    p->io_path_expansion(out.size() - internal, internal);
   }
   return out;
 }

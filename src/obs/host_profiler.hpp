@@ -138,7 +138,7 @@ class HostProfiler final : public probe::Subscriber {
   /// Records the replay's size so heartbeats can report % complete and
   /// an ETA, and snapshots the allocation tallies as the baseline.
   void on_replay_begin(std::uint64_t posix_requests) override;
-  void on_posix(Bytes /*size*/, Bytes /*payload*/, Bytes /*internal*/) override {
+  void on_posix(const probe::Posix& /*posix*/) override {
     count(HostEvent::kPosixRequest);
   }
   /// One application request finished at simulated time `all_done`.

@@ -254,6 +254,21 @@ void MetricsRegistry::on_replay_begin(std::uint64_t /*posix_requests*/) {
   }
 }
 
+void MetricsRegistry::on_posix(const probe::Posix& posix) {
+  // The I/O path's boundary traffic ("fs." or "ufs."); a zero-size
+  // request never reaches the layer.
+  if (posix.size == Bytes{}) return;
+  const std::string layer = posix.layer;
+  counter(layer + ".requests_in").add();
+  counter(layer + ".requests_out").add(posix.device_requests);
+  if (layer == "ufs") {
+    if (posix.device_requests > 1) counter("ufs.extent_splits").add(posix.device_requests - 1);
+  } else if (posix.internal_requests > 0) {
+    counter("fs.internal_requests").add(posix.internal_requests);
+    counter("fs.internal_bytes").add(posix.internal.value());
+  }
+}
+
 void MetricsRegistry::on_request_close(const probe::RequestClose& request) {
   const PhaseLedger& l = request.ledger;
   if (l.read) {

@@ -149,6 +149,7 @@ class MetricsRegistry final : public probe::Subscriber {
 
   // Probe subscription: the replay-side metrics.
   void on_replay_begin(std::uint64_t posix_requests) override;
+  void on_posix(const probe::Posix& posix) override;
   void on_request_close(const probe::RequestClose& request) override;
   void on_media_end(const probe::MediaDone& done) override;
   void on_note(const probe::Note& note) override;

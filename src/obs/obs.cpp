@@ -17,10 +17,9 @@ ObsSession::ObsSession(Options options) {
     host_options.heartbeat_sec = options.heartbeat_sec;
     host_ = std::make_unique<HostSession>(host_options);
   }
-  context_.trace = trace_.get();
-  context_.metrics = metrics_.get();
   if (trace_ || metrics_) {
-    installed_ = std::make_unique<ScopedObsContext>(&context_);
+    installed_trace_.emplace(probe::Slot::kTrace, trace_.get());
+    installed_metrics_.emplace(probe::Slot::kMetrics, metrics_.get());
   }
 }
 

@@ -1,6 +1,4 @@
-// Observability sessions: how a run turns the instruments on, and how
-// code outside the replay's probe stream reaches the active tracer and
-// metrics registry.
+// Observability sessions: how a run turns the instruments on.
 //
 // Design constraints, in order:
 //  1. Zero overhead when disabled (the default): instruments are probe
@@ -8,25 +6,17 @@
 //     thread-local load and a branch per event kind nobody listens to.
 //     No allocation, no atomics on the hot path, no change to simulation
 //     arithmetic ever.
-//  2. Per-experiment isolation: MultiEngine replays configurations on
-//     concurrent threads; the probe's subscriber set is thread-local, so
-//     each replay's spans and metrics stay separate. Worker threads an
-//     instrumented component spawns itself (the DOoC prefetcher) inherit
-//     the spawning thread's tracer and registry explicitly via
-//     ScopedObsContext.
+//  2. Per-experiment isolation: the probe's subscriber set is
+//     thread-local, so replays on concurrent threads keep their spans
+//     and metrics separate.
 //  3. Instrumentation never throws and never mutates simulation state.
 //
-// Typical site outside the probe stream (a worker thread's wall-clock
-// span, a component-specific counter):
-//   if (obs::TraceRecorder* tr = obs::tracer()) {
-//     tr->span(tr->track("dooc.prefetch"), "dooc", "tile_read", start, dur);
-//   }
-//   if (obs::MetricsRegistry* m = obs::metrics()) {
-//     m->counter("dooc.stalls").add();
-//   }
+// The accessors below are for collecting reports after a replay; during
+// it, every instrument learns what happened from the probe stream.
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "common/probe.hpp"
 #include "obs/host_profiler.hpp"
@@ -35,11 +25,6 @@
 #include "obs/trace_recorder.hpp"
 
 namespace nvmooc::obs {
-
-struct ObsContext {
-  TraceRecorder* trace = nullptr;
-  MetricsRegistry* metrics = nullptr;
-};
 
 /// Active tracer, or null. The null test *is* the enable check.
 inline TraceRecorder* tracer() {
@@ -50,27 +35,6 @@ inline TraceRecorder* tracer() {
 inline MetricsRegistry* metrics() {
   return static_cast<MetricsRegistry*>(probe::slot(probe::Slot::kMetrics));
 }
-
-/// The calling thread's tracer and registry, for handing to a worker.
-inline ObsContext context() { return {tracer(), metrics()}; }
-
-/// Installs a tracer and registry on the current thread for the scope's
-/// lifetime. Components that spawn threads capture obs::context() at
-/// construction and install it in the worker with this.
-class ScopedObsContext {
- public:
-  explicit ScopedObsContext(const ObsContext& ctx)
-      : trace_(probe::Slot::kTrace, ctx.trace), metrics_(probe::Slot::kMetrics, ctx.metrics) {}
-  explicit ScopedObsContext(const ObsContext* ctx)
-      : ScopedObsContext(ctx != nullptr ? *ctx : ObsContext{}) {}
-
-  ScopedObsContext(const ScopedObsContext&) = delete;
-  ScopedObsContext& operator=(const ScopedObsContext&) = delete;
-
- private:
-  probe::Scoped trace_;
-  probe::Scoped metrics_;
-};
 
 /// Owns a recorder and/or registry and installs them on the constructing
 /// thread. The CLI surface (--trace-out / --metrics-out / --profile)
@@ -107,8 +71,10 @@ class ObsSession {
   std::unique_ptr<MetricsRegistry> metrics_;
   std::unique_ptr<ProfileSession> profile_;
   std::unique_ptr<HostSession> host_;
-  ObsContext context_;
-  std::unique_ptr<ScopedObsContext> installed_;
+  /// The recorder and registry in their probe slots, both (nulls
+  /// included) iff either is on.
+  std::optional<probe::Scoped> installed_trace_;
+  std::optional<probe::Scoped> installed_metrics_;
 };
 
 }  // namespace nvmooc::obs

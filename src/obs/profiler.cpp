@@ -127,12 +127,6 @@ void Profiler::timeline_busy(const std::string& label, Time start, Time end) {
   timeline_intervals_[intern(label)].emplace_back(start, end);
 }
 
-void Profiler::io_path_expansion(std::uint64_t device_requests,
-                                 std::uint64_t internal_requests) {
-  expanded_device_requests_ += device_requests;
-  expanded_internal_requests_ += internal_requests;
-}
-
 // ---------------------------------------------------------------------------
 // Probe subscription: the request chains, from the probe stream.
 // ---------------------------------------------------------------------------
@@ -200,6 +194,11 @@ void Profiler::on_replay_begin(std::uint64_t /*posix_requests*/) {
   cpu_pred_ = 0;
   barrier_pred_ = 0;
   drain_pred_ = 0;
+}
+
+void Profiler::on_posix(const probe::Posix& posix) {
+  expanded_device_requests_ += posix.device_requests - posix.internal_requests;
+  expanded_internal_requests_ += posix.internal_requests;
 }
 
 void Profiler::on_request_open(const probe::RequestOpen& request) {

@@ -24,8 +24,7 @@
 // that records profiler edges for a request — request_gate(),
 // request_segment(), request_complete() — must be the one that minted
 // the request with request_begin(). Device-side hooks (media_segment,
-// timeline_busy, io_path_expansion) attach to the request currently open
-// and are exempt.
+// timeline_busy) attach to the request currently open and are exempt.
 #pragma once
 
 #include <cstdint>
@@ -161,9 +160,6 @@ class Profiler final : public probe::Subscriber {
   /// sampler only, never the critical path (link transfers carry the
   /// causal chain).
   void timeline_busy(const std::string& label, Time start, Time end);
-  /// I/O-path expansion edge: one application request fanned out into
-  /// `device_requests` + `internal_requests` device requests.
-  void io_path_expansion(std::uint64_t device_requests, std::uint64_t internal_requests);
 
   /// Extracts the critical path and utilization timelines. `makespan` is
   /// the replay's all-done time; `windows` is the timeline resolution.
@@ -174,6 +170,9 @@ class Profiler final : public probe::Subscriber {
   // --- Probe subscription ------------------------------------------------
   void on_interval(const probe::Interval& interval) override;
   void on_replay_begin(std::uint64_t posix_requests) override;
+  /// I/O-path expansion: one application request fanned out into data
+  /// and internal device requests.
+  void on_posix(const probe::Posix& posix) override;
   void on_request_open(const probe::RequestOpen& request) override;
   void on_request_close(const probe::RequestClose& request) override;
 

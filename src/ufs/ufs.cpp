@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "common/probe.hpp"
-#include "obs/obs.hpp"
 
 namespace nvmooc {
 
@@ -42,18 +41,10 @@ std::vector<BlockRequest> UnifiedFileSystem::submit_object(ObjectId id,
     out.push_back(device);
   }
 
-  if (obs::MetricsRegistry* m = obs::metrics()) {
-    m->counter("ufs.requests_in").add();
-    m->counter("ufs.requests_out").add(out.size());
-    if (out.size() > 1) m->counter("ufs.extent_splits").add(out.size() - 1);
-  }
   // An extent split multiplies one application request into several
   // device requests — worth a breadcrumb when chasing a straggler.
   if (out.size() > 1) {
     probe::note(Time{}, "ufs", "extent_split", (request.offset).value(), out.size());
-  }
-  if (obs::Profiler* p = obs::profiler()) {
-    p->io_path_expansion(out.size(), 0);
   }
   return out;
 }

@@ -2,10 +2,12 @@
 // qualitative claims of the paper expressed as assertions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/configs.hpp"
@@ -368,6 +370,19 @@ TEST(MultiClient, AuditedSharedReplayIsClean) {
   EXPECT_TRUE(result.audit.passed()) << result.audit.summary();
   EXPECT_GT(result.audit.reservations, 0u);
   EXPECT_EQ(result.audit.requests_tracked, result.audit.requests_completed);
+}
+
+TEST(MultiClient, QueueDepthSamplesMoveForward) {
+  // Only the first client's window is sampled, so the outline never goes
+  // back in time however the clients interleave.
+  for (const unsigned clients : {2U, 4U}) {
+    ReplayEngine engine(ion_gpfs_config(NvmType::kMlc), clients);
+    const std::vector<std::pair<Time, double>> q = engine.run(checkpoint_trace()).queue_depth;
+    ASSERT_FALSE(q.empty());
+    EXPECT_TRUE(std::is_sorted(q.begin(), q.end(),
+                               [](const auto& a, const auto& b) { return a.first < b.first; }))
+        << clients << " clients";
+  }
 }
 
 TEST(MultiClient, CarverRatioStillFavoursCnl) {

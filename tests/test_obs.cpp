@@ -22,6 +22,7 @@
 #include "check/audit.hpp"
 #include "cluster/configs.hpp"
 #include "cluster/engine.hpp"
+#include "fs/presets.hpp"
 #include "obs/cli.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/latency.hpp"
@@ -145,6 +146,31 @@ TEST(Metrics, RegistrySnapshotCoversAllKinds) {
   EXPECT_NO_THROW(obs::parse_json(registry.json()));
 }
 
+TEST(Metrics, IoPathCountersSkipZeroSizeRequests) {
+  // The fs.* / ufs.* counters derive from the engine's POSIX event. A
+  // zero-size request never reaches the I/O path, so it counts nothing,
+  // and a counter for traffic that never happened does not exist.
+  Trace trace;
+  trace.add(NvmOp::kRead, Bytes{}, 256 * KiB);
+  trace.add(NvmOp::kRead, 256 * KiB, Bytes{});
+  trace.add(NvmOp::kRead, 256 * KiB, 256 * KiB);
+  for (const bool ufs : {false, true}) {
+    const ExperimentConfig config = ufs ? cnl_ufs_config(NvmType::kSlc)
+                                        : cnl_fs_config(ext4_behavior(), NvmType::kSlc);
+    obs::ObsSession session({.metrics = true, .profile = true});
+    const ExperimentResult result = run_experiment(config, trace);
+    std::map<std::string, double> counters;
+    for (const obs::MetricSnapshot& m : session.metrics()->snapshot()) counters[m.name] = m.value;
+    const std::string layer = ufs ? "ufs" : "fs";
+    EXPECT_EQ(counters[layer + ".requests_in"], 2.0) << config.name;
+    EXPECT_EQ(counters.count("fs.internal_requests"), 0u) << config.name;
+    EXPECT_EQ(counters.count("ufs.extent_splits"), 0u) << config.name;
+    EXPECT_EQ(static_cast<double>(result.profile.io_path_device_requests),
+              counters[layer + ".requests_out"])
+        << config.name;
+  }
+}
+
 // ---------- trace recorder ----------------------------------------------
 
 TEST(TraceRecorder, ExportsParseableChromeJson) {
@@ -190,13 +216,13 @@ TEST(TraceRecorder, DropsBeyondCapAndCounts) {
 TEST(TraceRecorder, WorkerThreadSpansLandInSameRecorder) {
   obs::TraceRecorder recorder;
   obs::MetricsRegistry registry;
-  obs::ObsContext context{&recorder, &registry};
-  const obs::ScopedObsContext scope(&context);
+  const probe::Scoped scope(probe::Slot::kTrace, &recorder);
   ASSERT_EQ(obs::tracer(), &recorder);
 
-  std::thread worker([captured = obs::context()] {
-    EXPECT_EQ(obs::tracer(), nullptr);  // Fresh thread: no context.
-    const obs::ScopedObsContext inherit(captured);
+  std::thread worker([&] {
+    EXPECT_EQ(obs::tracer(), nullptr);  // Fresh thread: nothing installed.
+    const probe::Scoped trace(probe::Slot::kTrace, &recorder);
+    const probe::Scoped metrics(probe::Slot::kMetrics, &registry);
     obs::TraceRecorder* r = obs::tracer();
     ASSERT_NE(r, nullptr);
     r->span(r->track("worker"), "test", "from_worker", Time{}, kMicrosecond);

@@ -3,8 +3,8 @@
 // the id with request_begin(), so the ids it passes reference requests
 // some other layer opened (or nothing at all) — the critical-path walk
 // would either drop the edges or misattribute them. Device-side hooks
-// (media_segment / timeline_busy / io_path_expansion) are exempt: they
-// attach to the engine's open request by design.
+// (media_segment / timeline_busy) are exempt: they attach to the
+// engine's open request by design.
 #include <cstdint>
 
 namespace fixture {

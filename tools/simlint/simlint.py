@@ -53,8 +53,8 @@ Rules
                             / request_segment / request_complete edges
                             must mint the id with request_begin (the
                             device-side hooks media_segment /
-                            timeline_busy / io_path_expansion attach to
-                            the engine's open request and are exempt).
+                            timeline_busy attach to the engine's open
+                            request and are exempt).
                             Both instruments now take these calls from
                             the probe (src/common/probe.hpp), so the rule
                             also guards the emitting side: a TU that
@@ -410,8 +410,8 @@ LIFECYCLE_ISSUE_RE = re.compile(r"\brequest_issued\s*\(")
 # The causal profiler's engine-side edges (src/obs/profiler.hpp).  The
 # alternatives are anchored on the open paren so `request_complete(`
 # never half-matches the auditor's `request_completed(`.  Device-side
-# hooks (media_segment / timeline_busy / io_path_expansion) attach to
-# the profiler's open request and are deliberately not listed.
+# hooks (media_segment / timeline_busy) attach to the profiler's open
+# request and are deliberately not listed.
 PROFILE_EDGE_RE = re.compile(
     r"\b(request_(?:gate|segment|complete))\s*\(")
 PROFILE_BEGIN_RE = re.compile(r"\brequest_begin\s*\(")
