@@ -285,16 +285,40 @@ inline void register_sweep(std::vector<ExperimentConfig> (*configs_for)(NvmType)
   }
 }
 
+/// True when every "<config>/<media>" cell of the sweep has a result.
+/// Otherwise names the missing cells and `path` on stderr: a results
+/// file is written only for a whole sweep, so a partial run (say, under
+/// --benchmark_filter) cannot overwrite a checked-in baseline.
+inline bool sweep_complete(const std::string& path, const std::vector<NvmType>& media_list,
+                           std::vector<ExperimentConfig> (*configs_for)(NvmType)) {
+  std::vector<std::string> missing;
+  for (NvmType media : media_list) {
+    for (const ExperimentConfig& config : configs_for(media)) {
+      if (board().find(config.name, media) == nullptr) {
+        missing.push_back(ResultBoard::key(config.name, media));
+      }
+    }
+  }
+  if (missing.empty()) return true;
+  std::fprintf(stderr, "not writing %s: %zu cell(s) of the sweep have no result:",
+               path.c_str(), missing.size());
+  for (const std::string& cell : missing) std::fprintf(stderr, " %s", cell.c_str());
+  std::fprintf(stderr, "\n");
+  return false;
+}
+
 /// Writes a BENCH_<figure>.json in the same shape as BENCH_headline.json:
 /// {schema_version, bench, workload, results: {"<config>/<media>": {...}}}
 /// with the per-cell fields chosen by the caller. The checked-in copies
-/// are what `simreport diff` compares regenerated sweeps against.
+/// are what `simreport diff` compares regenerated sweeps against. Writes
+/// nothing and returns false unless the sweep is complete.
 template <typename FieldWriter>
 bool write_results_json(const std::string& path, const char* bench_name,
                         const char* workload,
                         const std::vector<NvmType>& media_list,
                         std::vector<ExperimentConfig> (*configs_for)(NvmType),
                         FieldWriter&& fields) {
+  if (!sweep_complete(path, media_list, configs_for)) return false;
   obs::JsonWriter w;
   w.begin_object();
   w.field("schema_version", std::uint64_t{1});
@@ -304,11 +328,9 @@ bool write_results_json(const std::string& path, const char* bench_name,
   w.begin_object();
   for (NvmType media : media_list) {
     for (const ExperimentConfig& config : configs_for(media)) {
-      const ExperimentResult* r = board().find(config.name, media);
-      if (r == nullptr) continue;
       w.key(ResultBoard::key(config.name, media));
       w.begin_object();
-      fields(w, *r);
+      fields(w, *board().find(config.name, media));
       w.end_object();
     }
   }

@@ -44,9 +44,11 @@ struct Claim {
   double value = 0.0;  ///< The measured ratio/gain as a bare number.
 };
 
+/// Writes nothing and returns false unless the whole grid has results.
 bool write_headline_json(const std::string& path, const std::string& workload,
                          const std::vector<Claim>& claims,
                          const std::vector<NvmType>& media_list) {
+  if (!sweep_complete(path, media_list, &all_configs)) return false;
   obs::JsonWriter w;
   w.begin_object();
   w.field("schema_version", std::uint64_t{1});
@@ -72,7 +74,6 @@ bool write_headline_json(const std::string& path, const std::string& workload,
   for (NvmType media : media_list) {
     for (const ExperimentConfig& config : all_configs(media)) {
       const ExperimentResult* r = board().find(config.name, media);
-      if (r == nullptr) continue;
       w.key(ResultBoard::key(config.name, media));
       w.begin_object();
       w.field("achieved_mbps", r->achieved_mbps);

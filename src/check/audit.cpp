@@ -60,32 +60,32 @@ void Auditor::violation(const char* invariant, std::string detail) {
 
 // -- conservation -----------------------------------------------------------
 
-void Auditor::posix_request(Bytes size) { report_.requested_bytes += size; }
-
-void Auditor::io_path_grant(Bytes posix_bytes, Bytes payload, Bytes internal) {
-  report_.granted_payload_bytes += payload;
-  report_.granted_internal_bytes += internal;
-  if (payload != posix_bytes) {
+void Auditor::on_posix(const probe::Posix& posix) {
+  // The I/O path must neither drop nor invent application bytes (journal
+  // and metadata traffic rides separately as internal bytes).
+  report_.requested_bytes += posix.size;
+  report_.granted_payload_bytes += posix.payload;
+  report_.granted_internal_bytes += posix.internal;
+  if (posix.payload != posix.size) {
     std::ostringstream out;
-    out << "FS/UFS grant mismatch: posix request of " << posix_bytes.value()
-        << "B expanded to " << payload.value() << "B of payload";
+    out << "FS/UFS grant mismatch: posix request of " << posix.size.value()
+        << "B expanded to " << posix.payload.value() << "B of payload";
     violation("conservation", out.str());
   }
 }
 
-void Auditor::media_request_begin(Bytes expected_bytes, bool internal) {
+void Auditor::on_media_begin(Bytes expected, bool internal) {
   if (media_active_) {
     violation("conservation",
               "controller re-entered while a request was in flight");
   }
   media_active_ = true;
   media_internal_ = internal;
-  media_expected_ = expected_bytes;
+  media_expected_ = expected;
   media_matched_ = Bytes{};
 }
 
-void Auditor::media_transfer(Bytes bytes, MediaKind kind,
-                             std::uint32_t retries) {
+void Auditor::on_media_transfer(Bytes bytes, MediaKind kind, std::uint32_t retries) {
   if (!media_active_) {
     violation("conservation", "media transfer outside any device request");
     return;
@@ -110,7 +110,7 @@ void Auditor::media_transfer(Bytes bytes, MediaKind kind,
   report_.media_retry_bytes += bytes * retries;
 }
 
-void Auditor::media_request_end() {
+void Auditor::on_media_end(const probe::MediaDone& /*done*/) {
   if (!media_active_) {
     violation("conservation", "media request ended without beginning");
     return;
@@ -127,98 +127,73 @@ void Auditor::media_request_end() {
 
 // -- causality --------------------------------------------------------------
 
-std::uint64_t Auditor::request_issued(Time ready) {
-  const std::uint64_t id = requests_.size();
-  requests_.push_back(RequestState{Stage::kIssued, ready});
-  ++report_.requests_tracked;
-  return id;
-}
-
-void Auditor::advance(std::uint64_t id, Stage expected_from, Stage to, Time at,
-                      const char* event) {
-  if (id >= requests_.size()) {
-    std::ostringstream out;
-    out << event << " for unknown request id " << id;
-    violation("causality", out.str());
-    return;
-  }
-  RequestState& state = requests_[id];
-  if (state.stage == Stage::kCompleted) {
-    std::ostringstream out;
-    out << "request " << id << ": " << event << " after completion"
-        << (to == Stage::kCompleted ? " (completed twice)" : "");
-    violation("causality", out.str());
-    return;
-  }
-  if (state.stage != expected_from) {
-    std::ostringstream out;
-    out << "request " << id << ": " << event << " out of order (stage "
-        << static_cast<int>(state.stage) << ", expected "
-        << static_cast<int>(expected_from) << ")";
-    violation("causality", out.str());
-  }
-  if (at < state.last) {
+void Auditor::check_order(std::uint64_t id, const char* event, Time at, Time prior) {
+  if (at < prior) {
     std::ostringstream out;
     out << "request " << id << ": " << event << " at " << time_str(at)
-        << " precedes prior event at " << time_str(state.last);
+        << " precedes prior event at " << time_str(prior);
     violation("causality", out.str());
   }
-  state.stage = to;
-  state.last = at;
 }
 
-void Auditor::request_admitted(std::uint64_t id, Time admit) {
-  advance(id, Stage::kIssued, Stage::kAdmitted, admit, "admitted");
-}
-
-void Auditor::request_dispatched(std::uint64_t id, Time issue) {
-  advance(id, Stage::kAdmitted, Stage::kDispatched, issue, "dispatched");
-}
-
-void Auditor::request_media(std::uint64_t id, Time begin, Time end) {
-  if (end < begin) {
+void Auditor::on_request_open(const probe::RequestOpen& request) {
+  const std::uint64_t id = report_.requests_tracked++;
+  if (request_open_) {
     std::ostringstream out;
-    out << "request " << id << ": media ends at " << time_str(end)
-        << " before it begins at " << time_str(begin);
+    out << "request " << id << " opened while request " << open_id_ << " is still open";
     violation("causality", out.str());
   }
-  advance(id, Stage::kDispatched, Stage::kMedia, begin, "media");
-  if (id < requests_.size()) requests_[id].last = std::max(begin, end);
+  request_open_ = true;
+  open_id_ = id;
+  open_issue_ = request.issue;
+  issue_watermark_ = std::max(issue_watermark_, request.watermark);
+  check_order(id, "admitted", request.admit, request.ready);
+  check_order(id, "dispatched", request.issue, request.admit);
 }
 
-void Auditor::request_completed(std::uint64_t id, Time completion) {
-  // A double completion leaves the stage at kCompleted, so count only
-  // transitions made by *this* call.
-  const bool was_completed =
-      id < requests_.size() && requests_[id].stage == Stage::kCompleted;
-  advance(id, Stage::kMedia, Stage::kCompleted, completion, "completed");
-  if (id < requests_.size() && !was_completed &&
-      requests_[id].stage == Stage::kCompleted) {
-    ++report_.requests_completed;
+void Auditor::on_request_close(const probe::RequestClose& request) {
+  if (!request_open_) {
+    std::ostringstream out;
+    out << "request " << request.ledger.id << " closed with no request open";
+    violation("causality", out.str());
+    return;
   }
+  request_open_ = false;
+  const probe::PhaseLedger& l = request.ledger;
+  if (l.media_end < l.media_begin) {
+    std::ostringstream out;
+    out << "request " << open_id_ << ": media ends at " << time_str(l.media_end)
+        << " before it begins at " << time_str(l.media_begin);
+    violation("causality", out.str());
+  }
+  check_order(open_id_, "media", l.media_begin, open_issue_);
+  check_order(open_id_, "completed", l.completion, std::max(l.media_begin, l.media_end));
+  ++report_.requests_completed;
 }
-
-void Auditor::replay_aborted() { report_.aborted = true; }
 
 // -- occupancy --------------------------------------------------------------
 
-void Auditor::timeline_reserved(const void* timeline, const std::string& label, Time earliest,
-                                Time start, Time end) {
+void Auditor::on_interval(const probe::Interval& interval) {
+  // Every Timeline grant, labelled or not; controller steps and link
+  // transfers are views of grants already seen here.
+  if (interval.resource != probe::Resource::kTimeline) return;
+  const Time start = interval.start;
+  const Time end = interval.end;
   if (end <= start) return;  // Zero-width grants occupy nothing.
-  ResourceTrack& track = tracks_[timeline];
+  ResourceTrack& track = tracks_[interval.object];
   if (track.name.empty()) {
     ++report_.timelines;
-    if (label.empty()) {
+    if (interval.label->empty()) {
       track.name = "resource#" + std::to_string(next_track_ordinal_++);
     } else {
-      track.name = label;
+      track.name = *interval.label;
     }
   }
   ++report_.reservations;
 
-  if (earliest < issue_watermark_) {
+  if (interval.earliest < issue_watermark_) {
     std::ostringstream out;
-    out << "grant on " << track.name << " ready at " << time_str(earliest)
+    out << "grant on " << track.name << " ready at " << time_str(interval.earliest)
         << ", before the issue watermark " << time_str(issue_watermark_);
     violation("causality", out.str());
   }
@@ -275,10 +250,6 @@ void Auditor::timeline_reserved(const void* timeline, const std::string& label, 
   ivals.emplace(new_s, new_e);
 }
 
-void Auditor::timeline_released(const void* timeline) {
-  tracks_.erase(timeline);
-}
-
 // -- finalize ---------------------------------------------------------------
 
 AuditReport Auditor::report() const {
@@ -291,15 +262,10 @@ AuditReport Auditor::report() const {
     }
   };
 
-  // Every issued request must have completed, aborted or not: the engine
-  // drains in-flight requests even when it cuts a replay short.
-  for (std::uint64_t id = 0; id < requests_.size(); ++id) {
-    if (requests_[id].stage != Stage::kCompleted) {
-      std::ostringstream msg;
-      msg << "request " << id << " never completed (stage "
-          << static_cast<int>(requests_[id].stage) << ")";
-      add("causality", msg.str());
-    }
+  // Every opened request must have closed, aborted or not: the engine
+  // closes each request it opens even when it cuts a replay short.
+  if (request_open_) {
+    add("causality", "request " + std::to_string(open_id_) + " never completed");
   }
   if (media_active_) {
     add("conservation", "replay ended mid device request at the controller");
@@ -315,36 +281,6 @@ AuditReport Auditor::report() const {
     add("conservation", msg.str());
   }
   return out;
-}
-
-// -- probe subscription ----------------------------------------------------
-
-void Auditor::on_interval(const probe::Interval& interval) {
-  // Every Timeline grant, labelled or not; controller steps and link
-  // transfers are views of grants already seen here.
-  if (interval.resource != probe::Resource::kTimeline) return;
-  timeline_reserved(interval.object, *interval.label, interval.earliest, interval.start,
-                    interval.end);
-}
-
-void Auditor::on_posix(const probe::Posix& posix) {
-  // Conservation at the OoC/FS boundary: the I/O path must expand every
-  // application request into exactly its payload (journal and metadata
-  // traffic rides separately as internal bytes).
-  posix_request(posix.size);
-  io_path_grant(posix.size, posix.payload, posix.internal);
-}
-
-void Auditor::on_request_open(const probe::RequestOpen& request) {
-  issue_watermark_ = std::max(issue_watermark_, request.watermark);
-  open_request_ = request_issued(request.ready);
-  request_admitted(open_request_, request.admit);
-  request_dispatched(open_request_, request.issue);
-}
-
-void Auditor::on_request_close(const probe::RequestClose& request) {
-  request_media(open_request_, request.ledger.media_begin, request.ledger.media_end);
-  request_completed(open_request_, request.ledger.completion);
 }
 
 }  // namespace nvmooc::check

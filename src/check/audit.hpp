@@ -12,10 +12,10 @@
 //                 channel-transferred payload bytes (with ECC-retry
 //                 re-reads, read-modify-write pre-reads, and GC/remap
 //                 relocation traffic each accounted in its own bucket).
-//   causality     Per-request event chains (issued -> admitted ->
-//                 dispatched -> media -> completed) are monotone in sim
-//                 time, every request completes exactly once, and no
-//                 completion precedes its issue. No timeline grant is
+//   causality     Each device request's times (ready <= admit <= issue
+//                 <= media begin <= media end <= completion) are monotone
+//                 in sim time, and the engine closes every request it
+//                 opens exactly once, one at a time. No timeline grant is
 //                 ready before the engine's fold watermark (the latest
 //                 request's issue time when one client replays).
 //   occupancy     Granted timeline intervals on every serially-occupied
@@ -42,9 +42,9 @@
 //
 // Typical site — every Timeline grant, audited or not:
 //   probe::grant(this, trace_label_, earliest, grant.start, grant.end);
-// and the subscriber side (Auditor::on_interval):
-//   timeline_reserved(interval.object, *interval.label, interval.earliest,
-//                     interval.start, interval.end);
+// which reaches Auditor::on_interval when an auditor is installed. The
+// probe is the auditor's only input; the engine and the FTL call just
+// report(), violation(), ftl_checked() and replay_aborted().
 #pragma once
 
 #include <cstdint>
@@ -112,55 +112,8 @@ class Auditor final : public probe::Subscriber {
  public:
   Auditor();
 
-  // -- engine hooks (OoC / FS boundary, per-request causality) ----------
-
-  /// One application (POSIX) request entered the replay.
-  void posix_request(Bytes size);
-
-  /// The FS/UFS expanded one POSIX request into device requests carrying
-  /// `payload` non-internal and `internal` journal/metadata bytes.
-  /// Checks payload == posix_bytes: an I/O path must neither drop nor
-  /// invent application bytes.
-  void io_path_grant(Bytes posix_bytes, Bytes payload, Bytes internal);
-
-  /// A device request became ready; returns its audit id. The chain must
-  /// then advance admitted -> dispatched -> media -> completed, each
-  /// monotone in sim time.
-  [[nodiscard]] std::uint64_t request_issued(Time ready);
-  void request_admitted(std::uint64_t id, Time admit);
-  void request_dispatched(std::uint64_t id, Time issue);
-  void request_media(std::uint64_t id, Time begin, Time end);
-  void request_completed(std::uint64_t id, Time completion);
-
   /// The replay aborted; aggregate byte equality is no longer expected.
-  void replay_aborted();
-
-  // -- controller hooks (media boundary) --------------------------------
-
-  /// A device request reached the controller. `expected_bytes` is what
-  /// its first-attempt channel transfers must sum to: the request size
-  /// for reads, the page-rounded span for writes (programs move whole
-  /// pages). Ends with media_request_end(), which enforces the equality.
-  void media_request_begin(Bytes expected_bytes, bool internal);
-  /// One transaction moved `bytes` over a channel (first attempt);
-  /// `retries` extra ECC-ladder attempts re-transferred the same bytes.
-  void media_transfer(Bytes bytes, MediaKind kind, std::uint32_t retries);
-  void media_request_end();
-
-  // -- timeline hooks (occupancy) ---------------------------------------
-
-  /// Resource `timeline` granted [start, end) to a reservation ready at
-  /// `earliest`; `label` names it when the owner set one (unlabelled
-  /// resources are named by first-grant order, which is deterministic).
-  /// Checks that `earliest` is not before the issue watermark and that
-  /// the grant is disjoint from every earlier grant on the same resource.
-  void timeline_reserved(const void* timeline, const std::string& label, Time earliest,
-                         Time start, Time end);
-  /// The resource was reset or destroyed: forget its intervals (a later
-  /// object at the same address is a different resource).
-  void timeline_released(const void* timeline);
-
-  // -- ftl hooks --------------------------------------------------------
+  void replay_aborted() { report_.aborted = true; }
 
   /// A mapping check ran (incremental or full sweep); bumps the counter
   /// that proves FTL auditing was active.
@@ -171,43 +124,45 @@ class Auditor final : public probe::Subscriber {
   void violation(const char* invariant, std::string detail);
 
   /// Snapshot of the report with end-of-replay checks applied (aggregate
-  /// byte conservation, no request left incomplete). Pure: calling it
-  /// twice yields the same result.
+  /// byte conservation, no request or controller transaction left open).
+  /// Pure: calling it twice yields the same result.
   [[nodiscard]] AuditReport report() const;
 
   [[nodiscard]] std::uint64_t violation_count() const {
     return report_.violation_count;
   }
 
-  // -- probe subscription: the hooks above, fed by the probe stream -----
+  // -- probe subscription: the auditor's only input ----------------------
+
+  /// Occupancy: a Timeline granted [start, end) to a reservation ready at
+  /// `earliest`. Checks that `earliest` is not before the issue watermark
+  /// and that the grant is disjoint from every earlier grant on the same
+  /// resource (named by its label, or by first-grant order when it has
+  /// none, which is deterministic).
   void on_interval(const probe::Interval& interval) override;
-  void on_release(const void* timeline) override { timeline_released(timeline); }
+  /// The resource was destroyed: forget its intervals (a later
+  /// object at the same address is a different resource).
+  void on_release(const void* timeline) override { tracks_.erase(timeline); }
+  /// Conservation at the OoC/FS boundary: the I/O path expanded one
+  /// application request into exactly its payload.
   void on_posix(const probe::Posix& posix) override;
+  /// Causality: the engine opens one device request at a time, and its
+  /// times run ready <= admit <= issue <= media begin <= media end <=
+  /// completion. Opening while one is open, closing with none open and
+  /// a request still open at report() are violations.
   void on_request_open(const probe::RequestOpen& request) override;
   void on_request_close(const probe::RequestClose& request) override;
-  void on_media_begin(Bytes expected, bool internal) override {
-    media_request_begin(expected, internal);
-  }
-  void on_media_transfer(Bytes bytes, MediaKind kind, std::uint32_t retries) override {
-    media_transfer(bytes, kind, retries);
-  }
-  void on_media_end(const probe::MediaDone& /*done*/) override { media_request_end(); }
+  /// Conservation at the media boundary: a device request's first-attempt
+  /// kRequest transfers must move `expected` bytes (the request size for
+  /// reads, the page-rounded span for writes); ECC retries, RMW pre-reads
+  /// and GC/remap traffic each go to their own bucket. Controller::submit
+  /// is not re-entrant, so one transaction is open at a time.
+  void on_media_begin(Bytes expected, bool internal) override;
+  void on_media_transfer(Bytes bytes, MediaKind kind, std::uint32_t retries) override;
+  void on_media_end(const probe::MediaDone& done) override;
 
  private:
   static constexpr std::size_t kMaxRecordedViolations = 32;
-
-  /// Request lifecycle stages, in causal order.
-  enum class Stage : std::uint8_t {
-    kIssued = 0,
-    kAdmitted = 1,
-    kDispatched = 2,
-    kMedia = 3,
-    kCompleted = 4,
-  };
-  struct RequestState {
-    Stage stage = Stage::kIssued;
-    Time last;  ///< Sim time of the latest event in the chain.
-  };
 
   /// Occupancy state for one serially-occupied resource: granted
   /// intervals as a start->end map, coalesced when they touch (a union
@@ -218,11 +173,16 @@ class Auditor final : public probe::Subscriber {
     std::map<std::int64_t, std::int64_t> intervals;
   };
 
-  void advance(std::uint64_t id, Stage expected_from, Stage to, Time at,
-               const char* event);
+  /// A causality violation when `at` precedes `prior` in request `id`.
+  void check_order(std::uint64_t id, const char* event, Time at, Time prior);
 
   AuditReport report_;
-  std::vector<RequestState> requests_;
+
+  // The device request the engine has open: its 0-based issue ordinal
+  // (the engine's ledger id) and its issue time.
+  bool request_open_ = false;
+  std::uint64_t open_id_ = 0;
+  Time open_issue_;
 
   // Current controller request (Controller::submit is not re-entrant).
   bool media_active_ = false;
@@ -236,8 +196,6 @@ class Auditor final : public probe::Subscriber {
   std::map<const void*, ResourceTrack> tracks_;
   std::uint64_t next_track_ordinal_ = 0;
 
-  /// Audit id of the device request the engine has open.
-  std::uint64_t open_request_ = 0;
   /// Latest request issue time: no later grant may be ready before it.
   Time issue_watermark_;
 };

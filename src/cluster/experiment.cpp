@@ -253,9 +253,6 @@ std::string ExperimentResult::to_json() const {
     if (m.kind == "histogram") {
       w.key("summary");
       write_histogram_summary(w, m.histogram);
-    } else if (m.kind == "series") {
-      w.key("points");
-      write_points(w, m.series);
     } else {
       w.field("value", m.value);
     }

@@ -186,7 +186,7 @@ class Subscriber {
   virtual ~Subscriber() = default;
   [[nodiscard]] unsigned kinds() const { return kinds_; }
 
-  // kInterval; on_release: a Timeline was reset or destroyed, so a later
+  // kInterval; on_release: a Timeline was destroyed, so a later
   // one at the same address is a different resource.
   virtual void on_interval(const Interval& /*interval*/) {}
   virtual void on_release(const void* /*timeline*/) {}

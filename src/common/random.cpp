@@ -59,11 +59,6 @@ double Rng::next_double() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
-std::int64_t Rng::next_range(std::int64_t lo, std::int64_t hi) {
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
 double Rng::next_normal() {
   if (has_spare_normal_) {
     has_spare_normal_ = false;
@@ -109,7 +104,5 @@ std::uint64_t Rng::next_zipf(std::uint64_t n, double s) {
   if (rank >= n) rank = n - 1;
   return rank;
 }
-
-Rng Rng::split() { return Rng(next_u64() ^ 0xa5a5a5a5a5a5a5a5ULL); }
 
 }  // namespace nvmooc

@@ -23,9 +23,6 @@ class Rng {
   /// Uniform double in [0, 1).
   double next_double();
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t next_range(std::int64_t lo, std::int64_t hi);
-
   /// Standard normal via Marsaglia polar method.
   double next_normal();
 
@@ -37,9 +34,6 @@ class Rng {
 
   /// Zipf-distributed rank in [0, n) with exponent s (rejection sampling).
   std::uint64_t next_zipf(std::uint64_t n, double s);
-
-  /// Derives an independent generator (for per-thread streams).
-  Rng split();
 
  private:
   std::uint64_t state_[4];

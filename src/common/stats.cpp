@@ -1,8 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 
 #include "common/logging.hpp"
 
@@ -11,37 +9,10 @@ namespace nvmooc {
 void RunningStats::add(double x) {
   ++count_;
   sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
 }
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 Histogram::Histogram(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi),
@@ -72,7 +43,6 @@ void Histogram::add(double x, std::uint64_t weight) {
 }
 
 double Histogram::bucket_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-double Histogram::bucket_hi(std::size_t i) const { return lo_ + width_ * static_cast<double>(i + 1); }
 
 double Histogram::quantile(double q) const {
   if (total_ == 0) {
@@ -91,19 +61,6 @@ double Histogram::quantile(double q) const {
     cumulative = next;
   }
   return hi_;
-}
-
-std::string Histogram::to_string() const {
-  std::string out;
-  char buf[64];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    std::snprintf(buf, sizeof(buf), "[%.3g,%.3g)=%llu ", bucket_lo(i), bucket_hi(i),
-                  static_cast<unsigned long long>(counts_[i]));
-    out += buf;
-  }
-  if (!out.empty()) out.pop_back();
-  return out;
 }
 
 void BusyTracker::insert_before_last(Time start, Time end) {

@@ -14,17 +14,14 @@
 
 namespace nvmooc {
 
-/// Welford-style streaming accumulator: numerically stable mean/variance
+/// Streaming accumulator: count, running (Welford) mean, sum and range
 /// without storing samples.
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   std::size_t count() const { return count_; }
   double mean() const { return count_ ? mean_ : 0.0; }
-  double variance() const;  ///< Sample variance (n-1); 0 for n < 2.
-  double stddev() const;
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
   double sum() const { return sum_; }
@@ -32,7 +29,6 @@ class RunningStats {
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
@@ -50,15 +46,11 @@ class Histogram {
   std::size_t bucket_count() const { return counts_.size(); }
   std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
   double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
 
   /// Linear-interpolated quantile in [0, 1]. An empty histogram yields 0
   /// with a warning (a percentile of nothing is a caller bug, not UB —
   /// check total() first when empty is expected).
   double quantile(double q) const;
-
-  /// One-line text rendering, e.g. for debug dumps.
-  std::string to_string() const;
 
  private:
   double lo_;

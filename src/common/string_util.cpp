@@ -5,26 +5,6 @@
 
 namespace nvmooc {
 
-std::vector<std::string_view> split(std::string_view text, char delimiter) {
-  std::vector<std::string_view> fields;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == delimiter) {
-      fields.push_back(text.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return fields;
-}
-
-std::string_view trim(std::string_view text) {
-  const char* whitespace = " \t\r\n";
-  const auto first = text.find_first_not_of(whitespace);
-  if (first == std::string_view::npos) return {};
-  const auto last = text.find_last_not_of(whitespace);
-  return text.substr(first, last - first + 1);
-}
-
 std::string format(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -2,16 +2,8 @@
 #pragma once
 
 #include <string>
-#include <string_view>
-#include <vector>
 
 namespace nvmooc {
-
-/// Splits on a single delimiter; empty fields are preserved.
-std::vector<std::string_view> split(std::string_view text, char delimiter);
-
-/// Trims ASCII whitespace from both ends.
-std::string_view trim(std::string_view text);
 
 /// printf into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

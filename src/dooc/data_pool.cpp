@@ -57,14 +57,4 @@ Bytes DataPool::size(ArrayId id) const { return Bytes{get(id)->bytes.size()}; }
 
 std::uint32_t DataPool::node_of(ArrayId id) const { return get(id)->node; }
 
-std::size_t DataPool::array_count() const {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  return arrays_.size();
-}
-
-bool DataPool::remove(ArrayId id) {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  return arrays_.erase(id) > 0;
-}
-
 }  // namespace nvmooc

@@ -38,10 +38,6 @@ class DataPool {
   bool is_sealed(ArrayId id) const;
   [[nodiscard]] Bytes size(ArrayId id) const;
   std::uint32_t node_of(ArrayId id) const;
-  std::size_t array_count() const;
-
-  /// Drops a sealed array (space reclamation between solver phases).
-  bool remove(ArrayId id);
 
  private:
   struct Array {

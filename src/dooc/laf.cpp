@@ -1,64 +1,9 @@
 #include "dooc/laf.hpp"
 
-#include <stdexcept>
-
-#include "dooc/scheduler.hpp"
+#include <algorithm>
+#include <vector>
 
 namespace nvmooc {
-
-LafContext::LafContext(Storage& storage, LafOptions options)
-    : storage_(storage), options_(options) {
-  if (options_.workers == 0) options_.workers = 1;
-  if (options_.rows_per_tile == 0) options_.rows_per_tile = 2048;
-}
-
-OocMatrixHandle LafContext::register_matrix(const CsrMatrix& h) {
-  matrices_.push_back(
-      std::make_unique<OocHamiltonian>(h, storage_, options_.rows_per_tile));
-  return matrices_.size() - 1;
-}
-
-std::size_t LafContext::rows(OocMatrixHandle handle) const {
-  return matrices_.at(handle)->rows();
-}
-
-Bytes LafContext::dataset_bytes(OocMatrixHandle handle) const {
-  return matrices_.at(handle)->dataset_bytes();
-}
-
-DenseMatrix LafContext::multiply(OocMatrixHandle handle, const DenseMatrix& x) {
-  const OocHamiltonian& matrix = *matrices_.at(handle);
-  if (x.rows() != matrix.rows()) throw std::invalid_argument("LafContext::multiply: shape");
-  DenseMatrix y(matrix.rows(), x.cols());
-
-  // One task per tile: read + local SpMM into a disjoint row range. The
-  // data-aware scheduler spreads tiles over workers; input ids give it
-  // locality hints when tiles repeat across iterations.
-  DataAwareScheduler scheduler;
-  for (std::size_t t = 0; t < matrix.tile_count(); ++t) {
-    scheduler.add_task({[this, &matrix, &x, &y, t] {
-                          const auto& tile = matrix.tile(t);
-                          std::vector<std::uint8_t> buffer(tile.bytes.value());
-                          storage_.read(tile.offset, buffer.data(), tile.bytes);
-                          matrix.apply_tile(tile, buffer, x, y);
-                        },
-                        {},
-                        {static_cast<ArrayId>(t + 1)},
-                        0});
-  }
-  scheduler.run(options_.workers);
-
-  ++stats_.multiplies;
-  stats_.tile_tasks += matrix.tile_count();
-  stats_.bytes_streamed += matrix.dataset_bytes();
-  return y;
-}
-
-LobpcgResult LafContext::solve_lowest(OocMatrixHandle handle,
-                                      const LobpcgOptions& options) {
-  return lobpcg([this, handle](const DenseMatrix& x) { return multiply(handle, x); },
-                rows(handle), options);
-}
 
 void LafContext::migrate_in(const DataPool& pool, ArrayId array, Bytes offset) {
   const Bytes size = pool.size(array);

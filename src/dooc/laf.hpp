@@ -1,60 +1,21 @@
-// DOoC+LAF: the linear-algebra layer over the DOoC middleware (paper
-// Sections 2.1 and 3.1). The application registers out-of-core matrices
-// and calls multiply/solve "directives"; the framework handles tile
-// scheduling across workers, I/O-compute overlap, and data migration
+// DOoC+LAF: the data-migration directives of the linear-algebra layer
+// over the DOoC middleware (paper Sections 2.1 and 3.1): moving arrays
 // between the distributed pool and a node's local storage (the pre-load
 // the compute-local architecture relies on).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "dooc/data_pool.hpp"
-#include "ooc/csr.hpp"
-#include "ooc/lobpcg.hpp"
-#include "ooc/ooc_operator.hpp"
 #include "ooc/tile_store.hpp"
 
 namespace nvmooc {
-
-using OocMatrixHandle = std::uint64_t;
-
-struct LafOptions {
-  /// Worker threads for tiled kernels.
-  unsigned workers = 4;
-  /// Rows per on-storage tile when registering matrices.
-  std::size_t rows_per_tile = 2048;
-};
-
-struct LafStats {
-  std::uint64_t multiplies = 0;
-  std::uint64_t tile_tasks = 0;
-  Bytes bytes_streamed;
-};
 
 class LafContext {
  public:
   /// `storage` is the node-local out-of-core medium (in the paper: the
   /// compute-local SSD via UFS).
-  LafContext(Storage& storage, LafOptions options = {});
-
-  /// Serialises H to storage in tiles (the pre-processing step) and
-  /// returns a handle. Throws if storage is too small.
-  OocMatrixHandle register_matrix(const CsrMatrix& h);
-
-  /// Y = H * X, executed as a task DAG over the matrix's tiles on the
-  /// context's worker pool (disjoint row ranges, so tasks are
-  /// independent).
-  DenseMatrix multiply(OocMatrixHandle handle, const DenseMatrix& x);
-
-  /// Lowest eigenpairs of the registered operator via LOBPCG, with every
-  /// operator application running through multiply().
-  LobpcgResult solve_lowest(OocMatrixHandle handle, const LobpcgOptions& options);
-
-  std::size_t rows(OocMatrixHandle handle) const;
-  [[nodiscard]] Bytes dataset_bytes(OocMatrixHandle handle) const;
-  const LafStats& stats() const { return stats_; }
+  explicit LafContext(Storage& storage) : storage_(storage) {}
 
   /// Data migration directive: copies a sealed pool array onto this
   /// context's storage at `offset` (pool -> compute-local NVM pre-load).
@@ -66,9 +27,6 @@ class LafContext {
 
  private:
   Storage& storage_;
-  LafOptions options_;
-  std::vector<std::unique_ptr<OocHamiltonian>> matrices_;
-  LafStats stats_;
 };
 
 }  // namespace nvmooc

@@ -3,15 +3,9 @@
 #include <algorithm>
 
 #include "common/probe.hpp"
-#include "common/string_util.hpp"
 #include "obs/host_profiler.hpp"
 
 namespace nvmooc {
-
-std::string LinkConfig::describe() const {
-  return format("%s: %ux %.1fGT/s, %.1f%% encoding, %.0f MB/s effective", name.c_str(),
-                lanes, gigatransfers_per_sec, encoding * 100.0, byte_rate() / 1e6);
-}
 
 DmaEngine::DmaEngine(const LinkConfig& config) : config_(config), link_(false) {}
 

@@ -36,8 +36,6 @@ struct LinkConfig {
   }
 
   [[nodiscard]] Time payload_time(Bytes bytes) const { return transfer_time(bytes, byte_rate()); }
-
-  std::string describe() const;
 };
 
 /// Serially-occupied DMA engine over a link. Transfers queue on the link

@@ -27,16 +27,6 @@ NetworkPathConfig ion_gpfs_path() {
   return path;
 }
 
-LinkConfig fibre_channel_8g() {
-  LinkConfig link;
-  link.name = "fibre-channel-8g";
-  link.gigatransfers_per_sec = 8.5;
-  link.lanes = 1;
-  link.encoding = 8.0 / 10.0;
-  link.request_latency = 20 * kMicrosecond;
-  return link;
-}
-
 double network_path_throughput(const NetworkPathConfig& path, Bytes chunk_bytes) {
   if (chunk_bytes == Bytes{}) return 0.0;
   const double wire_seconds = static_cast<double>(chunk_bytes) / path.wire.byte_rate();

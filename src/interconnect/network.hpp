@@ -24,9 +24,6 @@ LinkConfig infiniband_qdr4x();
 /// The full CN -> ION -> GPFS path used by the ION-GPFS configuration.
 NetworkPathConfig ion_gpfs_path();
 
-/// Fibre Channel 8G (for trend comparisons).
-LinkConfig fibre_channel_8g();
-
 /// Models the network path's sustained throughput for a stream of
 /// `chunk_bytes` RPCs: pipeline of `max_concurrent_rpcs`, each costing
 /// rpc_overhead + wire time. Bytes per second.

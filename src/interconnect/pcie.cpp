@@ -30,14 +30,4 @@ LinkConfig native_pcie3(unsigned lanes) {
   return link;
 }
 
-LinkConfig sata6g() {
-  LinkConfig link;
-  link.name = "sata-6g";
-  link.gigatransfers_per_sec = 6.0;
-  link.lanes = 1;
-  link.encoding = 8.0 / 10.0;
-  link.request_latency = 5 * kMicrosecond;
-  return link;
-}
-
 }  // namespace nvmooc

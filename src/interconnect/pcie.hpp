@@ -14,8 +14,4 @@ LinkConfig bridged_pcie2(unsigned lanes);
 /// controller speaks PCIe end to end.
 LinkConfig native_pcie3(unsigned lanes);
 
-/// SATA 6 Gb/s device link (single lane, 8b/10b) — for the Figure 1
-/// bandwidth-trend comparisons.
-LinkConfig sata6g();
-
 }  // namespace nvmooc

@@ -26,7 +26,7 @@ CellActivation Die::activate(std::uint32_t plane, NvmOp op, std::uint64_t block,
       wear_.record_erase(unit);
       break;
     case NvmOp::kWrite:
-      for (std::uint32_t i = 0; i < cell_ops; ++i) wear_.record_write(unit);
+      wear_.record_writes(cell_ops);
       break;
     case NvmOp::kRead:
       break;
@@ -37,11 +37,6 @@ CellActivation Die::activate(std::uint32_t plane, NvmOp op, std::uint64_t block,
   activation.end = grant.end;
   activation.waited = grant.waited;
   return activation;
-}
-
-void Die::reset() {
-  for (Timeline& plane : planes_) plane.reset();
-  wear_ = WearTracker{};
 }
 
 }  // namespace nvmooc

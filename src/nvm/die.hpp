@@ -48,8 +48,6 @@ class Die {
   const Timeline& plane(std::uint32_t index) const { return planes_.at(index); }
   const WearTracker& wear() const { return wear_; }
 
-  void reset();
-
  private:
   NvmTiming timing_;
   std::vector<Timeline> planes_;

@@ -12,13 +12,4 @@ std::string_view to_string(NvmType type) {
   return "?";
 }
 
-std::string_view to_string(NvmOp op) {
-  switch (op) {
-    case NvmOp::kRead: return "read";
-    case NvmOp::kWrite: return "write";
-    case NvmOp::kErase: return "erase";
-  }
-  return "?";
-}
-
 }  // namespace nvmooc

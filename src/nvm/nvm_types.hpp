@@ -17,6 +17,4 @@ std::string_view to_string(NvmType type);
 
 enum class NvmOp : std::uint8_t { kRead = 0, kWrite = 1, kErase = 2 };
 
-std::string_view to_string(NvmOp op);
-
 }  // namespace nvmooc

@@ -10,9 +10,4 @@ Package::Package(const NvmTiming& timing, std::uint32_t dies, bool backfill)
   }
 }
 
-void Package::reset() {
-  flash_bus_.reset();
-  for (Die& die : dies_) die.reset();
-}
-
 }  // namespace nvmooc

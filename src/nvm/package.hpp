@@ -30,8 +30,6 @@ class Package {
   Timeline& flash_bus() { return flash_bus_; }
   const Timeline& flash_bus() const { return flash_bus_; }
 
-  void reset();
-
  private:
   Timeline flash_bus_;
   std::vector<Die> dies_;

@@ -10,19 +10,9 @@ void WearTracker::record_erase(std::uint64_t unit) {
   ++total_erases_;
 }
 
-void WearTracker::record_write(std::uint64_t unit) {
-  ++write_counts_[unit];
-  ++total_writes_;
-}
-
 std::uint64_t WearTracker::erases(std::uint64_t unit) const {
   const auto it = erase_counts_.find(unit);
   return it == erase_counts_.end() ? 0 : it->second;
-}
-
-std::uint64_t WearTracker::writes(std::uint64_t unit) const {
-  const auto it = write_counts_.find(unit);
-  return it == write_counts_.end() ? 0 : it->second;
 }
 
 WearSummary WearTracker::summary() const {
@@ -56,20 +46,6 @@ WearSummary WearTracker::summary() const {
                       ? static_cast<double>(max_count) / out.mean_unit_erases
                       : 1.0;
   return out;
-}
-
-std::uint64_t WearTracker::least_worn(std::uint64_t candidates_end) const {
-  std::uint64_t best_unit = 0;
-  std::uint64_t best_count = std::numeric_limits<std::uint64_t>::max();
-  for (std::uint64_t unit = 0; unit < candidates_end; ++unit) {
-    const std::uint64_t count = erases(unit);
-    if (count < best_count) {
-      best_count = count;
-      best_unit = unit;
-      if (count == 0) break;  // Cannot do better than unworn.
-    }
-  }
-  return best_unit;
 }
 
 }  // namespace nvmooc

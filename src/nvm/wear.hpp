@@ -26,20 +26,15 @@ struct WearSummary {
 class WearTracker {
  public:
   void record_erase(std::uint64_t unit);
-  void record_write(std::uint64_t unit);
+  /// Writes are counted in total only; erases are what wear a unit out.
+  void record_writes(std::uint64_t count) { total_writes_ += count; }
 
   std::uint64_t erases(std::uint64_t unit) const;
-  std::uint64_t writes(std::uint64_t unit) const;
 
   WearSummary summary() const;
 
-  /// Unit with the fewest erases among `candidates_end` sequential unit
-  /// ids starting at 0 — a helper for wear-aware allocation tests.
-  std::uint64_t least_worn(std::uint64_t candidates_end) const;
-
  private:
   std::unordered_map<std::uint64_t, std::uint64_t> erase_counts_;
-  std::unordered_map<std::uint64_t, std::uint64_t> write_counts_;
   std::uint64_t total_erases_ = 0;
   std::uint64_t total_writes_ = 0;
 };

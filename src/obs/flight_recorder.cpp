@@ -16,26 +16,24 @@ FlightRecorder::FlightRecorder(Options options)
   ledger_ring_.resize(options_.ledger_capacity);
 }
 
-void FlightRecorder::note(Time t, const char* category, const char* what,
-                          std::uint64_t a, std::uint64_t b,
-                          const char* detail_text) {
+void FlightRecorder::on_note(const probe::Note& note) {
   FlightEvent& slot = event_ring_[events_seen_ % options_.event_capacity];
-  slot.t = t;
-  slot.category = category;
-  slot.what = what;
-  slot.a = a;
-  slot.b = b;
+  slot.t = note.t;
+  slot.category = note.category;
+  slot.what = note.what;
+  slot.a = note.a;
+  slot.b = note.b;
   slot.seq = events_seen_;
-  if (detail_text != nullptr) {
-    slot.detail = detail_text;
+  if (note.detail != nullptr) {
+    slot.detail = note.detail;
   } else {
     slot.detail.clear();
   }
   ++events_seen_;
 }
 
-void FlightRecorder::record(const PhaseLedger& ledger) {
-  ledger_ring_[ledgers_seen_ % options_.ledger_capacity] = ledger;
+void FlightRecorder::on_request_close(const probe::RequestClose& request) {
+  ledger_ring_[ledgers_seen_ % options_.ledger_capacity] = request.ledger;
   ++ledgers_seen_;
 }
 

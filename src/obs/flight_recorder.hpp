@@ -7,11 +7,11 @@
 //
 // Cost model, because "always on" must stay honest (CI guards <=1%
 // wall-clock on the quick headline bench, and makespans bit-identical):
-//  - note(): two pointer-size stores and two u64 stores into a
+//  - on_note(): two pointer-size stores and two u64 stores into a
 //    preallocated ring slot; the category/what strings are required to
 //    be literals, so nothing is copied. `detail` text is only carried by
 //    exceptional events (violations, aborts) and is copied then.
-//  - record(): one PhaseLedger copy (~128 bytes) into a preallocated
+//  - on_request_close(): one PhaseLedger copy (~128 bytes) into a preallocated
 //    ring slot per completed device request.
 //  - No allocation after construction, no locking (the recorder is
 //    thread-local, like every observer in this repo), no simulation
@@ -61,18 +61,9 @@ class FlightRecorder final : public probe::Subscriber {
   explicit FlightRecorder(Options options = {});
 
   /// One event into the ring.
-  void note(Time t, const char* category, const char* what, std::uint64_t a,
-            std::uint64_t b, const char* detail_text);
-
+  void on_note(const probe::Note& note) override;
   /// A device request completed; its ledger joins the request ring.
-  void record(const PhaseLedger& ledger);
-
-  void on_note(const probe::Note& n) override {
-    note(n.t, n.category, n.what, n.a, n.b, n.detail);
-  }
-  void on_request_close(const probe::RequestClose& request) override {
-    record(request.ledger);
-  }
+  void on_request_close(const probe::RequestClose& request) override;
 
   [[nodiscard]] std::uint64_t events_seen() const { return events_seen_; }
   [[nodiscard]] std::uint64_t ledgers_seen() const { return ledgers_seen_; }

@@ -93,7 +93,6 @@ const char* host_subsystem_name(HostSubsystem subsystem) {
     case HostSubsystem::kInterconnect: return "interconnect";
     case HostSubsystem::kReliability: return "reliability";
     case HostSubsystem::kObs: return "obs";
-    case HostSubsystem::kOther: return "other";
   }
   return "?";
 }

@@ -46,9 +46,8 @@ enum class HostSubsystem : std::uint8_t {
   kInterconnect = 4,  ///< DMA/link/network transfer model.
   kReliability = 5,   ///< Degraded-mode recovery handling.
   kObs = 6,           ///< Observability overhead (span/metric emission).
-  kOther = 7,         ///< Anything a caller cannot classify.
 };
-inline constexpr int kHostSubsystemCount = 8;
+inline constexpr int kHostSubsystemCount = 7;
 
 const char* host_subsystem_name(HostSubsystem subsystem);
 

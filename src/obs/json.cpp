@@ -114,11 +114,6 @@ void JsonWriter::value(bool flag) {
   out_ += flag ? "true" : "false";
 }
 
-void JsonWriter::null_value() {
-  separate();
-  out_ += "null";
-}
-
 void JsonWriter::raw(const std::string& json) {
   separate();
   out_ += json;

@@ -42,7 +42,6 @@ class JsonWriter {
   void value(std::int64_t number);
   void value(std::uint64_t number);
   void value(bool flag);
-  void null_value();
   /// Splices pre-rendered JSON verbatim (caller guarantees validity).
   void raw(const std::string& json);
 

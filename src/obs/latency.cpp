@@ -69,9 +69,9 @@ LatencyObservatory::LatencyObservatory(std::size_t per_class)
     : probe::Subscriber(probe::bit(probe::Kind::kRequest)),
       per_class_(std::max<std::size_t>(per_class, 1)) {}
 
-void LatencyObservatory::observe(const PhaseLedger& ledger) {
+void LatencyObservatory::on_request_close(const probe::RequestClose& request) {
   ++observed_;
-  classes_.try_emplace(ledger.klass(), per_class_).first->second.offer(ledger);
+  classes_.try_emplace(request.ledger.klass(), per_class_).first->second.offer(request.ledger);
 }
 
 std::vector<PhaseLedger> LatencyObservatory::exemplars() const {

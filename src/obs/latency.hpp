@@ -99,10 +99,7 @@ class LatencyObservatory final : public probe::Subscriber {
  public:
   explicit LatencyObservatory(std::size_t per_class = 8);
 
-  void observe(const PhaseLedger& ledger);
-  void on_request_close(const probe::RequestClose& request) override {
-    observe(request.ledger);
-  }
+  void on_request_close(const probe::RequestClose& request) override;
 
   [[nodiscard]] std::uint64_t observed() const { return observed_; }
   /// All exemplars, grouped by class (classes in lexicographic order),

@@ -103,7 +103,6 @@ TimeSeries::TimeSeries(std::size_t max_points)
     : max_points_(std::max<std::size_t>(max_points, 2)) {}
 
 void TimeSeries::sample(Time t, double value) {
-  ++total_;
   if (cursor_++ % stride_ != 0) return;
   points_.emplace_back(t, value);
   if (points_.size() >= max_points_) {
@@ -136,16 +135,10 @@ LogHistogram& MetricsRegistry::histogram(const std::string& name) {
   return histograms_[name];
 }
 
-TimeSeries& MetricsRegistry::series(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return series_.try_emplace(name).first->second;
-}
-
 std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<MetricSnapshot> out;
-  out.reserve(counters_.size() + gauges_.size() + histograms_.size() +
-              series_.size());
+  out.reserve(counters_.size() + gauges_.size() + histograms_.size());
   for (const auto& [name, c] : counters_) {
     MetricSnapshot m;
     m.name = name;
@@ -165,13 +158,6 @@ std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
     m.name = name;
     m.kind = "histogram";
     m.histogram = h.summary();
-    out.push_back(std::move(m));
-  }
-  for (const auto& [name, s] : series_) {
-    MetricSnapshot m;
-    m.name = name;
-    m.kind = "series";
-    m.series = s.points();
     out.push_back(std::move(m));
   }
   return out;
@@ -217,23 +203,9 @@ void MetricsRegistry::write_json(std::ostream& out) const {
     w.end_object();
   }
   w.end_object();
+  // No metric is a series; the empty object keeps the export's shape.
   w.key("series");
   w.begin_object();
-  for (const auto& [name, s] : series_) {
-    w.key(name);
-    w.begin_object();
-    w.field("total_samples", s.total_samples());
-    w.key("points");
-    w.begin_array();
-    for (const auto& [t, v] : s.points()) {
-      w.begin_array();
-      w.value(static_cast<double>(t) / static_cast<double>(kMillisecond));
-      w.value(v);
-      w.end_array();
-    }
-    w.end_array();
-    w.end_object();
-  }
   w.end_object();
   w.end_object();
   out << w.str();

@@ -111,23 +111,20 @@ class TimeSeries {
   void sample(Time t, double value);
 
   const std::vector<std::pair<Time, double>>& points() const { return points_; }
-  std::uint64_t total_samples() const { return total_; }
 
  private:
   std::size_t max_points_;
   std::uint64_t stride_ = 1;
   std::uint64_t cursor_ = 0;  ///< Samples seen since the last retained one.
-  std::uint64_t total_ = 0;
   std::vector<std::pair<Time, double>> points_;
 };
 
 /// Snapshot of one metric, embeddable in ExperimentResult and JSON.
 struct MetricSnapshot {
   std::string name;
-  std::string kind;  ///< "counter" | "gauge" | "histogram" | "series".
+  std::string kind;  ///< "counter" | "gauge" | "histogram".
   double value = 0.0;              ///< Counter/gauge value.
   HistogramSummary histogram;      ///< Histograms only.
-  std::vector<std::pair<Time, double>> series;  ///< Series only.
 };
 
 class MetricsRegistry final : public probe::Subscriber {
@@ -139,7 +136,6 @@ class MetricsRegistry final : public probe::Subscriber {
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   LogHistogram& histogram(const std::string& name);
-  TimeSeries& series(const std::string& name);
 
   std::vector<MetricSnapshot> snapshot() const;
 
@@ -163,7 +159,6 @@ class MetricsRegistry final : public probe::Subscriber {
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, LogHistogram> histograms_;
-  std::map<std::string, TimeSeries> series_;
 };
 
 }  // namespace nvmooc::obs

@@ -75,56 +75,16 @@ std::uint32_t Profiler::intern(const std::string& name) {
   return id;
 }
 
-std::uint64_t Profiler::request_begin() {
-  requests_.emplace_back();
-  open_request_ = requests_.size();
-  return open_request_;
-}
-
-void Profiler::request_gate(std::uint64_t id, GateCandidate candidate) {
-  RequestRecord* r = record(id);
-  if (r == nullptr) return;
-  r->gates.push_back(candidate);
-  ++gate_count_;
-}
-
-void Profiler::request_segment(std::uint64_t id, PathKind kind,
-                               std::uint32_t resource, Time start, Time end) {
-  if (end <= start) return;
-  RequestRecord* r = record(id);
-  if (r == nullptr) return;
-  r->segments.push_back({start, end, resource, kind});
-  ++segment_count_;
-}
-
-void Profiler::request_complete(std::uint64_t id, Time ready, Time issue,
-                                Time completion, Time media_begin, Time media_end) {
-  RequestRecord* r = record(id);
-  if (r == nullptr) return;
-  r->ready = ready;
-  r->issue = issue;
-  r->completion = completion;
-  r->media_begin = media_begin;
-  r->media_end = media_end;
-  r->complete = true;
-  if (open_request_ == id) open_request_ = 0;
-}
-
-void Profiler::media_segment(PathKind kind, std::uint32_t resource, Time start,
-                             Time end) {
+void Profiler::segment(PathKind kind, std::uint32_t resource, Time start, Time end) {
   if (end <= start) return;
   if (open_request_ == 0) {
-    // Device activity outside any engine-issued request (a lifecycle
-    // violation at the hook site) is dropped, not misattributed.
+    // Device activity outside any engine-issued request is dropped, not
+    // misattributed.
     ++dropped_edges_;
     return;
   }
-  request_segment(open_request_, kind, resource, start, end);
-}
-
-void Profiler::timeline_busy(const std::string& label, Time start, Time end) {
-  if (end <= start) return;
-  timeline_intervals_[intern(label)].emplace_back(start, end);
+  requests_[open_request_ - 1].segments.push_back({start, end, resource, kind});
+  ++segment_count_;
 }
 
 // ---------------------------------------------------------------------------
@@ -159,7 +119,9 @@ void Profiler::on_interval(const probe::Interval& iv) {
   std::uint32_t id = 0;
   switch (iv.resource) {
     case Resource::kTimeline:
-      if (!iv.label->empty()) timeline_busy(*iv.label, iv.start, iv.end);
+      if (!iv.label->empty() && iv.start < iv.end) {
+        timeline_intervals_[intern(*iv.label)].emplace_back(iv.start, iv.end);
+      }
       return;
     case Resource::kLink:
       if (iv.label->empty()) return;
@@ -186,8 +148,8 @@ void Profiler::on_interval(const probe::Interval& iv) {
       id = site_id(iv.resource, iv.site);
       break;
   }
-  media_segment(wait, id, iv.earliest, iv.start);
-  media_segment(busy, id, iv.start, iv.end);
+  segment(wait, id, iv.earliest, iv.start);
+  segment(busy, id, iv.start, iv.end);
 }
 
 void Profiler::on_replay_begin(std::uint64_t /*posix_requests*/) {
@@ -202,13 +164,14 @@ void Profiler::on_posix(const probe::Posix& posix) {
 }
 
 void Profiler::on_request_open(const probe::RequestOpen& request) {
-  // Open the request and record every dependency candidate that went
-  // into its ready time — the walk later follows the winner.
-  const std::uint64_t id = request_begin();
-  request_gate(id, {request.cpu_gate, GateKind::kCpu, cpu_pred_});
-  request_gate(id, {request.barrier_gate, GateKind::kBarrier, barrier_pred_});
-  request_gate(id, {request.app_gate, GateKind::kApp, 0});
-  if (request.barrier) request_gate(id, {request.drain_gate, GateKind::kDrain, drain_pred_});
+  // The walk later follows the winning gate.
+  RequestRecord& r = requests_.emplace_back();
+  open_request_ = requests_.size();
+  r.gates.push_back({request.cpu_gate, GateKind::kCpu, cpu_pred_});
+  r.gates.push_back({request.barrier_gate, GateKind::kBarrier, barrier_pred_});
+  r.gates.push_back({request.app_gate, GateKind::kApp, 0});
+  if (request.barrier) r.gates.push_back({request.drain_gate, GateKind::kDrain, drain_pred_});
+  gate_count_ += r.gates.size();
   open_barrier_ = request.barrier;
   open_drain_gate_ = request.drain_gate;
 }
@@ -219,13 +182,20 @@ void Profiler::on_request_close(const probe::RequestClose& request) {
   // and link segments recorded while the request was open these cover
   // [ready, completion] contiguously.
   const std::uint64_t id = open_request_;
+  if (id == 0) return;
   const PhaseLedger& l = request.ledger;
   const Time cpu_free = l.admit + l.stage[static_cast<int>(probe::LatencyStage::kCpu)];
-  request_segment(id, PathKind::kEngineWindow, window_id_, l.ready, l.admit);
-  request_segment(id, PathKind::kEngineCpu, cpu_id_, l.admit, cpu_free);
-  request_segment(id, PathKind::kIoPathSoftware, intern(*request.io_path + ".software"),
-                  cpu_free, l.issue);
-  request_complete(id, l.ready, l.issue, l.completion, l.media_begin, l.media_end);
+  segment(PathKind::kEngineWindow, window_id_, l.ready, l.admit);
+  segment(PathKind::kEngineCpu, cpu_id_, l.admit, cpu_free);
+  segment(PathKind::kIoPathSoftware, intern(*request.io_path + ".software"), cpu_free, l.issue);
+  RequestRecord& r = requests_[id - 1];
+  r.ready = l.ready;
+  r.issue = l.issue;
+  r.completion = l.completion;
+  r.media_begin = l.media_begin;
+  r.media_end = l.media_end;
+  r.complete = true;
+  open_request_ = 0;
   cpu_pred_ = id;
   if (l.completion >= open_drain_gate_) drain_pred_ = id;
   if (open_barrier_) barrier_pred_ = id;
@@ -388,7 +358,7 @@ ProfileReport Profiler::report(Time makespan, std::uint32_t windows) const {
     entry.kind = path_kind_key(kind);
     entry.resource = kind == PathKind::kApplication     ? "application"
                      : kind == PathKind::kUnattributed  ? "unattributed"
-                                                        : name_of(key.second);
+                                                        : names_[key.second];
     entry.time = bucket.first;
     entry.hops = bucket.second;
     out.attributed += entry.time;
@@ -440,7 +410,7 @@ ProfileReport Profiler::report(Time makespan, std::uint32_t windows) const {
     for (auto& [resource, intervals] : by_resource) {
       std::sort(intervals.begin(), intervals.end());
       UtilizationSeries series;
-      series.resource = name_of(resource);
+      series.resource = names_[resource];
       series.kind = "busy_fraction";
       std::vector<std::int64_t> busy(static_cast<std::size_t>(n), 0);
       Time merged_start;

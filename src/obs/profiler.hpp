@@ -13,18 +13,13 @@
 // run".
 //
 // The profiler is a probe subscriber (common/probe.hpp), installed by a
-// ProfileSession (or ObsSession with Options::profile). It builds each
-// request's chain from the probe stream: the engine's request open/close
-// events mint the request, record its dependency gates and its host-side
-// segments; controller steps, link transfers and the RPC window add the
-// device-side occupancy to the request the engine has open; labelled
-// Timeline grants feed the utilization sampler.
-//
-// Lifecycle discipline (enforced by simlint SL006): a translation unit
-// that records profiler edges for a request — request_gate(),
-// request_segment(), request_complete() — must be the one that minted
-// the request with request_begin(). Device-side hooks (media_segment,
-// timeline_busy) attach to the request currently open and are exempt.
+// ProfileSession (or ObsSession with Options::profile), and the probe is
+// its only input. It builds each request's chain from the probe stream:
+// the engine's request open/close events mint the request, record its
+// dependency gates and its host-side segments; controller steps, link
+// transfers and the RPC window add the device-side occupancy to the
+// request the engine has open; labelled Timeline grants feed the
+// utilization sampler.
 #pragma once
 
 #include <cstdint>
@@ -131,49 +126,25 @@ class Profiler final : public probe::Subscriber {
  public:
   Profiler();
 
-  /// Resource-name interning: hook sites pass ids, not strings, so the
-  /// per-segment cost is independent of name length. Stable for the
-  /// profiler's lifetime.
-  std::uint32_t intern(const std::string& name);
-  const std::string& name_of(std::uint32_t id) const { return names_[id]; }
-
-  // --- Engine-side request lifecycle -----------------------------------
-  /// Mints a request id and opens it as the current request device-side
-  /// hooks attach to. Ids start at 1; 0 means "no request".
-  std::uint64_t request_begin();
-  /// Records one dependency candidate for the request's ready time.
-  void request_gate(std::uint64_t id, GateCandidate candidate);
-  /// Records one contiguous time segment of the request's causal chain.
-  /// Empty segments (end <= start) are dropped.
-  void request_segment(std::uint64_t id, PathKind kind, std::uint32_t resource,
-                       Time start, Time end);
-  /// Seals the request: its gate-resolution, issue and completion times
-  /// plus the device-residency interval for queue-depth accounting.
-  void request_complete(std::uint64_t id, Time ready, Time issue, Time completion,
-                        Time media_begin, Time media_end);
-
-  // --- Device-side hooks (attach to the currently open request) --------
-  /// Occupancy/wait segment from the controller (channel, port, plane).
-  /// With no open request the edge is dropped and counted.
-  void media_segment(PathKind kind, std::uint32_t resource, Time start, Time end);
-  /// Busy interval on a labelled timeline (links): feeds the utilization
-  /// sampler only, never the critical path (link transfers carry the
-  /// causal chain).
-  void timeline_busy(const std::string& label, Time start, Time end);
-
   /// Extracts the critical path and utilization timelines. `makespan` is
   /// the replay's all-done time; `windows` is the timeline resolution.
   ProfileReport report(Time makespan, std::uint32_t windows = 64) const;
 
-  std::uint64_t dropped_edges() const { return dropped_edges_; }
-
-  // --- Probe subscription ------------------------------------------------
+  // --- Probe subscription: the profiler's only input ---------------------
+  /// Controller steps, link transfers and the RPC window add their wait
+  /// and busy segments to the open request; with none open they are
+  /// dropped and counted. Labelled Timeline grants feed the utilization
+  /// sampler only (link transfers carry the causal chain).
   void on_interval(const probe::Interval& interval) override;
   void on_replay_begin(std::uint64_t posix_requests) override;
   /// I/O-path expansion: one application request fanned out into data
   /// and internal device requests.
   void on_posix(const probe::Posix& posix) override;
+  /// Opens a request and records every dependency candidate that went
+  /// into its ready time.
   void on_request_open(const probe::RequestOpen& request) override;
+  /// Adds the host-side segments (window, CPU, I/O-path software) and
+  /// seals the request.
   void on_request_close(const probe::RequestClose& request) override;
 
  private:
@@ -194,13 +165,17 @@ class Profiler final : public probe::Subscriber {
     std::vector<GateCandidate> gates;
   };
 
-  RequestRecord* record(std::uint64_t id) {
-    return id >= 1 && id <= requests_.size() ? &requests_[id - 1] : nullptr;
-  }
+  /// Resource-name interning: segments carry ids, not strings, so the
+  /// per-segment cost is independent of name length.
+  std::uint32_t intern(const std::string& name);
+  /// Appends one segment to the open request; empty ones are dropped,
+  /// and with no request open the edge is dropped and counted.
+  void segment(PathKind kind, std::uint32_t resource, Time start, Time end);
 
   std::vector<std::string> names_;
   std::map<std::string, std::uint32_t> name_ids_;
   std::vector<RequestRecord> requests_;
+  /// 1-based id of the open request; 0 when none is open.
   std::uint64_t open_request_ = 0;
   std::uint64_t segment_count_ = 0;
   std::uint64_t gate_count_ = 0;

@@ -121,10 +121,6 @@ void TraceRecorder::counter(std::uint32_t track, const char* category,
 
 Time TraceRecorder::wall_now() const { return wallclock::now_ns() - epoch_; }
 
-std::size_t TraceRecorder::event_count() const {
-  return event_count_.load(std::memory_order_relaxed);
-}
-
 std::uint64_t TraceRecorder::dropped() const {
   return dropped_.load(std::memory_order_relaxed);
 }

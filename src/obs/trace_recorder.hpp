@@ -89,7 +89,6 @@ class TraceRecorder final : public probe::Subscriber {
   /// Wall-clock nanoseconds since this recorder was created.
   [[nodiscard]] Time wall_now() const;
 
-  std::size_t event_count() const;
   std::uint64_t dropped() const;
 
   /// Serialises everything recorded so far as Chrome trace_event JSON.

@@ -19,30 +19,6 @@ CsrMatrix::CsrMatrix(std::size_t rows, std::vector<std::int64_t> row_ptr,
   }
 }
 
-void CsrMatrix::multiply_rows(const DenseMatrix& x, std::size_t row_begin,
-                              std::size_t row_end, DenseMatrix& y) const {
-  const std::size_t m = x.cols();
-  for (std::size_t r = row_begin; r < row_end; ++r) {
-    double* out = y.row(r);
-    std::fill(out, out + m, 0.0);
-    for (std::int64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      const double value = values_[static_cast<std::size_t>(k)];
-      const double* xr = x.row(static_cast<std::size_t>(cols_[static_cast<std::size_t>(k)]));
-      for (std::size_t c = 0; c < m; ++c) out[c] += value * xr[c];
-    }
-  }
-}
-
-DenseMatrix CsrMatrix::multiply(const DenseMatrix& x) const {
-  if (x.rows() != rows_) throw std::invalid_argument("CsrMatrix::multiply: shape");
-  DenseMatrix y(rows_, x.cols());
-  ThreadPool& pool = global_thread_pool();
-  pool.parallel_for(0, rows_, [&](std::size_t lo, std::size_t hi) {
-    multiply_rows(x, lo, hi, y);
-  });
-  return y;
-}
-
 bool CsrMatrix::is_symmetric(double tolerance) const {
   for (std::size_t r = 0; r < rows_; ++r) {
     for (std::int64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {

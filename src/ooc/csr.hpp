@@ -31,14 +31,6 @@ class CsrMatrix {
   const std::vector<std::int32_t>& col_index() const { return cols_; }
   const std::vector<double>& values() const { return values_; }
 
-  /// Y = A * X for tall-skinny X (threaded over row blocks).
-  DenseMatrix multiply(const DenseMatrix& x) const;
-
-  /// Y = A * X restricted to rows [row_begin, row_end): the tile kernel
-  /// the out-of-core path uses. Writes into y rows [row_begin, row_end).
-  void multiply_rows(const DenseMatrix& x, std::size_t row_begin, std::size_t row_end,
-                     DenseMatrix& y) const;
-
   /// Exact structural + numerical symmetry check (for tests).
   bool is_symmetric(double tolerance = 0.0) const;
 

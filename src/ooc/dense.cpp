@@ -13,8 +13,6 @@ void DenseMatrix::fill_random(Rng& rng) {
   for (double& value : data_) value = rng.next_normal();
 }
 
-void DenseMatrix::set_zero() { std::fill(data_.begin(), data_.end(), 0.0); }
-
 void DenseMatrix::add_scaled(const DenseMatrix& other, double alpha) {
   if (other.rows_ != rows_ || other.cols_ != cols_) {
     throw std::invalid_argument("DenseMatrix::add_scaled: shape mismatch");
@@ -161,10 +159,6 @@ std::size_t orthonormalize(DenseMatrix& x) {
     return m;
   }
   return modified_gram_schmidt(x);
-}
-
-void solve_l_transpose(DenseMatrix& x, const std::vector<double>& l) {
-  apply_inverse_transpose(x, l);
 }
 
 bool orthonormalize_pair(DenseMatrix& s, DenseMatrix& hs) {

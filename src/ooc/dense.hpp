@@ -33,7 +33,6 @@ class DenseMatrix {
   const double* data() const { return data_.data(); }
 
   void fill_random(Rng& rng);
-  void set_zero();
 
   /// this += alpha * other (same shape).
   void add_scaled(const DenseMatrix& other, double alpha);
@@ -64,9 +63,6 @@ bool cholesky_in_place(std::vector<double>& a, std::size_t m);
 /// back to modified Gram-Schmidt when the Gram matrix is numerically
 /// singular. Returns the numerical rank retained.
 std::size_t orthonormalize(DenseMatrix& x);
-
-/// X := X * L^-T for row-major lower-triangular L (x.cols x x.cols).
-void solve_l_transpose(DenseMatrix& x, const std::vector<double>& l);
 
 /// Jointly orthonormalises S while applying the identical basis change to
 /// HS (so HS stays equal to H*S). Uses Cholesky-QR with escalating ridge

@@ -29,7 +29,6 @@ class OocHamiltonian {
   /// Y = H * X, streaming tiles from storage.
   DenseMatrix apply(const DenseMatrix& x) const;
 
-  std::size_t rows() const { return rows_; }
   std::size_t tile_count() const { return tiles_.size(); }
   const TileInfo& tile(std::size_t index) const { return tiles_.at(index); }
   /// Total on-storage footprint of the dataset.

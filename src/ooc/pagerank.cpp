@@ -84,9 +84,12 @@ double finish_step(const WebGraph& graph, const std::vector<double>& x,
   return delta;
 }
 
-template <typename ApplyFn>
-PagerankResult power_iterate(const WebGraph& graph, const PagerankOptions& options,
-                             const ApplyFn& apply) {
+}  // namespace
+
+PagerankResult pagerank_out_of_core(const WebGraph& graph, Storage& storage,
+                                    std::size_t rows_per_tile,
+                                    const PagerankOptions& options) {
+  const OocHamiltonian tiles(graph.transition, storage, rows_per_tile);
   const std::size_t n = graph.transition.rows();
   PagerankResult result;
   result.ranks.assign(n, 1.0 / static_cast<double>(n));
@@ -96,7 +99,7 @@ PagerankResult power_iterate(const WebGraph& graph, const PagerankOptions& optio
   for (std::size_t iteration = 0; iteration < options.max_iterations; ++iteration) {
     result.iterations = iteration + 1;
     for (std::size_t i = 0; i < n; ++i) x.at(i, 0) = result.ranks[i];
-    const DenseMatrix y = apply(x);
+    const DenseMatrix y = tiles.apply(x);
     result.final_delta = finish_step(graph, result.ranks, y, options.damping, next);
     result.ranks.swap(next);
     if (result.final_delta < options.tolerance) {
@@ -105,21 +108,6 @@ PagerankResult power_iterate(const WebGraph& graph, const PagerankOptions& optio
     }
   }
   return result;
-}
-
-}  // namespace
-
-PagerankResult pagerank(const WebGraph& graph, const PagerankOptions& options) {
-  return power_iterate(graph, options,
-                       [&](const DenseMatrix& x) { return graph.transition.multiply(x); });
-}
-
-PagerankResult pagerank_out_of_core(const WebGraph& graph, Storage& storage,
-                                    std::size_t rows_per_tile,
-                                    const PagerankOptions& options) {
-  OocHamiltonian tiles(graph.transition, storage, rows_per_tile);
-  return power_iterate(graph, options,
-                       [&](const DenseMatrix& x) { return tiles.apply(x); });
 }
 
 }  // namespace nvmooc

@@ -49,10 +49,7 @@ struct PagerankResult {
   bool converged = false;
 };
 
-/// In-core reference implementation.
-PagerankResult pagerank(const WebGraph& graph, const PagerankOptions& options = {});
-
-/// Out-of-core variant: the transition matrix streams from `storage`
+/// Power iteration with the transition matrix streaming from `storage`
 /// tile by tile each iteration (all I/O visible to a TracedStorage).
 PagerankResult pagerank_out_of_core(const WebGraph& graph, Storage& storage,
                                     std::size_t rows_per_tile,

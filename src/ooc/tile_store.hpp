@@ -21,7 +21,6 @@ class Storage {
   virtual ~Storage() = default;
   virtual void read(Bytes offset, void* destination, Bytes size) = 0;
   virtual void write(Bytes offset, const void* source, Bytes size) = 0;
-  [[nodiscard]] virtual Bytes size() const = 0;
 };
 
 /// In-memory backing store.
@@ -31,7 +30,6 @@ class MemoryStorage : public Storage {
 
   void read(Bytes offset, void* destination, Bytes size) override;
   void write(Bytes offset, const void* source, Bytes size) override;
-  [[nodiscard]] Bytes size() const override { return Bytes{data_.size()}; }
 
  private:
   std::vector<std::uint8_t> data_;
@@ -45,7 +43,6 @@ class TracedStorage : public Storage {
 
   void read(Bytes offset, void* destination, Bytes size) override;
   void write(Bytes offset, const void* source, Bytes size) override;
-  [[nodiscard]] Bytes size() const override { return backing_.size(); }
 
   const Trace& trace() const { return trace_; }
   Trace take_trace() { return std::move(trace_); }

@@ -89,8 +89,7 @@ struct ReliabilityStats {
 };
 
 /// Stateless uniform draw in [0, 1): a splitmix64-style hash of the four
-/// words. Exposed so other seeded fault sources (e.g. FaultInjectingStorage)
-/// share the same generator and determinism argument.
+/// words.
 double fault_uniform(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
                      std::uint64_t c);
 

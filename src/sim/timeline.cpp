@@ -98,16 +98,6 @@ void Timeline::fold_before(Time watermark, BusyTracker& prefix) {
   gaps_.erase(gaps_.begin(), live);
 }
 
-void Timeline::reset() {
-  next_free_ = Time{};
-  gaps_.clear();
-  dead_gaps_ = 0;
-  next_gap_seq_ = 0;
-  busy_ = BusyTracker{};
-  reservation_count_ = 0;
-  probe::release(this);
-}
-
 Timeline::~Timeline() {
   // Subscribers forget state keyed by this address: a later Timeline
   // allocated at the same spot is a different resource.

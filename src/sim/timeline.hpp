@@ -81,8 +81,6 @@ class Timeline {
   void set_trace_label(std::string label) { trace_label_ = std::move(label); }
   const std::string& trace_label() const { return trace_label_; }
 
-  void reset();
-
   ~Timeline();
   // A user-declared destructor (probe release) would suppress the
   // implicit copy/move set; Timelines live in vectors, so keep them.

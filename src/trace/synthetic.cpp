@@ -31,31 +31,4 @@ Trace strided_read_trace(Bytes extent, Bytes request_size, Bytes stride, std::si
   return trace;
 }
 
-Trace mixed_trace(Bytes total, Bytes request_size, Bytes write_size,
-                  std::size_t writes_every) {
-  Trace trace;
-  std::size_t reads = 0;
-  Bytes write_cursor;
-  for (Bytes offset; offset < total; offset += request_size) {
-    trace.add(NvmOp::kRead, offset, std::min(request_size, total - offset));
-    if (writes_every > 0 && ++reads % writes_every == 0) {
-      trace.add(NvmOp::kWrite, write_cursor, write_size);
-      write_cursor += write_size;
-    }
-  }
-  return trace;
-}
-
-Trace zipf_read_trace(Bytes extent, Bytes request_size, std::size_t count, double skew,
-                      Rng& rng) {
-  Trace trace;
-  const std::uint64_t blocks = request_size != Bytes{} ? extent / request_size : 0;
-  if (blocks == 0) return trace;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t rank = rng.next_zipf(blocks, skew);
-    trace.add(NvmOp::kRead, rank * request_size, request_size);
-  }
-  return trace;
-}
-
 }  // namespace nvmooc

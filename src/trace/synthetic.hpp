@@ -19,14 +19,4 @@ Trace random_read_trace(Bytes extent, Bytes request_size, std::size_t count, Rng
 /// walk produces.
 Trace strided_read_trace(Bytes extent, Bytes request_size, Bytes stride, std::size_t count);
 
-/// Mixed read/write: sequential reads with a write of `write_size` every
-/// `writes_every` reads (checkpoint-flavoured).
-Trace mixed_trace(Bytes total, Bytes request_size, Bytes write_size,
-                  std::size_t writes_every);
-
-/// Zipf-skewed random reads: hot blocks get most accesses (cache-hostile
-/// reuse-distance workload used in the caching-vs-preload discussion).
-Trace zipf_read_trace(Bytes extent, Bytes request_size, std::size_t count, double skew,
-                      Rng& rng);
-
 }  // namespace nvmooc

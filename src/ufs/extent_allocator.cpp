@@ -17,12 +17,6 @@ Bytes ExtentAllocator::align_up(Bytes value) const {
   return ((value + alignment_ - Bytes{1}) / alignment_) * alignment_;
 }
 
-Bytes ExtentAllocator::largest_free_extent() const {
-  Bytes largest;
-  for (const auto& [offset, length] : free_) largest = std::max(largest, length);
-  return largest;
-}
-
 std::vector<Extent> ExtentAllocator::allocate(Bytes size) {
   std::vector<Extent> result;
   const Bytes needed = align_up(size);

@@ -36,7 +36,6 @@ class ExtentAllocator {
 
   [[nodiscard]] Bytes capacity() const { return capacity_; }
   [[nodiscard]] Bytes free_bytes() const { return free_bytes_; }
-  [[nodiscard]] Bytes largest_free_extent() const;
   std::size_t free_fragment_count() const { return free_.size(); }
 
  private:

@@ -46,126 +46,150 @@ NvmTiming tiny_timing() {
   return t;
 }
 
+// The checker is driven the way the engine drives it: an AuditSession
+// installs the auditor, and the probe emitters carry each event.
+
+probe::RequestOpen open_at(Time ready, Time admit, Time issue) {
+  probe::RequestOpen open;
+  open.ready = ready;
+  open.admit = admit;
+  open.issue = issue;
+  return open;
+}
+
+probe::RequestClose close_at(Time media_begin, Time media_end, Time completion) {
+  probe::RequestClose close;
+  close.ledger.media_begin = media_begin;
+  close.ledger.media_end = media_end;
+  close.ledger.completion = completion;
+  return close;
+}
+
+void posix(Bytes size, Bytes payload, Bytes internal = Bytes{}) {
+  probe::posix({size, payload, internal, 1, 0, "fs"});
+}
+
 // ---------- causality: the checker against bad event sequences -------------
 
 TEST(AuditorCausality, CleanLifecyclePasses) {
-  Auditor aud;
-  const std::uint64_t id = aud.request_issued(Time{10});
-  aud.request_admitted(id, Time{20});
-  aud.request_dispatched(id, Time{20});
-  aud.request_media(id, Time{30}, Time{40});
-  aud.request_completed(id, Time{50});
-  const AuditReport report = aud.report();
+  AuditSession session;
+  probe::request_open(open_at(Time{10}, Time{20}, Time{20}));
+  probe::request_close(close_at(Time{30}, Time{40}, Time{50}));
+  const AuditReport report = session.auditor().report();
   EXPECT_TRUE(report.passed()) << report.summary();
   EXPECT_EQ(report.requests_tracked, 1u);
   EXPECT_EQ(report.requests_completed, 1u);
 }
 
 TEST(AuditorCausality, DoubleCompletionIsViolation) {
-  Auditor aud;
-  const std::uint64_t id = aud.request_issued(Time{10});
-  aud.request_admitted(id, Time{20});
-  aud.request_dispatched(id, Time{20});
-  aud.request_media(id, Time{30}, Time{40});
-  aud.request_completed(id, Time{50});
-  aud.request_completed(id, Time{60});
-  const AuditReport report = aud.report();
+  AuditSession session;
+  probe::request_open(open_at(Time{10}, Time{20}, Time{20}));
+  probe::request_close(close_at(Time{30}, Time{40}, Time{50}));
+  probe::request_close(close_at(Time{30}, Time{40}, Time{60}));
+  const AuditReport report = session.auditor().report();
   EXPECT_FALSE(report.passed());
   ASSERT_EQ(report.violations.size(), 1u);
   EXPECT_EQ(report.violations[0].invariant, "causality");
-  EXPECT_NE(report.violations[0].detail.find("completed twice"), std::string::npos);
+  EXPECT_NE(report.violations[0].detail.find("closed with no request open"), std::string::npos);
   EXPECT_EQ(report.requests_completed, 1u);  // Counted once regardless.
 }
 
 TEST(AuditorCausality, TimeGoingBackwardsIsViolation) {
-  Auditor aud;
-  const std::uint64_t id = aud.request_issued(Time{100});
-  aud.request_admitted(id, Time{50});  // Admission precedes issue.
-  EXPECT_EQ(aud.violation_count(), 1u);
+  AuditSession session;
+  probe::request_open(open_at(Time{100}, Time{50}, Time{50}));  // Admission precedes ready.
+  EXPECT_EQ(session.auditor().violation_count(), 1u);
+  // Each later stage is checked against the one before it.
+  probe::request_close(close_at(Time{40}, Time{30}, Time{20}));
+  EXPECT_EQ(session.auditor().violation_count(), 4u);  // Media, its end, completion.
 }
 
-TEST(AuditorCausality, StageSkipAndUnknownIdAreViolations) {
-  Auditor aud;
-  const std::uint64_t id = aud.request_issued(Time{10});
-  aud.request_media(id, Time{20}, Time{30});  // Skips admitted+dispatched.
-  EXPECT_EQ(aud.violation_count(), 1u);
-  aud.request_completed(id + 7, Time{40});  // Never issued.
-  EXPECT_EQ(aud.violation_count(), 2u);
+TEST(AuditorCausality, OpenWhileOpenIsViolation) {
+  AuditSession session;
+  probe::request_open(open_at(Time{10}, Time{20}, Time{20}));
+  probe::request_open(open_at(Time{30}, Time{30}, Time{30}));
+  ASSERT_EQ(session.auditor().violation_count(), 1u);
+  const AuditReport report = session.auditor().report();
+  EXPECT_NE(report.violations[0].detail.find("request 1 opened while request 0 is still open"),
+            std::string::npos);
+}
+
+TEST(AuditorCausality, CloseWithoutOpenIsViolation) {
+  AuditSession session;
+  probe::request_close(close_at(Time{20}, Time{30}, Time{40}));
+  EXPECT_EQ(session.auditor().violation_count(), 1u);
+  EXPECT_EQ(session.auditor().report().requests_completed, 0u);
 }
 
 TEST(AuditorCausality, IncompleteRequestReportedAtReplayEnd) {
-  Auditor aud;
-  const std::uint64_t id = aud.request_issued(Time{10});
-  aud.request_admitted(id, Time{20});
-  const AuditReport report = aud.report();
+  AuditSession session;
+  probe::request_open(open_at(Time{10}, Time{20}, Time{20}));
+  const AuditReport report = session.auditor().report();
   EXPECT_FALSE(report.passed());
   ASSERT_EQ(report.violations.size(), 1u);
   EXPECT_NE(report.violations[0].detail.find("never completed"), std::string::npos);
 }
 
 TEST(AuditorCausality, ReportIsPure) {
-  Auditor aud;
-  static_cast<void>(aud.request_issued(Time{10}));  // Left incomplete.
-  const AuditReport first = aud.report();
-  const AuditReport second = aud.report();
+  AuditSession session;
+  probe::request_open(open_at(Time{10}, Time{10}, Time{10}));  // Left incomplete.
+  const AuditReport first = session.auditor().report();
+  const AuditReport second = session.auditor().report();
   EXPECT_EQ(first.violation_count, 1u);
   EXPECT_EQ(second.violation_count, 1u);  // Not appended twice.
-  EXPECT_EQ(aud.violation_count(), 0u);   // Live state untouched.
+  EXPECT_EQ(session.auditor().violation_count(), 0u);  // Live state untouched.
 }
 
 // ---------- conservation ----------------------------------------------------
 
 TEST(AuditorConservation, GrantMismatchIsViolation) {
-  Auditor aud;
-  aud.posix_request(Bytes{4096});
-  aud.io_path_grant(Bytes{4096}, Bytes{4000}, Bytes{512});
-  EXPECT_EQ(aud.violation_count(), 1u);
-  const AuditReport report = aud.report();
+  AuditSession session;
+  posix(Bytes{4096}, Bytes{4000}, Bytes{512});
+  EXPECT_EQ(session.auditor().violation_count(), 1u);
+  const AuditReport report = session.auditor().report();
   EXPECT_EQ(report.granted_payload_bytes, Bytes{4000});
   EXPECT_EQ(report.granted_internal_bytes, Bytes{512});
 }
 
 TEST(AuditorConservation, AggregateLeakCaughtAtReplayEnd) {
-  Auditor aud;
-  aud.posix_request(Bytes{4096});
-  aud.posix_request(Bytes{4096});
-  aud.io_path_grant(Bytes{4096}, Bytes{4096}, Bytes{});
-  // Second request never granted: only the end-of-replay sweep sees it.
-  EXPECT_EQ(aud.violation_count(), 0u);
-  const AuditReport report = aud.report();
-  EXPECT_FALSE(report.passed());
-  ASSERT_EQ(report.violations.size(), 1u);
-  EXPECT_NE(report.violations[0].detail.find("byte leak"), std::string::npos);
+  AuditSession session;
+  posix(Bytes{4096}, Bytes{4096});
+  posix(Bytes{4096}, Bytes{4000});
+  // The per-request check fires once; the end-of-replay sweep adds the
+  // aggregate leak.
+  EXPECT_EQ(session.auditor().violation_count(), 1u);
+  const AuditReport report = session.auditor().report();
+  ASSERT_EQ(report.violations.size(), 2u);
+  EXPECT_NE(report.violations[1].detail.find("byte leak"), std::string::npos);
 }
 
 TEST(AuditorConservation, AbortedReplaySkipsAggregateEquality) {
-  Auditor aud;
-  aud.posix_request(Bytes{4096});  // Never granted.
-  aud.replay_aborted();
-  const AuditReport report = aud.report();
+  AuditSession session;
+  posix(Bytes{4096}, Bytes{4000});  // The per-request check still fires.
+  session.auditor().replay_aborted();
+  const AuditReport report = session.auditor().report();
   EXPECT_TRUE(report.aborted);
-  EXPECT_TRUE(report.passed()) << report.summary();
+  EXPECT_EQ(report.violation_count, 1u) << report.summary();  // No aggregate leak.
 }
 
 TEST(AuditorConservation, MediaShortfallIsViolation) {
-  Auditor aud;
-  aud.media_request_begin(Bytes{8192}, /*internal=*/false);
-  aud.media_transfer(Bytes{4096}, MediaKind::kRequest, 0);
-  aud.media_request_end();
-  EXPECT_EQ(aud.violation_count(), 1u);
-  const AuditReport report = aud.report();
+  AuditSession session;
+  probe::media_begin(Bytes{8192}, /*internal=*/false);
+  probe::media_transfer(Bytes{4096}, MediaKind::kRequest, 0);
+  probe::media_end({});
+  EXPECT_EQ(session.auditor().violation_count(), 1u);
+  const AuditReport report = session.auditor().report();
   EXPECT_NE(report.violations[0].detail.find("mismatch"), std::string::npos);
 }
 
 TEST(AuditorConservation, SideTrafficBucketsDoNotCountTowardTheRequest) {
-  Auditor aud;
-  aud.media_request_begin(Bytes{8192}, /*internal=*/false);
-  aud.media_transfer(Bytes{4096}, MediaKind::kRequest, 0);
-  aud.media_transfer(Bytes{2048}, MediaKind::kRmw, 0);    // RMW pre-read.
-  aud.media_transfer(Bytes{16384}, MediaKind::kGc, 0);    // GC relocation.
-  aud.media_transfer(Bytes{4096}, MediaKind::kRequest, 3);  // 3 ECC retries.
-  aud.media_request_end();
-  const AuditReport report = aud.report();
+  AuditSession session;
+  probe::media_begin(Bytes{8192}, /*internal=*/false);
+  probe::media_transfer(Bytes{4096}, MediaKind::kRequest, 0);
+  probe::media_transfer(Bytes{2048}, MediaKind::kRmw, 0);    // RMW pre-read.
+  probe::media_transfer(Bytes{16384}, MediaKind::kGc, 0);    // GC relocation.
+  probe::media_transfer(Bytes{4096}, MediaKind::kRequest, 3);  // 3 ECC retries.
+  probe::media_end({});
+  const AuditReport report = session.auditor().report();
   EXPECT_TRUE(report.passed()) << report.summary();
   EXPECT_EQ(report.media_payload_bytes, Bytes{8192});
   EXPECT_EQ(report.media_rmw_bytes, Bytes{2048});
@@ -174,9 +198,9 @@ TEST(AuditorConservation, SideTrafficBucketsDoNotCountTowardTheRequest) {
 }
 
 TEST(AuditorConservation, ReplayEndingMidRequestIsViolation) {
-  Auditor aud;
-  aud.media_request_begin(Bytes{8192}, false);
-  const AuditReport report = aud.report();
+  AuditSession session;
+  probe::media_begin(Bytes{8192}, false);
+  const AuditReport report = session.auditor().report();
   EXPECT_FALSE(report.passed());
   EXPECT_NE(report.violations[0].detail.find("mid device request"),
             std::string::npos);
@@ -185,14 +209,15 @@ TEST(AuditorConservation, ReplayEndingMidRequestIsViolation) {
 // ---------- occupancy -------------------------------------------------------
 
 TEST(AuditorOccupancy, OverlapDetectedTouchingIsNot) {
-  Auditor aud;
+  AuditSession session;
   int resource = 0;
-  aud.timeline_reserved(&resource, "ch0", Time{0}, Time{0}, Time{100});
-  aud.timeline_reserved(&resource, "ch0", Time{100}, Time{100}, Time{200});  // Touching: fine.
-  EXPECT_EQ(aud.violation_count(), 0u);
-  aud.timeline_reserved(&resource, "ch0", Time{150}, Time{150}, Time{250});  // Overlaps.
-  EXPECT_EQ(aud.violation_count(), 1u);
-  const AuditReport report = aud.report();
+  const std::string label = "ch0";
+  probe::grant(&resource, label, Time{0}, Time{0}, Time{100});
+  probe::grant(&resource, label, Time{100}, Time{100}, Time{200});  // Touching: fine.
+  EXPECT_EQ(session.auditor().violation_count(), 0u);
+  probe::grant(&resource, label, Time{150}, Time{150}, Time{250});  // Overlaps.
+  EXPECT_EQ(session.auditor().violation_count(), 1u);
+  const AuditReport report = session.auditor().report();
   EXPECT_EQ(report.timelines, 1u);
   EXPECT_EQ(report.reservations, 3u);
   EXPECT_NE(report.violations[0].detail.find("double booking"), std::string::npos);
@@ -200,51 +225,41 @@ TEST(AuditorOccupancy, OverlapDetectedTouchingIsNot) {
 }
 
 TEST(AuditorOccupancy, DistinctResourcesAreIndependent) {
-  Auditor aud;
+  AuditSession session;
   int a = 0;
   int b = 0;
-  aud.timeline_reserved(&a, "", Time{0}, Time{0}, Time{100});
-  aud.timeline_reserved(&b, "", Time{50}, Time{50}, Time{150});  // Different resource.
-  EXPECT_EQ(aud.violation_count(), 0u);
-  EXPECT_EQ(aud.report().timelines, 2u);
+  const std::string unlabelled;
+  probe::grant(&a, unlabelled, Time{0}, Time{0}, Time{100});
+  probe::grant(&b, unlabelled, Time{50}, Time{50}, Time{150});  // Different resource.
+  EXPECT_EQ(session.auditor().violation_count(), 0u);
+  EXPECT_EQ(session.auditor().report().timelines, 2u);
 }
 
 TEST(AuditorOccupancy, ReleaseForgetsTheResource) {
-  Auditor aud;
+  AuditSession session;
   int resource = 0;
-  aud.timeline_reserved(&resource, "", Time{0}, Time{0}, Time{100});
-  aud.timeline_released(&resource);
+  const std::string unlabelled;
+  probe::grant(&resource, unlabelled, Time{0}, Time{0}, Time{100});
+  probe::release(&resource);
   // Same address, new lifetime: the old interval must not haunt it.
-  aud.timeline_reserved(&resource, "", Time{50}, Time{50}, Time{150});
-  EXPECT_EQ(aud.violation_count(), 0u);
+  probe::grant(&resource, unlabelled, Time{50}, Time{50}, Time{150});
+  EXPECT_EQ(session.auditor().violation_count(), 0u);
 }
 
 // The device folds its timelines behind the latest issue time, so a grant
 // ready before it would reach into history that is gone.
 TEST(AuditorCausality, GrantBeforeIssueWatermarkIsViolation) {
-  Auditor aud;
+  AuditSession session;
   int resource = 0;
   const std::string label = "ch3";
-  probe::RequestOpen open;
-  open.ready = Time{100};
-  open.admit = Time{100};
-  open.issue = Time{500};
+  probe::RequestOpen open = open_at(Time{100}, Time{100}, Time{500});
   open.watermark = Time{500};
-  aud.on_request_open(open);
-  probe::Interval interval;
-  interval.object = &resource;
-  interval.label = &label;
-  interval.earliest = Time{500};
-  interval.start = Time{600};
-  interval.end = Time{700};
-  aud.on_interval(interval);  // Ready at the watermark: fine.
-  EXPECT_EQ(aud.violation_count(), 0u);
-  interval.earliest = Time{499};
-  interval.start = Time{700};
-  interval.end = Time{800};
-  aud.on_interval(interval);
-  EXPECT_EQ(aud.violation_count(), 1u);
-  const AuditReport report = aud.report();
+  probe::request_open(open);
+  probe::grant(&resource, label, Time{500}, Time{600}, Time{700});  // At the watermark: fine.
+  EXPECT_EQ(session.auditor().violation_count(), 0u);
+  probe::grant(&resource, label, Time{499}, Time{700}, Time{800});
+  EXPECT_EQ(session.auditor().violation_count(), 1u);
+  const AuditReport report = session.auditor().report();
   ASSERT_FALSE(report.violations.empty());
   EXPECT_EQ(report.violations[0].invariant, "causality");
   EXPECT_NE(report.violations[0].detail.find("before the issue watermark 500ps"),
@@ -255,26 +270,26 @@ TEST(AuditorCausality, GrantBeforeIssueWatermarkIsViolation) {
 // Grants that end by the watermark are pruned; a grant that respects the
 // watermark still meets every interval it could overlap.
 TEST(AuditorOccupancy, PruningBehindWatermarkKeepsOverlapCheck) {
-  Auditor aud;
+  AuditSession session;
   int resource = 0;
-  aud.timeline_reserved(&resource, "", Time{0}, Time{0}, Time{100});
-  aud.timeline_reserved(&resource, "", Time{0}, Time{300}, Time{600});
-  probe::RequestOpen open;
-  open.issue = Time{200};
+  const std::string unlabelled;
+  probe::grant(&resource, unlabelled, Time{0}, Time{0}, Time{100});
+  probe::grant(&resource, unlabelled, Time{0}, Time{300}, Time{600});
+  probe::RequestOpen open = open_at(Time{}, Time{}, Time{200});
   open.watermark = Time{200};
-  aud.on_request_open(open);
-  aud.timeline_reserved(&resource, "", Time{200}, Time{200}, Time{300});  // Touching: fine.
-  EXPECT_EQ(aud.violation_count(), 0u);
-  aud.timeline_reserved(&resource, "", Time{200}, Time{550}, Time{650});  // Overlaps.
-  EXPECT_EQ(aud.violation_count(), 1u);
-  EXPECT_EQ(aud.report().timelines, 1u);
+  probe::request_open(open);
+  probe::grant(&resource, unlabelled, Time{200}, Time{200}, Time{300});  // Touching: fine.
+  EXPECT_EQ(session.auditor().violation_count(), 0u);
+  probe::grant(&resource, unlabelled, Time{200}, Time{550}, Time{650});  // Overlaps.
+  EXPECT_EQ(session.auditor().violation_count(), 1u);
+  EXPECT_EQ(session.auditor().report().timelines, 1u);
 }
 
 TEST(AuditorOccupancy, ZeroWidthGrantsAreIgnored) {
-  Auditor aud;
+  AuditSession session;
   int resource = 0;
-  aud.timeline_reserved(&resource, "", Time{100}, Time{100}, Time{100});
-  EXPECT_EQ(aud.report().reservations, 0u);
+  probe::grant(&resource, std::string{}, Time{100}, Time{100}, Time{100});
+  EXPECT_EQ(session.auditor().report().reservations, 0u);
 }
 
 // ---------- violation accounting -------------------------------------------

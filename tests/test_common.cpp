@@ -76,24 +76,19 @@ TEST(Rng, NextDoubleInUnitInterval) {
   }
 }
 
-TEST(Rng, NextRangeInclusive) {
-  Rng rng(11);
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 500; ++i) {
-    const std::int64_t v = rng.next_range(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 7u);  // All values hit for a small range.
-}
-
 TEST(Rng, NormalHasRoughlyUnitVariance) {
   Rng rng(13);
-  RunningStats stats;
-  for (int i = 0; i < 20000; ++i) stats.add(rng.next_normal());
-  EXPECT_NEAR(stats.mean(), 0.0, 0.05);
-  EXPECT_NEAR(stats.variance(), 1.0, 0.1);
+  constexpr int kSamples = 20000;
+  double sum = 0.0;
+  double sum_squares = 0.0;
+  for (int i = 0; i < kSamples; ++i) {
+    const double x = rng.next_normal();
+    sum += x;
+    sum_squares += x * x;
+  }
+  const double mean = sum / kSamples;
+  EXPECT_NEAR(mean, 0.0, 0.05);
+  EXPECT_NEAR(sum_squares / kSamples - mean * mean, 1.0, 0.1);
 }
 
 TEST(Rng, ExponentialMeanMatchesRate) {
@@ -116,21 +111,12 @@ TEST(Rng, ZipfSkewsTowardLowRanks) {
   EXPECT_GT(low, 4000u);
 }
 
-TEST(Rng, SplitProducesIndependentStream) {
-  Rng a(23);
-  Rng b = a.split();
-  int same = 0;
-  for (int i = 0; i < 64; ++i) same += a.next_u64() == b.next_u64();
-  EXPECT_LT(same, 2);
-}
-
 // ---------- running stats ----------------------------------------------
 
 TEST(RunningStats, BasicMoments) {
   RunningStats s;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
@@ -140,23 +126,6 @@ TEST(RunningStats, EmptyIsZero) {
   RunningStats s;
   EXPECT_EQ(s.count(), 0u);
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  Rng rng(31);
-  RunningStats whole;
-  RunningStats left;
-  RunningStats right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.next_normal() * 3 + 1;
-    whole.add(x);
-    (i % 2 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
 }
 
 // ---------- histogram ---------------------------------------------------
@@ -419,20 +388,6 @@ TEST(ThreadPool, DestructorDropsUnobservedTaskError) {
 }
 
 // ---------- strings ------------------------------------------------------
-
-TEST(StringUtil, Split) {
-  const auto fields = split("a,b,,c", ',');
-  ASSERT_EQ(fields.size(), 4u);
-  EXPECT_EQ(fields[0], "a");
-  EXPECT_EQ(fields[2], "");
-  EXPECT_EQ(fields[3], "c");
-}
-
-TEST(StringUtil, Trim) {
-  EXPECT_EQ(trim("  x y\t\n"), "x y");
-  EXPECT_EQ(trim("\t \n"), "");
-  EXPECT_EQ(trim("abc"), "abc");
-}
 
 TEST(StringUtil, Format) {
   EXPECT_EQ(format("%d-%s", 42, "x"), "42-x");

@@ -8,7 +8,6 @@
 #include "cluster/engine.hpp"
 #include "fs/presets.hpp"
 #include "dooc/prefetcher.hpp"
-#include "dooc/scheduler.hpp"
 #include "ooc/lobpcg.hpp"
 #include "ooc/ooc_operator.hpp"
 #include "ooc/workload.hpp"
@@ -99,46 +98,6 @@ TEST(Integration, DoocPrefetcherOverlapsSolverIo) {
   for (std::size_t j = 0; j < solver.block_size; ++j) {
     EXPECT_NEAR(plain.eigenvalues[j], overlapped.eigenvalues[j], 1e-6);
   }
-}
-
-TEST(Integration, SchedulerDrivesTiledSpmm) {
-  // Express one SpMM as a DOoC task DAG: one task per tile plus a
-  // reduction barrier; result must equal the direct product.
-  HamiltonianParams h_params;
-  h_params.dimension = 640;
-  const CsrMatrix h = synthetic_hamiltonian(h_params);
-  MemoryStorage storage(h.storage_bytes(0, h.rows()) + MiB);
-  OocHamiltonian ooc(h, storage, 64);
-
-  Rng rng(3);
-  DenseMatrix x(h.rows(), 3);
-  x.fill_random(rng);
-  DenseMatrix y(h.rows(), 3);
-
-  DataAwareScheduler scheduler;
-  std::vector<TaskId> tile_tasks;
-  for (std::size_t t = 0; t < ooc.tile_count(); ++t) {
-    tile_tasks.push_back(scheduler.add_task(
-        {[&, t] {
-           std::vector<std::uint8_t> buffer(ooc.tile(t).bytes.value());
-           storage.read(ooc.tile(t).offset, buffer.data(), Bytes{buffer.size()});
-           ooc.apply_tile(ooc.tile(t), buffer, x, y);  // Disjoint row ranges.
-         },
-         {},
-         {static_cast<ArrayId>(t)},
-         0}));
-  }
-  bool reduced = false;
-  scheduler.add_task({[&] { reduced = true; }, tile_tasks, {}, 0});
-  scheduler.run(4);
-  ASSERT_TRUE(reduced);
-
-  const DenseMatrix expected = h.multiply(x);
-  double max_err = 0;
-  for (std::size_t i = 0; i < h.rows() * 3; ++i) {
-    max_err = std::max(max_err, std::abs(expected.data()[i] - y.data()[i]));
-  }
-  EXPECT_LT(max_err, 1e-12);
 }
 
 TEST(Integration, Figure6StripingContrast) {

@@ -242,7 +242,7 @@ TEST(CellTimeTable, MatchesPerCellLoop) {
           const Time got = table.run_time(op, first, cells);
           if (got != want) {
             ADD_FAILURE() << to_string(type) << " pages_per_block=" << pages_per_block
-                          << " op=" << to_string(op) << " first=" << first
+                          << " op=" << static_cast<int>(op) << " first=" << first
                           << " cells=" << cells << ": " << got.ps() << " ps, want "
                           << want.ps();
             return;
@@ -273,7 +273,7 @@ TEST(Wear, CountsAndSummary) {
   wear.record_erase(1);
   wear.record_erase(1);
   wear.record_erase(2);
-  wear.record_write(7);
+  wear.record_writes(1);
   const WearSummary s = wear.summary();
   EXPECT_EQ(s.total_erases, 3u);
   EXPECT_EQ(s.total_writes, 1u);
@@ -295,16 +295,6 @@ TEST(Wear, EmptySummaryIsNeutral) {
   EXPECT_DOUBLE_EQ(s.mean_unit_erases, 0.0);
   EXPECT_DOUBLE_EQ(s.imbalance, 1.0);
   EXPECT_FALSE(std::isnan(s.imbalance));
-}
-
-TEST(Wear, LeastWornPrefersUntouched) {
-  WearTracker wear;
-  wear.record_erase(0);
-  wear.record_erase(1);
-  EXPECT_EQ(wear.least_worn(3), 2u);
-  wear.record_erase(2);
-  wear.record_erase(2);
-  EXPECT_EQ(wear.least_worn(3), 0u);
 }
 
 }  // namespace

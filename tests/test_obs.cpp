@@ -48,7 +48,7 @@ TEST(Json, WriterProducesParseableNesting) {
   w.key("list");
   w.begin_array();
   w.value(std::int64_t{-3});
-  w.null_value();
+  w.raw("null");
   w.begin_object();
   w.field("inner", "x");
   w.end_object();
@@ -117,7 +117,6 @@ TEST(Metrics, TimeSeriesDecimatesButKeepsOutline) {
   for (int i = 0; i < 10'000; ++i) {
     series.sample(Time{i} * 1000000, static_cast<double>(i));
   }
-  EXPECT_EQ(series.total_samples(), 10'000u);
   EXPECT_LT(series.points().size(), 64u);
   EXPECT_GE(series.points().size(), 16u);
   // Points stay in time order and span the full range.
@@ -133,15 +132,13 @@ TEST(Metrics, RegistrySnapshotCoversAllKinds) {
   registry.counter("a.count").add(3);
   registry.gauge("b.gauge").set(1.5);
   registry.histogram("c.hist").record(10.0);
-  registry.series("d.series").sample(kMillisecond, 2.0);
   const auto snapshot = registry.snapshot();
-  ASSERT_EQ(snapshot.size(), 4u);
+  ASSERT_EQ(snapshot.size(), 3u);
   std::map<std::string, std::string> kinds;
   for (const auto& m : snapshot) kinds[m.name] = m.kind;
   EXPECT_EQ(kinds["a.count"], "counter");
   EXPECT_EQ(kinds["b.gauge"], "gauge");
   EXPECT_EQ(kinds["c.hist"], "histogram");
-  EXPECT_EQ(kinds["d.series"], "series");
   // The JSON dump parses.
   EXPECT_NO_THROW(obs::parse_json(registry.json()));
 }
@@ -202,15 +199,24 @@ TEST(TraceRecorder, ExportsParseableChromeJson) {
   EXPECT_TRUE(saw_meta);
 }
 
+// Spans named `name` in the recorder's Chrome trace export.
+std::size_t count_spans(const obs::TraceRecorder& recorder, const std::string& name) {
+  const obs::JsonValue v = obs::parse_json(recorder.chrome_json());
+  std::size_t n = 0;
+  for (const obs::JsonValue& e : v.find("traceEvents")->array) {
+    n += e.find("ph")->string == "X" && e.find("name")->string == name;
+  }
+  return n;
+}
+
 TEST(TraceRecorder, DropsBeyondCapAndCounts) {
   obs::TraceRecorder recorder(/*max_events=*/10);
   const std::uint32_t track = recorder.track("t");
   for (int i = 0; i < 25; ++i) {
     recorder.span(track, "test", "s", i * kMicrosecond, kMicrosecond);
   }
-  EXPECT_EQ(recorder.event_count(), 10u);
+  EXPECT_EQ(count_spans(recorder, "s"), 10u);
   EXPECT_EQ(recorder.dropped(), 15u);
-  EXPECT_NO_THROW(obs::parse_json(recorder.chrome_json()));
 }
 
 TEST(TraceRecorder, WorkerThreadSpansLandInSameRecorder) {
@@ -229,7 +235,7 @@ TEST(TraceRecorder, WorkerThreadSpansLandInSameRecorder) {
     obs::metrics()->counter("worker.events").add();
   });
   worker.join();
-  EXPECT_EQ(recorder.event_count(), 1u);
+  EXPECT_EQ(count_spans(recorder, "from_worker"), 1u);
   EXPECT_EQ(registry.counter("worker.events").value(), 1u);
 }
 
@@ -640,7 +646,6 @@ TEST(Metrics, TimeSeriesKeepsEverySampleBelowTheWindow) {
   }
   // Fewer samples than the decimation window: no decimation at all —
   // every point survives with its exact timestamp and value.
-  EXPECT_EQ(series.total_samples(), 10u);
   const auto& points = series.points();
   ASSERT_EQ(points.size(), 10u);
   for (int i = 0; i < 10; ++i) {
@@ -697,12 +702,16 @@ TEST(TailLatency, ReservoirKeepsSlowestWithDeterministicTies) {
 }
 
 TEST(TailLatency, ObservatoryWaterfallIsParseableChromeTrace) {
-  obs::LatencyObservatory observatory(/*per_class=*/2);
-  observatory.observe(make_ledger(0, 100.0, /*read=*/true));
-  observatory.observe(make_ledger(1, 300.0, /*read=*/true));
-  observatory.observe(make_ledger(2, 200.0, /*read=*/true));
-  observatory.observe(make_ledger(3, 50.0, /*read=*/false));
-  observatory.observe(make_ledger(4, 75.0, /*read=*/true, /*internal=*/true));
+  obs::LatencySession session(/*per_class=*/2);
+  const obs::LatencyObservatory& observatory = session.observatory();
+  for (const obs::PhaseLedger& ledger :
+       {make_ledger(0, 100.0, /*read=*/true), make_ledger(1, 300.0, /*read=*/true),
+        make_ledger(2, 200.0, /*read=*/true), make_ledger(3, 50.0, /*read=*/false),
+        make_ledger(4, 75.0, /*read=*/true, /*internal=*/true)}) {
+    probe::RequestClose close;
+    close.ledger = ledger;
+    probe::request_close(close);
+  }
   EXPECT_EQ(observatory.observed(), 5u);
 
   // Per-class reservoirs: reads keep the 2 slowest; the read id 0
@@ -791,12 +800,16 @@ TEST(FlightRecorder, RingKeepsTheMostRecentEvents) {
   obs::FlightRecorder::Options options;
   options.event_capacity = 16;  // Constructor-enforced minimum.
   options.ledger_capacity = 4;
-  obs::FlightRecorder recorder(options);
+  obs::FlightSession session(options);
+  const obs::FlightRecorder& recorder = session.recorder();
   for (std::uint64_t i = 0; i < 40; ++i) {
-    recorder.note(static_cast<std::int64_t>(i) * kMicrosecond, "test", "event",
-                  i, 0, nullptr);
+    probe::note(static_cast<std::int64_t>(i) * kMicrosecond, "test", "event", i);
   }
-  for (std::uint64_t i = 0; i < 9; ++i) recorder.record(make_ledger(i, 100.0));
+  for (std::uint64_t i = 0; i < 9; ++i) {
+    probe::RequestClose close;
+    close.ledger = make_ledger(i, 100.0);
+    probe::request_close(close);
+  }
 
   EXPECT_EQ(recorder.events_seen(), 40u);
   const std::vector<obs::FlightEvent> events = recorder.events();
@@ -929,6 +942,23 @@ std::string top_level_member(const std::string& json, const std::string& key) {
     else if (c == '}' || c == ']') --depth;
   }
   return "";
+}
+
+/// Sequential reads of `total` with a write of `write_size` after every
+/// `writes_every` reads, the writes laid end to end from offset 0.
+Trace mixed_trace(Bytes total, Bytes request_size, Bytes write_size,
+                  std::size_t writes_every) {
+  Trace trace;
+  std::size_t reads = 0;
+  Bytes write_cursor;
+  for (Bytes offset; offset < total; offset += request_size) {
+    trace.add(NvmOp::kRead, offset, std::min(request_size, total - offset));
+    if (++reads % writes_every == 0) {
+      trace.add(NvmOp::kWrite, write_cursor, write_size);
+      write_cursor += write_size;
+    }
+  }
+  return trace;
 }
 
 /// Replays `trace` with every instrument installed at once — tracer,

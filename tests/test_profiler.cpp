@@ -28,18 +28,50 @@ Trace small_ooc_trace(Bytes dataset = 16 * MiB, Bytes checkpoint = 1 * MiB) {
 }
 
 // ---------- Profiler unit semantics ---------------------------------------
+// Driven the way the engine drives it: a ProfileSession installs the
+// profiler, and the probe emitters carry each request and device step.
+
+// Opens a request ready at `ready` whose three gates all release then.
+void open_request(Time ready, Time cpu_gate = Time{}) {
+  probe::RequestOpen open;
+  open.ready = ready;
+  open.admit = ready;
+  open.issue = ready;
+  open.cpu_gate = cpu_gate;
+  probe::request_open(open);
+}
+
+// Closes the open request: admitted at `ready`, on the submission core
+// until `issue`, done at `completion`.
+void close_request(Time ready, Time issue, Time completion) {
+  static const std::string io_path = "fs";
+  probe::RequestClose close;
+  close.io_path = &io_path;
+  close.ledger.ready = ready;
+  close.ledger.admit = ready;
+  close.ledger.issue = issue;
+  close.ledger.stage[static_cast<int>(probe::LatencyStage::kCpu)] = issue - ready;
+  close.ledger.media_begin = issue;
+  close.ledger.media_end = completion;
+  close.ledger.completion = completion;
+  probe::request_close(close);
+}
+
+void channel_bus(Time start, Time end) {
+  probe::step(probe::Resource::kChannel, probe::Site{}, start, start, end);
+}
+
+void cell(std::uint32_t plane, Time start, Time end) {
+  probe::step(probe::Resource::kCell, probe::Site{0, 0, 0, plane}, start, start, end);
+}
 
 TEST(Profiler, SingleRequestChainIsFullyAttributed) {
-  obs::Profiler prof;
-  const std::uint32_t cpu = prof.intern("engine.cpu");
-  const std::uint32_t channel = prof.intern("ssd.ch0");
-  const std::uint64_t id = prof.request_begin();
-  prof.request_gate(id, {Time{0}, obs::GateKind::kApp, 0});
-  prof.request_segment(id, obs::PathKind::kEngineCpu, cpu, Time{0}, Time{40});
-  prof.request_segment(id, obs::PathKind::kChannelBus, channel, Time{40}, Time{100});
-  prof.request_complete(id, Time{0}, Time{40}, Time{100}, Time{40}, Time{100});
+  obs::ProfileSession session;
+  open_request(Time{0});
+  channel_bus(Time{40}, Time{100});
+  close_request(Time{0}, Time{40}, Time{100});
 
-  const obs::ProfileReport report = prof.report(Time{100});
+  const obs::ProfileReport report = session.profiler().report(Time{100});
   EXPECT_EQ(report.attributed, Time{100});
   EXPECT_EQ(report.unattributed, Time{});
   ASSERT_EQ(report.blame.size(), 2u);
@@ -51,22 +83,16 @@ TEST(Profiler, SingleRequestChainIsFullyAttributed) {
 }
 
 TEST(Profiler, GateFollowsPredecessorChain) {
-  obs::Profiler prof;
-  const std::uint32_t cpu = prof.intern("engine.cpu");
+  obs::ProfileSession session;
   // Request 1: cpu busy [0, 30]; request 2 gated on 1's cpu release at 30.
-  const std::uint64_t first = prof.request_begin();
-  prof.request_gate(first, {Time{0}, obs::GateKind::kApp, 0});
-  prof.request_segment(first, obs::PathKind::kEngineCpu, cpu, Time{0}, Time{30});
-  prof.request_complete(first, Time{0}, Time{30}, Time{90}, Time{30}, Time{90});
+  open_request(Time{0});
+  close_request(Time{0}, Time{30}, Time{90});
 
-  const std::uint64_t second = prof.request_begin();
-  prof.request_gate(second, {Time{30}, obs::GateKind::kCpu, first});
-  prof.request_segment(second, obs::PathKind::kEngineCpu, cpu, Time{30}, Time{70});
-  prof.request_segment(second, obs::PathKind::kCellBusy, prof.intern("die"),
-                       Time{70}, Time{120});
-  prof.request_complete(second, Time{30}, Time{70}, Time{120}, Time{70}, Time{120});
+  open_request(Time{30}, /*cpu_gate=*/Time{30});
+  cell(0, Time{70}, Time{120});
+  close_request(Time{30}, Time{70}, Time{120});
 
-  const obs::ProfileReport report = prof.report(Time{120});
+  const obs::ProfileReport report = session.profiler().report(Time{120});
   EXPECT_EQ(report.attributed, Time{120});
   EXPECT_EQ(report.unattributed, Time{});
   // The walk crossed into request 1 through the cpu gate: blame covers
@@ -79,57 +105,53 @@ TEST(Profiler, GateFollowsPredecessorChain) {
 }
 
 TEST(Profiler, ContiguityGapBecomesUnattributed) {
-  obs::Profiler prof;
-  const std::uint32_t channel = prof.intern("ssd.ch0");
-  const std::uint64_t id = prof.request_begin();
-  prof.request_gate(id, {Time{0}, obs::GateKind::kApp, 0});
+  obs::ProfileSession session;
+  open_request(Time{0});
   // Hole between 20 and 60: no segment ends at 60.
-  prof.request_segment(id, obs::PathKind::kChannelBus, channel, Time{0}, Time{20});
-  prof.request_segment(id, obs::PathKind::kChannelBus, channel, Time{60}, Time{100});
-  prof.request_complete(id, Time{0}, Time{60}, Time{100}, Time{60}, Time{100});
+  channel_bus(Time{0}, Time{20});
+  channel_bus(Time{60}, Time{100});
+  close_request(Time{0}, Time{0}, Time{100});
 
-  const obs::ProfileReport report = prof.report(Time{100});
+  const obs::ProfileReport report = session.profiler().report(Time{100});
   // Still an exact partition — the hole lands in the unattributed bucket.
   EXPECT_EQ(report.attributed, Time{100});
   EXPECT_EQ(report.unattributed, Time{40});
 }
 
 TEST(Profiler, EmptyProfilerAttributesNothing) {
-  obs::Profiler prof;
-  const obs::ProfileReport report = prof.report(Time{1000});
+  obs::ProfileSession session;
+  const obs::ProfileReport report = session.profiler().report(Time{1000});
   EXPECT_EQ(report.attributed, Time{});
   EXPECT_TRUE(report.blame.empty());
   // The engine flags this as an audit violation when makespan > 0.
 }
 
 TEST(Profiler, MediaSegmentWithoutOpenRequestIsDropped) {
-  obs::Profiler prof;
-  const std::uint32_t channel = prof.intern("ssd.ch0");
-  prof.media_segment(obs::PathKind::kChannelBus, channel, Time{0}, Time{10});
-  EXPECT_EQ(prof.dropped_edges(), 1u);
+  obs::ProfileSession session;
+  const obs::Profiler& prof = session.profiler();
+  channel_bus(Time{0}, Time{10});
+  EXPECT_EQ(prof.report(Time{10}).dropped_edges, 1u);
 
-  const std::uint64_t id = prof.request_begin();
-  prof.media_segment(obs::PathKind::kChannelBus, channel, Time{0}, Time{10});
-  prof.request_complete(id, Time{0}, Time{0}, Time{10}, Time{0}, Time{10});
-  EXPECT_EQ(prof.dropped_edges(), 1u);
+  open_request(Time{0});
+  channel_bus(Time{0}, Time{10});
+  close_request(Time{0}, Time{0}, Time{10});
+  EXPECT_EQ(prof.report(Time{10}).dropped_edges, 1u);
 
   // After completion the request is closed again.
-  prof.media_segment(obs::PathKind::kChannelBus, channel, Time{10}, Time{20});
-  EXPECT_EQ(prof.dropped_edges(), 2u);
+  channel_bus(Time{10}, Time{20});
+  EXPECT_EQ(prof.report(Time{20}).dropped_edges, 2u);
 }
 
 TEST(Profiler, UtilizationMergesOverlappingIntervals) {
-  obs::Profiler prof;
-  const std::uint32_t die = prof.intern("ssd.ch0.pkg0.die0");
-  const std::uint64_t id = prof.request_begin();
-  prof.request_gate(id, {Time{0}, obs::GateKind::kApp, 0});
+  obs::ProfileSession session;
+  open_request(Time{0});
   // Two overlapping cell activations on the same die (two planes): the
   // die is busy [0, 100], not 150% busy.
-  prof.request_segment(id, obs::PathKind::kCellBusy, die, Time{0}, Time{80});
-  prof.request_segment(id, obs::PathKind::kCellBusy, die, Time{30}, Time{100});
-  prof.request_complete(id, Time{0}, Time{0}, Time{100}, Time{0}, Time{100});
+  cell(0, Time{0}, Time{80});
+  cell(1, Time{30}, Time{100});
+  close_request(Time{0}, Time{0}, Time{100});
 
-  const obs::ProfileReport report = prof.report(Time{100}, 4);
+  const obs::ProfileReport report = session.profiler().report(Time{100}, 4);
   const obs::UtilizationSeries* series = nullptr;
   for (const obs::UtilizationSeries& s : report.utilization) {
     if (s.resource == "ssd.ch0.pkg0.die0") series = &s;

@@ -5,6 +5,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -12,8 +14,8 @@
 
 #include "cluster/configs.hpp"
 #include "cluster/engine.hpp"
-#include "dooc/faulty_storage.hpp"
 #include "dooc/prefetcher.hpp"
+#include "ooc/tile_store.hpp"
 #include "ooc/workload.hpp"
 #include "reliability/ecc.hpp"
 #include "reliability/fault.hpp"
@@ -542,6 +544,42 @@ TEST(Scenario, RejectsTargetsOutsideTheGeometryAtDeviceConstruction) {
 
 // ---------- prefetcher retries ------------------------------------------------
 
+// A Storage whose reads throw: the first `transient` attempts at every
+// offset, and every attempt at an offset in `dead`. The prefetcher reads
+// from its worker thread, hence the lock.
+class FailingStorage : public Storage {
+ public:
+  FailingStorage(Storage& backing, std::uint32_t transient, std::set<Bytes> dead = {})
+      : backing_(backing), transient_(transient), dead_(std::move(dead)) {}
+
+  void read(Bytes offset, void* destination, Bytes size) override {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (dead_.count(offset) != 0 || attempts_[offset]++ < transient_) {
+        ++failures_;
+        throw std::runtime_error("injected read failure");
+      }
+    }
+    backing_.read(offset, destination, size);
+  }
+  void write(Bytes offset, const void* source, Bytes size) override {
+    backing_.write(offset, source, size);
+  }
+
+  std::uint64_t failures() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return failures_;
+  }
+
+ private:
+  Storage& backing_;
+  std::uint32_t transient_;
+  std::set<Bytes> dead_;
+  mutable std::mutex mutex_;
+  std::map<Bytes, std::uint32_t> attempts_;
+  std::uint64_t failures_ = 0;
+};
+
 TEST(PrefetcherFaults, TransientFailuresAreRetriedToSuccess) {
   MemoryStorage backing(4 * KiB);
   std::vector<std::uint8_t> pattern(KiB.value());
@@ -552,10 +590,7 @@ TEST(PrefetcherFaults, TransientFailuresAreRetriedToSuccess) {
     backing.write(tile * KiB, pattern.data(), Bytes{pattern.size()});
   }
 
-  FaultInjectingStorage::Params params;
-  params.transient_failure_probability = 0.9;
-  params.seed = 7;
-  FaultInjectingStorage flaky(backing, params);
+  FailingStorage flaky(backing, /*transient=*/2);
 
   std::vector<TilePrefetcher::TileRef> tiles;
   for (std::uint64_t tile = 0; tile < 4; ++tile) tiles.push_back({tile * KiB, KiB});
@@ -567,14 +602,12 @@ TEST(PrefetcherFaults, TransientFailuresAreRetriedToSuccess) {
   }
   EXPECT_GT(prefetcher.stats().read_retries, 0u);
   EXPECT_EQ(prefetcher.stats().failed_tiles, 0u);
-  EXPECT_GT(flaky.stats().injected_failures, 0u);
+  EXPECT_GT(flaky.failures(), 0u);
 }
 
 TEST(PrefetcherFaults, PermanentFailureSurfacesInsteadOfHanging) {
   MemoryStorage backing(4 * KiB);
-  FaultInjectingStorage::Params params;
-  params.permanent_offsets.insert(2 * KiB);  // Tile 2 is unrecoverable.
-  FaultInjectingStorage dead(backing, params);
+  FailingStorage dead(backing, /*transient=*/0, {2 * KiB});  // Tile 2 is unrecoverable.
 
   std::vector<TilePrefetcher::TileRef> tiles;
   for (std::uint64_t tile = 0; tile < 4; ++tile) tiles.push_back({tile * KiB, KiB});

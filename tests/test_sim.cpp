@@ -166,14 +166,6 @@ TEST(Timeline, ZeroDurationIsFree) {
   EXPECT_EQ(r.end, Time{5});
 }
 
-TEST(Timeline, ResetRestoresEmpty) {
-  Timeline timeline(true);
-  timeline.reserve(Time{100}, Time{50});
-  timeline.reset();
-  EXPECT_EQ(timeline.next_free(), Time{0});
-  EXPECT_EQ(timeline.reserve(Time{0}, Time{10}).start, Time{0});
-}
-
 // Property: a dense stream of FIFO reservations is gap-free and ordered.
 TEST(Timeline, PropertyDenseStreamIsContiguous) {
   Timeline timeline(false);

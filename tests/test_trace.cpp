@@ -154,22 +154,5 @@ TEST(Synthetic, StridedAdvancesByStride) {
   }
 }
 
-TEST(Synthetic, MixedInterleavesWrites) {
-  const Trace trace = mixed_trace(MiB, 64 * KiB, 16 * KiB, 4);
-  std::size_t writes = 0;
-  for (const PosixRequest& r : trace.requests()) writes += r.op == NvmOp::kWrite;
-  EXPECT_EQ(writes, 4u);  // 16 reads, one write per 4.
-}
-
-TEST(Synthetic, ZipfIsSkewed) {
-  Rng rng(7);
-  const Trace trace = zipf_read_trace(GiB, 64 * KiB, 5000, 1.1, rng);
-  std::size_t in_head = 0;
-  for (const PosixRequest& r : trace.requests()) {
-    if (r.offset < GiB / 20) ++in_head;  // First 5% of blocks.
-  }
-  EXPECT_GT(in_head, trace.size() / 3);
-}
-
 }  // namespace
 }  // namespace nvmooc

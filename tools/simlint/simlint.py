@@ -37,31 +37,15 @@ Rules
                             are deterministic per the standard but differ
                             across implementations; an explicit seed makes
                             the intent auditable.
-  SL006 request-lifecycle   Misuse of the src/check request-lifecycle
-                            hooks: a TU that reports later stages
-                            (request_admitted / request_dispatched /
-                            request_media / request_completed) without
-                            ever calling request_issued, or a
-                            request_issued call whose returned id is
-                            discarded.  Either way the auditor sees a
-                            request that can never be completed (or
-                            stages with no matching issue), so every
-                            audited replay of that code path reports
-                            phantom causality violations.  The causal
-                            profiler (src/obs/profiler.hpp) follows the
-                            same discipline: a TU recording request_gate
-                            / request_segment / request_complete edges
-                            must mint the id with request_begin (the
-                            device-side hooks media_segment /
-                            timeline_busy attach to the engine's open
-                            request and are exempt).
-                            Both instruments now take these calls from
-                            the probe (src/common/probe.hpp), so the rule
-                            also guards the emitting side: a TU that
-                            closes a request on the probe
-                            (request_close) must open it there too
-                            (request_open), or every subscriber sees a
-                            completion with no issue.
+  SL006 request-lifecycle   A TU that closes a request on the probe
+                            (src/common/probe.hpp, request_close) must
+                            open it there too (request_open).  The
+                            auditor and the causal profiler take a
+                            request's lifecycle only from the probe, so
+                            a close with no open reaches every
+                            subscriber as a completion with no issue:
+                            phantom causality violations and edges the
+                            critical-path walk cannot place.
   SL007 missing-nodiscard   A header-file API returning Time or Bytes by
                             value without [[nodiscard]].  These types are
                             the unit system's whole point; silently
@@ -401,31 +385,11 @@ ITER_CALL_RE = re.compile(r"\b([\w.\->\[\]()]+?)[.\->]+(?:begin|cbegin|rbegin)\s
 FLOAT_TO_TIME_RE = re.compile(
     r"\bTime\s*\{(?=[^{}]*(?:\d\.\d|\.\d+\b|\d\.(?:[^\w]|$)|\de[+-]?\d|static_cast\s*<\s*(?:double|float)\s*>|\b(?:double|float)\b))")
 
-# SL006: the auditor's per-request stage hooks. request_issued() mints the
-# id the stage calls need; a TU using stages without it (or dropping the
-# id on the floor) cannot form a valid lifecycle chain.
-LIFECYCLE_STAGE_RE = re.compile(
-    r"\b(request_(?:admitted|dispatched|media|completed))\s*\(")
-LIFECYCLE_ISSUE_RE = re.compile(r"\brequest_issued\s*\(")
-# The causal profiler's engine-side edges (src/obs/profiler.hpp).  The
-# alternatives are anchored on the open paren so `request_complete(`
-# never half-matches the auditor's `request_completed(`.  Device-side
-# hooks (media_segment / timeline_busy) attach to the profiler's open
-# request and are deliberately not listed.
-PROFILE_EDGE_RE = re.compile(
-    r"\b(request_(?:gate|segment|complete))\s*\(")
-PROFILE_BEGIN_RE = re.compile(r"\brequest_begin\s*\(")
-# The probe's request lifecycle (src/common/probe.hpp): the emitting side
-# of both disciplines above.  `on_request_close(` never matches — the
-# subscriber hooks are not emissions.
+# SL006: the probe's request lifecycle (src/common/probe.hpp).
+# `on_request_close(` never matches — the subscriber hooks are not
+# emissions.
 PROBE_CLOSE_RE = re.compile(r"\brequest_close\s*\(")
 PROBE_OPEN_RE = re.compile(r"\brequest_open\s*\(")
-# A bare expression-statement member call whose result vanishes:
-# `aud->request_issued(t);` at the start of a statement.  Assignments,
-# initialisers, returns and ternaries put tokens before the object
-# expression, so anchoring at line start keeps legitimate uses quiet.
-LIFECYCLE_DISCARD_RE = re.compile(
-    r"^\s*\w+(?:\(\s*\))?\s*(?:->|\.)\s*request_issued\s*\(")
 
 # SL007: a header declaration returning Time/Bytes by value.  References
 # never match (no whitespace between the type and `&`), and a leading
@@ -625,45 +589,15 @@ def run_matcher_rules(path: str, lines, closure_texts):
             findings.append((lineno, "SL005",
                              "std <random> engine without an explicit seed; "
                              "pass a seed so replay is auditable"))
-        if LIFECYCLE_DISCARD_RE.search(line):
-            findings.append((lineno, "SL006",
-                             "request_issued() result discarded; the returned "
-                             "id is the only handle later lifecycle stages can "
-                             "use, so this request can never complete"))
         if UNIT_NARROW_RE.search(line):
             findings.append((lineno, "SL008",
                              ".ps()/.value() narrowed below 64 bits; cast to "
                              "double or (u)int64_t, or keep the strong type"))
 
-    # SL006(a): stage hooks reported in a TU that never issues a request.
-    # The check is per-TU because the issue and the stage calls legally
-    # live in different functions (the engine threads the id through).
-    if not LIFECYCLE_ISSUE_RE.search(joined):
-        for lineno, line in enumerate(lines, 1):
-            m = LIFECYCLE_STAGE_RE.search(line)
-            if m:
-                findings.append((lineno, "SL006",
-                                 f"{m.group(1)}() reported but request_issued() "
-                                 "never appears in this translation unit; the "
-                                 "auditor will see stages with no issue"))
-
-    # SL006(b): same discipline for the causal profiler — request edges
-    # recorded in a TU that never mints an id with request_begin() can
-    # only reference phantom requests, so the critical-path walk would
-    # drop them (or worse, attach them to someone else's request).
-    if not PROFILE_BEGIN_RE.search(joined):
-        for lineno, line in enumerate(lines, 1):
-            m = PROFILE_EDGE_RE.search(line)
-            if m:
-                findings.append((lineno, "SL006",
-                                 f"{m.group(1)}() recorded but request_begin() "
-                                 "never appears in this translation unit; the "
-                                 "profiler will see edges with no request"))
-
-    # SL006(c): the probe emitter.  A request closed on the probe in a TU
-    # that never opens one reaches the auditor and the profiler as a
-    # completion with no issue — the same phantom (a) and (b) reject at
-    # the instrument end.
+    # SL006: a request closed on the probe in a TU that never opens one
+    # reaches the auditor and the profiler as a completion with no issue.
+    # The check is per-TU: the open and the close legally live in
+    # different functions.
     if not PROBE_OPEN_RE.search(joined):
         for lineno, line in enumerate(lines, 1):
             if PROBE_CLOSE_RE.search(line):
