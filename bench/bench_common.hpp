@@ -1,5 +1,5 @@
 // Shared plumbing for the per-figure benchmark binaries: the standard OoC
-// replay trace, a parallel sweep runner, and result formatting.
+// replay trace, the per-replay session harness, and result formatting.
 //
 // Every binary follows the same pattern: register one google-benchmark
 // entry per configuration (so `--benchmark_filter` works and counters are
@@ -27,7 +27,6 @@
 #include "cluster/configs.hpp"
 #include "cluster/engine.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/cli.hpp"
 #include "obs/json.hpp"
 #include "ooc/workload.hpp"
@@ -38,6 +37,9 @@ namespace nvmooc::bench {
 /// stripped from argv *before* benchmark::Initialize so google-benchmark
 /// never sees them.
 struct BenchOptions {
+  /// The main-thread session's flags. --profile and --speed-report are
+  /// per-replay (profile_enabled(), speed_enabled()) and stay off here: a
+  /// main-thread profiler would be shadowed by every replay's own.
   obs::CliOptions obs;
   bool quick = false;          ///< Smaller workload for CI smoke runs.
   bool audit = false;          ///< Invariant-audit every replay (see src/check).
@@ -144,14 +146,12 @@ inline BenchOptions strip_bench_options(int& argc, char** argv) {
     else if (!std::strcmp(arg, "--no-flight-recorder")) out.obs.flight = false;
     else if (!std::strcmp(arg, "--quick")) out.quick = true;
     else if (!std::strcmp(arg, "--audit")) out.audit = true;
-    else if (!std::strcmp(arg, "--profile")) out.obs.profile = true;
-    else if (!std::strcmp(arg, "--speed-report")) out.obs.speed_report = true;
+    else if (!std::strcmp(arg, "--profile")) profile_enabled() = true;
+    else if (!std::strcmp(arg, "--speed-report")) speed_enabled() = true;
     else argv[kept++] = argv[i];
   }
   argc = kept;
   audit_enabled() = out.audit;
-  profile_enabled() = out.obs.profile;
-  speed_enabled() = out.obs.speed_report;
   heartbeat_sec() = out.obs.heartbeat_sec;
   flight_enabled() = out.obs.flight;
   flight_out_prefix() = out.obs.flight_out;
@@ -219,45 +219,67 @@ inline ResultBoard& board() {
   return instance;
 }
 
+/// Runs one replay under the sessions the flags ask for: auditor,
+/// profiler, host telemetry, flight recorder and exemplar reservoirs.
+/// Each replay gets its own sessions, since reports are per-replay;
+/// benchmarks may run on worker threads, and the thread-local install
+/// keeps them independent. An audit failure adds to audit_violations(),
+/// prints the report and dumps the flight recorder.
+inline ExperimentResult run_replay(const ExperimentConfig& config, const Trace& trace) {
+  std::unique_ptr<check::AuditSession> audit;
+  if (audit_enabled()) audit = std::make_unique<check::AuditSession>();
+  std::unique_ptr<obs::ProfileSession> profile;
+  if (profile_enabled()) profile = std::make_unique<obs::ProfileSession>();
+  std::unique_ptr<obs::HostSession> host;
+  if (speed_enabled()) {
+    obs::HostProfiler::Options host_options;
+    host_options.heartbeat_sec = heartbeat_sec();
+    host = std::make_unique<obs::HostSession>(host_options);
+  }
+  // Always-on flight recorder: only failing replays pay for a dump.
+  std::unique_ptr<obs::FlightSession> flight;
+  if (flight_enabled()) flight = std::make_unique<obs::FlightSession>();
+  std::unique_ptr<obs::LatencySession> exemplars;
+  if (exemplars_per_class() > 0) {
+    exemplars = std::make_unique<obs::LatencySession>(exemplars_per_class());
+  }
+  ExperimentResult result = run_experiment(config, trace);
+  if (audit != nullptr && !result.audit.passed()) {
+    audit_violations() += result.audit.violation_count;
+    std::fprintf(stderr, "AUDIT FAIL %s/%s\n%s\n", config.name.c_str(),
+                 std::string(to_string(config.media)).c_str(),
+                 result.audit.summary().c_str());
+    if (flight != nullptr) {
+      obs::CliOptions dump_options;
+      dump_options.flight_out = flight_out_prefix() + "flight-" + config.name + "-" +
+                                std::string(to_string(config.media)) + ".json";
+      obs::dump_flight(flight->recorder(), dump_options, "audit violation");
+    }
+  }
+  return result;
+}
+
+/// The bench binary's exit status once its replays are done: under
+/// --audit, 3 with the violation total on stderr, or 0 with the pass
+/// line; 0 without --audit.
+inline int audit_exit_status() {
+  if (!audit_enabled()) return 0;
+  const std::uint64_t violations = audit_violations().load();
+  if (violations > 0) {
+    std::fprintf(stderr, "audit: %llu invariant violation(s) across the sweep\n",
+                 static_cast<unsigned long long>(violations));
+    return 3;
+  }
+  std::printf("audit: all configurations passed (conservation/causality/"
+              "occupancy/ftl)\n");
+  return 0;
+}
+
 /// Runs one experiment inside a benchmark loop and records it.
 inline void run_config_benchmark(benchmark::State& state, const ExperimentConfig& config,
                                  const Trace& trace) {
   for (auto _ : state) {
-    // Under --audit each replay gets its own session (reports are
-    // per-replay); benchmarks may run on worker threads, and the
-    // thread-local install keeps them independent.
-    std::unique_ptr<check::AuditSession> audit;
-    if (audit_enabled()) audit = std::make_unique<check::AuditSession>();
-    std::unique_ptr<obs::ProfileSession> profile;
-    if (profile_enabled()) profile = std::make_unique<obs::ProfileSession>();
-    std::unique_ptr<obs::HostSession> host;
-    if (speed_enabled()) {
-      obs::HostProfiler::Options host_options;
-      host_options.heartbeat_sec = heartbeat_sec();
-      host = std::make_unique<obs::HostSession>(host_options);
-    }
-    // Always-on flight recorder: one per replay (thread-local like the
-    // sessions above); only failing replays pay for a dump.
-    std::unique_ptr<obs::FlightSession> flight;
-    if (flight_enabled()) flight = std::make_unique<obs::FlightSession>();
-    std::unique_ptr<obs::LatencySession> exemplars;
-    if (exemplars_per_class() > 0) {
-      exemplars = std::make_unique<obs::LatencySession>(exemplars_per_class());
-    }
-    const ExperimentResult result = run_experiment(config, trace);
-    if (audit != nullptr && !result.audit.passed()) {
-      audit_violations() += result.audit.violation_count;
-      std::fprintf(stderr, "AUDIT FAIL %s/%s\n%s\n", config.name.c_str(),
-                   std::string(to_string(config.media)).c_str(),
-                   result.audit.summary().c_str());
-      if (flight != nullptr) {
-        obs::CliOptions dump_options;
-        dump_options.flight_out = flight_out_prefix() + "flight-" + config.name +
-                                  "-" + std::string(to_string(config.media)) +
-                                  ".json";
-        obs::dump_flight(flight->recorder(), dump_options, "audit violation");
-      }
-    }
+    const ExperimentResult result = run_replay(config, trace);
     board().record(result);
     state.counters["achieved_MBps"] = result.achieved_mbps;
     state.counters["remaining_MBps"] = result.remaining_mbps;

@@ -199,15 +199,5 @@ int main(int argc, char** argv) {
   }
   std::printf("wrote %s\n", headline_path.c_str());
   if (!obs::write_outputs(session.get(), options.obs)) return 1;
-  if (options.audit) {
-    const std::uint64_t violations = audit_violations().load();
-    if (violations > 0) {
-      std::fprintf(stderr, "audit: %llu invariant violation(s) across the sweep\n",
-                   static_cast<unsigned long long>(violations));
-      return 3;
-    }
-    std::printf("audit: all configurations passed (conservation/causality/"
-                "occupancy/ftl)\n");
-  }
-  return 0;
+  return audit_exit_status();
 }

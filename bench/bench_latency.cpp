@@ -49,14 +49,7 @@ void print_latency_table(const char* title, const Trace& trace,
                "mean (us)"});
   for (NvmType media : latency_media()) {
     for (const ExperimentConfig& config : configs_for(media)) {
-      // Per-replay profiler, like run_config_benchmark: the critical-path
-      // state must not accumulate across configurations. The flight
-      // recorder rides along per replay too (default on).
-      std::unique_ptr<obs::ProfileSession> profile;
-      if (profile_enabled()) profile = std::make_unique<obs::ProfileSession>();
-      std::unique_ptr<obs::FlightSession> flight;
-      if (flight_enabled()) flight = std::make_unique<obs::FlightSession>();
-      const ExperimentResult result = run_experiment(config, trace);
+      const ExperimentResult result = run_replay(config, trace);
       board().record(result);
       table.add_row({config.name, std::string(to_string(media)),
                      format("%.0f", result.read_latency.p50),
@@ -72,8 +65,7 @@ void BM_RandomReadLatency(benchmark::State& state) {
   Rng rng(11);
   const Trace trace = random_read_trace(GiB, 8 * KiB, 2000, rng);
   for (auto _ : state) {
-    const ExperimentResult result =
-        run_experiment(cnl_ufs_config(NvmType::kPcm), trace);
+    const ExperimentResult result = run_replay(cnl_ufs_config(NvmType::kPcm), trace);
     benchmark::DoNotOptimize(result.read_latency.p99);
     state.counters["p50_us"] = result.read_latency.p50;
     state.counters["p99_us"] = result.read_latency.p99;
@@ -135,5 +127,5 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!obs::write_outputs(session.get(), options.obs)) return 1;
-  return 0;
+  return audit_exit_status();
 }

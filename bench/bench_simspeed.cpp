@@ -9,7 +9,8 @@
 //
 // Extra flags (before any --benchmark_* ones): --quick for the CI-sized
 // workload, --results-out=FILE, --heartbeat-sec=N (0 logs a heartbeat
-// per request — CI uses this to capture a non-empty heartbeat log).
+// per request — CI uses this to capture a non-empty heartbeat log),
+// --audit (exit 3 on any invariant violation).
 #include "bench_common.hpp"
 #include "common/string_util.hpp"
 #include "fs/presets.hpp"
@@ -89,5 +90,5 @@ int main(int argc, char** argv) {
       });
   if (!ok) return 1;
   if (!obs::write_outputs(session.get(), options.obs)) return 1;
-  return 0;
+  return audit_exit_status();
 }

@@ -12,8 +12,22 @@
 #include "common/probe.hpp"
 #include "obs/latency.hpp"
 #include "obs/obs.hpp"
+#include "ufs/ufs.hpp"
 
 namespace nvmooc {
+
+std::unique_ptr<IoPath> mount_io_path(const ExperimentConfig& config, Bytes extent) {
+  if (config.use_ufs) {
+    UfsConfig ufs_config;
+    ufs_config.capacity = config.geometry.capacity(timing_for(config.media));
+    auto ufs = std::make_unique<UnifiedFileSystem>(ufs_config);
+    ufs->provision_dataset(std::max(extent, Bytes{1}));
+    return ufs;
+  }
+  auto fs = std::make_unique<FileSystemModel>(config.fs);
+  fs->mount(extent);
+  return fs;
+}
 
 ReplayEngine::ReplayEngine(const ExperimentConfig& config, unsigned clients)
     : config_(config) {
@@ -27,23 +41,6 @@ ReplayEngine::ReplayEngine(const ExperimentConfig& config, unsigned clients)
   ssd_ = std::make_unique<Ssd>(ssd_config);
 
   clients_.resize(std::max(clients, 1U));
-  for (Client& client : clients_) {
-    if (config_.use_ufs) {
-      UfsConfig ufs_config;
-      ufs_config.capacity = config_.geometry.capacity(timing_for(config_.media));
-      client.ufs = std::make_unique<UnifiedFileSystem>(ufs_config);
-      client.path = client.ufs.get();
-      client.layer = "ufs";
-    } else {
-      client.fs = std::make_unique<FileSystemModel>(config_.fs);
-      client.path = client.fs.get();
-    }
-    const FsBehavior& behavior = client.path->behavior();
-    client.device_window = Window(behavior.readahead, behavior.queue_depth);
-    client.rpc_window = Window(Bytes{}, config_.location == StorageLocation::kIonLocal
-                                            ? config_.network.max_concurrent_rpcs
-                                            : 0);
-  }
 
   host_dma_ = std::make_unique<DmaEngine>(config_.host_link);
   host_dma_->set_trace_label("link.host");
@@ -69,12 +66,14 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
   const Bytes region = ((extent + GiB - Bytes{1}) / GiB) * GiB;
   ssd_->preload((clients_.size() - 1) * region + extent);
   for (Client& client : clients_) {
-    if (client.ufs) {
-      client.ufs->provision_dataset(std::max(extent, Bytes{1}));
-    } else {
-      client.fs->mount(extent);
-    }
+    client.path = mount_io_path(config_, extent);
+    const FsBehavior& behavior = client.path->behavior();
+    client.device_window = Window(behavior.readahead, behavior.queue_depth);
+    client.rpc_window = Window(Bytes{}, config_.location == StorageLocation::kIonLocal
+                                            ? config_.network.max_concurrent_rpcs
+                                            : 0);
   }
+  const char* const layer = config_.use_ufs ? "ufs" : "fs";
 
   // Every client runs the same I/O path model, so one behaviour serves.
   const FsBehavior& behavior = clients_.front().path->behavior();
@@ -142,7 +141,7 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
         obs::HostSection io_section(obs::HostSubsystem::kIoPath);
         client.batch = client.path->submit(posix);
       }
-      probe::Posix expansion{posix.size, {}, {}, client.batch.size(), 0, client.layer};
+      probe::Posix expansion{posix.size, {}, {}, client.batch.size(), 0, layer};
       for (const BlockRequest& device_request : client.batch) {
         if (device_request.internal) {
           expansion.internal += device_request.size;

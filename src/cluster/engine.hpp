@@ -22,11 +22,15 @@
 
 #include "cluster/experiment.hpp"
 #include "cluster/window.hpp"
+#include "fs/filesystem.hpp"
 #include "interconnect/link.hpp"
 #include "trace/trace.hpp"
-#include "ufs/ufs.hpp"
 
 namespace nvmooc {
+
+/// The I/O path one client replays through, mounted on a dataset of
+/// `extent` bytes: UFS sized to the device, or the configured file system.
+std::unique_ptr<IoPath> mount_io_path(const ExperimentConfig& config, Bytes extent);
 
 // One engine drives one modelled device end to end (device, links, the
 // clients' FS); nothing in it is shared with other engines, so sweep
@@ -44,10 +48,7 @@ class ReplayEngine {
  private:
   /// One compute node: its I/O path, flow control and place in the trace.
   struct Client {
-    std::unique_ptr<FileSystemModel> fs;
-    std::unique_ptr<UnifiedFileSystem> ufs;
-    IoPath* path = nullptr;
-    const char* layer = "fs";  ///< probe::Posix::layer: "fs" or "ufs".
+    std::unique_ptr<IoPath> path;
     Window device_window{Bytes{}};
     Window rpc_window{Bytes{}};
     Time cpu_free;

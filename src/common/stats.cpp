@@ -8,7 +8,6 @@ namespace nvmooc {
 
 void RunningStats::add(double x) {
   ++count_;
-  sum_ += x;
   mean_ += (x - mean_) / static_cast<double>(count_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);

@@ -14,8 +14,8 @@
 
 namespace nvmooc {
 
-/// Streaming accumulator: count, running (Welford) mean, sum and range
-/// without storing samples.
+/// Streaming accumulator: count, running (Welford) mean and range without
+/// storing samples.
 class RunningStats {
  public:
   void add(double x);
@@ -24,12 +24,10 @@ class RunningStats {
   double mean() const { return count_ ? mean_ : 0.0; }
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
 
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
@@ -43,7 +41,6 @@ class Histogram {
   void add(double x, std::uint64_t weight = 1);
 
   std::uint64_t total() const { return total_; }
-  std::size_t bucket_count() const { return counts_.size(); }
   std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
   double bucket_lo(std::size_t i) const;
 

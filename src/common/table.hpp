@@ -17,8 +17,6 @@ class Table {
   void add_row_numeric(const std::string& label, const std::vector<double>& values,
                        int precision = 1);
 
-  std::size_t row_count() const { return rows_.size(); }
-
   /// Renders with column alignment: first column left, rest right.
   std::string render() const;
 

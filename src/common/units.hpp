@@ -64,7 +64,6 @@ class Time {
 
   [[nodiscard]]
   static constexpr Time max() { return Time{std::numeric_limits<std::int64_t>::max()}; }
-  [[nodiscard]] static constexpr Time zero() { return Time{}; }
 
   constexpr auto operator<=>(const Time&) const = default;
 
@@ -140,7 +139,6 @@ class Bytes {
 
   [[nodiscard]]
   static constexpr Bytes max() { return Bytes{std::numeric_limits<std::uint64_t>::max()}; }
-  [[nodiscard]] static constexpr Bytes zero() { return Bytes{}; }
 
   constexpr auto operator<=>(const Bytes&) const = default;
 

@@ -81,8 +81,6 @@ class Pipeline {
   /// first filter exception after joining.
   void run();
 
-  std::size_t filter_count() const { return filters_.size(); }
-
  private:
   struct FilterEntry {
     std::string name;

@@ -5,7 +5,6 @@ namespace nvmooc {
 FsBehavior btrfs_behavior() {
   FsBehavior fs;
   fs.name = "BTRFS";
-  fs.block_size = 4 * KiB;
   // The best-performing untuned FS of Figure 7: large CoW extents merge
   // into big bios, and checksum-tree nodes are prefetched asynchronously
   // (no pipeline stall) — at the cost of per-request checksum CPU work

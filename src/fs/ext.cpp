@@ -15,7 +15,6 @@ namespace nvmooc {
 FsBehavior ext2_behavior() {
   FsBehavior fs;
   fs.name = "EXT2";
-  fs.block_size = 4 * KiB;
   // Block-pointer mapping: bios seldom merge past two blocks, and every
   // indirect block (one per 4 MiB of data) is a synchronous 4 KiB read
   // that stalls the stream. The lowest bar of Figure 7a.
@@ -44,7 +43,6 @@ FsBehavior ext3_behavior() {
 FsBehavior ext4_behavior() {
   FsBehavior fs;
   fs.name = "EXT4";
-  fs.block_size = 4 * KiB;
   // Extent mapping: one extent-tree node covers hundreds of megabytes;
   // bios merge to a healthy mid-size.
   fs.max_request = 32 * KiB;

@@ -21,8 +21,9 @@ std::uint64_t mix(std::uint64_t x) {
 }  // namespace
 
 FileSystemModel::FileSystemModel(FsBehavior behavior) : behavior_(std::move(behavior)) {
-  if (behavior_.block_size == Bytes{}) behavior_.block_size = 4 * KiB;
-  behavior_.max_request = std::max(behavior_.max_request, behavior_.block_size);
+  // The cap is at least one 4 KiB block; append_data_requests divides
+  // by it.
+  behavior_.max_request = std::max(behavior_.max_request, 4 * KiB);
 }
 
 void FileSystemModel::mount(Bytes data_extent) {
@@ -72,7 +73,7 @@ Bytes FileSystemModel::map_offset(Bytes logical) const {
 
 void FileSystemModel::append_data_requests(NvmOp op, Bytes device_offset, Bytes size,
                                            std::vector<BlockRequest>& out) {
-  // Split on block boundaries, coalesce up to max_request.
+  // Coalesce up to max_request.
   Bytes cursor = device_offset;
   Bytes remaining = size;
   while (remaining > Bytes{}) {

@@ -22,8 +22,6 @@ namespace nvmooc {
 struct FsBehavior {
   std::string name = "fs";
 
-  /// Allocation/I/O granularity: requests are split on these boundaries.
-  Bytes block_size = 4 * KiB;
   /// Largest request the FS + block layer hands the device after
   /// coalescing (the paper's "artificial limits ... on how large the
   /// coalesced request can be").

@@ -5,7 +5,6 @@ namespace nvmooc {
 FsBehavior gpfs_behavior() {
   FsBehavior fs;
   fs.name = "GPFS";
-  fs.block_size = 256 * KiB;  // GPFS "blocks" are large.
   // What the ION's SSD sees below the NSD server: stripe-sized chunks
   // whose on-device placement interleaves the stripes of many client
   // streams — largely sequential client I/O arrives scrambled (Figure 6,

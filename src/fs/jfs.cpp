@@ -5,7 +5,6 @@ namespace nvmooc {
 FsBehavior jfs_behavior() {
   FsBehavior fs;
   fs.name = "JFS";
-  fs.block_size = 4 * KiB;
   // Extent-capable but with a conservative I/O path: mid-sized merges
   // and B+tree metadata consulted more often than XFS/ext4 on streaming
   // loads.

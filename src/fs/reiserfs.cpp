@@ -5,7 +5,6 @@ namespace nvmooc {
 FsBehavior reiserfs_behavior() {
   FsBehavior fs;
   fs.name = "REISERFS";
-  fs.block_size = 4 * KiB;
   // Single balanced tree for everything: frequent tree-node reads
   // interleave with data and merges stay small; the deep queue of an
   // old-school elevator keeps it just ahead of ext2/ext3.

@@ -5,7 +5,6 @@ namespace nvmooc {
 FsBehavior xfs_behavior() {
   FsBehavior fs;
   fs.name = "XFS";
-  fs.block_size = 4 * KiB;
   // Extent-based B+tree mapping with aggressive contiguous allocation:
   // good merges, sparse metadata, delayed-logging journal. Its queue
   // stays shallower than the ext family's (fewer, larger requests).

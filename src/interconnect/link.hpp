@@ -59,7 +59,6 @@ class DmaEngine {
 
   const LinkConfig& config() const { return config_; }
   const BusyTracker& busy() const { return link_.busy(); }
-  [[nodiscard]] Bytes bytes_moved() const { return bytes_moved_; }
 
   /// Names the link for the instruments ("link.host", ...): its grants
   /// become a trace track and its transfers profiler link segments.
@@ -69,7 +68,6 @@ class DmaEngine {
  private:
   LinkConfig config_;
   Timeline link_;
-  Bytes bytes_moved_;
   /// Live interval count that triggers the next fold.
   std::size_t fold_at_ = kMinFold;
   static constexpr std::size_t kMinFold = 64;

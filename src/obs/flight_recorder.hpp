@@ -65,9 +65,6 @@ class FlightRecorder final : public probe::Subscriber {
   /// A device request completed; its ledger joins the request ring.
   void on_request_close(const probe::RequestClose& request) override;
 
-  [[nodiscard]] std::uint64_t events_seen() const { return events_seen_; }
-  [[nodiscard]] std::uint64_t ledgers_seen() const { return ledgers_seen_; }
-
   /// Oldest-first snapshots of the rings.
   [[nodiscard]] std::vector<FlightEvent> events() const;
   [[nodiscard]] std::vector<PhaseLedger> ledgers() const;

@@ -74,8 +74,6 @@ struct JsonValue {
   std::vector<JsonValue> array;
   std::map<std::string, JsonValue> object;
 
-  bool is_object() const { return kind == Kind::kObject; }
-  bool is_array() const { return kind == Kind::kArray; }
   bool is_number() const { return kind == Kind::kNumber; }
   bool is_string() const { return kind == Kind::kString; }
 

@@ -233,9 +233,7 @@ void MetricsRegistry::on_posix(const probe::Posix& posix) {
   const std::string layer = posix.layer;
   counter(layer + ".requests_in").add();
   counter(layer + ".requests_out").add(posix.device_requests);
-  if (layer == "ufs") {
-    if (posix.device_requests > 1) counter("ufs.extent_splits").add(posix.device_requests - 1);
-  } else if (posix.internal_requests > 0) {
+  if (posix.internal_requests > 0) {
     counter("fs.internal_requests").add(posix.internal_requests);
     counter("fs.internal_bytes").add(posix.internal.value());
   }

@@ -75,7 +75,6 @@ class LogHistogram {
   void record(double value, std::uint64_t weight = 1);
 
   std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
   double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }

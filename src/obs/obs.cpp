@@ -4,7 +4,7 @@ namespace nvmooc::obs {
 
 ObsSession::ObsSession(Options options) {
   if (options.trace) {
-    trace_ = std::make_unique<TraceRecorder>(options.max_trace_events);
+    trace_ = std::make_unique<TraceRecorder>();
   }
   if (options.metrics) {
     metrics_ = std::make_unique<MetricsRegistry>();

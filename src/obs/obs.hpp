@@ -52,7 +52,6 @@ class ObsSession {
     /// attribution, memory accounting, heartbeat.
     bool speed = false;
     double heartbeat_sec = 5.0;
-    std::size_t max_trace_events = 2'000'000;
   };
 
   explicit ObsSession(Options options);
@@ -63,8 +62,6 @@ class ObsSession {
 
   TraceRecorder* trace() { return trace_.get(); }
   MetricsRegistry* metrics() { return metrics_.get(); }
-  Profiler* profile() { return profile_ ? &profile_->profiler() : nullptr; }
-  HostProfiler* host() { return host_ ? &host_->profiler() : nullptr; }
 
  private:
   std::unique_ptr<TraceRecorder> trace_;

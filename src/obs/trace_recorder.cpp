@@ -47,10 +47,9 @@ SpanArg SpanArg::text(std::string key, const std::string& v) {
   return {std::move(key), "\"" + json_escape(v) + "\""};
 }
 
-TraceRecorder::TraceRecorder(std::size_t max_events)
+TraceRecorder::TraceRecorder()
     : probe::Subscriber(probe::bit(probe::Kind::kInterval) | probe::bit(probe::Kind::kReplay) |
                         probe::bit(probe::Kind::kRequest) | probe::bit(probe::Kind::kNote)),
-      max_events_(max_events),
       id_(next_recorder_id()),
       epoch_(wallclock::now_ns()) {}
 
@@ -83,7 +82,7 @@ std::uint32_t TraceRecorder::track(const std::string& name) {
 }
 
 void TraceRecorder::emit(SpanEvent event) {
-  if (event_count_.load(std::memory_order_relaxed) >= max_events_) {
+  if (event_count_.load(std::memory_order_relaxed) >= kMaxEvents) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }

@@ -64,9 +64,11 @@ struct SpanEvent {
 
 class TraceRecorder final : public probe::Subscriber {
  public:
-  /// `max_events` bounds memory on long replays: events beyond it are
-  /// counted but dropped (the drop count rides in the export metadata).
-  explicit TraceRecorder(std::size_t max_events = 2'000'000);
+  /// Bounds memory on long replays: events beyond it are counted but
+  /// dropped (the drop count rides in the export metadata).
+  static constexpr std::size_t kMaxEvents = 2'000'000;
+
+  TraceRecorder();
   ~TraceRecorder();
 
   TraceRecorder(const TraceRecorder&) = delete;
@@ -109,7 +111,6 @@ class TraceRecorder final : public probe::Subscriber {
   Buffer* local_buffer();
   void emit(SpanEvent event);
 
-  const std::size_t max_events_;
   const std::uint64_t id_;  ///< Globally unique; keys the TLS buffer cache.
   /// wallclock::now_ns() at construction (common/wallclock.hpp) — wall
   /// timestamps are relative to recorder creation on the shared

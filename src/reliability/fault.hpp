@@ -98,7 +98,6 @@ class FaultInjector {
   FaultInjector(const FaultConfig& config, NvmType media, std::uint64_t endurance);
 
   const FaultConfig& config() const { return config_; }
-  double base_rber() const { return base_rber_; }
 
   /// Uniform draw for the `attempt`-th sense of the `access`-th read of
   /// physical `unit`. Pure function of (seed, unit, access, attempt).

@@ -6,6 +6,12 @@
 #include "common/probe.hpp"
 
 namespace nvmooc {
+namespace {
+
+/// Cap on cell operations folded into one burst transaction.
+constexpr std::uint32_t kMaxBurstCells = 4096;
+
+}  // namespace
 
 SsdHardware::SsdHardware(const SsdGeometry& geometry, const NvmTiming& timing,
                          const BusConfig& bus, bool backfill)
@@ -60,8 +66,8 @@ void Controller::expand_run(const UnitRun& run, Visit&& visit) const {
   // stream them. This is PCM's row-burst read: it only exists for media
   // with tiny pages — NAND cell activations are full-page commands and
   // never merge.
-  const bool burst = config_.burst_small_pages && run.op != NvmOp::kErase &&
-                     timing.page_size <= Bytes{512} && run.count > positions;
+  const bool burst =
+      run.op != NvmOp::kErase && timing.page_size <= Bytes{512} && run.count > positions;
   if (burst) {
     const std::uint64_t spanned = std::min<std::uint64_t>(run.count, positions);
     Bytes bytes_left = run.bytes;
@@ -76,14 +82,14 @@ void Controller::expand_run(const UnitRun& run, Visit&& visit) const {
       PhysicalAddress burst_address = address;
       while (remaining > 0) {
         const std::uint32_t cells = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(remaining, config_.max_burst_cells));
+            std::min<std::uint64_t>(remaining, kMaxBurstCells));
         const Bytes want = cells * page;
         const Bytes bytes = std::min(bytes_left, want);
         bytes_left -= bytes;
         visit(TxnSpec{run.op, cursor, cells, bytes, burst_address, run.gc});
         cursor += static_cast<std::uint64_t>(cells) * positions;
         remaining -= cells;
-        // Only a position holding more than max_burst_cells of the run's
+        // Only a position holding more than kMaxBurstCells of the run's
         // rows gets a second command, so this map_unit is rare.
         if (remaining > 0) burst_address = geometry.map_unit(cursor, timing);
       }

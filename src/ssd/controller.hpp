@@ -55,10 +55,6 @@ struct ControllerConfig {
   /// PAQ-style out-of-order dispatch: short transfers may backfill holes
   /// in a channel's schedule instead of queueing strictly FIFO.
   bool queue_backfill = true;
-  /// Stream bursts of small PCM lines on one command (row-burst mode).
-  bool burst_small_pages = true;
-  /// Cap on cell operations folded into one burst transaction.
-  std::uint32_t max_burst_cells = 4096;
   /// Controller DRAM write-back cache: a write completes once its data
   /// is in device DRAM (channel transfer done) as long as the dirty
   /// bytes fit; programming drains in the background. 0 disables

@@ -90,8 +90,6 @@ class Ssd {
   SsdHardware& hardware() { return *hardware_; }
   Ftl& ftl() { return *ftl_; }
   const Ftl& ftl() const { return *ftl_; }
-  /// Null unless fault injection is enabled.
-  const FaultInjector* fault_injector() const { return injector_.get(); }
 
  private:
   SsdConfig config_;

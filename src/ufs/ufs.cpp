@@ -2,58 +2,61 @@
 
 #include <stdexcept>
 
-#include "common/probe.hpp"
-
 namespace nvmooc {
+namespace {
 
-UnifiedFileSystem::UnifiedFileSystem(UfsConfig config)
-    : config_(config), store_(config.capacity, config.alignment) {
+/// Extent granularity: one full device stripe row, so the dataset fans
+/// out across all channels from its first byte.
+constexpr Bytes kAlignment = 4 * MiB;
+/// Bytes kept outstanding at the device per stream. The application (via
+/// DOoC prefetching) manages this window itself — far deeper than kernel
+/// readahead.
+constexpr Bytes kWindow = 128 * MiB;
+/// Requests kept in flight (DOoC prefetch depth).
+constexpr std::uint32_t kQueueDepth = 8;
+/// Host cost per request: a handle lookup and a doorbell write; there is
+/// no bio assembly, no page-cache walk, no plug/unplug dance.
+constexpr Time kPerRequestOverhead = 5 * kMicrosecond;
+
+Bytes align_down(Bytes value) { return value / kAlignment * kAlignment; }
+
+}  // namespace
+
+UnifiedFileSystem::UnifiedFileSystem(UfsConfig config) : config_(config) {
   behavior_.name = "UFS";
-  behavior_.block_size = config_.alignment;
   // Effectively unsplit: the only cap is the window itself.
-  behavior_.max_request = config_.window;
-  behavior_.readahead = config_.window;
-  behavior_.queue_depth = config_.queue_depth;
-  behavior_.per_request_overhead = config_.per_request_overhead;
+  behavior_.max_request = kWindow;
+  behavior_.readahead = kWindow;
+  behavior_.queue_depth = kQueueDepth;
+  behavior_.per_request_overhead = kPerRequestOverhead;
   behavior_.metadata_interval = Bytes{};
   behavior_.journal_interval = Bytes{};
 }
 
-ObjectId UnifiedFileSystem::provision_dataset(Bytes size) {
-  const auto id = store_.create(size);
-  if (!id) throw std::runtime_error("UFS: dataset does not fit on device");
-  dataset_ = *id;
-  return dataset_;
-}
-
-std::vector<BlockRequest> UnifiedFileSystem::submit_object(ObjectId id,
-                                                           const PosixRequest& request) {
-  std::vector<BlockRequest> out;
-  if (request.size == Bytes{}) return out;
-  for (const Extent& extent : store_.translate(id, request.offset, request.size)) {
-    BlockRequest device;
-    device.op = request.op;
-    device.offset = extent.offset;
-    device.size = extent.length;
-    // fsync-like POSIX barriers pass through to every extent: UFS has no
-    // journal to order through, so the drain happens at the device queue.
-    device.barrier = request.barrier;
-    out.push_back(device);
+void UnifiedFileSystem::provision_dataset(Bytes size) {
+  if (align_down(size + kAlignment - Bytes{1}) > align_down(config_.capacity)) {
+    throw std::runtime_error("UFS: dataset does not fit on device");
   }
-
-  // An extent split multiplies one application request into several
-  // device requests — worth a breadcrumb when chasing a straggler.
-  if (out.size() > 1) {
-    probe::note(Time{}, "ufs", "extent_split", (request.offset).value(), out.size());
-  }
-  return out;
+  provisioned_ = true;
+  dataset_size_ = size;
 }
 
 std::vector<BlockRequest> UnifiedFileSystem::submit(const PosixRequest& request) {
-  if (dataset_ == 0) {
+  if (!provisioned_) {
     throw std::logic_error("UFS: provision_dataset() must be called before submit()");
   }
-  return submit_object(dataset_, request);
+  if (request.size == Bytes{}) return {};
+  if (request.offset + request.size > dataset_size_) {
+    throw std::out_of_range("UFS: range beyond the dataset");
+  }
+  BlockRequest device;
+  device.op = request.op;
+  device.offset = request.offset;
+  device.size = request.size;
+  // fsync-like POSIX barriers pass through: UFS has no journal to order
+  // through, so the drain happens at the device queue.
+  device.barrier = request.barrier;
+  return {device};
 }
 
 }  // namespace nvmooc

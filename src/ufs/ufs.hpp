@@ -1,70 +1,47 @@
 // The Unified File System — the paper's primary software contribution.
 //
 // UFS replaces both the traditional file system *and* the device-side
-// FTL's request reshaping: the application addresses raw device space
-// through object handles, and requests pass through unsplit, so a
-// multi-megabyte OoC read arrives at the SSD as one request the
-// controller can fan out across every channel, die and plane (PAL4).
-// Allocation policy is host-controlled (the FTL elevated to the host, as
-// Fusion-IO's DFS commercialised), so the host and device cooperate on
+// FTL's request reshaping: the application addresses raw device space,
+// and requests pass through unsplit, so a multi-megabyte OoC read arrives
+// at the SSD as one request the controller can fan out across every
+// channel, die and plane (PAL4). Allocation is host-controlled (the FTL
+// elevated to the host, as Fusion-IO's DFS commercialised): the dataset
+// is one extent from device offset 0, so the host and device cooperate on
 // scheduling instead of fighting through a block-layer abstraction.
 #pragma once
 
-#include <memory>
-
 #include "fs/filesystem.hpp"
-#include "ufs/object_store.hpp"
 
 namespace nvmooc {
 
 struct UfsConfig {
-  /// Device capacity exposed to the allocator.
+  /// Device capacity the dataset extent must fit in.
   Bytes capacity = 1024ULL * GiB;
-  /// Extent alignment — one full device stripe row so every extent start
-  /// fans out across all channels from its first byte.
-  Bytes alignment = 4 * MiB;
-  /// Bytes kept outstanding at the device per stream. The application
-  /// (via DOoC prefetching) manages this window itself — far deeper than
-  /// kernel readahead.
-  Bytes window = 128 * MiB;
-  /// Requests kept in flight (DOoC prefetch depth).
-  std::uint32_t queue_depth = 8;
-  /// Host cost per request: a handle lookup and a doorbell write; there
-  /// is no bio assembly, no page-cache walk, no plug/unplug dance.
-  Time per_request_overhead = 5 * kMicrosecond;
 };
 
-/// UFS as an I/O path for one pre-loaded dataset object, interface-
-/// compatible with the traditional file-system models so the replay
-/// engine treats them uniformly.
+/// UFS as an I/O path for one pre-loaded dataset, interface-compatible
+/// with the traditional file-system models so the replay engine treats
+/// them uniformly.
 class UnifiedFileSystem : public IoPath {
  public:
   explicit UnifiedFileSystem(UfsConfig config = {});
 
-  /// Allocates the dataset object the trace addresses; logical offset 0
-  /// maps to the object's first extent. Returns the handle.
-  ObjectId provision_dataset(Bytes size);
+  /// Places the dataset the trace addresses as one extent at device
+  /// offset 0. Throws std::runtime_error when it does not fit.
+  void provision_dataset(Bytes size);
 
-  /// General object management (the public UFS API).
-  std::optional<ObjectId> create_object(Bytes size) { return store_.create(size); }
-  [[nodiscard]] bool remove_object(ObjectId id) { return store_.remove(id); }
-  const ObjectInfo* object(ObjectId id) const { return store_.find(id); }
-
-  /// Builds the device requests for an object-relative access: one
-  /// request per extent touched — no splitting, no metadata, no journal.
-  std::vector<BlockRequest> submit_object(ObjectId id, const PosixRequest& request);
-
-  /// IoPath: requests address the provisioned dataset object.
+  /// IoPath: the request passes through whole — one device request at
+  /// the same offset, no splitting, no metadata, no journal. Throws
+  /// std::logic_error before provision_dataset() and std::out_of_range
+  /// for a range past the dataset.
   std::vector<BlockRequest> submit(const PosixRequest& request) override;
   const FsBehavior& behavior() const override { return behavior_; }
 
-  const ObjectStore& store() const { return store_; }
-
  private:
   UfsConfig config_;
-  ObjectStore store_;
   FsBehavior behavior_;
-  ObjectId dataset_ = 0;
+  bool provisioned_ = false;
+  Bytes dataset_size_;
 };
 
 }  // namespace nvmooc

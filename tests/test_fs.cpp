@@ -197,7 +197,6 @@ TEST(Presets, AllLocalFilesystemsPresent) {
 
 TEST(Presets, Ext4LargeOpensCoalescing) {
   EXPECT_GT(ext4_large_behavior().max_request, ext4_behavior().max_request);
-  EXPECT_EQ(ext4_large_behavior().block_size, ext4_behavior().block_size);
 }
 
 TEST(Presets, Ext2HasNoJournalExt3Does) {

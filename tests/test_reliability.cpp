@@ -62,10 +62,9 @@ TEST(FaultInjector, RberScalesWithWearAndMediaDefaults) {
   FaultConfig config;
   config.enabled = true;
   const FaultInjector injector(config, NvmType::kTlc, 100'000);
-  EXPECT_DOUBLE_EQ(injector.base_rber(), media_base_rber(NvmType::kTlc));
+  EXPECT_DOUBLE_EQ(injector.effective_rber(0), media_base_rber(NvmType::kTlc));
   EXPECT_GT(media_base_rber(NvmType::kTlc), media_base_rber(NvmType::kSlc));
   EXPECT_GT(injector.effective_rber(50'000), injector.effective_rber(0));
-  EXPECT_DOUBLE_EQ(injector.effective_rber(0), injector.base_rber());
 }
 
 TEST(FaultInjector, StuckDiesAndChannelStalls) {

@@ -639,20 +639,6 @@ class LedgerRecorder final : public probe::Subscriber {
   std::vector<probe::PhaseLedger> ledgers;
 };
 
-/// The I/O path ReplayEngine::run builds for `config`, mounted on `extent`.
-std::unique_ptr<IoPath> mounted_io_path(const ExperimentConfig& config, Bytes extent) {
-  if (config.use_ufs) {
-    UfsConfig ufs_config;
-    ufs_config.capacity = config.geometry.capacity(timing_for(config.media));
-    auto ufs = std::make_unique<UnifiedFileSystem>(ufs_config);
-    ufs->provision_dataset(std::max(extent, Bytes{1}));
-    return ufs;
-  }
-  auto fs = std::make_unique<FileSystemModel>(config.fs);
-  fs->mount(extent);
-  return fs;
-}
-
 /// Replays `trace` on an engine, whose device folds behind the issue
 /// watermark, and on an unfolded twin of that device: a fresh Ssd of the
 /// same configuration whose watermark never advances, fed the same device
@@ -673,7 +659,7 @@ void expect_folded_device_stats_match_four_pass(
 
   Ssd twin(engine.ssd().config());
   twin.preload(trace.extent());
-  const std::unique_ptr<IoPath> path = mounted_io_path(config, trace.extent());
+  const std::unique_ptr<IoPath> path = mount_io_path(config, trace.extent());
   std::size_t next = 0;
   for (const PosixRequest& posix : trace.requests()) {
     for (const BlockRequest& request : path->submit(posix)) {

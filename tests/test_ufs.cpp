@@ -1,145 +1,11 @@
-// Unit + property tests for UFS: extent allocation, object namespace, and
-// the pass-through request path.
+// Unit tests for UFS: the dataset is one extent and requests pass through
+// it whole.
 #include <gtest/gtest.h>
 
-#include "common/random.hpp"
-#include "ufs/extent_allocator.hpp"
-#include "ufs/object_store.hpp"
 #include "ufs/ufs.hpp"
 
 namespace nvmooc {
 namespace {
-
-TEST(ExtentAllocator, SingleExtentWhenSpaceAllows) {
-  ExtentAllocator alloc(GiB, MiB);
-  const auto extents = alloc.allocate(100 * MiB);
-  ASSERT_EQ(extents.size(), 1u);
-  EXPECT_EQ(extents[0].length, 100 * MiB);
-  EXPECT_EQ(alloc.free_bytes(), GiB - 100 * MiB);
-}
-
-TEST(ExtentAllocator, AlignsUp) {
-  ExtentAllocator alloc(GiB, MiB);
-  const auto extents = alloc.allocate(MiB + Bytes{1});
-  ASSERT_EQ(extents.size(), 1u);
-  EXPECT_EQ(extents[0].length, 2 * MiB);
-  EXPECT_EQ(extents[0].offset % MiB, Bytes{0});
-}
-
-TEST(ExtentAllocator, ReleaseMergesNeighbors) {
-  ExtentAllocator alloc(16 * MiB, MiB);
-  const auto a = alloc.allocate(4 * MiB);
-  const auto b = alloc.allocate(4 * MiB);
-  const auto c = alloc.allocate(4 * MiB);
-  ASSERT_EQ(a.size() + b.size() + c.size(), 3u);
-  alloc.release(a[0]);
-  alloc.release(c[0]);
-  // a leaves a hole; c merges with the free tail: two fragments.
-  EXPECT_EQ(alloc.free_fragment_count(), 2u);
-  alloc.release(b[0]);
-  EXPECT_EQ(alloc.free_fragment_count(), 1u);  // All merged.
-  EXPECT_EQ(alloc.free_bytes(), 16 * MiB);
-}
-
-TEST(ExtentAllocator, StitchesFragmentsWhenNeeded) {
-  ExtentAllocator alloc(16 * MiB, MiB);
-  const auto a = alloc.allocate(4 * MiB);
-  const auto b = alloc.allocate(4 * MiB);
-  const auto c = alloc.allocate(8 * MiB);
-  (void)c;
-  alloc.release(a[0]);
-  alloc.release(b[0]);
-  // Free: one merged 8 MiB hole; allocate 6 -> single extent.
-  EXPECT_EQ(alloc.allocate(6 * MiB).size(), 1u);
-  // Remaining 2 MiB; ask for more than the largest hole -> empty.
-  EXPECT_TRUE(alloc.allocate(4 * MiB).empty());
-}
-
-TEST(ExtentAllocator, MultiExtentStitch) {
-  ExtentAllocator alloc(12 * MiB, MiB);
-  const auto a = alloc.allocate(2 * MiB);
-  const auto b = alloc.allocate(2 * MiB);
-  const auto c = alloc.allocate(2 * MiB);
-  const auto d = alloc.allocate(6 * MiB);
-  (void)d;
-  alloc.release(a[0]);
-  alloc.release(c[0]);
-  (void)b;
-  // Two disjoint 2 MiB holes: a 4 MiB request stitches both.
-  const auto stitched = alloc.allocate(4 * MiB);
-  EXPECT_EQ(stitched.size(), 2u);
-  EXPECT_EQ(alloc.free_bytes(), Bytes{0});
-}
-
-TEST(ExtentAllocator, DoubleFreeThrows) {
-  ExtentAllocator alloc(GiB, MiB);
-  const auto a = alloc.allocate(MiB);
-  alloc.release(a[0]);
-  EXPECT_THROW(alloc.release(a[0]), std::logic_error);
-}
-
-TEST(ExtentAllocator, PropertyChurnConservesBytes) {
-  ExtentAllocator alloc(256 * MiB, MiB);
-  Rng rng(99);
-  std::vector<std::vector<Extent>> live;
-  Bytes live_bytes;
-  for (int step = 0; step < 500; ++step) {
-    if (!live.empty() && (rng.next_bool(0.45) || alloc.free_bytes() < 8 * MiB)) {
-      const std::size_t victim = rng.next_below(live.size());
-      for (const Extent& extent : live[victim]) {
-        live_bytes -= extent.length;
-        alloc.release(extent);
-      }
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
-    } else {
-      const Bytes want = (1 + rng.next_below(6)) * MiB;
-      auto got = alloc.allocate(want);
-      if (!got.empty()) {
-        for (const Extent& extent : got) live_bytes += extent.length;
-        live.push_back(std::move(got));
-      }
-    }
-    EXPECT_EQ(alloc.free_bytes() + live_bytes, 256 * MiB);
-  }
-}
-
-// ---------- object store ----------------------------------------------------
-
-TEST(ObjectStore, CreateFindRemove) {
-  ObjectStore store(GiB, MiB);
-  const auto id = store.create(10 * MiB);
-  ASSERT_TRUE(id.has_value());
-  const ObjectInfo* info = store.find(*id);
-  ASSERT_NE(info, nullptr);
-  EXPECT_EQ(info->size, 10 * MiB);
-  EXPECT_TRUE(store.remove(*id));
-  EXPECT_EQ(store.find(*id), nullptr);
-  EXPECT_FALSE(store.remove(*id));
-}
-
-TEST(ObjectStore, CreateFailsWhenFull) {
-  ObjectStore store(8 * MiB, MiB);
-  EXPECT_TRUE(store.create(8 * MiB).has_value());
-  EXPECT_FALSE(store.create(MiB).has_value());
-}
-
-TEST(ObjectStore, TranslateWalksExtents) {
-  ObjectStore store(GiB, MiB);
-  const auto id = store.create(10 * MiB);
-  const auto ranges = store.translate(*id, 3 * MiB + Bytes{5}, 2 * MiB);
-  Bytes total;
-  for (const Extent& e : ranges) total += e.length;
-  EXPECT_EQ(total, 2 * MiB);
-}
-
-TEST(ObjectStore, TranslateBeyondObjectThrows) {
-  ObjectStore store(GiB, MiB);
-  const auto id = store.create(MiB);
-  EXPECT_THROW(store.translate(*id, 512 * KiB, MiB), std::out_of_range);
-  EXPECT_THROW(store.translate(12345, Bytes{}, Bytes{1}), std::out_of_range);
-}
-
-// ---------- UFS --------------------------------------------------------------
 
 TEST(Ufs, PassThroughKeepsRequestWhole) {
   UfsConfig config;
@@ -153,9 +19,38 @@ TEST(Ufs, PassThroughKeepsRequestWhole) {
   EXPECT_FALSE(out[0].barrier);
 }
 
+TEST(Ufs, RequestAcrossWindowBoundaryStaysWhole) {
+  // 120 MiB + 16 MiB crosses the 128 MiB window: still one request, at
+  // the same device offset (the dataset extent starts at 0).
+  UnifiedFileSystem ufs;
+  ufs.provision_dataset(GiB);
+  const auto out = ufs.submit({NvmOp::kWrite, 120 * MiB, 16 * MiB, Time{}});
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].op, NvmOp::kWrite);
+  EXPECT_EQ(out[0].offset, 120 * MiB);
+  EXPECT_EQ(out[0].size, 16 * MiB);
+}
+
+TEST(Ufs, BarrierPassesThrough) {
+  UnifiedFileSystem ufs;
+  ufs.provision_dataset(64 * MiB);
+  PosixRequest request{NvmOp::kWrite, 8 * MiB, 4 * MiB, Time{}};
+  request.barrier = true;
+  const auto out = ufs.submit(request);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_TRUE(out[0].barrier);
+}
+
 TEST(Ufs, SubmitWithoutDatasetThrows) {
   UnifiedFileSystem ufs;
   EXPECT_THROW(ufs.submit({NvmOp::kRead, Bytes{}, 4 * KiB, Time{}}), std::logic_error);
+}
+
+TEST(Ufs, RangePastDatasetThrows) {
+  UnifiedFileSystem ufs;
+  ufs.provision_dataset(MiB);
+  EXPECT_NO_THROW(ufs.submit({NvmOp::kRead, 512 * KiB, 512 * KiB, Time{}}));
+  EXPECT_THROW(ufs.submit({NvmOp::kRead, 512 * KiB, MiB, Time{}}), std::out_of_range);
 }
 
 TEST(Ufs, BehaviorHasNoOverheadTraffic) {
@@ -168,42 +63,22 @@ TEST(Ufs, BehaviorHasNoOverheadTraffic) {
   EXPECT_GE(ufs.behavior().max_request, 16 * MiB);
 }
 
-TEST(Ufs, ObjectApiAllocatesAndFrees) {
-  UfsConfig config;
-  config.capacity = GiB;
-  UnifiedFileSystem ufs(config);
-  const auto a = ufs.create_object(100 * MiB);
-  ASSERT_TRUE(a.has_value());
-  const auto out = ufs.submit_object(*a, {NvmOp::kWrite, Bytes{}, 4 * MiB, Time{}});
-  ASSERT_FALSE(out.empty());
-  EXPECT_TRUE(ufs.remove_object(*a));
-}
-
-TEST(Ufs, FragmentedObjectSplitsOnExtentBoundariesOnly) {
-  UfsConfig config;
-  config.capacity = 64 * MiB;
-  config.alignment = 4 * MiB;
-  UnifiedFileSystem ufs(config);
-  // Fragment free space: a(8) b(8) c(8) d(8) ... then free a and c.
-  const auto a = ufs.create_object(8 * MiB);
-  const auto b = ufs.create_object(8 * MiB);
-  const auto c = ufs.create_object(8 * MiB);
-  const auto d = ufs.create_object(40 * MiB);
-  ASSERT_TRUE(a && b && c && d);
-  ASSERT_TRUE(ufs.remove_object(*a));
-  ASSERT_TRUE(ufs.remove_object(*c));
-  const auto e = ufs.create_object(16 * MiB);  // Must stitch two 8 MiB holes.
-  ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(ufs.object(*e)->extents.size(), 2u);
-  const auto out = ufs.submit_object(*e, {NvmOp::kRead, Bytes{}, 16 * MiB, Time{}});
-  EXPECT_EQ(out.size(), 2u);  // One request per extent — still huge pieces.
-}
-
 TEST(Ufs, DatasetLargerThanDeviceThrows) {
   UfsConfig config;
   config.capacity = 16 * MiB;
   UnifiedFileSystem ufs(config);
   EXPECT_THROW(ufs.provision_dataset(GiB), std::runtime_error);
+}
+
+TEST(Ufs, DatasetFillsDeviceExactly) {
+  // The dataset is rounded up to 4 MiB extents: 16 MiB fits a 16 MiB
+  // device, one byte more needs a fifth extent.
+  UfsConfig config;
+  config.capacity = 16 * MiB;
+  UnifiedFileSystem fits(config);
+  EXPECT_NO_THROW(fits.provision_dataset(16 * MiB));
+  UnifiedFileSystem overflows(config);
+  EXPECT_THROW(overflows.provision_dataset(16 * MiB + Bytes{1}), std::runtime_error);
 }
 
 }  // namespace
