@@ -4,8 +4,6 @@
 // OoC stream into scattered extents. This bench sweeps the fragmentation
 // probability on ext4 to show how aging erodes the CNL advantage — and
 // that UFS's extent-allocated objects are immune by construction.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 #include "common/string_util.hpp"
 #include "fs/presets.hpp"
@@ -24,44 +22,38 @@ ExperimentConfig aged_ext4(NvmType media, double fragmentation) {
   return cnl_fs_config(fs, media);
 }
 
-void BM_AgedExt4L(benchmark::State& state) {
-  const double fragmentation = static_cast<double>(state.range(0)) / 100.0;
-  for (auto _ : state) {
-    const ExperimentResult result =
-        run_experiment(aged_ext4(NvmType::kTlc, fragmentation), standard_trace());
-    benchmark::DoNotOptimize(result.makespan);
-    state.counters["achieved_MBps"] = result.achieved_mbps;
-  }
+/// Achieved MB/s of a cell, "-" when it did not run.
+std::string mbps(const ExperimentResult* result) {
+  return result ? format("%.0f", result->achieved_mbps) : "-";
 }
-BENCHMARK(BM_AgedExt4L)->Arg(0)->Arg(25)->Arg(50)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  std::printf("\n== Ablation: file-system aging (achieved MB/s on TLC / SLC) ==\n");
-  Table table({"Fragmentation", "EXT4-L TLC", "EXT4-L SLC", "UFS TLC (reference)"});
-  const double ufs_tlc =
-      run_experiment(cnl_ufs_config(NvmType::kTlc), standard_trace()).achieved_mbps;
+  Bench bench(argc, argv, Flags::kInstruments);
+  const ExperimentConfig ufs = cnl_ufs_config(NvmType::kTlc);
+  std::vector<ExperimentConfig> configs = {ufs};
   for (double fragmentation : kFragmentation) {
-    const double tlc =
-        run_experiment(aged_ext4(NvmType::kTlc, fragmentation), standard_trace())
-            .achieved_mbps;
-    const double slc =
-        run_experiment(aged_ext4(NvmType::kSlc, fragmentation), standard_trace())
-            .achieved_mbps;
-    table.add_row({format("%.0f%%", fragmentation * 100.0), format("%.0f", tlc),
-                   format("%.0f", slc), format("%.0f", ufs_tlc)});
+    configs.push_back(aged_ext4(NvmType::kTlc, fragmentation));
+    configs.push_back(aged_ext4(NvmType::kSlc, fragmentation));
   }
-  table.print();
-  std::printf(
-      "\nAn SSD has no seek penalty, so the damage is purely broken request merging\n"
-      "— which is exactly what hurts NAND (TLC loses ~3x by 50%% aging) while SLC's\n"
-      "fast pages shrug it off. UFS's pre-allocated extents never age at all: the\n"
-      "EXT4-L advantage over stock EXT4 evaporates on an aged volume, the UFS\n"
-      "advantage does not.\n");
-  return 0;
+  bench.register_cells(configs, standard_trace());
+  return bench.finish([&] {
+    std::printf("\n== Ablation: file-system aging (achieved MB/s on TLC / SLC) ==\n");
+    Table table({"Fragmentation", "EXT4-L TLC", "EXT4-L SLC", "UFS TLC (reference)"});
+    const std::string ufs_tlc = mbps(bench.find(ufs.name, ufs.media));
+    for (double fragmentation : kFragmentation) {
+      const std::string name = aged_ext4(NvmType::kTlc, fragmentation).name;
+      table.add_row({format("%.0f%%", fragmentation * 100.0),
+                     mbps(bench.find(name, NvmType::kTlc)),
+                     mbps(bench.find(name, NvmType::kSlc)), ufs_tlc});
+    }
+    table.print();
+    std::printf(
+        "\nAn SSD has no seek penalty, so the damage is purely broken request merging\n"
+        "— which is exactly what hurts NAND (TLC loses ~3x by 50%% aging) while SLC's\n"
+        "fast pages shrug it off. UFS's pre-allocated extents never age at all: the\n"
+        "EXT4-L advantage over stock EXT4 evaporates on an aged volume, the UFS\n"
+        "advantage does not.\n");
+  });
 }

@@ -28,31 +28,7 @@ ExperimentConfig make_config(AllocationPolicy policy, Bytes request) {
   return config;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-
-  // Per-request-size traces: same total volume, different granularity.
-  SIM_SHARD_SHARED("built on the main thread before benchmarks register; read-only while workers replay")
-  static std::map<Bytes, Trace> traces;
-  for (Bytes size : kSizes) traces[size] = sequential_read_trace(256 * MiB, size);
-
-  for (AllocationPolicy policy : kPolicies) {
-    for (Bytes size : kSizes) {
-      const ExperimentConfig config = make_config(policy, size);
-      const Trace& trace = traces[size];
-      benchmark::RegisterBenchmark(config.name.c_str(),
-                                   [config, &trace](benchmark::State& state) {
-                                     run_config_benchmark(state, config, trace);
-                                   })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
-    }
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
+void print_table(const Bench& bench) {
   std::printf("\n== Ablation: allocation policy x request size, TLC (MB/s | dominant PAL) ==\n");
   std::vector<std::string> header = {"Policy"};
   for (Bytes size : kSizes) header.emplace_back(human_bytes(size.value()));
@@ -60,8 +36,7 @@ int main(int argc, char** argv) {
   for (AllocationPolicy policy : kPolicies) {
     std::vector<std::string> row = {std::string(to_string(policy))};
     for (Bytes size : kSizes) {
-      const ExperimentResult* result =
-          board().find(config_name(policy, size), NvmType::kTlc);
+      const ExperimentResult* result = bench.find(config_name(policy, size), NvmType::kTlc);
       if (!result) {
         row.emplace_back("-");
         continue;
@@ -78,5 +53,17 @@ int main(int argc, char** argv) {
   std::printf(
       "\nchannel-first policies fan small requests across channels immediately;\n"
       "die-first starves channel parallelism until requests grow large.\n");
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Bench bench(argc, argv, Flags::kInstruments);
+  // Per-request-size traces: same total volume, different granularity.
+  std::map<Bytes, Trace> traces;
+  for (Bytes size : kSizes) traces[size] = sequential_read_trace(256 * MiB, size);
+  for (AllocationPolicy policy : kPolicies) {
+    for (Bytes size : kSizes) bench.register_cells({make_config(policy, size)}, traces[size]);
+  }
+  return bench.finish([&] { print_table(bench); });
 }

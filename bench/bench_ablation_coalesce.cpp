@@ -26,36 +26,29 @@ ExperimentConfig ext4_with_cap(NvmType media, Bytes cap) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
+  Bench bench(argc, argv, Flags::kInstruments);
+  std::vector<ExperimentConfig> configs;
   for (Bytes cap : kCaps) {
     for (NvmType media : {NvmType::kTlc, NvmType::kSlc, NvmType::kPcm}) {
-      const ExperimentConfig config = ext4_with_cap(media, cap);
-      const std::string name = config.name + "/" + std::string(to_string(media));
-      benchmark::RegisterBenchmark(name.c_str(),
-                                   [config](benchmark::State& state) {
-                                     run_config_benchmark(state, config, standard_trace());
-                                   })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
+      configs.push_back(ext4_with_cap(media, cap));
     }
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  std::printf("\n== Ablation: block-layer coalescing cap on EXT4 (achieved MB/s) ==\n");
-  Table table({"max_request", "TLC", "SLC", "PCM"});
-  for (Bytes cap : kCaps) {
-    const std::string name = "CNL-EXT4-CAP-" + std::string(human_bytes(cap.value()));
-    std::vector<double> row;
-    for (NvmType media : {NvmType::kTlc, NvmType::kSlc, NvmType::kPcm}) {
-      const ExperimentResult* result = board().find(name, media);
-      row.push_back(result ? result->achieved_mbps : 0.0);
+  bench.register_cells(configs, standard_trace());
+  return bench.finish([&] {
+    std::printf("\n== Ablation: block-layer coalescing cap on EXT4 (achieved MB/s) ==\n");
+    Table table({"max_request", "TLC", "SLC", "PCM"});
+    for (Bytes cap : kCaps) {
+      const std::string name = "CNL-EXT4-CAP-" + std::string(human_bytes(cap.value()));
+      std::vector<double> row;
+      for (NvmType media : {NvmType::kTlc, NvmType::kSlc, NvmType::kPcm}) {
+        const ExperimentResult* result = bench.find(name, media);
+        row.push_back(result ? result->achieved_mbps : 0.0);
+      }
+      table.add_row_numeric(std::string(human_bytes(cap.value())), row, 0);
     }
-    table.add_row_numeric(std::string(human_bytes(cap.value())), row, 0);
-  }
-  table.print();
-  std::printf(
-      "\nThe EXT4 -> EXT4-L jump of Figure 7a is this curve: NAND gains steeply with\n"
-      "request size (more dies per request); PCM is already interface-bound.\n");
-  return 0;
+    table.print();
+    std::printf(
+        "\nThe EXT4 -> EXT4-L jump of Figure 7a is this curve: NAND gains steeply with\n"
+        "request size (more dies per request); PCM is already interface-bound.\n");
+  });
 }

@@ -4,8 +4,6 @@
 // retry latency for zero data loss, and past the ECC operating point the
 // device sheds capacity and leans on the ION replica — the effective
 // (device-delivered) bandwidth falls away from the achieved number.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 #include "ooc/workload.hpp"
 
@@ -37,58 +35,44 @@ ExperimentConfig with_faults(double rber, std::uint32_t ladder) {
   return config;
 }
 
-void BM_FaultSweep(benchmark::State& state) {
-  const double rber = kRbers[state.range(0)];
-  const std::uint32_t ladder = kLadders[state.range(1)];
-  static const Trace trace = fault_trace();
-  for (auto _ : state) {
-    const ExperimentResult result = run_experiment(with_faults(rber, ladder), trace);
-    benchmark::DoNotOptimize(result.makespan);
-    state.counters["achieved_MBps"] = result.achieved_mbps;
-    state.counters["effective_MBps"] = result.reliability.effective_mbps;
-    state.counters["retries"] = static_cast<double>(result.reliability.read_retries);
-    state.counters["uncorrectable"] =
-        static_cast<double>(result.reliability.uncorrectable_reads);
-  }
-}
-BENCHMARK(BM_FaultSweep)
-    ->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1, 2, 3}})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  static const Trace trace = fault_trace();
-  std::printf("\n== Ablation: RBER x retry-ladder depth, CNL-UFS SLC ==\n");
-  std::printf("Each cell: effective MB/s (device-delivered; replica-recovered bytes"
-              " excluded).\n");
-  std::vector<std::string> header = {"RBER"};
-  for (std::uint32_t ladder : kLadders) {
-    header.push_back("ladder=" + std::to_string(ladder));
-  }
-  Table table(header);
+  Bench bench(argc, argv, Flags::kInstruments);
+  const Trace trace = fault_trace();
+  std::vector<ExperimentConfig> configs;
   for (double rber : kRbers) {
-    std::vector<double> row;
-    for (std::uint32_t ladder : kLadders) {
-      const ExperimentResult result = run_experiment(with_faults(rber, ladder), trace);
-      row.push_back(result.reliability.aborted ? 0.0
-                                               : result.reliability.effective_mbps);
-    }
-    char label[32];
-    std::snprintf(label, sizeof(label), "%.1e", rber);
-    table.add_row_numeric(label, row, 0);
+    for (std::uint32_t ladder : kLadders) configs.push_back(with_faults(rber, ladder));
   }
-  table.print();
-  std::printf(
-      "\nA deeper ladder converts uncorrectable losses into retry latency: at\n"
-      "mid RBER the ladder=0 column collapses onto the replica (or aborts)\n"
-      "while ladder>=2 keeps the device delivering at ~15%% retry overhead.\n"
-      "With injection off (rber 0) every column matches the clean replay\n"
-      "exactly.\n");
-  return 0;
+  bench.register_cells(configs, trace);
+  return bench.finish([&] {
+    std::printf("\n== Ablation: RBER x retry-ladder depth, CNL-UFS SLC ==\n");
+    std::printf("Each cell: effective MB/s (device-delivered; replica-recovered bytes"
+                " excluded).\n");
+    std::vector<std::string> header = {"RBER"};
+    for (std::uint32_t ladder : kLadders) {
+      header.push_back("ladder=" + std::to_string(ladder));
+    }
+    Table table(header);
+    for (double rber : kRbers) {
+      std::vector<double> row;
+      for (std::uint32_t ladder : kLadders) {
+        const ExperimentResult* result =
+            bench.find(with_faults(rber, ladder).name, NvmType::kSlc);
+        row.push_back(result == nullptr || result->reliability.aborted
+                          ? 0.0
+                          : result->reliability.effective_mbps);
+      }
+      char label[32];
+      std::snprintf(label, sizeof(label), "%.1e", rber);
+      table.add_row_numeric(label, row, 0);
+    }
+    table.print();
+    std::printf(
+        "\nA deeper ladder converts uncorrectable losses into retry latency: at\n"
+        "mid RBER the ladder=0 column collapses onto the replica (or aborts)\n"
+        "while ladder>=2 keeps the device delivering at ~15%% retry overhead.\n"
+        "With injection off (rber 0) every column matches the clean replay\n"
+        "exactly.\n");
+  });
 }

@@ -4,7 +4,7 @@
 // 3.1). The paper argues the cost is hidden by overlap; this bench makes
 // the worst case explicit: if the pre-load is NOT overlapped, after how
 // many solver sweeps does CNL still beat ION-GPFS? (The crossover.)
-#include <benchmark/benchmark.h>
+#include <map>
 
 #include "bench_common.hpp"
 #include "common/string_util.hpp"
@@ -45,45 +45,49 @@ Time preload_cost(NvmType media) {
   return std::max(network_time, last);  // Copy pipeline: max of the legs.
 }
 
-void BM_PreloadCost(benchmark::State& state) {
-  const NvmType media = static_cast<NvmType>(state.range(0));
-  for (auto _ : state) {
-    const Time cost = preload_cost(media);
-    benchmark::DoNotOptimize(cost);
-    state.counters["preload_ms"] = static_cast<double>(cost) / static_cast<double>(kMillisecond);
-  }
-}
-BENCHMARK(BM_PreloadCost)->DenseRange(0, 3)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  std::printf("\n== Ablation: un-overlapped pre-load amortisation (256 MiB dataset) ==\n");
-  Table table({"Media", "Preload (ms)", "ION 1-sweep (ms)", "CNL 1-sweep (ms)",
-               "Crossover (sweeps)"});
+  Bench bench(argc, argv, Flags::kInstruments);
+  const Trace one_sweep = sweeps_trace(1);
+  std::map<NvmType, Time> preload;
   for (NvmType media : all_media()) {
-    const Time preload = preload_cost(media);
-    const ExperimentResult ion1 = run_experiment(ion_gpfs_config(media), sweeps_trace(1));
-    const ExperimentResult cnl1 = run_experiment(cnl_ufs_config(media), sweeps_trace(1));
-    // Crossover: smallest k with preload + k * cnl_sweep < k * ion_sweep.
-    const double ion_ms = static_cast<double>(ion1.makespan) / static_cast<double>(kMillisecond);
-    const double cnl_ms = static_cast<double>(cnl1.makespan) / static_cast<double>(kMillisecond);
-    const double preload_ms = static_cast<double>(preload) / static_cast<double>(kMillisecond);
-    std::string crossover = "never";
-    if (ion_ms > cnl_ms) {
-      crossover = format("%.1f", preload_ms / (ion_ms - cnl_ms));
-    }
-    table.add_row({std::string(to_string(media)), format("%.0f", preload_ms),
-                   format("%.0f", ion_ms), format("%.0f", cnl_ms), crossover});
+    register_point("preload/" + std::string(to_string(media)),
+                   [&preload, media](benchmark::State& state) {
+                     const Time cost = preload_cost(media);
+                     preload[media] = cost;
+                     state.counters["preload_ms"] =
+                         static_cast<double>(cost) / static_cast<double>(kMillisecond);
+                   });
+    bench.register_cells({ion_gpfs_config(media), cnl_ufs_config(media)}, one_sweep);
   }
-  table.print();
-  std::printf(
-      "\nLOBPCG runs tens-to-hundreds of sweeps, so even a fully serial pre-load\n"
-      "amortises within the first few iterations — and the paper overlaps it with\n"
-      "the previous job entirely.\n");
-  return 0;
+  return bench.finish([&] {
+    std::printf("\n== Ablation: un-overlapped pre-load amortisation (256 MiB dataset) ==\n");
+    Table table({"Media", "Preload (ms)", "ION 1-sweep (ms)", "CNL 1-sweep (ms)",
+                 "Crossover (sweeps)"});
+    for (NvmType media : all_media()) {
+      const auto cost = preload.find(media);
+      const ExperimentResult* ion1 = bench.find(ion_gpfs_config(media).name, media);
+      const ExperimentResult* cnl1 = bench.find(cnl_ufs_config(media).name, media);
+      if (cost == preload.end() || ion1 == nullptr || cnl1 == nullptr) continue;
+      // Crossover: smallest k with preload + k * cnl_sweep < k * ion_sweep.
+      const double ion_ms =
+          static_cast<double>(ion1->makespan) / static_cast<double>(kMillisecond);
+      const double cnl_ms =
+          static_cast<double>(cnl1->makespan) / static_cast<double>(kMillisecond);
+      const double preload_ms =
+          static_cast<double>(cost->second) / static_cast<double>(kMillisecond);
+      std::string crossover = "never";
+      if (ion_ms > cnl_ms) {
+        crossover = format("%.1f", preload_ms / (ion_ms - cnl_ms));
+      }
+      table.add_row({std::string(to_string(media)), format("%.0f", preload_ms),
+                     format("%.0f", ion_ms), format("%.0f", cnl_ms), crossover});
+    }
+    table.print();
+    std::printf(
+        "\nLOBPCG runs tens-to-hundreds of sweeps, so even a fully serial pre-load\n"
+        "amortises within the first few iterations — and the paper overlaps it with\n"
+        "the previous job entirely.\n");
+  });
 }

@@ -20,42 +20,33 @@ ExperimentConfig with_backfill(ExperimentConfig config, bool on) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
+  Bench bench(argc, argv, Flags::kInstruments);
   std::vector<ExperimentConfig> bases;
   for (NvmType media : {NvmType::kTlc, NvmType::kPcm}) {
     bases.push_back(cnl_fs_config(ext4_behavior(), media));
     bases.push_back(cnl_fs_config(ext2_behavior(), media));
     bases.push_back(cnl_ufs_config(media));
   }
+  std::vector<ExperimentConfig> configs;
   for (const ExperimentConfig& base : bases) {
-    for (bool on : {false, true}) {
-      const ExperimentConfig config = with_backfill(base, on);
-      const std::string name = config.name + "/" + std::string(to_string(config.media));
-      benchmark::RegisterBenchmark(name.c_str(),
-                                   [config](benchmark::State& state) {
-                                     run_config_benchmark(state, config, standard_trace());
-                                   })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
+    for (bool on : {false, true}) configs.push_back(with_backfill(base, on));
+  }
+  bench.register_cells(configs, standard_trace());
+  return bench.finish([&] {
+    std::printf("\n== Ablation: out-of-order dispatch (PAQ) vs strict FIFO (MB/s) ==\n");
+    Table table({"Configuration", "Media", "FIFO", "PAQ", "gain"});
+    for (const ExperimentConfig& base : bases) {
+      const ExperimentResult* fifo = bench.find(base.name + "-FIFO", base.media);
+      const ExperimentResult* paq = bench.find(base.name + "+PAQ", base.media);
+      if (!fifo || !paq) continue;
+      table.add_row({base.name, std::string(to_string(base.media)),
+                     format("%.0f", fifo->achieved_mbps), format("%.0f", paq->achieved_mbps),
+                     format("%+.1f%%",
+                            100.0 * (paq->achieved_mbps / fifo->achieved_mbps - 1.0))});
     }
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  std::printf("\n== Ablation: out-of-order dispatch (PAQ) vs strict FIFO (MB/s) ==\n");
-  Table table({"Configuration", "Media", "FIFO", "PAQ", "gain"});
-  for (const ExperimentConfig& base : bases) {
-    const ExperimentResult* fifo = board().find(base.name + "-FIFO", base.media);
-    const ExperimentResult* paq = board().find(base.name + "+PAQ", base.media);
-    if (!fifo || !paq) continue;
-    table.add_row({base.name, std::string(to_string(base.media)),
-                   format("%.0f", fifo->achieved_mbps), format("%.0f", paq->achieved_mbps),
-                   format("%+.1f%%",
-                          100.0 * (paq->achieved_mbps / fifo->achieved_mbps - 1.0))});
-  }
-  table.print();
-  std::printf(
-      "\nBackfill matters most when small metadata reads contend with streaming data\n"
-      "(traditional FS); UFS's uniform large requests leave few holes to fill.\n");
-  return 0;
+    table.print();
+    std::printf(
+        "\nBackfill matters most when small metadata reads contend with streaming data\n"
+        "(traditional FS); UFS's uniform large requests leave few holes to fill.\n");
+  });
 }

@@ -24,36 +24,29 @@ const Bytes kStripes[] = {64 * KiB, 128 * KiB, 256 * KiB, 512 * KiB, 1 * MiB};
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
+  Bench bench(argc, argv, Flags::kInstruments);
+  std::vector<ExperimentConfig> configs;
   for (Bytes stripe : kStripes) {
     for (NvmType media : {NvmType::kTlc, NvmType::kSlc}) {
-      const ExperimentConfig config = ion_with_stripe(media, stripe);
-      const std::string name = config.name + "/" + std::string(to_string(media));
-      benchmark::RegisterBenchmark(name.c_str(),
-                                   [config](benchmark::State& state) {
-                                     run_config_benchmark(state, config, standard_trace());
-                                   })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
+      configs.push_back(ion_with_stripe(media, stripe));
     }
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  std::printf("\n== Ablation: GPFS stripe size (achieved MB/s) ==\n");
-  Table table({"Stripe", "TLC", "SLC", "TLC PAL4 %"});
-  for (Bytes stripe : kStripes) {
-    const std::string name = "ION-GPFS-" + std::string(human_bytes(stripe.value()));
-    const ExperimentResult* tlc = board().find(name, NvmType::kTlc);
-    const ExperimentResult* slc = board().find(name, NvmType::kSlc);
-    if (!tlc || !slc) continue;
-    table.add_row({std::string(human_bytes(stripe.value())), format("%.0f", tlc->achieved_mbps),
-                   format("%.0f", slc->achieved_mbps),
-                   format("%.0f", 100.0 * tlc->pal_fraction[3])});
-  }
-  table.print();
-  std::printf(
-      "\nLarger stripes recover device parallelism (PAL4 share rises), but the\n"
-      "network keeps the achieved bandwidth pinned — 'only to limited extents'.\n");
-  return 0;
+  bench.register_cells(configs, standard_trace());
+  return bench.finish([&] {
+    std::printf("\n== Ablation: GPFS stripe size (achieved MB/s) ==\n");
+    Table table({"Stripe", "TLC", "SLC", "TLC PAL4 %"});
+    for (Bytes stripe : kStripes) {
+      const std::string name = "ION-GPFS-" + std::string(human_bytes(stripe.value()));
+      const ExperimentResult* tlc = bench.find(name, NvmType::kTlc);
+      const ExperimentResult* slc = bench.find(name, NvmType::kSlc);
+      if (!tlc || !slc) continue;
+      table.add_row({std::string(human_bytes(stripe.value())),
+                     format("%.0f", tlc->achieved_mbps), format("%.0f", slc->achieved_mbps),
+                     format("%.0f", 100.0 * tlc->pal_fraction[3])});
+    }
+    table.print();
+    std::printf(
+        "\nLarger stripes recover device parallelism (PAL4 share rises), but the\n"
+        "network keeps the achieved bandwidth pinned — 'only to limited extents'.\n");
+  });
 }

@@ -3,8 +3,6 @@
 // checkpoints hit TLC's brutal 440-6000 us programs head-on. This bench
 // sweeps the device write buffer on a checkpoint-heavy variant of the
 // workload to show what a write-back cache buys each medium.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 #include "common/string_util.hpp"
 #include "fs/presets.hpp"
@@ -33,42 +31,34 @@ ExperimentConfig with_buffer(NvmType media, Bytes buffer) {
   return config;
 }
 
-void BM_WriteCache(benchmark::State& state) {
-  const Bytes buffer = state.range(0) * MiB;
-  static const Trace trace = checkpoint_heavy_trace();
-  for (auto _ : state) {
-    const ExperimentResult result =
-        run_experiment(with_buffer(NvmType::kTlc, buffer), trace);
-    benchmark::DoNotOptimize(result.makespan);
-    state.counters["achieved_MBps"] = result.achieved_mbps;
-  }
-}
-BENCHMARK(BM_WriteCache)->Arg(0)->Arg(4)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  static const Trace trace = checkpoint_heavy_trace();
-  std::printf("\n== Ablation: controller write-back cache, checkpoint-heavy OoC (MB/s) ==\n");
-  std::vector<std::string> header = {"Media"};
-  for (Bytes buffer : kBuffers) {
-    header.emplace_back(buffer != Bytes{} ? human_bytes(buffer.value()) : "write-through");
-  }
-  Table table(header);
+  Bench bench(argc, argv, Flags::kInstruments);
+  const Trace trace = checkpoint_heavy_trace();
+  std::vector<ExperimentConfig> configs;
   for (NvmType media : all_media()) {
-    std::vector<double> row;
-    for (Bytes buffer : kBuffers) {
-      row.push_back(run_experiment(with_buffer(media, buffer), trace).achieved_mbps);
-    }
-    table.add_row_numeric(std::string(to_string(media)), row, 0);
+    for (Bytes buffer : kBuffers) configs.push_back(with_buffer(media, buffer));
   }
-  table.print();
-  std::printf(
-      "\nThe cache hides program latency behind checkpoints — largest for TLC and\n"
-      "PCM (slow writes), negligible once the buffer covers a whole checkpoint.\n");
-  return 0;
+  bench.register_cells(configs, trace);
+  return bench.finish([&] {
+    std::printf("\n== Ablation: controller write-back cache, checkpoint-heavy OoC (MB/s) ==\n");
+    std::vector<std::string> header = {"Media"};
+    for (Bytes buffer : kBuffers) {
+      header.emplace_back(buffer != Bytes{} ? human_bytes(buffer.value()) : "write-through");
+    }
+    Table table(header);
+    for (NvmType media : all_media()) {
+      std::vector<double> row;
+      for (Bytes buffer : kBuffers) {
+        const ExperimentResult* result = bench.find(with_buffer(media, buffer).name, media);
+        row.push_back(result ? result->achieved_mbps : 0.0);
+      }
+      table.add_row_numeric(std::string(to_string(media)), row, 0);
+    }
+    table.print();
+    std::printf(
+        "\nThe cache hides program latency behind checkpoints — largest for TLC and\n"
+        "PCM (slow writes), negligible once the buffer covers a whole checkpoint.\n");
+  });
 }

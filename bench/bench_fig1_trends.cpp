@@ -3,12 +3,10 @@
 //
 // Prints the historical points, the model-derived future expectations, and
 // the fitted doubling periods that quantify "NVM is outpacing networks".
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 
+#include "bench_common.hpp"
 #include "common/string_util.hpp"
-#include "common/table.hpp"
 #include "interconnect/trends.hpp"
 
 namespace {
@@ -40,13 +38,8 @@ void BM_DoublingPeriodFit(benchmark::State& state) {
 }
 BENCHMARK(BM_DoublingPeriodFit);
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
+/// Prints the trend table and the fitted doubling periods.
+void report() {
   auto points = nvmooc::historical_trend_points();
   const auto projected = nvmooc::projected_trend_points();
   points.insert(points.end(), projected.begin(), projected.end());
@@ -69,5 +62,11 @@ int main(int argc, char** argv) {
       "years — NVM bandwidth outpaces point-to-point network capacity (the paper's\n"
       "motivating claim).\n",
       network_years, flash_years);
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  nvmooc::bench::Bench bench(argc, argv, nvmooc::bench::Flags::kNone);
+  return bench.finish(report);
 }

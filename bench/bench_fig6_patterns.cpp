@@ -6,12 +6,11 @@
 // Captures a real LOBPCG run's POSIX trace, pushes it through the GPFS
 // model, and characterises both address sequences: the POSIX stream is
 // nearly perfectly sequential; GPFS striping scrambles it.
-#include <benchmark/benchmark.h>
+#include <optional>
 
+#include "bench_common.hpp"
 #include "common/string_util.hpp"
-#include "common/table.hpp"
 #include "fs/presets.hpp"
-#include "ooc/workload.hpp"
 
 namespace {
 
@@ -45,17 +44,6 @@ Trace through_gpfs(const Trace& posix) {
   return device;
 }
 
-void BM_CaptureAndStripe(benchmark::State& state) {
-  for (auto _ : state) {
-    const CapturedWorkload workload = make_workload();
-    const Trace device = through_gpfs(workload.trace);
-    benchmark::DoNotOptimize(device.size());
-    state.counters["posix_seq"] = workload.trace.stats().sequentiality;
-    state.counters["gpfs_seq"] = device.stats().sequentiality;
-  }
-}
-BENCHMARK(BM_CaptureAndStripe)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 void print_pattern(const char* label, const Trace& trace, std::size_t count) {
   std::printf("\n-- %s: first %zu accesses (offset MiB, size KiB) --\n", label, count);
   std::string line;
@@ -70,16 +58,8 @@ void print_pattern(const char* label, const Trace& trace, std::size_t count) {
   if (!line.empty()) std::printf("%s\n", line.c_str());
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  const CapturedWorkload workload = make_workload();
-  const Trace device = through_gpfs(workload.trace);
-
+/// Prints both access patterns and the characterisation table.
+void report(const CapturedWorkload& workload, const Trace& device) {
   print_pattern("POSIX at the compute node (Figure 6 bottom)", workload.trace, 24);
   print_pattern("Sub-GPFS at the ION (Figure 6 top)", device, 24);
 
@@ -104,5 +84,21 @@ int main(int argc, char** argv) {
       workload.solution.converged ? 1 : 0,
       workload.solution.eigenvalues.empty() ? 0.0 : workload.solution.eigenvalues[0],
       workload.solution.operator_applications);
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bench::Bench bench(argc, argv, bench::Flags::kNone);
+  std::optional<CapturedWorkload> workload;
+  Trace device;
+  bench::register_point("capture_and_stripe", [&](benchmark::State& state) {
+    workload = make_workload();
+    device = through_gpfs(workload->trace);
+    state.counters["posix_seq"] = workload->trace.stats().sequentiality;
+    state.counters["gpfs_seq"] = device.stats().sequentiality;
+  });
+  return bench.finish([&] {
+    if (workload) report(*workload, device);
+  });
 }

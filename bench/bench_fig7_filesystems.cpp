@@ -32,19 +32,19 @@ int main(int argc, char** argv) {
   using namespace nvmooc;
   using namespace nvmooc::bench;
 
-  benchmark::Initialize(&argc, argv);
-  register_sweep(&figure7_configs, all_media(), standard_trace());
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  Bench bench(argc, argv, Flags::kInstruments);
+  bench.register_cells(sweep(&figure7_configs, all_media()), standard_trace());
+  return bench.finish([&] {
+    print_table2();
+    const auto names = names_of(figure7_configs(NvmType::kSlc));
+    bench.print_metric_table("Figure 7a: Bandwidth Achieved (MB/s)", names, all_media(),
+                             achieved);
+    bench.print_metric_table("Figure 7b: Bandwidth Remaining (MB/s)", names, all_media(),
+                             remaining);
 
-  print_table2();
-  const auto names = names_of(figure7_configs(NvmType::kSlc));
-  print_metric_table("Figure 7a: Bandwidth Achieved (MB/s)", names, all_media(), achieved);
-  print_metric_table("Figure 7b: Bandwidth Remaining (MB/s)", names, all_media(), remaining);
-
-  std::printf(
-      "\nPaper shape checks: ION-GPFS network-bound and flat across NAND; EXT2 the\n"
-      "worst CNL FS; BTRFS the best untuned FS; EXT4-L ~1 GB/s over EXT4; UFS at the\n"
-      "PCIe 2.0 x8 ceiling; PCM compresses the FS spread to the interface limit.\n");
-  return 0;
+    std::printf(
+        "\nPaper shape checks: ION-GPFS network-bound and flat across NAND; EXT2 the\n"
+        "worst CNL FS; BTRFS the best untuned FS; EXT4-L ~1 GB/s over EXT4; UFS at the\n"
+        "PCIe 2.0 x8 ceiling; PCM compresses the FS spread to the interface limit.\n");
+  });
 }

@@ -14,20 +14,18 @@ int main(int argc, char** argv) {
   using namespace nvmooc;
   using namespace nvmooc::bench;
 
-  benchmark::Initialize(&argc, argv);
-  register_sweep(&all_configs, all_media(), standard_trace());
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  Bench bench(argc, argv, Flags::kInstruments);
+  bench.register_cells(sweep(&all_configs, all_media()), standard_trace());
+  return bench.finish([&] {
+    const auto names = names_of(all_configs(NvmType::kSlc));
+    bench.print_metric_table("Figure 9a: Channel-Level Utilization (%)", names, all_media(),
+                             channel_pct);
+    bench.print_metric_table("Figure 9b: Package-Level Utilization (%)", names, all_media(),
+                             package_pct);
 
-  const auto names = names_of(all_configs(NvmType::kSlc));
-  print_metric_table("Figure 9a: Channel-Level Utilization (%)", names, all_media(),
-                     channel_pct);
-  print_metric_table("Figure 9b: Package-Level Utilization (%)", names, all_media(),
-                     package_pct);
-
-  std::printf(
-      "\nPaper shape checks: ION-GPFS keeps channels hot (striping touches every\n"
-      "channel) while package utilisation stays low; UFS-based configurations reach\n"
-      "near-full channel utilisation, and the NATIVE variants drive packages hard.\n");
-  return 0;
+    std::printf(
+        "\nPaper shape checks: ION-GPFS keeps channels hot (striping touches every\n"
+        "channel) while package utilisation stays low; UFS-based configurations reach\n"
+        "near-full channel utilisation, and the NATIVE variants drive packages hard.\n");
+  });
 }

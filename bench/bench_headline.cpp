@@ -22,17 +22,17 @@ namespace {
 using namespace nvmooc;
 using namespace nvmooc::bench;
 
-double get(const char* name, NvmType media) {
-  const ExperimentResult* result = board().find(name, media);
+double get(const Bench& bench, const char* name, NvmType media) {
+  const ExperimentResult* result = bench.find(name, media);
   return result ? result->achieved_mbps : 0.0;
 }
 
 /// Geometric mean of per-media improvement ratios.
-double mean_ratio(const std::vector<NvmType>& media_list, const char* numerator,
-                  const char* denominator) {
+double mean_ratio(const Bench& bench, const std::vector<NvmType>& media_list,
+                  const char* numerator, const char* denominator) {
   double log_sum = 0.0;
   for (NvmType media : media_list) {
-    log_sum += std::log(get(numerator, media) / get(denominator, media));
+    log_sum += std::log(get(bench, numerator, media) / get(bench, denominator, media));
   }
   return std::exp(log_sum / static_cast<double>(media_list.size()));
 }
@@ -45,15 +45,15 @@ struct Claim {
 };
 
 /// Writes nothing and returns false unless the whole grid has results.
-bool write_headline_json(const std::string& path, const std::string& workload,
+bool write_headline_json(const Bench& bench, const std::string& path,
                          const std::vector<Claim>& claims,
-                         const std::vector<NvmType>& media_list) {
-  if (!sweep_complete(path, media_list, &all_configs)) return false;
+                         const std::vector<ExperimentConfig>& configs) {
+  if (!bench.sweep_complete(path, configs)) return false;
   obs::JsonWriter w;
   w.begin_object();
   w.field("schema_version", std::uint64_t{1});
   w.field("bench", "headline");
-  w.field("workload", workload);
+  w.field("workload", bench.options.quick ? "quick" : "standard");
 
   w.key("claims");
   w.begin_array();
@@ -71,17 +71,15 @@ bool write_headline_json(const std::string& path, const std::string& workload,
   // regression in any single cell is attributable without rerunning.
   w.key("results");
   w.begin_object();
-  for (NvmType media : media_list) {
-    for (const ExperimentConfig& config : all_configs(media)) {
-      const ExperimentResult* r = board().find(config.name, media);
-      w.key(ResultBoard::key(config.name, media));
-      w.begin_object();
-      w.field("achieved_mbps", r->achieved_mbps);
-      w.field("makespan_ms", static_cast<double>(r->makespan) / static_cast<double>(kMillisecond));
-      w.field("channel_utilization", r->channel_utilization);
-      w.field("read_latency_p99_us", r->read_latency.p99);
-      w.end_object();
-    }
+  for (const ExperimentConfig& config : configs) {
+    const ExperimentResult* r = bench.find(config.name, config.media);
+    w.key(cell_name(config.name, config.media));
+    w.begin_object();
+    w.field("achieved_mbps", r->achieved_mbps);
+    w.field("makespan_ms", static_cast<double>(r->makespan) / static_cast<double>(kMillisecond));
+    w.field("channel_utilization", r->channel_utilization);
+    w.field("read_latency_p99_us", r->read_latency.p99);
+    w.end_object();
   }
   w.end_object();
   w.end_object();
@@ -95,18 +93,9 @@ bool write_headline_json(const std::string& path, const std::string& workload,
   return static_cast<bool>(out);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  BenchOptions options = strip_bench_options(argc, argv);
-  if (!obs::apply_log_level(options.obs.log_level)) return 1;
-  benchmark::Initialize(&argc, argv);
-  const std::unique_ptr<obs::ObsSession> session = obs::make_session(options.obs);
-  const Trace& trace = options.quick ? quick_trace() : standard_trace();
-  register_sweep(&all_configs, all_media(), trace);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
+/// Derives the claims from the recorded sweep, prints them and writes
+/// the headline JSON; false when the JSON was not written.
+bool report(const Bench& bench, const std::vector<ExperimentConfig>& configs) {
   const std::vector<NvmType> nand = {NvmType::kTlc, NvmType::kMlc, NvmType::kSlc};
   const std::vector<NvmType> media = all_media();
   std::vector<Claim> claims;
@@ -116,7 +105,7 @@ int main(int argc, char** argv) {
     double worst = 1e18;
     std::string name;
     for (const FsBehavior& fs : all_local_filesystems()) {
-      const double bw = get(("CNL-" + fs.name).c_str(), m);
+      const double bw = get(bench, ("CNL-" + fs.name).c_str(), m);
       if (bw < worst) {
         worst = bw;
         name = fs.name;
@@ -131,7 +120,7 @@ int main(int argc, char** argv) {
     int i = 0;
     for (NvmType m : nand) {
       const auto [worst, name] = worst_cnl(m);
-      const double gain = 100.0 * (worst / get("ION-GPFS", m) - 1.0);
+      const double gain = 100.0 * (worst / get(bench, "ION-GPFS", m) - 1.0);
       claims.push_back({format("worst CNL FS (%s) vs ION-GPFS on %s", name.c_str(),
                                std::string(to_string(m)).c_str()),
                         paper[i++], format("%+.0f%%", gain), gain});
@@ -144,10 +133,10 @@ int main(int argc, char** argv) {
       double sum = 0;
       int n = 0;
       for (const FsBehavior& fs : all_local_filesystems()) {
-        sum += get(("CNL-" + fs.name).c_str(), m);
+        sum += get(bench, ("CNL-" + fs.name).c_str(), m);
         ++n;
       }
-      log_sum += std::log((sum / n) / get("ION-GPFS", m));
+      log_sum += std::log((sum / n) / get(bench, "ION-GPFS", m));
     }
     const double gain = 100.0 * (std::exp(log_sum / media.size()) - 1.0);
     claims.push_back({"CNL SSD vs client-remote SSD (average)", "+108%",
@@ -160,27 +149,29 @@ int main(int argc, char** argv) {
       double sum = 0;
       int n = 0;
       for (const FsBehavior& fs : all_local_filesystems()) {
-        sum += get(("CNL-" + fs.name).c_str(), m);
+        sum += get(bench, ("CNL-" + fs.name).c_str(), m);
         ++n;
       }
-      log_sum += std::log(get("CNL-UFS", m) / (sum / n));
+      log_sum += std::log(get(bench, "CNL-UFS", m) / (sum / n));
     }
     const double gain = 100.0 * (std::exp(log_sum / media.size()) - 1.0);
     claims.push_back({"UFS over CNL baseline (software)", "+52%",
                       format("%+.0f%%", gain), gain});
   }
   {
-    const double hw = mean_ratio(media, "CNL-NATIVE-16", "CNL-UFS");
+    const double hw = mean_ratio(bench, media, "CNL-NATIVE-16", "CNL-UFS");
     claims.push_back({"NATIVE-16 over CNL-UFS (hardware)", "+250%",
                       format("%+.0f%%", 100.0 * (hw - 1.0)), 100.0 * (hw - 1.0)});
   }
   {
-    const double overall = mean_ratio(media, "CNL-NATIVE-16", "ION-GPFS");
+    const double overall = mean_ratio(bench, media, "CNL-NATIVE-16", "ION-GPFS");
     claims.push_back({"overall NATIVE-16 vs ION-GPFS", "10.3x",
                       format("%.1fx", overall), overall});
-    const double pcm = get("CNL-NATIVE-16", NvmType::kPcm) / get("ION-GPFS", NvmType::kPcm);
+    const double pcm =
+        get(bench, "CNL-NATIVE-16", NvmType::kPcm) / get(bench, "ION-GPFS", NvmType::kPcm);
     claims.push_back({"PCM NATIVE-16 vs ION-GPFS", "16x", format("%.1fx", pcm), pcm});
-    const double tlc = get("CNL-NATIVE-16", NvmType::kTlc) / get("ION-GPFS", NvmType::kTlc);
+    const double tlc =
+        get(bench, "CNL-NATIVE-16", NvmType::kTlc) / get(bench, "ION-GPFS", NvmType::kTlc);
     claims.push_back({"TLC NATIVE-16 vs ION-GPFS", "8x", format("%.1fx", tlc), tlc});
   }
 
@@ -191,13 +182,18 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  const std::string headline_path =
-      options.headline_out.empty() ? "BENCH_headline.json" : options.headline_out;
-  if (!write_headline_json(headline_path, options.quick ? "quick" : "standard",
-                           claims, media)) {
-    return 1;
-  }
-  std::printf("wrote %s\n", headline_path.c_str());
-  if (!obs::write_outputs(session.get(), options.obs)) return 1;
-  return audit_exit_status();
+  const std::string& out = bench.options.headline_out;
+  const std::string path = out.empty() ? "BENCH_headline.json" : out;
+  if (!write_headline_json(bench, path, claims, configs)) return false;
+  std::printf("wrote %s\n", path.c_str());
+  return true;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Bench bench(argc, argv, Flags::kSweep);
+  const std::vector<ExperimentConfig> configs = sweep(&all_configs, all_media());
+  bench.register_cells(configs, bench.trace());
+  return bench.finish([&] { return report(bench, configs); });
 }

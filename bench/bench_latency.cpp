@@ -5,8 +5,6 @@
 // standard workload, and for small (latency-bound) random reads, and
 // writes the machine-readable BENCH_latency.json (same schema as
 // BENCH_headline.json; the checked-in copy is the simreport baseline).
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 #include "common/random.hpp"
 #include "fs/presets.hpp"
@@ -42,90 +40,64 @@ std::vector<ExperimentConfig> all_latency_configs(NvmType media) {
 
 std::vector<NvmType> latency_media() { return {NvmType::kTlc, NvmType::kPcm}; }
 
-void print_latency_table(const char* title, const Trace& trace,
-                         std::vector<ExperimentConfig> (*configs_for)(NvmType)) {
+void print_latency_table(const Bench& bench, const char* title,
+                         const std::vector<ExperimentConfig>& configs) {
   std::printf("\n== %s ==\n", title);
   Table table({"Configuration", "Media", "p50 (us)", "p99 (us)", "p999 (us)",
                "mean (us)"});
-  for (NvmType media : latency_media()) {
-    for (const ExperimentConfig& config : configs_for(media)) {
-      const ExperimentResult result = run_replay(config, trace);
-      board().record(result);
-      table.add_row({config.name, std::string(to_string(media)),
-                     format("%.0f", result.read_latency.p50),
-                     format("%.0f", result.read_latency.p99),
-                     format("%.0f", result.read_latency.p999),
-                     format("%.0f", result.read_latency.mean)});
-    }
+  for (const ExperimentConfig& config : configs) {
+    const ExperimentResult* result = bench.find(config.name, config.media);
+    if (result == nullptr) continue;
+    table.add_row({config.name, std::string(to_string(config.media)),
+                   format("%.0f", result->read_latency.p50),
+                   format("%.0f", result->read_latency.p99),
+                   format("%.0f", result->read_latency.p999),
+                   format("%.0f", result->read_latency.mean)});
   }
   table.print();
 }
 
-void BM_RandomReadLatency(benchmark::State& state) {
-  Rng rng(11);
-  const Trace trace = random_read_trace(GiB, 8 * KiB, 2000, rng);
-  for (auto _ : state) {
-    const ExperimentResult result = run_replay(cnl_ufs_config(NvmType::kPcm), trace);
-    benchmark::DoNotOptimize(result.read_latency.p99);
-    state.counters["p50_us"] = result.read_latency.p50;
-    state.counters["p99_us"] = result.read_latency.p99;
-  }
-}
-BENCHMARK(BM_RandomReadLatency)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchOptions options = strip_bench_options(argc, argv);
-  if (!obs::apply_log_level(options.obs.log_level)) return 1;
-  benchmark::Initialize(&argc, argv);
-  const std::unique_ptr<obs::ObsSession> session = obs::make_session(options.obs);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  const Trace& streaming = options.quick ? quick_trace() : standard_trace();
-  print_latency_table("Read latency: OoC streaming workload", streaming,
-                      &latency_configs);
-
+  Bench bench(argc, argv, Flags::kSweep);
+  const std::vector<ExperimentConfig> streaming = sweep(&latency_configs, latency_media());
+  const std::vector<ExperimentConfig> random = sweep(&random_latency_configs, latency_media());
   Rng rng(11);
-  const Trace random = random_read_trace(GiB, 8 * KiB, 2000, rng);
-  print_latency_table("Read latency: 8 KiB random reads", random,
-                      &random_latency_configs);
+  const Trace random_reads = random_read_trace(GiB, 8 * KiB, 2000, rng);
+  bench.register_cells(streaming, bench.trace());
+  bench.register_cells(random, random_reads);
+  return bench.finish([&] {
+    print_latency_table(bench, "Read latency: OoC streaming workload", streaming);
+    print_latency_table(bench, "Read latency: 8 KiB random reads", random);
 
-  std::printf(
-      "\nCompute-local PCM approaches DRAM-class small-read latency (tens of us\n"
-      "through the full stack) while the ION path pays the network + parallel-FS\n"
-      "RPC on every access — the 'large but slow memory vs small but fast disk'\n"
-      "framing of the paper's introduction.\n");
+    std::printf(
+        "\nCompute-local PCM approaches DRAM-class small-read latency (tens of us\n"
+        "through the full stack) while the ION path pays the network + parallel-FS\n"
+        "RPC on every access — the 'large but slow memory vs small but fast disk'\n"
+        "framing of the paper's introduction.\n");
 
-  const std::string results_path =
-      options.results_out.empty() ? "BENCH_latency.json" : options.results_out;
-  if (!write_results_json(results_path, "latency",
-                          options.quick ? "quick" : "standard", latency_media(),
-                          &all_latency_configs,
-                          [](obs::JsonWriter& w, const ExperimentResult& r) {
-                            w.field("read_latency_p50_us", r.read_latency.p50);
-                            w.field("read_latency_p99_us", r.read_latency.p99);
-                            w.field("read_latency_p999_us", r.read_latency.p999);
-                            w.field("read_latency_mean_us", r.read_latency.mean);
-                            w.field("makespan_ms",
-                                    static_cast<double>(r.makespan) /
-                                        static_cast<double>(kMillisecond));
-                            // Per-stage tail decomposition: where the
-                            // p999 of each stage lives (see
-                            // obs/latency.hpp for the stage mapping).
-                            for (int s = 0; s < obs::kLatencyStageCount; ++s) {
-                              const auto stage = static_cast<obs::LatencyStage>(s);
-                              const obs::HistogramSummary& h =
-                                  r.latency.stage[static_cast<std::size_t>(s)];
-                              const std::string key = obs::latency_stage_key(stage);
-                              w.field(key + "_p50_us", h.p50);
-                              w.field(key + "_p99_us", h.p99);
-                              w.field(key + "_p999_us", h.p999);
-                            }
-                          })) {
-    return 1;
-  }
-  if (!obs::write_outputs(session.get(), options.obs)) return 1;
-  return audit_exit_status();
+    const std::string& out = bench.options.results_out;
+    return bench.write_results_json(
+        out.empty() ? "BENCH_latency.json" : out, "latency",
+        sweep(&all_latency_configs, latency_media()),
+        [](obs::JsonWriter& w, const ExperimentResult& r) {
+          w.field("read_latency_p50_us", r.read_latency.p50);
+          w.field("read_latency_p99_us", r.read_latency.p99);
+          w.field("read_latency_p999_us", r.read_latency.p999);
+          w.field("read_latency_mean_us", r.read_latency.mean);
+          w.field("makespan_ms",
+                  static_cast<double>(r.makespan) / static_cast<double>(kMillisecond));
+          // Per-stage tail decomposition: where the p999 of each stage
+          // lives (see obs/latency.hpp for the stage mapping).
+          for (int s = 0; s < obs::kLatencyStageCount; ++s) {
+            const auto stage = static_cast<obs::LatencyStage>(s);
+            const obs::HistogramSummary& h = r.latency.stage[static_cast<std::size_t>(s)];
+            const std::string key = obs::latency_stage_key(stage);
+            w.field(key + "_p50_us", h.p50);
+            w.field(key + "_p99_us", h.p99);
+            w.field(key + "_p999_us", h.p999);
+          }
+        });
+  });
 }

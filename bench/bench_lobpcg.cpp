@@ -2,11 +2,10 @@
 // (every operator application streams the whole Hamiltonian) and
 // convergence (bigger blocks converge in fewer iterations). Also serves
 // as the numerical-kernel benchmark of the repository.
-#include <benchmark/benchmark.h>
+#include <map>
 
+#include "bench_common.hpp"
 #include "common/string_util.hpp"
-#include "common/table.hpp"
-#include "ooc/workload.hpp"
 
 namespace {
 
@@ -39,38 +38,35 @@ SweepPoint run_point(std::size_t block_size) {
           workload.solution.eigenvalues.empty() ? 0.0 : workload.solution.eigenvalues[0]};
 }
 
-void BM_LobpcgSolve(benchmark::State& state) {
-  const std::size_t block = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    const SweepPoint point = run_point(block);
-    benchmark::DoNotOptimize(point.lowest);
-    state.counters["iterations"] = static_cast<double>(point.iterations);
-    state.counters["io_MiB"] = static_cast<double>(point.io_bytes) / static_cast<double>(MiB);
-  }
-}
-BENCHMARK(BM_LobpcgSolve)->Arg(4)->Arg(8)->Arg(12)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  std::printf("\n== Ablation: LOBPCG block size vs I/O volume ==\n");
-  Table table({"Block", "Iterations", "H applications", "I/O volume", "Converged",
-               "lambda_0"});
+  bench::Bench bench(argc, argv, bench::Flags::kNone);
+  std::map<std::size_t, SweepPoint> points;
   for (std::size_t block : {4u, 8u, 12u, 16u}) {
-    const SweepPoint point = run_point(block);
-    table.add_row({std::to_string(point.block_size), std::to_string(point.iterations),
-                   std::to_string(point.applications),
-                   human_bytes(point.io_bytes.value()), point.converged ? "yes" : "no",
-                   format("%.6f", point.lowest)});
+    bench::register_point("lobpcg/block" + std::to_string(block),
+                          [&points, block](benchmark::State& state) {
+                            const SweepPoint point = run_point(block);
+                            points.insert_or_assign(block, point);
+                            state.counters["iterations"] = static_cast<double>(point.iterations);
+                            state.counters["io_MiB"] = static_cast<double>(point.io_bytes) /
+                                                       static_cast<double>(MiB);
+                          });
   }
-  table.print();
-  std::printf(
-      "\nEach application streams the full Hamiltonian from storage, so the block\n"
-      "size dials the OoC I/O bill directly — the Psi width of 10-20 the paper\n"
-      "quotes balances this against per-iteration convergence.\n");
-  return 0;
+  return bench.finish([&] {
+    std::printf("\n== Ablation: LOBPCG block size vs I/O volume ==\n");
+    Table table({"Block", "Iterations", "H applications", "I/O volume", "Converged",
+                 "lambda_0"});
+    for (const auto& [block, point] : points) {
+      table.add_row({std::to_string(point.block_size), std::to_string(point.iterations),
+                     std::to_string(point.applications),
+                     human_bytes(point.io_bytes.value()), point.converged ? "yes" : "no",
+                     format("%.6f", point.lowest)});
+    }
+    table.print();
+    std::printf(
+        "\nEach application streams the full Hamiltonian from storage, so the block\n"
+        "size dials the OoC I/O bill directly — the Psi width of 10-20 the paper\n"
+        "quotes balances this against per-iteration convergence.\n");
+  });
 }

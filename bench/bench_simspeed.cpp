@@ -41,54 +41,44 @@ std::vector<NvmType> speed_media() { return {NvmType::kTlc, NvmType::kPcm}; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchOptions options = strip_bench_options(argc, argv);
-  if (!obs::apply_log_level(options.obs.log_level)) return 1;
-  // This bench *is* the speed report: force the host profiler on even
-  // when the flag was not passed so every replay carries its telemetry.
-  speed_enabled() = true;
-  benchmark::Initialize(&argc, argv);
-  const std::unique_ptr<obs::ObsSession> session = obs::make_session(options.obs);
-  const Trace& trace = options.quick ? quick_trace() : standard_trace();
-  register_sweep(&speed_configs, speed_media(), trace);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  std::printf("\n== Simulation speed (host events/sec) ==\n");
-  Table table({"Configuration", "events/s", "sim-s per wall-s", "wall ms"});
-  for (NvmType media : speed_media()) {
-    for (const ExperimentConfig& config : speed_configs(media)) {
-      const ExperimentResult* r = board().find(config.name, media);
+  Bench bench(argc, argv, Flags::kSweep);
+  // This bench *is* the speed report: the host profiler rides along with
+  // every replay even when --speed-report was not passed.
+  bench.options.obs.speed_report = true;
+  const std::vector<ExperimentConfig> configs = sweep(&speed_configs, speed_media());
+  bench.register_cells(configs, bench.trace());
+  return bench.finish([&] {
+    std::printf("\n== Simulation speed (host events/sec) ==\n");
+    Table table({"Configuration", "events/s", "sim-s per wall-s", "wall ms"});
+    for (const ExperimentConfig& config : configs) {
+      const ExperimentResult* r = bench.find(config.name, config.media);
       if (r == nullptr || !r->host.enabled) continue;
-      table.add_row({ResultBoard::key(config.name, media),
+      table.add_row({cell_name(config.name, config.media),
                      format("%.0f", r->host.events_per_sec),
                      format("%.3g", r->host.sim_time_per_wall_second),
                      format("%.1f", r->host.wall_seconds * 1e3)});
     }
-  }
-  table.print();
+    table.print();
 
-  const std::string results_path =
-      options.results_out.empty() ? "BENCH_simspeed.json" : options.results_out;
-  const bool ok = write_results_json(
-      results_path, "simspeed", options.quick ? "quick" : "standard",
-      speed_media(), &speed_configs, [](obs::JsonWriter& w, const ExperimentResult& r) {
-        // Deterministic fields first (CI gates these exactly): the same
-        // replay must process the same events no matter the machine.
-        w.field("events_total", r.host.events_total);
-        w.field("device_requests",
-                r.host.events[static_cast<int>(obs::HostEvent::kDeviceRequest)]);
-        w.field("timeline_reservations",
-                r.host.events[static_cast<int>(obs::HostEvent::kTimelineReservation)]);
-        w.field("makespan_ms",
-                static_cast<double>(r.makespan) / static_cast<double>(kMillisecond));
-        // Wall-clock fields (CI gates these with --ratio only).
-        w.field("wall_ms", r.host.wall_seconds * 1e3);
-        w.field("events_per_sec", r.host.events_per_sec);
-        w.field("sim_time_per_wall_second", r.host.sim_time_per_wall_second);
-        w.field("peak_rss_mib",
-                static_cast<double>(r.host.peak_rss_bytes) / (1024.0 * 1024.0));
-      });
-  if (!ok) return 1;
-  if (!obs::write_outputs(session.get(), options.obs)) return 1;
-  return audit_exit_status();
+    const std::string& out = bench.options.results_out;
+    return bench.write_results_json(
+        out.empty() ? "BENCH_simspeed.json" : out, "simspeed", configs,
+        [](obs::JsonWriter& w, const ExperimentResult& r) {
+          // Deterministic fields first (CI gates these exactly): the same
+          // replay must process the same events no matter the machine.
+          w.field("events_total", r.host.events_total);
+          w.field("device_requests",
+                  r.host.events[static_cast<int>(obs::HostEvent::kDeviceRequest)]);
+          w.field("timeline_reservations",
+                  r.host.events[static_cast<int>(obs::HostEvent::kTimelineReservation)]);
+          w.field("makespan_ms",
+                  static_cast<double>(r.makespan) / static_cast<double>(kMillisecond));
+          // Wall-clock fields (CI gates these with --ratio only).
+          w.field("wall_ms", r.host.wall_seconds * 1e3);
+          w.field("events_per_sec", r.host.events_per_sec);
+          w.field("sim_time_per_wall_second", r.host.sim_time_per_wall_second);
+          w.field("peak_rss_mib",
+                  static_cast<double>(r.host.peak_rss_bytes) / (1024.0 * 1024.0));
+        });
+  });
 }

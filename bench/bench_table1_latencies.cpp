@@ -6,10 +6,8 @@
 // activation, timed by NvmTiming's per-page functions, on an idle die)
 // and prints them next to the paper's quoted values, so any drift between
 // model and paper is visible.
-#include <benchmark/benchmark.h>
-
+#include "bench_common.hpp"
 #include "common/string_util.hpp"
-#include "common/table.hpp"
 #include "nvm/die.hpp"
 
 namespace {
@@ -62,13 +60,8 @@ void BM_MeasureLatencies(benchmark::State& state) {
 }
 BENCHMARK(BM_MeasureLatencies)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
+/// Prints Table 1 from a fresh measurement of every medium.
+void report() {
   std::printf("\n== Table 1: measured page-size operation latencies (us) ==\n");
   Table table({"", "SLC", "MLC", "TLC", "PCM"});
   std::vector<std::string> page_row = {"Page Size"};
@@ -93,5 +86,11 @@ int main(int argc, char** argv) {
       "\nPaper values: SLC 2kB/25/250/1500, MLC 4kB/50/250-2200/2500,\n"
       "TLC 8kB/150/440-6000/3000, PCM 64B/0.115-0.135/35/35 (read variation on TLC\n"
       "reflects NANDFlashSim's intrinsic page-position latency model).\n");
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  nvmooc::bench::Bench bench(argc, argv, nvmooc::bench::Flags::kNone);
+  return bench.finish(report);
 }

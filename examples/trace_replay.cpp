@@ -6,19 +6,16 @@
 //        [--faults=SCENARIO] [--audit]
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
-#include "check/audit.hpp"
 #include "cluster/configs.hpp"
 #include "cluster/engine.hpp"
+#include "cluster/instruments.hpp"
 #include "common/random.hpp"
 #include "fs/presets.hpp"
-#include "obs/cli.hpp"
 #include "trace/scenario.hpp"
 #include "trace/synthetic.hpp"
 
@@ -49,7 +46,8 @@ const char* kUsage =
     "                                 the K slowest requests per class — the p999\n"
     "                                 stragglers, without full --trace-out cost)\n"
     "                    [--exemplars=K] (exemplars kept per request class;\n"
-    "                                 default 8)\n"
+    "                                 turns the reservoirs on; default 8 with\n"
+    "                                 --exemplars-out)\n"
     "                    [--no-flight-recorder] (disable the always-on ring of\n"
     "                                 recent events + request ledgers that is\n"
     "                                 dumped automatically on audit violations\n"
@@ -59,33 +57,6 @@ const char* kUsage =
     "configs: ion-gpfs, cnl-jfs, cnl-btrfs, cnl-xfs, cnl-reiserfs, cnl-ext2,\n"
     "         cnl-ext3, cnl-ext4, cnl-ext4-l, cnl-ufs, cnl-bridge-16,\n"
     "         cnl-native-8, cnl-native-16\n";
-
-std::string option(int argc, char** argv, const char* key, const char* fallback) {
-  const std::string prefix = std::string("--") + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strncmp(argv[i], prefix.c_str(), prefix.size())) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return fallback;
-}
-
-/// Reads --key (or `fallback` when it is absent) with
-/// obs::parse_number_flag: a plain decimal number in [min, max].
-template <typename T>
-bool numeric_option(int argc, char** argv, const char* key, const char* fallback, T min,
-                    T max, T& out) {
-  return obs::parse_number_flag(("--" + std::string(key)).c_str(),
-                                option(argc, argv, key, fallback), min, max, out);
-}
-
-bool flag(int argc, char** argv, const char* key) {
-  const std::string want = std::string("--") + key;
-  for (int i = 1; i < argc; ++i) {
-    if (want == argv[i]) return true;
-  }
-  return false;
-}
 
 bool find_config(const std::string& name, NvmType media, ExperimentConfig& out) {
   for (const ExperimentConfig& config : all_configs(media)) {
@@ -102,18 +73,40 @@ bool find_config(const std::string& name, NvmType media, ExperimentConfig& out) 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string config_name = option(argc, argv, "config", "cnl-ufs");
-  const std::string media_name = option(argc, argv, "media", "tlc");
-  const std::string trace_path = option(argc, argv, "trace", "");
-  const std::string pattern = option(argc, argv, "pattern", "seq");
+  obs::CliOptions obs_options;
+  if (!obs::parse_cli_options(argc, argv, obs_options)) return 1;
+  std::string config_name = "cnl-ufs";
+  std::string media_name = "tlc";
+  std::string trace_path;
+  std::string pattern = "seq";
+  std::string fault_path;
+  std::string result_out;
   constexpr std::uint64_t kMaxCount = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t size_mib = 0;
-  std::uint64_t request_kib = 0;
-  if (!numeric_option(argc, argv, "size-mib", "256", std::uint64_t{1}, kMaxCount / MiB.value(),
-                      size_mib) ||
-      !numeric_option(argc, argv, "request-kib", "8192", std::uint64_t{1},
-                      kMaxCount / KiB.value(), request_kib)) {
-    return 1;
+  std::uint64_t size_mib = 256;
+  std::uint64_t request_kib = 8192;
+  for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
+    const auto value = [arg](const char* prefix) { return obs::flag_value(arg, prefix); };
+    if (const char* v = value("--config=")) config_name = v;
+    else if (const char* v = value("--media=")) media_name = v;
+    else if (const char* v = value("--trace=")) trace_path = v;
+    else if (const char* v = value("--pattern=")) pattern = v;
+    else if (const char* v = value("--faults=")) fault_path = v;
+    else if (const char* v = value("--result-out=")) result_out = v;
+    else if (const char* v = value("--size-mib=")) {
+      if (!obs::parse_number_flag("--size-mib", v, std::uint64_t{1}, kMaxCount / MiB.value(),
+                                  size_mib)) {
+        return 1;
+      }
+    } else if (const char* v = value("--request-kib=")) {
+      if (!obs::parse_number_flag("--request-kib", v, std::uint64_t{1},
+                                  kMaxCount / KiB.value(), request_kib)) {
+        return 1;
+      }
+    } else {
+      std::fprintf(stderr, "unrecognized argument '%s'\n%s", arg, kUsage);
+      return 1;
+    }
   }
   const Bytes size = size_mib * MiB;
   const Bytes request = request_kib * KiB;
@@ -133,35 +126,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown config '%s'\n%s", config_name.c_str(), kUsage);
     return 1;
   }
-
-  obs::CliOptions obs_options;
-  obs_options.trace_out = option(argc, argv, "trace-out", "");
-  obs_options.metrics_out = option(argc, argv, "metrics-out", "");
-  obs_options.log_level = option(argc, argv, "log-level", "");
-  obs_options.profile = flag(argc, argv, "profile");
-  obs_options.speed_report = flag(argc, argv, "speed-report");
-  if (!numeric_option(argc, argv, "heartbeat-sec", "5", 0.0,
-                      std::numeric_limits<double>::max(), obs_options.heartbeat_sec) ||
-      !numeric_option(argc, argv, "exemplars", "8", std::size_t{0},
-                      std::numeric_limits<std::size_t>::max(), obs_options.exemplar_count)) {
-    return 1;
-  }
-  obs_options.exemplars_out = option(argc, argv, "exemplars-out", "");
-  obs_options.flight = !flag(argc, argv, "no-flight-recorder");
-  obs_options.flight_out = option(argc, argv, "flight-out", "");
-  const std::string result_out = option(argc, argv, "result-out", "");
-  if (!obs::apply_log_level(obs_options.log_level)) {
-    std::fputs(kUsage, stderr);
-    return 1;
-  }
-  // Fail on unwritable output destinations *before* the replay runs, not
+  // Fail on an unwritable destination *before* the replay runs, not
   // after: a typo'd directory must not cost a long simulation its output.
-  if (!obs::validate_output_paths(obs_options) ||
-      !obs::validate_output_path(result_out, "--result-out")) {
-    return 1;
-  }
+  if (!obs::validate_output_path(result_out, "--result-out")) return 1;
 
-  const std::string fault_path = option(argc, argv, "faults", "");
   if (!fault_path.empty()) {
     try {
       config.fault = load_fault_scenario(fault_path);
@@ -196,27 +164,7 @@ int main(int argc, char** argv) {
               trace.size(), static_cast<double>(stats.total_bytes) / static_cast<double>(MiB),
               stats.sequentiality, 100.0 * stats.read_fraction);
 
-  const bool audit = flag(argc, argv, "audit");
-  const std::unique_ptr<obs::ObsSession> session = obs::make_session(obs_options);
-  // The audit session installs the thread-local auditor the hook sites
-  // check; the engine snapshots the verdict into result.audit.
-  std::unique_ptr<check::AuditSession> audit_session;
-  if (audit) audit_session = std::make_unique<check::AuditSession>();
-  // Tail-exemplar observatory (--exemplars-out) and the default-on
-  // flight recorder — both install thread-locally, like the auditor.
-  std::unique_ptr<obs::LatencySession> latency_session;
-  if (!obs_options.exemplars_out.empty()) {
-    latency_session = std::make_unique<obs::LatencySession>(obs_options.exemplar_count);
-  }
-  std::unique_ptr<obs::FlightSession> flight_session;
-  if (obs_options.flight) flight_session = std::make_unique<obs::FlightSession>();
-  // On any failing exit, the flight recorder's postmortem lands on disk
-  // next to the exit code.
-  const auto dump_flight_now = [&](const std::string& reason) {
-    if (flight_session != nullptr) {
-      obs::dump_flight(flight_session->recorder(), obs_options, reason);
-    }
-  };
+  InstrumentSet instruments(obs_options);
   ExperimentResult result;
   try {
     result = run_experiment(config, trace);
@@ -226,10 +174,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bad configuration: %s\n", e.what());
     return 1;
   }
-  if (!obs::write_outputs(session.get(), obs_options)) return 1;
-  if (latency_session != nullptr) {
-    if (!obs::write_exemplars(latency_session->observatory(), obs_options)) return 1;
-    std::printf("%s", latency_session->observatory().summary().c_str());
+  if (!instruments.write_exports()) return 1;
+  if (const obs::LatencyObservatory* observatory = instruments.observatory()) {
+    std::printf("%s", observatory->summary().c_str());
   }
   if (!result_out.empty()) {
     std::ofstream out(result_out, std::ios::binary);
@@ -275,27 +222,15 @@ int main(int argc, char** argv) {
                 "%.0f MB/s\n",
                 static_cast<unsigned long long>(r.degraded_requests),
                 static_cast<double>(r.degraded_bytes) / static_cast<double>(MiB), r.effective_mbps);
-    if (r.aborted) {
-      std::printf("  ABORTED        %s\n", r.abort_reason.c_str());
-      if (audit) std::printf("%s\n", result.audit.summary().c_str());
-      dump_flight_now("fault-injection abort: " + r.abort_reason);
-      return result.audit.passed() ? 2 : 3;
-    }
+    if (r.aborted) std::printf("  ABORTED        %s\n", r.abort_reason.c_str());
   }
-  if (result.profile.enabled) {
-    std::printf("%s", result.profile.summary().c_str());
+  if (!result.reliability.aborted) {
+    if (result.profile.enabled) std::printf("%s", result.profile.summary().c_str());
+    if (result.host.enabled) std::printf("%s", result.host.summary().c_str());
   }
-  if (result.host.enabled) {
-    std::printf("%s", result.host.summary().c_str());
-  }
-  if (audit) {
-    std::printf("%s\n", result.audit.summary().c_str());
-    if (!result.audit.passed()) {
-      dump_flight_now("audit violation: " +
-                      std::to_string(result.audit.violation_count) +
-                      " invariant violation(s)");
-      return 3;
-    }
-  }
-  return 0;
+  if (obs_options.audit) std::printf("%s\n", result.audit.summary().c_str());
+  // On a failing exit the flight recorder's postmortem lands on disk
+  // next to the exit code.
+  if (!instruments.conclude(result.reliability.abort_reason).passed()) return 3;
+  return result.reliability.aborted ? 2 : 0;
 }

@@ -10,8 +10,11 @@
 #include "check/audit.hpp"
 #include "cluster/window.hpp"
 #include "common/probe.hpp"
+#include "obs/host_profiler.hpp"
 #include "obs/latency.hpp"
-#include "obs/obs.hpp"
+#include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
+#include "obs/trace_recorder.hpp"
 #include "ufs/ufs.hpp"
 
 namespace nvmooc {

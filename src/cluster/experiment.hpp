@@ -101,7 +101,7 @@ struct ExperimentResult {
   /// never go back in time, and every client replays the same trace.
   std::vector<std::pair<Time, double>> queue_depth;
   /// Snapshot of the active metrics registry at the end of the replay;
-  /// empty unless an obs::ObsSession with metrics was installed.
+  /// empty unless a registry was installed (--metrics-out).
   std::vector<obs::MetricSnapshot> metrics;
 
   /// Invariant-audit verdict (conservation/causality/occupancy/FTL);

@@ -2,11 +2,17 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "common/logging.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace_recorder.hpp"
 
 namespace nvmooc::obs {
 
+namespace {
+
+/// Applies --log-level; false (and logs) on an unknown name.
 bool apply_log_level(const std::string& name) {
   if (name.empty()) return true;
   LogLevel level;
@@ -24,21 +30,6 @@ bool apply_log_level(const std::string& name) {
   return true;
 }
 
-std::unique_ptr<ObsSession> make_session(const CliOptions& options) {
-  ObsSession::Options session;
-  session.trace = !options.trace_out.empty();
-  session.metrics = !options.metrics_out.empty();
-  session.profile = options.profile;
-  session.speed = options.speed_report;
-  session.heartbeat_sec = options.heartbeat_sec;
-  if (!session.trace && !session.metrics && !session.profile && !session.speed) {
-    return nullptr;
-  }
-  return std::make_unique<ObsSession>(session);
-}
-
-namespace {
-
 bool write_file(const std::string& path, const std::string& what,
                 const std::string& content) {
   std::ofstream out(path, std::ios::binary);
@@ -52,19 +43,36 @@ bool write_file(const std::string& path, const std::string& what,
 
 }  // namespace
 
-bool write_outputs(ObsSession* session, const CliOptions& options) {
-  if (session == nullptr) return true;
-  bool ok = true;
-  if (!options.trace_out.empty() && session->trace()) {
-    ok &= write_file(options.trace_out, "trace", session->trace()->chrome_json());
-    if (session->trace()->dropped() > 0) {
-      NVMOOC_LOG_WARN("trace buffer overflowed: %llu events dropped",
-                      static_cast<unsigned long long>(session->trace()->dropped()));
-    }
+bool parse_cli_options(int& argc, char** argv, CliOptions& out) {
+  constexpr double kMaxSec = std::numeric_limits<double>::max();
+  constexpr std::size_t kMaxCount = std::numeric_limits<std::size_t>::max();
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
+    const auto value = [arg](const char* prefix) { return flag_value(arg, prefix); };
+    if (const char* v = value("--trace-out=")) out.trace_out = v;
+    else if (const char* v = value("--metrics-out=")) out.metrics_out = v;
+    else if (const char* v = value("--log-level=")) out.log_level = v;
+    else if (const char* v = value("--exemplars-out=")) out.exemplars_out = v;
+    else if (const char* v = value("--flight-out=")) out.flight_out = v;
+    else if (const char* v = value("--heartbeat-sec=")) {
+      if (!parse_number_flag("--heartbeat-sec", v, 0.0, kMaxSec, out.heartbeat_sec)) return false;
+    } else if (const char* v = value("--exemplars=")) {
+      if (!parse_number_flag("--exemplars", v, std::size_t{0}, kMaxCount, out.exemplars)) {
+        return false;
+      }
+    } else if (!std::strcmp(arg, "--audit")) out.audit = true;
+    else if (!std::strcmp(arg, "--profile")) out.profile = true;
+    else if (!std::strcmp(arg, "--speed-report")) out.speed_report = true;
+    else if (!std::strcmp(arg, "--no-flight-recorder")) out.flight = false;
+    else argv[kept++] = argv[i];
   }
-  if (!options.metrics_out.empty() && session->metrics()) {
-    ok &= write_file(options.metrics_out, "metrics", session->metrics()->json());
-  }
+  argc = kept;
+  if (!apply_log_level(out.log_level)) return false;
+  bool ok = validate_output_path(out.trace_out, "--trace-out");
+  ok = validate_output_path(out.metrics_out, "--metrics-out") && ok;
+  ok = validate_output_path(out.exemplars_out, "--exemplars-out") && ok;
+  ok = validate_output_path(out.flight_out, "--flight-out") && ok;
   return ok;
 }
 
@@ -87,31 +95,37 @@ bool validate_output_path(const std::string& path, const char* flag) {
   return true;
 }
 
-bool validate_output_paths(const CliOptions& options) {
-  bool ok = validate_output_path(options.trace_out, "--trace-out");
-  ok = validate_output_path(options.metrics_out, "--metrics-out") && ok;
-  ok = validate_output_path(options.exemplars_out, "--exemplars-out") && ok;
-  ok = validate_output_path(options.flight_out, "--flight-out") && ok;
+bool write_exports(const CliOptions& options, const TraceRecorder* trace,
+                   const MetricsRegistry* metrics, const LatencyObservatory* exemplars) {
+  bool ok = true;
+  if (trace != nullptr && !options.trace_out.empty()) {
+    ok &= write_file(options.trace_out, "trace", trace->chrome_json());
+    if (trace->dropped() > 0) {
+      NVMOOC_LOG_WARN("trace buffer overflowed: %llu events dropped",
+                      static_cast<unsigned long long>(trace->dropped()));
+    }
+  }
+  if (metrics != nullptr && !options.metrics_out.empty()) {
+    ok &= write_file(options.metrics_out, "metrics", metrics->json());
+  }
+  if (exemplars != nullptr && !options.exemplars_out.empty()) {
+    if (write_file(options.exemplars_out, "exemplar", exemplars->waterfall_json())) {
+      NVMOOC_LOG_INFO("wrote %zu tail exemplar(s) (of %llu requests observed) to %s",
+                      exemplars->exemplars().size(),
+                      static_cast<unsigned long long>(exemplars->observed()),
+                      options.exemplars_out.c_str());
+    } else {
+      ok = false;
+    }
+  }
   return ok;
 }
 
-bool write_exemplars(const LatencyObservatory& observatory,
-                     const CliOptions& options) {
-  if (options.exemplars_out.empty()) return true;
-  if (!write_file(options.exemplars_out, "exemplar", observatory.waterfall_json())) {
-    return false;
-  }
-  NVMOOC_LOG_INFO("wrote %zu tail exemplar(s) (of %llu requests observed) to %s",
-                  observatory.exemplars().size(),
-                  static_cast<unsigned long long>(observatory.observed()),
-                  options.exemplars_out.c_str());
-  return true;
-}
-
 bool dump_flight(const FlightRecorder& recorder, const CliOptions& options,
-                 const std::string& reason) {
+                 const std::string& reason, const std::string& cell) {
   const std::string path =
-      options.flight_out.empty() ? "flight-dump.json" : options.flight_out;
+      !cell.empty() ? options.flight_out + "flight-" + cell + ".json"
+      : options.flight_out.empty() ? "flight-dump.json" : options.flight_out;
   if (!write_file(path, "flight-recorder", recorder.dump_json(reason))) {
     return false;
   }

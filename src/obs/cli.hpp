@@ -1,13 +1,14 @@
-// Shared command-line surface for observability: every binary that
-// accepts --trace-out / --metrics-out / --log-level funnels through
-// these helpers so the flags behave identically everywhere.
+// The instrument flags every replaying binary shares: trace_replay and
+// the bench binaries parse them with parse_cli_options, so a flag means
+// the same thing everywhere, and cluster/instruments.hpp's InstrumentSet
+// turns them into installed instruments.
 #pragma once
 
 #include <charconv>
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
-#include <memory>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -15,26 +16,44 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/latency.hpp"
-#include "obs/obs.hpp"
 
 namespace nvmooc::obs {
 
+class MetricsRegistry;
+class TraceRecorder;
+
+/// Every field has a default member initializer, so a designated
+/// initializer may name any subset.
 struct CliOptions {
-  std::string trace_out;    ///< Chrome trace_event JSON path ("" = off).
-  std::string metrics_out;  ///< Metrics registry JSON path ("" = off).
-  std::string log_level;    ///< debug|info|warn|error|off ("" = leave as is).
+  std::string trace_out{};    ///< Chrome trace_event JSON path ("" = off).
+  std::string metrics_out{};  ///< Metrics registry JSON path ("" = off).
+  std::string log_level{};    ///< debug|info|warn|error|off ("" = leave as is).
+  bool audit = false;       ///< Invariant auditor (--audit; see src/check).
   bool profile = false;     ///< Causal critical-path profiler (--profile).
   bool speed_report = false;  ///< Host telemetry (--speed-report).
   double heartbeat_sec = 5.0;  ///< Heartbeat period (--heartbeat-sec=N).
   /// Tail-exemplar waterfall JSON path (--exemplars-out; "" = off).
-  std::string exemplars_out;
-  /// K slowest requests kept per class (--exemplars=K).
-  std::size_t exemplar_count = 8;
+  std::string exemplars_out{};
+  /// --exemplars=K: the K slowest requests kept per class. Any K > 0
+  /// turns the reservoirs on; 0 means kDefaultExemplars with
+  /// --exemplars-out and off without it (exemplars_per_class()).
+  std::size_t exemplars = 0;
   /// Always-on flight recorder; --no-flight-recorder turns it off.
   bool flight = true;
-  /// Flight-dump path (--flight-out; "" = "flight-dump.json" next to cwd).
-  std::string flight_out;
+  /// --flight-out: the dump path of one replay (default
+  /// "flight-dump.json"), or the prefix of a sweep's per-cell dumps
+  /// (dump_flight()).
+  std::string flight_out{};
 };
+
+/// Exemplars kept per class when --exemplars-out comes without --exemplars.
+inline constexpr std::size_t kDefaultExemplars = 8;
+
+/// The reservoir size the options ask for; 0 = no reservoirs.
+inline std::size_t exemplars_per_class(const CliOptions& options) {
+  if (options.exemplars > 0) return options.exemplars;
+  return options.exemplars_out.empty() ? 0 : kDefaultExemplars;
+}
 
 /// Parses `text`, the value given for the input `name` (a flag as typed,
 /// "--size-mib", or a positional argument's name, "dataset_MiB"), as a
@@ -67,39 +86,39 @@ bool parse_number_flag(const char* name, std::string_view text, T min, T max, T&
   return true;
 }
 
-/// Applies `--log-level`; returns false (and logs) on an unknown name.
-bool apply_log_level(const std::string& name);
+/// The text after `prefix` when `arg` starts with it ("--size-mib=8"
+/// and "--size-mib=" give "8"), else null.
+inline const char* flag_value(const char* arg, const char* prefix) {
+  const std::size_t n = std::strlen(prefix);
+  return std::strncmp(arg, prefix, n) == 0 ? arg + n : nullptr;
+}
 
-/// Builds an ObsSession matching the options: tracing on when trace_out
-/// is set, metrics on when metrics_out is set, the causal profiler on
-/// when profile is set, null when none is. The session installs itself
-/// on the calling thread.
-std::unique_ptr<ObsSession> make_session(const CliOptions& options);
-
-/// Writes whatever the session collected to the requested paths.
-/// Returns false (and logs) if any file could not be written. Safe to
-/// call with a null session (no-op, returns true).
-bool write_outputs(ObsSession* session, const CliOptions& options);
+/// Moves the instrument flags out of argv into `out`, keeping argv[0]
+/// and every other argument in order, then applies --log-level and checks
+/// that every output path's directory exists, so a long replay cannot
+/// lose its output to a typo. Every occurrence of a numeric flag goes
+/// through parse_number_flag; the last occurrence wins. Returns false,
+/// with the reason on stderr, on a bad value, an unknown log level or a
+/// missing directory.
+bool parse_cli_options(int& argc, char** argv, CliOptions& out);
 
 /// Up-front check that `path`'s parent directory exists (and is a
-/// directory), so a long replay cannot run to completion and then lose
-/// its output to a typo'd path. Empty paths pass (the flag is off);
-/// failures log an error naming both the flag and the offending path.
+/// directory). Empty paths pass (the flag is off); failures log an error
+/// naming both the flag and the offending path.
 bool validate_output_path(const std::string& path, const char* flag);
 
-/// validate_output_path over every output path the options carry
-/// (--trace-out, --metrics-out, --exemplars-out, --flight-out).
-bool validate_output_paths(const CliOptions& options);
+/// Writes --trace-out, --metrics-out and --exemplars-out for the
+/// instruments given (null = skip). Returns false (and logs) if any file
+/// could not be written.
+bool write_exports(const CliOptions& options, const TraceRecorder* trace,
+                   const MetricsRegistry* metrics, const LatencyObservatory* exemplars);
 
-/// Writes the exemplar waterfalls to options.exemplars_out. Returns
-/// false (and logs) on I/O failure; no-op when the flag is off.
-bool write_exemplars(const LatencyObservatory& observatory,
-                     const CliOptions& options);
-
-/// Serialises the flight recorder's postmortem to options.flight_out
-/// (default "flight-dump.json") with the given reason, and logs the
-/// path plus the ring-occupancy summary. Returns false on I/O failure.
+/// Serialises the flight recorder's postmortem with the given reason and
+/// logs the path plus the ring-occupancy summary. One replay (`cell`
+/// empty) dumps to --flight-out, default "flight-dump.json"; a sweep's
+/// cell dumps to "<--flight-out>flight-<cell>.json". Returns false on
+/// I/O failure.
 bool dump_flight(const FlightRecorder& recorder, const CliOptions& options,
-                 const std::string& reason);
+                 const std::string& reason, const std::string& cell = {});
 
 }  // namespace nvmooc::obs

@@ -8,7 +8,7 @@
 #include "common/logging.hpp"
 #include "common/string_util.hpp"
 #include "common/wallclock.hpp"
-#include "obs/obs.hpp"
+#include "obs/trace_recorder.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>

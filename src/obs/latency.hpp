@@ -25,13 +25,14 @@
 //     per-stage LogHistograms summarised (p50/p90/p99/p999) into
 //     ExperimentResult::latency. Pure derived accounting; never touches
 //     simulation arithmetic, so makespans stay bit-identical.
-//  2. The metrics registry — when an ObsSession with metrics is
-//     installed, each stage also lands in "latency.<stage>_us".
-//  3. LatencyObservatory — installed per replay (--exemplars-out), keeps
-//     the K slowest ledgers per request class and renders them as
-//     Perfetto-loadable span waterfalls: the p999 stragglers, without
-//     paying full --trace-out cost. A probe subscriber, installed by
-//     LatencySession like every other instrument.
+//  2. The metrics registry — when one is installed (--metrics-out),
+//     each stage also lands in "latency.<stage>_us".
+//  3. LatencyObservatory — installed per replay (--exemplars-out or
+//     --exemplars), keeps the K slowest ledgers per request class and
+//     renders them as Perfetto-loadable span waterfalls: the p999
+//     stragglers, without paying full --trace-out cost. A probe
+//     subscriber, installed by LatencySession like every other
+//     instrument.
 #pragma once
 
 #include <array>

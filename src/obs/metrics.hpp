@@ -6,7 +6,8 @@
 // with the unit suffix spelled out (_us, _bytes, _kib) whenever the
 // value is dimensional — see docs/OBSERVABILITY.md.
 //
-// The registry is owned by an ObsSession (obs.hpp). Registration and
+// The registry is installed in its probe slot for a run
+// (cluster/instruments.hpp). Registration and
 // lookup lock; recording into an already-looked-up metric does not. It is
 // also a probe subscriber (common/probe.hpp): the replay-side metrics —
 // per-request latency and byte counts, per-device-request media
@@ -159,5 +160,10 @@ class MetricsRegistry final : public probe::Subscriber {
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, LogHistogram> histograms_;
 };
+
+/// The calling thread's active metrics registry, or null.
+inline MetricsRegistry* metrics() {
+  return static_cast<MetricsRegistry*>(probe::slot(probe::Slot::kMetrics));
+}
 
 }  // namespace nvmooc::obs

@@ -13,7 +13,7 @@
 // run".
 //
 // The profiler is a probe subscriber (common/probe.hpp), installed by a
-// ProfileSession (or ObsSession with Options::profile), and the probe is
+// ProfileSession (or an InstrumentSet with --profile), and the probe is
 // its only input. It builds each request's chain from the probe stream:
 // the engine's request open/close events mint the request, record its
 // dependency gates and its host-side segments; controller steps, link

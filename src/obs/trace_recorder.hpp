@@ -14,7 +14,7 @@
 // names through a thread-local cache, so the steady state takes no lock.
 //
 // The recorder is also the probe's tracer (common/probe.hpp): installed
-// by an ObsSession, it renders the replay's probe stream itself — one
+// in its slot (cluster/instruments.hpp), it renders the replay's probe stream itself — one
 // track per labelled timeline, channel, package port and die plane (with
 // ".wait<k>" lanes for contention, since same-track spans must nest),
 // one "io.lane<k>" track per concurrently in-flight request, and the
@@ -140,5 +140,10 @@ class TraceRecorder final : public probe::Subscriber {
   std::vector<RequestLane> request_lanes_;
   std::uint32_t window_track_ = 0;
 };
+
+/// The calling thread's active tracer, or null.
+inline TraceRecorder* tracer() {
+  return static_cast<TraceRecorder*>(probe::slot(probe::Slot::kTrace));
+}
 
 }  // namespace nvmooc::obs

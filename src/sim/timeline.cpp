@@ -41,7 +41,6 @@ Reservation Timeline::reserve(Time earliest, Time duration) {
       grant.end = grant.start + duration;
       grant.waited = grant.start - earliest;
       busy_.add_interval(grant.start, grant.end);
-      ++reservation_count_;
       // Split the gap around the grant; the pieces are new gaps, left
       // piece first.
       const auto at = gaps_.begin() + static_cast<std::ptrdiff_t>(chosen);
@@ -67,7 +66,6 @@ Reservation Timeline::reserve(Time earliest, Time duration) {
   grant.end = start + duration;
   grant.waited = start - earliest;
   busy_.add_interval(grant.start, grant.end);
-  ++reservation_count_;
 
   if (backfill_ && start > next_free_) {
     gaps_.push_back({next_free_, start, next_gap_seq_++});

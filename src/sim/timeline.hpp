@@ -71,7 +71,6 @@ class Timeline {
 
   [[nodiscard]] Time next_free() const { return next_free_; }
   const BusyTracker& busy() const { return busy_; }
-  std::uint64_t reservation_count() const { return reservation_count_; }
 
   /// Names this resource for the instruments. Every reserve() reports
   /// its grant to the probe (common/probe.hpp) with this label; the
@@ -117,7 +116,6 @@ class Timeline {
   std::size_t dead_gaps_ = 0;
   std::uint64_t next_gap_seq_ = 0;
   BusyTracker busy_;
-  std::uint64_t reservation_count_ = 0;
   std::string trace_label_;
 };
 

@@ -22,6 +22,7 @@
 #include "check/audit.hpp"
 #include "cluster/configs.hpp"
 #include "cluster/engine.hpp"
+#include "cluster/instruments.hpp"
 #include "fs/presets.hpp"
 #include "obs/cli.hpp"
 #include "obs/flight_recorder.hpp"
@@ -29,12 +30,15 @@
 #include "obs/host_profiler.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "obs/trace_recorder.hpp"
 #include "trace/synthetic.hpp"
 
 namespace nvmooc {
 namespace {
+
+// An InstrumentSet installs the tracer and the metrics registry for an
+// export path; the tests read them in memory and never write the file.
+constexpr const char* kUnwritten = "unwritten.json";
 
 // ---------- JSON ---------------------------------------------------------
 
@@ -154,10 +158,12 @@ TEST(Metrics, IoPathCountersSkipZeroSizeRequests) {
   for (const bool ufs : {false, true}) {
     const ExperimentConfig config = ufs ? cnl_ufs_config(NvmType::kSlc)
                                         : cnl_fs_config(ext4_behavior(), NvmType::kSlc);
-    obs::ObsSession session({.metrics = true, .profile = true});
+    InstrumentSet instruments({.metrics_out = kUnwritten, .profile = true, .flight = false});
     const ExperimentResult result = run_experiment(config, trace);
     std::map<std::string, double> counters;
-    for (const obs::MetricSnapshot& m : session.metrics()->snapshot()) counters[m.name] = m.value;
+    for (const obs::MetricSnapshot& m : instruments.metrics()->snapshot()) {
+      counters[m.name] = m.value;
+    }
     const std::string layer = ufs ? "ufs" : "fs";
     EXPECT_EQ(counters[layer + ".requests_in"], 2.0) << config.name;
     EXPECT_EQ(counters.count("fs.internal_requests"), 0u) << config.name;
@@ -399,11 +405,12 @@ struct ReplaySummary {
 /// produced trace is a well-formed Perfetto document: it parses, carries
 /// both clock-domain process labels, and every track's spans nest.
 ReplaySummary traced_replay(const ExperimentConfig& config, const Trace& trace) {
-  obs::ObsSession session({/*trace=*/true, /*metrics=*/true});
+  InstrumentSet instruments(
+      {.trace_out = kUnwritten, .metrics_out = kUnwritten, .flight = false});
   ReplaySummary out;
   out.result = run_experiment(config, trace);
 
-  const obs::JsonValue v = obs::parse_json(session.trace()->chrome_json());
+  const obs::JsonValue v = obs::parse_json(instruments.tracer()->chrome_json());
   const obs::JsonValue* events = v.find("traceEvents");
   if (events == nullptr) {
     ADD_FAILURE() << "trace JSON has no traceEvents array";
@@ -492,7 +499,8 @@ TEST(PerfettoSmoke, TracingDoesNotPerturbTheSimulation) {
   const ExperimentResult baseline = run_experiment(config, trace);
   Time traced_makespan;
   {
-    obs::ObsSession session({/*trace=*/true, /*metrics=*/true});
+    InstrumentSet instruments(
+        {.trace_out = kUnwritten, .metrics_out = kUnwritten, .flight = false});
     traced_makespan = run_experiment(config, trace).makespan;
   }
   EXPECT_EQ(baseline.makespan, traced_makespan)
@@ -964,32 +972,100 @@ Trace mixed_trace(Bytes total, Bytes request_size, Bytes write_size,
 /// flight recorder — and fingerprints each export.
 std::map<std::string, std::string> instrument_digests(const ExperimentConfig& config,
                                                       const Trace& trace) {
-  obs::ObsSession::Options options;
-  options.trace = true;
-  options.metrics = true;
-  options.profile = true;
-  options.speed = true;
-  options.heartbeat_sec = 3600.0;  // No wall-clock heartbeat in the trace.
-  obs::ObsSession session(options);
-  check::AuditSession audit;
-  obs::LatencySession latency(/*per_class=*/4);
-  obs::FlightSession flight;
+  InstrumentSet instruments({.trace_out = kUnwritten,
+                             .metrics_out = kUnwritten,
+                             .audit = true,
+                             .profile = true,
+                             .speed_report = true,
+                             .heartbeat_sec = 3600.0,  // No wall-clock heartbeat in the trace.
+                             .exemplars = 4});
   const ExperimentResult result = run_experiment(config, trace);
   EXPECT_TRUE(result.audit.passed()) << result.audit.summary();
   EXPECT_EQ(result.profile.attributed, result.makespan);
 
   const std::string json = result.to_json();
   std::map<std::string, std::string> out;
-  out["trace"] = fnv1a(session.trace()->chrome_json());
-  out["metrics"] = fnv1a(session.metrics()->json());
+  out["trace"] = fnv1a(instruments.tracer()->chrome_json());
+  out["metrics"] = fnv1a(instruments.metrics()->json());
   for (const char* section : {"profile", "audit", "latency"}) {
     const std::string text = top_level_member(json, section);
     EXPECT_FALSE(text.empty()) << "to_json() has no \"" << section << "\" member";
     out[section] = fnv1a(text);
   }
-  out["waterfall"] = fnv1a(latency.observatory().waterfall_json());
-  out["flight"] = fnv1a(flight.recorder().dump_json("golden"));
+  out["waterfall"] = fnv1a(instruments.observatory()->waterfall_json());
+  out["flight"] = fnv1a(instruments.flight()->dump_json("golden"));
   return out;
+}
+
+TEST(InstrumentSet, InstallsExactlyTheSlotsItsOptionsAskFor) {
+  using probe::Slot;
+  struct Case {
+    obs::CliOptions options;
+    std::vector<Slot> slots;
+  };
+  const std::vector<Case> cases = {
+      {{}, {Slot::kFlight}},  // The flight recorder is on by default.
+      {{.flight = false}, {}},
+      {{.trace_out = kUnwritten, .flight = false}, {Slot::kTrace}},
+      {{.metrics_out = kUnwritten, .flight = false}, {Slot::kMetrics}},
+      {{.audit = true, .flight = false}, {Slot::kAudit}},
+      {{.profile = true, .flight = false}, {Slot::kProfile}},
+      {{.speed_report = true, .heartbeat_sec = 3600.0, .flight = false}, {Slot::kHost}},
+      {{.exemplars_out = kUnwritten, .flight = false}, {Slot::kLatency}},
+      {{.exemplars = 3, .flight = false}, {Slot::kLatency}},
+      {{.trace_out = kUnwritten,
+        .metrics_out = kUnwritten,
+        .audit = true,
+        .profile = true,
+        .speed_report = true,
+        .heartbeat_sec = 3600.0,
+        .exemplars = 1},
+       {Slot::kAudit, Slot::kProfile, Slot::kTrace, Slot::kMetrics, Slot::kLatency,
+        Slot::kFlight, Slot::kHost}},
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    {
+      InstrumentSet instruments(cases[i].options);
+      for (int s = 0; s < probe::kSlotCount; ++s) {
+        const auto slot = static_cast<Slot>(s);
+        const bool wanted = std::find(cases[i].slots.begin(), cases[i].slots.end(), slot) !=
+                            cases[i].slots.end();
+        EXPECT_EQ(probe::slot(slot) != nullptr, wanted) << "case " << i << ", slot " << s;
+      }
+    }
+    for (int s = 0; s < probe::kSlotCount; ++s) {
+      EXPECT_EQ(probe::slot(static_cast<Slot>(s)), nullptr) << "case " << i << " left slot " << s;
+    }
+  }
+  // --exemplars-out alone keeps the default reservoir size.
+  EXPECT_EQ(obs::exemplars_per_class({.exemplars_out = kUnwritten}), obs::kDefaultExemplars);
+  EXPECT_EQ(obs::exemplars_per_class({.exemplars_out = kUnwritten, .exemplars = 2}), 2u);
+  EXPECT_EQ(obs::exemplars_per_class({}), 0u);
+}
+
+TEST(InstrumentSet, NestedSetLeavesTheOuterTracerListening) {
+  // A bench binary keeps one set around the sweep for its exports and
+  // builds one per replay for everything else; the inner set must not
+  // hide the outer tracer.
+  InstrumentSet outer({.trace_out = kUnwritten, .flight = false});
+  {
+    InstrumentSet inner({.audit = true, .profile = true});
+    EXPECT_EQ(probe::slot(probe::Slot::kTrace), outer.tracer());
+    EXPECT_EQ(inner.tracer(), nullptr);
+    const ExperimentResult result =
+        run_experiment(cnl_ufs_config(NvmType::kTlc), sequential_read_trace(8 * MiB, 8 * MiB));
+    EXPECT_TRUE(result.audit.enabled);
+    EXPECT_TRUE(result.profile.enabled);
+    EXPECT_TRUE(inner.conclude().passed());
+  }
+  EXPECT_EQ(probe::slot(probe::Slot::kTrace), outer.tracer());
+  EXPECT_EQ(probe::slot(probe::Slot::kAudit), nullptr);
+  const obs::JsonValue trace = obs::parse_json(outer.tracer()->chrome_json());
+  int spans = 0;
+  for (const obs::JsonValue& event : trace.find("traceEvents")->array) {
+    spans += event.find("name")->string == "cell_activation" ? 1 : 0;
+  }
+  EXPECT_GT(spans, 0) << "the outer tracer saw none of the inner replay";
 }
 
 std::string digest_golden_path() {

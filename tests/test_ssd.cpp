@@ -842,11 +842,10 @@ void for_each_timeline(Ssd& ssd, Visit&& visit) {
   }
 }
 
-/// The device's live busy intervals and reservations so far.
+/// The device's timelines and their live busy intervals.
 struct TimelineTally {
   std::uint64_t timelines = 0;
   std::uint64_t live = 0;
-  std::uint64_t reservations = 0;
 };
 
 TimelineTally tally(Ssd& ssd) {
@@ -854,10 +853,21 @@ TimelineTally tally(Ssd& ssd) {
   for_each_timeline(ssd, [&out](const Timeline& timeline) {
     ++out.timelines;
     out.live += timeline.busy().interval_count();
-    out.reservations += timeline.reservation_count();
   });
   return out;
 }
+
+/// Counts the Timeline grants the probe reports while installed: one per
+/// reservation of positive duration. Install it in the latency slot,
+/// which no accessor casts to its instrument type.
+class GrantCounter final : public probe::Subscriber {
+ public:
+  GrantCounter() : probe::Subscriber(probe::bit(probe::Kind::kInterval)) {}
+  void on_interval(const probe::Interval& interval) override {
+    if (interval.resource == probe::Resource::kTimeline) ++grants;
+  }
+  std::uint64_t grants = 0;
+};
 
 // Differential: a device that folds behind an advancing watermark answers
 // every request, and every device statistic, exactly as its unfolded twin
@@ -880,6 +890,8 @@ TEST(DeviceStats, FoldedSsdMatchesUnfoldedTwin) {
     Time last_end;
     const std::uint64_t timelines = tally(folded).timelines;
     TimelineTally at_fold;
+    GrantCounter reservations;
+    std::uint64_t reservations_at_fold = 0;
     std::uint64_t fold_transactions = 0;
     int shrinking_folds = 0;
     for (int i = 0; i < 600; ++i) {
@@ -893,17 +905,21 @@ TEST(DeviceStats, FoldedSsdMatchesUnfoldedTwin) {
         EXPECT_LE(after.live, live_before);
         if (after.live < live_before) ++shrinking_folds;
         at_fold = after;
+        reservations_at_fold = reservations.grants;
         fold_transactions = transactions;
       } else {
         EXPECT_EQ(after.live, live_before);  // Not due: no fold.
       }
-      const RequestResult got = folded.submit(request, arrival);
+      const RequestResult got = [&] {
+        const probe::Scoped listen(probe::Slot::kLatency, &reservations);
+        return folded.submit(request, arrival);
+      }();
       const RequestResult want = unfolded.submit(request, arrival);
       expect_same_result(got, want);
       last_end = std::max(last_end, want.media_end);
 
       const TimelineTally now = tally(folded);
-      EXPECT_LE(now.live, at_fold.live + (now.reservations - at_fold.reservations));
+      EXPECT_LE(now.live, at_fold.live + (reservations.grants - reservations_at_fold));
       EXPECT_LT(folded.controller_stats().transactions - fold_transactions,
                 std::max(timelines, at_fold.live) + got.transactions);
       if (::testing::Test::HasFailure()) return;

@@ -86,19 +86,6 @@ Rules
   handler purity, access sets) for a parallel event queue the replay
   never ran.
 
-Engines
--------
-  --engine matcher   (default fallback) A token-level matcher: comments,
-                     string and char literals are stripped before rules
-                     run, and SL003 resolves container member types
-                     through the translation unit's in-project include
-                     closure.  No third-party dependencies.
-  --engine libclang  AST-accurate matching via clang.cindex when the
-                     libclang Python bindings are installed.  Falls back
-                     with a notice under --engine auto when they are not.
-                     The matcher engine is the one CI gates on so results
-                     do not depend on toolchain availability.
-
 Shard report
 ------------
   --shard-report FILE  Writes the machine-readable shared-state inventory
@@ -682,42 +669,6 @@ def run_matcher_rules(path: str, lines, closure_texts):
 
 
 # --------------------------------------------------------------------------
-# libclang engine (optional; AST-accurate).
-
-def run_libclang_rules(path: str, compile_args):
-    import clang.cindex as ci  # noqa: deferred import; availability gated by caller
-
-    index = ci.Index.create()
-    tu = index.parse(path, args=compile_args)
-    findings = []
-
-    def type_is_unordered(t) -> bool:
-        spelling = t.get_canonical().spelling
-        return "unordered_map" in spelling or "unordered_set" in spelling
-
-    for cursor in tu.cursor.walk_preorder():
-        if cursor.location.file is None or cursor.location.file.name != path:
-            continue
-        lineno = cursor.location.line
-        if cursor.kind == ci.CursorKind.CXX_FOR_RANGE_STMT:
-            children = list(cursor.get_children())
-            if children and type_is_unordered(children[-2].type):
-                findings.append((lineno, "SL003",
-                                 "range-for over an unordered container (AST)"))
-        elif cursor.kind == ci.CursorKind.DECL_REF_EXPR:
-            if cursor.spelling in ("rand", "srand", "gettimeofday", "clock_gettime"):
-                rule = "SL002" if "rand" in cursor.spelling else "SL001"
-                findings.append((lineno, rule, f"call to {cursor.spelling} (AST)"))
-        elif cursor.kind == ci.CursorKind.NAMESPACE_REF and cursor.spelling == "chrono":
-            findings.append((lineno, "SL001", "std::chrono (AST)"))
-        elif cursor.kind == ci.CursorKind.VAR_DECL:
-            spelling = cursor.type.get_canonical().spelling
-            if "random_device" in spelling:
-                findings.append((lineno, "SL002", "std::random_device (AST)"))
-    return findings
-
-
-# --------------------------------------------------------------------------
 # Configuration and driver.
 
 def load_conf(conf_path: str):
@@ -781,7 +732,7 @@ def discover_files(compile_commands: str, roots):
     return sorted(f for f in files if not f.startswith(fixture_prefix))
 
 
-def lint_file(path: str, graph: IncludeGraph, engine: str, allowlist, src_root: str):
+def lint_file(path: str, graph: IncludeGraph, allowlist):
     """Returns (findings, stale_inline, used_conf): the surviving
     findings, the inline allow() annotations that suppressed nothing
     (lineno, rules), and the indices of allowlist entries that fired."""
@@ -797,12 +748,6 @@ def lint_file(path: str, graph: IncludeGraph, engine: str, allowlist, src_root: 
             closure_texts.append("\n".join(dep_lines))
 
     raw = run_matcher_rules(path, lines, closure_texts)
-    if engine == "libclang":
-        try:
-            raw += run_libclang_rules(path, ["-std=c++20", f"-I{src_root}"])
-        except ImportError:
-            print("simlint: libclang bindings unavailable; matcher results only",
-                  file=sys.stderr)
 
     rel = os.path.relpath(path, REPO_ROOT)
     findings = []
@@ -901,23 +846,20 @@ def diff_shard_reports(old, new):
 _WORKER = {}
 
 
-def _worker_init(src_root, allowlist, engine):
+def _worker_init(src_root, allowlist):
     _WORKER["graph"] = IncludeGraph(src_root)
     _WORKER["allowlist"] = allowlist
-    _WORKER["engine"] = engine
-    _WORKER["src_root"] = src_root
 
 
 def _lint_one(path):
     findings, stale_inline, used_conf = lint_file(
-        path, _WORKER["graph"], _WORKER["engine"],
-        _WORKER["allowlist"], _WORKER["src_root"])
+        path, _WORKER["graph"], _WORKER["allowlist"])
     return ([(f.path, f.line, f.rule, f.message) for f in findings],
             [(path, ln, rules) for ln, rules in stale_inline],
             sorted(used_conf))
 
 
-def lint_tree(files, graph, engine, allowlist, src_root, jobs):
+def lint_tree(files, allowlist, src_root, jobs):
     """Lint every file, in parallel when jobs > 1.  Returns
     (findings, stale_inline, used_conf): Findings in deterministic
     (path, line) order regardless of worker count, the inline allow()
@@ -931,14 +873,14 @@ def lint_tree(files, graph, engine, allowlist, src_root, jobs):
                 else mp.get_context()
             with ctx.Pool(processes=min(jobs, len(files)),
                           initializer=_worker_init,
-                          initargs=(src_root, allowlist, engine)) as pool:
+                          initargs=(src_root, allowlist)) as pool:
                 per_file = pool.map(_lint_one, files, chunksize=4)
         except (ImportError, OSError) as e:
             print(f"simlint: parallel scan unavailable ({e}); running serially",
                   file=sys.stderr)
             per_file = None
     if per_file is None:
-        _worker_init(src_root, allowlist, engine)
+        _worker_init(src_root, allowlist)
         per_file = [_lint_one(path) for path in files]
     findings = [Finding(*tup) for tups, _, _ in per_file for tup in tups]
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
@@ -975,7 +917,7 @@ def self_test() -> int:
                         expected.add((lineno, rule))
                 if "simlint-expect-stale" in line:
                     expected_stale.add(lineno)
-        file_findings, file_stale, _ = lint_file(path, graph, "matcher", [], FIXTURE_DIR)
+        file_findings, file_stale, _ = lint_file(path, graph, [])
         got = {(f.line, f.rule) for f in file_findings}
         got_stale = {ln for ln, _ in file_stale}
         name = os.path.basename(path)
@@ -1057,8 +999,6 @@ def main(argv=None) -> int:
                         default=os.path.join(REPO_ROOT, "build", "compile_commands.json"),
                         help="compilation database for TU discovery")
     parser.add_argument("--config", default=DEFAULT_CONF, help="allowlist file")
-    parser.add_argument("--engine", choices=("auto", "matcher", "libclang"),
-                        default="auto")
     parser.add_argument("--jobs", type=int, default=0, metavar="N",
                         help="parallel worker processes (default: CPU count; "
                              "output order is deterministic either way)")
@@ -1083,14 +1023,6 @@ def main(argv=None) -> int:
     if args.self_test:
         return self_test()
 
-    engine = args.engine
-    if engine == "auto":
-        try:
-            import clang.cindex  # noqa: F401
-            engine = "libclang"
-        except ImportError:
-            engine = "matcher"
-
     src_root = os.path.join(REPO_ROOT, "src")
     roots = []
     explicit_files = []
@@ -1105,13 +1037,11 @@ def main(argv=None) -> int:
             return 2
 
     allowlist = load_conf(args.config)
-    graph = IncludeGraph(src_root)
     files = discover_files(args.compile_commands, roots) if roots else []
     files = sorted(set(files) | set(explicit_files))
 
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    all_findings, stale_inline, used_conf = lint_tree(
-        files, graph, engine, allowlist, src_root, jobs)
+    all_findings, stale_inline, used_conf = lint_tree(files, allowlist, src_root, jobs)
 
     # Allowlist hygiene: an inline allow() that suppressed nothing, or a
     # conf entry that matched nothing, is a stale suppression — the code
@@ -1146,7 +1076,6 @@ def main(argv=None) -> int:
 
     if args.format == "json":
         payload = {
-            "engine": engine,
             "files_scanned": len(files),
             "findings": [
                 {"file": os.path.relpath(f.path, REPO_ROOT), "line": f.line,
@@ -1188,12 +1117,12 @@ def main(argv=None) -> int:
                       file=sys.stderr)
 
     if all_findings:
-        print(f"simlint: {len(all_findings)} finding(s) in {len(files)} file(s) "
-              f"[engine={engine}]", file=sys.stderr)
+        print(f"simlint: {len(all_findings)} finding(s) in {len(files)} file(s)",
+              file=sys.stderr)
         return 1
     if drift or stale_failed:
         return 1
-    print(f"simlint: clean ({len(files)} files) [engine={engine}]", file=sys.stderr)
+    print(f"simlint: clean ({len(files)} files)", file=sys.stderr)
     return 0
 
 
