@@ -18,6 +18,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -120,6 +121,9 @@ struct BenchOptions {
   bool quick = false;          ///< Smaller workload for CI smoke runs.
   std::string headline_out;    ///< bench_headline JSON path override.
   std::string results_out;     ///< BENCH_<figure>.json path override.
+  /// google-benchmark's --benchmark_list_tests: the run prints the point
+  /// names and runs none, so there is nothing to report or export.
+  bool list_tests = false;
 };
 
 /// One bench binary: its command line, its replays and their results,
@@ -262,11 +266,13 @@ class Bench {
   /// Runs the registered points, then `report` (which prints the tables
   /// and may return false to exit 1), then writes the sweep's exports.
   /// Returns the exit status: under --audit 3 with the violation total
-  /// on stderr, or 0 with the pass line; 0 without --audit.
+  /// on stderr, or 0 with the pass line; 0 without --audit. A listing
+  /// (--benchmark_list_tests) prints the point names and exits 0.
   template <class Report>
   int finish(Report&& report) {
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
+    if (options.list_tests) return 0;
     if constexpr (std::is_void_v<std::invoke_result_t<Report&>>) {
       report();
     } else if (!report()) {
@@ -289,6 +295,7 @@ class Bench {
  private:
   static BenchOptions parse(int& argc, char** argv, Flags flags) {
     BenchOptions out;
+    out.list_tests = lists_tests(argc, argv);
     if (flags != Flags::kNone && !obs::parse_cli_options(argc, argv, out.obs)) std::exit(1);
     if (flags == Flags::kSweep) {
       int kept = 1;
@@ -305,6 +312,29 @@ class Bench {
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) std::exit(1);
     return out;
+  }
+
+  /// Whether google-benchmark will only list the points, which it has no
+  /// accessor for: every --benchmark_list_tests[=VALUE] in turn, read the
+  /// way google-benchmark reads a bool flag.
+  static bool lists_tests(int argc, char** argv) {
+    const auto truthy = [](std::string value) {
+      if (value.size() == 1) {
+        const char c = value[0];
+        return std::isalnum(static_cast<unsigned char>(c)) != 0 && !std::strchr("0fFnN", c);
+      }
+      for (char& c : value) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+      return value != "false" && value != "no" && value != "off";
+    };
+    bool list = false;
+    for (int i = 1; i < argc; ++i) {
+      if (!std::strcmp(argv[i], "--benchmark_list_tests")) {
+        list = true;
+      } else if (const char* v = obs::flag_value(argv[i], "--benchmark_list_tests=")) {
+        list = truthy(v);
+      }
+    }
+    return list;
   }
 
   /// The instrument flags of the sweep-wide set: its exports only.

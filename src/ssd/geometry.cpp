@@ -124,6 +124,64 @@ std::uint64_t SsdGeometry::unit_of(const PhysicalAddress& address,
   return 0;
 }
 
+std::uint64_t SsdGeometry::block_index(const PhysicalAddress& address,
+                                       const NvmTiming& timing) const {
+  const std::uint64_t position =
+      ((static_cast<std::uint64_t>(address.channel) * packages_per_channel + address.package) *
+           dies_per_package +
+       address.die) *
+          timing.planes_per_die +
+      address.plane;
+  return position * timing.blocks_per_plane + address.block;
+}
+
+std::uint64_t SsdGeometry::block_index_of_unit(std::uint64_t unit,
+                                               const NvmTiming& timing) const {
+  const std::uint64_t positions = plane_positions(timing);
+  const std::uint64_t row = unit / positions;
+  // The lane is below the position count, so 32-bit divisions suffice.
+  const auto lane = static_cast<std::uint32_t>(unit - row * positions);
+  const std::uint32_t num_planes = timing.planes_per_die;
+  const std::uint32_t num_dies = dies_per_channel();
+  std::uint32_t channel = 0;
+  std::uint32_t plane = 0;
+  std::uint32_t die_in_channel = 0;
+  switch (policy) {
+    case AllocationPolicy::kChannelPlaneDie:
+      channel = lane % channels;
+      plane = lane / channels % num_planes;
+      die_in_channel = lane / channels / num_planes;
+      break;
+    case AllocationPolicy::kChannelDiePlane:
+      channel = lane % channels;
+      die_in_channel = lane / channels % num_dies;
+      plane = lane / channels / num_dies;
+      break;
+    case AllocationPolicy::kDieChannelPlane:
+      die_in_channel = lane % num_dies;
+      channel = lane / num_dies % channels;
+      plane = lane / num_dies / channels;
+      break;
+  }
+  // (channel, package, die) numbered in order is channel * dies + die.
+  const std::uint64_t position =
+      (static_cast<std::uint64_t>(channel) * num_dies + die_in_channel) * num_planes + plane;
+  return position * timing.blocks_per_plane + row / timing.pages_per_block;
+}
+
+PhysicalAddress SsdGeometry::block_base(std::uint64_t block, const NvmTiming& timing) const {
+  std::uint64_t position = block / timing.blocks_per_plane;
+  PhysicalAddress base;
+  base.block = block % timing.blocks_per_plane;
+  base.plane = static_cast<std::uint32_t>(position % timing.planes_per_die);
+  position /= timing.planes_per_die;
+  base.die = static_cast<std::uint32_t>(position % dies_per_package);
+  position /= dies_per_package;
+  base.package = static_cast<std::uint32_t>(position % packages_per_channel);
+  base.channel = static_cast<std::uint32_t>(position / packages_per_channel);
+  return base;
+}
+
 SsdGeometry paper_geometry() { return SsdGeometry{}; }
 
 }  // namespace nvmooc

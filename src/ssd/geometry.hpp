@@ -72,6 +72,19 @@ struct SsdGeometry {
   /// Inverse of map_unit (used by tests to prove the mapping is a
   /// bijection).
   std::uint64_t unit_of(const PhysicalAddress& address, const NvmTiming& timing) const;
+
+  /// Device-wide index of the erase block holding `address` (its page
+  /// is ignored): plane positions numbered in channel, package, die,
+  /// plane order, then the block within the plane.
+  [[nodiscard]] std::uint64_t block_index(const PhysicalAddress& address,
+                                          const NvmTiming& timing) const;
+  /// block_index(map_unit(unit)) without building the address. Under
+  /// every policy a unit's page row is unit / plane_positions; only its
+  /// lane, unit % plane_positions, is ordered by the policy.
+  [[nodiscard]] std::uint64_t block_index_of_unit(std::uint64_t unit,
+                                                  const NvmTiming& timing) const;
+  /// Page 0 of the block with index `block` (inverse of block_index).
+  [[nodiscard]] PhysicalAddress block_base(std::uint64_t block, const NvmTiming& timing) const;
 };
 
 /// The paper's evaluated geometry: 8 channels / 64 packages / 128 dies.

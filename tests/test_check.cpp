@@ -11,6 +11,7 @@
 #include "check/audit.hpp"
 #include "cluster/configs.hpp"
 #include "cluster/engine.hpp"
+#include "cluster/instruments.hpp"
 #include "ooc/workload.hpp"
 #include "ssd/ftl.hpp"
 
@@ -509,6 +510,60 @@ TEST(FtlMapping, GcSparesTheBoundaryBlockHoldingLiveIdentityPages) {
   }
   const std::vector<std::string> violations = ftl.mapping_violations();
   EXPECT_TRUE(violations.empty()) << violations.front();
+}
+
+// GC under a real replay: on a one-die MLC device whose dataset ends 8 MiB
+// short of capacity, a rewrite-heavy trace pushes the write frontier into
+// the GC reserve, so the engine's own FTL collects garbage (relocations
+// included) while the auditor watches every mapping. The makespan and
+// every FtlStats field are pinned: the FTL's tables may change how they
+// store the mapping, never what it is.
+TEST(FtlMapping, ReplayOnOneDieCollectsGarbageAuditClean) {
+  ExperimentConfig config = cnl_ufs_config(NvmType::kMlc);
+  config.geometry.channels = 1;
+  config.geometry.packages_per_channel = 1;
+  config.geometry.dies_per_package = 1;
+  const Bytes capacity = config.geometry.capacity(mlc_timing());
+  const Bytes extent = capacity - 8 * MiB;
+
+  // One read at the end fixes the extent (the engine preloads it); then
+  // a 4 MiB hot region is rewritten in 64 KiB pieces in a scattered
+  // order, so GC victims still hold live pages, with a read-back of the
+  // region every 50 writes. Much more rewriting exhausts the frontier,
+  // after which GC can reclaim only blocks with no live page left.
+  Trace trace;
+  trace.add(NvmOp::kRead, extent - 4 * KiB, 4 * KiB);
+  std::uint64_t lcg = 1;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    lcg = (lcg * 1103515245 + 12345) % (std::uint64_t{1} << 31);
+    trace.add(NvmOp::kWrite, ((lcg >> 16) % 64) * (64 * KiB), 64 * KiB);
+    if (i % 50 == 49) trace.add(NvmOp::kRead, Bytes{}, 4 * MiB);
+  }
+
+  obs::CliOptions options;
+  options.audit = true;
+  options.flight = false;
+  InstrumentSet instruments(options);
+  ReplayEngine engine(config);
+  const ExperimentResult result = engine.run(trace);
+  const AuditReport audit = instruments.conclude();
+
+  EXPECT_EQ(audit.violation_count, 0u) << audit.summary();
+  EXPECT_GT(audit.ftl_checks, 0u);
+  EXPECT_GT(result.ftl.gc_runs, 0u);
+  EXPECT_GT(result.ftl.gc_relocated_pages, 0u);
+
+  // Pinned to the values of the std::map FTL this table layout replaced.
+  EXPECT_EQ(result.makespan.ps(), 2587193540527);
+  EXPECT_EQ(result.ftl.reads, 5u);
+  EXPECT_EQ(result.ftl.writes, 200u);
+  EXPECT_EQ(result.ftl.read_modify_writes, 0u);
+  EXPECT_EQ(result.ftl.gc_runs, 13u);
+  EXPECT_EQ(result.ftl.gc_relocated_pages, 336u);
+  EXPECT_EQ(result.ftl.gc_erased_blocks, 13u);
+  EXPECT_EQ(result.ftl.retired_blocks, 0u);
+  EXPECT_EQ(result.ftl.remap_relocated_pages, 0u);
+  EXPECT_EQ(result.ftl.spare_blocks_used, 0u);
 }
 
 }  // namespace

@@ -9,7 +9,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
+#include <new>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -25,8 +28,34 @@
 #include "ooc/workload.hpp"
 #include "ssd/controller.hpp"
 #include "ssd/ftl.hpp"
+#include "ssd/ftl_tables.hpp"
 #include "ssd/geometry.hpp"
 #include "ssd/ssd.hpp"
+#include "map_ftl.hpp"
+
+namespace nvmooc {
+namespace {
+// Heap allocations made on this thread, counted by the replacement of the
+// global operator new below.
+thread_local std::uint64_t heap_allocations = 0;
+}  // namespace
+}  // namespace nvmooc
+
+// The replacement pair is malloc/free by design; GCC cannot tell once it
+// inlines them, so its mismatch warning is off for these definitions.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  ++nvmooc::heap_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace nvmooc {
 namespace {
@@ -79,9 +108,11 @@ TEST_P(GeometryPolicyTest, MappingIsBijective) {
   EXPECT_EQ(seen.size(), units);
 }
 
-// Differential: the incremental stripe walk lands where map_unit does, for
-// every unit through two full block wraps, on the paper geometry and on
-// odd ones where no dimension is a power of two.
+// Differential: the incremental stripe walk lands where map_unit does,
+// and the FTL's block index straight from a unit equals the index of
+// map_unit's address (block_base inverting it), for every unit through
+// two full block wraps, on the paper geometry and on odd ones where no
+// dimension is a power of two.
 TEST_P(GeometryPolicyTest, WalkMatchesMapUnit) {
   SsdGeometry odd;
   odd.channels = 3;
@@ -106,6 +137,12 @@ TEST_P(GeometryPolicyTest, WalkMatchesMapUnit) {
     const std::uint64_t wraps = 2 * g.plane_positions(timing) * timing.pages_per_block;
     PhysicalAddress walked = g.map_unit(0, timing);
     for (std::uint64_t u = 0; u <= wraps; ++u) {
+      const PhysicalAddress mapped = g.map_unit(u, timing);
+      const std::uint64_t block = g.block_index(mapped, timing);
+      ASSERT_EQ(g.block_index_of_unit(u, timing), block) << "unit " << u;
+      PhysicalAddress base = mapped;
+      base.page = 0;
+      ASSERT_EQ(as_tuple(g.block_base(block, timing)), as_tuple(base)) << "unit " << u;
       g.next(walked, timing);
       ASSERT_EQ(as_tuple(walked), as_tuple(g.map_unit(u + 1, timing))) << "after unit " << u;
     }
@@ -281,6 +318,285 @@ TEST(Ftl, WearAwareGcLevelsEraseCounts) {
 TEST(Ftl, ZeroSizeRequestIsEmpty) {
   Ftl ftl(paper_geometry(), slc_timing());
   EXPECT_TRUE(ftl.translate({NvmOp::kRead, Bytes{}, Bytes{}, false, false}).empty());
+}
+
+TEST(Ftl, BuildingAllocatesNothingAndRewritesAllocatePerLeaf) {
+  const std::uint64_t before = heap_allocations;
+  Ftl ftl(paper_geometry(), mlc_timing());
+  ftl.set_preloaded(64 * MiB);
+  EXPECT_EQ(heap_allocations, before);
+
+  // 1,024 pages a pass. The first two passes build the tables; after
+  // that each pass allocates translate()'s result and the odd leaf for
+  // the frontier's new units. The std::map tables allocated a node per
+  // rewritten page: 1,024 a pass.
+  const BlockRequest rewrite{NvmOp::kWrite, Bytes{}, 4 * MiB, false, false};
+  static_cast<void>(ftl.translate(rewrite));
+  static_cast<void>(ftl.translate(rewrite));
+  const std::uint64_t steady = heap_allocations;
+  for (int pass = 0; pass < 8; ++pass) static_cast<void>(ftl.translate(rewrite));
+  EXPECT_LE(heap_allocations - steady, 8u * 4);
+  EXPECT_EQ(ftl.stats().writes, 10u);
+}
+
+// ---------- FTL tables against std::map --------------------------------------
+
+// Seeded get/set/erase/lower_bound mixes over dense runs and scattered
+// keys, checked against std::map after every operation.
+TEST(PageTable, MatchesStdMap) {
+  std::mt19937_64 rng(7);
+  PageTable table;
+  std::map<std::uint64_t, std::uint64_t> model;
+  for (int step = 0; step < 200000; ++step) {
+    const std::uint64_t base = rng() % 4 == 0 ? (rng() % 64) << 20 : 0;
+    const std::uint64_t key = base + rng() % 3000;
+    switch (rng() % 4) {
+      case 0:
+      case 1: {
+        const std::uint64_t value = rng() % 100000;
+        table.set(key, value);
+        model[key] = value;
+        break;
+      }
+      case 2: {
+        const auto it = model.find(key);
+        ASSERT_EQ(table.erase(key), it == model.end() ? PageTable::kAbsent : it->second);
+        if (it != model.end()) model.erase(it);
+        break;
+      }
+      default: {
+        const auto it = model.lower_bound(key);
+        const auto [k, v] = table.lower_bound(key);
+        if (it == model.end()) {
+          ASSERT_EQ(k, PageTable::kAbsent) << key;
+        } else {
+          ASSERT_EQ(k, it->first) << key;
+          ASSERT_EQ(v, it->second) << key;
+        }
+        break;
+      }
+    }
+    const auto it = model.find(key);
+    ASSERT_EQ(table.get(key), it == model.end() ? PageTable::kAbsent : it->second);
+  }
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> walked;
+  table.for_each([&](std::uint64_t k, std::uint64_t v) { walked.emplace_back(k, v); });
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> in_order(model.begin(), model.end());
+  EXPECT_EQ(walked, in_order);
+  for (const auto& [k, v] : std::map<std::uint64_t, std::uint64_t>(model)) {
+    EXPECT_EQ(table.erase(k), v);
+  }
+  EXPECT_EQ(table.lower_bound(0).first, PageTable::kAbsent);
+}
+
+TEST(BlockCounts, MatchesStdMap) {
+  std::mt19937_64 rng(11);
+  BlockCounts counts;
+  std::map<std::uint64_t, std::uint32_t> model;
+  EXPECT_TRUE(counts.empty());
+  for (int step = 0; step < 200000; ++step) {
+    // Keys stride like block keys do (position * blocks_per_plane + block).
+    const std::uint64_t key = (rng() % 300) * 8192 + rng() % 8;
+    switch (rng() % 3) {
+      case 0:
+        ++counts[key];
+        ++model[key];
+        break;
+      case 1:
+        if (std::uint32_t* count = counts.find(key)) {
+          ASSERT_TRUE(model.count(key));
+          if (*count > 0) --*count;
+          if (model[key] > 0) --model[key];
+        } else {
+          ASSERT_FALSE(model.count(key));
+        }
+        break;
+      default:
+        counts.erase(key);
+        model.erase(key);
+        break;
+    }
+    ASSERT_EQ(counts.empty(), model.empty());
+  }
+  std::map<std::uint64_t, std::uint32_t> walked;
+  counts.for_each([&](std::uint64_t k, std::uint32_t c) { walked.emplace(k, c); });
+  EXPECT_EQ(walked, model);
+}
+
+// ---------- FTL against the std::map reference -------------------------------
+
+std::string describe(const std::vector<UnitRun>& runs) {
+  std::ostringstream out;
+  for (const UnitRun& run : runs) {
+    out << "{" << static_cast<int>(run.op) << " " << run.first_unit << "+" << run.count << " "
+        << run.bytes.value() << (run.gc ? " gc" : "") << "}";
+  }
+  return out.str();
+}
+
+std::string describe(const FtlStats& s) {
+  std::ostringstream out;
+  out << s.reads << " " << s.writes << " " << s.read_modify_writes << " " << s.gc_runs << " "
+      << s.gc_relocated_pages << " " << s.gc_erased_blocks << " " << s.retired_blocks << " "
+      << s.remap_relocated_pages << " " << s.spare_blocks_used;
+  return out.str();
+}
+
+struct DifferentialCase {
+  SsdGeometry geometry;
+  NvmTiming timing;
+  FtlConfig config;
+  std::uint64_t preload_units;
+  std::uint64_t span_units;  ///< Logical pages the operations touch.
+  std::uint64_t seed;
+};
+
+// Everything the FTL answers, after every operation: the same runs out of
+// translate() and retire_block(), the same exception when the device is
+// full, and periodically every lookup, the stats, wear spread, failure
+// state and the mapping audit.
+void run_differential(const DifferentialCase& c, int operations) {
+  Ftl ftl(c.geometry, c.timing, c.config);
+  reference::MapFtl oracle(c.geometry, c.timing, c.config);
+  ftl.set_preloaded(c.preload_units * c.timing.page_size);
+  oracle.set_preloaded(c.preload_units * c.timing.page_size);
+  const std::uint64_t capacity = c.geometry.capacity(c.timing) / c.timing.page_size;
+  const std::uint64_t page = c.timing.page_size.value();
+  std::mt19937_64 rng(c.seed);
+  const auto below = [&](std::uint64_t n) { return rng() % n; };
+
+  const auto compare_state = [&](int step) {
+    for (std::uint64_t logical = 0; logical < c.span_units + 8; ++logical) {
+      ASSERT_EQ(ftl.lookup(logical), oracle.lookup(logical))
+          << "step " << step << " logical " << logical;
+    }
+    ASSERT_EQ(describe(ftl.stats()), describe(oracle.stats())) << "step " << step;
+    ASSERT_EQ(ftl.wear_spread(), oracle.wear_spread()) << "step " << step;
+    ASSERT_EQ(ftl.failed(), oracle.failed()) << "step " << step;
+    ASSERT_EQ(ftl.capacity_lost(), oracle.capacity_lost()) << "step " << step;
+    for (int probe = 0; probe < 16; ++probe) {
+      const std::uint64_t unit = below(capacity);
+      ASSERT_EQ(ftl.is_bad_block(unit), oracle.is_bad_block(unit)) << "step " << step;
+    }
+    ASSERT_EQ(ftl.mapping_violations(), oracle.mapping_violations()) << "step " << step;
+  };
+
+  int retirements = 0;
+  for (int step = 0; step < operations; ++step) {
+    const std::uint64_t kind = below(100);
+    if (kind < 3 && retirements < 6) {
+      // Retire the block holding a live page, a random unit or the block
+      // straddling the preload boundary.
+      std::uint64_t unit = below(capacity);
+      if (kind == 0) unit = ftl.lookup(below(c.span_units));
+      if (kind == 1 && c.preload_units > 0) unit = c.preload_units - 1;
+      ++retirements;
+      std::vector<UnitRun> got;
+      std::vector<UnitRun> want;
+      bool got_ok = false;
+      bool want_ok = false;
+      std::string got_error;
+      std::string want_error;
+      try {
+        got_ok = ftl.retire_block(unit, got);
+      } catch (const std::exception& e) {
+        got_error = e.what();
+      }
+      try {
+        want_ok = oracle.retire_block(unit, want);
+      } catch (const std::exception& e) {
+        want_error = e.what();
+      }
+      ASSERT_EQ(got_error, want_error) << "step " << step << " retire " << unit;
+      if (!want_error.empty()) break;
+      ASSERT_EQ(got_ok, want_ok) << "step " << step << " retire " << unit;
+      ASSERT_EQ(describe(got), describe(want)) << "step " << step << " retire " << unit;
+    } else {
+      // Whole pages, sub-page pieces and unaligned spans, reads and writes.
+      BlockRequest request;
+      request.op = kind < 55 ? NvmOp::kWrite : NvmOp::kRead;
+      const std::uint64_t first = below(c.span_units);
+      const std::uint64_t pages = 1 + below(std::min<std::uint64_t>(c.span_units - first, 48));
+      switch (below(3)) {
+        case 0:
+          request.offset = Bytes{first * page};
+          request.size = Bytes{pages * page};
+          break;
+        case 1:
+          request.offset = Bytes{first * page + below(page)};
+          request.size = Bytes{1 + below(page - request.offset.value() % page)};
+          break;
+        default:
+          request.offset = Bytes{first * page + below(page)};
+          request.size = Bytes{pages * page - below(page)};
+          break;
+      }
+      std::vector<UnitRun> got;
+      std::vector<UnitRun> want;
+      std::string got_error;
+      std::string want_error;
+      try {
+        got = ftl.translate(request);
+      } catch (const std::exception& e) {
+        got_error = e.what();
+      }
+      try {
+        want = oracle.translate(request);
+      } catch (const std::exception& e) {
+        want_error = e.what();
+      }
+      ASSERT_EQ(got_error, want_error) << "step " << step;
+      if (!want_error.empty()) break;  // Device full: both gave up alike.
+      ASSERT_EQ(describe(got), describe(want))
+          << "step " << step << " op " << static_cast<int>(request.op) << " offset "
+          << request.offset.value() << " size " << request.size.value();
+    }
+    if (step % 97 == 0) {
+      compare_state(step);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  compare_state(operations);
+}
+
+TEST(FtlDifferential, MatchesMapReferenceUnderGcAndRetirement) {
+  NvmTiming medium = tiny_timing();
+  medium.blocks_per_plane = 16;
+  medium.pages_per_block = 32;  // 16 positions x 16 x 32 = 8,192 units.
+  NvmTiming pcm_like = tiny_timing();
+  pcm_like.page_size = Bytes{64};
+  std::uint64_t seed = 1;
+  for (const AllocationPolicy policy :
+       {AllocationPolicy::kChannelPlaneDie, AllocationPolicy::kChannelDiePlane,
+        AllocationPolicy::kDieChannelPlane}) {
+    for (const bool wear_aware : {false, true}) {
+      for (const std::uint32_t reserve : {1u, 2u}) {
+        SsdGeometry geometry = small_geometry();
+        geometry.policy = policy;
+        FtlConfig config;
+        config.gc_reserve_blocks = reserve;
+        config.wear_aware = wear_aware;
+        config.spare_blocks = 2;
+        config.hard_failure_capacity_fraction = 0.5;
+        const std::uint64_t cohort = geometry.plane_positions(tiny_timing()) * 8;
+        const std::vector<DifferentialCase> cases = {
+            // Tiny device: GC runs constantly; the preload ends mid-block.
+            {geometry, tiny_timing(), config, cohort + cohort / 2, 96, seed++},
+            {geometry, pcm_like, config, 37, 160, seed++},
+            // Sixteen 512-key leaves: leaves fill, drain and are freed.
+            {geometry, medium, config, 1000, 2500, seed++},
+        };
+        for (const DifferentialCase& c : cases) {
+          SCOPED_TRACE(::testing::Message()
+                       << to_string(policy) << " wear_aware=" << wear_aware
+                       << " reserve=" << reserve << " pages/block=" << c.timing.pages_per_block
+                       << " seed=" << c.seed);
+          run_differential(c, 3000);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
 }
 
 // ---------- controller ------------------------------------------------------
