@@ -2,13 +2,14 @@
 // for each of the NVM types we consider."
 //
 // Rather than echoing constants, this bench *measures* the operation
-// latencies on the die model (reserving each page position's cell
-// activation, timed by NvmTiming's per-page functions, on an idle die)
+// latencies on the cell model (reserving each page position's cell
+// activation, timed by NvmTiming's per-page functions, on an idle plane)
 // and prints them next to the paper's quoted values, so any drift between
 // model and paper is visible.
 #include "bench_common.hpp"
 #include "common/string_util.hpp"
-#include "nvm/die.hpp"
+#include "nvm/timing.hpp"
+#include "sim/timeline.hpp"
 
 namespace {
 
@@ -25,19 +26,14 @@ MeasuredLatencies measure(NvmType type) {
   MeasuredLatencies out;
   out.read_min = out.write_min = kSecond;
   for (std::uint32_t page = 0; page < timing.pages_per_block; ++page) {
-    Die die(timing, false);
-    const CellActivation read =
-        die.activate(0, NvmOp::kRead, 0, 1, Time{}, timing.read_time_for_page(page));
+    const Reservation read = Timeline().reserve(Time{}, timing.read_time_for_page(page));
     out.read_min = std::min(out.read_min, read.end - read.start);
     out.read_max = std::max(out.read_max, read.end - read.start);
-    Die fresh(timing, false);
-    const CellActivation write =
-        fresh.activate(0, NvmOp::kWrite, 0, 1, Time{}, timing.write_time_for_page(page));
+    const Reservation write = Timeline().reserve(Time{}, timing.write_time_for_page(page));
     out.write_min = std::min(out.write_min, write.end - write.start);
     out.write_max = std::max(out.write_max, write.end - write.start);
   }
-  Die die(timing, false);
-  const CellActivation erase = die.activate(0, NvmOp::kErase, 0, 1, Time{}, timing.erase_time);
+  const Reservation erase = Timeline().reserve(Time{}, timing.erase_time);
   out.erase = erase.end - erase.start;
   return out;
 }

@@ -33,8 +33,10 @@ namespace nvmooc {
 std::unique_ptr<IoPath> mount_io_path(const ExperimentConfig& config, Bytes extent);
 
 // One engine drives one modelled device end to end (device, links, the
-// clients' FS); nothing in it is shared with other engines, so sweep
-// workers may run engines concurrently (see bench_common).
+// clients' FS); nothing in it is shared with other engines. The sweep
+// binaries run their engines one after another; concurrent engines on a
+// ThreadPool match that byte for byte
+// (ConcurrentExperiments.PoolSweepMatchesSerialByteForByte).
 class ReplayEngine {
  public:
   /// `clients` compute nodes (at least one) share the device and links.

@@ -1,8 +1,10 @@
-// Shared-state annotation for the experiment-level parallelism this
-// repo uses: sweep binaries run independent experiments concurrently on
-// a ThreadPool, each with its own engine and its own thread-local
-// observer sessions. That is only sound if no mutable state is shared
-// across experiments by accident.
+// Shared-state annotation for experiment-level parallelism: independent
+// experiments, each with its own engine and its own thread-local
+// observer sessions, may run concurrently on a ThreadPool. The sweep
+// binaries still run them serially;
+// ConcurrentExperiments.PoolSweepMatchesSerialByteForByte shows that a
+// pool gives the same results. Either is only sound if no mutable state
+// is shared across experiments by accident.
 //
 // SIM_SHARD_SHARED(note) marks deliberately shared long-lived mutable
 // state — process-wide singletons, thread-local install slots — and the

@@ -15,48 +15,49 @@ constexpr std::uint32_t kMaxBurstCells = 4096;
 
 SsdHardware::SsdHardware(const SsdGeometry& geometry, const NvmTiming& timing,
                          const BusConfig& bus, bool backfill)
-    : geometry_(geometry), timing_(timing), bus_(bus) {
-  channels_.reserve(geometry_.channels);
-  for (std::uint32_t c = 0; c < geometry_.channels; ++c) {
-    Channel& channel = channels_.emplace_back(backfill);
-    channel.packages.reserve(geometry_.packages_per_channel);
-    for (std::uint32_t p = 0; p < geometry_.packages_per_channel; ++p) {
-      channel.packages.emplace_back(timing_, geometry_.dies_per_package, backfill);
-    }
+    : geometry(geometry), timing(timing), bus(bus),
+      channels(geometry.channels, Timeline(backfill)),
+      ports(geometry.total_packages(), Timeline(backfill)),
+      planes(geometry.plane_positions(timing), Timeline(backfill)) {}
+
+Reservation SsdHardware::activate(std::uint32_t plane, const PhysicalAddress& address,
+                                  NvmOp op, std::uint32_t cell_ops, Time earliest,
+                                  Time duration) {
+  switch (op) {
+    case NvmOp::kErase:
+      wear.record_erase(geometry.block_index(address, timing));
+      break;
+    case NvmOp::kWrite:
+      wear.record_writes(cell_ops);
+      break;
+    case NvmOp::kRead:
+      break;
   }
+  return planes[plane].reserve(earliest, duration);
 }
 
 Controller::Controller(SsdHardware& hardware, Ftl& ftl, ControllerConfig config,
                        FaultInjector* injector)
     : hardware_(hardware), ftl_(ftl), config_(config), ecc_(config.ecc),
-      injector_(injector), cell_times_(hardware.timing()),
-      planes_per_die_(hardware.timing().planes_per_die),
-      planes_per_channel_(planes_per_die_ * hardware.geometry().dies_per_channel()),
-      plane_load_(static_cast<std::size_t>(planes_per_channel_) * hardware.geometry().channels),
-      channel_load_(hardware.geometry().channels),
-      package_fb_(hardware.geometry().total_packages()),
-      die_plane_mask_(hardware.geometry().total_dies()),
+      injector_(injector), cell_times_(hardware.timing),
+      plane_site_(hardware.planes.size()),
+      plane_load_(hardware.planes.size()),
+      channel_load_(hardware.channels.size()),
+      package_fb_(hardware.ports.size()),
+      die_plane_mask_(hardware.geometry.total_dies()),
       touched_planes_((plane_load_.size() + 63) / 64) {
-  const SsdGeometry& geometry = hardware.geometry();
-  plane_site_.resize(plane_load_.size());
-  PlaneSite* site = plane_site_.data();
-  std::uint32_t die = 0;
-  std::uint32_t package = 0;
-  for (std::uint32_t channel = 0; channel < geometry.channels; ++channel) {
-    for (std::uint32_t p = 0; p < geometry.packages_per_channel; ++p, ++package) {
-      for (std::uint32_t d = 0; d < geometry.dies_per_package; ++d, ++die) {
-        for (std::uint32_t plane = 0; plane < planes_per_die_; ++plane) {
-          *site++ = {die, package, channel};
-        }
-      }
-    }
+  const SsdGeometry& geometry = hardware.geometry;
+  for (std::uint32_t plane = 0; plane < plane_site_.size(); ++plane) {
+    const std::uint32_t die = plane / hardware.timing.planes_per_die;
+    plane_site_[plane] = {die, die / geometry.dies_per_package,
+                          die / geometry.dies_per_channel()};
   }
 }
 
 template <typename Visit>
 void Controller::expand_run(const UnitRun& run, Visit&& visit) const {
-  const NvmTiming& timing = hardware_.timing();
-  const SsdGeometry& geometry = hardware_.geometry();
+  const NvmTiming& timing = hardware_.timing;
+  const SsdGeometry& geometry = hardware_.geometry;
   const std::uint64_t positions = geometry.plane_positions(timing);
   const Bytes page = timing.page_size;
   PhysicalAddress address = geometry.map_unit(run.first_unit, timing);
@@ -79,6 +80,8 @@ void Controller::expand_run(const UnitRun& run, Visit&& visit) const {
       if (i > 0) geometry.next(address, timing);
       std::uint64_t remaining = rows + (i < extra ? 1 : 0);
       std::uint64_t cursor = run.first_unit + i;
+      // A position's rows all lie on one plane.
+      const std::uint32_t plane = geometry.plane_index(address, timing);
       PhysicalAddress burst_address = address;
       while (remaining > 0) {
         const std::uint32_t cells = static_cast<std::uint32_t>(
@@ -86,7 +89,7 @@ void Controller::expand_run(const UnitRun& run, Visit&& visit) const {
         const Bytes want = cells * page;
         const Bytes bytes = std::min(bytes_left, want);
         bytes_left -= bytes;
-        visit(TxnSpec{run.op, cursor, cells, bytes, burst_address, run.gc});
+        visit(TxnSpec{run.op, cursor, cells, bytes, burst_address, run.gc}, plane);
         cursor += static_cast<std::uint64_t>(cells) * positions;
         remaining -= cells;
         // Only a position holding more than kMaxBurstCells of the run's
@@ -113,36 +116,51 @@ void Controller::expand_run(const UnitRun& run, Visit&& visit) const {
       if (i == 0) bytes -= std::min(bytes, leading_trim);
       if (i + 1 == run.count) bytes -= std::min(bytes, trailing_trim);
     }
-    visit(TxnSpec{run.op, run.first_unit + i, 1, bytes, address, run.gc});
+    visit(TxnSpec{run.op, run.first_unit + i, 1, bytes, address, run.gc},
+          geometry.plane_index(address, timing));
   }
 }
 
 Time Controller::bus_time(Bytes bytes) {
   if (bytes != bus_memo_bytes_) {
     bus_memo_bytes_ = bytes;
-    bus_memo_time_ = hardware_.bus().transfer_time(bytes);
+    bus_memo_time_ = hardware_.bus.transfer_time(bytes);
   }
   return bus_memo_time_;
 }
 
-TransactionResult Controller::schedule(const TxnSpec& spec, Time arrival, bool inject) {
-  const NvmTiming& timing = hardware_.timing();
+void Controller::schedule(const TxnSpec& spec, std::uint32_t plane, Time arrival,
+                          bool inject, bool count_pal) {
+  const NvmTiming& timing = hardware_.timing;
   const PhysicalAddress& address = spec.address;
+  const PlaneSite& where = plane_site_[plane];
+  Timeline& channel = hardware_.channels[where.channel];
+  Timeline& port = hardware_.ports[where.package];
 
-  Timeline& channel = hardware_.channel_bus(address.channel);
-  Package& package = hardware_.package(address.channel, address.package);
-  Die& die = package.die(address.die);
-
-  TransactionResult txn;
-  txn.channel = address.channel;
-  txn.package = address.package;
-  txn.die = address.die;
-  txn.plane = address.plane;
-  txn.bytes = spec.bytes;
-  txn.issue = arrival;
-
+  // Every step's cost lands in the request's plane, channel and package
+  // loads (the critical path, see submit()) and in the device stats.
+  touched_planes_[plane / 64] |= 1ULL << (plane % 64);
+  PlaneLoad& plane_load = plane_load_[plane];
+  ChannelLoad& channel_load = channel_load_[where.channel];
+  Time& port_load = package_fb_[where.package];
+  Time& op_cell_time = stats_.cell_time_by_op[static_cast<int>(spec.op)];
   // Each step below reports its (wait, occupancy) pair to the probe once.
   const probe::Site site{address.channel, address.package, address.die, address.plane};
+  const auto cell_step = [&](const Reservation& cell) {
+    plane_load.cell += cell.end - cell.start;
+    plane_load.wait += cell.waited;
+    op_cell_time += cell.end - cell.start;
+  };
+  const auto port_step = [&](const Reservation& fb) {
+    port_load += fb.end - fb.start;
+    channel_load.wait += fb.waited;
+    stats_.bus_time += fb.end - fb.start;
+  };
+  const auto channel_step = [&](const Reservation& transfer) {
+    channel_load.active += transfer.end - transfer.start;
+    channel_load.wait += transfer.waited;
+    stats_.bus_time += transfer.end - transfer.start;
+  };
 
   // An injected channel stall pushes the whole transaction back; the
   // delay books as channel contention like any other bus wait.
@@ -152,21 +170,26 @@ TransactionResult Controller::schedule(const TxnSpec& spec, Time arrival, bool i
     start = injector_->channel_available(address.channel, arrival, &stalled);
     if (stalled) {
       ++stats_.reliability.channel_stalls;
-      txn.channel_wait += start - arrival;
+      channel_load.wait += start - arrival;
       probe::step(probe::Resource::kChannelStall, site, arrival, start, start);
     }
   }
 
   // Command/address cycles occupy the shared channel.
   const Reservation cmd = channel.reserve(start, timing.command_time);
-  txn.command = timing.command_time;
-  txn.channel_wait += cmd.waited;
+  channel_step(cmd);
   probe::step(probe::Resource::kChannel, site, start, cmd.start, cmd.end);
 
   // Both the channel transfer and the package port move the payload at
   // the bus rate.
   const Time data_time = bus_time(spec.bytes);
 
+  Time complete;
+  // Reliability outcome (all zero/false when fault injection is off).
+  std::uint32_t retries = 0;   // Read-retry ladder steps taken.
+  bool corrected = false;      // Raw bit errors occurred but ECC recovered.
+  bool uncorrectable = false;  // Ladder exhausted (or die stuck): data lost.
+  Time retry_time;             // Completion delay the retry attempts added.
   switch (spec.op) {
     case NvmOp::kRead: {
       // Decide the sense chain's fate up front (the draw stream is keyed
@@ -179,20 +202,19 @@ TransactionResult Controller::schedule(const TxnSpec& spec, Time arrival, bool i
                                  cmd.end)) {
           // Stuck die: the status poll fails immediately — no sense data,
           // no ladder to climb, the data is simply gone.
-          txn.uncorrectable = true;
+          uncorrectable = true;
           ++stats_.reliability.die_stuck_reads;
         } else {
-          const std::uint64_t wear_unit =
-              address.block * timing.planes_per_die + address.plane;
-          const double rber = injector_->effective_rber(die.wear().erases(wear_unit));
+          const double rber = injector_->effective_rber(
+              hardware_.wear.erases(hardware_.geometry.block_index(address, timing)));
           const std::uint64_t access = injector_->next_access(spec.first_unit);
           const Bytes sensed = std::max<Bytes>(spec.bytes, timing.page_size);
           const EccOutcome ecc = ecc_.read(rber, sensed, [&](std::uint32_t attempt) {
             return injector_->uniform(spec.first_unit, access, attempt);
           });
-          txn.retries = ecc.retries;
-          txn.corrected = ecc.verdict != ReadVerdict::kClean;
-          txn.uncorrectable = ecc.verdict == ReadVerdict::kUncorrectable;
+          retries = ecc.retries;
+          corrected = ecc.verdict != ReadVerdict::kClean;
+          uncorrectable = ecc.verdict == ReadVerdict::kUncorrectable;
           attempts += ecc.retries;
         }
       }
@@ -212,58 +234,104 @@ TransactionResult Controller::schedule(const TxnSpec& spec, Time arrival, bool i
                 : Time{static_cast<std::int64_t>(static_cast<double>(timing.read_time) *
                                                  ecc_.config().retry_latency_factor *
                                                  static_cast<double>(attempt))};
-        const CellActivation cell = die.activate(address.plane, NvmOp::kRead, address.block,
-                                                 spec.cell_ops, cursor, cell_time + extra);
-        txn.cell += cell.end - cell.start;
-        txn.cell_wait += cell.waited;
+        const Reservation cell = hardware_.activate(plane, address, NvmOp::kRead,
+                                                    spec.cell_ops, cursor, cell_time + extra);
+        cell_step(cell);
         probe::step(probe::Resource::kCell, site, cursor, cell.start, cell.end, attempt);
-        const Reservation fb = package.flash_bus().reserve(cell.end, data_time);
-        txn.flash_bus += fb.end - fb.start;
-        txn.channel_wait += fb.waited;
+        const Reservation fb = port.reserve(cell.end, data_time);
+        port_step(fb);
         probe::step(probe::Resource::kPort, site, cell.end, fb.start, fb.end);
         const Reservation out = channel.reserve(fb.end, data_time);
-        txn.channel_bus += out.end - out.start;
-        txn.channel_wait += out.waited;
+        channel_step(out);
         probe::step(probe::Resource::kChannel, site, fb.end, out.start, out.end);
         cursor = out.end;
         if (attempt == 0) first_end = cursor;
       }
-      txn.complete = cursor;
-      txn.retry_time = cursor - first_end;
+      complete = cursor;
+      retry_time = cursor - first_end;
+      current_.non_write_end = std::max(current_.non_write_end, complete);
       break;
     }
     case NvmOp::kWrite: {
       const Reservation in = channel.reserve(cmd.end, data_time);
-      txn.channel_bus = in.end - in.start;
-      txn.channel_wait += in.waited;
-      txn.data_in_end = in.end;
+      channel_step(in);
+      current_.write_data_in_end = std::max(current_.write_data_in_end, in.end);
       probe::step(probe::Resource::kChannel, site, cmd.end, in.start, in.end);
-      const Reservation fb = package.flash_bus().reserve(in.end, data_time);
-      txn.flash_bus = fb.end - fb.start;
-      txn.channel_wait += fb.waited;
+      const Reservation fb = port.reserve(in.end, data_time);
+      port_step(fb);
       probe::step(probe::Resource::kPort, site, in.end, fb.start, fb.end);
-      const CellActivation cell = die.activate(
-          address.plane, NvmOp::kWrite, address.block, spec.cell_ops, fb.end,
+      const Reservation cell = hardware_.activate(
+          plane, address, NvmOp::kWrite, spec.cell_ops, fb.end,
           cell_times_.run_time(NvmOp::kWrite, address.page, spec.cell_ops));
-      txn.cell = cell.end - cell.start;
-      txn.cell_wait = cell.waited;
-      txn.complete = cell.end;
+      cell_step(cell);
+      complete = cell.end;
       probe::step(probe::Resource::kCell, site, fb.end, cell.start, cell.end);
       break;
     }
     case NvmOp::kErase: {
-      const CellActivation cell =
-          die.activate(address.plane, NvmOp::kErase, address.block, 1, cmd.end,
-                       cell_times_.run_time(NvmOp::kErase, address.page, 1));
-      txn.cell = cell.end - cell.start;
-      txn.cell_wait = cell.waited;
-      txn.complete = cell.end;
+      const Reservation cell =
+          hardware_.activate(plane, address, NvmOp::kErase, 1, cmd.end,
+                             cell_times_.run_time(NvmOp::kErase, address.page, 1));
+      cell_step(cell);
+      complete = cell.end;
+      current_.non_write_end = std::max(current_.non_write_end, complete);
       probe::step(probe::Resource::kCell, site, cmd.end, cell.start, cell.end, 0,
                   /*erase=*/true);
       break;
     }
   }
-  return txn;
+
+  // The remap pass runs with inject=false, count_pal=false; GC
+  // relocations carry the spec's gc flag; a read spec inside a write
+  // request is the read half of a read-modify-write.
+  probe::MediaKind kind = probe::MediaKind::kRequest;
+  if (!inject && !count_pal) {
+    kind = probe::MediaKind::kRemap;
+  } else if (spec.gc) {
+    kind = probe::MediaKind::kGc;
+  } else if (current_.op == NvmOp::kWrite && spec.op == NvmOp::kRead) {
+    kind = probe::MediaKind::kRmw;
+  }
+  probe::media_transfer(spec.bytes, kind, retries);
+  ++stats_.transactions;
+
+  RequestResult& result = current_.result;
+  if (retries > 0 || corrected || uncorrectable) {
+    stats_.reliability.read_retries += retries;
+    stats_.reliability.retry_time += retry_time;
+    if (uncorrectable) {
+      ++stats_.reliability.uncorrectable_reads;
+    } else if (corrected) {
+      ++stats_.reliability.corrected_reads;
+    }
+    result.retries += retries;
+    result.retry_time += retry_time;
+    if (retries > 0) {
+      probe::note(complete, "ssd", "ecc_retry", retries, retry_time.ps());
+    }
+    if (uncorrectable) {
+      ++result.uncorrectable_units;
+      result.uncorrectable_bytes += std::max<Bytes>(spec.bytes, timing.page_size);
+      probe::note(complete, "ssd", "uncorrectable", spec.first_unit, (spec.bytes).value());
+      if (!ftl_.retire_block(spec.first_unit, current_.remap_runs)) {
+        result.hard_failure = true;
+        stats_.reliability.hard_failure = true;
+        probe::note(complete, "ssd", "hard_failure", spec.first_unit);
+      } else {
+        probe::note(complete, "ssd", "bad_block_retire", spec.first_unit,
+                    current_.remap_runs.size());
+      }
+    }
+  }
+
+  result.media_end = std::max(result.media_end, complete);
+  ++result.transactions;
+
+  if (!count_pal) return;
+  const std::uint32_t die_in_channel =
+      address.package * hardware_.geometry.dies_per_package + address.die;
+  channel_load.die_mask |= 1ULL << (die_in_channel % 64);
+  die_plane_mask_[where.die] |= 1u << address.plane;
 }
 
 Bytes Controller::dirty_bytes_at(Time when) {
@@ -308,7 +376,7 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
   if (request.op == NvmOp::kErase) {
     expected = Bytes{};  // Defensive: raw erases translate to nothing.
   } else if (request.op == NvmOp::kWrite && request.size > Bytes{}) {
-    const Bytes page = hardware_.timing().page_size;
+    const Bytes page = hardware_.timing.page_size;
     const std::uint64_t first = request.offset / page;
     const std::uint64_t last = (request.offset + request.size - Bytes{1}) / page;
     expected = (last - first + 1) * page;
@@ -317,12 +385,15 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
 
   const std::vector<UnitRun> runs = ftl_.translate(request);
 
-  RequestResult result;
+  current_.op = request.op;
+  current_.result = RequestResult{};
+  current_.write_data_in_end = Time{};
+  current_.non_write_end = Time{};
+  current_.remap_runs.clear();
+  RequestResult& result = current_.result;
   result.issue = arrival;
   result.bytes = request.size;
   result.media_begin = arrival;
-
-  const SsdGeometry& geometry = hardware_.geometry();
 
   // Critical-path phase accounting: within one request, cell activations
   // on different planes run in parallel and transfers on different
@@ -335,105 +406,22 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
   // here rather than at the end keeps them sound if a request throws.
   clear_request_loads();
 
-  Time write_data_in_end;   // Last inbound transfer of this request.
-  Time non_write_end;       // RMW reads / GC work that must land first.
-
+  // Each transaction is scheduled as the stripe walk reaches it.
+  for (const UnitRun& run : runs) {
+    expand_run(run, [&](const TxnSpec& spec, std::uint32_t plane) {
+      schedule(spec, plane, arrival, /*inject=*/true, /*count_pal=*/true);
+    });
+  }
   // Bad-block relocation traffic triggered by this request's
   // uncorrectable reads; scheduled after the payload pass, without fault
   // injection (a remap must not recursively fail), and excluded from the
-  // PAL masks (it says nothing about the request's data layout).
-  std::vector<UnitRun> remap_runs;
-
-  const auto run_spec = [&](const TxnSpec& spec, bool inject, bool count_pal) {
-    const TransactionResult txn = schedule(spec, arrival, inject);
-    // The remap pass runs with inject=false, count_pal=false; GC
-    // relocations carry the spec's gc flag; a read spec inside a write
-    // request is the read half of a read-modify-write.
-    probe::MediaKind kind = probe::MediaKind::kRequest;
-    if (!inject && !count_pal) {
-      kind = probe::MediaKind::kRemap;
-    } else if (spec.gc) {
-      kind = probe::MediaKind::kGc;
-    } else if (request.op == NvmOp::kWrite && spec.op == NvmOp::kRead) {
-      kind = probe::MediaKind::kRmw;
-    }
-    probe::media_transfer(spec.bytes, kind, txn.retries);
-    ++stats_.transactions;
-    stats_.cell_time_by_op[static_cast<int>(spec.op)] += txn.cell;
-    stats_.bus_time += txn.flash_bus + txn.channel_bus + txn.command;
-    if (spec.op == NvmOp::kWrite) {
-      write_data_in_end = std::max(write_data_in_end, txn.data_in_end);
-    } else {
-      non_write_end = std::max(non_write_end, txn.complete);
-    }
-
-    if (txn.retries > 0 || txn.corrected || txn.uncorrectable) {
-      stats_.reliability.read_retries += txn.retries;
-      stats_.reliability.retry_time += txn.retry_time;
-      if (txn.uncorrectable) {
-        ++stats_.reliability.uncorrectable_reads;
-      } else if (txn.corrected) {
-        ++stats_.reliability.corrected_reads;
-      }
-      result.retries += txn.retries;
-      result.retry_time += txn.retry_time;
-      if (txn.retries > 0) {
-        probe::note(txn.complete, "ssd", "ecc_retry", txn.retries, (txn.retry_time).ps());
-      }
-      if (txn.uncorrectable) {
-        ++result.uncorrectable_units;
-        result.uncorrectable_bytes +=
-            std::max<Bytes>(spec.bytes, hardware_.timing().page_size);
-        probe::note(txn.complete, "ssd", "uncorrectable", spec.first_unit,
-                    (spec.bytes).value());
-        if (!ftl_.retire_block(spec.first_unit, remap_runs)) {
-          result.hard_failure = true;
-          stats_.reliability.hard_failure = true;
-          probe::note(txn.complete, "ssd", "hard_failure", spec.first_unit);
-        } else {
-          probe::note(txn.complete, "ssd", "bad_block_retire", spec.first_unit,
-                      remap_runs.size());
-        }
-      }
-    }
-
-    const std::uint32_t die_in_channel = txn.package * geometry.dies_per_package + txn.die;
-    const std::uint32_t plane_index =
-        txn.channel * planes_per_channel_ + die_in_channel * planes_per_die_ + txn.plane;
-    touched_planes_[plane_index / 64] |= 1ULL << (plane_index % 64);
-    const PlaneSite& site = plane_site_[plane_index];
-    PlaneLoad& plane = plane_load_[plane_index];
-    plane.cell += txn.cell;
-    plane.wait += txn.cell_wait;
-    ChannelLoad& channel = channel_load_[txn.channel];
-    channel.active += txn.command + txn.channel_bus;
-    channel.wait += txn.channel_wait;
-    package_fb_[site.package] += txn.flash_bus;
-
-    result.media_end = std::max(result.media_end, txn.complete);
-    ++result.transactions;
-
-    if (!count_pal) return;
-    channel.die_mask |= 1ULL << (die_in_channel % 64);
-    die_plane_mask_[site.die] |= 1u << txn.plane;
-  };
-
-  // Each transaction is scheduled as the stripe walk reaches it.
-  for (const UnitRun& run : runs) {
-    expand_run(run, [&](const TxnSpec& spec) {
-      run_spec(spec, /*inject=*/true, /*count_pal=*/true);
+  // PAL masks. With inject=false none of its reads is uncorrectable and
+  // no block retires: remap_runs cannot grow while it is walked.
+  for (const UnitRun& run : current_.remap_runs) {
+    expand_run(run, [&](const TxnSpec& spec, std::uint32_t plane) {
+      schedule(spec, plane, arrival, /*inject=*/false, /*count_pal=*/false);
     });
-  }
-  if (!remap_runs.empty()) {
-    // The remap pass runs with inject=false, so none of its reads is
-    // uncorrectable and no block retires: remap_runs cannot grow while
-    // it is walked.
-    for (const UnitRun& run : remap_runs) {
-      expand_run(run, [&](const TxnSpec& spec) {
-        run_spec(spec, /*inject=*/false, /*count_pal=*/false);
-      });
-      stats_.internal_bytes += run.bytes;
-    }
+    stats_.internal_bytes += run.bytes;
   }
 
   // Fold the request's critical-path components into the totals. Waits
@@ -485,8 +473,8 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
   // keep the planes busy in the background (their contention effects on
   // later requests are already booked on the timelines).
   if (config_.write_buffer > Bytes{} && request.op == NvmOp::kWrite &&
-      write_data_in_end > Time{}) {
-    const Time ack_floor = std::max(write_data_in_end, non_write_end);
+      current_.write_data_in_end > Time{}) {
+    const Time ack_floor = std::max(current_.write_data_in_end, current_.non_write_end);
     if (dirty_bytes_at(ack_floor) + request.size <= config_.write_buffer) {
       write_buffer_drain_.emplace_back(result.media_end, request.size);
       result.media_end = ack_floor;
@@ -531,7 +519,7 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
   probe::media_end({result.transactions, result.media_end - arrival, result.retries,
                     result.uncorrectable_units});
   // A retirement rewrites mappings; prove the survivors stayed sound.
-  if (!remap_runs.empty()) ftl_.audit_installed();
+  if (!current_.remap_runs.empty()) ftl_.audit_installed();
   return result;
 }
 

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "nvm/bus.hpp"
-#include "nvm/package.hpp"
+#include "nvm/wear.hpp"
 #include "reliability/ecc.hpp"
 #include "reliability/fault.hpp"
 #include "sim/timeline.hpp"
@@ -18,37 +18,33 @@
 
 namespace nvmooc {
 
-/// The physical resources of the device: per-channel shared buses, and
-/// the packages (each with its port and dies) hanging off them.
-class SsdHardware {
- public:
-  SsdHardware(const SsdGeometry& geometry, const NvmTiming& timing,
-              const BusConfig& bus, bool backfill);
+/// The physical resources of the device, flat: one shared bus per
+/// channel, one port per package (the register <-> pads "flash bus" a
+/// package's dies share, the paper's "Flash-Bus Activation"), and one
+/// cell-activation timeline per plane. Packages are numbered channel-
+/// major and planes by SsdGeometry::plane_index, so a channel's packages
+/// and a die's planes are contiguous. Multi-plane commands are per-plane
+/// activations with the same earliest start; die interleaving falls out
+/// of every plane having its own timeline.
+struct SsdHardware {
+  SsdHardware(const SsdGeometry& geometry, const NvmTiming& timing, const BusConfig& bus,
+              bool backfill);
 
-  Timeline& channel_bus(std::uint32_t channel) { return channels_[channel].bus; }
-  Package& package(std::uint32_t channel, std::uint32_t package) {
-    return channels_[channel].packages[package];
-  }
-  const Package& package(std::uint32_t channel, std::uint32_t package) const {
-    return channels_[channel].packages[package];
-  }
-  const Timeline& channel_bus(std::uint32_t channel) const { return channels_[channel].bus; }
+  /// Reserves `cell_ops` back-to-back cell activations of `op` at
+  /// `address` on plane `plane` (its plane_index) for `duration`, no
+  /// earlier than `earliest`. The caller sizes `duration`: the nominal
+  /// time (CellTimeTable::run_time) plus any read-retry occupancy. An
+  /// erase wears its block; a program counts its pages written.
+  Reservation activate(std::uint32_t plane, const PhysicalAddress& address, NvmOp op,
+                       std::uint32_t cell_ops, Time earliest, Time duration);
 
-  const SsdGeometry& geometry() const { return geometry_; }
-  const NvmTiming& timing() const { return timing_; }
-  const BusConfig& bus() const { return bus_; }
-
- private:
-  struct Channel {
-    explicit Channel(bool backfill) : bus(backfill) {}
-    Timeline bus;
-    std::vector<Package> packages;
-  };
-
-  SsdGeometry geometry_;
-  NvmTiming timing_;
-  BusConfig bus_;
-  std::vector<Channel> channels_;
+  SsdGeometry geometry;
+  NvmTiming timing;
+  BusConfig bus;
+  std::vector<Timeline> channels;  ///< One bus per channel.
+  std::vector<Timeline> ports;     ///< One port per package, channel-major.
+  std::vector<Timeline> planes;    ///< One per SsdGeometry::plane_index.
+  WearTracker wear;                ///< Erases keyed by SsdGeometry::block_index.
 };
 
 struct ControllerConfig {
@@ -111,15 +107,20 @@ class Controller {
   };
 
   /// Expands a unit run into per-plane transactions (burst-grouping small
-  /// pages when enabled) and hands each to `visit(const TxnSpec&)` in
-  /// stripe order, as it is walked: maps the run's first unit and walks
-  /// the stripe from there.
+  /// pages when enabled) and hands each to `visit(const TxnSpec&, plane)`
+  /// in stripe order, as it is walked, with its SsdGeometry::plane_index:
+  /// maps the run's first unit and walks the stripe from there.
   template <typename Visit>
   void expand_run(const UnitRun& run, Visit&& visit) const;
 
-  /// `inject` gates fault draws: bad-block relocation traffic is
+  /// Reserves one transaction's steps on plane `plane` and adds each
+  /// cost straight into the current request's loads, its result and the
+  /// stats. `inject` gates fault draws: bad-block relocation traffic is
   /// scheduled with injection off so a remap cannot recursively fail.
-  TransactionResult schedule(const TxnSpec& spec, Time arrival, bool inject);
+  /// `count_pal` is off for that traffic too: it says nothing about the
+  /// request's data layout.
+  void schedule(const TxnSpec& spec, std::uint32_t plane, Time arrival, bool inject,
+                bool count_pal);
 
   /// Dirty bytes still being programmed at time `when`.
   [[nodiscard]] Bytes dirty_bytes_at(Time when);
@@ -145,6 +146,15 @@ class Controller {
     Time wait;
     std::uint64_t die_mask = 0;  ///< PAL: dies used in this channel.
   };
+  /// The request submit() is scheduling, as its transactions add up.
+  struct CurrentRequest {
+    NvmOp op = NvmOp::kRead;
+    RequestResult result;
+    Time write_data_in_end;  ///< Last inbound transfer of its writes.
+    Time non_write_end;      ///< RMW reads and GC work that must land first.
+    /// Bad-block relocations its uncorrectable reads queued.
+    std::vector<UnitRun> remap_runs;
+  };
 
   SsdHardware& hardware_;
   Ftl& ftl_;
@@ -160,16 +170,15 @@ class Controller {
   /// size. transfer_time(0) is 0, so the empty memo is already valid.
   Bytes bus_memo_bytes_;
   Time bus_memo_time_;
-  // Per-request scratch, flat by geometry and reused across requests.
-  // Planes are numbered (channel, package, die, plane) row-major; dies
-  // and packages likewise.
+  CurrentRequest current_;
+  // Per-request scratch, flat by geometry and reused across requests:
+  // planes by SsdGeometry::plane_index, dies, packages and channels in
+  // the same row-major order.
   struct PlaneSite {
     std::uint32_t die;
     std::uint32_t package;
     std::uint32_t channel;
   };
-  std::uint32_t planes_per_die_;
-  std::uint32_t planes_per_channel_;
   std::vector<PlaneSite> plane_site_;  ///< Each plane's die, package and channel.
   std::vector<PlaneLoad> plane_load_;
   std::vector<ChannelLoad> channel_load_;

@@ -126,13 +126,7 @@ std::uint64_t SsdGeometry::unit_of(const PhysicalAddress& address,
 
 std::uint64_t SsdGeometry::block_index(const PhysicalAddress& address,
                                        const NvmTiming& timing) const {
-  const std::uint64_t position =
-      ((static_cast<std::uint64_t>(address.channel) * packages_per_channel + address.package) *
-           dies_per_package +
-       address.die) *
-          timing.planes_per_die +
-      address.plane;
-  return position * timing.blocks_per_plane + address.block;
+  return std::uint64_t{plane_index(address, timing)} * timing.blocks_per_plane + address.block;
 }
 
 std::uint64_t SsdGeometry::block_index_of_unit(std::uint64_t unit,
@@ -143,30 +137,29 @@ std::uint64_t SsdGeometry::block_index_of_unit(std::uint64_t unit,
   const auto lane = static_cast<std::uint32_t>(unit - row * positions);
   const std::uint32_t num_planes = timing.planes_per_die;
   const std::uint32_t num_dies = dies_per_channel();
-  std::uint32_t channel = 0;
-  std::uint32_t plane = 0;
   std::uint32_t die_in_channel = 0;
+  PhysicalAddress address;
   switch (policy) {
     case AllocationPolicy::kChannelPlaneDie:
-      channel = lane % channels;
-      plane = lane / channels % num_planes;
+      address.channel = lane % channels;
+      address.plane = lane / channels % num_planes;
       die_in_channel = lane / channels / num_planes;
       break;
     case AllocationPolicy::kChannelDiePlane:
-      channel = lane % channels;
+      address.channel = lane % channels;
       die_in_channel = lane / channels % num_dies;
-      plane = lane / channels / num_dies;
+      address.plane = lane / channels / num_dies;
       break;
     case AllocationPolicy::kDieChannelPlane:
       die_in_channel = lane % num_dies;
-      channel = lane / num_dies % channels;
-      plane = lane / num_dies / channels;
+      address.channel = lane / num_dies % channels;
+      address.plane = lane / num_dies / channels;
       break;
   }
-  // (channel, package, die) numbered in order is channel * dies + die.
-  const std::uint64_t position =
-      (static_cast<std::uint64_t>(channel) * num_dies + die_in_channel) * num_planes + plane;
-  return position * timing.blocks_per_plane + row / timing.pages_per_block;
+  address.package = die_in_channel / dies_per_package;
+  address.die = die_in_channel % dies_per_package;
+  address.block = row / timing.pages_per_block;
+  return block_index(address, timing);
 }
 
 PhysicalAddress SsdGeometry::block_base(std::uint64_t block, const NvmTiming& timing) const {

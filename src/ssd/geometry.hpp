@@ -73,9 +73,21 @@ struct SsdGeometry {
   /// bijection).
   std::uint64_t unit_of(const PhysicalAddress& address, const NvmTiming& timing) const;
 
+  /// Device-wide index of the plane holding `address`: channel, package,
+  /// die and plane numbered row-major. The one plane numbering: the
+  /// hardware's plane timelines, the wear and FTL block keys and the
+  /// controller's per-request loads are all indexed by it, and a die's
+  /// planes, a package's dies and a channel's packages are contiguous.
+  [[nodiscard]] std::uint32_t plane_index(const PhysicalAddress& address,
+                                          const NvmTiming& timing) const {
+    return ((address.channel * packages_per_channel + address.package) * dies_per_package +
+            address.die) *
+               timing.planes_per_die +
+           address.plane;
+  }
+
   /// Device-wide index of the erase block holding `address` (its page
-  /// is ignored): plane positions numbered in channel, package, die,
-  /// plane order, then the block within the plane.
+  /// is ignored): plane_index, then the block within the plane.
   [[nodiscard]] std::uint64_t block_index(const PhysicalAddress& address,
                                           const NvmTiming& timing) const;
   /// block_index(map_unit(unit)) without building the address. Under

@@ -80,31 +80,6 @@ struct BlockRequest {
   bool internal = false;
 };
 
-/// Where a transaction landed and what it cost, phase by phase.
-struct TransactionResult {
-  std::uint32_t channel = 0;
-  std::uint32_t package = 0;  ///< Within the channel.
-  std::uint32_t die = 0;      ///< Within the package.
-  std::uint32_t plane = 0;
-  Bytes bytes;
-
-  Time issue;      ///< When the transaction was ready.
-  Time complete;   ///< When its last phase finished.
-  Time data_in_end;  ///< Writes: when the inbound channel transfer ended.
-  Time command;    ///< Command/address cycles (channel activation).
-  Time cell;       ///< Cell activation.
-  Time cell_wait;  ///< Cell contention.
-  Time flash_bus;  ///< Register <-> pads transfer.
-  Time channel_bus;  ///< Shared-bus data transfer (channel activation).
-  Time channel_wait;  ///< Channel (and package-port) contention.
-
-  // Reliability outcome (all zero/false when fault injection is off).
-  std::uint32_t retries = 0;  ///< Read-retry ladder steps taken.
-  bool corrected = false;     ///< Raw bit errors occurred but ECC recovered.
-  bool uncorrectable = false; ///< Ladder exhausted (or die stuck): data lost.
-  Time retry_time;        ///< Completion delay added by the retry attempts.
-};
-
 /// Completion record for one BlockRequest.
 struct RequestResult {
   Time issue;

@@ -42,32 +42,34 @@ std::size_t busy_slot_count(const SsdGeometry& g) {
 /// a package while its port or any die is; a channel while its bus or
 /// anything in its packages is (the paper's channel-level utilisation,
 /// which is why GPFS's scatter keeps "channels" hot even though each holds
-/// only one active die); the device while anything is. `part(timeline)`
-/// yields the busy intervals taken from each timeline, and `add(slot,
-/// busy)` receives each union's busy time, slots numbered as in
+/// only one active die); the device while anything is. Each union walks
+/// the contiguous index range of its parts. `part(timeline)` yields the
+/// busy intervals taken from each timeline, and `add(slot, busy)`
+/// receives each union's busy time, slots numbered as in
 /// busy_slot_count().
 template <typename Hardware, typename Part, typename Add>
 void union_busy(Hardware& hardware, Part&& part, Add&& add) {
-  const SsdGeometry& geometry = hardware.geometry();
+  const SsdGeometry& geometry = hardware.geometry;
+  const std::uint32_t planes_per_die = hardware.timing.planes_per_die;
   std::size_t die_slot = 0;
   std::size_t package_slot = geometry.total_dies();
   const std::size_t channel_slot = package_slot + geometry.total_packages();
+  std::size_t plane = 0;
+  std::size_t package = 0;
   BusyTracker die_union;
   BusyTracker package_union;
   BusyTracker channel_union;
   BusyTracker device_union;
   for (std::uint32_t c = 0; c < geometry.channels; ++c) {
     channel_union.clear();
-    channel_union.merge(part(hardware.channel_bus(c)));
-    for (std::uint32_t p = 0; p < geometry.packages_per_channel; ++p) {
-      auto& package = hardware.package(c, p);
+    channel_union.merge(part(hardware.channels[c]));
+    for (std::uint32_t p = 0; p < geometry.packages_per_channel; ++p, ++package) {
       package_union.clear();
-      package_union.merge(part(package.flash_bus()));
-      for (std::uint32_t d = 0; d < package.die_count(); ++d) {
-        auto& die = package.die(d);
+      package_union.merge(part(hardware.ports[package]));
+      for (std::uint32_t d = 0; d < geometry.dies_per_package; ++d) {
         die_union.clear();
-        for (std::uint32_t plane = 0; plane < die.plane_count(); ++plane) {
-          die_union.merge(part(die.plane(plane)));
+        for (std::uint32_t k = 0; k < planes_per_die; ++k, ++plane) {
+          die_union.merge(part(hardware.planes[plane]));
         }
         add(die_slot++, die_union.busy_time());
         package_union.merge(die_union);
@@ -95,9 +97,8 @@ Ssd::Ssd(const SsdConfig& config)
   }
   controller_ = std::make_unique<Controller>(*hardware_, *ftl_, config_.controller,
                                              injector_.get());
-  const SsdGeometry& g = config_.geometry;
-  timeline_count_ = std::uint64_t{g.channels} + g.total_packages() +
-                    std::uint64_t{g.total_dies()} * timing_.planes_per_die;
+  timeline_count_ = hardware_->channels.size() + hardware_->ports.size() +
+                    hardware_->planes.size();
   fold_interval_ = timeline_count_;
 }
 
@@ -130,38 +131,6 @@ void Ssd::advance_watermark(Time watermark) {
       },
       [this](std::size_t slot, Time busy) { folded_busy_[slot] += busy; });
   fold_interval_ = std::max(timeline_count_, live);
-}
-
-WearSummary Ssd::wear() const {
-  WearSummary total;
-  double erase_weighted = 0.0;
-  total.min_unit_erases = ~0ULL;
-  for (std::uint32_t c = 0; c < config_.geometry.channels; ++c) {
-    for (std::uint32_t p = 0; p < config_.geometry.packages_per_channel; ++p) {
-      const Package& package = hardware_->package(c, p);
-      for (std::uint32_t d = 0; d < package.die_count(); ++d) {
-        const WearSummary die_wear = package.die(d).wear().summary();
-        total.total_erases += die_wear.total_erases;
-        total.total_writes += die_wear.total_writes;
-        total.touched_units += die_wear.touched_units;
-        total.max_unit_erases = std::max(total.max_unit_erases, die_wear.max_unit_erases);
-        if (die_wear.touched_units > 0) {
-          total.min_unit_erases = std::min(total.min_unit_erases, die_wear.min_unit_erases);
-          erase_weighted += die_wear.mean_unit_erases * static_cast<double>(die_wear.touched_units);
-        }
-      }
-    }
-  }
-  if (total.touched_units == 0) {
-    total.min_unit_erases = 0;
-    total.imbalance = 1.0;
-    return total;
-  }
-  total.mean_unit_erases = erase_weighted / static_cast<double>(total.touched_units);
-  total.imbalance = total.mean_unit_erases > 0.0
-                        ? static_cast<double>(total.max_unit_erases) / total.mean_unit_erases
-                        : 1.0;
-  return total;
 }
 
 double Ssd::media_capability_bytes_per_sec() const {

@@ -74,8 +74,8 @@ class Ssd {
   const ControllerStats& controller_stats() const { return controller_->stats(); }
   const FtlStats& ftl_stats() const { return ftl_->stats(); }
 
-  /// Aggregate wear across every die.
-  WearSummary wear() const;
+  /// The device's wear: erases per block, pages written.
+  WearSummary wear() const { return hardware_->wear.summary(); }
 
   /// Derived per-figure statistics; `wall_time` is the replay makespan
   /// (first issue to last completion including host DMA). Each die,

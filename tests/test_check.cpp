@@ -564,6 +564,15 @@ TEST(FtlMapping, ReplayOnOneDieCollectsGarbageAuditClean) {
   EXPECT_EQ(result.ftl.retired_blocks, 0u);
   EXPECT_EQ(result.ftl.remap_relocated_pages, 0u);
   EXPECT_EQ(result.ftl.spare_blocks_used, 0u);
+
+  // The only replay here that erases: the device's wear sees every GC
+  // erase, on 11 blocks, two of them twice, and every page programmed
+  // (200 x 16 written plus 336 relocated).
+  EXPECT_EQ(result.wear.total_erases, result.ftl.gc_erased_blocks);
+  EXPECT_EQ(result.wear.touched_units, 11u);
+  EXPECT_EQ(result.wear.max_unit_erases, 2u);
+  EXPECT_EQ(result.wear.total_writes, 3536u);
+  EXPECT_DOUBLE_EQ(result.wear.imbalance, 2.0 / (13.0 / 11.0));
 }
 
 }  // namespace

@@ -1,12 +1,10 @@
 // Unit tests for the NVM media layer: Table 1 timing, page-position
-// latency variation, die/plane concurrency, bus rates, wear accounting.
+// latency variation, bus rates, wear accounting.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "nvm/bus.hpp"
-#include "nvm/die.hpp"
-#include "nvm/package.hpp"
 #include "nvm/timing.hpp"
 #include "nvm/wear.hpp"
 
@@ -132,63 +130,6 @@ TEST(Bus, DescribeMentionsMode) {
   EXPECT_NE(future_ddr_bus().describe().find("DDR"), std::string::npos);
 }
 
-// ---------- die ----------------------------------------------------------
-
-TEST(Die, ReadActivationMatchesTiming) {
-  const NvmTiming timing = slc_timing();
-  Die die(timing, false);
-  const CellActivation a =
-      die.activate(0, NvmOp::kRead, 0, 1, Time{}, timing.read_time_for_page(0));
-  EXPECT_EQ(a.start, Time{0});
-  EXPECT_EQ(a.end, timing.read_time);
-  EXPECT_EQ(a.waited, Time{0});
-}
-
-TEST(Die, SamePlaneSerializes) {
-  const NvmTiming timing = slc_timing();
-  Die die(timing, false);
-  die.activate(0, NvmOp::kRead, 0, 1, Time{}, timing.read_time_for_page(0));
-  const CellActivation b =
-      die.activate(0, NvmOp::kRead, 0, 1, Time{}, timing.read_time_for_page(1));
-  EXPECT_EQ(b.start, timing.read_time);
-  EXPECT_EQ(b.waited, timing.read_time);
-}
-
-TEST(Die, PlanesRunConcurrently) {
-  const NvmTiming timing = slc_timing();
-  Die die(timing, false);
-  const CellActivation a =
-      die.activate(0, NvmOp::kRead, 0, 1, Time{}, timing.read_time_for_page(0));
-  const CellActivation b =
-      die.activate(1, NvmOp::kRead, 0, 1, Time{}, timing.read_time_for_page(0));
-  EXPECT_EQ(a.start, Time{0});
-  EXPECT_EQ(b.start, Time{0});  // Multi-plane: no contention across planes.
-}
-
-TEST(Die, BurstAccumulatesCellOps) {
-  const NvmTiming timing = pcm_timing();
-  Die die(timing, false);
-  const CellActivation burst = die.activate(
-      0, NvmOp::kRead, 0, 64, Time{}, CellTimeTable(timing).run_time(NvmOp::kRead, 0, 64));
-  Time expected;
-  for (std::uint32_t i = 0; i < 64; ++i) expected += timing.read_time_for_page(i % 64);
-  EXPECT_EQ(burst.end - burst.start, expected);
-}
-
-TEST(Die, EraseTakesEraseTime) {
-  const NvmTiming timing = tlc_timing();
-  Die die(timing, false);
-  const CellActivation e = die.activate(0, NvmOp::kErase, 5, 1, Time{}, timing.erase_time);
-  EXPECT_EQ(e.end - e.start, timing.erase_time);
-  EXPECT_EQ(die.wear().erases(5 * timing.planes_per_die + 0), 1u);
-}
-
-TEST(Die, InvalidPlaneThrows) {
-  Die die(slc_timing(), false);
-  EXPECT_THROW(die.activate(9, NvmOp::kRead, 0, 1, Time{}, slc_timing().read_time),
-               std::out_of_range);
-}
-
 // ---------- cell time table -----------------------------------------------
 
 /// The per-cell loop the die model ran before CellTimeTable: one per-page
@@ -253,17 +194,6 @@ TEST(CellTimeTable, MatchesPerCellLoop) {
     }
   }
   EXPECT_GE(checked, 1'000'000u);
-}
-
-// ---------- package -------------------------------------------------------
-
-TEST(Package, FlashBusSerializesAcrossDies) {
-  const NvmTiming timing = slc_timing();
-  Package package(timing, 2, false);
-  const Time transfer = onfi3_sdr_bus().transfer_time(2 * KiB);
-  const Reservation a = package.flash_bus().reserve(Time{}, transfer);
-  const Reservation b = package.flash_bus().reserve(Time{}, transfer);
-  EXPECT_EQ(b.start, a.end);  // One port per package.
 }
 
 // ---------- wear -----------------------------------------------------------

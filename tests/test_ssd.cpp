@@ -109,8 +109,9 @@ TEST_P(GeometryPolicyTest, MappingIsBijective) {
 }
 
 // Differential: the incremental stripe walk lands where map_unit does,
-// and the FTL's block index straight from a unit equals the index of
-// map_unit's address (block_base inverting it), for every unit through
+// the FTL's block index straight from a unit equals the index of
+// map_unit's address (block_base inverting it), and that block lies on
+// the address's plane_index, in range, for every unit through
 // two full block wraps, on the paper geometry and on odd ones where no
 // dimension is a power of two.
 TEST_P(GeometryPolicyTest, WalkMatchesMapUnit) {
@@ -140,6 +141,10 @@ TEST_P(GeometryPolicyTest, WalkMatchesMapUnit) {
       const PhysicalAddress mapped = g.map_unit(u, timing);
       const std::uint64_t block = g.block_index(mapped, timing);
       ASSERT_EQ(g.block_index_of_unit(u, timing), block) << "unit " << u;
+      const std::uint32_t plane = g.plane_index(mapped, timing);
+      ASSERT_EQ(plane, g.block_index_of_unit(u, timing) / timing.blocks_per_plane)
+          << "unit " << u;
+      ASSERT_LT(plane, g.plane_positions(timing)) << "unit " << u;
       PhysicalAddress base = mapped;
       base.page = 0;
       ASSERT_EQ(as_tuple(g.block_base(block, timing)), as_tuple(base)) << "unit " << u;
@@ -599,6 +604,72 @@ TEST(FtlDifferential, MatchesMapReferenceUnderGcAndRetirement) {
   }
 }
 
+// ---------- hardware --------------------------------------------------------
+
+SsdHardware idle_hardware(const NvmTiming& timing) {
+  return SsdHardware(paper_geometry(), timing, onfi3_sdr_bus(), false);
+}
+
+TEST(Die, ReadActivationMatchesTiming) {
+  const NvmTiming timing = slc_timing();
+  SsdHardware hardware = idle_hardware(timing);
+  const Reservation a = hardware.activate(0, PhysicalAddress{}, NvmOp::kRead, 1, Time{},
+                                          timing.read_time_for_page(0));
+  EXPECT_EQ(a.start, Time{0});
+  EXPECT_EQ(a.end, timing.read_time);
+  EXPECT_EQ(a.waited, Time{0});
+}
+
+TEST(Die, SamePlaneSerializes) {
+  const NvmTiming timing = slc_timing();
+  SsdHardware hardware = idle_hardware(timing);
+  hardware.activate(0, PhysicalAddress{}, NvmOp::kRead, 1, Time{}, timing.read_time_for_page(0));
+  const Reservation b = hardware.activate(0, PhysicalAddress{}, NvmOp::kRead, 1, Time{},
+                                          timing.read_time_for_page(1));
+  EXPECT_EQ(b.start, timing.read_time);
+  EXPECT_EQ(b.waited, timing.read_time);
+}
+
+TEST(Die, PlanesRunConcurrently) {
+  const NvmTiming timing = slc_timing();
+  SsdHardware hardware = idle_hardware(timing);
+  PhysicalAddress second;
+  second.plane = 1;
+  const std::uint32_t plane = hardware.geometry.plane_index(second, timing);
+  ASSERT_EQ(plane, 1u);  // A die's planes are adjacent.
+  const Reservation a = hardware.activate(0, PhysicalAddress{}, NvmOp::kRead, 1, Time{},
+                                          timing.read_time_for_page(0));
+  const Reservation b =
+      hardware.activate(plane, second, NvmOp::kRead, 1, Time{}, timing.read_time_for_page(0));
+  EXPECT_EQ(a.start, Time{0});
+  EXPECT_EQ(b.start, Time{0});  // Multi-plane: no contention across planes.
+}
+
+TEST(Die, EraseTakesEraseTime) {
+  const NvmTiming timing = tlc_timing();
+  SsdHardware hardware = idle_hardware(timing);
+  PhysicalAddress address;
+  address.channel = 3;
+  address.package = 2;
+  address.die = 1;
+  address.plane = 1;
+  address.block = 5;
+  const Reservation e =
+      hardware.activate(hardware.geometry.plane_index(address, timing), address,
+                        NvmOp::kErase, 1, Time{}, timing.erase_time);
+  EXPECT_EQ(e.end - e.start, timing.erase_time);
+  EXPECT_EQ(hardware.wear.erases(hardware.geometry.block_index(address, timing)), 1u);
+  EXPECT_EQ(hardware.wear.summary().total_erases, 1u);
+}
+
+TEST(Package, FlashBusSerializesAcrossDies) {
+  SsdHardware hardware = idle_hardware(slc_timing());
+  const Time transfer = hardware.bus.transfer_time(2 * KiB);
+  const Reservation a = hardware.ports[0].reserve(Time{}, transfer);
+  const Reservation b = hardware.ports[0].reserve(Time{}, transfer);
+  EXPECT_EQ(b.start, a.end);  // One port per package.
+}
+
 // ---------- controller ------------------------------------------------------
 
 struct ControllerFixture {
@@ -847,7 +918,7 @@ class FourPassDeviceStats {
   explicit FourPassDeviceStats(SsdHardware& hardware) : hardware_(hardware) {}
 
   DeviceStats compute(Time wall_time, double media_capability) const {
-    const SsdGeometry& g = hardware_.geometry();
+    const SsdGeometry& g = hardware_.geometry;
     DeviceStats stats;
     stats.media_capability = media_capability;
     Spans all;
@@ -870,26 +941,21 @@ class FourPassDeviceStats {
     stats.channel_utilization = channel_sum / g.channels;
 
     double package_sum = 0.0;
+    for (std::uint32_t package = 0; package < g.total_packages(); ++package) {
+      Spans package_spans;
+      add_package(package, package_spans);
+      package_sum +=
+          std::min(1.0, static_cast<double>(union_time(package_spans)) / active);
+    }
     double die_sum = 0.0;
-    std::uint32_t die_count = 0;
-    for (std::uint32_t c = 0; c < g.channels; ++c) {
-      for (std::uint32_t p = 0; p < g.packages_per_channel; ++p) {
-        const Package& package = hardware_.package(c, p);
-        Spans package_spans;
-        add_package(package, package_spans);
-        package_sum +=
-            std::min(1.0, static_cast<double>(union_time(package_spans)) / active);
-        for (std::uint32_t d = 0; d < package.die_count(); ++d) {
-          Spans die_spans;
-          add_die(package.die(d), die_spans);
-          die_sum += std::min(1.0, static_cast<double>(union_time(die_spans)) /
-                                       static_cast<double>(wall_time));
-          ++die_count;
-        }
-      }
+    for (std::uint32_t die = 0; die < g.total_dies(); ++die) {
+      Spans die_spans;
+      add_die(die, die_spans);
+      die_sum += std::min(1.0, static_cast<double>(union_time(die_spans)) /
+                                   static_cast<double>(wall_time));
     }
     stats.package_utilization = package_sum / g.total_packages();
-    stats.die_wall_utilization = die_count > 0 ? die_sum / die_count : 0.0;
+    stats.die_wall_utilization = g.total_dies() > 0 ? die_sum / g.total_dies() : 0.0;
     stats.remaining_bandwidth = stats.media_capability * (1.0 - stats.die_wall_utilization);
     return stats;
   }
@@ -900,20 +966,22 @@ class FourPassDeviceStats {
   static void add(const BusyTracker& busy, Spans& out) {
     out.insert(out.end(), busy.intervals().begin(), busy.intervals().end());
   }
-  static void add_die(const Die& die, Spans& out) {
-    for (std::uint32_t plane = 0; plane < die.plane_count(); ++plane) {
-      add(die.plane(plane).busy(), out);
+  // Dies, packages and channels are numbered row-major, like the planes.
+  void add_die(std::uint32_t die, Spans& out) const {
+    const std::uint32_t planes_per_die = hardware_.timing.planes_per_die;
+    for (std::uint32_t plane = 0; plane < planes_per_die; ++plane) {
+      add(hardware_.planes[die * planes_per_die + plane].busy(), out);
     }
   }
-  static void add_package(const Package& package, Spans& out) {
-    add(package.flash_bus().busy(), out);
-    for (std::uint32_t d = 0; d < package.die_count(); ++d) add_die(package.die(d), out);
+  void add_package(std::uint32_t package, Spans& out) const {
+    const std::uint32_t dies = hardware_.geometry.dies_per_package;
+    add(hardware_.ports[package].busy(), out);
+    for (std::uint32_t d = 0; d < dies; ++d) add_die(package * dies + d, out);
   }
   void add_channel(std::uint32_t c, Spans& out) const {
-    add(hardware_.channel_bus(c).busy(), out);
-    for (std::uint32_t p = 0; p < hardware_.geometry().packages_per_channel; ++p) {
-      add_package(hardware_.package(c, p), out);
-    }
+    const std::uint32_t packages = hardware_.geometry.packages_per_channel;
+    add(hardware_.channels[c].busy(), out);
+    for (std::uint32_t p = 0; p < packages; ++p) add_package(c * packages + p, out);
   }
   static Time union_time(Spans spans) {
     std::sort(spans.begin(), spans.end());
@@ -1138,23 +1206,13 @@ class RequestStream {
 };
 
 /// Calls `visit(timeline)` for every timeline of the device: channel
-/// buses, package ports and die planes.
+/// buses, package ports and planes.
 template <typename Visit>
 void for_each_timeline(Ssd& ssd, Visit&& visit) {
   SsdHardware& hardware = ssd.hardware();
-  const SsdGeometry& geometry = hardware.geometry();
-  for (std::uint32_t c = 0; c < geometry.channels; ++c) {
-    visit(hardware.channel_bus(c));
-    for (std::uint32_t p = 0; p < geometry.packages_per_channel; ++p) {
-      Package& package = hardware.package(c, p);
-      visit(package.flash_bus());
-      for (std::uint32_t d = 0; d < package.die_count(); ++d) {
-        Die& die = package.die(d);
-        for (std::uint32_t plane = 0; plane < die.plane_count(); ++plane) {
-          visit(die.plane(plane));
-        }
-      }
-    }
+  for (std::vector<Timeline>* timelines :
+       {&hardware.channels, &hardware.ports, &hardware.planes}) {
+    for (Timeline& timeline : *timelines) visit(timeline);
   }
 }
 
