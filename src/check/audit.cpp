@@ -16,6 +16,20 @@ std::string time_str(Time t) {
 
 }  // namespace
 
+std::string Auditor::track_name(const TrackKey& key) {
+  if (key.resource == probe::Resource::kLink) {
+    return key.label.empty() ? "unnamed link" : key.label;
+  }
+  std::string name = "ssd.ch" + std::to_string(key.site.channel);
+  if (key.resource == probe::Resource::kPort) {
+    name += ".pkg" + std::to_string(key.site.package) + ".port";
+  } else if (key.resource == probe::Resource::kCell) {
+    name += ".pkg" + std::to_string(key.site.package) + ".die" +
+            std::to_string(key.site.die) + ".pl" + std::to_string(key.site.plane);
+  }
+  return name;
+}
+
 std::string AuditReport::summary() const {
   std::ostringstream out;
   out << "audit: " << (passed() ? "PASS" : "FAIL") << " (" << violation_count
@@ -173,34 +187,45 @@ void Auditor::on_request_close(const probe::RequestClose& request) {
 
 // -- occupancy --------------------------------------------------------------
 
+void Auditor::on_replay_begin(std::uint64_t /*posix_requests*/) {
+  tracks_.clear();
+  issue_watermark_ = Time{};
+}
+
 void Auditor::on_interval(const probe::Interval& interval) {
-  // Every Timeline grant, labelled or not; controller steps and link
-  // transfers are views of grants already seen here.
-  if (interval.resource != probe::Resource::kTimeline) return;
   const Time start = interval.start;
   const Time end = interval.end;
-  if (end <= start) return;  // Zero-width grants occupy nothing.
-  ResourceTrack& track = tracks_[interval.object];
-  if (track.name.empty()) {
-    ++report_.timelines;
-    if (interval.label->empty()) {
-      track.name = "resource#" + std::to_string(next_track_ordinal_++);
-    } else {
-      track.name = *interval.label;
-    }
+  if (end <= start) return;  // Empty intervals occupy nothing.
+  // A step occupies its channel, its package's port or its plane.
+  TrackKey key{interval.resource, interval.site, {}};
+  switch (interval.resource) {
+    case probe::Resource::kLink:
+      key.label = *interval.label;
+      break;
+    case probe::Resource::kChannel:
+      key.site.package = 0;
+      [[fallthrough]];
+    case probe::Resource::kPort:
+      key.site.die = 0;
+      key.site.plane = 0;
+      break;
+    default:
+      break;
   }
+  const auto [track, fresh] = tracks_.try_emplace(std::move(key));
+  if (fresh) ++report_.timelines;
   ++report_.reservations;
 
-  if (interval.earliest < issue_watermark_) {
+  if (interval.ready < issue_watermark_) {
     std::ostringstream out;
-    out << "grant on " << track.name << " ready at " << time_str(interval.earliest)
+    out << "grant on " << track_name(track->first) << " ready at " << time_str(interval.ready)
         << ", before the issue watermark " << time_str(issue_watermark_);
     violation("causality", out.str());
   }
 
   const std::int64_t s = start.ps();
   const std::int64_t e = end.ps();
-  auto& ivals = track.intervals;
+  auto& ivals = track->second;
   // Intervals that end by the watermark cannot meet any grant that
   // respects it.
   while (!ivals.empty() && ivals.begin()->second <= issue_watermark_.ps()) {
@@ -224,7 +249,7 @@ void Auditor::on_interval(const probe::Interval& interval) {
   }
   if (clash_start != nullptr) {
     std::ostringstream out;
-    out << "double booking on " << track.name << ": grant [" << s << ", " << e
+    out << "double booking on " << track_name(track->first) << ": grant [" << s << ", " << e
         << ")ps overlaps existing [" << *clash_start << ", " << *clash_end
         << ")ps";
     violation("occupancy", out.str());

@@ -15,10 +15,10 @@
 //   causality     Each device request's times (ready <= admit <= issue
 //                 <= media begin <= media end <= completion) are monotone
 //                 in sim time, and the engine closes every request it
-//                 opens exactly once, one at a time. No timeline grant is
+//                 opens exactly once, one at a time. No reservation is
 //                 ready before the engine's fold watermark (the latest
 //                 request's issue time when one client replays).
-//   occupancy     Granted timeline intervals on every serially-occupied
+//   occupancy     Reported occupancies of every serially-occupied
 //                 resource (die planes, package ports, channel buses,
 //                 host/network DMA links) are pairwise disjoint.
 //   ftl           The live LPN->PPN mapping stays injective and never
@@ -29,8 +29,8 @@
 // Design constraints mirror src/obs:
 //  1. Zero overhead when off (the default): the auditor is a probe
 //     subscriber (common/probe.hpp), so the layers it checks never name
-//     it — they report each grant, request stage and media transfer to
-//     the probe once, and a site costs one thread-local load and a
+//     it — they report each occupancy, request stage and media transfer
+//     to the probe once, and a site costs one thread-local load and a
 //     branch when nobody listens. Auditing never mutates simulation
 //     state, so audited replays are bit-identical to unaudited ones (CI
 //     enforces this).
@@ -40,11 +40,13 @@
 //     issue watermark are pruned, since every later grant starts at or
 //     after it; audit memory tracks what is in flight, not trace length.
 //
-// Typical site — every Timeline grant, audited or not:
-//   probe::grant(this, trace_label_, earliest, grant.start, grant.end);
+// Typical site — every controller step, audited or not:
+//   probe::step(probe::Resource::kChannel, site, start, cmd.start, cmd.end);
 // which reaches Auditor::on_interval when an auditor is installed. The
-// probe is the auditor's only input; the engine and the FTL call just
-// report(), violation(), ftl_checked() and replay_aborted().
+// owner of each Timeline reports its reservations (the controller as
+// steps, a DmaEngine as link transfers); the Timeline itself is silent.
+// The probe is the auditor's only input; the engine and the FTL call
+// just report(), violation(), ftl_checked() and replay_aborted().
 #pragma once
 
 #include <cstdint>
@@ -90,7 +92,7 @@ struct AuditReport {
   Bytes media_retry_bytes;       ///< ECC read-retry ladder re-transfers.
 
   // -- occupancy --------------------------------------------------------
-  std::uint64_t timelines = 0;     ///< Distinct resources that granted intervals.
+  std::uint64_t timelines = 0;     ///< Distinct resources that were occupied.
   std::uint64_t reservations = 0;  ///< Intervals checked for disjointness.
 
   // -- ftl --------------------------------------------------------------
@@ -134,15 +136,17 @@ class Auditor final : public probe::Subscriber {
 
   // -- probe subscription: the auditor's only input ----------------------
 
-  /// Occupancy: a Timeline granted [start, end) to a reservation ready at
-  /// `earliest`. Checks that `earliest` is not before the issue watermark
-  /// and that the grant is disjoint from every earlier grant on the same
-  /// resource (named by its label, or by first-grant order when it has
-  /// none, which is deterministic).
+  /// Occupancy: a controller step or link transfer held its resource
+  /// [start, end) for a reservation that could be granted from `ready`.
+  /// Checks that `ready` is not before the issue watermark and that the
+  /// occupancy is disjoint from every earlier one on the same resource:
+  /// the channel, package port or plane of a step's site, or the link of
+  /// a transfer's label. Empty intervals (the RPC window, channel
+  /// stalls) occupy nothing.
   void on_interval(const probe::Interval& interval) override;
-  /// The resource was destroyed: forget its intervals (a later
-  /// object at the same address is a different resource).
-  void on_release(const void* timeline) override { tracks_.erase(timeline); }
+  /// A new replay runs on a new device from time zero: forget every
+  /// resource's intervals and the watermark.
+  void on_replay_begin(std::uint64_t posix_requests) override;
   /// Conservation at the OoC/FS boundary: the I/O path expanded one
   /// application request into exactly its payload.
   void on_posix(const probe::Posix& posix) override;
@@ -164,14 +168,18 @@ class Auditor final : public probe::Subscriber {
  private:
   static constexpr std::size_t kMaxRecordedViolations = 32;
 
-  /// Occupancy state for one serially-occupied resource: granted
-  /// intervals as a start->end map, coalesced when they touch (a union
-  /// loses nothing for disjointness checking), holding only those that
-  /// end after the issue watermark.
-  struct ResourceTrack {
-    std::string name;
-    std::map<std::int64_t, std::int64_t> intervals;
+  /// A serially-occupied resource: a step's kind and the part of its
+  /// site it occupies (channel; package port; plane), or a link's label.
+  struct TrackKey {
+    probe::Resource resource;
+    probe::Site site;
+    std::string label;
+    auto operator<=>(const TrackKey&) const = default;
   };
+
+  /// The resource's name in violation messages, as the tracer names its
+  /// track.
+  static std::string track_name(const TrackKey& key);
 
   /// A causality violation when `at` precedes `prior` in request `id`.
   void check_order(std::uint64_t id, const char* event, Time at, Time prior);
@@ -190,11 +198,11 @@ class Auditor final : public probe::Subscriber {
   Bytes media_expected_;
   Bytes media_matched_;
 
-  /// Keyed by resource address for O(log n) lookup; never iterated for
-  /// output (pointer order is not deterministic), so replay stability is
-  /// preserved. Names come from labels or first-grant ordinals.
-  std::map<const void*, ResourceTrack> tracks_;
-  std::uint64_t next_track_ordinal_ = 0;
+  /// Occupancy state per resource: granted intervals as a start->end
+  /// map, coalesced when they touch (a union loses nothing for
+  /// disjointness checking), holding only those that end after the issue
+  /// watermark.
+  std::map<TrackKey, std::map<std::int64_t, std::int64_t>> tracks_;
 
   /// Latest request issue time: no later grant may be ready before it.
   Time issue_watermark_;

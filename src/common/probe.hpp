@@ -4,8 +4,10 @@
 // vocabulary is built from values the sites already compute:
 //
 //   interval  a resource occupancy: wait [earliest, start), held
-//             [start, end). Every Timeline grant, DmaEngine transfer,
-//             controller channel/port/plane step, and the RPC window.
+//             [start, end). Each controller channel/port/plane step,
+//             channel stall, DmaEngine transfer and RPC admission, told
+//             by the owner of the reservation (a Timeline reports
+//             nothing itself).
 //   replay    replay begin, each POSIX request and its I/O-path
 //             expansion (bytes and device-request counts), progress.
 //   request   a device request opening (ready, admit, issue and the
@@ -21,6 +23,7 @@
 #pragma once
 
 #include <array>
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -33,14 +36,13 @@ namespace nvmooc::probe {
 // -- vocabulary -------------------------------------------------------------
 
 enum class Resource : std::uint8_t {
-  kTimeline = 0,      ///< A Timeline grant; `object` and `label` name it.
-  kLink = 1,          ///< A DmaEngine transfer; `label` names the link, and
+  kLink = 0,          ///< A DmaEngine transfer; `label` names the link, and
                       ///< the wait includes its fixed protocol latencies.
-  kRpc = 2,           ///< Parallel-FS RPC concurrency window (wait only).
-  kChannelStall = 3,  ///< Injected channel stall (wait only).
-  kChannel = 4,       ///< Channel bus: command or data cycles.
-  kPort = 5,          ///< Package port: register <-> pads transfer.
-  kCell = 6,          ///< Die plane: cell activation.
+  kRpc = 1,           ///< Parallel-FS RPC concurrency window (wait only).
+  kChannelStall = 2,  ///< Injected channel stall (wait only).
+  kChannel = 3,       ///< Channel bus: command or data cycles.
+  kPort = 4,          ///< Package port: register <-> pads transfer.
+  kCell = 5,          ///< Die plane: cell activation.
 };
 
 /// Where on the device a controller step ran.
@@ -49,15 +51,18 @@ struct Site {
   std::uint32_t package = 0;
   std::uint32_t die = 0;
   std::uint32_t plane = 0;
+  auto operator<=>(const Site&) const = default;
 };
 
 struct Interval {
-  Resource resource = Resource::kTimeline;
+  Resource resource = Resource::kLink;
   Time earliest;
+  /// The earliest grant the resource could make: `earliest` plus the
+  /// link's fixed latencies for kLink, `earliest` itself otherwise.
+  Time ready;
   Time start;
   Time end;
-  const void* object = nullptr;        ///< kTimeline: the Timeline.
-  const std::string* label = nullptr;  ///< kTimeline / kLink: its name (may be empty).
+  const std::string* label = nullptr;  ///< kLink: the link's name (may be empty).
   Site site;                           ///< Controller steps.
   std::uint32_t attempt = 0;           ///< kCell: read-retry step (0 = first sense).
   bool erase = false;                  ///< kCell: a block erase.
@@ -186,10 +191,8 @@ class Subscriber {
   virtual ~Subscriber() = default;
   [[nodiscard]] unsigned kinds() const { return kinds_; }
 
-  // kInterval; on_release: a Timeline was destroyed, so a later
-  // one at the same address is a different resource.
+  // kInterval
   virtual void on_interval(const Interval& /*interval*/) {}
-  virtual void on_release(const void* /*timeline*/) {}
   // kReplay
   virtual void on_replay_begin(std::uint64_t /*posix_requests*/) {}
   virtual void on_posix(const Posix& /*posix*/) {}
@@ -231,8 +234,8 @@ inline void each(Kind kind, const Hook& hook) {
   for (int i = 0; i < set.count[k]; ++i) hook(*set.to[k][i]);
 }
 
-/// Interval delivery, kept out of line: the hot emitters (every Timeline
-/// grant and controller step) then carry only the count test, and none
+/// Interval delivery, kept out of line: the hot emitters (every
+/// controller step) then carry only the count test, and none
 /// of their locals has its address taken.
 [[gnu::noinline]] inline void deliver(const Interval& iv) {
   each(Kind::kInterval, [&](Subscriber& s) { s.on_interval(iv); });
@@ -295,25 +298,18 @@ class Session {
 // -- emitters ---------------------------------------------------------------
 // Nothing is built when nobody listens to the kind.
 
-/// A Timeline granted [start, end) to a reservation ready at `earliest`.
-inline void grant(const void* timeline, const std::string& label, Time earliest,
-                  Time start, Time end) {
+/// A link transfer ready at `earliest`, and past the link's fixed
+/// latencies at `ready`, held the wire [start, end).
+inline void link(const std::string& label, Time earliest, Time ready, Time start, Time end) {
   if (detail::listening(Kind::kInterval)) {
-    detail::deliver({Resource::kTimeline, earliest, start, end, timeline, &label, {}, 0, false});
-  }
-}
-
-/// A link transfer ready at `earliest` held the wire [start, end).
-inline void link(const std::string& label, Time earliest, Time start, Time end) {
-  if (detail::listening(Kind::kInterval)) {
-    detail::deliver({Resource::kLink, earliest, start, end, nullptr, &label, {}, 0, false});
+    detail::deliver({Resource::kLink, earliest, ready, start, end, &label, {}, 0, false});
   }
 }
 
 /// The RPC window admitted a request ready at `earliest` at `start`.
 inline void rpc(Time earliest, Time start) {
   if (detail::listening(Kind::kInterval)) {
-    detail::deliver({Resource::kRpc, earliest, start, start, nullptr, nullptr, {}, 0, false});
+    detail::deliver({Resource::kRpc, earliest, earliest, start, start, nullptr, {}, 0, false});
   }
 }
 
@@ -321,12 +317,8 @@ inline void rpc(Time earliest, Time start) {
 inline void step(Resource resource, const Site& site, Time earliest, Time start,
                  Time end, std::uint32_t attempt = 0, bool erase = false) {
   if (detail::listening(Kind::kInterval)) {
-    detail::deliver({resource, earliest, start, end, nullptr, nullptr, site, attempt, erase});
+    detail::deliver({resource, earliest, earliest, start, end, nullptr, site, attempt, erase});
   }
-}
-
-inline void release(const void* timeline) {
-  detail::each(Kind::kInterval, [&](Subscriber& s) { s.on_release(timeline); });
 }
 
 inline void replay_begin(std::uint64_t posix_requests) {

@@ -19,7 +19,7 @@ Reservation DmaEngine::transfer(Time earliest, Bytes bytes) {
   const Time ready = earliest + config_.request_latency + config_.bridge_latency;
   Reservation grant = link_.reserve(ready, config_.payload_time(bytes));
   grant.waited += config_.request_latency + config_.bridge_latency;
-  probe::link(link_.trace_label(), earliest, grant.start, grant.end);
+  probe::link(label_, earliest, ready, grant.start, grant.end);
   return grant;
 }
 

@@ -60,14 +60,16 @@ class DmaEngine {
   const LinkConfig& config() const { return config_; }
   const BusyTracker& busy() const { return link_.busy(); }
 
-  /// Names the link for the instruments ("link.host", ...): its grants
-  /// become a trace track and its transfers profiler link segments.
-  /// Unnamed links stay silent even when a tracer is installed.
-  void set_trace_label(std::string label) { link_.set_trace_label(std::move(label)); }
+  /// Names the link for the instruments ("link.host", ...): every
+  /// transfer reports to the probe under this name, and the tracer and
+  /// profiler draw a named link's transfers as its track and segments.
+  /// Unnamed links are still audited, but the tracer and profiler skip them.
+  void set_trace_label(std::string label) { label_ = std::move(label); }
 
  private:
   LinkConfig config_;
   Timeline link_;
+  std::string label_;
   /// Live interval count that triggers the next fold.
   std::size_t fold_at_ = kMinFold;
   static constexpr std::size_t kMinFold = 64;

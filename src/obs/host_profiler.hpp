@@ -130,9 +130,12 @@ class HostProfiler final : public probe::Subscriber {
   /// replay's end time.
   HostReport report(Time sim_makespan) const;
 
-  // Probe subscription: the speedometer and the heartbeat.
+  // Probe subscription: the speedometer and the heartbeat. Every
+  // timeline reservation of positive duration is reported as one
+  // interval that occupies something; the RPC window and channel stalls
+  // occupy nothing.
   void on_interval(const probe::Interval& interval) override {
-    if (interval.resource == probe::Resource::kTimeline) count(HostEvent::kTimelineReservation);
+    if (interval.end > interval.start) count(HostEvent::kTimelineReservation);
   }
   /// Records the replay's size so heartbeats can report % complete and
   /// an ETA, and snapshots the allocation tallies as the baseline.

@@ -118,16 +118,12 @@ void Profiler::on_interval(const probe::Interval& iv) {
   PathKind busy = PathKind::kChannelBus;
   std::uint32_t id = 0;
   switch (iv.resource) {
-    case Resource::kTimeline:
-      if (!iv.label->empty() && iv.start < iv.end) {
-        timeline_intervals_[intern(*iv.label)].emplace_back(iv.start, iv.end);
-      }
-      return;
     case Resource::kLink:
       if (iv.label->empty()) return;
       wait = PathKind::kLinkWait;
       busy = PathKind::kLinkBusy;
       id = intern(*iv.label);
+      if (iv.start < iv.end) link_intervals_[id].emplace_back(iv.start, iv.end);
       break;
     case Resource::kRpc:
       wait = PathKind::kNetworkRpc;
@@ -397,11 +393,11 @@ ProfileReport Profiler::report(Time makespan, std::uint32_t windows) const {
     };
 
     // Busy intervals per resource: controller occupancy from the request
-    // segments, link occupancy from the labelled-timeline feed. Unioned
+    // segments, link occupancy from every named link transfer. Unioned
     // per resource first — a die with two active planes is busy, not
     // 200% busy.
     std::map<std::uint32_t, std::vector<std::pair<Time, Time>>> by_resource =
-        timeline_intervals_;
+        link_intervals_;
     for (const RequestRecord& r : requests_) {
       for (const Segment& s : r.segments) {
         if (occupies_resource(s.kind)) by_resource[s.resource].emplace_back(s.start, s.end);

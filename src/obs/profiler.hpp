@@ -18,7 +18,7 @@
 // the engine's request open/close events mint the request, record its
 // dependency gates and its host-side segments; controller steps, link
 // transfers and the RPC window add the device-side occupancy to the
-// request the engine has open; labelled Timeline grants feed the
+// request the engine has open; named link transfers also feed the
 // utilization sampler.
 #pragma once
 
@@ -133,8 +133,8 @@ class Profiler final : public probe::Subscriber {
   // --- Probe subscription: the profiler's only input ---------------------
   /// Controller steps, link transfers and the RPC window add their wait
   /// and busy segments to the open request; with none open they are
-  /// dropped and counted. Labelled Timeline grants feed the utilization
-  /// sampler only (link transfers carry the causal chain).
+  /// dropped and counted. Named link transfers also feed the utilization
+  /// sampler, open request or not.
   void on_interval(const probe::Interval& interval) override;
   void on_replay_begin(std::uint64_t posix_requests) override;
   /// I/O-path expansion: one application request fanned out into data
@@ -182,8 +182,8 @@ class Profiler final : public probe::Subscriber {
   std::uint64_t dropped_edges_ = 0;
   std::uint64_t expanded_device_requests_ = 0;
   std::uint64_t expanded_internal_requests_ = 0;
-  /// Busy intervals from labelled timelines, keyed by interned label.
-  std::map<std::uint32_t, std::vector<std::pair<Time, Time>>> timeline_intervals_;
+  /// Busy intervals of named links, keyed by interned label.
+  std::map<std::uint32_t, std::vector<std::pair<Time, Time>>> link_intervals_;
 
   /// Interned id of the controller resource a step ran on.
   std::uint32_t site_id(probe::Resource resource, const probe::Site& site);

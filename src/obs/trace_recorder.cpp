@@ -271,18 +271,19 @@ void TraceRecorder::on_replay_begin(std::uint64_t /*posix_requests*/) {
 
 void TraceRecorder::on_interval(const probe::Interval& iv) {
   using probe::Resource;
-  if (iv.resource == Resource::kTimeline && !iv.label->empty()) {
-    // Named resources only; the queueing wait rides as an arg.
+  if (iv.resource == Resource::kLink && !iv.label->empty() && iv.end > iv.start) {
+    // Named links only; the queueing wait past the fixed latencies rides
+    // as an arg.
     std::vector<SpanArg> args;
-    if (iv.start > iv.earliest) {
+    if (iv.start > iv.ready) {
       args.push_back(SpanArg::number(
           "waited_us",
-          static_cast<double>(iv.start - iv.earliest) / static_cast<double>(kMicrosecond)));
+          static_cast<double>(iv.start - iv.ready) / static_cast<double>(kMicrosecond)));
     }
     span(track(*iv.label), "timeline", "reserve", iv.start, iv.end - iv.start,
          std::move(args));
   }
-  if (iv.resource < Resource::kChannelStall) return;  // Links show as their grants.
+  if (iv.resource < Resource::kChannelStall) return;  // Links and the RPC window.
 
   std::string name = "ssd.ch" + std::to_string(iv.site.channel);
   if (iv.resource == Resource::kChannelStall) {

@@ -5,9 +5,10 @@
 // trace_event JSON, loadable in Perfetto / chrome://tracing. Two clocks
 // coexist: *sim* spans carry simulation timestamps (picoseconds,
 // exported as microseconds) and live under the "sim-time" process;
-// *wall* spans (the DOoC prefetcher's real worker thread, solver compute)
-// carry steady-clock nanoseconds since recorder creation and live under
-// the "wall-time" process, so the two time bases never mix on one track.
+// *wall* events (the host profiler's heartbeat counters: events per
+// second, RSS, percent complete) carry steady-clock nanoseconds since
+// recorder creation and live under the "wall-time" process, so the two
+// time bases never mix on one track.
 //
 // Recording is lock-free-ish: each thread appends to its own buffer
 // (registered with the recorder once, under a mutex) and resolves track
@@ -15,7 +16,7 @@
 //
 // The recorder is also the probe's tracer (common/probe.hpp): installed
 // in its slot (cluster/instruments.hpp), it renders the replay's probe stream itself — one
-// track per labelled timeline, channel, package port and die plane (with
+// track per named link, channel, package port and die plane (with
 // ".wait<k>" lanes for contention, since same-track spans must nest),
 // one "io.lane<k>" track per concurrently in-flight request, and the
 // engine's outstanding-bytes counter. That rendering state belongs to

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/probe.hpp"
 #include "obs/host_profiler.hpp"
 
 namespace nvmooc {
@@ -56,7 +55,6 @@ Reservation Timeline::reserve(Time earliest, Time duration) {
       } else {
         gaps_.erase(at);
       }
-      probe::grant(this, trace_label_, earliest, grant.start, grant.end);
       return grant;
     }
   }
@@ -81,7 +79,6 @@ Reservation Timeline::reserve(Time earliest, Time duration) {
     }
   }
   next_free_ = std::max(next_free_, grant.end);
-  probe::grant(this, trace_label_, earliest, grant.start, grant.end);
   return grant;
 }
 
@@ -94,12 +91,6 @@ void Timeline::fold_before(Time watermark, BusyTracker& prefix) {
   });
   dead_gaps_ += static_cast<std::size_t>(live - gaps_.begin());
   gaps_.erase(gaps_.begin(), live);
-}
-
-Timeline::~Timeline() {
-  // Subscribers forget state keyed by this address: a later Timeline
-  // allocated at the same spot is a different resource.
-  probe::release(this);
 }
 
 }  // namespace nvmooc

@@ -6,6 +6,9 @@
 // (backfilling earlier holes when allowed), records the busy interval, and
 // returns the granted [start, end). The difference start - earliest is the
 // contention (queueing) time the caller attributes to this resource.
+// The timeline reports nothing to the instruments: its owner (the
+// controller, a DmaEngine) knows what a reservation was for and tells
+// the probe once.
 //
 // Watermark invariant: an owner that knows no later reservation has
 // `earliest` below some time W (the replay engine's issue time, which
@@ -18,7 +21,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/alloc_counter.hpp"
@@ -31,7 +33,6 @@ struct Reservation {
   Time start;
   Time end;
   /// Queueing delay experienced: start - earliest.
-  [[nodiscard]] Time wait() const { return waited; }
   Time waited;
 };
 
@@ -72,22 +73,6 @@ class Timeline {
   [[nodiscard]] Time next_free() const { return next_free_; }
   const BusyTracker& busy() const { return busy_; }
 
-  /// Names this resource for the instruments. Every reserve() reports
-  /// its grant to the probe (common/probe.hpp) with this label; the
-  /// tracer draws labelled grants as spans on the track of that name and
-  /// the profiler samples their utilization. Unlabelled resources (the
-  /// default) are still seen by the auditor, named by first-grant order.
-  void set_trace_label(std::string label) { trace_label_ = std::move(label); }
-  const std::string& trace_label() const { return trace_label_; }
-
-  ~Timeline();
-  // A user-declared destructor (probe release) would suppress the
-  // implicit copy/move set; Timelines live in vectors, so keep them.
-  Timeline(const Timeline&) = default;
-  Timeline& operator=(const Timeline&) = default;
-  Timeline(Timeline&&) = default;
-  Timeline& operator=(Timeline&&) = default;
-
  private:
   struct Gap {
     Time start;
@@ -116,7 +101,6 @@ class Timeline {
   std::size_t dead_gaps_ = 0;
   std::uint64_t next_gap_seq_ = 0;
   BusyTracker busy_;
-  std::string trace_label_;
 };
 
 }  // namespace nvmooc

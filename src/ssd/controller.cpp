@@ -493,14 +493,9 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
   }
 
   ++stats_.requests;
-  const bool overhead = request.internal;
   bool any_gc = false;
   for (const UnitRun& run : runs) any_gc = any_gc || run.gc;
-  if (overhead) {
-    stats_.internal_bytes += request.size;
-  } else {
-    stats_.payload_bytes += request.size;
-  }
+  if (request.internal) stats_.internal_bytes += request.size;
   if (any_gc) {
     Bytes gc_bytes;
     for (const UnitRun& run : runs) {
@@ -512,8 +507,6 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
     probe::note(result.media_end, "ssd", "gc", (request.offset).value(), gc_bytes.value());
   }
   stats_.pal_bytes[static_cast<int>(result.pal)] += request.size;
-  ++stats_.pal_requests[static_cast<int>(result.pal)];
-  if (stats_.first_activity < Time{}) stats_.first_activity = arrival;
   stats_.last_completion = std::max(stats_.last_completion, result.media_end);
 
   probe::media_end({result.transactions, result.media_end - arrival, result.retries,

@@ -71,11 +71,8 @@ struct ControllerStats {
   Time bus_time;
   std::uint64_t transactions = 0;
   std::uint64_t requests = 0;
-  Bytes payload_bytes;   ///< Application data moved (non-internal reads+writes).
   Bytes internal_bytes;  ///< Journal/metadata/GC traffic.
   std::array<Bytes, 4> pal_bytes{};
-  std::array<std::uint64_t, 4> pal_requests{};
-  Time first_activity{-1};
   Time last_completion;
   /// Sense-level reliability counters (all zero with injection off).
   ReliabilityStats reliability;

@@ -211,54 +211,103 @@ TEST(AuditorConservation, ReplayEndingMidRequestIsViolation) {
 
 TEST(AuditorOccupancy, OverlapDetectedTouchingIsNot) {
   AuditSession session;
-  int resource = 0;
-  const std::string label = "ch0";
-  probe::grant(&resource, label, Time{0}, Time{0}, Time{100});
-  probe::grant(&resource, label, Time{100}, Time{100}, Time{200});  // Touching: fine.
+  const probe::Site site{0, 0, 0, 0};
+  probe::step(probe::Resource::kChannel, site, Time{0}, Time{0}, Time{100});
+  probe::step(probe::Resource::kChannel, site, Time{100}, Time{100}, Time{200});  // Touching.
   EXPECT_EQ(session.auditor().violation_count(), 0u);
-  probe::grant(&resource, label, Time{150}, Time{150}, Time{250});  // Overlaps.
+  probe::step(probe::Resource::kChannel, site, Time{150}, Time{150}, Time{250});  // Overlaps.
   EXPECT_EQ(session.auditor().violation_count(), 1u);
+  const std::string host = "link.host";
+  probe::link(host, Time{0}, Time{10}, Time{10}, Time{100});
+  probe::link(host, Time{0}, Time{10}, Time{90}, Time{120});  // Overlaps.
+  EXPECT_EQ(session.auditor().violation_count(), 2u);
   const AuditReport report = session.auditor().report();
-  EXPECT_EQ(report.timelines, 1u);
-  EXPECT_EQ(report.reservations, 3u);
+  EXPECT_EQ(report.timelines, 2u);
+  EXPECT_EQ(report.reservations, 5u);
+  ASSERT_EQ(report.violations.size(), 2u);
   EXPECT_NE(report.violations[0].detail.find("double booking"), std::string::npos);
   EXPECT_NE(report.violations[0].detail.find("ch0"), std::string::npos);
+  EXPECT_NE(report.violations[1].detail.find("link.host"), std::string::npos);
 }
 
 TEST(AuditorOccupancy, DistinctResourcesAreIndependent) {
   AuditSession session;
-  int a = 0;
-  int b = 0;
-  const std::string unlabelled;
-  probe::grant(&a, unlabelled, Time{0}, Time{0}, Time{100});
-  probe::grant(&b, unlabelled, Time{50}, Time{50}, Time{150});  // Different resource.
+  // Two channels, two ports of one channel, two planes of one die and two
+  // links: eight resources, each busy over [50, 150).
+  const auto busy = [](probe::Resource resource, probe::Site site) {
+    probe::step(resource, site, Time{50}, Time{50}, Time{150});
+  };
+  busy(probe::Resource::kChannel, {0, 0, 0, 0});
+  busy(probe::Resource::kChannel, {1, 0, 0, 0});
+  busy(probe::Resource::kPort, {0, 0, 0, 0});
+  busy(probe::Resource::kPort, {0, 1, 0, 0});
+  busy(probe::Resource::kCell, {0, 0, 0, 0});
+  busy(probe::Resource::kCell, {0, 0, 0, 1});
+  const std::string host = "link.host";
+  const std::string net = "link.net";
+  probe::link(host, Time{50}, Time{50}, Time{50}, Time{150});
+  probe::link(net, Time{50}, Time{50}, Time{50}, Time{150});
   EXPECT_EQ(session.auditor().violation_count(), 0u);
-  EXPECT_EQ(session.auditor().report().timelines, 2u);
+  EXPECT_EQ(session.auditor().report().timelines, 8u);
 }
 
-TEST(AuditorOccupancy, ReleaseForgetsTheResource) {
+// A channel bus is one resource for every package, die and plane behind
+// it, and a port one for every die of its package.
+TEST(AuditorOccupancy, StepsShareTheirChannelAndPort) {
   AuditSession session;
-  int resource = 0;
-  const std::string unlabelled;
-  probe::grant(&resource, unlabelled, Time{0}, Time{0}, Time{100});
-  probe::release(&resource);
-  // Same address, new lifetime: the old interval must not haunt it.
-  probe::grant(&resource, unlabelled, Time{50}, Time{50}, Time{150});
-  EXPECT_EQ(session.auditor().violation_count(), 0u);
+  probe::step(probe::Resource::kChannel, {2, 0, 0, 0}, Time{0}, Time{0}, Time{100});
+  probe::step(probe::Resource::kChannel, {2, 3, 1, 1}, Time{50}, Time{50}, Time{150});
+  EXPECT_EQ(session.auditor().violation_count(), 1u);
+  probe::step(probe::Resource::kPort, {2, 3, 0, 0}, Time{0}, Time{0}, Time{100});
+  probe::step(probe::Resource::kPort, {2, 3, 1, 1}, Time{50}, Time{50}, Time{150});
+  EXPECT_EQ(session.auditor().violation_count(), 2u);
+  const AuditReport report = session.auditor().report();
+  EXPECT_EQ(report.timelines, 2u);
+  ASSERT_EQ(report.violations.size(), 2u);
+  EXPECT_NE(report.violations[1].detail.find("ssd.ch2.pkg3.port"), std::string::npos);
+}
+
+// Each replay runs on a device of its own, from time zero: replays one
+// after another under one session are audited as if each had its own,
+// and the counts add up. The first replay issues its last request late
+// (tens of ms), so a watermark carried into the second would flag its
+// early grants.
+TEST(AuditorOccupancy, SuccessiveReplaysAuditAsSeparateDevices) {
+  const Trace trace = small_ooc_trace();
+  const ExperimentConfig first = ion_gpfs_config(NvmType::kSlc);
+  const ExperimentConfig second = cnl_ufs_config(NvmType::kTlc);
+  const auto audit_alone = [&trace](const ExperimentConfig& config) {
+    AuditSession session;
+    return ReplayEngine(config).run(trace).audit;
+  };
+  const AuditReport alone_first = audit_alone(first);
+  const AuditReport alone_second = audit_alone(second);
+  ASSERT_TRUE(alone_first.passed()) << alone_first.summary();
+  ASSERT_TRUE(alone_second.passed()) << alone_second.summary();
+
+  AuditSession session;
+  ReplayEngine(first).run(trace);
+  const AuditReport both = ReplayEngine(second).run(trace).audit;
+  EXPECT_TRUE(both.passed()) << both.summary();
+  EXPECT_EQ(both.timelines, alone_first.timelines + alone_second.timelines);
+  EXPECT_EQ(both.reservations, alone_first.reservations + alone_second.reservations);
 }
 
 // The device folds its timelines behind the latest issue time, so a grant
-// ready before it would reach into history that is gone.
+// ready before it would reach into history that is gone. A link is ready
+// once its fixed latencies have passed.
 TEST(AuditorCausality, GrantBeforeIssueWatermarkIsViolation) {
   AuditSession session;
-  int resource = 0;
-  const std::string label = "ch3";
+  const probe::Site site{3, 0, 0, 0};
   probe::RequestOpen open = open_at(Time{100}, Time{100}, Time{500});
   open.watermark = Time{500};
   probe::request_open(open);
-  probe::grant(&resource, label, Time{500}, Time{600}, Time{700});  // At the watermark: fine.
+  // At the watermark: fine.
+  probe::step(probe::Resource::kChannel, site, Time{500}, Time{600}, Time{700});
+  const std::string host = "link.host";
+  probe::link(host, Time{400}, Time{500}, Time{500}, Time{600});
   EXPECT_EQ(session.auditor().violation_count(), 0u);
-  probe::grant(&resource, label, Time{499}, Time{700}, Time{800});
+  probe::step(probe::Resource::kChannel, site, Time{499}, Time{700}, Time{800});
   EXPECT_EQ(session.auditor().violation_count(), 1u);
   const AuditReport report = session.auditor().report();
   ASSERT_FALSE(report.violations.empty());
@@ -272,25 +321,31 @@ TEST(AuditorCausality, GrantBeforeIssueWatermarkIsViolation) {
 // watermark still meets every interval it could overlap.
 TEST(AuditorOccupancy, PruningBehindWatermarkKeepsOverlapCheck) {
   AuditSession session;
-  int resource = 0;
-  const std::string unlabelled;
-  probe::grant(&resource, unlabelled, Time{0}, Time{0}, Time{100});
-  probe::grant(&resource, unlabelled, Time{0}, Time{300}, Time{600});
+  const probe::Site plane{0, 1, 1, 0};
+  probe::step(probe::Resource::kCell, plane, Time{0}, Time{0}, Time{100});
+  probe::step(probe::Resource::kCell, plane, Time{0}, Time{300}, Time{600});
   probe::RequestOpen open = open_at(Time{}, Time{}, Time{200});
   open.watermark = Time{200};
   probe::request_open(open);
-  probe::grant(&resource, unlabelled, Time{200}, Time{200}, Time{300});  // Touching: fine.
+  probe::step(probe::Resource::kCell, plane, Time{200}, Time{200}, Time{300});  // Touching.
   EXPECT_EQ(session.auditor().violation_count(), 0u);
-  probe::grant(&resource, unlabelled, Time{200}, Time{550}, Time{650});  // Overlaps.
+  probe::step(probe::Resource::kCell, plane, Time{200}, Time{550}, Time{650});  // Overlaps.
   EXPECT_EQ(session.auditor().violation_count(), 1u);
   EXPECT_EQ(session.auditor().report().timelines, 1u);
 }
 
+// Zero-width steps and transfers, channel stalls and the RPC window
+// occupy nothing.
 TEST(AuditorOccupancy, ZeroWidthGrantsAreIgnored) {
   AuditSession session;
-  int resource = 0;
-  probe::grant(&resource, std::string{}, Time{100}, Time{100}, Time{100});
-  EXPECT_EQ(session.auditor().report().reservations, 0u);
+  probe::step(probe::Resource::kChannel, {}, Time{100}, Time{100}, Time{100});
+  probe::step(probe::Resource::kChannelStall, {}, Time{100}, Time{300}, Time{300});
+  probe::rpc(Time{100}, Time{300});
+  const std::string host = "link.host";
+  probe::link(host, Time{100}, Time{200}, Time{200}, Time{200});
+  const AuditReport report = session.auditor().report();
+  EXPECT_EQ(report.reservations, 0u);
+  EXPECT_EQ(report.timelines, 0u);
 }
 
 // ---------- violation accounting -------------------------------------------

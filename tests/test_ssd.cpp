@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +32,7 @@
 #include "ssd/ftl_tables.hpp"
 #include "ssd/geometry.hpp"
 #include "ssd/ssd.hpp"
+#include "interval_counter.hpp"
 #include "map_ftl.hpp"
 
 namespace nvmooc {
@@ -785,7 +787,10 @@ TEST(Controller, StatsAccumulate) {
   f.ssd->submit({NvmOp::kRead, 64 * KiB, 64 * KiB, false, false}, Time{});
   const ControllerStats& stats = f.ssd->controller_stats();
   EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.payload_bytes, 128 * KiB);
+  Bytes pal_total;
+  for (const Bytes b : stats.pal_bytes) pal_total += b;
+  EXPECT_EQ(pal_total, 128 * KiB);
+  EXPECT_EQ(stats.internal_bytes, Bytes{0});
   EXPECT_EQ(stats.transactions, 64u);
   EXPECT_GT(stats.phase_time[static_cast<int>(Phase::kCellActivation)], Time{0});
 }
@@ -793,8 +798,8 @@ TEST(Controller, StatsAccumulate) {
 TEST(Controller, InternalRequestsCountSeparately) {
   ControllerFixture f;
   f.ssd->submit({NvmOp::kRead, Bytes{}, 4 * KiB, false, true}, Time{});
+  f.ssd->submit({NvmOp::kRead, 4 * KiB, 8 * KiB, false, false}, Time{});
   const ControllerStats& stats = f.ssd->controller_stats();
-  EXPECT_EQ(stats.payload_bytes, Bytes{0});
   EXPECT_EQ(stats.internal_bytes, 4 * KiB);
 }
 
@@ -1231,18 +1236,6 @@ TimelineTally tally(Ssd& ssd) {
   return out;
 }
 
-/// Counts the Timeline grants the probe reports while installed: one per
-/// reservation of positive duration. Install it in the latency slot,
-/// which no accessor casts to its instrument type.
-class GrantCounter final : public probe::Subscriber {
- public:
-  GrantCounter() : probe::Subscriber(probe::bit(probe::Kind::kInterval)) {}
-  void on_interval(const probe::Interval& interval) override {
-    if (interval.resource == probe::Resource::kTimeline) ++grants;
-  }
-  std::uint64_t grants = 0;
-};
-
 // Differential: a device that folds behind an advancing watermark answers
 // every request, and every device statistic, exactly as its unfolded twin
 // does, over seeded random streams of reads and writes with arrivals that
@@ -1264,7 +1257,7 @@ TEST(DeviceStats, FoldedSsdMatchesUnfoldedTwin) {
     Time last_end;
     const std::uint64_t timelines = tally(folded).timelines;
     TimelineTally at_fold;
-    GrantCounter reservations;
+    IntervalCounter reservations;
     std::uint64_t reservations_at_fold = 0;
     std::uint64_t fold_transactions = 0;
     int shrinking_folds = 0;
@@ -1279,7 +1272,7 @@ TEST(DeviceStats, FoldedSsdMatchesUnfoldedTwin) {
         EXPECT_LE(after.live, live_before);
         if (after.live < live_before) ++shrinking_folds;
         at_fold = after;
-        reservations_at_fold = reservations.grants;
+        reservations_at_fold = reservations.intervals;
         fold_transactions = transactions;
       } else {
         EXPECT_EQ(after.live, live_before);  // Not due: no fold.
@@ -1293,7 +1286,7 @@ TEST(DeviceStats, FoldedSsdMatchesUnfoldedTwin) {
       last_end = std::max(last_end, want.media_end);
 
       const TimelineTally now = tally(folded);
-      EXPECT_LE(now.live, at_fold.live + (reservations.grants - reservations_at_fold));
+      EXPECT_LE(now.live, at_fold.live + (reservations.intervals - reservations_at_fold));
       EXPECT_LT(folded.controller_stats().transactions - fold_transactions,
                 std::max(timelines, at_fold.live) + got.transactions);
       if (::testing::Test::HasFailure()) return;
@@ -1311,6 +1304,89 @@ TEST(DeviceStats, FoldedSsdMatchesUnfoldedTwin) {
     for (const Time wall : {last_end, last_end / 3, Time{}}) {
       expect_same_device_stats(folded.device_stats(wall), unfolded.device_stats(wall));
     }
+  }
+}
+
+/// Rebuilds the busy union of every channel, port and plane timeline of a
+/// device from the controller steps the probe reports.
+class StepUnions final : public probe::Subscriber {
+ public:
+  explicit StepUnions(const SsdHardware& hardware)
+      : probe::Subscriber(probe::bit(probe::Kind::kInterval)),
+        hardware(hardware),
+        channels(hardware.channels.size()),
+        ports(hardware.ports.size()),
+        planes(hardware.planes.size()) {}
+
+  void on_interval(const probe::Interval& iv) override {
+    const SsdGeometry& geometry = hardware.geometry;
+    const probe::Site& site = iv.site;
+    switch (iv.resource) {
+      case probe::Resource::kChannel:
+        channels.at(site.channel).add_interval(iv.start, iv.end);
+        break;
+      case probe::Resource::kPort:
+        ports.at(site.channel * geometry.packages_per_channel + site.package)
+            .add_interval(iv.start, iv.end);
+        break;
+      case probe::Resource::kCell: {
+        const PhysicalAddress address{site.channel, site.package, site.die, site.plane, 0, 0};
+        planes.at(geometry.plane_index(address, hardware.timing)).add_interval(iv.start, iv.end);
+        break;
+      }
+      default:
+        break;
+    }
+  }
+
+  const SsdHardware& hardware;
+  std::vector<BusyTracker> channels;
+  std::vector<BusyTracker> ports;
+  std::vector<BusyTracker> planes;
+};
+
+// Differential: a Timeline reports nothing, so the controller's steps are
+// the only record of what the device's resources did. On an unfolded
+// device, the union of the steps reported for each channel, port and
+// plane must be exactly that timeline's busy time, over read, write, GC
+// and fault (retry ladder, channel stall, stuck die) streams. A
+// reservation whose step goes unreported leaves its resource short.
+TEST(Controller, ReportedStepsCoverEveryTimelinesBusyTime) {
+  for (const TwinCase& twin_case : twin_cases()) {
+    SCOPED_TRACE(::testing::Message() << twin_case.name << " backfill="
+                                      << twin_case.config.controller.queue_backfill);
+    Ssd ssd(twin_case.config);
+    ssd.preload(twin_case.preload);
+    StepUnions steps(ssd.hardware());
+    {
+      const probe::Scoped listen(probe::Slot::kLatency, &steps);
+      RequestStream stream(twin_case);
+      Time arrival;
+      for (int i = 0; i < 600; ++i) {
+        const BlockRequest request = stream.next(arrival);
+        ssd.submit(request, arrival);
+      }
+    }
+    if (twin_case.write_percent > 0 && !twin_case.config.fault.enabled) {
+      EXPECT_GT(ssd.ftl_stats().gc_runs, 0u);
+    }
+    if (twin_case.config.fault.enabled) {
+      EXPECT_GT(ssd.controller_stats().reliability.read_retries, 0u);
+      EXPECT_GT(ssd.controller_stats().reliability.channel_stalls, 0u);
+    }
+    const SsdHardware& hardware = ssd.hardware();
+    const auto expect_cover = [](const char* kind, const std::vector<Timeline>& timelines,
+                                 const std::vector<BusyTracker>& reported) {
+      Time total;
+      for (std::size_t i = 0; i < timelines.size(); ++i) {
+        EXPECT_EQ(reported[i].busy_time(), timelines[i].busy().busy_time()) << kind << " " << i;
+        total += reported[i].busy_time();
+      }
+      EXPECT_GT(total, Time{}) << kind;
+    };
+    expect_cover("channel", hardware.channels, steps.channels);
+    expect_cover("port", hardware.ports, steps.ports);
+    expect_cover("plane", hardware.planes, steps.planes);
   }
 }
 
@@ -1350,17 +1426,31 @@ void fingerprint(Fingerprint& f, const RequestResult& r) {
   f.add(r.hard_failure ? 1 : 0);
 }
 
-void fingerprint(Fingerprint& f, const ControllerStats& s) {
+/// What a request stream added up to, counted from its requests and
+/// results: the figures ControllerStats once kept itself, still pinned.
+struct StreamTally {
+  Bytes payload_bytes;  ///< Non-internal request bytes.
+  std::array<std::uint64_t, 4> pal_requests{};
+  Time first_arrival{-1};
+
+  void add(const BlockRequest& request, Time arrival, const RequestResult& result) {
+    if (!request.internal) payload_bytes += request.size;
+    ++pal_requests[static_cast<int>(result.pal)];
+    if (first_arrival < Time{}) first_arrival = arrival;
+  }
+};
+
+void fingerprint(Fingerprint& f, const ControllerStats& s, const StreamTally& tally) {
   for (const Time t : s.phase_time) f.add(t);
   for (const Time t : s.cell_time_by_op) f.add(t);
   f.add(s.bus_time);
   f.add(s.transactions);
   f.add(s.requests);
-  f.add(s.payload_bytes);
+  f.add(tally.payload_bytes);
   f.add(s.internal_bytes);
   for (const Bytes b : s.pal_bytes) f.add(b);
-  for (const std::uint64_t n : s.pal_requests) f.add(n);
-  f.add(s.first_activity);
+  for (const std::uint64_t n : tally.pal_requests) f.add(n);
+  f.add(tally.first_arrival);
   f.add(s.last_completion);
   const ReliabilityStats& r = s.reliability;
   f.add(r.corrected_reads);
@@ -1457,14 +1547,17 @@ TEST(Controller, MatchesGoldenDigest) {
     ssd.preload(digest_case.preload);
     RequestStream stream(digest_case);
     Fingerprint f;
+    StreamTally tally;
     Time arrival;
     for (int i = 0; i < kRequests; ++i) {
       const BlockRequest request = stream.next(arrival);
       ssd.advance_watermark(arrival);
-      fingerprint(f, ssd.submit(request, arrival));
+      const RequestResult result = ssd.submit(request, arrival);
+      fingerprint(f, result);
+      tally.add(request, arrival, result);
     }
     const ControllerStats& stats = ssd.controller_stats();
-    fingerprint(f, stats);
+    fingerprint(f, stats, tally);
     EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kRequests));
     if (digest_case.write_span > Bytes{}) {
       EXPECT_GT(ssd.ftl_stats().gc_runs, 0u);
