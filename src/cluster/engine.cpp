@@ -140,10 +140,7 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
   const auto open_posix = [&](Client& client) {
     while (!finished(client)) {
       const PosixRequest& posix = posix_requests[client.posix];
-      {
-        obs::HostSection io_section(obs::HostSubsystem::kIoPath);
-        client.batch = client.path->submit(posix);
-      }
+      client.batch = client.path->submit(posix);
       probe::Posix expansion{posix.size, {}, {}, client.batch.size(), 0, layer};
       for (const BlockRequest& device_request : client.batch) {
         if (device_request.internal) {
@@ -161,10 +158,6 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
     }
   };
 
-  {
-  // Nested scope so the engine's wall-time section is closed (and thus
-  // counted) before the derivation tail asks for the host report.
-  obs::HostSection replay_section(obs::HostSubsystem::kEngine);
   for (Client& client : clients_) open_posix(client);
   while (!aborted) {
     // The client that can issue earliest goes next (ties to the lower
@@ -203,12 +196,12 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
         watermark = std::min(watermark, ready_gate(other) + cpu_serial + added_latency);
       }
     }
-    probe::request_open({ready, admit, issue, watermark, cpu_gate, client.barrier_gate,
-                         not_before, client.all_done, device_request.barrier});
     ssd_->advance_watermark(watermark);
     for (DmaEngine* link : {host_dma_.get(), network_dma_.get(), degraded_dma_.get()}) {
       if (link != nullptr) link->advance_watermark(watermark);
     }
+    probe::request_open({ready, admit, issue, watermark, cpu_gate, client.barrier_gate,
+                         not_before, client.all_done, device_request.barrier});
 
     Time completion;
     Time media_done;
@@ -235,7 +228,6 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
         rpc_window.launch(completion, device_request.size);
       }
       if (media.uncorrectable_units > 0) {
-        obs::HostSection reliability_section(obs::HostSubsystem::kReliability);
         if (media.hard_failure) {
           aborted = true;
           abort_reason = "device hard failure: capacity lost past the spare "
@@ -354,7 +346,6 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
       if (!aborted) open_posix(client);
     }
   }
-  }  // replay_section (engine wall-time bucket) closes here.
 
   // ---- Derive the figures' quantities. --------------------------------
   ExperimentResult result;

@@ -5,13 +5,8 @@
 namespace nvmooc::wallclock {
 
 Time now_ns() {
-  // The epoch is the first call's instant: wall values stay small enough
-  // that the int64 nanosecond payload never gets near overflow, and a
-  // difference of two reads is an elapsed duration directly.
-  static const std::chrono::steady_clock::time_point epoch =
-      std::chrono::steady_clock::now();
   return Time{std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - epoch)
+                  std::chrono::steady_clock::now().time_since_epoch())
                   .count()};
 }
 

@@ -9,16 +9,17 @@
 //
 // Wall instants ride in the existing Time type with *nanosecond* units,
 // the convention TraceClock::kWall already established: a Time from
-// wall_now() is nanoseconds since the first call in this process, never
-// picoseconds, and must not be mixed with simulated Time arithmetic.
+// now_ns() is steady-clock nanoseconds since an unspecified epoch (boot,
+// on Linux), never picoseconds, and must not be mixed with simulated
+// Time arithmetic. Only differences of two reads mean anything.
 #pragma once
 
 #include "common/units.hpp"
 
 namespace nvmooc::wallclock {
 
-/// Monotonic wall-clock nanoseconds since the first call in this
-/// process. Thread-safe; the epoch is latched once.
+/// Monotonic wall-clock nanoseconds since the steady clock's epoch.
+/// Thread-safe; callers take differences.
 [[nodiscard]] Time now_ns();
 
 /// Seconds represented by a difference of now_ns() values.

@@ -3,17 +3,12 @@
 #include <algorithm>
 
 #include "common/probe.hpp"
-#include "obs/host_profiler.hpp"
 
 namespace nvmooc {
 
 DmaEngine::DmaEngine(const LinkConfig& config) : config_(config), link_(false) {}
 
 Reservation DmaEngine::transfer(Time earliest, Bytes bytes) {
-  // Host telemetry (--speed-report): DMA/link/network modelling bills to
-  // the "interconnect" wall-time bucket (one hook covers every engine —
-  // host, network, degraded re-fetch).
-  obs::HostSection host_section(obs::HostSubsystem::kInterconnect);
   // Fixed latencies delay the start; the link itself is held only for the
   // wire time of the payload.
   const Time ready = earliest + config_.request_latency + config_.bridge_latency;

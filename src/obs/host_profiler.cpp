@@ -59,6 +59,8 @@ std::uint64_t peak_rss_bytes() {
   return 0;
 }
 
+/// `base` is the tally at replay begin, whose high-water mark restarted
+/// from its live bytes then.
 HostAllocStat alloc_delta(const AllocTally& now, const AllocTally& base) {
   HostAllocStat stat;
   stat.allocated_bytes = now.allocated_bytes - base.allocated_bytes;
@@ -89,10 +91,7 @@ const char* host_subsystem_name(HostSubsystem subsystem) {
     case HostSubsystem::kEngine: return "engine";
     case HostSubsystem::kIoPath: return "io_path";
     case HostSubsystem::kController: return "controller";
-    case HostSubsystem::kTimeline: return "timeline";
     case HostSubsystem::kInterconnect: return "interconnect";
-    case HostSubsystem::kReliability: return "reliability";
-    case HostSubsystem::kObs: return "obs";
   }
   return "?";
 }
@@ -101,32 +100,46 @@ HostProfiler::HostProfiler() : HostProfiler(Options{}) {}
 
 HostProfiler::HostProfiler(Options options)
     : probe::Subscriber(probe::bit(probe::Kind::kInterval) | probe::bit(probe::Kind::kReplay) |
-                        probe::bit(probe::Kind::kRequest)),
+                        probe::bit(probe::Kind::kRequest) | probe::bit(probe::Kind::kMedia)),
       options_(options),
-      start_wall_(wallclock::now_ns()) {
+      start_wall_(wallclock::now_ns()),
+      last_wall_(start_wall_) {
   const double sec = std::max(0.0, options_.heartbeat_sec);
   // Wall instants ride in Time with nanosecond units (wallclock.hpp):
   // convert through the sanctioned from_seconds() (picoseconds), then
   // rescale ps -> ns.
   heartbeat_interval_ = from_seconds(sec) / 1000;
   next_heartbeat_ = start_wall_ + heartbeat_interval_;
-  stack_.reserve(16);
 }
 
 void HostProfiler::on_replay_begin(std::uint64_t posix_requests) {
   total_requests_ = posix_requests;
   completed_requests_ = 0;
+  heartbeats_ = 0;
+  events_ = {};
+  billed_ = {};
+  bills_ = {};
+  // The tally's high-water mark lives as long as the thread; restart it
+  // so this replay reports its own peak.
+  AllocTally& timeline = alloc_tally(AllocDomain::kTimeline);
+  timeline.peak_live_bytes = timeline.live_bytes;
+  timeline_base_ = timeline;
   start_wall_ = wallclock::now_ns();
+  last_wall_ = start_wall_;
   next_heartbeat_ = start_wall_ + heartbeat_interval_;
-  for (int d = 0; d < kAllocDomainCount; ++d) {
-    alloc_base_[d] = alloc_tally(static_cast<AllocDomain>(d));
-  }
+}
+
+void HostProfiler::bill(HostSubsystem subsystem) {
+  const Time now = wallclock::now_ns();
+  billed_[static_cast<int>(subsystem)] += now - last_wall_;
+  ++bills_[static_cast<int>(subsystem)];
+  last_wall_ = now;
 }
 
 void HostProfiler::on_progress(Time all_done) {
   ++completed_requests_;
-  const Time now = wallclock::now_ns();
-  if (now >= next_heartbeat_) heartbeat(now, all_done);
+  bill(HostSubsystem::kEngine);
+  if (last_wall_ >= next_heartbeat_) heartbeat(last_wall_, all_done);
 }
 
 void HostProfiler::heartbeat(Time now_wall, Time sim_now) {
@@ -168,21 +181,6 @@ void HostProfiler::heartbeat(Time now_wall, Time sim_now) {
   }
 }
 
-void HostProfiler::section_enter(HostSubsystem subsystem) {
-  stack_.push_back(Frame{subsystem, wallclock::now_ns(), Time{}});
-}
-
-void HostProfiler::section_exit() {
-  if (stack_.empty()) return;
-  const Frame frame = stack_.back();
-  stack_.pop_back();
-  const Time total = wallclock::now_ns() - frame.start;
-  const Time self = std::max(Time{}, total - frame.child);
-  section_self_[static_cast<int>(frame.subsystem)] += self;
-  ++section_enters_[static_cast<int>(frame.subsystem)];
-  if (!stack_.empty()) stack_.back().child += total;
-}
-
 std::uint64_t HostProfiler::events_total() const {
   std::uint64_t total = 0;
   for (const std::uint64_t n : events_) total += n;
@@ -192,7 +190,8 @@ std::uint64_t HostProfiler::events_total() const {
 HostReport HostProfiler::report(Time sim_makespan) const {
   HostReport out;
   out.enabled = true;
-  out.wall_seconds = wallclock::to_seconds(wallclock::now_ns() - start_wall_);
+  const Time now = wallclock::now_ns();
+  out.wall_seconds = wallclock::to_seconds(now - start_wall_);
   out.sim_time = sim_makespan;
   out.events = events_;
   out.events_total = events_total();
@@ -206,15 +205,16 @@ HostReport HostProfiler::report(Time sim_makespan) const {
   out.requests_completed = completed_requests_;
   out.heartbeats = heartbeats_;
   out.peak_rss_bytes = peak_rss_bytes();
-  out.timeline_alloc =
-      alloc_delta(alloc_tally(AllocDomain::kTimeline),
-                  alloc_base_[static_cast<int>(AllocDomain::kTimeline)]);
+  out.timeline_alloc = alloc_delta(alloc_tally(AllocDomain::kTimeline), timeline_base_);
+  std::array<Time, kHostSubsystemCount> billed = billed_;
+  std::array<std::uint64_t, kHostSubsystemCount> bills = bills_;
+  billed[static_cast<int>(HostSubsystem::kEngine)] += now - last_wall_;
+  ++bills[static_cast<int>(HostSubsystem::kEngine)];
   for (int s = 0; s < kHostSubsystemCount; ++s) {
-    if (section_self_[s] <= Time{} && section_enters_[s] == 0) continue;
     HostSectionStat stat;
     stat.name = host_subsystem_name(static_cast<HostSubsystem>(s));
-    stat.wall_seconds = wallclock::to_seconds(section_self_[s]);
-    stat.enters = section_enters_[s];
+    stat.wall_seconds = wallclock::to_seconds(billed[s]);
+    stat.enters = bills[s];
     out.sections.push_back(std::move(stat));
   }
   std::stable_sort(out.sections.begin(), out.sections.end(),
@@ -242,23 +242,13 @@ std::string HostReport::summary() const {
                 format_bytes(static_cast<double>(timeline_alloc.allocated_bytes)).c_str(),
                 format_bytes(static_cast<double>(timeline_alloc.peak_live_bytes)).c_str());
   if (!sections.empty()) {
-    const double attributed = [&] {
-      double sum = 0.0;
-      for (const HostSectionStat& s : sections) sum += s.wall_seconds;
-      return sum;
-    }();
     out += "  host time by subsystem:\n";
     for (const HostSectionStat& s : sections) {
-      out += format("    %-12s %8.3f s  %5.1f%%  (%llu sections)\n",
+      out += format("    %-12s %8.3f s  %5.1f%%  (%llu events)\n",
                     s.name.c_str(), s.wall_seconds,
                     wall_seconds > 0.0 ? 100.0 * s.wall_seconds / wall_seconds : 0.0,
                     static_cast<unsigned long long>(s.enters));
     }
-    out += format("    %-12s %8.3f s  %5.1f%%\n", "(untracked)",
-                  std::max(0.0, wall_seconds - attributed),
-                  wall_seconds > 0.0
-                      ? 100.0 * std::max(0.0, wall_seconds - attributed) / wall_seconds
-                      : 0.0);
   }
   if (heartbeats > 0) {
     out += format("  heartbeats emitted: %llu\n",

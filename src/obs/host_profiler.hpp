@@ -2,17 +2,19 @@
 // memory of a replay go — the counterpart of every other layer in
 // src/obs, which measures simulated time.
 //
-// Four instruments, none of which ever mutates simulation state, so
-// makespans stay bit-identical with the speed report on or off:
+// The profiler is a probe subscriber (common/probe.hpp) like every other
+// instrument; no model layer calls it. It never mutates simulation
+// state, so makespans stay bit-identical with the speed report on or
+// off. It keeps four instruments:
 //
-//  * an events/sec speedometer: the profiler subscribes to the probe
-//    (common/probe.hpp) and counts the simulation events the host
+//  * an events/sec speedometer: it counts the simulation events the host
 //    processed (POSIX requests, device requests, timeline reservations);
 //    the report divides by elapsed wall time;
-//  * scoped wall-clock attribution: RAII HostSection guards partition
-//    host time across subsystems (engine, I/O path, controller,
-//    timeline, interconnect, reliability, obs overhead) with self-time
-//    semantics — a nested section's time is subtracted from its parent;
+//  * wall-clock attribution: at each event it receives it reads the clock
+//    once and bills the time since the previous event to the subsystem
+//    whose work that event closes (HostSubsystem), so the buckets
+//    partition the replay's wall time. The other instruments' hooks run
+//    before this one's and bill with the event that called them;
 //  * memory accounting: peak RSS from the OS plus the counting-allocator
 //    tally (common/alloc_counter.hpp) charged by the timeline interval
 //    bookkeeping;
@@ -37,17 +39,15 @@ namespace nvmooc::obs {
 
 /// Host-time attribution buckets. Coarser than the simulated-time blame
 /// taxonomy (profiler.hpp): these answer "which part of the *program*
-/// is slow", not "which resource bounded the simulated run".
+/// is slow", not "which resource bounded the simulated run". Each is
+/// billed at the probe event that closes its work.
 enum class HostSubsystem : std::uint8_t {
-  kEngine = 0,        ///< Replay loop self-time (flow control, accounting).
-  kIoPath = 1,        ///< FS/UFS request expansion.
-  kController = 2,    ///< SSD controller + FTL + media model.
-  kTimeline = 3,      ///< Reservation timeline bookkeeping.
-  kInterconnect = 4,  ///< DMA/link/network transfer model.
-  kReliability = 5,   ///< Degraded-mode recovery handling.
-  kObs = 6,           ///< Observability overhead (span/metric emission).
+  kEngine = 0,        ///< Replay loop, folds, result derivation.
+  kIoPath = 1,        ///< FS/UFS request expansion (closed by on_posix).
+  kController = 2,    ///< Controller, FTL, media and timelines (on_media_end).
+  kInterconnect = 3,  ///< DMA/link/network transfer model (each kLink interval).
 };
-inline constexpr int kHostSubsystemCount = 7;
+inline constexpr int kHostSubsystemCount = 4;
 
 const char* host_subsystem_name(HostSubsystem subsystem);
 
@@ -66,8 +66,8 @@ const char* host_event_name(HostEvent event);
 
 struct HostSectionStat {
   std::string name;
-  double wall_seconds = 0.0;  ///< Self time (children subtracted).
-  std::uint64_t enters = 0;
+  double wall_seconds = 0.0;  ///< Wall time billed to the bucket.
+  std::uint64_t enters = 0;   ///< Events that billed it.
 };
 
 struct HostAllocStat {
@@ -94,7 +94,8 @@ struct HostReport {
   std::uint64_t heartbeats = 0;
   std::uint64_t peak_rss_bytes = 0;
   HostAllocStat timeline_alloc;
-  /// Nonzero buckets only, sorted by self time descending.
+  /// Every bucket, sorted by wall time descending. Their wall_seconds
+  /// sum to `wall_seconds`.
   std::vector<HostSectionStat> sections;
 
   /// Human-readable speedometer + attribution digest.
@@ -115,85 +116,71 @@ class HostProfiler final : public probe::Subscriber {
   HostProfiler();
   explicit HostProfiler(Options options);
 
-  /// Speedometer tick; hook sites pass the category they processed.
-  void count(HostEvent event, std::uint64_t n = 1) {
-    events_[static_cast<int>(event)] += n;
-  }
-
-  // RAII surface is HostSection below; these are the raw hooks.
-  void section_enter(HostSubsystem subsystem);
-  void section_exit();
-
   std::uint64_t events_total() const;
 
   /// Finalises the measurement into a report. `sim_makespan` is the
-  /// replay's end time.
+  /// replay's end time. The time since the last event bills to the
+  /// engine, on the same clock read that closes `wall_seconds`.
   HostReport report(Time sim_makespan) const;
 
-  // Probe subscription: the speedometer and the heartbeat. Every
-  // timeline reservation of positive duration is reported as one
-  // interval that occupies something; the RPC window and channel stalls
-  // occupy nothing.
+  // Probe subscription. Every timeline reservation of positive duration
+  // is reported as one interval that occupies something (the RPC window
+  // and channel stalls occupy nothing); only link transfers read the
+  // clock, so controller steps cost a count.
   void on_interval(const probe::Interval& interval) override {
     if (interval.end > interval.start) count(HostEvent::kTimelineReservation);
+    if (interval.resource == probe::Resource::kLink) bill(HostSubsystem::kInterconnect);
   }
-  /// Records the replay's size so heartbeats can report % complete and
-  /// an ETA, and snapshots the allocation tallies as the baseline.
+  /// Starts a new report: resets every tally, restarts the timeline
+  /// allocation high-water mark, and records the replay's size so
+  /// heartbeats can report % complete and an ETA.
   void on_replay_begin(std::uint64_t posix_requests) override;
   void on_posix(const probe::Posix& /*posix*/) override {
     count(HostEvent::kPosixRequest);
+    bill(HostSubsystem::kIoPath);
   }
-  /// One application request finished at simulated time `all_done`.
-  /// Cheap (one wall read); emits the heartbeat when the period elapsed.
+  /// One application request finished at simulated time `all_done`;
+  /// emits the heartbeat when the period elapsed.
   void on_progress(Time all_done) override;
   void on_request_open(const probe::RequestOpen& /*request*/) override {
     count(HostEvent::kDeviceRequest);
+    bill(HostSubsystem::kEngine);
+  }
+  void on_request_close(const probe::RequestClose& /*request*/) override {
+    bill(HostSubsystem::kEngine);
+  }
+  void on_media_begin(Bytes /*expected*/, bool /*internal*/) override {
+    bill(HostSubsystem::kEngine);
+  }
+  void on_media_end(const probe::MediaDone& /*done*/) override {
+    bill(HostSubsystem::kController);
   }
 
  private:
+  void count(HostEvent event) { ++events_[static_cast<int>(event)]; }
+  /// Bills the wall time since the previous event to `subsystem` and
+  /// makes this event the previous one.
+  void bill(HostSubsystem subsystem);
   void heartbeat(Time now_wall, Time sim_now);
 
   Options options_;
-  Time start_wall_;            ///< wallclock ns at construction.
+  Time start_wall_;            ///< wallclock ns at replay begin.
+  Time last_wall_;             ///< wallclock ns of the previous event.
   Time heartbeat_interval_;    ///< wallclock ns; 0 = every progress call.
   Time next_heartbeat_;
   std::uint64_t total_requests_ = 0;
   std::uint64_t completed_requests_ = 0;
   std::uint64_t heartbeats_ = 0;
   std::array<std::uint64_t, kHostEventCount> events_{};
-  std::array<Time, kHostSubsystemCount> section_self_{};  ///< wall ns.
-  std::array<std::uint64_t, kHostSubsystemCount> section_enters_{};
-  struct Frame {
-    HostSubsystem subsystem;
-    Time start;  ///< wallclock ns.
-    Time child;  ///< wall ns attributed to nested sections.
-  };
-  std::vector<Frame> stack_;
-  std::array<AllocTally, kAllocDomainCount> alloc_base_{};
+  std::array<Time, kHostSubsystemCount> billed_{};  ///< wall ns.
+  std::array<std::uint64_t, kHostSubsystemCount> bills_{};
+  AllocTally timeline_base_;
 };
 
 /// The calling thread's active host profiler, or null.
 inline HostProfiler* host_profiler() {
   return static_cast<HostProfiler*>(probe::slot(probe::Slot::kHost));
 }
-
-/// RAII wall-time attribution scope. With no profiler installed the
-/// constructor and destructor are a thread-local load and a branch.
-class HostSection {
- public:
-  explicit HostSection(HostSubsystem subsystem) : profiler_(host_profiler()) {
-    if (profiler_ != nullptr) profiler_->section_enter(subsystem);
-  }
-  ~HostSection() {
-    if (profiler_ != nullptr) profiler_->section_exit();
-  }
-
-  HostSection(const HostSection&) = delete;
-  HostSection& operator=(const HostSection&) = delete;
-
- private:
-  HostProfiler* profiler_;
-};
 
 /// RAII install of a host profiler on the constructing thread (the
 /// --speed-report CLI surface builds one per replay; mirrors

@@ -7,7 +7,6 @@
 
 #include "common/shard_domain.hpp"
 #include "common/wallclock.hpp"
-#include "obs/host_profiler.hpp"
 #include "obs/json.hpp"
 
 namespace nvmooc::obs {
@@ -314,7 +313,6 @@ void TraceRecorder::on_interval(const probe::Interval& iv) {
 }
 
 void TraceRecorder::on_request_close(const probe::RequestClose& request) {
-  const HostSection obs_section(HostSubsystem::kObs);
   const probe::PhaseLedger& l = request.ledger;
   // Each in-flight request rides its own lane: Perfetto renders
   // same-track spans as a nesting stack, so concurrent requests must not

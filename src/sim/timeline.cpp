@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/host_profiler.hpp"
-
 namespace nvmooc {
 
 Timeline::Timeline(bool backfill, std::size_t max_gaps)
@@ -16,11 +14,6 @@ Reservation Timeline::reserve(Time earliest, Time duration) {
     grant.end = grant.start;
     return grant;
   }
-
-  // Host telemetry (--speed-report): attribute the bookkeeping below to
-  // the timeline wall-time bucket. A thread-local null test when no
-  // HostSession is installed; never touches the simulated arithmetic.
-  obs::HostSection host_section(obs::HostSubsystem::kTimeline);
 
   // Try to backfill an earlier gap first. Every gap ends by next_free_,
   // so none fits a grant that cannot end by then.

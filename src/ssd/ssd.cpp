@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "obs/host_profiler.hpp"
 
 namespace nvmooc {
 
@@ -105,17 +104,12 @@ Ssd::Ssd(const SsdConfig& config)
 void Ssd::preload(Bytes dataset_bytes) { ftl_->set_preloaded(dataset_bytes); }
 
 RequestResult Ssd::submit(const BlockRequest& request, Time arrival) {
-  // Host telemetry (--speed-report): everything below the device boundary
-  // — controller, FTL, media model — bills to the "controller" wall-time
-  // bucket; nested timeline sections are subtracted back out.
-  obs::HostSection host_section(obs::HostSubsystem::kController);
   return controller_->submit(request, arrival);
 }
 
 void Ssd::advance_watermark(Time watermark) {
   const std::uint64_t transactions = controller_->stats().transactions;
   if (transactions - folded_at_transactions_ < fold_interval_) return;
-  obs::HostSection host_section(obs::HostSubsystem::kTimeline);
   folded_at_transactions_ = transactions;
   folded_busy_.resize(busy_slot_count(config_.geometry));
   // Every timeline's intervals before the watermark lie before every

@@ -23,6 +23,7 @@
 #include "cluster/configs.hpp"
 #include "cluster/engine.hpp"
 #include "cluster/instruments.hpp"
+#include "common/probe.hpp"
 #include "fs/presets.hpp"
 #include "obs/cli.hpp"
 #include "obs/flight_recorder.hpp"
@@ -31,6 +32,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_recorder.hpp"
+#include "ooc/workload.hpp"
 #include "trace/synthetic.hpp"
 
 namespace nvmooc {
@@ -564,8 +566,9 @@ TEST(HostTelemetry, ReportCountsTheReplay) {
   names.reserve(host.sections.size());
   for (const obs::HostSectionStat& s : host.sections) names.push_back(s.name);
   EXPECT_NE(std::find(names.begin(), names.end(), "engine"), names.end());
+  EXPECT_NE(std::find(names.begin(), names.end(), "io_path"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "controller"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "timeline"), names.end());
+  EXPECT_NE(std::find(names.begin(), names.end(), "interconnect"), names.end());
   EXPECT_NE(host.summary().find("host speed report"), std::string::npos);
 }
 
@@ -587,31 +590,89 @@ TEST(HostTelemetry, EventCountsAreDeterministicAcrossReplays) {
   EXPECT_EQ(first.timeline_alloc.allocations, second.timeline_alloc.allocations);
 }
 
-TEST(HostTelemetry, SectionSelfTimeSubtractsNestedSections) {
-  obs::HostSession session;
-  obs::HostProfiler& profiler = session.profiler();
-  {
-    obs::HostSection outer(obs::HostSubsystem::kEngine);
-    {
-      obs::HostSection inner(obs::HostSubsystem::kController);
-      // Burn a little wall time inside the nested section.
-      volatile double sink = 0.0;
-      for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
+// One session across two replays: each report covers its own replay only.
+TEST(HostTelemetry, SuccessiveReplaysReportSeparately) {
+  const ExperimentConfig config = cnl_ufs_config(NvmType::kTlc);
+  const Trace trace = sequential_read_trace(16 * MiB, 8 * MiB);
+  obs::HostProfiler::Options options;
+  options.heartbeat_sec = 0.0;  // Heartbeat on every progress call.
+  obs::HostSession session(options);
+  const obs::HostReport first = run_experiment(config, trace).host;
+  const obs::HostReport second = run_experiment(config, trace).host;
+  EXPECT_EQ(second.events, first.events);
+  EXPECT_EQ(second.events_total, first.events_total);
+  EXPECT_EQ(second.events[static_cast<int>(obs::HostEvent::kPosixRequest)], trace.size());
+  EXPECT_EQ(second.requests_completed, trace.size());
+  EXPECT_EQ(second.heartbeats, trace.size());
+  ASSERT_EQ(second.sections.size(), first.sections.size());
+  for (const obs::HostSectionStat& s : second.sections) {
+    const auto same = std::find_if(first.sections.begin(), first.sections.end(),
+                                   [&](const obs::HostSectionStat& f) { return f.name == s.name; });
+    ASSERT_NE(same, first.sections.end()) << s.name;
+    EXPECT_EQ(s.enters, same->enters) << s.name;
+  }
+}
+
+// The timeline allocation peak is the replay's own, not the thread's
+// high-water mark over every earlier replay.
+TEST(HostTelemetry, TimelinePeakIsPerReplay) {
+  SyntheticWorkloadParams params;
+  params.dataset_bytes = 64 * MiB;
+  params.tile_bytes = 8 * MiB;
+  params.sweeps = 1;
+  params.checkpoint_bytes = 2 * MiB;
+  const Trace trace = synthesize_ooc_trace(params);
+  const auto peak = [&](const ExperimentConfig& config) {
+    obs::HostSession session;
+    return run_experiment(config, trace).host.timeline_alloc.peak_live_bytes;
+  };
+  const std::uint64_t ufs_alone = peak(cnl_ufs_config(NvmType::kPcm));
+  const std::uint64_t ext4 = peak(cnl_fs_config(ext4_behavior(), NvmType::kPcm));
+  const std::uint64_t ufs_after_ext4 = peak(cnl_ufs_config(NvmType::kPcm));
+  EXPECT_EQ(ufs_after_ext4, ufs_alone);
+  EXPECT_LT(ufs_after_ext4, ext4);
+}
+
+// The buckets partition the replay's wall time: every event bills the
+// time since the one before, and the report bills the tail on the clock
+// read that closes wall_seconds. Which events bill which bucket is
+// deterministic, so the enters counts are the replay's event counts.
+TEST(HostTelemetry, BucketsPartitionTheReplayWallTime) {
+  struct LinkCounter final : probe::Subscriber {
+    LinkCounter() : probe::Subscriber(probe::bit(probe::Kind::kInterval)) {}
+    void on_interval(const probe::Interval& interval) override {
+      if (interval.resource == probe::Resource::kLink) ++transfers;
     }
+    std::uint64_t transfers = 0;
+  };
+  // Reads and checkpoint writes on the ION path cross the host link and
+  // the network.
+  SyntheticWorkloadParams params;
+  params.dataset_bytes = 16 * MiB;
+  params.tile_bytes = 8 * MiB;
+  params.sweeps = 1;
+  params.checkpoint_bytes = 2 * MiB;
+  const Trace trace = synthesize_ooc_trace(params);
+  LinkCounter links;
+  const probe::Scoped counting(probe::Slot::kLatency, &links);
+  obs::HostSession session;
+  const ExperimentResult result = run_experiment(ion_gpfs_config(NvmType::kTlc), trace);
+  const obs::HostReport& host = result.host;
+
+  ASSERT_EQ(host.sections.size(), 4u);
+  const auto ns = [](double seconds) { return std::llround(seconds * 1e9); };
+  long long billed = 0;
+  std::map<std::string, std::uint64_t> enters;
+  for (const obs::HostSectionStat& s : host.sections) {
+    billed += ns(s.wall_seconds);
+    enters[s.name] = s.enters;
   }
-  const obs::HostReport report = profiler.report(Time{});
-  double engine_self = -1.0;
-  double controller_self = -1.0;
-  for (const obs::HostSectionStat& s : report.sections) {
-    if (s.name == "engine") engine_self = s.wall_seconds;
-    if (s.name == "controller") controller_self = s.wall_seconds;
-  }
-  ASSERT_GE(engine_self, 0.0);
-  ASSERT_GE(controller_self, 0.0);
-  // The nested burn bills to the controller; the parent keeps only its
-  // (tiny) self time. Self times must stay non-negative by construction.
-  EXPECT_GE(controller_self, 0.0);
-  EXPECT_LE(engine_self, controller_self + report.wall_seconds);
+  EXPECT_EQ(billed, ns(host.wall_seconds));
+  EXPECT_EQ(enters["io_path"], trace.size());
+  EXPECT_EQ(enters["controller"], result.device_requests);
+  EXPECT_EQ(enters["interconnect"], links.transfers);
+  EXPECT_GT(links.transfers, result.device_requests);
+  EXPECT_GT(enters["engine"], 0u);
 }
 
 // ---------- metrics quantile edge cases ----------------------------------
