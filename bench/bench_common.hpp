@@ -22,7 +22,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <string>
 #include <type_traits>
@@ -113,17 +115,21 @@ void register_point(const std::string& name, Point point) {
 enum class Flags {
   kNone,         ///< Replays nothing, so takes no instrument flag.
   kInstruments,  ///< The instrument flags (obs::CliOptions, obs/cli.hpp).
-  kSweep,        ///< Those, plus --quick, --headline-out=FILE and --results-out=FILE.
+  kSweep,        ///< Those, plus --quick and --out-dir=DIR.
 };
 
 struct BenchOptions {
   obs::CliOptions obs;
-  bool quick = false;          ///< Smaller workload for CI smoke runs.
-  std::string headline_out;    ///< bench_headline JSON path override.
-  std::string results_out;     ///< BENCH_<figure>.json path override.
+  bool quick = false;           ///< Smaller workload for CI smoke runs.
+  std::string out_dir = ".";    ///< Where the BENCH_<name>.json files go.
   /// google-benchmark's --benchmark_list_tests: the run prints the point
   /// names and runs none, so there is nothing to report or export.
   bool list_tests = false;
+
+  /// `file` inside --out-dir.
+  [[nodiscard]] std::string out_path(const std::string& file) const {
+    return (std::filesystem::path(out_dir) / file).string();
+  }
 };
 
 /// One bench binary: its command line, its replays and their results,
@@ -206,22 +212,24 @@ class Bench {
     return false;
   }
 
-  /// Writes a BENCH_<figure>.json in the same shape as
-  /// BENCH_headline.json: {schema_version, bench, workload, results:
-  /// {"<config>/<media>": {...}}} with the per-cell fields chosen by the
-  /// caller. The checked-in copies are what `simreport diff` compares
-  /// regenerated sweeps against. Writes nothing and returns false unless
-  /// the sweep is complete.
+  /// Writes <--out-dir>/BENCH_<bench_name>.json: {schema_version, bench,
+  /// workload, whatever `preamble` writes, results: {"<config>/<media>":
+  /// {...}}} with the per-cell fields `fields` writes. The checked-in
+  /// copies are what `simreport diff` compares regenerated sweeps
+  /// against. Writes nothing and returns false unless the sweep is
+  /// complete.
   template <typename FieldWriter>
-  bool write_results_json(const std::string& path, const char* bench_name,
-                          const std::vector<ExperimentConfig>& configs,
-                          FieldWriter&& fields) const {
+  bool write_results_json(const std::string& bench_name,
+                          const std::vector<ExperimentConfig>& configs, FieldWriter&& fields,
+                          const std::function<void(obs::JsonWriter&)>& preamble = {}) const {
+    const std::string path = options.out_path("BENCH_" + bench_name + ".json");
     if (!sweep_complete(path, configs)) return false;
     obs::JsonWriter w;
     w.begin_object();
     w.field("schema_version", std::uint64_t{1});
     w.field("bench", bench_name);
     w.field("workload", options.quick ? "quick" : "standard");
+    if (preamble) preamble(w);
     w.key("results");
     w.begin_object();
     for (const ExperimentConfig& config : configs) {
@@ -301,13 +309,15 @@ class Bench {
       int kept = 1;
       for (int i = 1; i < argc; ++i) {
         const char* arg = argv[i];
-        const auto value = [arg](const char* prefix) { return obs::flag_value(arg, prefix); };
-        if (const char* v = value("--headline-out=")) out.headline_out = v;
-        else if (const char* v = value("--results-out=")) out.results_out = v;
+        if (const char* v = obs::flag_value(arg, "--out-dir=")) out.out_dir = v;
         else if (!std::strcmp(arg, "--quick")) out.quick = true;
         else argv[kept++] = argv[i];
       }
       argc = kept;
+      // Checked before any replay, so a sweep cannot run only to lose its files.
+      if (!obs::validate_output_path(out.out_path("BENCH_headline.json"), "--out-dir")) {
+        std::exit(1);
+      }
     }
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) std::exit(1);

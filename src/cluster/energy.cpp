@@ -2,10 +2,10 @@
 
 namespace nvmooc {
 
-EnergyReport estimate_energy(const ControllerStats& controller,
-                             const ExperimentResult& result, bool ion_local,
+EnergyReport estimate_energy(const ExperimentResult& result, bool ion_local,
                              const EnergyModel& model) {
   EnergyReport report;
+  const ControllerStats& controller = result.controller;
 
   const double read_s =
       to_seconds(controller.cell_time_by_op[static_cast<int>(NvmOp::kRead)]);

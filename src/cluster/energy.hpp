@@ -13,7 +13,6 @@
 #include <string>
 
 #include "cluster/experiment.hpp"
-#include "ssd/ssd.hpp"
 
 namespace nvmooc {
 
@@ -50,11 +49,9 @@ struct EnergyReport {
 };
 
 /// Energy of a finished replay: per-op cell time and bus occupancy come
-/// from the controller's raw resource accounting; link/network bytes and
-/// the makespan from the experiment result.
-EnergyReport estimate_energy(const ControllerStats& controller,
-                             const ExperimentResult& result,
-                             bool ion_local,
+/// from the controller's raw resource accounting (`result.controller`);
+/// link/network bytes and the makespan from the rest of the result.
+EnergyReport estimate_energy(const ExperimentResult& result, bool ion_local,
                              const EnergyModel& model = {});
 
 /// The traditional alternative: keep `dataset_bytes` resident in

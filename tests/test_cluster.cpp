@@ -276,7 +276,7 @@ TEST(Engine, IonLatencyDwarfsLocal) {
 TEST(Energy, ComponentsAddUp) {
   const Trace trace = small_ooc_trace(32 * MiB);
   const ExperimentResult result = run_experiment(cnl_ufs_config(NvmType::kMlc), trace);
-  const EnergyReport report = estimate_energy(result.controller, result, false);
+  const EnergyReport report = estimate_energy(result, false);
   EXPECT_GT(report.cell_joules, 0.0);
   EXPECT_GT(report.bus_joules, 0.0);
   EXPECT_GT(report.idle_joules, 0.0);
@@ -294,8 +294,8 @@ TEST(Energy, LocalNvmCheaperPerByteThanIon) {
   const Trace trace = small_ooc_trace(32 * MiB);
   const ExperimentResult ion = run_experiment(ion_gpfs_config(NvmType::kMlc), trace);
   const ExperimentResult cnl = run_experiment(cnl_ufs_config(NvmType::kMlc), trace);
-  const EnergyReport ion_energy = estimate_energy(ion.controller, ion, true);
-  const EnergyReport cnl_energy = estimate_energy(cnl.controller, cnl, false);
+  const EnergyReport ion_energy = estimate_energy(ion, true);
+  const EnergyReport cnl_energy = estimate_energy(cnl, false);
   EXPECT_LT(cnl_energy.mj_per_mib, ion_energy.mj_per_mib);
   EXPECT_GT(ion_energy.network_joules, 0.0);
 }
