@@ -52,13 +52,8 @@ int main(int argc, char** argv) {
   const Trace one_sweep = sweeps_trace(1);
   std::map<NvmType, Time> preload;
   for (NvmType media : all_media()) {
-    register_point("preload/" + std::string(to_string(media)),
-                   [&preload, media](benchmark::State& state) {
-                     const Time cost = preload_cost(media);
-                     preload[media] = cost;
-                     state.counters["preload_ms"] =
-                         static_cast<double>(cost) / static_cast<double>(kMillisecond);
-                   });
+    bench.add("preload/" + std::string(to_string(media)),
+              [&preload, media] { preload[media] = preload_cost(media); });
     bench.register_cells({ion_gpfs_config(media), cnl_ufs_config(media)}, one_sweep);
   }
   return bench.finish([&] {

@@ -26,14 +26,11 @@ int main(int argc, char** argv) {
   std::map<std::pair<std::string, unsigned>, MultiClientResult> results;
   for (unsigned clients : kClientCounts) {
     for (const ExperimentConfig* config : {&ion, &cnl}) {
-      register_point(cell_name(config->name, config->media) + "/x" + std::to_string(clients),
-                     [&bench, &results, config, clients](benchmark::State& state) {
-                       const MultiClientResult r =
-                           bench.replay(*config, standard_trace(), clients);
-                       results[{config->name, clients}] = r;
-                       state.counters["per_client_MBps"] = r.per_client_mbps;
-                       state.counters["aggregate_MBps"] = r.aggregate_mbps;
-                     });
+      bench.add(cell_name(config->name, config->media) + "/x" + std::to_string(clients),
+                [&bench, &results, config, clients] {
+                  results[{config->name, clients}] =
+                      bench.replay(*config, standard_trace(), clients);
+                });
     }
   }
   return bench.finish([&] {

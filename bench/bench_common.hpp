@@ -1,31 +1,29 @@
 // Shared plumbing for the bench binaries: one command line, one set of
-// instruments per replay, each point of a sweep run once, and the
+// instruments per replay, each cell of a sweep run once, and the
 // formatting of the tables.
 //
 // Every main follows the same pattern:
 //
-//   Bench bench(argc, argv, Flags::kInstruments);  // strip, Initialize, reject leftovers
-//   bench.register_cells(configs, trace);          // one benchmark per point
+//   Bench bench(argc, argv, Flags::kInstruments);  // parse, reject leftovers
+//   bench.register_cells(configs, trace);          // one cell per config
 //   return bench.finish([&] { /* print the tables from bench.find() */ });
 //
-// Each registered point runs once, as one single-iteration google
-// benchmark (so `--benchmark_filter` works and counters are
-// machine-readable), and records its result; the tables are printed
-// from those records after the run, so a filtered run prints only the
-// points it ran.
+// Each cell runs once (the simulator is deterministic, so one run is
+// exact), in registration order, and records its result; the tables are
+// printed from those records after the run, so a filtered run
+// (--filter=REGEX) prints only the cells it ran. --list prints the cell
+// names and runs none.
 #pragma once
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
-#include <cctype>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <map>
+#include <regex>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -35,6 +33,7 @@
 #include "cluster/engine.hpp"
 #include "cluster/instruments.hpp"
 #include "common/table.hpp"
+#include "common/wallclock.hpp"
 #include "obs/cli.hpp"
 #include "obs/json.hpp"
 #include "ooc/workload.hpp"
@@ -75,8 +74,7 @@ inline std::vector<NvmType> all_media() {
   return {NvmType::kTlc, NvmType::kMlc, NvmType::kSlc, NvmType::kPcm};
 }
 
-/// "<config>/<media>": a cell's benchmark name and its key in the
-/// results files.
+/// "<config>/<media>": a cell's name and its key in the results files.
 inline std::string cell_name(const std::string& config, NvmType media) {
   return config + "/" + std::string(to_string(media));
 }
@@ -98,20 +96,8 @@ inline std::vector<std::string> names_of(const std::vector<ExperimentConfig>& co
   return names;
 }
 
-/// Registers `point(state)` as one single-iteration benchmark: one run of
-/// the simulator is already exact, it is deterministic.
-template <class Point>
-void register_point(const std::string& name, Point point) {
-  benchmark::RegisterBenchmark(name.c_str(),
-                               [point](benchmark::State& state) {
-                                 for (auto _ : state) point(state);
-                               })
-      ->Unit(benchmark::kMillisecond)
-      ->Iterations(1);
-}
-
-/// The flags a bench binary takes besides google-benchmark's own; any
-/// other argument exits 1, naming it.
+/// The flags a bench binary takes besides --filter and --list; any other
+/// argument exits 1, naming it.
 enum class Flags {
   kNone,         ///< Replays nothing, so takes no instrument flag.
   kInstruments,  ///< The instrument flags (obs::CliOptions, obs/cli.hpp).
@@ -122,9 +108,12 @@ struct BenchOptions {
   obs::CliOptions obs;
   bool quick = false;           ///< Smaller workload for CI smoke runs.
   std::string out_dir = ".";    ///< Where the BENCH_<name>.json files go.
-  /// google-benchmark's --benchmark_list_tests: the run prints the point
-  /// names and runs none, so there is nothing to report or export.
-  bool list_tests = false;
+  /// --filter=REGEX: the cells whose name it matches anywhere
+  /// (ECMAScript regex_search) run; the default matches every cell.
+  std::regex filter{""};
+  /// --list: print the names of the cells --filter selects and run none,
+  /// so there is nothing to report or export.
+  bool list = false;
 
   /// `file` inside --out-dir.
   [[nodiscard]] std::string out_path(const std::string& file) const {
@@ -136,12 +125,12 @@ struct BenchOptions {
 /// and its exit status.
 class Bench {
  public:
-  /// Strips the flags `flags` admits into `options`, initialises google
-  /// benchmark, and exits 1 on a bad value or an argument left over.
+  /// Parses the flags `flags` admits, --filter and --list into `options`,
+  /// and exits 1 on a bad value or an argument left over.
   /// Installs the sweep-wide exports: the tracer (--trace-out), the
   /// metrics registry (--metrics-out) and, with --exemplars-out, the
   /// exemplar reservoirs, so each export covers every replay.
-  Bench(int& argc, char** argv, Flags flags)
+  Bench(int argc, char** argv, Flags flags)
       : options(parse(argc, argv, flags)), exports_(export_options(options.obs)) {}
 
   /// The workload --quick selects.
@@ -170,19 +159,17 @@ class Bench {
     return result;
   }
 
-  /// Registers one benchmark per config, named by cell_name(), that
-  /// replays it on `trace` (which must outlive finish()).
+  /// Adds the cell `name`, which finish() runs once unless --filter
+  /// leaves it out.
+  void add(std::string name, std::function<void()> run) {
+    cells_.emplace_back(std::move(name), std::move(run));
+  }
+
+  /// Adds one cell per config, named by cell_name(), that replays it on
+  /// `trace` (which must outlive finish()).
   void register_cells(const std::vector<ExperimentConfig>& configs, const Trace& trace) {
     for (const ExperimentConfig& config : configs) {
-      register_point(cell_name(config.name, config.media),
-                     [this, config, &trace](benchmark::State& state) {
-                       const ExperimentResult result = replay(config, trace);
-                       state.counters["achieved_MBps"] = result.achieved_mbps;
-                       state.counters["remaining_MBps"] = result.remaining_mbps;
-                       state.counters["channel_util"] = result.channel_utilization;
-                       state.counters["package_util"] = result.package_utilization;
-                       state.counters["pal4_frac"] = result.pal_fraction[3];
-                     });
+      add(cell_name(config.name, config.media), [this, config, &trace] { replay(config, trace); });
     }
   }
 
@@ -194,7 +181,7 @@ class Bench {
 
   /// True when every cell of `configs` has a result. Otherwise names the
   /// missing cells and `path` on stderr: a results file is written only
-  /// for a whole sweep, so a partial run (say, under --benchmark_filter)
+  /// for a whole sweep, so a partial run (say, under --filter)
   /// cannot overwrite a checked-in baseline.
   bool sweep_complete(const std::string& path,
                       const std::vector<ExperimentConfig>& configs) const {
@@ -241,14 +228,9 @@ class Bench {
     w.end_object();
     w.end_object();
 
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for results output\n", path.c_str());
-      return false;
-    }
-    out << w.str() << '\n';
-    if (out) std::printf("wrote %s\n", path.c_str());
-    return static_cast<bool>(out);
+    if (!obs::write_file(path, "results", w.str())) return false;
+    std::printf("wrote %s\n", path.c_str());
+    return true;
   }
 
   /// Prints one figure table: rows = configs, columns = media types,
@@ -271,16 +253,26 @@ class Bench {
     table.print();
   }
 
-  /// Runs the registered points, then `report` (which prints the tables
-  /// and may return false to exit 1), then writes the sweep's exports.
-  /// Returns the exit status: under --audit 3 with the violation total
-  /// on stderr, or 0 with the pass line; 0 without --audit. A listing
-  /// (--benchmark_list_tests) prints the point names and exits 0.
+  /// Runs the cells --filter selects, in the order they were added, each
+  /// followed by a "<cell>  <wall> ms" line; then `report` (which prints
+  /// the tables and may return false to exit 1), then writes the sweep's
+  /// exports. Returns the exit status: under --audit 3 with the violation
+  /// total on stderr, or 0 with the pass line; 0 without --audit. A
+  /// listing (--list) prints the selected cells' names and exits 0.
   template <class Report>
   int finish(Report&& report) {
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    if (options.list_tests) return 0;
+    for (const auto& [name, run] : cells_) {
+      if (!std::regex_search(name, options.filter)) continue;
+      if (options.list) {
+        std::printf("%s\n", name.c_str());
+        continue;
+      }
+      const Time begin = wallclock::now_ns();
+      run();
+      std::printf("%s  %.1f ms\n", name.c_str(),
+                  wallclock::to_seconds(wallclock::now_ns() - begin) * 1e3);
+    }
+    if (options.list) return 0;
     if constexpr (std::is_void_v<std::invoke_result_t<Report&>>) {
       report();
     } else if (!report()) {
@@ -301,50 +293,35 @@ class Bench {
   BenchOptions options;
 
  private:
-  static BenchOptions parse(int& argc, char** argv, Flags flags) {
+  static BenchOptions parse(int argc, char** argv, Flags flags) {
     BenchOptions out;
-    out.list_tests = lists_tests(argc, argv);
     if (flags != Flags::kNone && !obs::parse_cli_options(argc, argv, out.obs)) std::exit(1);
-    if (flags == Flags::kSweep) {
-      int kept = 1;
-      for (int i = 1; i < argc; ++i) {
-        const char* arg = argv[i];
-        if (const char* v = obs::flag_value(arg, "--out-dir=")) out.out_dir = v;
-        else if (!std::strcmp(arg, "--quick")) out.quick = true;
-        else argv[kept++] = argv[i];
-      }
-      argc = kept;
-      // Checked before any replay, so a sweep cannot run only to lose its files.
-      if (!obs::validate_output_path(out.out_path("BENCH_headline.json"), "--out-dir")) {
+    const bool sweep = flags == Flags::kSweep;
+    for (int i = 1; i < argc; ++i) {
+      const char* arg = argv[i];
+      if (const char* v = obs::flag_value(arg, "--filter=")) {
+        try {
+          out.filter = std::regex(v);
+        } catch (const std::regex_error& e) {
+          std::fprintf(stderr, "bad value for --filter: '%s' (%s)\n", v, e.what());
+          std::exit(1);
+        }
+      } else if (!std::strcmp(arg, "--list")) {
+        out.list = true;
+      } else if (const char* v = obs::flag_value(arg, "--out-dir="); v && sweep) {
+        out.out_dir = v;
+      } else if (sweep && !std::strcmp(arg, "--quick")) {
+        out.quick = true;
+      } else {
+        std::fprintf(stderr, "unrecognized argument '%s'\n", arg);
         std::exit(1);
       }
     }
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) std::exit(1);
-    return out;
-  }
-
-  /// Whether google-benchmark will only list the points, which it has no
-  /// accessor for: every --benchmark_list_tests[=VALUE] in turn, read the
-  /// way google-benchmark reads a bool flag.
-  static bool lists_tests(int argc, char** argv) {
-    const auto truthy = [](std::string value) {
-      if (value.size() == 1) {
-        const char c = value[0];
-        return std::isalnum(static_cast<unsigned char>(c)) != 0 && !std::strchr("0fFnN", c);
-      }
-      for (char& c : value) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-      return value != "false" && value != "no" && value != "off";
-    };
-    bool list = false;
-    for (int i = 1; i < argc; ++i) {
-      if (!std::strcmp(argv[i], "--benchmark_list_tests")) {
-        list = true;
-      } else if (const char* v = obs::flag_value(argv[i], "--benchmark_list_tests=")) {
-        list = truthy(v);
-      }
+    // Checked before any replay, so a sweep cannot run only to lose its files.
+    if (sweep && !obs::validate_output_path(out.out_path("BENCH_headline.json"), "--out-dir")) {
+      std::exit(1);
     }
-    return list;
+    return out;
   }
 
   /// The instrument flags of the sweep-wide set: its exports only.
@@ -386,6 +363,7 @@ class Bench {
   }
 
   InstrumentSet exports_;
+  std::vector<std::pair<std::string, std::function<void()>>> cells_;
   std::map<std::string, ExperimentResult> results_;
   std::uint64_t violations_ = 0;
 };

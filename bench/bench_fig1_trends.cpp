@@ -24,20 +24,6 @@ const char* category_name(TrendCategory category) {
   return "?";
 }
 
-void BM_DoublingPeriodFit(benchmark::State& state) {
-  const auto points = nvmooc::historical_trend_points();
-  for (auto _ : state) {
-    const double network =
-        nvmooc::doubling_period_years(points, TrendCategory::kNetwork);
-    const double flash = nvmooc::doubling_period_years(points, TrendCategory::kFlashSsd);
-    benchmark::DoNotOptimize(network);
-    benchmark::DoNotOptimize(flash);
-    state.counters["network_doubling_years"] = network;
-    state.counters["flash_doubling_years"] = flash;
-  }
-}
-BENCHMARK(BM_DoublingPeriodFit);
-
 /// Prints the trend table and the fitted doubling periods.
 void report() {
   auto points = nvmooc::historical_trend_points();

@@ -92,11 +92,9 @@ int main(int argc, char** argv) {
   bench::Bench bench(argc, argv, bench::Flags::kNone);
   std::optional<CapturedWorkload> workload;
   Trace device;
-  bench::register_point("capture_and_stripe", [&](benchmark::State& state) {
+  bench.add("capture_and_stripe", [&] {
     workload = make_workload();
     device = through_gpfs(workload->trace);
-    state.counters["posix_seq"] = workload->trace.stats().sequentiality;
-    state.counters["gpfs_seq"] = device.stats().sequentiality;
   });
   return bench.finish([&] {
     if (workload) report(*workload, device);

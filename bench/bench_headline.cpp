@@ -14,8 +14,8 @@
 // BENCH_latency.json, and under --speed-report BENCH_simspeed.json, into
 // --out-dir (the checked-in copies CI diffs against; see EXPERIMENTS.md).
 //
-// Extra flags (before any --benchmark_* ones): --quick for the CI-sized
-// workload, --out-dir=DIR (default .), and the instrument flags.
+// Flags: --quick for the CI-sized workload, --out-dir=DIR (default .),
+// the instrument flags, --filter=REGEX and --list.
 #include <cmath>
 
 #include "bench_common.hpp"

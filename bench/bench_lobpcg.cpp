@@ -44,14 +44,8 @@ int main(int argc, char** argv) {
   bench::Bench bench(argc, argv, bench::Flags::kNone);
   std::map<std::size_t, SweepPoint> points;
   for (std::size_t block : {4u, 8u, 12u, 16u}) {
-    bench::register_point("lobpcg/block" + std::to_string(block),
-                          [&points, block](benchmark::State& state) {
-                            const SweepPoint point = run_point(block);
-                            points.insert_or_assign(block, point);
-                            state.counters["iterations"] = static_cast<double>(point.iterations);
-                            state.counters["io_MiB"] = static_cast<double>(point.io_bytes) /
-                                                       static_cast<double>(MiB);
-                          });
+    bench.add("lobpcg/block" + std::to_string(block),
+              [&points, block] { points.insert_or_assign(block, run_point(block)); });
   }
   return bench.finish([&] {
     std::printf("\n== Ablation: LOBPCG block size vs I/O volume ==\n");

@@ -1,15 +1,13 @@
 // Table 1 — "Latency comparison to complete various page-size operations
 // for each of the NVM types we consider."
 //
-// Rather than echoing constants, this bench *measures* the operation
-// latencies on the cell model (reserving each page position's cell
-// activation, timed by NvmTiming's per-page functions, on an idle plane)
-// and prints them next to the paper's quoted values, so any drift between
-// model and paper is visible.
+// Rather than echoing constants, this bench reads the operation latencies
+// off the cell model (NvmTiming's per-page functions, over every page
+// position of a block) and prints them next to the paper's quoted values,
+// so any drift between model and paper is visible.
 #include "bench_common.hpp"
 #include "common/string_util.hpp"
 #include "nvm/timing.hpp"
-#include "sim/timeline.hpp"
 
 namespace {
 
@@ -26,15 +24,14 @@ MeasuredLatencies measure(NvmType type) {
   MeasuredLatencies out;
   out.read_min = out.write_min = kSecond;
   for (std::uint32_t page = 0; page < timing.pages_per_block; ++page) {
-    const Reservation read = Timeline().reserve(Time{}, timing.read_time_for_page(page));
-    out.read_min = std::min(out.read_min, read.end - read.start);
-    out.read_max = std::max(out.read_max, read.end - read.start);
-    const Reservation write = Timeline().reserve(Time{}, timing.write_time_for_page(page));
-    out.write_min = std::min(out.write_min, write.end - write.start);
-    out.write_max = std::max(out.write_max, write.end - write.start);
+    const Time read = timing.read_time_for_page(page);
+    out.read_min = std::min(out.read_min, read);
+    out.read_max = std::max(out.read_max, read);
+    const Time write = timing.write_time_for_page(page);
+    out.write_min = std::min(out.write_min, write);
+    out.write_max = std::max(out.write_max, write);
   }
-  const Reservation erase = Timeline().reserve(Time{}, timing.erase_time);
-  out.erase = erase.end - erase.start;
+  out.erase = timing.erase_time;
   return out;
 }
 
@@ -44,19 +41,7 @@ std::string span_us(Time lo, Time hi) {
                 static_cast<double>(hi) / static_cast<double>(kMicrosecond));
 }
 
-void BM_MeasureLatencies(benchmark::State& state) {
-  const NvmType type = static_cast<NvmType>(state.range(0));
-  for (auto _ : state) {
-    const MeasuredLatencies m = measure(type);
-    benchmark::DoNotOptimize(m.erase);
-    state.counters["read_us"] = static_cast<double>(m.read_min) / static_cast<double>(kMicrosecond);
-    state.counters["write_us"] = static_cast<double>(m.write_min) / static_cast<double>(kMicrosecond);
-    state.counters["erase_us"] = static_cast<double>(m.erase) / static_cast<double>(kMicrosecond);
-  }
-}
-BENCHMARK(BM_MeasureLatencies)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
-
-/// Prints Table 1 from a fresh measurement of every medium.
+/// Prints Table 1 from the cell model of every medium.
 void report() {
   std::printf("\n== Table 1: measured page-size operation latencies (us) ==\n");
   Table table({"", "SLC", "MLC", "TLC", "PCM"});

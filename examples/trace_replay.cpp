@@ -6,7 +6,6 @@
 //        [--faults=SCENARIO] [--audit]
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -16,6 +15,7 @@
 #include "cluster/instruments.hpp"
 #include "common/random.hpp"
 #include "fs/presets.hpp"
+#include "obs/cli.hpp"
 #include "trace/scenario.hpp"
 #include "trace/synthetic.hpp"
 
@@ -178,13 +178,8 @@ int main(int argc, char** argv) {
   if (const obs::LatencyObservatory* observatory = instruments.observatory()) {
     std::printf("%s", observatory->summary().c_str());
   }
-  if (!result_out.empty()) {
-    std::ofstream out(result_out, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for result output\n", result_out.c_str());
-      return 1;
-    }
-    out << result.to_json() << '\n';
+  if (!result_out.empty() && !obs::write_file(result_out, "result", result.to_json())) {
+    return 1;
   }
 
   std::printf("%s on %s:\n", result.name.c_str(), std::string(to_string(media)).c_str());

@@ -20,14 +20,7 @@ std::string Auditor::track_name(const TrackKey& key) {
   if (key.resource == probe::Resource::kLink) {
     return key.label.empty() ? "unnamed link" : key.label;
   }
-  std::string name = "ssd.ch" + std::to_string(key.site.channel);
-  if (key.resource == probe::Resource::kPort) {
-    name += ".pkg" + std::to_string(key.site.package) + ".port";
-  } else if (key.resource == probe::Resource::kCell) {
-    name += ".pkg" + std::to_string(key.site.package) + ".die" +
-            std::to_string(key.site.die) + ".pl" + std::to_string(key.site.plane);
-  }
-  return name;
+  return probe::resource_name(key.resource, key.site);
 }
 
 std::string AuditReport::summary() const {

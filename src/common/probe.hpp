@@ -54,6 +54,21 @@ struct Site {
   auto operator<=>(const Site&) const = default;
 };
 
+/// The name of the device resource a controller step of `resource` holds
+/// at `site`, the one name the auditor's and the tracer's tracks use:
+/// "ssd.ch<c>" for a channel (and its stalls), "ssd.ch<c>.pkg<p>.port"
+/// for a package port, "ssd.ch<c>.pkg<p>.die<d>.pl<k>" for a plane.
+inline std::string resource_name(Resource resource, const Site& site) {
+  std::string name = "ssd.ch" + std::to_string(site.channel);
+  if (resource == Resource::kPort) {
+    name += ".pkg" + std::to_string(site.package) + ".port";
+  } else if (resource == Resource::kCell) {
+    name += ".pkg" + std::to_string(site.package) + ".die" + std::to_string(site.die) + ".pl" +
+            std::to_string(site.plane);
+  }
+  return name;
+}
+
 struct Interval {
   Resource resource = Resource::kLink;
   Time earliest;

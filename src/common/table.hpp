@@ -1,5 +1,5 @@
 // ASCII table renderer used by the benchmark binaries to print the
-// paper-shaped tables (one per figure) next to google-benchmark output.
+// paper-shaped tables (one per figure) after their per-cell timing lines.
 #pragma once
 
 #include <string>

@@ -30,6 +30,8 @@ bool apply_log_level(const std::string& name) {
   return true;
 }
 
+}  // namespace
+
 bool write_file(const std::string& path, const std::string& what,
                 const std::string& content) {
   std::ofstream out(path, std::ios::binary);
@@ -38,10 +40,15 @@ bool write_file(const std::string& path, const std::string& what,
     return false;
   }
   out << content << '\n';
-  return static_cast<bool>(out);
+  // A small file may still sit in the stream's buffer: its bytes are
+  // written, and the write can fail, only at the close.
+  out.close();
+  if (!out) {
+    NVMOOC_LOG_ERROR("cannot write %s output to %s", what.c_str(), path.c_str());
+    return false;
+  }
+  return true;
 }
-
-}  // namespace
 
 bool parse_cli_options(int& argc, char** argv, CliOptions& out) {
   constexpr double kMaxSec = std::numeric_limits<double>::max();

@@ -107,6 +107,11 @@ bool parse_cli_options(int& argc, char** argv, CliOptions& out);
 /// naming both the flag and the offending path.
 bool validate_output_path(const std::string& path, const char* flag);
 
+/// Writes `content` and a newline to `path`, then closes the file.
+/// Returns false, with an error naming `what` and `path`, when the file
+/// cannot be opened or the write or the close fails.
+bool write_file(const std::string& path, const std::string& what, const std::string& content);
+
 /// Writes --trace-out, --metrics-out and --exemplars-out for the
 /// instruments given (null = skip). Returns false (and logs) if any file
 /// could not be written.

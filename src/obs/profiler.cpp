@@ -104,9 +104,9 @@ std::uint32_t Profiler::site_id(probe::Resource resource, const probe::Site& sit
                                           (cell ? site.die : 0);
   const auto [it, fresh] = site_ids_.try_emplace(key, 0);
   if (!fresh) return it->second;
-  std::string name = "ssd.ch" + std::to_string(site.channel);
-  if (!channel) name += ".pkg" + std::to_string(site.package);
-  if (!channel) name += cell ? ".die" + std::to_string(site.die) : std::string(".port");
+  std::string name = probe::resource_name(cell ? probe::Resource::kChannel : resource, site);
+  // A die's planes are one resource here, so its name stops at the die.
+  if (cell) name += ".pkg" + std::to_string(site.package) + ".die" + std::to_string(site.die);
   return it->second = intern(name);
 }
 

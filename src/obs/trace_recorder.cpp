@@ -284,19 +284,16 @@ void TraceRecorder::on_interval(const probe::Interval& iv) {
   }
   if (iv.resource < Resource::kChannelStall) return;  // Links and the RPC window.
 
-  std::string name = "ssd.ch" + std::to_string(iv.site.channel);
+  const std::string name = probe::resource_name(iv.resource, iv.site);
   if (iv.resource == Resource::kChannelStall) {
     wait_span(name, "channel_stall", iv.earliest, iv.start);
   } else if (iv.resource == Resource::kChannel) {
     wait_span(name, "channel_contention", iv.earliest, iv.start);
     busy_span(name, "phase", "channel_activation", iv.start, iv.end);
   } else if (iv.resource == Resource::kPort) {
-    name += ".pkg" + std::to_string(iv.site.package) + ".port";
     wait_span(name, "channel_contention", iv.earliest, iv.start);
     busy_span(name, "phase", "flash_bus_activation", iv.start, iv.end);
   } else {
-    name += ".pkg" + std::to_string(iv.site.package) + ".die" +
-            std::to_string(iv.site.die) + ".pl" + std::to_string(iv.site.plane);
     wait_span(name, "cell_contention", iv.earliest, iv.start);
     if (iv.erase) {
       busy_span(name, "phase", "cell_activation", iv.start, iv.end,

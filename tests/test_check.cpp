@@ -249,6 +249,13 @@ TEST(AuditorOccupancy, DistinctResourcesAreIndependent) {
   probe::link(net, Time{50}, Time{50}, Time{50}, Time{150});
   EXPECT_EQ(session.auditor().violation_count(), 0u);
   EXPECT_EQ(session.auditor().report().timelines, 8u);
+  // The one name of each device resource, which the auditor's violations
+  // and the tracer's tracks both use.
+  EXPECT_EQ(probe::resource_name(probe::Resource::kChannel, {1, 0, 0, 0}), "ssd.ch1");
+  EXPECT_EQ(probe::resource_name(probe::Resource::kChannelStall, {1, 2, 3, 4}), "ssd.ch1");
+  EXPECT_EQ(probe::resource_name(probe::Resource::kPort, {0, 1, 0, 0}), "ssd.ch0.pkg1.port");
+  EXPECT_EQ(probe::resource_name(probe::Resource::kCell, {2, 1, 3, 1}),
+            "ssd.ch2.pkg1.die3.pl1");
 }
 
 // A channel bus is one resource for every package, die and plane behind
