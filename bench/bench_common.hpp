@@ -255,8 +255,10 @@ class Bench {
 
   /// Runs the cells --filter selects, in the order they were added, each
   /// followed by a "<cell>  <wall> ms" line; then `report` (which prints
-  /// the tables and may return false to exit 1), then writes the sweep's
-  /// exports. Returns the exit status: under --audit 3 with the violation
+  /// the tables and may return false to exit 1, as a partial sweep does),
+  /// then writes the exports (--trace-out, --metrics-out, ...) of the
+  /// cells that ran, either way. Returns the exit status: 1 when the
+  /// report or an export failed; else under --audit 3 with the violation
   /// total on stderr, or 0 with the pass line; 0 without --audit. A
   /// listing (--list) prints the selected cells' names and exits 0.
   template <class Report>
@@ -273,12 +275,13 @@ class Bench {
                   wallclock::to_seconds(wallclock::now_ns() - begin) * 1e3);
     }
     if (options.list) return 0;
+    bool reported = true;
     if constexpr (std::is_void_v<std::invoke_result_t<Report&>>) {
       report();
-    } else if (!report()) {
-      return 1;
+    } else {
+      reported = report();
     }
-    if (!exports_.write_exports()) return 1;
+    if (!exports_.write_exports() || !reported) return 1;
     if (!options.obs.audit) return 0;
     if (violations_ > 0) {
       std::fprintf(stderr, "audit: %llu invariant violation(s) across the sweep\n",

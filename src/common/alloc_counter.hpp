@@ -1,8 +1,8 @@
 // Counting-allocator hooks for host-memory telemetry.
 //
 // The host profiler (src/obs/host_profiler.hpp) wants to know where the
-// simulator's own memory goes — specifically the timeline interval
-// bookkeeping, the container that grows with replay size. Rather than
+// simulator's own memory goes — specifically the timelines' gap lists and
+// their owners' busy unions, the containers that grow with replay size. Rather than
 // interposing a global allocator, the owning containers opt in with
 // CountingAllocator<T, Domain>, which charges every allocate/deallocate
 // to a per-thread tally the profiler snapshots.

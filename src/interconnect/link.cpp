@@ -14,15 +14,15 @@ Reservation DmaEngine::transfer(Time earliest, Bytes bytes) {
   const Time ready = earliest + config_.request_latency + config_.bridge_latency;
   Reservation grant = link_.reserve(ready, config_.payload_time(bytes));
   grant.waited += config_.request_latency + config_.bridge_latency;
+  busy_.add_interval(grant.start, grant.end);
   probe::link(label_, earliest, ready, grant.start, grant.end);
   return grant;
 }
 
 void DmaEngine::advance_watermark(Time watermark) {
-  if (link_.busy().interval_count() < fold_at_) return;
-  BusyTracker folded;
-  link_.fold_before(watermark, folded);
-  fold_at_ = std::max(kMinFold, 2 * link_.busy().interval_count());
+  if (busy_.interval_count() < fold_at_) return;
+  busy_.fold_before(watermark);
+  fold_at_ = std::max(kMinFold, 2 * busy_.interval_count());
 }
 
 }  // namespace nvmooc

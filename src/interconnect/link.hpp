@@ -40,7 +40,8 @@ struct LinkConfig {
 
 /// Serially-occupied DMA engine over a link. Transfers queue on the link
 /// timeline; the caller learns when each transfer starts/ends so it can
-/// overlap media work with host DMA.
+/// overlap media work with host DMA. The timeline only schedules, so the
+/// engine keeps the link's busy union itself, adding each grant to it.
 class DmaEngine {
  public:
   explicit DmaEngine(const LinkConfig& config);
@@ -53,12 +54,14 @@ class DmaEngine {
   /// Promises that no later transfer is ready before `watermark` (the
   /// replay engine's issue time). Once the link's busy intervals have
   /// doubled since the last fold, the ones before the watermark fold into
-  /// its busy total (Timeline::fold_before), so the list holds what is in
-  /// flight; busy().busy_time() stays exact.
+  /// its busy total (BusyTracker::fold_before), so the list holds what is
+  /// in flight; busy().busy_time() stays exact. The link's timeline does
+  /// not backfill, so it has no gaps to fold.
   void advance_watermark(Time watermark);
 
   const LinkConfig& config() const { return config_; }
-  const BusyTracker& busy() const { return link_.busy(); }
+  /// Every transfer's wire time, unioned where the grant lands.
+  const BusyTracker& busy() const { return busy_; }
 
   /// Names the link for the instruments ("link.host", ...): every
   /// transfer reports to the probe under this name, and the tracer and
@@ -69,6 +72,7 @@ class DmaEngine {
  private:
   LinkConfig config_;
   Timeline link_;
+  BusyTracker busy_;
   std::string label_;
   /// Live interval count that triggers the next fold.
   std::size_t fold_at_ = kMinFold;

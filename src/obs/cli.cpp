@@ -1,5 +1,6 @@
 #include "obs/cli.hpp"
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -36,7 +37,7 @@ bool write_file(const std::string& path, const std::string& what,
                 const std::string& content) {
   std::ofstream out(path, std::ios::binary);
   if (!out) {
-    NVMOOC_LOG_ERROR("cannot open %s for %s output", path.c_str(), what.c_str());
+    std::fprintf(stderr, "cannot open %s for %s output\n", path.c_str(), what.c_str());
     return false;
   }
   out << content << '\n';
@@ -44,7 +45,7 @@ bool write_file(const std::string& path, const std::string& what,
   // written, and the write can fail, only at the close.
   out.close();
   if (!out) {
-    NVMOOC_LOG_ERROR("cannot write %s output to %s", what.c_str(), path.c_str());
+    std::fprintf(stderr, "cannot write %s output to %s\n", what.c_str(), path.c_str());
     return false;
   }
   return true;
@@ -89,14 +90,13 @@ bool validate_output_path(const std::string& path, const char* flag) {
   if (parent.empty()) return true;  // Bare filename: cwd always exists.
   std::error_code ec;
   if (!std::filesystem::exists(parent, ec) || ec) {
-    NVMOOC_LOG_ERROR(
-        "%s: parent directory '%s' of output path '%s' does not exist",
-        flag, parent.string().c_str(), path.c_str());
+    std::fprintf(stderr, "%s: parent directory '%s' of output path '%s' does not exist\n", flag,
+                 parent.string().c_str(), path.c_str());
     return false;
   }
   if (!std::filesystem::is_directory(parent, ec) || ec) {
-    NVMOOC_LOG_ERROR("%s: parent path '%s' of output path '%s' is not a directory",
-                     flag, parent.string().c_str(), path.c_str());
+    std::fprintf(stderr, "%s: parent path '%s' of output path '%s' is not a directory\n", flag,
+                 parent.string().c_str(), path.c_str());
     return false;
   }
   return true;

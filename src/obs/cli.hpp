@@ -103,13 +103,15 @@ inline const char* flag_value(const char* arg, const char* prefix) {
 bool parse_cli_options(int& argc, char** argv, CliOptions& out);
 
 /// Up-front check that `path`'s parent directory exists (and is a
-/// directory). Empty paths pass (the flag is off); failures log an error
-/// naming both the flag and the offending path.
+/// directory). Empty paths pass (the flag is off); a failure prints an
+/// error naming both the flag and the offending path on stderr, whatever
+/// --log-level says: it decides the exit status.
 bool validate_output_path(const std::string& path, const char* flag);
 
 /// Writes `content` and a newline to `path`, then closes the file.
-/// Returns false, with an error naming `what` and `path`, when the file
-/// cannot be opened or the write or the close fails.
+/// Returns false, with an error naming `what` and `path` on stderr
+/// whatever --log-level says, when the file cannot be opened or the
+/// write or the close fails.
 bool write_file(const std::string& path, const std::string& what, const std::string& content);
 
 /// Writes --trace-out, --metrics-out and --exemplars-out for the

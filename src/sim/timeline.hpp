@@ -3,20 +3,19 @@
 //
 // A transaction asks to occupy the resource for `duration` starting no
 // earlier than `earliest`. The timeline grants the first gap that fits
-// (backfilling earlier holes when allowed), records the busy interval, and
-// returns the granted [start, end). The difference start - earliest is the
-// contention (queueing) time the caller attributes to this resource.
-// The timeline reports nothing to the instruments: its owner (the
-// controller, a DmaEngine) knows what a reservation was for and tells
-// the probe once.
+// (backfilling earlier holes when allowed) and returns the granted
+// [start, end). The difference start - earliest is the contention
+// (queueing) time the caller attributes to this resource.
+// The timeline is a scheduler only: it keeps the time it is next free
+// and its idle gaps, and no busy time. Its owner (the SSD hardware, a
+// DmaEngine) adds each grant to the busy unions it reports and tells the
+// probe once, since it knows what a reservation was for.
 //
 // Watermark invariant: an owner that knows no later reservation has
 // `earliest` below some time W (the replay engine's issue time, which
 // never decreases) may call fold_before(W). Nothing before W can change
 // again: no grant starts there, and an idle gap that ends by W can never
-// fit one. So the busy intervals before W fold into the tracker's total
-// (and are handed to the owner, which folds its cross-resource unions the
-// same way), and those dead gaps shrink to a count.
+// fit one. So those dead gaps shrink to a count.
 #pragma once
 
 #include <algorithm>
@@ -24,7 +23,6 @@
 #include <vector>
 
 #include "common/alloc_counter.hpp"
-#include "common/stats.hpp"
 #include "common/units.hpp"
 
 namespace nvmooc {
@@ -60,18 +58,26 @@ class Timeline {
   /// finds where it begins.
   explicit Timeline(bool backfill = false, std::size_t max_gaps = 64);
 
-  /// Reserves `duration` starting at or after `earliest`.
-  Reservation reserve(Time earliest, Time duration);
+  /// Reserves `duration` starting at or after `earliest`. A grant past
+  /// the tail is a few assignments; only one that can end by next_free()
+  /// on a backfilling timeline searches the gaps.
+  Reservation reserve(Time earliest, Time duration) {
+    if (duration <= Time{}) {
+      const Time at = std::max(earliest, Time{0});
+      return {at, at, Time{}};
+    }
+    // Every gap ends by next_free_, so none fits a grant that cannot end
+    // by then.
+    if (backfill_ && earliest + duration <= next_free_) return scan_gaps(earliest, duration);
+    return append(earliest, duration);
+  }
 
-  /// Folds everything before `watermark` away: busy intervals move into
-  /// `prefix` (busy().busy_time() stays the exact total) and gaps that end
-  /// by the watermark become the dead-gap count. Every later reserve()
-  /// must have `earliest >= watermark`; its grant is then the same as on
-  /// an unfolded timeline.
-  void fold_before(Time watermark, BusyTracker& prefix);
+  /// Drops the gaps that end by `watermark` into the dead-gap count.
+  /// Every later reserve() must have `earliest >= watermark`; its grant
+  /// is then the same as on an unfolded timeline.
+  void fold_before(Time watermark);
 
   [[nodiscard]] Time next_free() const { return next_free_; }
-  const BusyTracker& busy() const { return busy_; }
 
  private:
   struct Gap {
@@ -80,6 +86,20 @@ class Timeline {
     /// Creation order; the grant goes to the lowest that fits.
     std::uint64_t seq = 0;
   };
+
+  /// Grants the oldest-created gap that fits, or appends if none does.
+  Reservation scan_gaps(Time earliest, Time duration);
+
+  /// Grants at the tail, opening a gap if the grant starts after it.
+  Reservation append(Time earliest, Time duration) {
+    const Time start = std::max(earliest, next_free_);
+    if (backfill_ && start > next_free_) open_gap(start);
+    next_free_ = start + duration;
+    return {start, next_free_, start - earliest};
+  }
+
+  /// Records the idle gap [next_free_, start) and applies the cap.
+  void open_gap(Time start);
 
   /// First gap, in start order, that ends at or after `end`.
   [[nodiscard]] std::size_t first_gap_ending_at_or_after(Time end) const {
@@ -93,14 +113,12 @@ class Timeline {
   Time next_free_;
   /// Disjoint idle gaps before next_free_, in start order, except the
   /// dead ones that fold_before() dropped. Gap bookkeeping charges the
-  /// host profiler's timeline memory tally (the busy intervals charge it
-  /// via BusyTracker::IntervalStore).
+  /// host profiler's timeline memory tally, as the owners' busy unions do.
   std::vector<Gap, CountingAllocator<Gap, AllocDomain::kTimeline>> gaps_;
   /// Gaps that ended by the last fold's watermark: the front of the
   /// start-ordered list, counted rather than stored.
   std::size_t dead_gaps_ = 0;
   std::uint64_t next_gap_seq_ = 0;
-  BusyTracker busy_;
 };
 
 }  // namespace nvmooc

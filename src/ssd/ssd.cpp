@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
-#include <utility>
-
 
 namespace nvmooc {
 
@@ -29,57 +27,6 @@ void check_fault_targets(const FaultConfig& fault, const SsdGeometry& g) {
   for (const ChannelStallFault& f : fault.channel_stalls) {
     if (f.channel >= g.channels) reject("stall " + std::to_string(f.channel));
   }
-}
-
-/// Busy unions are kept per die, then package, channel and the device,
-/// in this many slots.
-std::size_t busy_slot_count(const SsdGeometry& g) {
-  return static_cast<std::size_t>(g.total_dies()) + g.total_packages() + g.channels + 1;
-}
-
-/// The one busy-union pass, bottom up: a die is busy while any plane is;
-/// a package while its port or any die is; a channel while its bus or
-/// anything in its packages is (the paper's channel-level utilisation,
-/// which is why GPFS's scatter keeps "channels" hot even though each holds
-/// only one active die); the device while anything is. Each union walks
-/// the contiguous index range of its parts. `part(timeline)` yields the
-/// busy intervals taken from each timeline, and `add(slot, busy)`
-/// receives each union's busy time, slots numbered as in
-/// busy_slot_count().
-template <typename Hardware, typename Part, typename Add>
-void union_busy(Hardware& hardware, Part&& part, Add&& add) {
-  const SsdGeometry& geometry = hardware.geometry;
-  const std::uint32_t planes_per_die = hardware.timing.planes_per_die;
-  std::size_t die_slot = 0;
-  std::size_t package_slot = geometry.total_dies();
-  const std::size_t channel_slot = package_slot + geometry.total_packages();
-  std::size_t plane = 0;
-  std::size_t package = 0;
-  BusyTracker die_union;
-  BusyTracker package_union;
-  BusyTracker channel_union;
-  BusyTracker device_union;
-  for (std::uint32_t c = 0; c < geometry.channels; ++c) {
-    channel_union.clear();
-    channel_union.merge(part(hardware.channels[c]));
-    for (std::uint32_t p = 0; p < geometry.packages_per_channel; ++p, ++package) {
-      package_union.clear();
-      package_union.merge(part(hardware.ports[package]));
-      for (std::uint32_t d = 0; d < geometry.dies_per_package; ++d) {
-        die_union.clear();
-        for (std::uint32_t k = 0; k < planes_per_die; ++k, ++plane) {
-          die_union.merge(part(hardware.planes[plane]));
-        }
-        add(die_slot++, die_union.busy_time());
-        package_union.merge(die_union);
-      }
-      add(package_slot++, package_union.busy_time());
-      channel_union.merge(package_union);
-    }
-    add(channel_slot + c, channel_union.busy_time());
-    device_union.merge(channel_union);
-  }
-  add(channel_slot + geometry.channels, device_union.busy_time());
 }
 
 }  // namespace
@@ -111,20 +58,7 @@ void Ssd::advance_watermark(Time watermark) {
   const std::uint64_t transactions = controller_->stats().transactions;
   if (transactions - folded_at_transactions_ < fold_interval_) return;
   folded_at_transactions_ = transactions;
-  folded_busy_.resize(busy_slot_count(config_.geometry));
-  // Every timeline's intervals before the watermark lie before every
-  // interval it keeps, so the unions of the folded prefixes add to the
-  // folded totals exactly.
-  std::uint64_t live = 0;
-  union_busy(
-      *hardware_,
-      [&](Timeline& timeline) -> const BusyTracker& {
-        timeline.fold_before(watermark, fold_prefix_);
-        live += timeline.busy().interval_count();
-        return fold_prefix_;
-      },
-      [this](std::size_t slot, Time busy) { folded_busy_[slot] += busy; });
-  fold_interval_ = std::max(timeline_count_, live);
+  fold_interval_ = std::max(timeline_count_, hardware_->fold_before(watermark));
 }
 
 double Ssd::media_capability_bytes_per_sec() const {
@@ -140,19 +74,9 @@ DeviceStats Ssd::device_stats(Time wall_time) const {
   stats.media_capability = media_capability_bytes_per_sec();
   const SsdGeometry& geometry = config_.geometry;
 
-  // Folded totals plus the unions of what the timelines still hold.
-  std::vector<Time> busy = folded_busy_;
-  busy.resize(busy_slot_count(geometry));
-  union_busy(
-      std::as_const(*hardware_),
-      [](const Timeline& timeline) -> const BusyTracker& { return timeline.busy(); },
-      [&busy](std::size_t slot, Time live) { busy[slot] += live; });
-  const auto die_busy = busy.begin();
-  const auto package_busy = die_busy + geometry.total_dies();
-  const auto channel_busy = package_busy + geometry.total_packages();
-
+  const SsdHardware& hardware = *hardware_;
   // Union of every internal busy interval: the utilisation denominator.
-  stats.active_time = busy.back();
+  stats.active_time = hardware.device_busy.busy_time();
   if (stats.active_time <= Time{}) {
     stats.remaining_bandwidth = stats.media_capability;
     return stats;
@@ -165,20 +89,21 @@ DeviceStats Ssd::device_stats(Time wall_time) const {
   const double active = static_cast<double>(stats.active_time);
 
   double channel_sum = 0.0;
-  for (auto it = channel_busy; it != channel_busy + geometry.channels; ++it) {
-    channel_sum += std::clamp(static_cast<double>(*it) / active, 0.0, 1.0);
+  for (const BusyTracker& busy : hardware.channel_busy) {
+    channel_sum += std::clamp(static_cast<double>(busy.busy_time()) / active, 0.0, 1.0);
   }
   stats.channel_utilization = channel_sum / geometry.channels;
 
   double package_sum = 0.0;
-  for (auto it = package_busy; it != channel_busy; ++it) {
-    package_sum += std::min(1.0, static_cast<double>(*it) / active);
+  for (const BusyTracker& busy : hardware.package_busy) {
+    package_sum += std::min(1.0, static_cast<double>(busy.busy_time()) / active);
   }
   stats.package_utilization = package_sum / geometry.total_packages();
 
   double die_sum = 0.0;
-  for (auto it = die_busy; it != package_busy; ++it) {
-    die_sum += std::min(1.0, static_cast<double>(*it) / static_cast<double>(wall_time));
+  for (const BusyTracker& busy : hardware.die_busy) {
+    die_sum +=
+        std::min(1.0, static_cast<double>(busy.busy_time()) / static_cast<double>(wall_time));
   }
   stats.die_wall_utilization =
       geometry.total_dies() == 0 ? 0.0

@@ -52,21 +52,23 @@ class Ssd {
   RequestResult submit(const BlockRequest& request, Time arrival);
 
   /// Promises that no later submit() has `arrival` below `watermark`
-  /// (the replay engine's issue time, which never decreases), so nothing
-  /// any timeline holds before it can change again. A fold moves the busy
-  /// time before the watermark into per-die, package, channel and device
-  /// totals and drops dead gaps. It visits every timeline (T of them) and
-  /// merges what each holds, so it costs about T + L, where L is the live
-  /// interval count the last fold left. The device folds once it has run
-  /// max(T, L) transactions since the last fold — the links' "fold when
-  /// the list has doubled" rule — so the fold's cost per transaction
-  /// stays constant. Each reservation adds at most one interval, so
-  /// between folds the live count stays below L + R·(max(T, L) + K),
-  /// where R is reservations per transaction and K is one request's
-  /// transactions (a fold waits for a request boundary): memory tracks
-  /// what is in flight. A device whose watermark never advances keeps
-  /// every interval, and device_stats() gives the same answers either
-  /// way.
+  /// (the replay engine's issue time, which never decreases), so no busy
+  /// union or timeline gap before it can change again. A fold adds each
+  /// die, package, channel and device union's busy time before the
+  /// watermark to that union's total and drops every timeline's dead
+  /// gaps (SsdHardware::fold_before). It visits the T timelines and at
+  /// most T + 1 unions, and walks what each union holds, so it costs
+  /// about T + L, where L is the live union interval count the last fold
+  /// left. The device folds once it has run max(T, L) transactions since
+  /// the last fold — the links' "fold when the list has doubled" rule —
+  /// so the fold's cost per transaction stays constant. A reservation
+  /// adds at most one interval to each union it joins (a plane grant
+  /// four, a port grant three, a channel grant two), so between folds
+  /// the live count stays below L + 4R·(max(T, L) + K), where R is
+  /// reservations per transaction and K is one request's transactions
+  /// (a fold waits for a request boundary): memory tracks what is in
+  /// flight. A device whose watermark never advances keeps every
+  /// interval, and device_stats() gives the same answers either way.
   void advance_watermark(Time watermark);
 
   const SsdConfig& config() const { return config_; }
@@ -78,10 +80,8 @@ class Ssd {
   WearSummary wear() const { return hardware_->wear.summary(); }
 
   /// Derived per-figure statistics; `wall_time` is the replay makespan
-  /// (first issue to last completion including host DMA). Each die,
-  /// package, channel and device busy union is its folded total plus one
-  /// bottom-up pass of linear merges over the live intervals — compute
-  /// once when a replay is done.
+  /// (first issue to last completion including host DMA). Reads each die,
+  /// package, channel and device busy union's total, folded and live.
   DeviceStats device_stats(Time wall_time) const;
 
   /// min(channel aggregate, cell aggregate) streaming read capability.
@@ -102,14 +102,9 @@ class Ssd {
   /// between folds.
   std::uint64_t timeline_count_;
   /// Transactions before the next fold: the timeline count, or the live
-  /// intervals the last fold left if that is more.
+  /// union intervals the last fold left if that is more.
   std::uint64_t fold_interval_;
   std::uint64_t folded_at_transactions_ = 0;
-  /// Busy-union time folded so far, one entry per die, then package,
-  /// channel and the device; empty until the first fold.
-  std::vector<Time> folded_busy_;
-  /// Receives each timeline's folded prefix during a fold.
-  BusyTracker fold_prefix_;
 };
 
 }  // namespace nvmooc

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/probe.hpp"
+#include "common/stats.hpp"
 #include "interval_counter.hpp"
 #include "sim/timeline.hpp"
 
@@ -152,15 +153,20 @@ TEST(Timeline, BackfillRespectsEarliest) {
   EXPECT_EQ(r.start, Time{600});  // Fits the gap tail [600,800).
 }
 
-// A bare Timeline tells the probe nothing: its owner reports each
-// reservation, knowing what it was for.
+// A bare Timeline keeps no busy time and tells the probe nothing: its
+// owner unions each grant and reports each reservation, knowing what it
+// was for.
 TEST(Timeline, BusyTimeAccumulates) {
   IntervalCounter counter;
   const probe::Scoped listen(probe::Slot::kLatency, &counter);
   Timeline timeline(false);
-  timeline.reserve(Time{0}, Time{10});
-  timeline.reserve(Time{20}, Time{10});
-  EXPECT_EQ(timeline.busy().busy_time(), Time{20});
+  BusyTracker busy;
+  for (const Time earliest : {Time{0}, Time{20}}) {
+    const Reservation grant = timeline.reserve(earliest, Time{10});
+    busy.add_interval(grant.start, grant.end);
+  }
+  EXPECT_EQ(busy.busy_time(), Time{20});
+  EXPECT_EQ(timeline.next_free(), Time{30});
   EXPECT_EQ(counter.intervals, 0u);
 }
 
@@ -181,7 +187,7 @@ TEST(Timeline, PropertyDenseStreamIsContiguous) {
     EXPECT_EQ(r.start, expected_start);
     expected_start = r.end;
   }
-  EXPECT_EQ(timeline.busy().busy_time(), Time{7000});
+  EXPECT_EQ(timeline.next_free(), Time{7000});
 }
 
 // Property: over a pseudo-random request stream — with and without
@@ -258,7 +264,9 @@ TEST(Timeline, GapCapBindsOnlyOnTailGrowth) {
 // cap, with and without backfill. With folding on, fold_before runs at
 // random non-decreasing watermarks (every later `earliest` is held at or
 // above the last one, as the replay engine guarantees), so dead gaps fill
-// the cap and drop-oldest takes them first; the answers must not move.
+// the cap and drop-oldest takes them first; the grants must not move.
+// A busy union fed those grants and folded at the same watermarks, as
+// the timelines' owners keep one, sums to the reference's busy time.
 TEST(Timeline, IndexedGapSearchMatchesLinearScan) {
   for (const bool backfill : {false, true}) {
     for (const std::size_t max_gaps : {std::size_t{1}, std::size_t{2}, std::size_t{4},
@@ -274,8 +282,7 @@ TEST(Timeline, IndexedGapSearchMatchesLinearScan) {
           SplitMix next{seed * 0x51ed2701ULL};
           Time clock;
           Time watermark;
-          BusyTracker prefix;
-          std::vector<std::pair<Time, Time>> folded;
+          BusyTracker busy;
           for (int i = 0; i < 4000; ++i) {
             // Mostly forward-moving arrivals with occasional long jumps
             // (new tail gaps) and look-backs (backfill into old gaps).
@@ -300,23 +307,17 @@ TEST(Timeline, IndexedGapSearchMatchesLinearScan) {
             ASSERT_EQ(got.waited, want.waited) << "reserve " << i;
             ASSERT_EQ(timeline.next_free(), reference.next_free()) << "reserve " << i;
             if (got.end > got.start) ++granted;
+            busy.add_interval(got.start, got.end);
             if (fold && next() % 8 == 0) {
               const Time behind{static_cast<std::int64_t>(next() % 4000)};
               watermark = std::max(watermark, clock - behind);
-              timeline.fold_before(watermark, prefix);
-              for (const auto& span : prefix.intervals()) {
-                ASSERT_LE(span.second, watermark) << "fold " << i;
-                folded.push_back(span);
-              }
-              ASSERT_EQ(timeline.busy().busy_time(), reference.busy_time()) << "fold " << i;
+              timeline.fold_before(watermark);
+              busy.fold_before(watermark);
+              ASSERT_EQ(busy.busy_time(), reference.busy_time()) << "fold " << i;
             }
           }
           EXPECT_EQ(granted, reference.reservation_count());
-          EXPECT_EQ(timeline.busy().busy_time(), reference.busy_time());
-          // The folded prefixes and the live tail together are every grant.
-          const BusyTracker::IntervalStore& busy = timeline.busy().intervals();
-          folded.insert(folded.end(), busy.begin(), busy.end());
-          EXPECT_EQ(coalesce(folded), reference.busy_intervals());
+          EXPECT_EQ(busy.busy_time(), reference.busy_time());
         }
       }
     }

@@ -32,7 +32,6 @@
 #include "ssd/ftl_tables.hpp"
 #include "ssd/geometry.hpp"
 #include "ssd/ssd.hpp"
-#include "interval_counter.hpp"
 #include "map_ftl.hpp"
 
 namespace nvmooc {
@@ -916,98 +915,153 @@ TEST(DeviceStats, ZeroWallTimeYieldsFiniteUtilization) {
   EXPECT_TRUE(std::isfinite(stats.remaining_bandwidth));
 }
 
-// The four-pass device_stats computation the bottom-up pass replaced:
-// each union concatenates its timelines' busy sets and sorts them.
-class FourPassDeviceStats {
+/// Records the channel, port and plane steps the controller reports to
+/// the probe, as raw spans: the oracles below rebuild every busy union
+/// from them, without the device's own BusyTrackers.
+class StepUnions final : public probe::Subscriber {
  public:
-  explicit FourPassDeviceStats(SsdHardware& hardware) : hardware_(hardware) {}
-
-  DeviceStats compute(Time wall_time, double media_capability) const {
-    const SsdGeometry& g = hardware_.geometry;
-    DeviceStats stats;
-    stats.media_capability = media_capability;
-    Spans all;
-    for (std::uint32_t c = 0; c < g.channels; ++c) add_channel(c, all);
-    stats.active_time = union_time(all);
-    if (stats.active_time <= Time{}) {
-      stats.remaining_bandwidth = stats.media_capability;
-      return stats;
-    }
-    if (wall_time <= Time{}) wall_time = stats.active_time;
-    const double active = static_cast<double>(stats.active_time);
-
-    double channel_sum = 0.0;
-    for (std::uint32_t c = 0; c < g.channels; ++c) {
-      Spans subsystem;
-      add_channel(c, subsystem);
-      channel_sum +=
-          std::clamp(static_cast<double>(union_time(subsystem)) / active, 0.0, 1.0);
-    }
-    stats.channel_utilization = channel_sum / g.channels;
-
-    double package_sum = 0.0;
-    for (std::uint32_t package = 0; package < g.total_packages(); ++package) {
-      Spans package_spans;
-      add_package(package, package_spans);
-      package_sum +=
-          std::min(1.0, static_cast<double>(union_time(package_spans)) / active);
-    }
-    double die_sum = 0.0;
-    for (std::uint32_t die = 0; die < g.total_dies(); ++die) {
-      Spans die_spans;
-      add_die(die, die_spans);
-      die_sum += std::min(1.0, static_cast<double>(union_time(die_spans)) /
-                                   static_cast<double>(wall_time));
-    }
-    stats.package_utilization = package_sum / g.total_packages();
-    stats.die_wall_utilization = g.total_dies() > 0 ? die_sum / g.total_dies() : 0.0;
-    stats.remaining_bandwidth = stats.media_capability * (1.0 - stats.die_wall_utilization);
-    return stats;
-  }
-
- private:
   using Spans = std::vector<std::pair<Time, Time>>;
 
-  static void add(const BusyTracker& busy, Spans& out) {
-    out.insert(out.end(), busy.intervals().begin(), busy.intervals().end());
-  }
-  // Dies, packages and channels are numbered row-major, like the planes.
-  void add_die(std::uint32_t die, Spans& out) const {
-    const std::uint32_t planes_per_die = hardware_.timing.planes_per_die;
-    for (std::uint32_t plane = 0; plane < planes_per_die; ++plane) {
-      add(hardware_.planes[die * planes_per_die + plane].busy(), out);
-    }
-  }
-  void add_package(std::uint32_t package, Spans& out) const {
-    const std::uint32_t dies = hardware_.geometry.dies_per_package;
-    add(hardware_.ports[package].busy(), out);
-    for (std::uint32_t d = 0; d < dies; ++d) add_die(package * dies + d, out);
-  }
-  void add_channel(std::uint32_t c, Spans& out) const {
-    const std::uint32_t packages = hardware_.geometry.packages_per_channel;
-    add(hardware_.channels[c].busy(), out);
-    for (std::uint32_t p = 0; p < packages; ++p) add_package(c * packages + p, out);
-  }
-  static Time union_time(Spans spans) {
-    std::sort(spans.begin(), spans.end());
-    Time total;
-    Time covered_to;
-    bool any = false;
-    for (const auto& [start, end] : spans) {
-      if (!any || start > covered_to) {
-        total += end - start;
-        covered_to = end;
-        any = true;
-      } else if (end > covered_to) {
-        total += end - covered_to;
-        covered_to = end;
+  explicit StepUnions(const SsdHardware& hardware)
+      : probe::Subscriber(probe::bit(probe::Kind::kInterval)),
+        hardware(hardware),
+        channels(hardware.channels.size()),
+        ports(hardware.ports.size()),
+        planes(hardware.planes.size()) {}
+
+  void on_interval(const probe::Interval& iv) override {
+    const SsdGeometry& geometry = hardware.geometry;
+    const probe::Site& site = iv.site;
+    switch (iv.resource) {
+      case probe::Resource::kChannel:
+        channels.at(site.channel).emplace_back(iv.start, iv.end);
+        break;
+      case probe::Resource::kPort:
+        ports.at(site.channel * geometry.packages_per_channel + site.package)
+            .emplace_back(iv.start, iv.end);
+        break;
+      case probe::Resource::kCell: {
+        const PhysicalAddress address{site.channel, site.package, site.die, site.plane, 0, 0};
+        planes.at(geometry.plane_index(address, hardware.timing)).emplace_back(iv.start, iv.end);
+        break;
       }
+      default:
+        break;
     }
-    return total;
   }
 
-  SsdHardware& hardware_;
+  // The steps of each union's parts. Dies, packages and channels are
+  // numbered row-major, like the planes.
+  Spans die(std::uint32_t die) const {
+    const std::uint32_t planes_per_die = hardware.timing.planes_per_die;
+    Spans out;
+    for (std::uint32_t plane = 0; plane < planes_per_die; ++plane) {
+      append(out, planes[die * planes_per_die + plane]);
+    }
+    return out;
+  }
+  Spans package(std::uint32_t package) const {
+    const std::uint32_t dies = hardware.geometry.dies_per_package;
+    Spans out = ports[package];
+    for (std::uint32_t d = 0; d < dies; ++d) append(out, die(package * dies + d));
+    return out;
+  }
+  Spans channel(std::uint32_t c) const {
+    const std::uint32_t packages = hardware.geometry.packages_per_channel;
+    Spans out = channels[c];
+    for (std::uint32_t p = 0; p < packages; ++p) append(out, package(c * packages + p));
+    return out;
+  }
+  Spans device() const {
+    Spans out;
+    for (std::uint32_t c = 0; c < hardware.geometry.channels; ++c) append(out, channel(c));
+    return out;
+  }
+
+  const SsdHardware& hardware;
+  std::vector<Spans> channels;
+  std::vector<Spans> ports;
+  std::vector<Spans> planes;
+
+ private:
+  static void append(Spans& out, const Spans& more) {
+    out.insert(out.end(), more.begin(), more.end());
+  }
 };
+
+/// The sort-based union: sort the spans, then sweep.
+Time union_time(StepUnions::Spans spans) {
+  std::sort(spans.begin(), spans.end());
+  Time total;
+  Time covered_to;
+  bool any = false;
+  for (const auto& [start, end] : spans) {
+    if (!any || start > covered_to) {
+      total += end - start;
+      covered_to = end;
+      any = true;
+    } else if (end > covered_to) {
+      total += end - covered_to;
+      covered_to = end;
+    }
+  }
+  return total;
+}
+
+/// The four-pass device_stats computation: each union concatenates the
+/// steps reported for its parts and sorts them.
+DeviceStats four_pass_device_stats(const StepUnions& steps, Time wall_time,
+                                   double media_capability) {
+  const SsdGeometry& g = steps.hardware.geometry;
+  DeviceStats stats;
+  stats.media_capability = media_capability;
+  stats.active_time = union_time(steps.device());
+  if (stats.active_time <= Time{}) {
+    stats.remaining_bandwidth = stats.media_capability;
+    return stats;
+  }
+  if (wall_time <= Time{}) wall_time = stats.active_time;
+  const double active = static_cast<double>(stats.active_time);
+
+  double channel_sum = 0.0;
+  for (std::uint32_t c = 0; c < g.channels; ++c) {
+    channel_sum += std::clamp(static_cast<double>(union_time(steps.channel(c))) / active, 0.0, 1.0);
+  }
+  stats.channel_utilization = channel_sum / g.channels;
+
+  double package_sum = 0.0;
+  for (std::uint32_t package = 0; package < g.total_packages(); ++package) {
+    package_sum += std::min(1.0, static_cast<double>(union_time(steps.package(package))) / active);
+  }
+  double die_sum = 0.0;
+  for (std::uint32_t die = 0; die < g.total_dies(); ++die) {
+    die_sum += std::min(1.0, static_cast<double>(union_time(steps.die(die))) /
+                                 static_cast<double>(wall_time));
+  }
+  stats.package_utilization = package_sum / g.total_packages();
+  stats.die_wall_utilization = g.total_dies() > 0 ? die_sum / g.total_dies() : 0.0;
+  stats.remaining_bandwidth = stats.media_capability * (1.0 - stats.die_wall_utilization);
+  return stats;
+}
+
+/// Every busy union the hardware keeps against the oracle: the
+/// sort-based union of the steps reported for its parts.
+void expect_unions_match_steps(const SsdHardware& hardware, const StepUnions& steps) {
+  const SsdGeometry& g = hardware.geometry;
+  for (std::uint32_t die = 0; die < g.total_dies(); ++die) {
+    EXPECT_EQ(hardware.die_busy[die].busy_time(), union_time(steps.die(die))) << "die " << die;
+  }
+  for (std::uint32_t package = 0; package < g.total_packages(); ++package) {
+    EXPECT_EQ(hardware.package_busy[package].busy_time(), union_time(steps.package(package)))
+        << "package " << package;
+  }
+  for (std::uint32_t c = 0; c < g.channels; ++c) {
+    EXPECT_EQ(hardware.channel_busy[c].busy_time(), union_time(steps.channel(c)))
+        << "channel " << c;
+  }
+  EXPECT_EQ(hardware.device_busy.busy_time(), union_time(steps.device()));
+  EXPECT_GT(hardware.device_busy.busy_time(), Time{});
+}
 
 void expect_same_device_stats(const DeviceStats& got, const DeviceStats& want) {
   EXPECT_EQ(got.active_time, want.active_time);
@@ -1032,16 +1086,18 @@ class LedgerRecorder final : public probe::Subscriber {
 /// watermark, and on an unfolded twin of that device: a fresh Ssd of the
 /// same configuration whose watermark never advances, fed the same device
 /// requests at the arrivals the engine gave them. The four-pass oracle
-/// reads the twin's full interval sets and must agree with the folded
-/// engine's device_stats field for field.
+/// reads every step the engine's controller reported and must agree with
+/// both devices' device_stats field for field.
 void expect_folded_device_stats_match_four_pass(
     const ExperimentConfig& config, const Trace& trace,
     const std::function<void(const ExperimentResult&, Ssd&)>& check) {
   ReplayEngine engine(config);
   LedgerRecorder recorder;
+  StepUnions steps(engine.ssd().hardware());
   ExperimentResult result;
   {
     const probe::Scoped listen(probe::Slot::kFlight, &recorder);
+    const probe::Scoped listen_steps(probe::Slot::kLatency, &steps);
     result = engine.run(trace);
   }
   ASSERT_FALSE(result.reliability.aborted);
@@ -1063,10 +1119,10 @@ void expect_folded_device_stats_match_four_pass(
   ASSERT_EQ(next, recorder.ledgers.size());
   check(result, twin);
 
-  const FourPassDeviceStats reference(twin.hardware());
   // The replay's own makespan, a short and a zero wall (the fallback).
   for (const Time wall : {result.makespan, result.makespan / 4, Time{}}) {
-    const DeviceStats want = reference.compute(wall, twin.media_capability_bytes_per_sec());
+    const DeviceStats want =
+        four_pass_device_stats(steps, wall, twin.media_capability_bytes_per_sec());
     expect_same_device_stats(engine.ssd().device_stats(wall), want);
     expect_same_device_stats(twin.device_stats(wall), want);
   }
@@ -1081,9 +1137,10 @@ Trace checkpointing_trace() {
   return synthesize_ooc_trace(params);
 }
 
-// Differential: the folded totals plus the bottom-up linear-merge pass
-// give every field the old four-pass sort-and-union gave over the whole,
-// unfolded replay, bit for bit.
+// Differential: the die, package, channel and device unions the hardware
+// keeps as grants land, folded behind the watermark, give every field the
+// four-pass sort-and-union gives over every step of the replay, bit for
+// bit.
 TEST(DeviceStats, BottomUpPassMatchesFourPassOnMixedReplay) {
   expect_folded_device_stats_match_four_pass(
       cnl_fs_config(ext3_behavior(), NvmType::kMlc), checkpointing_trace(),
@@ -1210,31 +1267,40 @@ class RequestStream {
   std::uint64_t write_kib_;
 };
 
-/// Calls `visit(timeline)` for every timeline of the device: channel
-/// buses, package ports and planes.
-template <typename Visit>
-void for_each_timeline(Ssd& ssd, Visit&& visit) {
-  SsdHardware& hardware = ssd.hardware();
-  for (std::vector<Timeline>* timelines :
-       {&hardware.channels, &hardware.ports, &hardware.planes}) {
-    for (Timeline& timeline : *timelines) visit(timeline);
+/// Live intervals across the device's busy unions.
+std::uint64_t live_union_intervals(const SsdHardware& hardware) {
+  std::uint64_t live = hardware.device_busy.interval_count();
+  for (const std::vector<BusyTracker>* unions :
+       {&hardware.die_busy, &hardware.package_busy, &hardware.channel_busy}) {
+    for (const BusyTracker& busy : *unions) live += busy.interval_count();
   }
+  return live;
 }
 
-/// The device's timelines and their live busy intervals.
-struct TimelineTally {
-  std::uint64_t timelines = 0;
-  std::uint64_t live = 0;
+/// Counts the union intervals the reported steps can add: a plane step
+/// of positive length joins four busy unions (die, package, channel and
+/// device), a port step three and a channel step two.
+class UnionAdds final : public probe::Subscriber {
+ public:
+  UnionAdds() : probe::Subscriber(probe::bit(probe::Kind::kInterval)) {}
+  void on_interval(const probe::Interval& iv) override {
+    if (iv.end <= iv.start) return;
+    switch (iv.resource) {
+      case probe::Resource::kCell:
+        adds += 4;
+        break;
+      case probe::Resource::kPort:
+        adds += 3;
+        break;
+      case probe::Resource::kChannel:
+        adds += 2;
+        break;
+      default:
+        break;
+    }
+  }
+  std::uint64_t adds = 0;
 };
-
-TimelineTally tally(Ssd& ssd) {
-  TimelineTally out;
-  for_each_timeline(ssd, [&out](const Timeline& timeline) {
-    ++out.timelines;
-    out.live += timeline.busy().interval_count();
-  });
-  return out;
-}
 
 // Differential: a device that folds behind an advancing watermark answers
 // every request, and every device statistic, exactly as its unfolded twin
@@ -1242,8 +1308,10 @@ TimelineTally tally(Ssd& ssd) {
 // never go back in time. The folded twin also keeps to the cadence and
 // memory bound Ssd::advance_watermark states: it folds once it has run
 // max(T, L) transactions since its last fold (T timelines, L the live
-// intervals that fold left), and in between each reservation adds at most
-// one live interval, so the live count stays below L + R·(max(T, L) + K).
+// union intervals that fold left), and in between each reservation adds
+// at most one interval to each union it joins (four for a plane, three
+// for a port, two for a channel bus), so the live count stays below
+// L + 4R·(max(T, L) + K).
 TEST(DeviceStats, FoldedSsdMatchesUnfoldedTwin) {
   for (const TwinCase& twin_case : twin_cases()) {
     SCOPED_TRACE(::testing::Message() << twin_case.name << " backfill="
@@ -1255,44 +1323,45 @@ TEST(DeviceStats, FoldedSsdMatchesUnfoldedTwin) {
     RequestStream stream(twin_case);
     Time arrival;
     Time last_end;
-    const std::uint64_t timelines = tally(folded).timelines;
-    TimelineTally at_fold;
-    IntervalCounter reservations;
-    std::uint64_t reservations_at_fold = 0;
+    const SsdHardware& hardware = folded.hardware();
+    const std::uint64_t timelines =
+        hardware.channels.size() + hardware.ports.size() + hardware.planes.size();
+    std::uint64_t live_at_fold = 0;
+    UnionAdds union_adds;
+    std::uint64_t adds_at_fold = 0;
     std::uint64_t fold_transactions = 0;
     int shrinking_folds = 0;
     for (int i = 0; i < 600; ++i) {
       const BlockRequest request = stream.next(arrival);
       const std::uint64_t transactions = folded.controller_stats().transactions;
-      const bool due = transactions - fold_transactions >= std::max(timelines, at_fold.live);
-      const std::uint64_t live_before = tally(folded).live;
+      const bool due = transactions - fold_transactions >= std::max(timelines, live_at_fold);
+      const std::uint64_t live_before = live_union_intervals(hardware);
       folded.advance_watermark(arrival);
-      const TimelineTally after = tally(folded);
+      const std::uint64_t after = live_union_intervals(hardware);
       if (due) {
-        EXPECT_LE(after.live, live_before);
-        if (after.live < live_before) ++shrinking_folds;
-        at_fold = after;
-        reservations_at_fold = reservations.intervals;
+        EXPECT_LE(after, live_before);
+        if (after < live_before) ++shrinking_folds;
+        live_at_fold = after;
+        adds_at_fold = union_adds.adds;
         fold_transactions = transactions;
       } else {
-        EXPECT_EQ(after.live, live_before);  // Not due: no fold.
+        EXPECT_EQ(after, live_before);  // Not due: no fold.
       }
       const RequestResult got = [&] {
-        const probe::Scoped listen(probe::Slot::kLatency, &reservations);
+        const probe::Scoped listen(probe::Slot::kLatency, &union_adds);
         return folded.submit(request, arrival);
       }();
       const RequestResult want = unfolded.submit(request, arrival);
       expect_same_result(got, want);
       last_end = std::max(last_end, want.media_end);
 
-      const TimelineTally now = tally(folded);
-      EXPECT_LE(now.live, at_fold.live + (reservations.intervals - reservations_at_fold));
+      EXPECT_LE(live_union_intervals(hardware), live_at_fold + (union_adds.adds - adds_at_fold));
       EXPECT_LT(folded.controller_stats().transactions - fold_transactions,
-                std::max(timelines, at_fold.live) + got.transactions);
+                std::max(timelines, live_at_fold) + got.transactions);
       if (::testing::Test::HasFailure()) return;
     }
     EXPECT_GT(shrinking_folds, 2);
-    EXPECT_LT(tally(folded).live, tally(unfolded).live);
+    EXPECT_LT(live_union_intervals(hardware), live_union_intervals(unfolded.hardware()));
     if (twin_case.write_percent > 0 && !twin_case.config.fault.enabled) {
       EXPECT_GT(unfolded.ftl_stats().gc_runs, 0u);
     }
@@ -1307,86 +1376,46 @@ TEST(DeviceStats, FoldedSsdMatchesUnfoldedTwin) {
   }
 }
 
-/// Rebuilds the busy union of every channel, port and plane timeline of a
-/// device from the controller steps the probe reports.
-class StepUnions final : public probe::Subscriber {
- public:
-  explicit StepUnions(const SsdHardware& hardware)
-      : probe::Subscriber(probe::bit(probe::Kind::kInterval)),
-        hardware(hardware),
-        channels(hardware.channels.size()),
-        ports(hardware.ports.size()),
-        planes(hardware.planes.size()) {}
-
-  void on_interval(const probe::Interval& iv) override {
-    const SsdGeometry& geometry = hardware.geometry;
-    const probe::Site& site = iv.site;
-    switch (iv.resource) {
-      case probe::Resource::kChannel:
-        channels.at(site.channel).add_interval(iv.start, iv.end);
-        break;
-      case probe::Resource::kPort:
-        ports.at(site.channel * geometry.packages_per_channel + site.package)
-            .add_interval(iv.start, iv.end);
-        break;
-      case probe::Resource::kCell: {
-        const PhysicalAddress address{site.channel, site.package, site.die, site.plane, 0, 0};
-        planes.at(geometry.plane_index(address, hardware.timing)).add_interval(iv.start, iv.end);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
-  const SsdHardware& hardware;
-  std::vector<BusyTracker> channels;
-  std::vector<BusyTracker> ports;
-  std::vector<BusyTracker> planes;
-};
-
-// Differential: a Timeline reports nothing, so the controller's steps are
-// the only record of what the device's resources did. On an unfolded
-// device, the union of the steps reported for each channel, port and
-// plane must be exactly that timeline's busy time, over read, write, GC
-// and fault (retry ladder, channel stall, stuck die) streams. A
-// reservation whose step goes unreported leaves its resource short.
-TEST(Controller, ReportedStepsCoverEveryTimelinesBusyTime) {
+// Differential: the hardware adds each grant to the busy unions where it
+// lands, and the controller reports each reservation to the probe as a
+// step; the two records are kept apart. For every die, package, channel
+// and the device, the union's busy time must equal the sort-based union
+// of the steps reported for its parts, on a device that folds behind an
+// advancing watermark and on one that never folds, over read, write, GC
+// and fault (retry ladder, channel stall, stuck die) streams. A grant
+// missing from a union, or a step that goes unreported, sets them apart.
+TEST(Controller, BusyUnionsMatchReportedSteps) {
   for (const TwinCase& twin_case : twin_cases()) {
     SCOPED_TRACE(::testing::Message() << twin_case.name << " backfill="
                                       << twin_case.config.controller.queue_backfill);
-    Ssd ssd(twin_case.config);
-    ssd.preload(twin_case.preload);
-    StepUnions steps(ssd.hardware());
-    {
-      const probe::Scoped listen(probe::Slot::kLatency, &steps);
-      RequestStream stream(twin_case);
-      Time arrival;
-      for (int i = 0; i < 600; ++i) {
-        const BlockRequest request = stream.next(arrival);
-        ssd.submit(request, arrival);
+    std::uint64_t live[2] = {0, 0};
+    for (const bool fold : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "fold=" << fold);
+      Ssd ssd(twin_case.config);
+      ssd.preload(twin_case.preload);
+      StepUnions steps(ssd.hardware());
+      {
+        const probe::Scoped listen(probe::Slot::kLatency, &steps);
+        RequestStream stream(twin_case);
+        Time arrival;
+        for (int i = 0; i < 600; ++i) {
+          const BlockRequest request = stream.next(arrival);
+          if (fold) ssd.advance_watermark(arrival);
+          ssd.submit(request, arrival);
+        }
       }
-    }
-    if (twin_case.write_percent > 0 && !twin_case.config.fault.enabled) {
-      EXPECT_GT(ssd.ftl_stats().gc_runs, 0u);
-    }
-    if (twin_case.config.fault.enabled) {
-      EXPECT_GT(ssd.controller_stats().reliability.read_retries, 0u);
-      EXPECT_GT(ssd.controller_stats().reliability.channel_stalls, 0u);
-    }
-    const SsdHardware& hardware = ssd.hardware();
-    const auto expect_cover = [](const char* kind, const std::vector<Timeline>& timelines,
-                                 const std::vector<BusyTracker>& reported) {
-      Time total;
-      for (std::size_t i = 0; i < timelines.size(); ++i) {
-        EXPECT_EQ(reported[i].busy_time(), timelines[i].busy().busy_time()) << kind << " " << i;
-        total += reported[i].busy_time();
+      if (twin_case.write_percent > 0 && !twin_case.config.fault.enabled) {
+        EXPECT_GT(ssd.ftl_stats().gc_runs, 0u);
       }
-      EXPECT_GT(total, Time{}) << kind;
-    };
-    expect_cover("channel", hardware.channels, steps.channels);
-    expect_cover("port", hardware.ports, steps.ports);
-    expect_cover("plane", hardware.planes, steps.planes);
+      if (twin_case.config.fault.enabled) {
+        EXPECT_GT(ssd.controller_stats().reliability.read_retries, 0u);
+        EXPECT_GT(ssd.controller_stats().reliability.channel_stalls, 0u);
+        EXPECT_GT(ssd.controller_stats().reliability.die_stuck_reads, 0u);
+      }
+      expect_unions_match_steps(ssd.hardware(), steps);
+      live[fold] = live_union_intervals(ssd.hardware());
+    }
+    EXPECT_LT(live[1], live[0]);  // The folded device did fold.
   }
 }
 
