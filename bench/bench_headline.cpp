@@ -30,11 +30,6 @@ namespace {
 using namespace nvmooc;
 using namespace nvmooc::bench;
 
-double get(const Bench& bench, const char* name, NvmType media) {
-  const ExperimentResult* result = bench.find(name, media);
-  return result ? result->achieved_mbps : 0.0;
-}
-
 double ms(Time t) { return static_cast<double>(t) / static_cast<double>(kMillisecond); }
 
 /// The four architectures the paper's speedup story runs through: the
@@ -60,16 +55,6 @@ std::vector<ExperimentConfig> latency_configs(NvmType media) {
 }
 
 const std::vector<NvmType> kLatencyMedia = {NvmType::kTlc, NvmType::kPcm};
-
-/// Geometric mean of per-media improvement ratios.
-double mean_ratio(const Bench& bench, const std::vector<NvmType>& media_list,
-                  const char* numerator, const char* denominator) {
-  double log_sum = 0.0;
-  for (NvmType media : media_list) {
-    log_sum += std::log(get(bench, numerator, media) / get(bench, denominator, media));
-  }
-  return std::exp(log_sum / static_cast<double>(media_list.size()));
-}
 
 double achieved(const ExperimentResult& r) { return r.achieved_mbps; }
 double remaining(const ExperimentResult& r) { return r.remaining_mbps; }
@@ -260,8 +245,43 @@ void print_speed(const Bench& bench, const std::vector<ExperimentConfig>& grid) 
 struct Claim {
   std::string name;
   std::string paper;
-  std::string measured;
-  double value = 0.0;  ///< The measured ratio/gain as a bare number.
+  std::string measured;  ///< "n/a" when a cell it reads did not run.
+  double value = 0.0;    ///< The measured ratio/gain as a bare number.
+};
+
+/// The bandwidths one claim reads from the recorded sweep. A filtered
+/// sweep leaves cells without a result; a claim that reads one is not
+/// measured.
+class ClaimInputs {
+ public:
+  explicit ClaimInputs(const Bench& bench) : bench_(bench) {}
+
+  double mbps(const std::string& name, NvmType media) {
+    const ExperimentResult* result = bench_.find(name, media);
+    if (result == nullptr) complete_ = false;
+    return result ? result->achieved_mbps : 0.0;
+  }
+
+  /// Geometric mean of per-media improvement ratios.
+  double mean_ratio(const std::vector<NvmType>& media_list, const char* numerator,
+                    const char* denominator) {
+    double log_sum = 0.0;
+    for (NvmType media : media_list) {
+      log_sum += std::log(mbps(numerator, media) / mbps(denominator, media));
+    }
+    return std::exp(log_sum / static_cast<double>(media_list.size()));
+  }
+
+  [[nodiscard]] bool complete() const { return complete_; }
+
+  [[nodiscard]] Claim claim(std::string name, const char* paper, const std::string& measured,
+                            double value) const {
+    return {std::move(name), paper, complete_ ? measured : "n/a", value};
+  }
+
+ private:
+  const Bench& bench_;
+  bool complete_ = true;
 };
 
 /// Derives the headline claims from the recorded sweep.
@@ -270,79 +290,80 @@ std::vector<Claim> headline_claims(const Bench& bench) {
   const std::vector<NvmType> media = all_media();
   std::vector<Claim> claims;
 
-  // Worst traditional CNL FS per medium == "base-line compute-local SSD".
-  auto worst_cnl = [&](NvmType m) {
-    double worst = 1e18;
-    std::string name;
-    for (const FsBehavior& fs : all_local_filesystems()) {
-      const double bw = get(bench, ("CNL-" + fs.name).c_str(), m);
-      if (bw < worst) {
-        worst = bw;
-        name = fs.name;
-      }
-    }
-    return std::make_pair(worst, name);
-  };
-
   {
-    // Worst-CNL over ION-GPFS, per NAND type.
+    // Worst-CNL over ION-GPFS, per NAND type. The worst traditional CNL
+    // FS per medium is the "base-line compute-local SSD".
     const char* paper[] = {"+7%", "+78%", "+108%"};
     int i = 0;
     for (NvmType m : nand) {
-      const auto [worst, name] = worst_cnl(m);
-      const double gain = 100.0 * (worst / get(bench, "ION-GPFS", m) - 1.0);
-      claims.push_back({format("worst CNL FS (%s) vs ION-GPFS on %s", name.c_str(),
-                               std::string(to_string(m)).c_str()),
-                        paper[i++], format("%+.0f%%", gain), gain});
+      ClaimInputs in(bench);
+      double worst = 1e18;
+      std::string name;
+      for (const FsBehavior& fs : all_local_filesystems()) {
+        const double bw = in.mbps("CNL-" + fs.name, m);
+        if (bw < worst) {
+          worst = bw;
+          name = fs.name;
+        }
+      }
+      const double gain = 100.0 * (worst / in.mbps("ION-GPFS", m) - 1.0);
+      claims.push_back(in.claim(format("worst CNL FS (%s) vs ION-GPFS on %s",
+                                       in.complete() ? name.c_str() : "n/a",
+                                       std::string(to_string(m)).c_str()),
+                                paper[i++], format("%+.0f%%", gain), gain));
     }
   }
   {
     // CNL baseline vs ION: average over media of the *average* CNL FS.
+    ClaimInputs in(bench);
     double log_sum = 0;
     for (NvmType m : media) {
       double sum = 0;
       int n = 0;
       for (const FsBehavior& fs : all_local_filesystems()) {
-        sum += get(bench, ("CNL-" + fs.name).c_str(), m);
+        sum += in.mbps("CNL-" + fs.name, m);
         ++n;
       }
-      log_sum += std::log((sum / n) / get(bench, "ION-GPFS", m));
+      log_sum += std::log((sum / n) / in.mbps("ION-GPFS", m));
     }
     const double gain = 100.0 * (std::exp(log_sum / media.size()) - 1.0);
-    claims.push_back({"CNL SSD vs client-remote SSD (average)", "+108%",
-                      format("%+.0f%%", gain), gain});
+    claims.push_back(in.claim("CNL SSD vs client-remote SSD (average)", "+108%",
+                              format("%+.0f%%", gain), gain));
   }
   {
     // Software optimisation: UFS over the mean traditional CNL FS.
+    ClaimInputs in(bench);
     double log_sum = 0;
     for (NvmType m : media) {
       double sum = 0;
       int n = 0;
       for (const FsBehavior& fs : all_local_filesystems()) {
-        sum += get(bench, ("CNL-" + fs.name).c_str(), m);
+        sum += in.mbps("CNL-" + fs.name, m);
         ++n;
       }
-      log_sum += std::log(get(bench, "CNL-UFS", m) / (sum / n));
+      log_sum += std::log(in.mbps("CNL-UFS", m) / (sum / n));
     }
     const double gain = 100.0 * (std::exp(log_sum / media.size()) - 1.0);
-    claims.push_back({"UFS over CNL baseline (software)", "+52%",
-                      format("%+.0f%%", gain), gain});
+    claims.push_back(in.claim("UFS over CNL baseline (software)", "+52%",
+                              format("%+.0f%%", gain), gain));
   }
   {
-    const double hw = mean_ratio(bench, media, "CNL-NATIVE-16", "CNL-UFS");
-    claims.push_back({"NATIVE-16 over CNL-UFS (hardware)", "+250%",
-                      format("%+.0f%%", 100.0 * (hw - 1.0)), 100.0 * (hw - 1.0)});
+    ClaimInputs in(bench);
+    const double hw = in.mean_ratio(media, "CNL-NATIVE-16", "CNL-UFS");
+    claims.push_back(in.claim("NATIVE-16 over CNL-UFS (hardware)", "+250%",
+                              format("%+.0f%%", 100.0 * (hw - 1.0)), 100.0 * (hw - 1.0)));
   }
   {
-    const double overall = mean_ratio(bench, media, "CNL-NATIVE-16", "ION-GPFS");
-    claims.push_back({"overall NATIVE-16 vs ION-GPFS", "10.3x",
-                      format("%.1fx", overall), overall});
-    const double pcm =
-        get(bench, "CNL-NATIVE-16", NvmType::kPcm) / get(bench, "ION-GPFS", NvmType::kPcm);
-    claims.push_back({"PCM NATIVE-16 vs ION-GPFS", "16x", format("%.1fx", pcm), pcm});
-    const double tlc =
-        get(bench, "CNL-NATIVE-16", NvmType::kTlc) / get(bench, "ION-GPFS", NvmType::kTlc);
-    claims.push_back({"TLC NATIVE-16 vs ION-GPFS", "8x", format("%.1fx", tlc), tlc});
+    ClaimInputs in(bench);
+    const double overall = in.mean_ratio(media, "CNL-NATIVE-16", "ION-GPFS");
+    claims.push_back(
+        in.claim("overall NATIVE-16 vs ION-GPFS", "10.3x", format("%.1fx", overall), overall));
+  }
+  for (const auto& [m, paper] : {std::pair{NvmType::kPcm, "16x"}, std::pair{NvmType::kTlc, "8x"}}) {
+    ClaimInputs in(bench);
+    const double ratio = in.mbps("CNL-NATIVE-16", m) / in.mbps("ION-GPFS", m);
+    claims.push_back(in.claim(format("%s NATIVE-16 vs ION-GPFS", std::string(to_string(m)).c_str()),
+                              paper, format("%.1fx", ratio), ratio));
   }
   return claims;
 }

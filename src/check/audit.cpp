@@ -50,8 +50,9 @@ std::string AuditReport::summary() const {
 }
 
 Auditor::Auditor()
-    : probe::Subscriber(probe::bit(probe::Kind::kInterval) | probe::bit(probe::Kind::kReplay) |
-                        probe::bit(probe::Kind::kRequest) | probe::bit(probe::Kind::kMedia)) {
+    : probe::Subscriber(probe::bit(probe::Kind::kInterval) | probe::bit(probe::Kind::kTxn) |
+                        probe::bit(probe::Kind::kReplay) | probe::bit(probe::Kind::kRequest) |
+                        probe::bit(probe::Kind::kMedia)) {
   report_.enabled = true;
 }
 

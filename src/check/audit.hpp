@@ -40,9 +40,10 @@
 //     issue watermark are pruned, since every later grant starts at or
 //     after it; audit memory tracks what is in flight, not trace length.
 //
-// Typical site — every controller step, audited or not:
+// Typical site — every controller step on the probed transaction path,
+// which the controller takes because the auditor listens to kTxn:
 //   probe::step(probe::Resource::kChannel, site, start, cmd.start, cmd.end);
-// which reaches Auditor::on_interval when an auditor is installed. The
+// which reaches Auditor::on_interval. The
 // owner of each Timeline reports its reservations (the controller as
 // steps, a DmaEngine as link transfers); the Timeline itself is silent.
 // The probe is the auditor's only input; the engine and the FTL call

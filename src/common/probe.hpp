@@ -3,22 +3,27 @@
 // exemplar observatory, flight recorder, auditor) subscribe. The
 // vocabulary is built from values the sites already compute:
 //
-//   interval  a resource occupancy: wait [earliest, start), held
-//             [start, end). Each controller channel/port/plane step,
-//             channel stall, DmaEngine transfer and RPC admission, told
-//             by the owner of the reservation (a Timeline reports
+//   interval  a link or RPC occupancy: wait [earliest, start), held
+//             [start, end). Each DmaEngine transfer and RPC admission,
+//             told by the owner of the reservation (a Timeline reports
 //             nothing itself).
+//   txn       per transaction, from the controller: each channel, port
+//             and plane step (an interval, as above) and each channel
+//             stall, plus the transaction's media transfer.
 //   replay    replay begin, each POSIX request and its I/O-path
 //             expansion (bytes and device-request counts), progress.
 //   request   a device request opening (ready, admit, issue and the
 //             gates its ready time waited on) and closing (its ledger).
-//   media     the controller's byte accounting of a device request.
+//   media     the controller's opening and closing summary of a device
+//             request.
 //   note      a breadcrumb for the flight recorder.
 //
 // Subscribers are installed per thread, one per Slot; a second install
 // in a slot shadows the first until it leaves, so sessions nest like
 // scopes. When nobody listens to a kind, its emitters cost one
-// thread-local load and a branch: no virtual call, no event built.
+// thread-local load and a branch: no virtual call, no event built. The
+// controller goes further for kTxn: it checks once per device request
+// and then runs a transaction path compiled without the emitters.
 // Subscribers never mutate simulation state.
 #pragma once
 
@@ -176,6 +181,9 @@ struct MediaDone {
   Time media_time;  ///< Arrival to media_end.
   std::uint64_t retries = 0;
   std::uint64_t uncorrectable_units = 0;
+  /// Controller steps of positive duration: the kTxn intervals that
+  /// occupy a channel, port or plane.
+  std::uint64_t reservations = 0;
 };
 
 /// `category` and `what` are string literals; `detail` is transient.
@@ -190,8 +198,8 @@ struct Note {
 
 // -- subscribers ------------------------------------------------------------
 
-enum class Kind : std::uint8_t { kInterval, kReplay, kRequest, kMedia, kNote };
-inline constexpr int kKindCount = 5;
+enum class Kind : std::uint8_t { kInterval, kTxn, kReplay, kRequest, kMedia, kNote };
+inline constexpr int kKindCount = 6;
 [[nodiscard]] constexpr unsigned bit(Kind kind) { return 1u << static_cast<unsigned>(kind); }
 
 /// One install slot per instrument; dispatch runs in slot order.
@@ -206,7 +214,7 @@ class Subscriber {
   virtual ~Subscriber() = default;
   [[nodiscard]] unsigned kinds() const { return kinds_; }
 
-  // kInterval
+  // kInterval (links, RPC) and kTxn (controller steps)
   virtual void on_interval(const Interval& /*interval*/) {}
   // kReplay
   virtual void on_replay_begin(std::uint64_t /*posix_requests*/) {}
@@ -217,9 +225,10 @@ class Subscriber {
   virtual void on_request_close(const RequestClose& /*request*/) {}
   // kMedia; the first-attempt kRequest transfers must move `expected`.
   virtual void on_media_begin(Bytes /*expected*/, bool /*internal*/) {}
+  virtual void on_media_end(const MediaDone& /*done*/) {}
+  // kTxn
   virtual void on_media_transfer(Bytes /*bytes*/, MediaKind /*kind*/,
                                  std::uint32_t /*retries*/) {}
-  virtual void on_media_end(const MediaDone& /*done*/) {}
   // kNote
   virtual void on_note(const Note& /*note*/) {}
 
@@ -249,16 +258,19 @@ inline void each(Kind kind, const Hook& hook) {
   for (int i = 0; i < set.count[k]; ++i) hook(*set.to[k][i]);
 }
 
-/// Interval delivery, kept out of line: the hot emitters (every
-/// controller step) then carry only the count test, and none
-/// of their locals has its address taken.
-[[gnu::noinline]] inline void deliver(const Interval& iv) {
-  each(Kind::kInterval, [&](Subscriber& s) { s.on_interval(iv); });
+/// Interval delivery to the subscribers of `kind`, kept out of line: an
+/// emitter then carries only the count test, and none of its locals has
+/// its address taken.
+[[gnu::noinline]] inline void deliver(Kind kind, const Interval& iv) {
+  each(kind, [&](Subscriber& s) { s.on_interval(iv); });
 }
 
-inline bool listening(Kind kind) { return tls_set.count[static_cast<int>(kind)] != 0; }
-
 }  // namespace detail
+
+/// Whether any installed subscriber on this thread handles `kind`.
+[[nodiscard]] inline bool listening(Kind kind) {
+  return detail::tls_set.count[static_cast<int>(kind)] != 0;
+}
 
 /// The calling thread's occupant of `slot`, or null.
 [[nodiscard]] inline Subscriber* slot(Slot s) {
@@ -316,23 +328,26 @@ class Session {
 /// A link transfer ready at `earliest`, and past the link's fixed
 /// latencies at `ready`, held the wire [start, end).
 inline void link(const std::string& label, Time earliest, Time ready, Time start, Time end) {
-  if (detail::listening(Kind::kInterval)) {
-    detail::deliver({Resource::kLink, earliest, ready, start, end, &label, {}, 0, false});
+  if (listening(Kind::kInterval)) {
+    detail::deliver(Kind::kInterval,
+                    {Resource::kLink, earliest, ready, start, end, &label, {}, 0, false});
   }
 }
 
 /// The RPC window admitted a request ready at `earliest` at `start`.
 inline void rpc(Time earliest, Time start) {
-  if (detail::listening(Kind::kInterval)) {
-    detail::deliver({Resource::kRpc, earliest, earliest, start, start, nullptr, {}, 0, false});
+  if (listening(Kind::kInterval)) {
+    detail::deliver(Kind::kInterval,
+                    {Resource::kRpc, earliest, earliest, start, start, nullptr, {}, 0, false});
   }
 }
 
-/// One controller step at `site`.
+/// One controller step at `site` (kTxn).
 inline void step(Resource resource, const Site& site, Time earliest, Time start,
                  Time end, std::uint32_t attempt = 0, bool erase = false) {
-  if (detail::listening(Kind::kInterval)) {
-    detail::deliver({resource, earliest, earliest, start, end, nullptr, site, attempt, erase});
+  if (listening(Kind::kTxn)) {
+    detail::deliver(Kind::kTxn,
+                    {resource, earliest, earliest, start, end, nullptr, site, attempt, erase});
   }
 }
 
@@ -360,8 +375,9 @@ inline void media_begin(Bytes expected, bool internal) {
   detail::each(Kind::kMedia, [&](Subscriber& s) { s.on_media_begin(expected, internal); });
 }
 
+/// One transaction's channel transfer (kTxn).
 inline void media_transfer(Bytes bytes, MediaKind kind, std::uint32_t retries) {
-  detail::each(Kind::kMedia, [&](Subscriber& s) { s.on_media_transfer(bytes, kind, retries); });
+  detail::each(Kind::kTxn, [&](Subscriber& s) { s.on_media_transfer(bytes, kind, retries); });
 }
 
 inline void media_end(const MediaDone& done) {

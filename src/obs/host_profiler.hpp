@@ -123,10 +123,10 @@ class HostProfiler final : public probe::Subscriber {
   /// engine, on the same clock read that closes `wall_seconds`.
   HostReport report(Time sim_makespan) const;
 
-  // Probe subscription. Every timeline reservation of positive duration
-  // is reported as one interval that occupies something (the RPC window
-  // and channel stalls occupy nothing); only link transfers read the
-  // clock, so controller steps cost a count.
+  // Probe subscription. The speedometer takes no per-transaction event
+  // (kTxn): a device request's controller reservations arrive as one
+  // count on its media end, and each link reservation as a kInterval
+  // that also bills the interconnect (RPC admissions occupy nothing).
   void on_interval(const probe::Interval& interval) override {
     if (interval.end > interval.start) count(HostEvent::kTimelineReservation);
     if (interval.resource == probe::Resource::kLink) bill(HostSubsystem::kInterconnect);
@@ -152,7 +152,8 @@ class HostProfiler final : public probe::Subscriber {
   void on_media_begin(Bytes /*expected*/, bool /*internal*/) override {
     bill(HostSubsystem::kEngine);
   }
-  void on_media_end(const probe::MediaDone& /*done*/) override {
+  void on_media_end(const probe::MediaDone& done) override {
+    events_[static_cast<int>(HostEvent::kTimelineReservation)] += done.reservations;
     bill(HostSubsystem::kController);
   }
 

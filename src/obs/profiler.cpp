@@ -60,8 +60,8 @@ const char* path_layer(PathKind kind) {
 }
 
 Profiler::Profiler()
-    : probe::Subscriber(probe::bit(probe::Kind::kInterval) | probe::bit(probe::Kind::kReplay) |
-                        probe::bit(probe::Kind::kRequest)),
+    : probe::Subscriber(probe::bit(probe::Kind::kInterval) | probe::bit(probe::Kind::kTxn) |
+                        probe::bit(probe::Kind::kReplay) | probe::bit(probe::Kind::kRequest)),
       window_id_(intern("engine.window")),
       cpu_id_(intern("engine.cpu")),
       rpc_id_(intern("net.rpc")) {}

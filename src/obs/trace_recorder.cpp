@@ -47,8 +47,9 @@ SpanArg SpanArg::text(std::string key, const std::string& v) {
 }
 
 TraceRecorder::TraceRecorder()
-    : probe::Subscriber(probe::bit(probe::Kind::kInterval) | probe::bit(probe::Kind::kReplay) |
-                        probe::bit(probe::Kind::kRequest) | probe::bit(probe::Kind::kNote)),
+    : probe::Subscriber(probe::bit(probe::Kind::kInterval) | probe::bit(probe::Kind::kTxn) |
+                        probe::bit(probe::Kind::kReplay) | probe::bit(probe::Kind::kRequest) |
+                        probe::bit(probe::Kind::kNote)),
       id_(next_recorder_id()),
       epoch_(wallclock::now_ns()) {}
 

@@ -52,11 +52,17 @@ class Timeline {
   /// `max_gaps`.
   ///
   /// A backfilled grant goes to the oldest-created gap that fits (the
-  /// pieces of a split gap count as new). Gaps are disjoint and kept in
-  /// start order, so their ends ascend too: only the suffix of gaps that
-  /// end at or after `earliest + duration` can fit, and a binary search
-  /// finds where it begins.
-  explicit Timeline(bool backfill = false, std::size_t max_gaps = 64);
+  /// pieces of a split gap count as new). The gap list is one vector in
+  /// two segments, each in start order: first the gaps shorter than
+  /// split_, the shortest duration any scan has asked for, then every
+  /// other gap. A fitting gap is at least as long as the duration, so a
+  /// scan lowers split_ to its duration if it is shorter (moving the gaps
+  /// that are no longer short into the long segment) and then searches
+  /// the long segment only. Gaps are disjoint, so within a segment their
+  /// ends ascend too: only the gaps at the back that end at or after
+  /// `earliest + duration` can fit, and the scan walks back over just
+  /// those.
+  explicit Timeline(bool backfill = false, std::uint32_t max_gaps = 64);
 
   /// Reserves `duration` starting at or after `earliest`. A grant past
   /// the tail is a few assignments; only one that can end by next_free()
@@ -101,24 +107,35 @@ class Timeline {
   /// Records the idle gap [next_free_, start) and applies the cap.
   void open_gap(Time start);
 
-  /// First gap, in start order, that ends at or after `end`.
-  [[nodiscard]] std::size_t first_gap_ending_at_or_after(Time end) const {
-    const auto it = std::lower_bound(gaps_.begin(), gaps_.end(), end,
-                                     [](const Gap& gap, Time t) { return gap.end < t; });
-    return static_cast<std::size_t>(it - gaps_.begin());
-  }
+  /// Lowers split_ to `duration` and moves the gaps that are no longer
+  /// short into the long segment.
+  void lower_split(Time duration);
 
-  bool backfill_;
-  std::size_t max_gaps_;
+  /// Puts `gap` into the short segment, in start order.
+  void insert_short(const Gap& gap);
+
+  [[nodiscard]] bool is_short(const Gap& gap) const { return gap.end - gap.start < split_; }
+
   Time next_free_;
-  /// Disjoint idle gaps before next_free_, in start order, except the
-  /// dead ones that fold_before() dropped. Gap bookkeeping charges the
-  /// host profiler's timeline memory tally, as the owners' busy unions do.
+  /// Gaps shorter than this go to the short segment: the shortest
+  /// duration scanned so far, so no scan can use them.
+  Time split_ = Time::max();
+  /// Disjoint idle gaps before next_free_: the short segment, then the
+  /// long one, each in start order, except the dead ones that
+  /// fold_before() dropped. Gap bookkeeping charges the host profiler's
+  /// timeline memory tally, as the owners' busy unions do.
   std::vector<Gap, CountingAllocator<Gap, AllocDomain::kTimeline>> gaps_;
-  /// Gaps that ended by the last fold's watermark: the front of the
-  /// start-ordered list, counted rather than stored.
-  std::size_t dead_gaps_ = 0;
   std::uint64_t next_gap_seq_ = 0;
+  std::uint32_t max_gaps_;
+  /// Gaps that ended by the last fold's watermark: the earliest gaps,
+  /// counted rather than stored.
+  std::uint32_t dead_gaps_ = 0;
+  /// Size of the short segment, gaps_[0, short_gaps_).
+  std::uint32_t short_gaps_ = 0;
+  bool backfill_;
 };
+
+// Engine construction builds one Timeline per channel, port and plane.
+static_assert(sizeof(Timeline) <= 64);
 
 }  // namespace nvmooc

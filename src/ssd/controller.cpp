@@ -153,6 +153,7 @@ Time Controller::bus_time(Bytes bytes) {
   return bus_memo_time_;
 }
 
+template <bool kProbed>
 void Controller::schedule(const TxnSpec& spec, std::uint32_t plane, Time arrival,
                           bool inject, bool count_pal) {
   const NvmTiming& timing = hardware_.timing;
@@ -166,22 +167,33 @@ void Controller::schedule(const TxnSpec& spec, std::uint32_t plane, Time arrival
   ChannelLoad& channel_load = channel_load_[where.channel];
   Time& port_load = package_fb_[where.package];
   Time& op_cell_time = stats_.cell_time_by_op[static_cast<int>(spec.op)];
-  // Each step below reports its (wait, occupancy) pair to the probe once.
-  const probe::Site site{address.channel, address.package, address.die, address.plane};
+  std::uint64_t& reservations = current_.reservations;
   const auto cell_step = [&](const Reservation& cell) {
     plane_load.cell += cell.end - cell.start;
     plane_load.wait += cell.waited;
     op_cell_time += cell.end - cell.start;
+    if (cell.end > cell.start) ++reservations;
   };
   const auto port_step = [&](const Reservation& fb) {
     port_load += fb.end - fb.start;
     channel_load.wait += fb.waited;
     stats_.bus_time += fb.end - fb.start;
+    if (fb.end > fb.start) ++reservations;
   };
   const auto channel_step = [&](const Reservation& transfer) {
     channel_load.active += transfer.end - transfer.start;
     channel_load.wait += transfer.waited;
     stats_.bus_time += transfer.end - transfer.start;
+    if (transfer.end > transfer.start) ++reservations;
+  };
+  // The probed build reports each step's (wait, occupancy) pair to the
+  // probe once; the bare build holds no emitter at all.
+  const probe::Site site{address.channel, address.package, address.die, address.plane};
+  const auto report = [&](probe::Resource resource, Time earliest, const Reservation& grant,
+                          std::uint32_t attempt = 0, bool erase = false) {
+    if constexpr (kProbed) {
+      probe::step(resource, site, earliest, grant.start, grant.end, attempt, erase);
+    }
   };
 
   // An injected channel stall pushes the whole transaction back; the
@@ -193,14 +205,14 @@ void Controller::schedule(const TxnSpec& spec, std::uint32_t plane, Time arrival
     if (stalled) {
       ++stats_.reliability.channel_stalls;
       channel_load.wait += start - arrival;
-      probe::step(probe::Resource::kChannelStall, site, arrival, start, start);
+      report(probe::Resource::kChannelStall, arrival, {start, start, start - arrival});
     }
   }
 
   // Command/address cycles occupy the shared channel.
   const Reservation cmd = hardware_.reserve_channel(plane, start, timing.command_time);
   channel_step(cmd);
-  probe::step(probe::Resource::kChannel, site, start, cmd.start, cmd.end);
+  report(probe::Resource::kChannel, start, cmd);
 
   // Both the channel transfer and the package port move the payload at
   // the bus rate.
@@ -259,13 +271,13 @@ void Controller::schedule(const TxnSpec& spec, std::uint32_t plane, Time arrival
         const Reservation cell = hardware_.activate(plane, address, NvmOp::kRead,
                                                     spec.cell_ops, cursor, cell_time + extra);
         cell_step(cell);
-        probe::step(probe::Resource::kCell, site, cursor, cell.start, cell.end, attempt);
+        report(probe::Resource::kCell, cursor, cell, attempt);
         const Reservation fb = hardware_.reserve_port(plane, cell.end, data_time);
         port_step(fb);
-        probe::step(probe::Resource::kPort, site, cell.end, fb.start, fb.end);
+        report(probe::Resource::kPort, cell.end, fb);
         const Reservation out = hardware_.reserve_channel(plane, fb.end, data_time);
         channel_step(out);
-        probe::step(probe::Resource::kChannel, site, fb.end, out.start, out.end);
+        report(probe::Resource::kChannel, fb.end, out);
         cursor = out.end;
         if (attempt == 0) first_end = cursor;
       }
@@ -278,16 +290,16 @@ void Controller::schedule(const TxnSpec& spec, std::uint32_t plane, Time arrival
       const Reservation in = hardware_.reserve_channel(plane, cmd.end, data_time);
       channel_step(in);
       current_.write_data_in_end = std::max(current_.write_data_in_end, in.end);
-      probe::step(probe::Resource::kChannel, site, cmd.end, in.start, in.end);
+      report(probe::Resource::kChannel, cmd.end, in);
       const Reservation fb = hardware_.reserve_port(plane, in.end, data_time);
       port_step(fb);
-      probe::step(probe::Resource::kPort, site, in.end, fb.start, fb.end);
+      report(probe::Resource::kPort, in.end, fb);
       const Reservation cell = hardware_.activate(
           plane, address, NvmOp::kWrite, spec.cell_ops, fb.end,
           cell_times_.run_time(NvmOp::kWrite, address.page, spec.cell_ops));
       cell_step(cell);
       complete = cell.end;
-      probe::step(probe::Resource::kCell, site, fb.end, cell.start, cell.end);
+      report(probe::Resource::kCell, fb.end, cell);
       break;
     }
     case NvmOp::kErase: {
@@ -297,24 +309,25 @@ void Controller::schedule(const TxnSpec& spec, std::uint32_t plane, Time arrival
       cell_step(cell);
       complete = cell.end;
       current_.non_write_end = std::max(current_.non_write_end, complete);
-      probe::step(probe::Resource::kCell, site, cmd.end, cell.start, cell.end, 0,
-                  /*erase=*/true);
+      report(probe::Resource::kCell, cmd.end, cell, 0, /*erase=*/true);
       break;
     }
   }
 
-  // The remap pass runs with inject=false, count_pal=false; GC
-  // relocations carry the spec's gc flag; a read spec inside a write
-  // request is the read half of a read-modify-write.
-  probe::MediaKind kind = probe::MediaKind::kRequest;
-  if (!inject && !count_pal) {
-    kind = probe::MediaKind::kRemap;
-  } else if (spec.gc) {
-    kind = probe::MediaKind::kGc;
-  } else if (current_.op == NvmOp::kWrite && spec.op == NvmOp::kRead) {
-    kind = probe::MediaKind::kRmw;
+  if constexpr (kProbed) {
+    // The remap pass runs with inject=false, count_pal=false; GC
+    // relocations carry the spec's gc flag; a read spec inside a write
+    // request is the read half of a read-modify-write.
+    probe::MediaKind kind = probe::MediaKind::kRequest;
+    if (!inject && !count_pal) {
+      kind = probe::MediaKind::kRemap;
+    } else if (spec.gc) {
+      kind = probe::MediaKind::kGc;
+    } else if (current_.op == NvmOp::kWrite && spec.op == NvmOp::kRead) {
+      kind = probe::MediaKind::kRmw;
+    }
+    probe::media_transfer(spec.bytes, kind, retries);
   }
-  probe::media_transfer(spec.bytes, kind, retries);
   ++stats_.transactions;
 
   RequestResult& result = current_.result;
@@ -354,6 +367,27 @@ void Controller::schedule(const TxnSpec& spec, std::uint32_t plane, Time arrival
       address.package * hardware_.geometry.dies_per_package + address.die;
   channel_load.die_mask |= 1ULL << (die_in_channel % 64);
   die_plane_mask_[where.die] |= 1u << address.plane;
+}
+
+template <bool kProbed>
+void Controller::schedule_request(const std::vector<UnitRun>& runs, Time arrival) {
+  // Each transaction is scheduled as the stripe walk reaches it.
+  for (const UnitRun& run : runs) {
+    expand_run(run, [&](const TxnSpec& spec, std::uint32_t plane) {
+      schedule<kProbed>(spec, plane, arrival, /*inject=*/true, /*count_pal=*/true);
+    });
+  }
+  // Bad-block relocation traffic triggered by this request's
+  // uncorrectable reads; scheduled after the payload pass, without fault
+  // injection (a remap must not recursively fail), and excluded from the
+  // PAL masks. With inject=false none of its reads is uncorrectable and
+  // no block retires: remap_runs cannot grow while it is walked.
+  for (const UnitRun& run : current_.remap_runs) {
+    expand_run(run, [&](const TxnSpec& spec, std::uint32_t plane) {
+      schedule<kProbed>(spec, plane, arrival, /*inject=*/false, /*count_pal=*/false);
+    });
+    stats_.internal_bytes += run.bytes;
+  }
 }
 
 Bytes Controller::dirty_bytes_at(Time when) {
@@ -412,6 +446,7 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
   current_.write_data_in_end = Time{};
   current_.non_write_end = Time{};
   current_.remap_runs.clear();
+  current_.reservations = 0;
   RequestResult& result = current_.result;
   result.issue = arrival;
   result.bytes = request.size;
@@ -428,22 +463,11 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
   // here rather than at the end keeps them sound if a request throws.
   clear_request_loads();
 
-  // Each transaction is scheduled as the stripe walk reaches it.
-  for (const UnitRun& run : runs) {
-    expand_run(run, [&](const TxnSpec& spec, std::uint32_t plane) {
-      schedule(spec, plane, arrival, /*inject=*/true, /*count_pal=*/true);
-    });
-  }
-  // Bad-block relocation traffic triggered by this request's
-  // uncorrectable reads; scheduled after the payload pass, without fault
-  // injection (a remap must not recursively fail), and excluded from the
-  // PAL masks. With inject=false none of its reads is uncorrectable and
-  // no block retires: remap_runs cannot grow while it is walked.
-  for (const UnitRun& run : current_.remap_runs) {
-    expand_run(run, [&](const TxnSpec& spec, std::uint32_t plane) {
-      schedule(spec, plane, arrival, /*inject=*/false, /*count_pal=*/false);
-    });
-    stats_.internal_bytes += run.bytes;
+  // Per-transaction probe events (kTxn) are decided once per request.
+  if (probe::listening(probe::Kind::kTxn)) {
+    schedule_request<true>(runs, arrival);
+  } else {
+    schedule_request<false>(runs, arrival);
   }
 
   // Fold the request's critical-path components into the totals. Waits
@@ -532,7 +556,7 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
   stats_.last_completion = std::max(stats_.last_completion, result.media_end);
 
   probe::media_end({result.transactions, result.media_end - arrival, result.retries,
-                    result.uncorrectable_units});
+                    result.uncorrectable_units, current_.reservations});
   // A retirement rewrites mappings; prove the survivors stayed sound.
   if (!current_.remap_runs.empty()) ftl_.audit_installed();
   return result;

@@ -165,9 +165,16 @@ class Controller {
   /// stats. `inject` gates fault draws: bad-block relocation traffic is
   /// scheduled with injection off so a remap cannot recursively fail.
   /// `count_pal` is off for that traffic too: it says nothing about the
-  /// request's data layout.
+  /// request's data layout. Only the `kProbed` build reports to the
+  /// probe's per-transaction kind (kTxn); the bare build holds no emitter.
+  template <bool kProbed>
   void schedule(const TxnSpec& spec, std::uint32_t plane, Time arrival, bool inject,
                 bool count_pal);
+
+  /// Schedules a request's runs, then the remap runs its uncorrectable
+  /// reads queued, each transaction through schedule<kProbed>.
+  template <bool kProbed>
+  void schedule_request(const std::vector<UnitRun>& runs, Time arrival);
 
   /// Dirty bytes still being programmed at time `when`.
   [[nodiscard]] Bytes dirty_bytes_at(Time when);
@@ -201,6 +208,8 @@ class Controller {
     Time non_write_end;      ///< RMW reads and GC work that must land first.
     /// Bad-block relocations its uncorrectable reads queued.
     std::vector<UnitRun> remap_runs;
+    /// Its steps of positive duration (probe::MediaDone::reservations).
+    std::uint64_t reservations = 0;
   };
 
   SsdHardware& hardware_;

@@ -25,6 +25,7 @@
 #include "cluster/instruments.hpp"
 #include "common/probe.hpp"
 #include "fs/presets.hpp"
+#include "interval_counter.hpp"
 #include "obs/cli.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/latency.hpp"
@@ -588,6 +589,69 @@ TEST(HostTelemetry, EventCountsAreDeterministicAcrossReplays) {
   EXPECT_EQ(first.events_total, second.events_total);
   EXPECT_EQ(first.requests_completed, second.requests_completed);
   EXPECT_EQ(first.timeline_alloc.allocations, second.timeline_alloc.allocations);
+}
+
+// The controller runs its transactions without per-transaction probe
+// code unless a kTxn subscriber listens. Both paths must simulate the same
+// replay, and the speedometer, which takes no kTxn event, must count the
+// reservations a kTxn subscriber sees. Reads, checkpoint writes, and
+// fault injection (retries, remaps, an ION-GPFS abort) on every medium.
+TEST(HostTelemetry, BareReplayMatchesProbedReplay) {
+  SyntheticWorkloadParams params;
+  params.dataset_bytes = 16 * MiB;
+  params.tile_bytes = 8 * MiB;
+  params.sweeps = 1;
+  params.checkpoint_bytes = 2 * MiB;
+  const Trace trace = synthesize_ooc_trace(params);
+  obs::HostProfiler::Options options;
+  options.heartbeat_sec = 3600.0;  // Keep the log quiet under ctest.
+  constexpr int kReservations = static_cast<int>(obs::HostEvent::kTimelineReservation);
+  std::uint64_t retries = 0;
+  std::uint64_t stalls = 0;
+  std::uint64_t remaps = 0;
+  std::uint64_t aborted = 0;
+  for (const NvmType media : {NvmType::kSlc, NvmType::kMlc, NvmType::kTlc, NvmType::kPcm}) {
+    for (ExperimentConfig config : {ion_gpfs_config(media), cnl_fs_config(ext4_behavior(), media),
+                                    cnl_ufs_config(media)}) {
+      for (const bool faults : {false, true}) {
+        SCOPED_TRACE(config.name + "/" + std::string(to_string(media)) +
+                     (faults ? " faults" : ""));
+        if (faults) {
+          config.fault.enabled = true;
+          config.fault.seed = 42;
+          config.fault.rber = 1.2e-2;
+          config.fault.channel_stalls.push_back({0, Time{}, 200 * kMicrosecond});
+          config.fault.stuck_dies.push_back({1, 0, 0, kMillisecond});
+        }
+        ExperimentResult bare;
+        {
+          obs::HostSession session(options);
+          bare = run_experiment(config, trace);
+        }
+        IntervalCounter steps;
+        ExperimentResult probed;
+        {
+          obs::HostSession session(options);
+          const probe::Scoped listen(probe::Slot::kLatency, &steps);
+          probed = run_experiment(config, trace);
+        }
+        retries += probed.reliability.read_retries;
+        stalls += probed.reliability.channel_stalls;
+        remaps += probed.reliability.remap_relocations;
+        aborted += probed.reliability.aborted ? 1 : 0;
+        EXPECT_GT(steps.intervals, 0u);
+        EXPECT_EQ(steps.intervals, probed.host.events[kReservations]);
+        EXPECT_EQ(bare.host.events, probed.host.events);
+        bare.host = {};
+        probed.host = {};
+        EXPECT_EQ(bare.to_json(), probed.to_json());
+      }
+    }
+  }
+  EXPECT_GT(retries, 0u) << "the fixture must climb the retry ladder";
+  EXPECT_GT(stalls, 0u) << "the fixture must stall a channel";
+  EXPECT_GT(remaps, 0u) << "the fixture must relocate off a bad block";
+  EXPECT_GT(aborted, 0u) << "the fixture must abort a replay";
 }
 
 // One session across two replays: each report covers its own replay only.

@@ -267,57 +267,71 @@ TEST(Timeline, GapCapBindsOnlyOnTailGrowth) {
 // the cap and drop-oldest takes them first; the grants must not move.
 // A busy union fed those grants and folded at the same watermarks, as
 // the timelines' owners keep one, sums to the reference's busy time.
+// Durations are either mixed (0-59 ps throughout) or falling: long
+// durations first, then shorter in stages down to 1-10 ps, so the
+// shortest scanned duration keeps dropping and gaps move from the short
+// segment to the long one while the cap and folds cut both segments.
 TEST(Timeline, IndexedGapSearchMatchesLinearScan) {
   for (const bool backfill : {false, true}) {
     for (const std::size_t max_gaps : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                        std::size_t{64}}) {
       for (const bool fold : {false, true}) {
-        for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-          SCOPED_TRACE(::testing::Message() << "backfill=" << backfill << " max_gaps="
-                                            << max_gaps << " fold=" << fold
-                                            << " seed=" << seed);
-          std::uint64_t granted = 0;
-          Timeline timeline(backfill, max_gaps);
-          LinearScanTimeline reference(backfill, max_gaps);
-          SplitMix next{seed * 0x51ed2701ULL};
-          Time clock;
-          Time watermark;
-          BusyTracker busy;
-          for (int i = 0; i < 4000; ++i) {
-            // Mostly forward-moving arrivals with occasional long jumps
-            // (new tail gaps) and look-backs (backfill into old gaps).
-            const std::uint64_t roll = next() % 100;
-            Time earliest;
-            if (roll < 10) {
-              clock += Time{static_cast<std::int64_t>(200 + next() % 2000)};
-              earliest = clock;
-            } else if (roll < 45) {
-              const Time back{static_cast<std::int64_t>(next() % 3000)};
-              earliest = std::max(Time{}, clock - back);
-            } else {
-              clock += Time{static_cast<std::int64_t>(next() % 30)};
-              earliest = clock;
+        for (const bool falling : {false, true}) {
+          for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+            SCOPED_TRACE(::testing::Message() << "backfill=" << backfill << " max_gaps="
+                                              << max_gaps << " fold=" << fold
+                                              << " falling=" << falling << " seed=" << seed);
+            std::uint64_t granted = 0;
+            Timeline timeline(backfill, max_gaps);
+            LinearScanTimeline reference(backfill, max_gaps);
+            SplitMix next{seed * 0x51ed2701ULL};
+            Time clock;
+            Time watermark;
+            BusyTracker busy;
+            for (int i = 0; i < 4000; ++i) {
+              // Falling: 400-1199 ps, 100-299, 20-59, then 1-10, with the
+              // clock's steps scaled to match.
+              constexpr std::int64_t stage_floor[] = {400, 100, 20, 1};
+              constexpr std::uint64_t stage_span[] = {800, 200, 40, 10};
+              const int stage = i / 1000;
+              const std::int64_t scale = falling ? stage_floor[stage] / 20 + 1 : 1;
+              // Mostly forward-moving arrivals with occasional long jumps
+              // (new tail gaps) and look-backs (backfill into old gaps).
+              const std::uint64_t roll = next() % 100;
+              Time earliest;
+              if (roll < 10) {
+                clock += Time{scale * static_cast<std::int64_t>(200 + next() % 2000)};
+                earliest = clock;
+              } else if (roll < 45) {
+                const Time back{scale * static_cast<std::int64_t>(next() % 3000)};
+                earliest = std::max(Time{}, clock - back);
+              } else {
+                clock += Time{scale * static_cast<std::int64_t>(next() % 30)};
+                earliest = clock;
+              }
+              earliest = std::max(earliest, watermark);
+              const Time duration{
+                  falling ? stage_floor[stage] + static_cast<std::int64_t>(next() % stage_span[stage])
+                          : static_cast<std::int64_t>(next() % 60)};
+              const Reservation got = timeline.reserve(earliest, duration);
+              const Reservation want = reference.reserve(earliest, duration);
+              ASSERT_EQ(got.start, want.start) << "reserve " << i;
+              ASSERT_EQ(got.end, want.end) << "reserve " << i;
+              ASSERT_EQ(got.waited, want.waited) << "reserve " << i;
+              ASSERT_EQ(timeline.next_free(), reference.next_free()) << "reserve " << i;
+              if (got.end > got.start) ++granted;
+              busy.add_interval(got.start, got.end);
+              if (fold && next() % 8 == 0) {
+                const Time behind{scale * static_cast<std::int64_t>(next() % 4000)};
+                watermark = std::max(watermark, clock - behind);
+                timeline.fold_before(watermark);
+                busy.fold_before(watermark);
+                ASSERT_EQ(busy.busy_time(), reference.busy_time()) << "fold " << i;
+              }
             }
-            earliest = std::max(earliest, watermark);
-            const Time duration{static_cast<std::int64_t>(next() % 60)};
-            const Reservation got = timeline.reserve(earliest, duration);
-            const Reservation want = reference.reserve(earliest, duration);
-            ASSERT_EQ(got.start, want.start) << "reserve " << i;
-            ASSERT_EQ(got.end, want.end) << "reserve " << i;
-            ASSERT_EQ(got.waited, want.waited) << "reserve " << i;
-            ASSERT_EQ(timeline.next_free(), reference.next_free()) << "reserve " << i;
-            if (got.end > got.start) ++granted;
-            busy.add_interval(got.start, got.end);
-            if (fold && next() % 8 == 0) {
-              const Time behind{static_cast<std::int64_t>(next() % 4000)};
-              watermark = std::max(watermark, clock - behind);
-              timeline.fold_before(watermark);
-              busy.fold_before(watermark);
-              ASSERT_EQ(busy.busy_time(), reference.busy_time()) << "fold " << i;
-            }
+            EXPECT_EQ(granted, reference.reservation_count());
+            EXPECT_EQ(busy.busy_time(), reference.busy_time());
           }
-          EXPECT_EQ(granted, reference.reservation_count());
-          EXPECT_EQ(busy.busy_time(), reference.busy_time());
         }
       }
     }

@@ -923,7 +923,7 @@ class StepUnions final : public probe::Subscriber {
   using Spans = std::vector<std::pair<Time, Time>>;
 
   explicit StepUnions(const SsdHardware& hardware)
-      : probe::Subscriber(probe::bit(probe::Kind::kInterval)),
+      : probe::Subscriber(probe::bit(probe::Kind::kTxn)),
         hardware(hardware),
         channels(hardware.channels.size()),
         ports(hardware.ports.size()),
@@ -1282,7 +1282,7 @@ std::uint64_t live_union_intervals(const SsdHardware& hardware) {
 /// device), a port step three and a channel step two.
 class UnionAdds final : public probe::Subscriber {
  public:
-  UnionAdds() : probe::Subscriber(probe::bit(probe::Kind::kInterval)) {}
+  UnionAdds() : probe::Subscriber(probe::bit(probe::Kind::kTxn)) {}
   void on_interval(const probe::Interval& iv) override {
     if (iv.end <= iv.start) return;
     switch (iv.resource) {
